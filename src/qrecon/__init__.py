@@ -6,8 +6,8 @@ Subsystems: bit-pattern partitions and their shift/scale symmetries
 (`probmodel`), Fisher / extended Fisher / Fubini-Study metrics (`metrics`),
 measurement simulation and maximum-likelihood estimation (`sampling`), the
 Bloch sphere and its observable charts (`bloch`), and the butterfly ladder
-relating conjugate distributions (`butterfly`) with compiled/numpy kernels
-(`kernels`) and a dense-vs-ladder benchmark (`bench`).
+relating conjugate distributions (`butterfly`) with its in-place numpy
+kernel (`kernels`), and a dense-vs-ladder benchmark (`bench`).
 """
 
 from .bloch import (BlochPoint, ExtendedCoords, bloch_from_extended,

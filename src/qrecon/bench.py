@@ -2,8 +2,7 @@
 
 The ladder costs O(N log N) cell operations against O(N^2) for the dense
 product, so the speedup must grow with N; the CLI asserts a floor at
-N = 4096.  When both kernel backends are importable a secondary comparison
-of compiled vs numpy kernels is reported as well.
+N = 4096.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .butterfly import apply_butterfly, dft_matrix, make_plan
 from .exceptions import DomainError
 
@@ -40,8 +38,7 @@ def _best_ns(fn, repeats: int) -> int:
     return best
 
 
-def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0,
-              backend: str | None = None) -> list[BenchRow]:
+def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0) -> list[BenchRow]:
     """Time dense matvec against the butterfly apply for each size."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -53,27 +50,12 @@ def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0,
         psi /= np.linalg.norm(psi)
         dense = dft_matrix(size, +1)
         plan = make_plan(n, +1)
-        apply_butterfly(plan, psi, backend=backend)  # warm up
+        apply_butterfly(plan, psi)  # warm up
         dense @ psi
         dense_ns = _best_ns(lambda: dense @ psi, repeats)
-        fly_ns = _best_ns(lambda: apply_butterfly(plan, psi, backend=backend), repeats)
+        fly_ns = _best_ns(lambda: apply_butterfly(plan, psi), repeats)
         rows.append(BenchRow(size, dense_ns, fly_ns))
     return rows
-
-
-def backend_comparison(size: int, repeats: int = 7, seed: int = 0) -> dict[str, int]:
-    """Best apply time per available kernel backend at one size."""
-    rng = np.random.default_rng(seed)
-    n = size.bit_length() - 1
-    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
-    psi /= np.linalg.norm(psi)
-    plan = make_plan(n, +1)
-    out = {}
-    for backend in kernels.AVAILABLE_BACKENDS:
-        apply_butterfly(plan, psi, backend=backend)
-        out[backend] = _best_ns(lambda: apply_butterfly(plan, psi, backend=backend),
-                                repeats)
-    return out
 
 
 def write_csv(rows: list[BenchRow], path: str) -> None:

@@ -233,17 +233,22 @@ def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str,
     functions theta(t), alpha(t) at t = 0 by Richardson-extrapolated central
     differences, and evaluates dtheta^2 + sin^2(theta) dalpha^2.  Every
     chart must return the same number for the same tangent.
+
+    The curve is differentiated at unit speed and the metric, being
+    quadratic in the tangent, is scaled by speed**2 afterwards; a short
+    tangent would otherwise move the curve so little over the difference
+    step that rounding error dominates.
     """
     p = point.as_array()
     v = np.asarray(velocity, dtype=float)
     v = v - np.dot(v, p) * p
-    speed = np.linalg.norm(v)
+    speed = float(np.linalg.norm(v))
     if speed < 1e-15:
         raise DomainError("zero tangent")
     direction = v / speed
 
     def chart_at(t: float) -> tuple[float, complex]:
-        c = math.cos(speed * t) * p + math.sin(speed * t) * direction
+        c = math.cos(t) * p + math.sin(t) * direction
         pt = BlochPoint(*(c / np.linalg.norm(c)))
         coords = extended_from_bloch(axis, pt)
         if coords.alpha is None:
@@ -263,4 +268,4 @@ def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str,
     fine = derivatives(step / 2.0)
     dtheta = (4.0 * fine[0] - coarse[0]) / 3.0
     dalpha = (4.0 * fine[1] - coarse[1]) / 3.0
-    return metric_in_coords(theta0, dtheta, dalpha)
+    return metric_in_coords(theta0, dtheta, dalpha) * speed**2

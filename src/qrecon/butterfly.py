@@ -34,18 +34,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # ----------------------------------------------------------------- indexing
 
-def bit_reverse(x: int, n: int) -> int:
-    """Reverse the n-bit representation of x."""
-    r = 0
-    for _ in range(n):
-        r = (r << 1) | (x & 1)
-        x >>= 1
-    return r
-
-
 @functools.lru_cache(maxsize=None)
 def bit_reversal_permutation(n: int) -> np.ndarray:
-    """Index array br with br[y] = bit_reverse(y, n)."""
+    """Index array br with br[y] = y with its n bits in reversed order."""
     br = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         br = np.concatenate([2 * br, 2 * br + 1])
@@ -70,11 +61,6 @@ def node_position(n: int, l: int, x: int, y: int) -> int:
 
 
 # ------------------------------------------------------- phases and stages
-
-def shift_phase_closed_form(l: int, k: int) -> float:
-    """-2*pi*k / 2**l, the diagonal phase of the conjugated cyclic shift."""
-    return -2.0 * math.pi * k / (1 << l)
-
 
 @dataclass(frozen=True)
 class ShiftPhases:
@@ -198,9 +184,8 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     return ButterflyPlan(n, sign, diags)
 
 
-def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray, order: str = "natural",
-                    mode: str = "serial", backend: str | None = None,
-                    threads: int | None = None) -> np.ndarray:
+def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
+                    order: str = "natural") -> np.ndarray:
     """Evaluate the ladder on psi in O(N log N) cell operations.
 
     order 'bitReversed' returns the ladder output as produced (component mu
@@ -211,8 +196,7 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray, order: str = "natural"
     if psi.shape != (1 << plan.n,):
         raise DomainError("state length does not match the plan order")
     work = np.ascontiguousarray(psi.copy())
-    kernels.apply_stages_inplace(work, plan.diagonals, plan.n,
-                                 mode=mode, backend=backend, threads=threads)
+    kernels.apply_stages_inplace(work, plan.diagonals, plan.n)
     if order == "bitReversed":
         return work
     if order == "natural":

@@ -312,11 +312,6 @@ def run_bench(cfg: dict) -> tuple[list[Check], list[dict]]:
                 row.speedup >= cfg["min_speedup"]))
     data = [{"N": r.size, "dense_ns": r.dense_ns, "butterfly_ns": r.butterfly_ns,
              "speedup": r.speedup} for r in rows]
-    if len(kernels.AVAILABLE_BACKENDS) > 1:
-        comparison = bench_mod.backend_comparison(max(sizes), repeats=int(cfg["repeats"]),
-                                                  seed=cfg["seed"])
-        data.append({"N": max(sizes),
-                     **{f"{name}_ns": ns for name, ns in comparison.items()}})
     return checks, data
 
 

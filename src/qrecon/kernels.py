@@ -1,80 +1,44 @@
-"""Kernel backend selection and threaded dispatch for the butterfly apply.
+"""The in-place radix-2 butterfly kernel behind the ladder apply.
 
-Importing this module picks the compiled Cython kernel when available and
-falls back to the vectorized numpy implementation otherwise; BACKEND names
-the choice.  Both backends run the identical operation sequence, so outputs
-match bit for bit, and the fork-join mode splits the array into independent
-aligned slices, which leaves every per-element operation order unchanged.
+One vectorized numpy kernel runs every stage: each stage pairs the halves of
+its blocks through a Hadamard cell, then multiplies by the twiddle diagonal
+that follows it.  BACKEND names it for reports.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 
 import numpy as np
 
-from . import _butterfly_py
-from .sampling import thread_budget
+BACKEND = "python"
+AVAILABLE_BACKENDS = (BACKEND,)
 
-try:
-    from . import _butterfly_cy as _compiled
-    BACKEND = "cython"
-except ImportError:  # extension not built
-    _compiled = None
-    BACKEND = "python"
-
-AVAILABLE_BACKENDS = ("python",) if _compiled is None else ("cython", "python")
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _impl(backend: str | None):
-    name = backend or BACKEND
-    if name == "cython":
-        if _compiled is None:
-            raise RuntimeError("compiled kernel not available")
-        return _compiled
-    if name == "python":
-        return _butterfly_py
-    raise ValueError(f"unknown backend {name!r}")
+def butterfly_range(psi: np.ndarray, diags: np.ndarray, n: int,
+                    l_start: int, l_end: int) -> None:
+    """Apply stages l_start..l_end (with their twiddles) to psi in place."""
+    for l in range(l_start, l_end + 1):
+        half = 1 << (n - l)
+        view = psi.reshape(-1, 2, half)
+        top = view[:, 0, :].copy()
+        bot = view[:, 1, :]
+        view[:, 0, :] = (top + bot) * _INV_SQRT2
+        view[:, 1, :] = (top - bot) * _INV_SQRT2
+        if l < n:
+            psi *= diags[l - 1]
 
 
 def apply_stage_range(psi: np.ndarray, diags: np.ndarray, n: int,
-                      l_start: int, l_end: int, backend: str | None = None) -> None:
+                      l_start: int, l_end: int) -> None:
     """Run stages l_start..l_end (with their trailing twiddles) in place."""
-    _impl(backend).butterfly_range(psi, diags, n, l_start, l_end, 0, psi.shape[0])
+    butterfly_range(psi, diags, n, l_start, l_end)
 
 
-def apply_stages_inplace(psi: np.ndarray, diags: np.ndarray, n: int,
-                         mode: str = "serial", backend: str | None = None,
-                         threads: int | None = None) -> None:
-    """Run all n stages (with interleaved twiddles) on psi in place.
-
-    mode 'serial' processes the whole array in one call; mode 'forkjoin'
-    applies a shared prefix of stages, then hands the independent aligned
-    blocks of the remaining stages to a thread pool.  Results are
-    bit-identical across modes and thread counts.
-    """
-    size = psi.shape[0]
-    if size != 1 << n:
+def apply_stages_inplace(psi: np.ndarray, diags: np.ndarray, n: int) -> None:
+    """Run all n stages (with interleaved twiddles) on psi in place."""
+    if psi.shape[0] != 1 << n:
         raise ValueError("state length does not match the plan order")
-    if n == 0:
-        return
-    impl = _impl(backend)
-    if mode == "serial":
-        impl.butterfly_range(psi, diags, n, 1, n, 0, size)
-        return
-    if mode != "forkjoin":
-        raise ValueError(f"unknown mode {mode!r}")
-    workers = threads if threads is not None else thread_budget()
-    depth = 0
-    while (1 << (depth + 1)) <= workers and depth + 1 < n:
-        depth += 1
-    if depth == 0:
-        impl.butterfly_range(psi, diags, n, 1, n, 0, size)
-        return
-    impl.butterfly_range(psi, diags, n, 1, depth, 0, size)
-    chunk = size >> depth
-    starts = range(0, size, chunk)
-    with ThreadPoolExecutor(max_workers=1 << depth) as pool:
-        list(pool.map(
-            lambda lo: impl.butterfly_range(psi, diags, n, depth + 1, n, lo, lo + chunk),
-            starts))
+    butterfly_range(psi, diags, n, 1, n)

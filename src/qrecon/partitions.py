@@ -22,11 +22,6 @@ from .exceptions import DomainError, RangeError
 ENUMERATION_WIDTH_CAP = 4  # brute-force searches refuse above this width
 
 
-def bit_of(x: int, i: int, width: int) -> int:
-    """Value of bit i of x (bit 1 = most significant of `width` bits)."""
-    return (x >> (width - i)) & 1
-
-
 @dataclass(frozen=True)
 class DigitSubsetSet:
     """The set {x : bits lo..hi of x equal pattern} over a width-bit domain."""

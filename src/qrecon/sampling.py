@@ -1,15 +1,13 @@
 """Measurement simulation and maximum-likelihood estimation.
 
 Randomness comes from counter-based Philox streams keyed by
-(master seed, observable, replica), so replicas can run in any order or on
-any number of threads and still reproduce bit-identically.
+(master seed, observable, replica), so each replica's draws depend only on
+its key and replay bit-identically from the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +16,6 @@ from .exceptions import DomainError
 from .probmodel import ThetaAngle, prob_from_theta
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
-
-
-def thread_budget() -> int:
-    """Worker cap from QR_THREADS (default: single-threaded)."""
-    raw = os.environ.get("QR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def measurement_stream(master_seed: int, observable: str, replica: int) -> np.random.Generator:
@@ -113,23 +102,14 @@ class TomographyReport:
 
 
 def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
-                       replicas: int, threads: int) -> np.ndarray:
+                       replicas: int) -> np.ndarray:
     p0, _ = prob_from_theta(theta)
-
-    def run_chunk(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo)
-        for r in range(lo, hi):
-            rng = measurement_stream(seed, observable, r)
-            zeros = rng.binomial(trials, p0)
-            out[r - lo] = 2.0 * math.acos(math.sqrt(zeros / trials))
-        return out
-
-    if threads <= 1:
-        return run_chunk(0, replicas)
-    bounds = np.linspace(0, replicas, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(run_chunk, bounds[:-1], bounds[1:])
-    return np.concatenate(list(chunks))
+    out = np.empty(replicas)
+    for r in range(replicas):
+        rng = measurement_stream(seed, observable, r)
+        zeros = rng.binomial(trials, p0)
+        out[r] = 2.0 * math.acos(math.sqrt(zeros / trials))
+    return out
 
 
 def _observable_thetas(state) -> dict[str, float]:
@@ -166,7 +146,6 @@ def tomography_experiment(state, trials: dict[str, int], seed: int,
     observable_thetas = _observable_thetas(state)
     if not observable_thetas:
         raise DomainError("no observables to measure")
-    threads = thread_budget()
     summaries = []
     for name in sorted(trials):
         theta = observable_thetas[name]
@@ -175,7 +154,7 @@ def tomography_experiment(state, trials: dict[str, int], seed: int,
             raise DomainError(f"observable {name}: need at least one trial")
         if replicas < 2:
             raise DomainError("need at least two replicas for a variance")
-        est = _replica_estimates(theta, m, seed, name, replicas, threads)
+        est = _replica_estimates(theta, m, seed, name, replicas)
         var_hat = float(np.var(est, ddof=1))
         precision = 1.0 / (m * var_hat) if var_hat > 0.0 else math.inf
         summaries.append(ObservableSummary(

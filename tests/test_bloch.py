@@ -139,8 +139,10 @@ class TestMetricInCoords:
         for _ in range(100):
             pt = random_point(rng, pole_margin=0.1)
             tangent = rng.normal(size=3)
-            values = [chart_tangent_metric(pt, tangent, axis) for axis in "qpr"]
-            assert max(values) - min(values) < 1e-10 * max(values)
+            for scale in (1.0, 1e-3):  # a short tangent must not lose digits
+                values = [chart_tangent_metric(pt, scale * tangent, axis)
+                          for axis in "qpr"]
+                assert max(values) - min(values) < 1e-10 * max(values)
 
     def test_chart_value_is_the_sphere_metric(self):
         rng = np.random.default_rng(9)

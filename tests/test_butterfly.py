@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from qrecon import kernels
 from qrecon.butterfly import (apply_butterfly, assemble_transform,
                               bit_reversal_permutation, chain_propagate,
                               derive_shift_phases, dft_matrix, make_plan,
@@ -204,35 +203,6 @@ class TestApplyButterfly:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             apply_butterfly(make_plan(3), np.ones(4, dtype=complex) / 2)
-
-
-class TestKernels:
-    def test_serial_and_forkjoin_are_bit_identical(self):
-        rng = np.random.default_rng(3)
-        plan = make_plan(9)
-        psi = random_psi(rng, 9)
-        for backend in kernels.AVAILABLE_BACKENDS:
-            serial = apply_butterfly(plan, psi, mode="serial", backend=backend)
-            for threads in (2, 4, 8):
-                forked = apply_butterfly(plan, psi, mode="forkjoin",
-                                         backend=backend, threads=threads)
-                assert np.array_equal(serial, forked)
-
-    def test_backends_agree(self):
-        rng = np.random.default_rng(4)
-        plan = make_plan(9)
-        psi = random_psi(rng, 9)
-        outs = [apply_butterfly(plan, psi, backend=b)
-                for b in kernels.AVAILABLE_BACKENDS]
-        for other in outs[1:]:
-            assert np.abs(outs[0] - other).max() < 1e-14
-
-    def test_thread_env_budget(self, monkeypatch):
-        from qrecon.sampling import thread_budget
-        monkeypatch.setenv("QR_THREADS", "6")
-        assert thread_budget() == 6
-        monkeypatch.setenv("QR_THREADS", "junk")
-        assert thread_budget() == 1
 
 
 class TestVerifyDanielsonLanczos:

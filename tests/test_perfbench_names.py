@@ -1,0 +1,39 @@
+"""The names perfbench looks up in qrecon must keep resolving.
+
+perfbench/worker.py wraps every `workloads.LAYERS` function by name for its
+traced run and records `qrecon.BACKEND` and `qrecon.AVAILABLE_BACKENDS` in
+its env block; a rename would break the benchmark without failing any other
+test.  `workloads.py` imports neither numpy nor qrecon, so it is loaded
+here straight from its file.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import qrecon
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+@pytest.mark.parametrize("name", [layer.name for layer in load_layers()])
+def test_traced_layer_resolves(name):
+    modname, attr = name.rsplit(".", 1)
+    module = importlib.import_module(f"qrecon.{modname}")
+    assert callable(getattr(module, attr))
+
+
+def test_env_block_constants():
+    assert qrecon.BACKEND in qrecon.AVAILABLE_BACKENDS

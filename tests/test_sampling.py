@@ -130,13 +130,17 @@ class TestTomography:
         assert report.summary_for("q").theta_hat_mean == pytest.approx(
             math.pi / 2, abs=0.2)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        args = ({"q": 1.0, "p": 0.3}, {"q": 5000, "p": 5000})
-        monkeypatch.setenv("QR_THREADS", "1")
-        serial = tomography_experiment(*args, seed=9, replicas=64)
-        monkeypatch.setenv("QR_THREADS", "8")
-        threaded = tomography_experiment(*args, seed=9, replicas=64)
-        assert serial == threaded
+    def test_replicas_are_keyed_by_seed_observable_replica(self):
+        thetas, trials = {"q": 1.0, "p": 0.3}, {"q": 5000, "p": 5000}
+        report = tomography_experiment(thetas, trials, seed=9, replicas=64)
+        for o in "qp":
+            direct = np.mean([
+                mle_theta(simulate_bernoulli(thetas[o], trials[o], 9, o,
+                                             replica=r))[0]
+                for r in range(64)])
+            assert report.summary_for(o).theta_hat_mean == direct
+        assert report == tomography_experiment(thetas, trials, seed=9,
+                                               replicas=64)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
