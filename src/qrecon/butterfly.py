@@ -146,15 +146,29 @@ def stage_matrix(n: int, l: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ButterflyPlan:
-    """Precomputed twiddle diagonals for the n-stage ladder.
+    """Precomputed twiddle ramps for the n-stage ladder.
 
-    diagonals[l-1] holds the diagonal applied after stage l; sign=+1 stores
-    the conjugated (inverse-ladder) values, sign=-1 the raw q -> p values.
+    The twiddle after stage l is the identity on the first half of every
+    block of 2**(n-l+1) entries and one ramp on the second half, the same
+    for every block.  ramps[l-1] holds that ramp, 2**(n-l) entries, for each
+    l < n: N - 2 entries in all instead of the (n-1) * N full diagonals.
+    sign=+1 stores the conjugated (inverse-ladder) values, sign=-1 the raw
+    q -> p values.  `diagonals` expands the ramps to the full diagonals.
     """
 
     n: int
     sign: int
-    diagonals: np.ndarray = field(repr=False)
+    ramps: tuple[np.ndarray, ...] = field(repr=False)
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """Full (n-1, N) twiddle diagonals; diagonals[l-1] follows stage l."""
+        size = 1 << self.n
+        diags = np.ones((max(self.n - 1, 0), size), dtype=complex)
+        for row, ramp in zip(diags, self.ramps):
+            row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
+        diags.setflags(write=False)
+        return diags
 
     def stage(self, l: int) -> np.ndarray:
         """Dense operator of stage l (the diagonals carry the twiddles)."""
@@ -172,16 +186,26 @@ class ButterflyPlan:
 
 
 def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
+    """Plan the n-stage ladder: one np.exp over the level-1 ramp.
+
+    The level-1 ramp has phases -2*pi*k/N, k < N/2; the level-l ramp is its
+    stride-2**(l-1) slice, since -2*pi*(s*k)/N equals -2*pi*k/(N/s) exactly
+    for a power of two s.  Every ramp is contiguous and read-only, and its
+    values are bit-identical to the second halves of twiddle_stage.
+    """
     if n < 1:
         raise DomainError("plan needs at least one stage")
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
     size = 1 << n
-    diags = np.empty((max(n - 1, 0), size), dtype=complex)
+    phases = -2.0 * math.pi * np.arange(size >> 1) / size
+    base = np.exp(-1j * sign * phases)
+    ramps = []
     for level in range(1, n):
-        diags[level - 1] = np.exp(-1j * sign * twiddle_stage(n, level).phases)
-    diags.setflags(write=False)
-    return ButterflyPlan(n, sign, diags)
+        ramp = np.ascontiguousarray(base[::1 << (level - 1)])
+        ramp.setflags(write=False)
+        ramps.append(ramp)
+    return ButterflyPlan(n, sign, tuple(ramps))
 
 
 def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
@@ -192,11 +216,10 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     holds the coefficient of the bit-reversed index); 'natural' undoes the
     permutation.  Matches the dense assemble_transform action to rounding.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (1 << plan.n,):
+    work = np.array(psi, dtype=complex)
+    if work.shape != (1 << plan.n,):
         raise DomainError("state length does not match the plan order")
-    work = np.ascontiguousarray(psi.copy())
-    kernels.apply_stages_inplace(work, plan.diagonals, plan.n)
+    kernels.apply_stages_inplace(work, plan.ramps, plan.n)
     if order == "bitReversed":
         return work
     if order == "natural":
@@ -206,14 +229,14 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
 
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
                       order: str = "natural") -> np.ndarray:
-    """Apply the composed ladder to every column of mat (kernel per column)."""
+    """Apply the composed ladder to every column of mat: one kernel call
+    runs all stages on the stack of transposed columns."""
     size = 1 << n
     if mat.shape[0] != size:
         raise DomainError("column length does not match the ladder order")
     plan = make_plan(n, sign)
     work = np.ascontiguousarray(np.asarray(mat, dtype=complex).T)
-    for row in work:
-        kernels.apply_stage_range(row, plan.diagonals, n, 1, n)
+    kernels.apply_stage_range(work, plan.ramps, n, 1, n)
     out = work.T
     if order == "natural":
         return out[bit_reversal_permutation(n)]
@@ -353,6 +376,6 @@ def chain_propagate(psi: np.ndarray, plan: ButterflyPlan | None = None) -> list[
     work = np.ascontiguousarray(psi.copy())
     levels = [Distribution(np.abs(work) ** 2)]
     for l in range(1, n + 1):
-        kernels.apply_stage_range(work, plan.diagonals, n, l, l)
+        kernels.apply_stage_range(work, plan.ramps, n, l, l)
         levels.append(Distribution(np.abs(work) ** 2))
     return levels

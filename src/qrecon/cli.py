@@ -157,6 +157,10 @@ def run_tomography(cfg: dict) -> tuple[list[Check], list[dict]]:
 
 
 def run_metric_check(cfg: dict) -> tuple[list[Check], list[dict]]:
+    # zero samples or chart points would pass their checks vacuously
+    for key in ("levels", "samples", "chart_points"):
+        if int(cfg[key]) < 1:
+            raise ConfigError(f"{key} must be at least 1")
     rng = np.random.default_rng(cfg["seed"])
     nbits = int(cfg["levels"])
     worst_fs = worst_rec = 0.0
@@ -299,7 +303,10 @@ def run_partition_audit(cfg: dict) -> tuple[list[Check], list[dict]]:
 
 def run_bench(cfg: dict) -> tuple[list[Check], list[dict]]:
     sizes = [int(s) for s in cfg["sizes"]]
-    rows = bench_mod.run_bench(sizes, repeats=int(cfg["repeats"]), seed=cfg["seed"])
+    repeats = int(cfg["repeats"])
+    if repeats < 1:
+        raise ConfigError("repeats must be at least 1")
+    rows = bench_mod.run_bench(sizes, repeats=repeats, seed=cfg["seed"])
     checks = []
     assert_at = int(cfg["assert_at"])
     for row in rows:

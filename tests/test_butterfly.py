@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from qrecon import kernels
 from qrecon.butterfly import (apply_butterfly, assemble_transform,
                               bit_reversal_permutation, chain_propagate,
                               derive_shift_phases, dft_matrix, make_plan,
                               node_position, shift_operator_check,
-                              stage_matrix, twiddle_phase, twiddle_stage,
-                              verify_danielson_lanczos)
+                              stage_matrix, transform_columns, twiddle_phase,
+                              twiddle_stage, verify_danielson_lanczos)
 from qrecon.exceptions import DomainError
 from qrecon.metrics import fubini_study_distance, random_state
 
@@ -204,6 +205,41 @@ class TestApplyButterfly:
         with pytest.raises(DomainError):
             apply_butterfly(make_plan(3), np.ones(4, dtype=complex) / 2)
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_numpy_fft(self, n, sign):
+        rng = np.random.default_rng(100 + n)
+        psi = random_psi(rng, n)
+        ref = (np.fft.ifft if sign > 0 else np.fft.fft)(psi, norm="ortho")
+        out = apply_butterfly(make_plan(n, sign), psi)
+        assert np.abs(out - ref).max() < 1e-12
+
+    def test_strided_input_is_copied_not_changed(self):
+        rng = np.random.default_rng(3)
+        wide = random_psi(rng, 6)
+        before = wide.copy()
+        out = apply_butterfly(make_plan(5), wide[::2])
+        assert np.array_equal(wide, before)
+        assert np.array_equal(out, apply_butterfly(make_plan(5), wide[::2].copy()))
+
+
+class TestTransformColumns:
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_equals_per_column_apply(self, n, sign, order):
+        rng = np.random.default_rng(200 + n)
+        mat = rng.normal(size=(1 << n, 5)) + 1j * rng.normal(size=(1 << n, 5))
+        plan = make_plan(n, sign)
+        columns = [apply_butterfly(plan, mat[:, j], order) for j in range(5)]
+        assert np.array_equal(transform_columns(mat, n, sign, order),
+                              np.stack(columns, axis=1))
+
+    def test_kernel_rejects_a_non_contiguous_stack(self):
+        stack = np.ones((8, 4), dtype=complex).T
+        with pytest.raises(ValueError):
+            kernels.apply_stage_range(stack, make_plan(3).ramps, 3, 1, 3)
+
 
 class TestVerifyDanielsonLanczos:
     def test_two_level_cell_is_exact(self):
@@ -278,6 +314,15 @@ class TestChainPropagate:
         with pytest.raises(DomainError):
             chain_propagate(np.ones(4, dtype=complex))
 
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_top_level_is_the_squared_ladder_output(self, n):
+        rng = np.random.default_rng(8)
+        psi = random_psi(rng, n)
+        plan = make_plan(n)
+        levels = chain_propagate(psi, plan)
+        raw = apply_butterfly(plan, psi, "bitReversed")
+        assert np.array_equal(levels[-1].probs, np.abs(raw) ** 2)
+
 
 class TestTransformPreservesGeometry:
     def test_distance_preserved(self):
@@ -304,3 +349,24 @@ class TestPlanSerialization:
     def test_unit_modulus_diagonals(self):
         plan = make_plan(4)
         assert np.abs(np.abs(plan.diagonals) - 1.0).max() < 1e-15
+
+
+class TestPlanRamps:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_one_ramp_per_twiddle_level(self, n):
+        # ramps[l-1] has 2**(n-l) entries for l = 1..n-1: N - 2 in all
+        ramps = make_plan(n).ramps
+        assert [r.size for r in ramps] == [1 << (n - l) for l in range(1, n)]
+        assert sum(r.size for r in ramps) == 2**n - 2
+        for r in ramps:
+            assert r.flags.c_contiguous and not r.flags.writeable
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_diagonals_equal_the_twiddle_stages_exactly(self, n, sign):
+        diags = make_plan(n, sign).diagonals
+        assert diags.shape == (n - 1, 1 << n)
+        assert not diags.flags.writeable
+        for level in range(1, n):
+            expected = np.exp(-1j * sign * twiddle_stage(n, level).phases)
+            assert np.array_equal(diags[level - 1], expected)

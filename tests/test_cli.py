@@ -34,6 +34,22 @@ class TestConfigHandling:
                                       "trials": 0, "replicas": 10})
         assert run(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_zero_bench_repeats_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
+                                      "sizes": [16], "repeats": 0})
+        assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "repeats must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["samples", "levels", "chart_points"])
+    def test_zero_metric_check_size_is_a_usage_error(self, tmp_path, capsys,
+                                                      field):
+        doc = {"version": 1, "kind": "metric-check", "samples": 5,
+               "chart_points": 5, field: 0}
+        cfg = write_config(tmp_path, doc)
+        assert run(["metric-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{field} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestSubcommands:
     def test_fft_derive_passes_and_writes_reports(self, tmp_path):

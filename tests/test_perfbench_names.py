@@ -9,12 +9,14 @@ here straight from its file.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import qrecon
+from qrecon import kernels
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -37,3 +39,10 @@ def test_traced_layer_resolves(name):
 
 def test_env_block_constants():
     assert qrecon.BACKEND in qrecon.AVAILABLE_BACKENDS
+
+
+def test_cell_counter_arguments():
+    # the traced run counts the cells of a kernels.apply_stages_inplace call
+    # as args[2] * args[0].shape[0] / 2, i.e. n * len(psi) / 2
+    params = list(inspect.signature(kernels.apply_stages_inplace).parameters)
+    assert params[0] == "psi" and params[2] == "n"
