@@ -166,16 +166,24 @@ class ButterflyPlan:
         size = 1 << self.n
         diags = np.ones((max(self.n - 1, 0), size), dtype=complex)
         for row, ramp in zip(diags, self.ramps):
-            row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
+            _expand_ramp(ramp, row)
         diags.setflags(write=False)
         return diags
+
+    def diagonal(self, level: int) -> np.ndarray:
+        """Full twiddle diagonal after stage `level`, expanded from its ramp
+        alone."""
+        if not 1 <= level <= self.n - 1:
+            raise DomainError(f"twiddle level {level} outside 1..{self.n - 1}")
+        return _expand_ramp(self.ramps[level - 1],
+                            np.ones(1 << self.n, dtype=complex))
 
     def stage(self, l: int) -> np.ndarray:
         """Dense operator of stage l (the diagonals carry the twiddles)."""
         return stage_matrix(self.n, l)
 
     def twiddle_phases(self, level: int) -> np.ndarray:
-        return np.angle(self.diagonals[level - 1])
+        return np.angle(self.diagonal(level))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -183,6 +191,12 @@ class ButterflyPlan:
             "sign": self.sign,
             "twiddle_phases": [list(np.angle(row)) for row in self.diagonals],
         })
+
+
+def _expand_ramp(ramp: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Write ramp into the second half of every block of a row of ones."""
+    row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
+    return row
 
 
 def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
@@ -283,7 +297,7 @@ def verify_danielson_lanczos(n: int) -> dict:
     if size <= 512:
         # explicit dense check that F_1 t_1 couples exactly the pairs
         # (j, j + N/2) through [[1, W^j], [1, -W^j]]/sqrt(2)
-        coupled = stage_matrix(n, 1) @ np.diag(plan.diagonals[0])
+        coupled = stage_matrix(n, 1) @ np.diag(plan.diagonal(1))
         cell_dev = 0.0
         for j in range(half):
             cell = coupled[np.ix_([j, j + half], [j, j + half])]
@@ -294,7 +308,7 @@ def verify_danielson_lanczos(n: int) -> dict:
             cell_dev = max(cell_dev, float(np.abs(zeroed).max()))
     else:
         # the stage couples (j, j + N/2) by construction; check the diagonal
-        d = plan.diagonals[0]
+        d = plan.diagonal(1)
         cell_dev = max(float(np.abs(d[:half] - 1.0).max()),
                        float(np.abs(d[half:] - w).max()))
 

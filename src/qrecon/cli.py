@@ -36,6 +36,10 @@ from .sampling import chi2_band, gaussian_p_value, tomography_experiment
 
 CONFIG_VERSION = 1
 
+# amplitudes per stacked block of metric-check samples (a block holds at
+# least one state): 64 kB per stack and about 0.5 MB of metric temporaries
+METRIC_BLOCK_CELLS = 1 << 12
+
 DEFAULTS: dict[str, dict] = {
     "tomography": {
         "seed": 20240801,
@@ -120,6 +124,8 @@ def load_config(kind: str, path: str | None, seed_override: int | None) -> dict:
 
 def run_tomography(cfg: dict) -> tuple[list[Check], list[dict]]:
     state = cfg["state"]
+    if not isinstance(state, dict):
+        raise ConfigError("state must be an object with a 'kind' field")
     if state.get("kind") == "rebit":
         theta_q = float(state["theta_q"])
         thetas = {"q": theta_q, "p": math.pi / 2.0 - theta_q}
@@ -129,10 +135,15 @@ def run_tomography(cfg: dict) -> tuple[list[Check], list[dict]]:
     else:
         raise ConfigError("state.kind must be 'rebit' or 'qubit'")
     trials = cfg["trials"]
-    if isinstance(trials, int):
+    if not isinstance(trials, dict):
         trials = {name: trials for name in thetas}
-    if any(m < 1 for m in trials.values()):
-        raise ConfigError("trials must be at least 1 for every observable")
+    if not trials or not set(trials) <= set(thetas):
+        raise ConfigError(f"trials must name some of the observables {sorted(thetas)}")
+    # bool is an int subclass: `true` is not a trial count
+    if not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1
+               for m in trials.values()):
+        raise ConfigError("trials must be an integer of at least 1 for every "
+                          "observable")
     if cfg["replicas"] < 2:
         raise ConfigError("need at least two replicas")
     report = tomography_experiment(thetas, trials, seed=cfg["seed"],
@@ -163,15 +174,26 @@ def run_metric_check(cfg: dict) -> tuple[list[Check], list[dict]]:
             raise ConfigError(f"{key} must be at least 1")
     rng = np.random.default_rng(cfg["seed"])
     nbits = int(cfg["levels"])
+    samples = int(cfg["samples"])
+    # samples are drawn one at a time, state then tangent, and evaluated a
+    # block of stacked rows at a time
+    block = min(samples, max(1, METRIC_BLOCK_CELLS >> nbits))
+    amps = np.empty((block, 1 << nbits), dtype=complex)
+    damps = np.empty_like(amps)
     worst_fs = worst_rec = 0.0
-    for _ in range(int(cfg["samples"])):
-        psi = random_state(nbits, rng)
-        tan = random_tangent(psi, rng)
-        efm = extended_fisher_metric(psi, tan)
-        scale = max(abs(efm), 1e-6)
-        worst_fs = max(worst_fs, abs(efm - 4.0 * fubini_study_metric(psi, tan)) / scale)
-        worst_rec = max(worst_rec,
-                        abs(efm - extended_fisher_metric_recursive(psi, tan)) / scale)
+    for start in range(0, samples, block):
+        rows = min(block, samples - start)
+        for i in range(rows):
+            psi = random_state(nbits, rng)
+            amps[i] = psi.amps
+            damps[i] = random_tangent(psi, rng).damps
+        a, d = amps[:rows], damps[:rows]
+        efm = extended_fisher_metric(a, d)
+        scale = np.maximum(np.abs(efm), 1e-6)
+        worst_fs = max(worst_fs, float(np.max(
+            np.abs(efm - 4.0 * fubini_study_metric(a, d)) / scale)))
+        worst_rec = max(worst_rec, float(np.max(
+            np.abs(efm - extended_fisher_metric_recursive(a, d)) / scale)))
     # gauge direction: pure global phase must cost nothing
     psi = random_state(nbits, rng)
     gauge = extended_fisher_metric(psi, Tangent(1j * psi.amps))
@@ -306,9 +328,12 @@ def run_bench(cfg: dict) -> tuple[list[Check], list[dict]]:
     repeats = int(cfg["repeats"])
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
+    assert_at = int(cfg["assert_at"])
+    if not any(size >= assert_at for size in sizes):
+        # no size would be checked, and a run with no checks passes vacuously
+        raise ConfigError(f"assert_at {assert_at} is above every size")
     rows = bench_mod.run_bench(sizes, repeats=repeats, seed=cfg["seed"])
     checks = []
-    assert_at = int(cfg["assert_at"])
     for row in rows:
         if row.size >= assert_at:
             checks.append(Check(

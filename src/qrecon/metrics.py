@@ -5,7 +5,8 @@ its extension to amplitude-and-phase coordinates on normalized complex
 vectors, and the Fubini-Study metric/distance.  The extended metric equals
 four times the Fubini-Study metric on normalized states with norm-preserving
 tangents; both a closed form and a bottom-up even/odd recursion are provided
-and must agree.
+and must agree.  The metrics take one state and tangent, or a stack of them
+evaluated in whole-array passes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .probmodel import ConditionalTree, Distribution, ThetaAngle, reconstitute
+from .probmodel import (ConditionalTree, Distribution, ThetaAngle,
+                        mass_pyramid, reconstitute)
 
 NORM_TOL = 1e-12         # state-vector normalization tolerance
 TANGENT_TOL = 1e-8       # accepted |Re<psi|dpsi>| for norm-preserving tangents
@@ -83,21 +85,51 @@ def _as_damps(d) -> np.ndarray:
     return d.damps if isinstance(d, Tangent) else np.asarray(d, dtype=complex)
 
 
+def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes and perturbations as one state (N,) or a stack (S, N)."""
+    amps, damps = _as_amps(psi), _as_damps(d)
+    if amps.ndim not in (1, 2) or amps.shape != damps.shape:
+        raise DomainError("need a state and a tangent of one shape, (N,) or (S, N)")
+    return amps, damps
+
+
+def _reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
+    """Raise exc(message) if any row of a stack is flagged, naming the first;
+    a 0-d flag stands for a single state."""
+    if bad.any():
+        if bad.ndim:
+            message = f"{message} (row {int(np.flatnonzero(bad)[0])})"
+        raise exc(message)
+
+
+def _result(values: np.ndarray):
+    """A float for a single state, the (S,) array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decompose a complex perturbation into (rho, drho, dphi).
 
-    At zero-mass components the phase is undefined: dphi is set to 0 there,
-    and any non-vanishing perturbation of such a component is rejected.
+    Takes one state (N,) or a stack (S, N) and returns arrays of the same
+    shape.  At zero-mass components the phase is undefined: dphi is set to 0
+    there, and any non-vanishing perturbation of such a component is
+    rejected.
     """
-    amps = _as_amps(psi)
-    damps = _as_damps(d)
+    amps, damps = _state_and_tangent(psi, d)
     rho = np.abs(amps) ** 2
     alive = rho > ZERO_MASS
-    if np.any(~alive & (np.abs(damps) > 1e-12)):
-        raise SingularityError("perturbation of a zero-amplitude component")
+    _reject_rows(np.any(~alive & (np.abs(damps) > 1e-12), axis=-1),
+                 SingularityError, "perturbation of a zero-amplitude component")
     drho = 2.0 * (amps.conj() * damps).real
     dphi = np.zeros_like(rho)
     dphi[alive] = (damps[alive] / amps[alive]).imag
+    return rho, drho, dphi
+
+
+def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rho, drho, dphi = amplitude_phase_differentials(psi, d)
+    _reject_rows(np.abs(drho.sum(axis=-1)) > TANGENT_TOL, DomainError,
+                 "tangent does not preserve the norm to first order")
     return rho, drho, dphi
 
 
@@ -172,78 +204,82 @@ def _p0_of(theta: float) -> float:
     return math.cos(theta / 2.0) ** 2
 
 
-def extended_fisher_metric(psi, d) -> float:
+def extended_fisher_metric(psi, d):
     """Closed form sum(drho^2/rho) + 4 sum(rho dphi^2) - 4 (sum rho dphi)^2.
 
     Requires a norm-preserving tangent (sum drho = 0); zero-mass components
-    contribute nothing.
+    contribute nothing.  One state gives a float, a stack (S, N) of states
+    and tangents an (S,) array.
     """
-    rho, drho, dphi = amplitude_phase_differentials(psi, d)
-    if abs(drho.sum()) > TANGENT_TOL:
-        raise DomainError("tangent does not preserve the norm to first order")
+    rho, drho, dphi = _norm_preserving_differentials(psi, d)
     alive = rho > ZERO_MASS
-    quad = float(np.sum(drho[alive] ** 2 / rho[alive]))
-    mean = float(np.sum(rho * dphi))
-    return quad + 4.0 * float(np.sum(rho * dphi**2)) - 4.0 * mean**2
+    quad = np.divide(drho**2, rho, out=np.zeros_like(rho), where=alive).sum(axis=-1)
+    mean = np.sum(rho * dphi, axis=-1)
+    return _result(quad + 4.0 * np.sum(rho * dphi**2, axis=-1) - 4.0 * mean**2)
 
 
-def extended_fisher_metric_recursive(psi, d) -> float:
+def extended_fisher_metric_recursive(psi, d):
     """Even/odd recursion for the extended metric, evaluated bottom-up.
 
-    ds^2 = sum_k rho_k ds^2|_k + dtheta^2 + sin^2(theta) dalpha^2, where k
-    splits the domain on the least significant bit, theta parametrizes the
-    split mass, and dalpha is the difference of the conditional-mass-weighted
-    phase means of the two branches.
+    ds^2 = sum_k q_k ds^2|_k + dtheta^2 + sin^2(theta) dalpha^2, where k
+    splits the domain on the least significant bit, (q_0, q_1) =
+    (cos^2(theta/2), sin^2(theta/2)) are the conditional masses of the two
+    branches, ds^2|_k is the metric of branch k's conditional distribution,
+    and dalpha is the difference of the branches' conditional phase means.
+    With dq_0 the rate of q_0, dtheta^2 = dq_0^2 / (q_0 q_1) and
+    sin^2(theta) = 4 q_0 q_1.
+
+    Each pass combines the two branches of every node of one tree level, for
+    every state of a stack at once, from the leaves (ds^2 = 0) to the root.
+    A branch with conditional mass at most ZERO_MASS contributes nothing;
+    mass flow into it raises.  One state gives a float, a stack (S, N) of
+    states and tangents an (S,) array.
     """
-    rho, drho, dphi = amplitude_phase_differentials(psi, d)
-    if abs(drho.sum()) > TANGENT_TOL:
-        raise DomainError("tangent does not preserve the norm to first order")
-    return _efm_recurse(rho, drho, dphi)
+    rho, drho, dphi = _norm_preserving_differentials(psi, d)
+    size = rho.shape[-1]
+    if size & (size - 1):
+        raise DomainError("need a power-of-2 length")
+    mass, flow, phase = (mass_pyramid(v) for v in (rho, drho, rho * dphi))
+    metric = np.zeros_like(rho)
+    broken = np.zeros(rho.shape, dtype=bool)
+    # empty nodes divide by zero; np.where drops what they produce
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for level in range(1, len(mass)):
+            # branch k of node s sits at [..., k, s] of the finer level
+            split = mass[level].shape[:-1] + (2, -1)
+            m_k, d_k, p_k = (v[level - 1].reshape(split)
+                             for v in (mass, flow, phase))
+            m_s = mass[level][..., None, :]
+            q = m_k / m_s
+            dq = (d_k - q * flow[level][..., None, :]) / m_s
+            live = q > ZERO_MASS
+            mean = np.where(live, p_k / m_k, 0.0)
+            q0, q1, dq0 = q[..., 0, :], q[..., 1, :], dq[..., 0, :]
+            interior = (q0 > ZERO_MASS) & (q0 < 1.0 - ZERO_MASS)
+            node = (dq0**2 / (q0 * q1)
+                    + 4.0 * q0 * q1 * (mean[..., 1, :] - mean[..., 0, :]) ** 2)
+            metric = (np.where(live, q * metric.reshape(split), 0.0).sum(axis=-2)
+                      + np.where(interior, node, 0.0))
+            # only live branches pass a fault up: nothing below an empty
+            # branch is evaluated
+            broken = ((live & broken.reshape(split)).any(axis=-2)
+                      | (~interior & (np.abs(dq0) > ZERO_MASS)))
+    _reject_rows(broken[..., 0], SingularityError, "mass flow across an empty branch")
+    return _result(metric[..., 0])
 
 
-def _efm_recurse(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> float:
-    if rho.size == 1:
-        return 0.0
-    half = rho.size // 2
-    # Index x = [j_1 .. j_m]; the split bit is the least significant one,
-    # so branch k holds the entries with x congruent to k mod 2.
-    total = 0.0
-    branch_mass = np.empty(2)
-    branch_phase_mean = np.empty(2)
-    branch_dmass = np.empty(2)
-    for k in (0, 1):
-        sub_rho, sub_drho, sub_dphi = rho[k::2], drho[k::2], dphi[k::2]
-        mass = float(sub_rho.sum())
-        dmass = float(sub_drho.sum())
-        branch_mass[k] = mass
-        branch_dmass[k] = dmass
-        if mass <= ZERO_MASS:
-            branch_phase_mean[k] = 0.0
-            continue
-        cond_rho = sub_rho / mass
-        cond_drho = (sub_drho - cond_rho * dmass) / mass
-        branch_phase_mean[k] = float(np.sum(cond_rho * sub_dphi))
-        total += mass * _efm_recurse(cond_rho, cond_drho, sub_dphi)
-    p0 = branch_mass[0]
-    if ZERO_MASS < p0 < 1.0 - ZERO_MASS:
-        theta = 2.0 * math.acos(math.sqrt(p0))
-        dtheta = -2.0 * branch_dmass[0] / math.sin(theta)
-        dalpha = branch_phase_mean[1] - branch_phase_mean[0]
-        total += dtheta**2 + math.sin(theta) ** 2 * dalpha**2
-    elif abs(branch_dmass[0]) > ZERO_MASS:
-        raise SingularityError("mass flow across an empty branch")
-    return total
+def fubini_study_metric(psi, d):
+    """<dpsi|dpsi>/<psi|psi> - <dpsi|psi><psi|dpsi>/<psi|psi>^2.
 
-
-def fubini_study_metric(psi, d) -> float:
-    """<dpsi|dpsi>/<psi|psi> - <dpsi|psi><psi|dpsi>/<psi|psi>^2."""
-    amps = _as_amps(psi)
-    damps = _as_damps(d)
-    norm2 = float(np.vdot(amps, amps).real)
-    if norm2 <= 0.0:
-        raise DomainError("zero state vector")
-    overlap = complex(np.vdot(amps, damps))
-    return float(np.vdot(damps, damps).real) / norm2 - abs(overlap) ** 2 / norm2**2
+    One state gives a float, a stack (S, N) of states and tangents an (S,)
+    array.
+    """
+    amps, damps = _state_and_tangent(psi, d)
+    norm2 = np.einsum("...i,...i->...", amps.conj(), amps).real
+    _reject_rows(norm2 <= 0.0, DomainError, "zero state vector")
+    overlap = np.einsum("...i,...i->...", amps.conj(), damps)
+    length2 = np.einsum("...i,...i->...", damps.conj(), damps).real
+    return _result(length2 / norm2 - np.abs(overlap) ** 2 / norm2**2)
 
 
 def fubini_study_distance(psi1, psi2) -> float:

@@ -173,21 +173,31 @@ class ConditionalTree:
         return cls(depth, levels)
 
 
+def mass_pyramid(values: np.ndarray) -> list[np.ndarray]:
+    """Suffix sums of values over its last axis, 2**n entries long.
+
+    pyramid[k] has 2**(n-k) entries along the last axis: entry s sums the
+    values whose n-k lower bits equal s.  Each level halves the resolution
+    by dropping the current top bit, so pyramid[n] is the total and the
+    children of the node s at pyramid[k] are pyramid[k-1][s] (the next bit
+    up is 0) and pyramid[k-1][s + 2**(n-k)] (it is 1).  Leading axes are a
+    stack of independent vectors.
+    """
+    pyramid = [values]
+    while values.shape[-1] > 1:
+        values = values.reshape(*values.shape[:-1], 2, -1).sum(axis=-2)
+        pyramid.append(values)
+    return pyramid
+
+
 def factorize(d: Distribution) -> ConditionalTree:
     """Conditional-probability tree of d, resolving least significant bits
     first; zero-mass conditionals are set to 1/2."""
     n = d.nbits
-    probs = d.probs
     levels = []
-    # mass[s] = probability that the n-l lower bits equal s, built by
-    # repeatedly halving the resolution from the leaves upward.
-    mass = probs
-    masses = [mass]
-    for _ in range(n):
-        mass = mass.reshape(2, -1).sum(axis=0)  # drop the current top bit
-        masses.append(mass)
     # masses[k] has 2**(n-k) entries indexed by the lower n-k bits; the
     # level-l nodes divide masses[l-1] (bit l plus suffix) by masses[l].
+    masses = mass_pyramid(d.probs)
     for level in range(n, 0, -1):
         fine = masses[level - 1]
         coarse = masses[level]

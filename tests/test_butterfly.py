@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,3 +371,29 @@ class TestPlanRamps:
         for level in range(1, n):
             expected = np.exp(-1j * sign * twiddle_stage(n, level).phases)
             assert np.array_equal(diags[level - 1], expected)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_level_phases_equal_the_expanded_diagonals(self, n, sign):
+        plan = make_plan(n, sign)
+        for level in range(1, n):
+            assert np.array_equal(plan.diagonal(level), plan.diagonals[level - 1])
+            assert np.array_equal(plan.twiddle_phases(level),
+                                  np.angle(plan.diagonals[level - 1]))
+
+    @pytest.mark.parametrize("level", [0, 4, -1])
+    def test_twiddle_level_out_of_range(self, level):
+        with pytest.raises(DomainError):
+            make_plan(4).twiddle_phases(level)
+
+    def test_one_level_phases_expand_only_that_level(self):
+        # all 17 expanded diagonals of n = 18 would take 68 MB; one level
+        # takes a 4 MB diagonal and its 2 MB of phases
+        plan = make_plan(18)
+        tracemalloc.start()
+        try:
+            plan.twiddle_phases(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

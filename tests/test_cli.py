@@ -50,6 +50,30 @@ class TestConfigHandling:
         assert f"{field} must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_tomography_state_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"version": 1, "kind": "tomography",
+                                      "state": "x"})
+        assert run(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "state must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [{"q": "x"}, True, {"q": True},
+                                        {"q": 10, "z": 10}, {}, 2.5])
+    def test_malformed_trials_is_a_usage_error(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path, {"version": 1, "kind": "tomography",
+                                      "trials": trials, "replicas": 10})
+        assert run(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "trials must" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_bench_assert_at_above_every_size_is_a_usage_error(self, tmp_path,
+                                                               capsys):
+        cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
+                                      "sizes": [16, 64], "repeats": 1,
+                                      "assert_at": 128})
+        assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "above every size" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestSubcommands:
     def test_fft_derive_passes_and_writes_reports(self, tmp_path):
@@ -95,9 +119,11 @@ class TestSubcommands:
         assert header == "observable,M,thetaHat,varHat,precisionPerMeasurement"
 
     def test_bench_writes_csv(self, tmp_path):
+        # small sizes need not beat the dense product: the check at N=64
+        # asks for a speedup any positive timing meets
         cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
                                       "sizes": [16, 64], "repeats": 2,
-                                      "assert_at": 1 << 30})
+                                      "assert_at": 64, "min_speedup": 1e-9})
         assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == "N,dense_ns,butterfly_ns,speedup"
@@ -120,6 +146,17 @@ class TestDeterminism:
             doc.pop("elapsed_s")  # wall-clock time is the only varying field
             reports.append(doc)
         assert reports[0] == reports[1]
+
+    def test_default_metric_check_replays_the_seed_7_sample(self, tmp_path):
+        # values of a one-state-at-a-time evaluation: stacking the samples
+        # leaves the generator's draws alone, so the checks that draw after
+        # the sample keep them bit for bit
+        assert run(["metric-check", "--seed", "7", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        values = {c["id"]: c["value"] for c in doc["checks"]}
+        assert values["chart-invariance"] == 1.265060090501211e-11
+        assert values["gauge-zero"] == -8.881784197001252e-16
+        assert values["one-bit-form"] == 2.7755575615628914e-17
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check",

@@ -8,6 +8,7 @@ from qrecon.exceptions import DomainError
 from qrecon.partitions import make_lsb_partition, Partition
 from qrecon.probmodel import (ConditionalTree, Distribution, ThetaAngle,
                               factorize, marginalize_to_partition,
+                              mass_pyramid,
                               prob_from_theta, reconstitute, s_variable,
                               theta_from_prob)
 
@@ -83,6 +84,27 @@ class TestDistributionValidation:
     def test_json_round_trip(self):
         d = Distribution([0.5, 0.25, 0.125, 0.125])
         assert Distribution.from_json(d.to_json()) == d
+
+
+class TestMassPyramid:
+    @pytest.mark.parametrize("nbits", range(0, 7))
+    def test_levels_are_suffix_sums(self, nbits):
+        rng = np.random.default_rng(nbits)
+        values = rng.normal(size=1 << nbits)
+        pyramid = mass_pyramid(values)
+        assert len(pyramid) == nbits + 1
+        x = np.arange(1 << nbits)
+        for k, level in enumerate(pyramid):
+            width = 1 << (nbits - k)
+            expected = [values[x % width == s].sum() for s in range(width)]
+            assert np.allclose(level, expected, rtol=1e-13, atol=1e-13)
+
+    def test_stack_equals_its_rows(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(5, 16))
+        for level, rows in zip(mass_pyramid(stack),
+                               zip(*(mass_pyramid(row) for row in stack))):
+            assert np.array_equal(level, np.array(rows))
 
 
 class TestFactorize:
