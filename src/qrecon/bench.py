@@ -58,10 +58,11 @@ def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0) -> list[BenchRo
     return rows
 
 
-def write_csv(rows: list[BenchRow], path: str) -> None:
+def write_csv(rows: list[dict], path: str) -> None:
+    """Write report rows with the keys N, dense_ns, butterfly_ns, speedup."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "dense_ns", "butterfly_ns", "speedup"])
         for row in rows:
-            writer.writerow([row.size, row.dense_ns, row.butterfly_ns,
-                             f"{row.speedup:.3f}"])
+            writer.writerow([row["N"], row["dense_ns"], row["butterfly_ns"],
+                             f"{row['speedup']:.3f}"])

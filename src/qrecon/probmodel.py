@@ -60,6 +60,9 @@ class Distribution:
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size & (arr.size - 1):
             raise DomainError("need a flat vector with power-of-2 length")
+        if not np.isfinite(arr).all():
+            # NaN passes every comparison below
+            raise DomainError("probabilities must be finite")
         if arr.min() < -SUM_TOL:
             raise DomainError("negative probability")
         arr = np.clip(arr, 0.0, None)

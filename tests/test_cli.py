@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
+from qrecon import cli, criteria
 from qrecon.cli import main
 
 
@@ -73,6 +77,113 @@ class TestConfigHandling:
         assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "above every size" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+WRONG_VALUES = [True, "x", None, [], -1]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("kind,field", [
+        (kind, field) for kind in cli.DEFAULTS for field in cli.DEFAULTS[kind]])
+    @pytest.mark.parametrize("value", WRONG_VALUES, ids=repr)
+    def test_wrong_type_is_a_usage_error(self, tmp_path, capsys, kind, field,
+                                         value):
+        cfg = write_config(tmp_path, {"version": 1, "kind": kind, field: value})
+        assert run([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("kind,doc,field", [
+        ("metric-check", {"levels": 2.5}, "levels"),
+        ("metric-check", {"levels": 21}, "levels"),
+        ("fft-derive", {"levels": 0}, "levels"),
+        ("fft-derive", {"levels": 13}, "levels"),
+        ("partition-audit", {"width": 5}, "width"),
+        ("tomography", {"replicas": 2.5}, "replicas"),
+        ("tomography", {"replicas": 1}, "replicas"),
+        ("tomography", {"band_sigma": 0}, "band_sigma"),
+        ("tomography", {"parity_tol": math.nan}, "parity_tol"),
+        ("tomography", {"state": {"kind": "rebit"}}, "theta_q"),
+        ("tomography", {"state": {"kind": "qubit", "bloch": [1, 2]}}, "bloch"),
+        ("tomography", {"state": {"kind": "qubit", "bloch": [1, 1, 0]}}, "bloch"),
+        ("tomography", {"state": {"kind": "qubit", "bloch": [math.nan, 0, 1]}},
+         "bloch"),
+        ("tomography", {"state": {"kind": "qubit", "bloch": [True, 0, 0]}}, "bloch"),
+        ("tomography", {"state": {"kind": "qutrit"}}, "state"),
+        ("tomography", {"state": {"kind": []}}, "state"),
+        ("bench", {"sizes": 4096}, "sizes"),
+        ("bench", {"sizes": [100]}, "sizes"),
+        ("bench", {"sizes": [1]}, "sizes"),
+        ("bench", {"sizes": [8192]}, "sizes"),
+        ("bench", {"sizes": [16, True]}, "sizes"),
+    ])
+    def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, kind, doc,
+                                           field):
+        cfg = write_config(tmp_path, {"version": 1, "kind": kind, **doc})
+        assert run([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["partition-audit", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_defaults_pass_the_schema(self):
+        for kind in cli.DEFAULTS:
+            assert cli.validate(kind, {}) == cli.DEFAULTS[kind]
+
+
+class TestExitCodes:
+    def test_internal_error_exits_three_with_a_traceback(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def fault(kind, cfg):
+            raise ValueError("not a config problem")
+
+        monkeypatch.setattr(criteria, "run", fault)
+        assert run(["partition-audit", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "not a config problem" in err
+        assert "config error" not in err
+
+    def test_run_without_checks_does_not_pass(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(criteria, "run", lambda kind, cfg: ([], []))
+        assert run(["partition-audit", "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"] == [] and report["passed"] is False
+
+
+class TestCriteriaTable:
+    SMALL = {
+        "tomography": {"state": {"kind": "qubit", "bloch": [0.6, 0.0, 0.8]},
+                       "trials": 1000, "replicas": 50, "parity_tol": 1.0,
+                       "band_sigma": 100.0},
+        "metric-check": {"samples": 20, "chart_points": 5},
+        "fft-derive": {"levels": 3},
+        "partition-audit": {"width": 2},
+        "bench": {"sizes": [16], "repeats": 1, "assert_at": 16,
+                  "min_speedup": 1e-9},
+    }
+
+    def test_check_ids_are_unique(self):
+        ids = [i for kind in criteria.CRITERIA for key in criteria.CRITERIA[kind]
+               for i in key]
+        assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("kind", sorted(criteria.CRITERIA))
+    def test_each_criterion_emits_its_ids(self, kind):
+        cfg = cli.validate(kind, self.SMALL[kind])
+        rng = np.random.default_rng(cfg["seed"])
+        for ids, measure in criteria.CRITERIA[kind].items():
+            checks, _ = measure(cfg, rng)
+            # "{...}" in a table id stands for a per-item suffix
+            patterns = [re.sub(r"\{\w+\}", ".+", i) for i in ids]
+            assert all(any(re.fullmatch(p, c.id) for p in patterns) for c in checks)
+            assert {c.id for c in checks} >= {i for i in ids if "{" not in i}
+            assert checks
+
+    def test_every_kind_has_criteria(self):
+        assert set(criteria.CRITERIA) == set(cli.DEFAULTS)
 
 
 class TestSubcommands:

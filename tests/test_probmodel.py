@@ -77,6 +77,12 @@ class TestDistributionValidation:
         with pytest.raises(DomainError):
             Distribution([1.1, -0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails no comparison, so it used to pass both sum checks
+        with pytest.raises(DomainError, match="finite"):
+            Distribution([0.5, bad])
+
     def test_rejects_non_dyadic_length(self):
         with pytest.raises(DomainError):
             Distribution([1 / 3.0] * 3)
