@@ -28,9 +28,21 @@ from .exceptions import ConfigError, DomainError
 
 CONFIG_VERSION = 1
 
+# numpy's binomial takes counts up to 2**63 - 1
+MAX_TRIALS = 2**63 - 1
+# keeps each replica index one uint32 spawn-key word and the arrays of
+# replica keys (16 bytes a replica) small
+MAX_REPLICAS = 10**6
+
+
 def _is_number(value) -> bool:
     # bool is an int subclass: `true` is not a number here
-    return type(value) in (int, float) and math.isfinite(value)
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _integer(low: int, high: int | None = None):
@@ -64,15 +76,19 @@ def _state(name, value, cfg):
         BlochPoint(*bloch)
     except DomainError as exc:
         raise ConfigError(f"{name}.bloch: {exc}") from exc
+    except OverflowError as exc:  # a component's square overflows a float
+        raise ConfigError(f"{name}.bloch: off-sphere point") from exc
 
 
 def _trials(name, value, cfg):
     names = criteria.OBSERVABLES[cfg["state"]["kind"]]
     counts = value if type(value) is dict else dict.fromkeys(names, value)
     if not (counts and set(counts) <= set(names)
-            and all(type(m) is int and m >= 1 for m in counts.values())):
-        raise ConfigError(f"{name} must be an integer of at least 1, or an object "
-                          f"giving one to some of the observables {list(names)}")
+            and all(type(m) is int and 1 <= m <= MAX_TRIALS
+                    for m in counts.values())):
+        raise ConfigError(f"{name} must be an integer from 1 to {MAX_TRIALS}, or "
+                          f"an object giving one to some of the observables "
+                          f"{list(names)}")
 
 
 def _sizes(name, value, cfg):
@@ -96,7 +112,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
     "tomography": {
         "seed": (20240801, _integer(0)),
         "state": ({"kind": "rebit", "theta_q": math.pi / 3}, _state),
-        "trials": (100_000, _trials), "replicas": (12_000, _integer(2)),
+        "trials": (100_000, _trials), "replicas": (12_000, _integer(2, MAX_REPLICAS)),
         "parity_tol": (0.05, _positive), "band_sigma": (5.0, _positive),
     },
     "metric-check": {

@@ -245,17 +245,3 @@ def shift_invariant_equal_partitions(n: int, cardinality: int) -> list[Partition
         if is_invariant_under_shift(p):
             found.append(p)
     return found
-
-
-def binary_coarsenings(p: Partition) -> list[frozenset[frozenset[int]]]:
-    """All two-block coarsenings of p (used as a brute-force meet oracle)."""
-    k = len(p.sets)
-    out = []
-    for r in range(0, k - 1):
-        for combo in itertools.combinations(range(1, k), r):
-            left = frozenset(x for i in (0, *combo) for x in p.sets[i])
-            right = frozenset(x for i in range(k) if i not in (0, *combo)
-                              for x in p.sets[i])
-            if right:
-                out.append(frozenset((left, right)))
-    return out

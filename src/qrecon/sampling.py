@@ -1,8 +1,14 @@
 """Measurement simulation and maximum-likelihood estimation.
 
-Randomness comes from counter-based Philox streams keyed by
-(master seed, observable, replica), so each replica's draws depend only on
-its key and replay bit-identically from the seed.
+Randomness comes from counter-based Philox streams (Salmon et al., SC 2011)
+keyed by (master seed, observable, replica), so each replica's draws depend
+only on its key and replay bit-identically from the seed.
+`measurement_stream` defines a stream: the Philox key is
+`SeedSequence(entropy=seed, spawn_key=(observable code, replica))`.
+A tomography experiment computes the keys of all its replicas in one uint32
+array pass that redoes numpy's SeedSequence mixing (a test pins them to
+numpy's keys), and reuses one bit generator, setting each replica's key
+with a zero counter, so its draws equal those of `measurement_stream`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,14 @@ from .exceptions import DomainError
 from .probmodel import ThetaAngle, prob_from_theta
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 def measurement_stream(master_seed: int, observable: str, replica: int) -> np.random.Generator:
@@ -101,13 +115,80 @@ class TomographyReport:
         ]
 
 
+def _replica_keys(master_seed: int, code: int, replicas: int) -> np.ndarray:
+    """(replicas, 2) uint64 Philox keys: row r is
+    `SeedSequence(entropy=master_seed, spawn_key=(code, r)).generate_state(2,
+    np.uint64)`, for code and every r below 2**32 (one spawn-key word each).
+
+    Every entropy word is a uint32 array: shape (1,) for the words all
+    replicas share, (replicas,) for the replica index, so one pass of
+    numpy's mixing serves every replica.  The hash constants advance the
+    same way for all replicas and stay Python ints.
+    """
+    words = []
+    while True:  # the seed's uint32 words, low first; 0 is one word
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    # a spawn key follows, so the run entropy is zero-padded to the pool size
+    words += [0] * (_POOL_SIZE - len(words)) + [code]
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(replicas, dtype=np.uint32))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const  # uint32 arrays wrap mod 2**32, as in C
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(2, np.uint64): four uint32 words, paired little-endian
+    hash_const = _INIT_B
+    state = np.empty((replicas, _POOL_SIZE), dtype="<u4")
+    for i in range(_POOL_SIZE):
+        data = pool[i] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        data = data * hash_const
+        state[:, i] = data ^ (data >> _XSHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
 def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
                        replicas: int) -> np.ndarray:
+    """The MLE of each replica's `simulate_bernoulli` sample: one Philox is
+    reset to each replica's key (zero counter, empty buffer), which draws
+    exactly what that replica's `measurement_stream` would."""
     p0, _ = prob_from_theta(theta)
+    keys = _replica_keys(seed, OBSERVABLE_CODES[observable], replicas)
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    key_state = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    state = {"bit_generator": "Philox", "state": key_state,
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     out = np.empty(replicas)
     for r in range(replicas):
-        rng = measurement_stream(seed, observable, r)
+        key_state["key"] = keys[r]
+        bitgen.state = state
         zeros = rng.binomial(trials, p0)
+        # scalar math: np.arccos(np.sqrt(...)) on the array is not
+        # bit-identical to it
         out[r] = 2.0 * math.acos(math.sqrt(zeros / trials))
     return out
 

@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrecon import cli, criteria
 from qrecon.cli import main
+from qrecon.exceptions import ConfigError
 
 
 def run(args):
@@ -116,6 +119,15 @@ class TestConfigSchema:
         ("bench", {"sizes": [1]}, "sizes"),
         ("bench", {"sizes": [8192]}, "sizes"),
         ("bench", {"sizes": [16, True]}, "sizes"),
+        # one above each count cap; 2**63 overflows numpy's binomial
+        ("tomography", {"trials": 2**63}, "trials"),
+        ("tomography", {"trials": {"q": 1000, "p": 2**63}}, "trials"),
+        ("tomography", {"replicas": 10**6 + 1}, "replicas"),
+        ("tomography", {"replicas": 2**63}, "replicas"),
+        # numbers no float can hold
+        ("tomography", {"parity_tol": 10**400}, "parity_tol"),
+        ("tomography", {"state": {"kind": "rebit", "theta_q": -10**400}}, "theta_q"),
+        ("tomography", {"state": {"kind": "qubit", "bloch": [1e200, 0, 0]}}, "bloch"),
     ])
     def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, kind, doc,
                                            field):
@@ -132,6 +144,46 @@ class TestConfigSchema:
     def test_defaults_pass_the_schema(self):
         for kind in cli.DEFAULTS:
             assert cli.validate(kind, {}) == cli.DEFAULTS[kind]
+
+    def test_count_caps_pass_the_schema(self):
+        fields = {"trials": {"q": 2**63 - 1, "p": 1}, "replicas": 10**6}
+        assert cli.validate("tomography", fields)["replicas"] == 10**6
+        assert cli.validate("tomography", {"trials": 2**63 - 1})
+
+
+# ints around every bound the schema checks (2**63 overflows numpy's
+# binomial, 2**1024 a float), floats whose square overflows, nan and +-inf
+BOUNDS = [0, 1, 2, 4, 12, 20, 4096, 10**6, 2**63, 2**64, 2**1024]
+NAMES = ["kind", "rebit", "qubit", "theta_q", "bloch", "q", "p", "r"]
+NUMBERS = (st.builds(int.__add__, st.sampled_from(BOUNDS), st.integers(-1, 1))
+           | st.sampled_from([-2**1024, 1e154, 1e200, 1.7976931348623157e308])
+           | st.integers() | st.floats())
+SCALARS = (NUMBERS | st.booleans() | st.none() | st.sampled_from(NAMES)
+           | st.text(max_size=4))
+JSON_VALUES = st.one_of(
+    NUMBERS, SCALARS, st.lists(NUMBERS, max_size=4), st.lists(SCALARS, max_size=4),
+    st.dictionaries(st.sampled_from(NAMES), SCALARS | st.lists(SCALARS, max_size=3),
+                    max_size=4),
+    st.builds(dict, kind=st.sampled_from(["rebit", "qubit"]), theta_q=NUMBERS,
+              bloch=st.lists(NUMBERS, min_size=3, max_size=3)))
+# one field of one kind per example; the other fields keep their defaults
+CONFIGS = st.one_of(*[st.tuples(st.just(kind), st.just(field), JSON_VALUES)
+                      for kind, fields in cli.FIELDS.items() for field in fields])
+
+
+class TestSchemaProperty:
+    # a failure makes Hypothesis import libcst, which warns on import
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(CONFIGS)
+    def test_validate_returns_a_config_or_raises_config_error(self, config):
+        kind, field, value = config
+        try:
+            cfg = cli.validate(kind, {field: value})
+        except ConfigError:
+            return
+        assert cfg[field] is value
 
 
 class TestExitCodes:

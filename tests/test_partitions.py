@@ -1,15 +1,29 @@
+import itertools
 import json
 
 import pytest
 
 from qrecon.exceptions import DomainError, RangeError
 from qrecon.partitions import (DigitSubsetSet, Partition, PhaseSpaceSet,
-                               apply_shift, binary_coarsenings,
-                               enumerate_binary_partitions,
+                               apply_shift, enumerate_binary_partitions,
                                finest_common_partition,
                                is_invariant_under_shift, make_lsb_partition,
                                scale_transform_set,
                                shift_invariant_equal_partitions)
+
+
+def binary_coarsenings(p: Partition) -> list[frozenset[frozenset[int]]]:
+    """All two-block coarsenings of p: a brute-force oracle for the meet."""
+    k = len(p.sets)
+    out = []
+    for r in range(0, k - 1):
+        for combo in itertools.combinations(range(1, k), r):
+            left = frozenset(x for i in (0, *combo) for x in p.sets[i])
+            right = frozenset(x for i in range(k) if i not in (0, *combo)
+                              for x in p.sets[i])
+            if right:
+                out.append(frozenset((left, right)))
+    return out
 
 
 def part(n, *sets):
@@ -201,7 +215,6 @@ class TestShiftInvariantSearch:
     def test_products_of_binary_partitions_width_3(self):
         # every equal-quarter partition reachable as a product of two binary
         # halvings is shift-invariant exactly when it is the lsb family
-        import itertools
         halvings = enumerate_binary_partitions(3)
         expected = make_lsb_partition(3, 3)
         target = make_lsb_partition(3, 2)

@@ -5,7 +5,8 @@ import pytest
 
 from qrecon.bloch import BlochPoint
 from qrecon.exceptions import DomainError
-from qrecon.sampling import (MeasurementSample, chi2_band, measurement_stream,
+from qrecon.sampling import (MeasurementSample, _replica_estimates,
+                             _replica_keys, chi2_band, measurement_stream,
                              mle_theta, simulate_bernoulli,
                              tomography_experiment)
 
@@ -50,6 +51,33 @@ class TestMeasurementStream:
         third = measurement_stream(12, "p", 3).integers(0, 1 << 30, 8)
         assert not np.array_equal(base, other)
         assert not np.array_equal(base, third)
+
+
+class TestReplicaKeys:
+    # seeds of 1, 2, 3, 4 and 5 uint32 words
+    @pytest.mark.parametrize("seed", [7, 2**40 + 3, 2**64 + 5, 2**100 + 7,
+                                      2**130 + 1])
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_keys_equal_numpy_seed_sequence(self, seed, code):
+        keys = _replica_keys(seed, code, 3000)
+        assert keys.shape == (3000, 2) and keys.dtype == np.uint64
+        for r in (0, 1, 2999):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(code, r))
+            assert np.array_equal(keys[r], seq.generate_state(2, np.uint64))
+
+
+class TestReplicaEstimates:
+    # numpy's binomial inverts the cdf for n*min(p, 1-p) <= 30 and uses BTPE
+    # above; theta 0 and pi are the p = 1 and p = 0 boundaries
+    @pytest.mark.parametrize("trials", [1, 10, 100_000])
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, math.pi])
+    def test_equal_to_one_stream_per_replica(self, theta, trials):
+        for o in "qpr":
+            direct = [mle_theta(simulate_bernoulli(theta, trials, 17, o,
+                                                   replica=r))[0]
+                      for r in range(40)]
+            assert np.array_equal(_replica_estimates(theta, trials, 17, o, 40),
+                                  direct)
 
 
 class TestMleTheta:
