@@ -6,7 +6,14 @@ L = 2**(n-l+1)) separated by diagonal twiddle phases t_l derived from the
 cyclic-shift recursion.  Composing the ladder and undoing the bit-reversal
 of the output reproduces the unitary discrete Fourier matrix exactly; the
 in-place evaluation costs O(N log N) cell operations against O(N^2) for the
-dense product.
+dense product.  `transform_columns` runs the ladder on a whole column stack
+in one kernel call.
+
+The transform checks (ladder against the Fourier matrix, unitarity, the
+diagonalized shift, the Danielson-Lanczos recursion) come from one streamed
+measurement over blocks of LADDER_BLOCK identity columns, so the ladder
+side needs O(N * LADDER_BLOCK) memory and no dense N x N transform;
+`verify_danielson_lanczos` and `shift_operator_check` report views of it.
 
 Sign convention: `twiddle_phase` returns the phases of the q -> p ladder,
 which adopts the minus sign in the shift recursion.  A plan built with
@@ -244,18 +251,17 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
                       order: str = "natural") -> np.ndarray:
     """Apply the composed ladder to every column of mat: one kernel call
-    runs all stages on the stack of transposed columns."""
+    runs all stages on a C-contiguous copy of the column stack."""
     size = 1 << n
     if mat.shape[0] != size:
         raise DomainError("column length does not match the ladder order")
     plan = make_plan(n, sign)
-    work = np.ascontiguousarray(np.asarray(mat, dtype=complex).T)
+    work = np.array(mat, dtype=complex, order="C")
     kernels.apply_stage_range(work, plan.ramps, n, 1, n)
-    out = work.T
     if order == "natural":
-        return out[bit_reversal_permutation(n)]
+        return work[bit_reversal_permutation(n)]
     if order == "bitReversed":
-        return np.ascontiguousarray(out)
+        return work
     raise DomainError(f"unknown order {order!r}")
 
 
@@ -274,22 +280,82 @@ def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
         raise DomainError("size must be a power of 2")
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
+    return _dft_columns(size, np.arange(size), sign)
+
+
+def _dft_columns(size: int, cols: np.ndarray, sign: int) -> np.ndarray:
+    """Columns `cols` of dft_matrix(size, sign), entry for entry."""
     j = np.arange(size)
-    return np.exp(sign * 2j * np.pi * np.outer(j, j) / size) / math.sqrt(size)
+    return np.exp(sign * 2j * np.pi * np.outer(j, cols) / size) / math.sqrt(size)
 
 
 # ------------------------------------------------------------ verifications
 
-def verify_danielson_lanczos(n: int) -> dict:
-    """Check the ladder against the half-size decomposition of the Fourier
-    matrix.
+# Identity columns per block of the streamed ladder measurement.  At n = 10
+# on a 2-core VM, blocks of 32 to 128 columns took about the same time, and
+# one block of all N columns took about 1.3 times as long.
+LADDER_BLOCK = 64
 
-    Confirms that the final cell F_1 t_1 couples components (j, j + N/2)
-    through [[1, W^j], [1, -W^j]]/sqrt(2) with W = exp(2*pi*i/N), and that
-    recursing that decomposition rebuilds dft_matrix(N, +1) entrywise.
+
+def _ladder_deviations(n: int) -> dict[str, float]:
+    """Worst deviations of the composed ladder F (sign +1, natural order),
+    streamed over blocks J of LADDER_BLOCK identity columns.
+
+    Per block, one transform_columns call gives F[:, J], compared with the
+    Fourier columns J ("ladder") and with the half-size recursion's columns
+    J against the same Fourier columns ("recursion").  A second call on the
+    2B-column stack [conj(F[:, J]) | conj(P F[:, J])], P the one-step cyclic
+    shift of rows, gives columns J of F^dagger F and of F^dagger P F: F's
+    matrix is symmetric, so F^dagger X = conj(F conj(X)).  The first should
+    be the identity ("unitarity"); the second diagonal ("off_diagonal") with
+    the depth-n shift phases on its diagonal ("diagonal").  Each value is the
+    one a pass over the whole matrices gives, bit for bit; the ladder needs
+    O(N B) memory, and only the recursion matrix is N x N.
     """
-    if n < 2:
-        raise DomainError("need at least two levels")
+    size = 1 << n
+    recursion = _recursive_dft(n)
+    phases = np.exp(1j * derive_shift_phases(n).values)
+    worst = np.zeros(5)
+    for start in range(0, size, LADDER_BLOCK):
+        cols = np.arange(start, min(start + LADDER_BLOCK, size))
+        diag = (cols, np.arange(cols.size))  # the entries (j, j), j in J
+        unit = np.zeros((size, cols.size), dtype=complex)
+        unit[diag] = 1.0
+        fwd = transform_columns(unit, n, +1, "natural")
+        dft = _dft_columns(size, cols, +1)
+        stack = np.conj(np.concatenate([fwd, np.roll(fwd, 1, axis=0)], axis=1))
+        gram, shift = np.hsplit(np.conj(transform_columns(stack, n, +1, "natural")), 2)
+        shift_diag = shift[diag]
+        shift[diag] -= shift_diag  # leaves the off-diagonal part
+        worst = np.maximum(worst, [np.abs(fwd - dft).max(),
+                                   np.abs(gram - unit).max(),
+                                   np.abs(shift).max(),
+                                   np.abs(shift_diag - phases[cols]).max(),
+                                   np.abs(recursion[:, cols] - dft).max()])
+    return dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
+                    map(float, worst)))
+
+
+def _recursive_dft(m: int) -> np.ndarray:
+    """The Danielson-Lanczos recursion for the 2**m-point Fourier matrix:
+    row j of the even and odd columns is row j mod N/2 of the half-size
+    matrix, the odd ones times W^j, W = exp(2*pi*i/N)."""
+    if m == 1:
+        return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
+    sub = _recursive_dft(m - 1)
+    size = 1 << m
+    half = size // 2
+    out = np.empty((size, size), dtype=complex)
+    w = np.exp(2j * np.pi * np.arange(size) / size)
+    for j in range(size):
+        out[j, 0::2] = sub[j % half] * _INV_SQRT2
+        out[j, 1::2] = w[j] * sub[j % half] * _INV_SQRT2
+    return out
+
+
+def _danielson_lanczos_terms(n: int, deviations: dict[str, float]) -> dict:
+    """verify_danielson_lanczos's report, its ladder and recursion terms read
+    from a _ladder_deviations(n) measurement."""
     size = 1 << n
     half = size // 2
     plan = make_plan(n, +1)
@@ -311,34 +377,28 @@ def verify_danielson_lanczos(n: int) -> dict:
         d = plan.diagonal(1)
         cell_dev = max(float(np.abs(d[:half] - 1.0).max()),
                        float(np.abs(d[half:] - w).max()))
-
-    def recursive_dft(m: int) -> np.ndarray:
-        if m == 1:
-            return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
-        sub = recursive_dft(m - 1)
-        sz = 1 << m
-        hf = sz // 2
-        out = np.empty((sz, sz), dtype=complex)
-        w = np.exp(2j * np.pi * np.arange(sz) / sz)
-        for j in range(sz):
-            out[j, 0::2] = sub[j % hf] * _INV_SQRT2
-            out[j, 1::2] = w[j] * sub[j % hf] * _INV_SQRT2
-        return out
-
-    recursion_dev = float(np.abs(recursive_dft(n) - dft_matrix(size, +1)).max())
-    ladder_dev = float(np.abs(assemble_transform(n, "natural", +1)
-                              - dft_matrix(size, +1)).max())
     j = np.arange(half)
-    w = np.exp(2j * np.pi * j / size)
     w_shift = np.exp(2j * np.pi * (j + half) / size)
-    half_period_dev = float(np.abs(w_shift + w).max())
     return {
         "n": n,
         "cell_deviation": cell_dev,
-        "recursion_deviation": recursion_dev,
-        "ladder_deviation": ladder_dev,
-        "half_period_deviation": half_period_dev,
+        "recursion_deviation": deviations["recursion"],
+        "ladder_deviation": deviations["ladder"],
+        "half_period_deviation": float(np.abs(w_shift + w).max()),
     }
+
+
+def verify_danielson_lanczos(n: int) -> dict:
+    """Check the ladder against the half-size decomposition of the Fourier
+    matrix.
+
+    Confirms that the final cell F_1 t_1 couples components (j, j + N/2)
+    through [[1, W^j], [1, -W^j]]/sqrt(2) with W = exp(2*pi*i/N), and that
+    recursing that decomposition rebuilds dft_matrix(N, +1) entrywise.
+    """
+    if n < 2:
+        raise DomainError("need at least two levels")
+    return _danielson_lanczos_terms(n, _ladder_deviations(n))
 
 
 def shift_operator_check(n: int) -> dict:
@@ -350,18 +410,11 @@ def shift_operator_check(n: int) -> dict:
     """
     if n < 1:
         raise DomainError("need at least one level")
-    size = 1 << n
-    fwd = assemble_transform(n, "natural", +1)
-    shifted = np.roll(fwd, 1, axis=0)  # (P F)[x, :] = F[x-1 mod N, :]
-    # F^dagger X through the ladder: the assembled matrix is symmetric, so
-    # F^dagger = conj(F) and F^dagger X = conj(F conj(X))
-    conj_mat = np.conj(transform_columns(np.conj(shifted), n, +1, "natural"))
-    target = np.exp(1j * derive_shift_phases(n).values)
-    off = conj_mat - np.diag(np.diag(conj_mat))
+    deviations = _ladder_deviations(n)
     return {
         "n": n,
-        "off_diagonal_max": float(np.abs(off).max()),
-        "diagonal_deviation": float(np.abs(np.diag(conj_mat) - target).max()),
+        "off_diagonal_max": deviations["off_diagonal"],
+        "diagonal_deviation": deviations["diagonal"],
     }
 
 

@@ -33,6 +33,11 @@ MAX_TRIALS = 2**63 - 1
 # keeps each replica index one uint32 spawn-key word and the arrays of
 # replica keys (16 bytes a replica) small
 MAX_REPLICAS = 10**6
+# metric-check draws each sample and chart point in Python: at the default
+# levels a run at either cap takes minutes, not forever
+MAX_SAMPLES = 10**6
+# bench times each size this many times over
+MAX_REPEATS = 10**3
 
 
 def _is_number(value) -> bool:
@@ -117,9 +122,10 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "metric-check": {
         "seed": (7, _integer(0)), "levels": (4, _integer(1, 20)),
-        "samples": (10_000, _integer(1)),
+        "samples": (10_000, _integer(1, MAX_SAMPLES)),
         "tol_fs": (1e-10, _positive), "tol_recursive": (1e-9, _positive),
-        "chart_points": (1_000, _integer(1)), "tol_chart": (1e-9, _positive),
+        "chart_points": (1_000, _integer(1, MAX_SAMPLES)),
+        "tol_chart": (1e-9, _positive),
     },
     "fft-derive": {
         "seed": (0, _integer(0)),
@@ -129,7 +135,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
     "partition-audit": {"seed": (0, _integer(0)), "width": (3, _integer(1, 4))},
     "bench": {
         "seed": (0, _integer(0)), "sizes": ([256, 1024, 4096], _sizes),
-        "repeats": (7, _integer(1)), "min_speedup": (10.0, _positive),
+        "repeats": (7, _integer(1, MAX_REPEATS)), "min_speedup": (10.0, _positive),
         "assert_at": (4096, _assert_at),
     },
 }

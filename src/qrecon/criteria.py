@@ -18,9 +18,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import kernels
 from .bloch import BlochPoint, chart_tangent_metric, metric_in_coords
-from .butterfly import (assemble_transform, derive_shift_phases, dft_matrix,
-                        shift_operator_check, transform_columns,
-                        verify_danielson_lanczos)
+from .butterfly import (_danielson_lanczos_terms, _ladder_deviations,
+                        derive_shift_phases)
 from .exceptions import RangeError
 from .metrics import (Tangent, extended_fisher_metric,
                       extended_fisher_metric_recursive, fubini_study_metric,
@@ -128,18 +127,24 @@ def chart_sweep(cfg: dict, rng: np.random.Generator):
                   worst, cfg["tol_chart"])], []
 
 
-def assembled_transform(cfg: dict, rng: np.random.Generator):
+def ladder_transform(cfg: dict, rng: np.random.Generator):
+    """ladder-vs-dft, unitarity, shift-diagonal and, from two levels on,
+    danielson-lanczos, all from one streamed pass over the ladder's columns."""
     n = cfg["levels"]
-    size = 1 << n
-    fwd = assemble_transform(n, "natural", +1)
-    ladder_dev = float(np.abs(fwd - dft_matrix(size, +1)).max())
-    # F^dagger F via a second batched ladder pass (the ladder's matrix is
-    # symmetric to rounding, so F^dagger X = conj(F conj(X)))
-    gram = np.conj(transform_columns(np.conj(fwd), n, +1, "natural"))
-    unitary_dev = float(np.abs(gram - np.eye(size)).max())
-    return [below("ladder-vs-dft", "assembled ladder equals the unitary Fourier matrix",
-                  ladder_dev, cfg["tol"]),
-            below("unitarity", "assembled ladder is unitary", unitary_dev, 1e-12)], []
+    dev = _ladder_deviations(n)
+    checks = [below("ladder-vs-dft", "assembled ladder equals the unitary Fourier matrix",
+                    dev["ladder"], cfg["tol"]),
+              below("unitarity", "assembled ladder is unitary", dev["unitarity"], 1e-12),
+              below("shift-diagonal", "conjugated cyclic shift is diagonal with the "
+                    "closed-form phases", max(dev["off_diagonal"], dev["diagonal"]),
+                    1e-12)]
+    if n >= 2:
+        dl = _danielson_lanczos_terms(n, dev)
+        worst = max(dl["cell_deviation"], dl["recursion_deviation"],
+                    dl["ladder_deviation"], dl["half_period_deviation"])
+        checks.append(below("danielson-lanczos", "final ladder cell and half-size "
+                            "recursion reproduce the Fourier matrix", worst, cfg["tol"]))
+    return checks, []
 
 
 def shift_phases(cfg: dict, rng: np.random.Generator):
@@ -156,22 +161,6 @@ def shift_phases(cfg: dict, rng: np.random.Generator):
                   "depths 1..12, to a few ulps", worst, rounding, worst <= rounding),
             Check("shift-depth-2", "depth-2 shift phases are exactly "
                   "(0, -pi/2, -pi, -3pi/2)", depth_2, 0.0, depth_2 == 0.0)], []
-
-
-def ladder_structure(cfg: dict, rng: np.random.Generator):
-    """shift-diagonal, and danielson-lanczos from two levels on."""
-    n = cfg["levels"]
-    shift = shift_operator_check(n)
-    checks = [below("shift-diagonal", "conjugated cyclic shift is diagonal with the "
-                    "closed-form phases",
-                    max(shift["off_diagonal_max"], shift["diagonal_deviation"]), 1e-12)]
-    if n >= 2:
-        dl = verify_danielson_lanczos(n)
-        dev = max(dl["cell_deviation"], dl["recursion_deviation"],
-                  dl["ladder_deviation"], dl["half_period_deviation"])
-        checks.append(below("danielson-lanczos", "final ladder cell and half-size "
-                            "recursion reproduce the Fourier matrix", dev, cfg["tol"]))
-    return checks, []
 
 
 def lsb_uniqueness(cfg: dict, rng: np.random.Generator):
@@ -255,9 +244,9 @@ CRITERIA: dict[str, dict[tuple[str, ...], Callable]] = {
         ("chart-invariance",): chart_sweep,
     },
     "fft-derive": {
-        ("ladder-vs-dft", "unitarity"): assembled_transform,
+        ("ladder-vs-dft", "unitarity", "shift-diagonal", "danielson-lanczos"):
+            ladder_transform,
         ("shift-recursion", "shift-depth-2"): shift_phases,
-        ("shift-diagonal", "danielson-lanczos"): ladder_structure,
     },
     "partition-audit": {
         ("lsb-uniqueness",): lsb_uniqueness,

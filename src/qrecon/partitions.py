@@ -12,8 +12,10 @@ equality is value equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -224,7 +226,9 @@ def shift_invariant_equal_partitions(n: int, cardinality: int) -> list[Partition
     Any shift-invariant partition is the orbit of its 0-set under +1: every
     block contains some x, and the block of x is the 0-block shifted by x.
     Enumerating all candidate 0-blocks of the right size is therefore a
-    complete search.  Each surviving orbit is re-checked directly.
+    complete search.  A candidate is a 2**n-bit mask, so its shift by +k is
+    a rotation of the mask, its orbit a set of masks and its coverage their
+    OR; each surviving orbit is re-checked directly.
     """
     if n > ENUMERATION_WIDTH_CAP:
         raise DomainError(f"enumeration capped at width {ENUMERATION_WIDTH_CAP}")
@@ -232,16 +236,17 @@ def shift_invariant_equal_partitions(n: int, cardinality: int) -> list[Partition
         raise DomainError("cardinality must be a power of 2 within the domain")
     size = 1 << n
     block = size // cardinality
+    full = (1 << size) - 1
     found = []
     for extra in itertools.combinations(range(1, size), block - 1):
-        base = frozenset((0, *extra))
-        orbit = {frozenset((x + k) % size for x in base) for k in range(size)}
+        base = 1 + sum(1 << x for x in extra)
+        orbit = {((base << k) | (base >> (size - k))) & full for k in range(size)}
         if len(orbit) != cardinality:
             continue
-        covered = set().union(*orbit)
-        if len(covered) != size:
+        if functools.reduce(operator.or_, orbit) != full:
             continue
-        p = Partition.from_sets(n, orbit)
+        p = Partition.from_sets(
+            n, [[x for x in range(size) if (mask >> x) & 1] for mask in orbit])
         if is_invariant_under_shift(p):
             found.append(p)
     return found

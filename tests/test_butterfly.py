@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrecon import kernels
+from qrecon import butterfly, kernels
 from qrecon.butterfly import (apply_butterfly, assemble_transform,
                               bit_reversal_permutation, chain_propagate,
                               derive_shift_phases, dft_matrix, make_plan,
@@ -397,3 +397,80 @@ class TestPlanRamps:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestColumnStackKernel:
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("cols", [1, 3, 64])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_equals_per_column_apply(self, n, cols, sign):
+        rng = np.random.default_rng(300 + n)
+        stack = (rng.normal(size=(1 << n, cols))
+                 + 1j * rng.normal(size=(1 << n, cols)))
+        plan = make_plan(n, sign)
+        columns = [apply_butterfly(plan, stack[:, j], "bitReversed")
+                   for j in range(cols)]
+        kernels.apply_stage_range(stack, plan.ramps, n, 1, n)
+        assert np.array_equal(stack, np.stack(columns, axis=1))
+
+    @pytest.mark.parametrize("shape", [(4, 8), (16, 2), (7,), (8, 2, 2)])
+    def test_rejects_a_stack_whose_first_axis_is_not_n(self, shape):
+        with pytest.raises(ValueError):
+            kernels.apply_stage_range(np.ones(shape, dtype=complex),
+                                      make_plan(3).ramps, 3, 1, 3)
+
+    def test_transform_columns_leaves_a_single_column_unchanged(self):
+        mat = np.zeros((8, 1), dtype=complex)
+        mat[0] = 1.0
+        transform_columns(mat, 3)
+        assert mat[0, 0] == 1.0 and not mat[1:].any()
+
+
+def dense_deviations(n):
+    """The whole-matrix passes the streamed measurement replaces."""
+    size = 1 << n
+    fwd = assemble_transform(n, "natural", +1)
+    dft = dft_matrix(size, +1)
+    gram = np.conj(transform_columns(np.conj(fwd), n, +1, "natural"))
+    shifted = np.conj(transform_columns(np.conj(np.roll(fwd, 1, axis=0)), n, +1,
+                                        "natural"))
+    off = shifted - np.diag(np.diag(shifted))
+    phases = np.exp(1j * derive_shift_phases(n).values)
+    return {"ladder": float(np.abs(fwd - dft).max()),
+            "unitarity": float(np.abs(gram - np.eye(size)).max()),
+            "off_diagonal": float(np.abs(off).max()),
+            "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
+            "recursion": float(np.abs(butterfly._recursive_dft(n) - dft).max())}
+
+
+class TestLadderDeviations:
+    # N = 2..256 falls below, at and above the default block of 64 columns
+    @pytest.mark.parametrize("block", [1, 3, butterfly.LADDER_BLOCK])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_streamed_equal_the_dense_passes(self, n, block, monkeypatch):
+        monkeypatch.setattr(butterfly, "LADDER_BLOCK", block)
+        assert butterfly._ladder_deviations(n) == dense_deviations(n)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_reports_are_views_of_one_measurement(self, n):
+        dense = dense_deviations(n)
+        dl = verify_danielson_lanczos(n)
+        assert (dl["ladder_deviation"], dl["recursion_deviation"]) == (
+            dense["ladder"], dense["recursion"])
+        shift = shift_operator_check(n)
+        assert (shift["off_diagonal_max"], shift["diagonal_deviation"]) == (
+            dense["off_diagonal"], dense["diagonal"])
+
+    def test_a_nan_in_one_block_is_not_lost(self, monkeypatch):
+        monkeypatch.setattr(butterfly, "LADDER_BLOCK", 2)
+        real = butterfly._dft_columns
+
+        def poisoned(size, cols, sign):
+            out = real(size, cols, sign)
+            if cols[0] == 2:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(butterfly, "_dft_columns", poisoned)
+        dev = butterfly._ladder_deviations(3)
+        assert math.isnan(dev["ladder"]) and math.isnan(dev["recursion"])

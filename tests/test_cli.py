@@ -128,6 +128,12 @@ class TestConfigSchema:
         ("tomography", {"parity_tol": 10**400}, "parity_tol"),
         ("tomography", {"state": {"kind": "rebit", "theta_q": -10**400}}, "theta_q"),
         ("tomography", {"state": {"kind": "qubit", "bloch": [1e200, 0, 0]}}, "bloch"),
+        # one above the metric-check and bench count caps
+        ("metric-check", {"samples": 10**6 + 1}, "samples"),
+        ("metric-check", {"samples": 2**63}, "samples"),
+        ("metric-check", {"chart_points": 10**6 + 1}, "chart_points"),
+        ("metric-check", {"chart_points": 2**63}, "chart_points"),
+        ("bench", {"repeats": 10**3 + 1}, "repeats"),
     ])
     def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, kind, doc,
                                            field):
@@ -149,11 +155,14 @@ class TestConfigSchema:
         fields = {"trials": {"q": 2**63 - 1, "p": 1}, "replicas": 10**6}
         assert cli.validate("tomography", fields)["replicas"] == 10**6
         assert cli.validate("tomography", {"trials": 2**63 - 1})
+        fields = {"samples": 10**6, "chart_points": 10**6}
+        assert cli.validate("metric-check", fields)["chart_points"] == 10**6
+        assert cli.validate("bench", {"repeats": 10**3})["repeats"] == 10**3
 
 
 # ints around every bound the schema checks (2**63 overflows numpy's
 # binomial, 2**1024 a float), floats whose square overflows, nan and +-inf
-BOUNDS = [0, 1, 2, 4, 12, 20, 4096, 10**6, 2**63, 2**64, 2**1024]
+BOUNDS = [0, 1, 2, 4, 12, 20, 10**3, 4096, 10**6, 2**63, 2**64, 2**1024]
 NAMES = ["kind", "rebit", "qubit", "theta_q", "bloch", "q", "p", "r"]
 NUMBERS = (st.builds(int.__add__, st.sampled_from(BOUNDS), st.integers(-1, 1))
            | st.sampled_from([-2**1024, 1e154, 1e200, 1.7976931348623157e308])
@@ -172,9 +181,6 @@ CONFIGS = st.one_of(*[st.tuples(st.just(kind), st.just(field), JSON_VALUES)
 
 
 class TestSchemaProperty:
-    # a failure makes Hypothesis import libcst, which warns on import
-    @pytest.mark.filterwarnings(
-        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(CONFIGS)
     def test_validate_returns_a_config_or_raises_config_error(self, config):

@@ -26,6 +26,25 @@ def binary_coarsenings(p: Partition) -> list[frozenset[frozenset[int]]]:
     return out
 
 
+def shift_invariant_equal_partitions_oracle(n: int, cardinality: int) -> list[Partition]:
+    """The orbit search on frozensets: a brute-force oracle for the bitmask one."""
+    size = 1 << n
+    block = size // cardinality
+    found = []
+    for extra in itertools.combinations(range(1, size), block - 1):
+        base = frozenset((0, *extra))
+        orbit = {frozenset((x + k) % size for x in base) for k in range(size)}
+        if len(orbit) != cardinality:
+            continue
+        covered = set().union(*orbit)
+        if len(covered) != size:
+            continue
+        p = Partition.from_sets(n, orbit)
+        if is_invariant_under_shift(p):
+            found.append(p)
+    return found
+
+
 def part(n, *sets):
     return Partition.from_sets(n, sets)
 
@@ -246,6 +265,12 @@ class TestShiftInvariantSearch:
     def test_refuses_large_width(self):
         with pytest.raises(DomainError):
             shift_invariant_equal_partitions(5, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bitmask_search_equals_the_set_oracle(self, n):
+        for c in range(n + 1):
+            assert (shift_invariant_equal_partitions(n, 1 << c)
+                    == shift_invariant_equal_partitions_oracle(n, 1 << c))
 
 
 class TestSerialization:
