@@ -12,6 +12,12 @@ author-relative):
   S_axis = cos(theta), and alpha sweeps the remaining pair (cos, sin);
 * the global phase is gauge-fixed to phi_0 = 0 whenever a state vector is
   constructed from chart or sphere data.
+
+`extended_from_bloch` and `chart_tangent_metric` read a point's chart
+angles through one map (`_chart_angles`).  The chart sweep of
+`metric-check` stays scalar, one point and axis per call: vector cos/arccos
+need not match `math` bit for bit.  Each call works on plain floats and
+three-vectors and builds no BlochPoint or ExtendedCoords on its curve.
 """
 
 from __future__ import annotations
@@ -37,6 +43,23 @@ PQ_SYMMETRIC_TRIPLETS = {**ROTATING_TRIPLETS, "p": ("p", "q", "r")}
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
+def _check_on_sphere(norm2: float) -> None:
+    if abs(norm2 - 1.0) > 1e-9:
+        raise DomainError(f"off-sphere point, |S|^2 = {norm2}")
+
+
+def _chart_angles(mu: float, nu: float, xi: float) -> tuple[float, float | None]:
+    """(theta, alpha) of the sphere point whose components along the chart
+    triplet (mu, nu, xi) are given; alpha is None at a pole of the chart."""
+    theta = math.acos(min(max(mu, -1.0), 1.0))
+    if math.sin(theta) < POLE_TOL:
+        return theta, None
+    alpha = math.atan2(xi, nu)
+    if alpha <= -math.pi:
+        alpha = math.pi
+    return theta, alpha
+
+
 @dataclass(frozen=True)
 class BlochPoint:
     """Point (sQ, sP, sR) on the unit sphere of S-variables."""
@@ -46,8 +69,7 @@ class BlochPoint:
     sr: float
 
     def __post_init__(self):
-        if abs(self.norm2() - 1.0) > 1e-9:
-            raise DomainError(f"off-sphere point, |S|^2 = {self.norm2()}")
+        _check_on_sphere(self.norm2())
 
     def norm2(self) -> float:
         return self.sq**2 + self.sp**2 + self.sr**2
@@ -138,14 +160,8 @@ def extended_from_bloch(axis: str, point: BlochPoint,
                         convention: str = "rotating") -> ExtendedCoords:
     """Invert bloch_from_extended; at a pole of the chart alpha is None."""
     triplets = ROTATING_TRIPLETS if convention == "rotating" else PQ_SYMMETRIC_TRIPLETS
-    mu, nu, xi = triplets[axis]
-    theta = math.acos(min(max(point.component(mu), -1.0), 1.0))
-    if math.sin(theta) < POLE_TOL:
-        return ExtendedCoords(axis, theta, None)
-    alpha = math.atan2(point.component(xi), point.component(nu))
-    if alpha <= -math.pi:
-        alpha = math.pi
-    return ExtendedCoords(axis, theta, alpha)
+    return ExtendedCoords(axis, *_chart_angles(
+        *(point.component(name) for name in triplets[axis])))
 
 
 def psi_from_bloch(point: BlochPoint) -> np.ndarray:
@@ -242,18 +258,21 @@ def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str,
     p = point.as_array()
     v = np.asarray(velocity, dtype=float)
     v = v - np.dot(v, p) * p
-    speed = float(np.linalg.norm(v))
+    speed = math.sqrt(v.dot(v))  # np.linalg.norm of a real vector
     if speed < 1e-15:
         raise DomainError("zero tangent")
     direction = v / speed
+    # positions of the chart triplet (mu, nu, xi) in (sQ, sP, sR)
+    order = ["qpr".index(name) for name in ROTATING_TRIPLETS[axis]]
 
     def chart_at(t: float) -> tuple[float, complex]:
         c = math.cos(t) * p + math.sin(t) * direction
-        pt = BlochPoint(*(c / np.linalg.norm(c)))
-        coords = extended_from_bloch(axis, pt)
-        if coords.alpha is None:
+        s = (c / math.sqrt(c.dot(c))).tolist()
+        _check_on_sphere(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
+        theta, alpha = _chart_angles(*(s[i] for i in order))
+        if alpha is None:
             raise SingularityError("tangent curve crosses a chart pole")
-        return coords.theta, np.exp(1j * coords.alpha)
+        return theta, np.exp(1j * alpha)
 
     def derivatives(h: float) -> tuple[float, float]:
         t_plus, a_plus = chart_at(h)

@@ -36,6 +36,9 @@ MAX_REPLICAS = 10**6
 # metric-check draws each sample and chart point in Python: at the default
 # levels a run at either cap takes minutes, not forever
 MAX_SAMPLES = 10**6
+# metric-check samples x 2**levels, the amplitudes a run draws: a run at this
+# many took 7 s at 20 levels and 29 s at 4 (2-core Xeon VM, one BLAS thread)
+MAX_AMPLITUDES = 1 << 24
 # bench times each size this many times over
 MAX_REPEATS = 10**3
 
@@ -59,6 +62,14 @@ def _integer(low: int, high: int | None = None):
         if high is not None and value > high:
             raise ConfigError(f"{name} must be at most {high}")
     return check
+
+
+def _samples(name, value, cfg):
+    _integer(1, MAX_SAMPLES)(name, value, cfg)
+    levels = cfg["levels"]
+    if value << levels > MAX_AMPLITUDES:
+        raise ConfigError(f"{name} must be at most {MAX_AMPLITUDES >> levels} at "
+                          f"{levels} levels ({MAX_AMPLITUDES} amplitudes in all)")
 
 
 def _positive(name, value, cfg):
@@ -122,7 +133,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "metric-check": {
         "seed": (7, _integer(0)), "levels": (4, _integer(1, 20)),
-        "samples": (10_000, _integer(1, MAX_SAMPLES)),
+        "samples": (10_000, _samples),
         "tol_fs": (1e-10, _positive), "tol_recursive": (1e-9, _positive),
         "chart_points": (1_000, _integer(1, MAX_SAMPLES)),
         "tol_chart": (1e-9, _positive),
@@ -176,7 +187,8 @@ def load_config(kind: str, path: str | None, seed_override: int | None) -> dict:
 
 
 def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Check],
-                 rows: list[dict], elapsed: float) -> dict:
+                 rows: list[dict], elapsed: float,
+                 criterion_elapsed: dict[str, float] | None = None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "kind": kind,
@@ -186,6 +198,8 @@ def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Chec
         # a run that made no check has shown nothing
         "passed": bool(checks) and all(c.passed for c in checks),
         "elapsed_s": elapsed,
+        # wall time of each criterion, keyed by its function's name
+        "criterion_elapsed_s": criterion_elapsed or {},
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2))
     with open(out_dir / "report.csv", "w", newline="") as fh:
@@ -226,9 +240,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         t0 = time.perf_counter()
-        checks, rows = criteria.run(args.kind, cfg)
+        outcome = criteria.run(args.kind, cfg)
         elapsed = time.perf_counter() - t0
-        report = write_report(Path(args.out), args.kind, cfg, checks, rows, elapsed)
+        checks, rows = outcome
+        # a run function may also return a bare (checks, rows) pair
+        report = write_report(Path(args.out), args.kind, cfg, checks, rows, elapsed,
+                              getattr(outcome, "elapsed_s", None))
     except Exception:  # a fault of the program, not of the config
         traceback.print_exc()
         print(f"internal error (seed={cfg['seed']} replays this run)", file=sys.stderr)

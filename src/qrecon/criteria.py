@@ -10,6 +10,7 @@ a config's scope, tests/test_acceptance.py at the release scope.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,9 +22,9 @@ from .bloch import BlochPoint, chart_tangent_metric, metric_in_coords
 from .butterfly import (_danielson_lanczos_terms, _ladder_deviations,
                         derive_shift_phases)
 from .exceptions import RangeError
-from .metrics import (Tangent, extended_fisher_metric,
+from .metrics import (Tangent, draw_state, draw_tangent, extended_fisher_metric,
                       extended_fisher_metric_recursive, fubini_study_metric,
-                      random_state, random_tangent)
+                      random_state, state_amplitudes, tangent_amplitudes)
 from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
                          scale_transform_set,
                          shift_invariant_equal_partitions)
@@ -63,15 +64,16 @@ def below(id: str, description: str, value: float, tolerance: float) -> Check:
 def metric_sample(cfg: dict, rng: np.random.Generator, lowest: int | None = None):
     """fs-factor and recursion over cfg["samples"] random states and tangents
     of cfg["levels"] bits, or, given `lowest`, of a bit count each sample
-    first draws from lowest..levels; evaluated a stacked block at a time."""
+    first draws from lowest..levels.  Each sample makes its draws in
+    random_state/random_tangent order; the states and tangents are built and
+    evaluated a stacked block at a time."""
     top = cfg["levels"]
     pending: dict[int, list] = {}
     worst = np.zeros(2)
     for _ in range(cfg["samples"]):
         nbits = top if lowest is None else int(rng.integers(lowest, top + 1))
-        psi = random_state(nbits, rng)
         rows = pending.setdefault(nbits, [])
-        rows.append((psi.amps, random_tangent(psi, rng).damps))
+        rows.append(draw_state(nbits, rng) + draw_tangent(1 << nbits, rng))
         if len(rows) << nbits >= METRIC_BLOCK_CELLS:
             worst = np.maximum(worst, _metric_deviations(pending.pop(nbits)))
     for rows in pending.values():
@@ -83,7 +85,10 @@ def metric_sample(cfg: dict, rng: np.random.Generator, lowest: int | None = None
 
 
 def _metric_deviations(rows: list) -> tuple[float, float]:
-    amps, damps = (np.array(col) for col in zip(*rows))
+    """The worst fs-factor and recursion deviations of one block of draws."""
+    weights, phases, drho, dphi = (np.array(col) for col in zip(*rows))
+    amps = state_amplitudes(weights, phases)
+    damps = tangent_amplitudes(amps, drho, dphi)
     efm = extended_fisher_metric(amps, damps)
     scale = np.maximum(np.abs(efm), 1e-6)
     return (np.max(np.abs(efm - 4.0 * fubini_study_metric(amps, damps)) / scale),
@@ -256,12 +261,25 @@ CRITERIA: dict[str, dict[tuple[str, ...], Callable]] = {
 }
 
 
-def run(kind: str, cfg: dict) -> tuple[list[Check], list[dict]]:
+class Outcome(tuple):
+    """The (checks, rows) pair of one run; `elapsed_s` maps each criterion's
+    function name to its wall time in seconds."""
+
+    def __new__(cls, checks: list[Check], rows: list[dict],
+                elapsed_s: dict[str, float]):
+        outcome = super().__new__(cls, (checks, rows))
+        outcome.elapsed_s = elapsed_s
+        return outcome
+
+
+def run(kind: str, cfg: dict) -> Outcome:
     """Every criterion of `kind` on a validated config, in table order."""
     rng = np.random.default_rng(cfg["seed"])
-    checks, rows = [], []
+    checks, rows, elapsed_s = [], [], {}
     for measure in CRITERIA[kind].values():
+        started = time.perf_counter()
         more_checks, more_rows = measure(cfg, rng)
+        elapsed_s[measure.__name__] = time.perf_counter() - started
         checks += more_checks
         rows += more_rows
-    return checks, rows
+    return Outcome(checks, rows, elapsed_s)

@@ -7,6 +7,13 @@ four times the Fubini-Study metric on normalized states with norm-preserving
 tangents; both a closed form and a bottom-up even/odd recursion are provided
 and must agree.  The metrics take one state and tangent, or a stack of them
 evaluated in whole-array passes.
+
+Random states and tangents are drawn one sample at a time (`draw_state`,
+`draw_tangent`: the generator calls, in replay order) and built a block at a
+time (`state_amplitudes`, `tangent_amplitudes`: all arithmetic on the draws,
+for one row (N,) or a stack (S, N)).  `random_state` and `random_tangent`
+are the one-row case of the same two steps, so a stacked block is byte for
+byte the stack of the per-sample results.
 """
 
 from __future__ import annotations
@@ -35,11 +42,7 @@ class StateVector:
         arr = np.ascontiguousarray(np.asarray(self.amps, dtype=complex))
         if arr.ndim != 1 or arr.size & (arr.size - 1):
             raise DomainError("need a flat vector with power-of-2 length")
-        norm2 = float(np.vdot(arr, arr).real)
-        if abs(norm2 - 1.0) > 1e-9:
-            raise DomainError(f"squared norm {norm2} is not 1")
-        if abs(norm2 - 1.0) > NORM_TOL:
-            arr = arr / math.sqrt(norm2)
+        arr = _normalized(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
@@ -75,6 +78,22 @@ class Tangent:
         amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
         return cls(np.asarray(raw, dtype=complex)
                    - float(np.vdot(amps, raw).real) * amps)
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """One state (N,) or a stack (S, N) with each state's squared norm (one
+    np.vdot per state) checked to be 1 within 1e-9 and, if it is off by
+    more than NORM_TOL, divided out; the array itself when none is."""
+    rows = amps if amps.ndim == 2 else amps[None]
+    norm2 = np.array([np.vdot(row, row).real for row in rows]).reshape(amps.shape[:-1])
+    off = np.abs(norm2 - 1.0)
+    bad, rescale = off > 1e-9, off > NORM_TOL
+    if bad.any():
+        _reject_rows(bad, DomainError,
+                     f"squared norm {float(norm2[bad].flat[0])} is not 1")
+    if rescale.any():
+        amps = np.where(rescale[..., None], amps / np.sqrt(norm2)[..., None], amps)
+    return amps
 
 
 def _as_amps(psi) -> np.ndarray:
@@ -289,25 +308,50 @@ def fubini_study_distance(psi1, psi2) -> float:
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
 
 
+def draw_state(nbits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one random state of nbits bits: simplex weights, then
+    phases uniform on [-pi, pi)."""
+    size = 1 << nbits
+    return rng.dirichlet(np.ones(size)), rng.uniform(-math.pi, math.pi, size)
+
+
+def draw_tangent(size: int, rng: np.random.Generator,
+                 scale: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one random tangent: drho, then dphi increments."""
+    return rng.normal(0.0, scale, size), rng.normal(0.0, scale, size)
+
+
+def state_amplitudes(weights: np.ndarray, phases: np.ndarray,
+                     min_mass: float | None = None) -> np.ndarray:
+    """Normalized amplitudes sqrt(rho) e^{i phase} from simplex weights, with
+    every probability floored at min_mass (default 0.1 / N); one row (N,) or
+    a stack (S, N), checked and renormalized per row as StateVector does."""
+    size = weights.shape[-1]
+    if min_mass is None:
+        min_mass = 0.1 / size
+    rho = weights * (1.0 - size * min_mass) + min_mass
+    return _normalized(np.sqrt(rho) * np.exp(1j * phases))
+
+
+def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
+                       dphi: np.ndarray) -> np.ndarray:
+    """Norm-preserving perturbations of amps from (drho, dphi) increments,
+    each row's drho first shifted to mean zero; one row (N,) or a stack
+    (S, N)."""
+    rho = np.abs(amps) ** 2
+    drho = drho - drho.mean(axis=-1, keepdims=True)
+    return (drho / (2.0 * np.sqrt(rho)) + 1j * np.sqrt(rho) * dphi) \
+        * np.exp(1j * np.angle(amps))
+
+
 def random_state(nbits: int, rng: np.random.Generator,
                  min_mass: float | None = None) -> StateVector:
     """Random normalized state; min_mass floors every probability (keeps the
     drho^2/rho terms well conditioned in metric sweeps)."""
-    size = 1 << nbits
-    if min_mass is None:
-        min_mass = 0.1 / size
-    rho = rng.dirichlet(np.ones(size)) * (1.0 - size * min_mass) + min_mass
-    phases = rng.uniform(-math.pi, math.pi, size)
-    return StateVector(np.sqrt(rho) * np.exp(1j * phases))
+    return StateVector(state_amplitudes(*draw_state(nbits, rng), min_mass))
 
 
 def random_tangent(psi: StateVector, rng: np.random.Generator,
                    scale: float = 0.1) -> Tangent:
     """Random norm-preserving tangent built from (drho, dphi) increments."""
-    rho = np.abs(psi.amps) ** 2
-    drho = rng.normal(0.0, scale, rho.size)
-    drho -= drho.mean()
-    dphi = rng.normal(0.0, scale, rho.size)
-    damps = (drho / (2.0 * np.sqrt(rho)) + 1j * np.sqrt(rho) * dphi) \
-        * np.exp(1j * np.angle(psi.amps))
-    return Tangent(damps)
+    return Tangent(tangent_amplitudes(psi.amps, *draw_tangent(psi.amps.size, rng, scale)))

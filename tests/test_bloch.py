@@ -154,6 +154,64 @@ class TestMetricInCoords:
             expected, rel=1e-9)
 
 
+def chart_tangent_metric_oracle(point, velocity, axis, step=2e-4):
+    """chart_tangent_metric as it read before it dropped its per-point chart
+    objects, with the chart map it called: the values it must keep."""
+    p = point.as_array()
+    v = np.asarray(velocity, dtype=float)
+    v = v - np.dot(v, p) * p
+    speed = float(np.linalg.norm(v))
+    if speed < 1e-15:
+        raise DomainError("zero tangent")
+    direction = v / speed
+
+    def chart_at(t):
+        c = math.cos(t) * p + math.sin(t) * direction
+        pt = BlochPoint(*(c / np.linalg.norm(c)))
+        mu, nu, xi = {"q": ("q", "p", "r"), "r": ("r", "q", "p"),
+                      "p": ("p", "r", "q")}[axis]
+        theta = math.acos(min(max(pt.component(mu), -1.0), 1.0))
+        if math.sin(theta) < 1e-12:
+            raise SingularityError("tangent curve crosses a chart pole")
+        alpha = math.atan2(pt.component(xi), pt.component(nu))
+        if alpha <= -math.pi:
+            alpha = math.pi
+        return theta, np.exp(1j * alpha)
+
+    def derivatives(h):
+        t_plus, a_plus = chart_at(h)
+        t_minus, a_minus = chart_at(-h)
+        return ((t_plus - t_minus) / (2.0 * h),
+                float(np.angle(a_plus / a_minus)) / (2.0 * h))
+
+    theta0, _ = chart_at(0.0)
+    coarse = derivatives(step)
+    fine = derivatives(step / 2.0)
+    dtheta = (4.0 * fine[0] - coarse[0]) / 3.0
+    dalpha = (4.0 * fine[1] - coarse[1]) / 3.0
+    return metric_in_coords(theta0, dtheta, dalpha) * speed**2
+
+
+class TestChartTangentMetricOracle:
+    def test_equals_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        scales = (1.0, 1e-3, 1e-6, 1e-9)  # short tangents included
+        for k in range(20_000):
+            pt = random_point(rng, pole_margin=0.01)
+            tangent = scales[k % len(scales)] * rng.normal(size=3)
+            for axis in "qpr":
+                assert (chart_tangent_metric(pt, tangent, axis)
+                        == chart_tangent_metric_oracle(pt, tangent, axis))
+
+    def test_guards_match_the_oracle(self):
+        pole = BlochPoint(0.0, 0.0, 1.0)
+        for metric in (chart_tangent_metric, chart_tangent_metric_oracle):
+            with pytest.raises(DomainError):
+                metric(pole, np.array([0.0, 0.0, 2.0]), "q")  # radial only
+            with pytest.raises(SingularityError):
+                metric(pole, np.array([1.0, 0.0, 0.0]), "r")
+
+
 class TestShiftRotation:
     def test_p_shift_leaves_q_probabilities(self):
         out = shift_rotation_2(np.array([1.0, 0.0]), "p")

@@ -134,6 +134,11 @@ class TestConfigSchema:
         ("metric-check", {"chart_points": 10**6 + 1}, "chart_points"),
         ("metric-check", {"chart_points": 2**63}, "chart_points"),
         ("bench", {"repeats": 10**3 + 1}, "repeats"),
+        # above the metric-check amplitude cap, samples x 2**levels <= 2**24
+        ("metric-check", {"levels": 20, "samples": 17}, "samples"),
+        ("metric-check", {"levels": 20}, "samples"),
+        ("metric-check", {"levels": 5, "samples": 10**6}, "samples"),
+        ("metric-check", {"levels": 11, "samples": 8193}, "samples"),
     ])
     def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, kind, doc,
                                            field):
@@ -159,10 +164,16 @@ class TestConfigSchema:
         assert cli.validate("metric-check", fields)["chart_points"] == 10**6
         assert cli.validate("bench", {"repeats": 10**3})["repeats"] == 10**3
 
+    @pytest.mark.parametrize("levels", [1, 4, 11, 20])
+    def test_amplitude_cap_passes_the_schema(self, levels):
+        samples = min(cli.MAX_SAMPLES, cli.MAX_AMPLITUDES >> levels)
+        fields = {"levels": levels, "samples": samples}
+        assert cli.validate("metric-check", fields)["samples"] == samples
+
 
 # ints around every bound the schema checks (2**63 overflows numpy's
 # binomial, 2**1024 a float), floats whose square overflows, nan and +-inf
-BOUNDS = [0, 1, 2, 4, 12, 20, 10**3, 4096, 10**6, 2**63, 2**64, 2**1024]
+BOUNDS = [0, 1, 2, 4, 12, 20, 10**3, 4096, 10**6, 2**24, 2**63, 2**64, 2**1024]
 NAMES = ["kind", "rebit", "qubit", "theta_q", "bloch", "q", "p", "r"]
 NUMBERS = (st.builds(int.__add__, st.sampled_from(BOUNDS), st.integers(-1, 1))
            | st.sampled_from([-2**1024, 1e154, 1e200, 1.7976931348623157e308])
@@ -312,9 +323,22 @@ class TestDeterminism:
             assert run([kind, "--config", cfg, "--seed", "77",
                         "--out", str(out)]) == 0
             doc = json.loads((out / "report.json").read_text())
-            doc.pop("elapsed_s")  # wall-clock time is the only varying field
+            # wall-clock times are the only varying fields
+            doc.pop("elapsed_s")
+            doc.pop("criterion_elapsed_s")
             reports.append(doc)
         assert reports[0] == reports[1]
+
+    def test_report_times_each_criterion(self, tmp_path):
+        cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check",
+                                      "samples": 20, "chart_points": 5})
+        assert run(["metric-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        times = doc["criterion_elapsed_s"]
+        assert list(times) == [measure.__name__ for measure
+                               in criteria.CRITERIA["metric-check"].values()]
+        assert all(t >= 0.0 for t in times.values())
+        assert sum(times.values()) <= doc["elapsed_s"]
 
     def test_default_metric_check_replays_the_seed_7_sample(self, tmp_path):
         # values of a one-state-at-a-time evaluation: stacking the samples
@@ -326,6 +350,15 @@ class TestDeterminism:
         assert values["chart-invariance"] == 1.265060090501211e-11
         assert values["gauge-zero"] == -8.881784197001252e-16
         assert values["one-bit-form"] == 2.7755575615628914e-17
+
+    def test_default_metric_check_pins_the_seed_7_metric_sample(self, tmp_path):
+        # the sample's own checks, exactly: building its states and tangents
+        # a block at a time must not move a bit
+        assert run(["metric-check", "--seed", "7", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        values = {c["id"]: c["value"] for c in doc["checks"]}
+        assert values["fs-factor"] == 1.0164425289355154e-15
+        assert values["recursion"] == 1.0353208054947034e-15
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check",

@@ -5,12 +5,13 @@ import pytest
 
 from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, StateVector, Tangent,
-                            amplitude_phase_differentials,
-                            extended_fisher_metric,
+                            amplitude_phase_differentials, draw_state,
+                            draw_tangent, extended_fisher_metric,
                             extended_fisher_metric_recursive,
                             fisher_info_theta, fisher_info_theta_numeric,
                             fisher_matrix_numeric, fubini_study_distance,
-                            fubini_study_metric, random_state, random_tangent)
+                            fubini_study_metric, random_state, random_tangent,
+                            state_amplitudes, tangent_amplitudes)
 from qrecon.probmodel import Distribution, factorize, reconstitute
 
 
@@ -373,6 +374,69 @@ class TestStackedMetrics:
             metric(np.ones((2, 4)) / 2.0, np.zeros((3, 4)))
         with pytest.raises(DomainError):
             metric(np.ones((1, 2, 4)) / 2.0, np.zeros((1, 2, 4)))
+
+
+def per_sample_and_block(seed, bit_counts):
+    """{nbits: ((states, tangents) stacked from per-sample random_state and
+    random_tangent, (states, tangents) built as one block from the same
+    draws)} and the two generators afterwards."""
+    one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked, draws = {}, {}
+    for nbits in bit_counts:
+        psi = random_state(nbits, one)
+        stacked.setdefault(nbits, []).append((psi.amps, random_tangent(psi, one).damps))
+        draws.setdefault(nbits, []).append(draw_state(nbits, block)
+                                           + draw_tangent(1 << nbits, block))
+    out = {}
+    for nbits, rows in draws.items():
+        weights, phases, drho, dphi = (np.array(col) for col in zip(*rows))
+        amps = state_amplitudes(weights, phases)
+        out[nbits] = (tuple(np.array(col) for col in zip(*stacked[nbits])),
+                      (amps, tangent_amplitudes(amps, drho, dphi)))
+    return out, one, block
+
+
+class TestBlockBuilders:
+    @pytest.mark.parametrize("seed", [0, 7, 401, 20240801])
+    def test_block_is_the_stack_of_per_sample_results(self, seed):
+        for nbits in range(11):
+            built, one, block = per_sample_and_block(seed, [nbits] * 5)
+            (states, tangents), (amps, damps) = built[nbits]
+            assert amps.shape == damps.shape == (5, 1 << nbits)
+            assert amps.tobytes() == states.tobytes()
+            assert damps.tobytes() == tangents.tobytes()
+            assert block.bit_generator.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 401, 20240801])
+    def test_mixed_bit_counts_from_one(self, seed):
+        bit_counts = np.random.default_rng(seed).integers(1, 7, size=60).tolist()
+        built, one, block = per_sample_and_block(seed, bit_counts)
+        assert set(built) == set(bit_counts)
+        for (states, tangents), (amps, damps) in built.values():
+            assert amps.tobytes() == states.tobytes()
+            assert damps.tobytes() == tangents.tobytes()
+        assert block.bit_generator.state == one.bit_generator.state
+
+    def test_one_row_is_a_state_and_a_tangent(self):
+        rng = np.random.default_rng(3)
+        amps = state_amplitudes(*draw_state(3, rng))
+        damps = tangent_amplitudes(amps, *draw_tangent(8, rng))
+        assert amps.shape == damps.shape == (8,)
+        assert StateVector(amps).amps.tobytes() == amps.tobytes()
+        assert Tangent(damps).is_norm_preserving(amps)
+
+    def test_rows_off_norm_by_rounding_are_renormalized_alone(self):
+        amps = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11]], dtype=complex)
+        out = state_amplitudes(np.abs(amps) ** 2, np.zeros((2, 2)), min_mass=0.0)
+        for row, expected in zip(out, amps):
+            assert row.tobytes() == StateVector(expected).amps.tobytes()
+        assert out[1].tobytes() != amps[1].tobytes()
+
+    def test_off_norm_row_is_named(self):
+        weights = np.full((3, 4), 0.25)
+        weights[2, 0] = 0.5
+        with pytest.raises(DomainError, match=r"row 2"):
+            state_amplitudes(weights, np.zeros((3, 4)))
 
 
 class TestFubiniStudy:
