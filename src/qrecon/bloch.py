@@ -3,7 +3,7 @@ three observable-adapted charts, the two-dimensional complex representation,
 and the Hadamard change of basis between the q and p descriptions.
 
 Conventions pinned here (the chart freedom alpha -> pi/2 - alpha makes them
-author-relative):
+author-relative; this module fixes one and offers no other):
 
 * expectations: sQ = |psi_1|^2 - |psi_0|^2, sP = 2 Re(conj(psi_0) psi_1),
   sR = 2 Im(conj(psi_0) psi_1);
@@ -31,14 +31,10 @@ import numpy as np
 from .exceptions import DomainError, SingularityError
 from .probmodel import ThetaAngle
 
-NORM_TOL = 1e-12
 POLE_TOL = 1e-12
 
 # axis -> (mu, nu, xi): S_mu = cos t, S_nu = sin t cos a, S_xi = sin t sin a
-ROTATING_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q")}
-# alternative convention symmetric under the p <-> q exchange (unused by
-# default; exposed for completeness)
-PQ_SYMMETRIC_TRIPLETS = {**ROTATING_TRIPLETS, "p": ("p", "q", "r")}
+CHART_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q")}
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -114,7 +110,7 @@ class ExtendedCoords:
     alpha: float | None
 
     def __post_init__(self):
-        if self.axis not in ROTATING_TRIPLETS:
+        if self.axis not in CHART_TRIPLETS:
             raise DomainError(f"unknown axis {self.axis!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise DomainError("theta outside [0, pi]")
@@ -141,12 +137,10 @@ def rebit_conjugate(theta_q: ThetaAngle | float) -> float:
     return math.pi / 2.0 - t
 
 
-def bloch_from_extended(coords: ExtendedCoords,
-                        convention: str = "rotating") -> BlochPoint:
+def bloch_from_extended(coords: ExtendedCoords) -> BlochPoint:
     """Map chart coordinates to the sphere: S_mu = cos t, S_nu = sin t cos a,
     S_xi = sin t sin a for the axis triplet (mu, nu, xi)."""
-    triplets = ROTATING_TRIPLETS if convention == "rotating" else PQ_SYMMETRIC_TRIPLETS
-    mu, nu, xi = triplets[coords.axis]
+    mu, nu, xi = CHART_TRIPLETS[coords.axis]
     alpha = 0.0 if coords.alpha is None else coords.alpha
     values = {
         mu: math.cos(coords.theta),
@@ -156,12 +150,10 @@ def bloch_from_extended(coords: ExtendedCoords,
     return BlochPoint.from_components(values)
 
 
-def extended_from_bloch(axis: str, point: BlochPoint,
-                        convention: str = "rotating") -> ExtendedCoords:
+def extended_from_bloch(axis: str, point: BlochPoint) -> ExtendedCoords:
     """Invert bloch_from_extended; at a pole of the chart alpha is None."""
-    triplets = ROTATING_TRIPLETS if convention == "rotating" else PQ_SYMMETRIC_TRIPLETS
     return ExtendedCoords(axis, *_chart_angles(
-        *(point.component(name) for name in triplets[axis])))
+        *(point.component(name) for name in CHART_TRIPLETS[axis])))
 
 
 def psi_from_bloch(point: BlochPoint) -> np.ndarray:
@@ -240,8 +232,7 @@ def transformed_phase_jacobian(psi: np.ndarray) -> np.ndarray:
     return jac
 
 
-def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str,
-                         step: float = 2e-4) -> float:
+def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str) -> float:
     """Chart value of the metric for a sphere tangent, by numeric chain rule.
 
     Follows the great circle through `point` with initial velocity
@@ -263,7 +254,7 @@ def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str,
         raise DomainError("zero tangent")
     direction = v / speed
     # positions of the chart triplet (mu, nu, xi) in (sQ, sP, sR)
-    order = ["qpr".index(name) for name in ROTATING_TRIPLETS[axis]]
+    order = ["qpr".index(name) for name in CHART_TRIPLETS[axis]]
 
     def chart_at(t: float) -> tuple[float, complex]:
         c = math.cos(t) * p + math.sin(t) * direction
@@ -283,6 +274,7 @@ def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str,
         return dtheta, dalpha
 
     theta0, _ = chart_at(0.0)
+    step = 2e-4
     coarse = derivatives(step)
     fine = derivatives(step / 2.0)
     dtheta = (4.0 * fine[0] - coarse[0]) / 3.0

@@ -11,8 +11,9 @@ in one kernel call.
 
 The transform checks (ladder against the Fourier matrix, unitarity, the
 diagonalized shift, the Danielson-Lanczos recursion) come from one streamed
-measurement over blocks of LADDER_BLOCK identity columns, so the ladder
-side needs O(N * LADDER_BLOCK) memory and no dense N x N transform;
+measurement over blocks of LADDER_BLOCK identity columns.  The ladder and
+the half-size recursion are both built a column block at a time, so the
+measurement needs O(N * LADDER_BLOCK) memory and no N x N matrix;
 `verify_danielson_lanczos` and `shift_operator_check` report views of it.
 
 Sign convention: `twiddle_phase` returns the phases of the q -> p ladder,
@@ -302,18 +303,18 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     streamed over blocks J of LADDER_BLOCK identity columns.
 
     Per block, one transform_columns call gives F[:, J], compared with the
-    Fourier columns J ("ladder") and with the half-size recursion's columns
-    J against the same Fourier columns ("recursion").  A second call on the
+    Fourier columns J ("ladder"), and _recursion_columns gives the half-size
+    recursion's columns J, compared with the same Fourier columns
+    ("recursion").  A second call on the
     2B-column stack [conj(F[:, J]) | conj(P F[:, J])], P the one-step cyclic
     shift of rows, gives columns J of F^dagger F and of F^dagger P F: F's
     matrix is symmetric, so F^dagger X = conj(F conj(X)).  The first should
     be the identity ("unitarity"); the second diagonal ("off_diagonal") with
     the depth-n shift phases on its diagonal ("diagonal").  Each value is the
-    one a pass over the whole matrices gives, bit for bit; the ladder needs
-    O(N B) memory, and only the recursion matrix is N x N.
+    one a pass over the whole matrices gives, bit for bit, and no array
+    holds more than O(N B) entries.
     """
     size = 1 << n
-    recursion = _recursive_dft(n)
     phases = np.exp(1j * derive_shift_phases(n).values)
     worst = np.zeros(5)
     for start in range(0, size, LADDER_BLOCK):
@@ -331,26 +332,29 @@ def _ladder_deviations(n: int) -> dict[str, float]:
                                    np.abs(gram - unit).max(),
                                    np.abs(shift).max(),
                                    np.abs(shift_diag - phases[cols]).max(),
-                                   np.abs(recursion[:, cols] - dft).max()])
+                                   np.abs(_recursion_columns(n, cols) - dft).max()])
     return dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
                     map(float, worst)))
 
 
-def _recursive_dft(m: int) -> np.ndarray:
-    """The Danielson-Lanczos recursion for the 2**m-point Fourier matrix:
-    row j of the even and odd columns is row j mod N/2 of the half-size
-    matrix, the odd ones times W^j, W = exp(2*pi*i/N)."""
-    if m == 1:
-        return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
-    sub = _recursive_dft(m - 1)
-    size = 1 << m
-    half = size // 2
-    out = np.empty((size, size), dtype=complex)
-    w = np.exp(2j * np.pi * np.arange(size) / size)
-    for j in range(size):
-        out[j, 0::2] = sub[j % half] * _INV_SQRT2
-        out[j, 1::2] = w[j] * sub[j % half] * _INV_SQRT2
-    return out
+def _recursion_columns(n: int, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` of the Danielson-Lanczos recursion for the 2**n-point
+    Fourier matrix, built from the 2x2 base [[1, 1], [1, -1]]/sqrt(2) with
+    one array pass per level: column c of the 2**m matrix is column c >> 1
+    of the half-size matrix tiled down both halves (row j reads row
+    j mod 2**(m-1)), times W^j, W = exp(2*pi*i/2**m), when c is odd, and
+    times 1/sqrt(2).  Each column is built as a contiguous row and the
+    (N, len(cols)) result is a transposed view."""
+    base = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
+    out = base[cols >> (n - 1)]  # base is symmetric: row c is column c
+    for m in range(2, n + 1):
+        size = 1 << m
+        w = np.exp(2j * np.pi * np.arange(size) / size)
+        out = np.concatenate([out, out], axis=1)
+        odd = np.flatnonzero((cols >> (n - m)) & 1)
+        out[odd] = w * out[odd]
+        out *= _INV_SQRT2
+    return out.T
 
 
 def _danielson_lanczos_terms(n: int, deviations: dict[str, float]) -> dict:

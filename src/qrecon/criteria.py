@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bench as bench_mod
 from . import kernels
-from .bloch import BlochPoint, chart_tangent_metric, metric_in_coords
+from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
+                    rebit_conjugate)
 from .butterfly import (_danielson_lanczos_terms, _ladder_deviations,
                         derive_shift_phases)
 from .exceptions import RangeError
@@ -199,7 +200,7 @@ def tomography(cfg: dict, rng: np.random.Generator):
     """precision-parity and one variance band per observable, from one report."""
     state = cfg["state"]
     if state["kind"] == "rebit":
-        thetas = {"q": state["theta_q"], "p": math.pi / 2.0 - state["theta_q"]}
+        thetas = {"q": state["theta_q"], "p": rebit_conjugate(state["theta_q"])}
     else:
         point = BlochPoint(*state["bloch"])
         thetas = {name: point.theta_of(name) for name in OBSERVABLES["qubit"]}
@@ -207,12 +208,11 @@ def tomography(cfg: dict, rng: np.random.Generator):
     if not isinstance(trials, dict):
         trials = dict.fromkeys(thetas, trials)
     report = tomography_experiment(thetas, trials, seed=cfg["seed"],
-                                   replicas=cfg["replicas"],
-                                   parity_tolerance=cfg["parity_tol"])
+                                   replicas=cfg["replicas"])
+    parity = report.max_parity_deviation
     checks = [Check("precision-parity",
                     "per-measurement precision contributions agree across observables",
-                    report.max_parity_deviation, cfg["parity_tol"],
-                    report.parity_ok)]
+                    parity, cfg["parity_tol"], parity <= cfg["parity_tol"])]
     lo, hi = chi2_band(cfg["replicas"], cfg["band_sigma"])
     for s in report.summaries:
         if not math.isfinite(s.precision_per_measurement):
@@ -261,15 +261,13 @@ CRITERIA: dict[str, dict[tuple[str, ...], Callable]] = {
 }
 
 
-class Outcome(tuple):
-    """The (checks, rows) pair of one run; `elapsed_s` maps each criterion's
-    function name to its wall time in seconds."""
+class Outcome(NamedTuple):
+    """The checks and report rows of one run; `elapsed_s` maps each
+    criterion's function name to its wall time in seconds."""
 
-    def __new__(cls, checks: list[Check], rows: list[dict],
-                elapsed_s: dict[str, float]):
-        outcome = super().__new__(cls, (checks, rows))
-        outcome.elapsed_s = elapsed_s
-        return outcome
+    checks: list[Check]
+    rows: list[dict]
+    elapsed_s: dict[str, float]
 
 
 def run(kind: str, cfg: dict) -> Outcome:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .exceptions import DomainError, SingularityError
 from .probmodel import (ConditionalTree, Distribution, ThetaAngle,
-                        mass_pyramid, reconstitute)
+                        mass_pyramid, prob_from_theta, reconstitute,
+                        theta_from_prob)
 
 NORM_TOL = 1e-12         # state-vector normalization tolerance
 TANGENT_TOL = 1e-8       # accepted |Re<psi|dpsi>| for norm-preserving tangents
@@ -34,12 +35,13 @@ ZERO_MASS = 1e-14        # below this a component counts as zero-mass
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitude vector of length 2**n."""
+    """Normalized complex amplitude vector of length 2**n, held in a
+    read-only copy of the caller's array."""
 
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.amps, dtype=complex))
+        arr = np.array(self.amps, dtype=complex, order="C")
         if arr.ndim != 1 or arr.size & (arr.size - 1):
             raise DomainError("need a flat vector with power-of-2 length")
         arr = _normalized(arr)
@@ -59,18 +61,19 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Tangent:
-    """Complex perturbation dpsi attached to a state vector."""
+    """Complex perturbation dpsi attached to a state vector, held in a
+    read-only copy of the caller's array."""
 
     damps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.damps, dtype=complex))
+        arr = np.array(self.damps, dtype=complex, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "damps", arr)
 
-    def is_norm_preserving(self, psi: StateVector | np.ndarray, tol: float = 1e-10) -> bool:
+    def is_norm_preserving(self, psi: StateVector | np.ndarray) -> bool:
         amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
-        return abs(float(np.vdot(amps, self.damps).real)) <= tol
+        return abs(float(np.vdot(amps, self.damps).real)) <= 1e-10
 
     @classmethod
     def projected(cls, psi: StateVector | np.ndarray, raw: np.ndarray) -> "Tangent":
@@ -182,45 +185,30 @@ def fisher_info_theta_numeric(theta: float, step: float = 1e-4) -> float:
     return total
 
 
-def _tree_thetas(tree: ConditionalTree) -> list[tuple[int, int, float]]:
-    """(level, suffix, theta) for every node, root (level n) first."""
-    out = []
-    for level, suffix, p0 in tree.nodes():
-        if not 0.0 < p0 < 1.0:
-            raise SingularityError(
-                f"boundary node p0={p0} at level {level}, suffix {suffix}")
-        out.append((level, suffix, 2.0 * math.acos(math.sqrt(p0))))
-    return out
-
-
-def fisher_matrix_numeric(tree: ConditionalTree, step: float = 1e-6) -> np.ndarray:
+def fisher_matrix_numeric(tree: ConditionalTree) -> np.ndarray:
     """Fisher information matrix over the tree's theta-node coordinates.
 
     Entry (a, b) is the expectation over outcomes of the product of the two
-    log-likelihood scores, each evaluated by central finite differences of
-    the tree-to-distribution map.  Coordinates are ordered root first, then
-    by level downward with ascending suffix; the result is diagonal with the
-    conditioning-suffix masses on the diagonal.
+    log-likelihood scores, each evaluated by central finite differences
+    (step 1e-6 in theta) of the tree-to-distribution map.  Coordinates are
+    ordered root first, then by level downward with ascending suffix; the
+    result is diagonal with the conditioning-suffix masses on the diagonal.
+    A node at p0 = 0 or 1 sits on the chart boundary and is rejected.
     """
-    n = tree.depth
-    nodes = _tree_thetas(tree)
+    step = 1e-6
+    nodes = list(tree.nodes())
     base = reconstitute(tree).probs
     scores = np.empty((len(nodes), base.size))
-    for a, (level, suffix, _) in enumerate(nodes):
-        p0 = tree.node(level, suffix)
-        up = reconstitute(tree.with_node(level, suffix, _p0_of(_theta_of(p0) + step))).probs
-        dn = reconstitute(tree.with_node(level, suffix, _p0_of(_theta_of(p0) - step))).probs
+    for a, (level, suffix, p0) in enumerate(nodes):
+        if not 0.0 < p0 < 1.0:
+            raise SingularityError(
+                f"boundary node p0={p0} at level {level}, suffix {suffix}")
+        theta = theta_from_prob(p0).value
+        up, dn = (reconstitute(tree.with_node(level, suffix, prob_from_theta(t)[0])).probs
+                  for t in (theta + step, theta - step))
         with np.errstate(divide="ignore"):
             scores[a] = (np.log(up) - np.log(dn)) / (2.0 * step)
     return np.einsum("ax,bx,x->ab", scores, scores, base)
-
-
-def _theta_of(p0: float) -> float:
-    return 2.0 * math.acos(math.sqrt(min(max(p0, 0.0), 1.0)))
-
-
-def _p0_of(theta: float) -> float:
-    return math.cos(theta / 2.0) ** 2
 
 
 def extended_fisher_metric(psi, d):
@@ -315,10 +303,10 @@ def draw_state(nbits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     return rng.dirichlet(np.ones(size)), rng.uniform(-math.pi, math.pi, size)
 
 
-def draw_tangent(size: int, rng: np.random.Generator,
-                 scale: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one random tangent: drho, then dphi increments."""
-    return rng.normal(0.0, scale, size), rng.normal(0.0, scale, size)
+def draw_tangent(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one random tangent: drho, then dphi increments, each
+    normal with standard deviation 0.1."""
+    return rng.normal(0.0, 0.1, size), rng.normal(0.0, 0.1, size)
 
 
 def state_amplitudes(weights: np.ndarray, phases: np.ndarray,
@@ -344,14 +332,12 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
         * np.exp(1j * np.angle(amps))
 
 
-def random_state(nbits: int, rng: np.random.Generator,
-                 min_mass: float | None = None) -> StateVector:
-    """Random normalized state; min_mass floors every probability (keeps the
-    drho^2/rho terms well conditioned in metric sweeps)."""
-    return StateVector(state_amplitudes(*draw_state(nbits, rng), min_mass))
+def random_state(nbits: int, rng: np.random.Generator) -> StateVector:
+    """Random normalized state with every probability floored at 0.1 / N
+    (keeps the drho^2/rho terms well conditioned in metric sweeps)."""
+    return StateVector(state_amplitudes(*draw_state(nbits, rng)))
 
 
-def random_tangent(psi: StateVector, rng: np.random.Generator,
-                   scale: float = 0.1) -> Tangent:
+def random_tangent(psi: StateVector, rng: np.random.Generator) -> Tangent:
     """Random norm-preserving tangent built from (drho, dphi) increments."""
-    return Tangent(tangent_amplitudes(psi.amps, *draw_tangent(psi.amps.size, rng, scale)))
+    return Tangent(tangent_amplitudes(psi.amps, *draw_tangent(psi.amps.size, rng)))

@@ -1,5 +1,11 @@
 """Measurement simulation and maximum-likelihood estimation.
 
+Every binary observable is described by its angle on the theta chart,
+P(0) = cos^2(theta/2) (`qrecon.probmodel`): a tomography experiment takes
+one {observable: theta} dict, and the maximum-likelihood estimate maps the
+observed frequency back through the same chart.  The experiment reports the
+spread of its estimates; `qrecon.criteria` judges them.
+
 Randomness comes from counter-based Philox streams (Salmon et al., SC 2011)
 keyed by (master seed, observable, replica), so each replica's draws depend
 only on its key and replay bit-identically from the seed.
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .probmodel import ThetaAngle, prob_from_theta
+from .probmodel import ThetaAngle, prob_from_theta, theta_from_prob
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
 
@@ -73,8 +79,7 @@ def mle_theta(sample: MeasurementSample) -> tuple[float, float]:
     m = sample.total
     if m == 0:
         raise DomainError("empty sample")
-    p0_hat = sample.counts[0] / m
-    return 2.0 * math.acos(math.sqrt(p0_hat)), 1.0 / m
+    return theta_from_prob(sample.counts[0] / m).value, 1.0 / m
 
 
 @dataclass(frozen=True)
@@ -92,9 +97,7 @@ class ObservableSummary:
 class TomographyReport:
     seed: int
     summaries: tuple[ObservableSummary, ...]
-    parity_tolerance: float
     max_parity_deviation: float
-    parity_ok: bool
 
     def summary_for(self, observable: str) -> ObservableSummary:
         for s in self.summaries:
@@ -193,43 +196,24 @@ def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
     return out
 
 
-def _observable_thetas(state) -> dict[str, float]:
-    """Coerce a state description into per-observable theta angles.
-
-    Accepts a ready {observable: theta} dict, a Bloch point (anything with a
-    theta_of method), chart coordinates, or a two-component amplitude vector.
-    """
-    if isinstance(state, dict):
-        return {k: float(v) for k, v in state.items()}
-    if hasattr(state, "theta_of"):
-        return {name: state.theta_of(name) for name in ("q", "p", "r")}
-    from .bloch import ExtendedCoords, bloch_from_extended, pauli_expectations
-    if isinstance(state, ExtendedCoords):
-        return _observable_thetas(bloch_from_extended(state))
-    arr = np.asarray(getattr(state, "amps", state))
-    if arr.shape == (2,):
-        return _observable_thetas(pauli_expectations(arr))
-    raise DomainError("cannot interpret the state description")
-
-
-def tomography_experiment(state, trials: dict[str, int], seed: int,
-                          replicas: int = 200,
-                          parity_tolerance: float = 0.05) -> TomographyReport:
+def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
+                          seed: int, replicas: int) -> TomographyReport:
     """Repeated-measurement estimation experiment over a set of observables.
 
-    Each observable is measured `trials[name]` times per replica; the spread
-    of the per-replica estimates gives the empirical estimator variance and
-    the per-measurement precision contribution 1 / (M * var).  The report
-    checks that those contributions agree across observables within
-    `parity_tolerance` (observables pinned at a boundary estimate carry no
-    spread and are excluded from the comparison).
+    `thetas` gives each observable's angle on the theta chart.  Each
+    observable is measured `trials[name]` times per replica; the spread of
+    the per-replica estimates gives the empirical estimator variance and the
+    per-measurement precision contribution 1 / (M * var).  The report
+    carries the largest relative difference between those contributions
+    (observables pinned at a boundary estimate carry no spread and are
+    excluded from the comparison); `qrecon.criteria` judges it.
     """
-    observable_thetas = _observable_thetas(state)
-    if not observable_thetas:
+    thetas = {name: float(theta) for name, theta in thetas.items()}
+    if not thetas:
         raise DomainError("no observables to measure")
     summaries = []
     for name in sorted(trials):
-        theta = observable_thetas[name]
+        theta = thetas[name]
         m = trials[name]
         if m < 1:
             raise DomainError(f"observable {name}: need at least one trial")
@@ -249,9 +233,8 @@ def tomography_experiment(state, trials: dict[str, int], seed: int,
         for j in range(i + 1, len(finite)):
             mean = 0.5 * (finite[i] + finite[j])
             max_dev = max(max_dev, abs(finite[i] - finite[j]) / mean)
-    return TomographyReport(
-        seed=seed, summaries=tuple(summaries), parity_tolerance=parity_tolerance,
-        max_parity_deviation=max_dev, parity_ok=max_dev <= parity_tolerance)
+    return TomographyReport(seed=seed, summaries=tuple(summaries),
+                            max_parity_deviation=max_dev)
 
 
 def chi2_band(replicas: int, sigma: float = 5.0) -> tuple[float, float]:

@@ -114,8 +114,8 @@ def test_09_linearity_consequence(fft_derive):
 
 def test_10_performance(tmp_path):
     cfg = cli.validate("bench", {"sizes": [4096], "repeats": 5})
-    checks, rows = criteria.run("bench", cfg)
-    cli.write_report(tmp_path, "bench", cfg, checks, rows, 0.0)
+    checks, rows, elapsed_s = criteria.run("bench", cfg)
+    cli.write_report(tmp_path, "bench", cfg, checks, rows, 0.0, elapsed_s)
     gate(checks, "speedup-N4096")
     assert (tmp_path / "bench.csv").read_text().startswith(
         "N,dense_ns,butterfly_ns,speedup\n")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -426,6 +427,25 @@ class TestColumnStackKernel:
         assert mat[0, 0] == 1.0 and not mat[1:].any()
 
 
+@functools.lru_cache(maxsize=None)
+def recursive_dft(m):
+    """The Danielson-Lanczos recursion for the 2**m-point Fourier matrix, a
+    whole matrix per level: row j of the even and odd columns is row
+    j mod N/2 of the half-size matrix, the odd ones times W^j,
+    W = exp(2*pi*i/N)."""
+    if m == 1:
+        return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * butterfly._INV_SQRT2
+    sub = recursive_dft(m - 1)
+    size = 1 << m
+    half = size // 2
+    out = np.empty((size, size), dtype=complex)
+    w = np.exp(2j * np.pi * np.arange(size) / size)
+    for j in range(size):
+        out[j, 0::2] = sub[j % half] * butterfly._INV_SQRT2
+        out[j, 1::2] = w[j] * sub[j % half] * butterfly._INV_SQRT2
+    return out
+
+
 def dense_deviations(n):
     """The whole-matrix passes the streamed measurement replaces."""
     size = 1 << n
@@ -440,10 +460,19 @@ def dense_deviations(n):
             "unitarity": float(np.abs(gram - np.eye(size)).max()),
             "off_diagonal": float(np.abs(off).max()),
             "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
-            "recursion": float(np.abs(butterfly._recursive_dft(n) - dft).max())}
+            "recursion": float(np.abs(recursive_dft(n) - dft).max())}
 
 
 class TestLadderDeviations:
+    @pytest.mark.parametrize("block", [1, 3, butterfly.LADDER_BLOCK])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_recursion_columns_equal_the_whole_matrix(self, n, block):
+        whole = recursive_dft(n)
+        for start in range(0, 1 << n, block):
+            cols = np.arange(start, min(start + block, 1 << n))
+            assert (butterfly._recursion_columns(n, cols).tobytes()
+                    == whole[:, cols].tobytes())
+
     # N = 2..256 falls below, at and above the default block of 64 columns
     @pytest.mark.parametrize("block", [1, 3, butterfly.LADDER_BLOCK])
     @pytest.mark.parametrize("n", range(1, 9))

@@ -216,7 +216,7 @@ class TestExitCodes:
         assert "config error" not in err
 
     def test_run_without_checks_does_not_pass(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(criteria, "run", lambda kind, cfg: ([], []))
+        monkeypatch.setattr(criteria, "run", lambda kind, cfg: ([], [], {}))
         assert run(["partition-audit", "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["checks"] == [] and report["passed"] is False
@@ -308,6 +308,41 @@ class TestSubcommands:
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == "N,dense_ns,butterfly_ns,speedup"
         assert len(lines) == 3
+
+
+class TestStdoutFlags:
+    PASSING = {"version": 1, "kind": "metric-check", "samples": 20,
+               "chart_points": 10}
+    FAILING = {**PASSING, "tol_fs": 1e-30}
+
+    def run_with(self, tmp_path, capsys, doc, flags):
+        tmp_path.mkdir(exist_ok=True)
+        cfg = write_config(tmp_path, doc)
+        code = run(["metric-check", "--config", cfg, "--out", str(tmp_path), *flags])
+        report = json.loads((tmp_path / "report.json").read_text())
+        return code, capsys.readouterr().out, report
+
+    def test_json_stdout_is_the_written_report(self, tmp_path, capsys):
+        _, out, report = self.run_with(tmp_path, capsys, self.PASSING, ["--json"])
+        printed, end = json.JSONDecoder().raw_decode(out)
+        assert printed == report
+        assert out[end:].lstrip().startswith("[PASS]")
+
+    def test_csv_stdout_has_one_line_per_check(self, tmp_path, capsys):
+        _, out, report = self.run_with(tmp_path, capsys, self.FAILING, ["--csv"])
+        lines = [line for line in out.splitlines() if not line.startswith("[")]
+        assert lines == [f"{c['id']},{c['value']},{c['tolerance']},{c['passed']}"
+                         for c in report["checks"]]
+        assert len(lines) == 5 and "fs-factor," in lines[0]
+        assert lines[0].endswith(",False") and lines[1].endswith(",True")
+
+    @pytest.mark.parametrize("flags", [["--json"], ["--csv"], ["--json", "--csv"]],
+                             ids=["json", "csv", "both"])
+    @pytest.mark.parametrize("doc,code", [(PASSING, 0), (FAILING, 1)],
+                             ids=["passing", "failing"])
+    def test_flags_leave_the_exit_code(self, tmp_path, capsys, flags, doc, code):
+        assert self.run_with(tmp_path / "plain", capsys, doc, [])[0] == code
+        assert self.run_with(tmp_path / "flags", capsys, doc, flags)[0] == code
 
 
 class TestDeterminism:

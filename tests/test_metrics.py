@@ -508,3 +508,14 @@ class TestTangent:
     def test_state_vector_rejects_large_drift(self):
         with pytest.raises(DomainError):
             StateVector(np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("make", [StateVector, Tangent])
+    def test_caller_array_stays_writeable_and_unchanged(self, make):
+        # a contiguous complex input is exactly the case that needs no cast
+        arr = np.array([0.6, 0.8], dtype=complex)
+        before = arr.copy()
+        held = make(arr)
+        assert arr.flags.writeable
+        arr[0] = 0.0
+        assert (held.amps if make is StateVector else held.damps).tobytes() \
+            == before.tobytes()
