@@ -15,8 +15,7 @@ from .bloch import (BlochPoint, ExtendedCoords, bloch_from_extended,
                     hadamard_transform, metric_in_coords, pauli_expectations,
                     psi_from_bloch, rebit_conjugate, shift_rotation_2,
                     transformed_phase_jacobian)
-from .butterfly import (ButterflyPlan, ShiftPhases, TwiddleStage,
-                        apply_butterfly, assemble_transform,
+from .butterfly import (ButterflyPlan, apply_butterfly, assemble_transform,
                         bit_reversal_permutation, chain_propagate,
                         derive_shift_phases, dft_matrix, make_plan,
                         node_position, shift_operator_check, stage_matrix,

@@ -22,14 +22,13 @@ three-vectors and builds no BlochPoint or ExtendedCoords on its curve.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .probmodel import ThetaAngle
+from .probmodel import RENORM_TOL, ThetaAngle
 
 POLE_TOL = 1e-12
 
@@ -40,7 +39,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def _check_on_sphere(norm2: float) -> None:
-    if abs(norm2 - 1.0) > 1e-9:
+    if abs(norm2 - 1.0) > RENORM_TOL:
         raise DomainError(f"off-sphere point, |S|^2 = {norm2}")
 
 
@@ -84,13 +83,6 @@ class BlochPoint:
         """Polar parameter of one observable, arccos(S)."""
         return math.acos(min(max(self.component(observable), -1.0), 1.0))
 
-    def to_json(self) -> str:
-        return json.dumps([self.sq, self.sp, self.sr])
-
-    @classmethod
-    def from_json(cls, text: str) -> "BlochPoint":
-        return cls(*json.loads(text))
-
     def outcome_probabilities(self, observable: str) -> tuple[float, float]:
         """(rho(0), rho(1)) of one observable, ((1+S)/2, (1-S)/2)."""
         s = self.component(observable)
@@ -116,15 +108,6 @@ class ExtendedCoords:
             raise DomainError("theta outside [0, pi]")
         if self.alpha is not None and not -math.pi < self.alpha <= math.pi + 1e-15:
             raise DomainError("alpha outside (-pi, pi]")
-
-    def to_json(self) -> str:
-        return json.dumps({"axis": self.axis, "theta": self.theta,
-                           "alpha": self.alpha})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExtendedCoords":
-        doc = json.loads(text)
-        return cls(doc["axis"], doc["theta"], doc["alpha"])
 
 
 def rebit_conjugate(theta_q: ThetaAngle | float) -> float:

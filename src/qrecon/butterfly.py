@@ -27,7 +27,6 @@ unitary; `dft_matrix` defaults to the +1 convention.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .exceptions import DomainError
-from .probmodel import Distribution
+from .probmodel import RENORM_TOL, Distribution
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -70,16 +69,10 @@ def node_position(n: int, l: int, x: int, y: int) -> int:
 
 # ------------------------------------------------------- phases and stages
 
-@dataclass(frozen=True)
-class ShiftPhases:
-    """Diagonal phases s_l[k] of the one-step shift at ladder depth l."""
-
-    level: int
-    values: np.ndarray = field(repr=False)
-
-
-def derive_shift_phases(l: int) -> ShiftPhases:
-    """Solve the shift recursion upward from the two-point base (0, -pi).
+def derive_shift_phases(l: int) -> np.ndarray:
+    """Diagonal phases s_l[k] of the one-step shift at ladder depth l, a
+    read-only array: the shift recursion solved upward from the two-point
+    base (0, -pi).
 
     Depth m inherits its first half from half the depth m-1 phases and its
     second half by subtracting pi; the result equals the closed form
@@ -94,9 +87,8 @@ def derive_shift_phases(l: int) -> ShiftPhases:
         new[:half] = values / 2.0
         new[half:] = new[:half] - math.pi
         values = new
-    out = values.copy()
-    out.setflags(write=False)
-    return ShiftPhases(l, out)
+    values.setflags(write=False)
+    return values
 
 
 def twiddle_phase(n: int, level: int, k: int) -> float:
@@ -117,21 +109,14 @@ def twiddle_phase(n: int, level: int, k: int) -> float:
     return -2.0 * math.pi * (r - half) / block
 
 
-@dataclass(frozen=True)
-class TwiddleStage:
-    """Phase vector of one twiddle diagonal (q -> p sign convention)."""
-
-    level: int
-    phases: np.ndarray = field(repr=False)
-
-
-def twiddle_stage(n: int, level: int) -> TwiddleStage:
+def twiddle_stage(n: int, level: int) -> np.ndarray:
+    """Read-only phase vector of the q -> p twiddle diagonal t_level."""
     block = 1 << (n - level + 1)
     half = block >> 1
     r = np.arange(1 << n) % block
     phases = np.where(r < half, 0.0, -2.0 * math.pi * (r - half) / block)
     phases.setflags(write=False)
-    return TwiddleStage(level, phases)
+    return phases
 
 
 def stage_matrix(n: int, l: int) -> np.ndarray:
@@ -161,22 +146,12 @@ class ButterflyPlan:
     for every block.  ramps[l-1] holds that ramp, 2**(n-l) entries, for each
     l < n: N - 2 entries in all instead of the (n-1) * N full diagonals.
     sign=+1 stores the conjugated (inverse-ladder) values, sign=-1 the raw
-    q -> p values.  `diagonals` expands the ramps to the full diagonals.
+    q -> p values.
     """
 
     n: int
     sign: int
     ramps: tuple[np.ndarray, ...] = field(repr=False)
-
-    @property
-    def diagonals(self) -> np.ndarray:
-        """Full (n-1, N) twiddle diagonals; diagonals[l-1] follows stage l."""
-        size = 1 << self.n
-        diags = np.ones((max(self.n - 1, 0), size), dtype=complex)
-        for row, ramp in zip(diags, self.ramps):
-            _expand_ramp(ramp, row)
-        diags.setflags(write=False)
-        return diags
 
     def diagonal(self, level: int) -> np.ndarray:
         """Full twiddle diagonal after stage `level`, expanded from its ramp
@@ -186,19 +161,8 @@ class ButterflyPlan:
         return _expand_ramp(self.ramps[level - 1],
                             np.ones(1 << self.n, dtype=complex))
 
-    def stage(self, l: int) -> np.ndarray:
-        """Dense operator of stage l (the diagonals carry the twiddles)."""
-        return stage_matrix(self.n, l)
-
     def twiddle_phases(self, level: int) -> np.ndarray:
         return np.angle(self.diagonal(level))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "sign": self.sign,
-            "twiddle_phases": [list(np.angle(row)) for row in self.diagonals],
-        })
 
 
 def _expand_ramp(ramp: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -315,7 +279,7 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     holds more than O(N B) entries.
     """
     size = 1 << n
-    phases = np.exp(1j * derive_shift_phases(n).values)
+    phases = np.exp(1j * derive_shift_phases(n))
     worst = np.zeros(5)
     for start in range(0, size, LADDER_BLOCK):
         cols = np.arange(start, min(start + LADDER_BLOCK, size))
@@ -442,7 +406,7 @@ def chain_propagate(psi: np.ndarray, plan: ButterflyPlan | None = None) -> list[
     if plan.n != n:
         raise DomainError("plan order does not match the state")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > RENORM_TOL:
         raise DomainError("state is not normalized")
     work = np.ascontiguousarray(psi.copy())
     levels = [Distribution(np.abs(work) ** 2)]

@@ -157,10 +157,10 @@ def shift_phases(cfg: dict, rng: np.random.Generator):
     rounding = 4 * np.finfo(float).eps * 2 * math.pi  # a few ulps of 2*pi
     worst = 0.0
     for depth in range(1, 13):
-        vals = derive_shift_phases(depth).values
+        vals = derive_shift_phases(depth)
         closed = -2.0 * math.pi * np.arange(1 << depth) / (1 << depth)
         worst = max(worst, float(np.abs(vals - closed).max()))
-    depth_2 = float(np.abs(derive_shift_phases(2).values
+    depth_2 = float(np.abs(derive_shift_phases(2)
                            - np.array([0.0, -math.pi / 2, -math.pi,
                                        -3 * math.pi / 2])).max())
     return [Check("shift-recursion", "shift-phase recursion equals -2*pi*k/2^l, "

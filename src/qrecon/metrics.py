@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .probmodel import (ConditionalTree, Distribution, ThetaAngle,
-                        mass_pyramid, prob_from_theta, reconstitute,
+from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, Distribution,
+                        ThetaAngle, mass_pyramid, prob_from_theta, reconstitute,
                         theta_from_prob)
 
-NORM_TOL = 1e-12         # state-vector normalization tolerance
-TANGENT_TOL = 1e-8       # accepted |Re<psi|dpsi>| for norm-preserving tangents
+TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
 
 
@@ -72,8 +71,11 @@ class Tangent:
         object.__setattr__(self, "damps", arr)
 
     def is_norm_preserving(self, psi: StateVector | np.ndarray) -> bool:
-        amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
-        return abs(float(np.vdot(amps, self.damps).real)) <= 1e-10
+        """Whether the tangent keeps the norm of psi (of every state of a
+        stack) to first order, the test the metric functions apply before
+        they accept it."""
+        drift = _norm_drift(_drho(_as_amps(psi), self.damps))
+        return bool((drift <= TANGENT_TOL).all())
 
     @classmethod
     def projected(cls, psi: StateVector | np.ndarray, raw: np.ndarray) -> "Tangent":
@@ -85,12 +87,12 @@ class Tangent:
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
     """One state (N,) or a stack (S, N) with each state's squared norm (one
-    np.vdot per state) checked to be 1 within 1e-9 and, if it is off by
-    more than NORM_TOL, divided out; the array itself when none is."""
+    np.vdot per state) checked to be 1 within RENORM_TOL and, if it is off
+    by more than SUM_TOL, divided out; the array itself when none is."""
     rows = amps if amps.ndim == 2 else amps[None]
     norm2 = np.array([np.vdot(row, row).real for row in rows]).reshape(amps.shape[:-1])
     off = np.abs(norm2 - 1.0)
-    bad, rescale = off > 1e-9, off > NORM_TOL
+    bad, rescale = off > RENORM_TOL, off > SUM_TOL
     if bad.any():
         _reject_rows(bad, DomainError,
                      f"squared norm {float(norm2[bad].flat[0])} is not 1")
@@ -142,15 +144,27 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     alive = rho > ZERO_MASS
     _reject_rows(np.any(~alive & (np.abs(damps) > 1e-12), axis=-1),
                  SingularityError, "perturbation of a zero-amplitude component")
-    drho = 2.0 * (amps.conj() * damps).real
+    drho = _drho(amps, damps)
     dphi = np.zeros_like(rho)
     dphi[alive] = (damps[alive] / amps[alive]).imag
     return rho, drho, dphi
 
 
+def _drho(amps: np.ndarray, damps: np.ndarray) -> np.ndarray:
+    """First-order change of each probability, 2 Re(conj(psi_k) dpsi_k)."""
+    return 2.0 * (amps.conj() * damps).real
+
+
+def _norm_drift(drho: np.ndarray) -> np.ndarray:
+    """First-order change of the squared norm per state, |sum_k drho_k| =
+    2|Re<psi|dpsi>|: a tangent is norm-preserving when it is at most
+    TANGENT_TOL."""
+    return np.abs(drho.sum(axis=-1))
+
+
 def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rho, drho, dphi = amplitude_phase_differentials(psi, d)
-    _reject_rows(np.abs(drho.sum(axis=-1)) > TANGENT_TOL, DomainError,
+    _reject_rows(_norm_drift(drho) > TANGENT_TOL, DomainError,
                  "tangent does not preserve the norm to first order")
     return rho, drho, dphi
 

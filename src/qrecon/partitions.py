@@ -2,8 +2,7 @@
 
 Bit positions are 1-indexed from the MOST significant bit: for a width-n
 domain, bit 1 is the top bit and bit n the bottom bit of ``x``, so the value
-of bit ``i`` of ``x`` is ``(x >> (n - i)) & 1``.  All serializations follow
-the same convention.
+of bit ``i`` of ``x`` is ``(x >> (n - i)) & 1``.
 
 Domains always have ``2**n`` elements and partitions a power-of-2 number of
 sets.  Partitions are canonically ordered by smallest member, so structural
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -95,14 +93,6 @@ class Partition:
 
     def as_frozensets(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(s) for s in self.sets)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.domain_width, "sets": [list(s) for s in self.sets]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        doc = json.loads(text)
-        return cls.from_sets(doc["n"], doc["sets"])
 
 
 @dataclass(frozen=True)

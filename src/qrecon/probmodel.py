@@ -11,7 +11,6 @@ leaf probability.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -90,13 +89,6 @@ class Distribution:
     def __eq__(self, other) -> bool:
         return isinstance(other, Distribution) and np.array_equal(self.probs, other.probs)
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.probs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Distribution":
-        return cls(json.loads(text))
-
 
 def s_variable(d: Distribution | Sequence[float]) -> float:
     """S = rho(0) - rho(1) of a binary distribution; equals cos(theta)."""
@@ -153,27 +145,6 @@ class ConditionalTree:
         levels = [lev.copy() for lev in self._levels]
         levels[self.depth - level][suffix] = p0
         return ConditionalTree(self.depth, levels)
-
-    def to_json(self) -> str:
-        def build(level: int, suffix: int):
-            doc = {"p0": self.node(level, suffix), "children": []}
-            if level > 1:
-                doc["children"] = [build(level - 1, suffix | (k << (self.depth - level)))
-                                   for k in (0, 1)]
-            return doc
-        return json.dumps(build(self.depth, 0))
-
-    @classmethod
-    def from_json(cls, text: str, depth: int) -> "ConditionalTree":
-        levels = [np.full(1 << i, 0.5) for i in range(depth)]
-
-        def walk(doc, level: int, suffix: int):
-            levels[depth - level][suffix] = doc["p0"]
-            for k, child in enumerate(doc["children"]):
-                walk(child, level - 1, suffix | (k << (depth - level)))
-
-        walk(json.loads(text), depth, 0)
-        return cls(depth, levels)
 
 
 def mass_pyramid(values: np.ndarray) -> list[np.ndarray]:

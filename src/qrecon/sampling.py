@@ -211,14 +211,19 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     thetas = {name: float(theta) for name, theta in thetas.items()}
     if not thetas:
         raise DomainError("no observables to measure")
+    if not trials:
+        raise DomainError("no trial counts: no observable would be measured")
+    unknown = sorted(set(trials) - set(thetas))
+    if unknown:
+        raise DomainError(f"observable {unknown[0]}: trial count given but no angle")
+    if replicas < 2:
+        raise DomainError("need at least two replicas for a variance")
     summaries = []
     for name in sorted(trials):
         theta = thetas[name]
         m = trials[name]
         if m < 1:
             raise DomainError(f"observable {name}: need at least one trial")
-        if replicas < 2:
-            raise DomainError("need at least two replicas for a variance")
         est = _replica_estimates(theta, m, seed, name, replicas)
         var_hat = float(np.var(est, ddof=1))
         precision = 1.0 / (m * var_hat) if var_hat > 0.0 else math.inf

@@ -298,11 +298,3 @@ class TestValidation:
     def test_outcome_probabilities(self):
         pt = BlochPoint(0.6, 0.8, 0.0)
         assert pt.outcome_probabilities("q") == (0.8, pytest.approx(0.2))
-
-    def test_serialization_round_trips(self):
-        pt = BlochPoint(0.6, 0.0, 0.8)
-        assert BlochPoint.from_json(pt.to_json()) == pt
-        coords = ExtendedCoords("r", 0.25, -1.5)
-        assert ExtendedCoords.from_json(coords.to_json()) == coords
-        pole = ExtendedCoords("q", 0.0, None)
-        assert ExtendedCoords.from_json(pole.to_json()) == pole

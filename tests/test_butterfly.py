@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 import tracemalloc
 
@@ -44,21 +43,21 @@ class TestNodePosition:
 
 class TestShiftPhases:
     def test_base_case(self):
-        assert derive_shift_phases(1).values.tolist() == [0.0, -math.pi]
+        assert derive_shift_phases(1).tolist() == [0.0, -math.pi]
 
     def test_depth_two(self):
-        assert derive_shift_phases(2).values.tolist() == [
+        assert derive_shift_phases(2).tolist() == [
             0.0, -math.pi / 2, -math.pi, -3 * math.pi / 2]
 
     @pytest.mark.parametrize("depth", [3, 5, 12])
     def test_recursion_matches_closed_form(self, depth):
-        values = derive_shift_phases(depth).values
+        values = derive_shift_phases(depth)
         closed = -2.0 * math.pi * np.arange(1 << depth) / (1 << depth)
         assert np.abs(values - closed).max() < 4 * np.finfo(float).eps * 2 * math.pi
 
     def test_half_block_difference(self):
         for depth in (2, 4, 6):
-            v = derive_shift_phases(depth).values
+            v = derive_shift_phases(depth)
             half = 1 << (depth - 1)
             assert np.allclose(v[half:] - v[:half], -math.pi, atol=1e-15)
 
@@ -79,7 +78,7 @@ class TestTwiddlePhase:
             for level in range(1, n):
                 block = 1 << (n - level + 1)
                 half = block // 2
-                phases = twiddle_stage(n, level).phases
+                phases = twiddle_stage(n, level)
                 for b in range(0, 1 << n, block):
                     for k in range(half):
                         diff = phases[b + k + half] - phases[b + k]
@@ -92,8 +91,8 @@ class TestTwiddlePhase:
         n = 5
         for level in range(1, n):
             depth = n - level + 1
-            shift = derive_shift_phases(depth).values
-            phases = twiddle_stage(n, level).phases
+            shift = derive_shift_phases(depth)
+            phases = twiddle_stage(n, level)
             block = 1 << depth
             half = block // 2
             for k in range(half):
@@ -340,17 +339,10 @@ class TestTransformPreservesGeometry:
 
 
 class TestPlanSerialization:
-    def test_round_trip_fields(self):
-        plan = make_plan(3)
-        doc = json.loads(plan.to_json())
-        assert doc["n"] == 3 and doc["sign"] == 1
-        assert len(doc["twiddle_phases"]) == 2
-        assert np.allclose(doc["twiddle_phases"][0],
-                           -np.array([twiddle_phase(3, 1, k) for k in range(8)]))
-
     def test_unit_modulus_diagonals(self):
         plan = make_plan(4)
-        assert np.abs(np.abs(plan.diagonals) - 1.0).max() < 1e-15
+        for level in range(1, 4):
+            assert np.abs(np.abs(plan.diagonal(level)) - 1.0).max() < 1e-15
 
 
 class TestPlanRamps:
@@ -366,21 +358,18 @@ class TestPlanRamps:
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_diagonals_equal_the_twiddle_stages_exactly(self, n, sign):
-        diags = make_plan(n, sign).diagonals
-        assert diags.shape == (n - 1, 1 << n)
-        assert not diags.flags.writeable
+        plan = make_plan(n, sign)
         for level in range(1, n):
-            expected = np.exp(-1j * sign * twiddle_stage(n, level).phases)
-            assert np.array_equal(diags[level - 1], expected)
+            expected = np.exp(-1j * sign * twiddle_stage(n, level))
+            assert np.array_equal(plan.diagonal(level), expected)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_level_phases_equal_the_expanded_diagonals(self, n, sign):
         plan = make_plan(n, sign)
         for level in range(1, n):
-            assert np.array_equal(plan.diagonal(level), plan.diagonals[level - 1])
             assert np.array_equal(plan.twiddle_phases(level),
-                                  np.angle(plan.diagonals[level - 1]))
+                                  np.angle(plan.diagonal(level)))
 
     @pytest.mark.parametrize("level", [0, 4, -1])
     def test_twiddle_level_out_of_range(self, level):
@@ -455,7 +444,7 @@ def dense_deviations(n):
     shifted = np.conj(transform_columns(np.conj(np.roll(fwd, 1, axis=0)), n, +1,
                                         "natural"))
     off = shifted - np.diag(np.diag(shifted))
-    phases = np.exp(1j * derive_shift_phases(n).values)
+    phases = np.exp(1j * derive_shift_phases(n))
     return {"ladder": float(np.abs(fwd - dft).max()),
             "unitarity": float(np.abs(gram - np.eye(size)).max()),
             "off_diagonal": float(np.abs(off).max()),

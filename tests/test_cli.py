@@ -386,6 +386,34 @@ class TestDeterminism:
         assert values["gauge-zero"] == -8.881784197001252e-16
         assert values["one-bit-form"] == 2.7755575615628914e-17
 
+    @pytest.mark.parametrize("kind,extra,pinned", [
+        ("tomography", {}, {
+            "precision-parity": 0.015590781703531287,
+            "variance-band-q": 1.0118507348602452,
+            "variance-band-p": 1.0277502214966825}),
+        ("fft-derive", {}, {
+            "ladder-vs-dft": 1.4339186896849533e-15,
+            "unitarity": 4.451433209309296e-16,
+            "shift-diagonal": 6.473657049138937e-16,
+            "danielson-lanczos": 1.4339186896849533e-15,
+            "shift-recursion": 8.881784197001252e-16,
+            "shift-depth-2": 0.0}),
+        ("fft-derive", {"levels": 10}, {
+            "ladder-vs-dft": 2.1777376102360428e-14,
+            "unitarity": 1.9095053517258334e-15,
+            "shift-diagonal": 2.1065000811460206e-15,
+            "danielson-lanczos": 2.1777376102360428e-14,
+            "shift-recursion": 8.881784197001252e-16,
+            "shift-depth-2": 0.0}),
+    ])
+    def test_check_values_are_pinned(self, tmp_path, kind, extra, pinned):
+        # exact check values: a change that claims to leave report.json
+        # bit-identical keeps every one of them
+        cfg = write_config(tmp_path, {"version": 1, "kind": kind, **extra})
+        assert run([kind, "--config", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert {c["id"]: c["value"] for c in doc["checks"]} == pinned
+
     def test_default_metric_check_pins_the_seed_7_metric_sample(self, tmp_path):
         # the sample's own checks, exactly: building its states and tangents
         # a block at a time must not move a bit

@@ -500,6 +500,26 @@ class TestTangent:
         tan = Tangent.projected(psi, raw)
         assert tan.is_norm_preserving(psi)
 
+    @pytest.mark.parametrize("radial,accepted", [(1e-9, True), (1e-8, False)])
+    def test_norm_preservation_is_what_the_metric_accepts(self, radial, accepted):
+        # |sum drho| = 2 * radial against TANGENT_TOL = 1e-8 on both sides
+        psi = StateVector([0.6, 0.8])
+        tan = Tangent(0.01j * np.ones(2) + radial * psi.amps)
+        assert tan.is_norm_preserving(psi) is accepted
+        if accepted:
+            assert extended_fisher_metric(psi, tan) > 0.0
+        else:
+            with pytest.raises(DomainError, match="preserve the norm"):
+                extended_fisher_metric(psi, tan)
+
+    def test_a_stack_preserves_the_norm_row_by_row(self):
+        # the rows drift by +-2e-3: their sum cancels, but each row breaks it
+        amps = np.array([[0.6, 0.8], [0.8, 0.6]], dtype=complex)
+        damps = 0.01j * np.ones((2, 2)) + np.array([[1e-3], [-1e-3]]) * amps
+        assert not Tangent(damps).is_norm_preserving(amps)
+        with pytest.raises(DomainError, match="row 0"):
+            extended_fisher_metric(amps, damps)
+
     def test_state_vector_normalizes_small_drift(self):
         amps = np.ones(4, dtype=complex) / 2.0 * (1 + 1e-11)
         sv = StateVector(amps)

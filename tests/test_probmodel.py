@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -87,10 +86,6 @@ class TestDistributionValidation:
         with pytest.raises(DomainError):
             Distribution([1 / 3.0] * 3)
 
-    def test_json_round_trip(self):
-        d = Distribution([0.5, 0.25, 0.125, 0.125])
-        assert Distribution.from_json(d.to_json()) == d
-
 
 class TestMassPyramid:
     @pytest.mark.parametrize("nbits", range(0, 7))
@@ -172,15 +167,6 @@ class TestReconstitute:
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.allclose(d.probs, expected)
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(2)
-        tree = factorize(random_distribution(rng, 3))
-        doc = tree.to_json()
-        parsed = json.loads(doc)
-        assert set(parsed) == {"p0", "children"}
-        back = ConditionalTree.from_json(doc, 3)
-        assert np.abs(reconstitute(back).probs - reconstitute(tree).probs).max() < 1e-15
 
 
 class TestMarginalize:

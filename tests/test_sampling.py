@@ -167,6 +167,15 @@ class TestTomography:
         with pytest.raises(DomainError):
             tomography_experiment({"q": 1.0}, {"q": 0}, seed=1, replicas=10)
 
+    def test_trials_must_name_measured_observables(self):
+        with pytest.raises(DomainError, match="observable p"):
+            tomography_experiment({"q": 1.0}, {"p": 10}, seed=1, replicas=10)
+        # no trial counts would measure nothing: not a vacuous report
+        with pytest.raises(DomainError, match="no trial counts"):
+            tomography_experiment({"q": 1.0}, {}, seed=1, replicas=10)
+        with pytest.raises(DomainError, match="two replicas"):
+            tomography_experiment({"q": 1.0}, {"q": 10}, seed=1, replicas=1)
+
 
 class TestBands:
     def test_chi2_band_shape(self):
