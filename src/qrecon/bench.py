@@ -7,7 +7,6 @@ N = 4096.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -57,12 +56,3 @@ def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0) -> list[BenchRo
         rows.append(BenchRow(size, dense_ns, fly_ns))
     return rows
 
-
-def write_csv(rows: list[dict], path: str) -> None:
-    """Write report rows with the keys N, dense_ns, butterfly_ns, speedup."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "dense_ns", "butterfly_ns", "speedup"])
-        for row in rows:
-            writer.writerow([row["N"], row["dense_ns"], row["butterfly_ns"],
-                             f"{row['speedup']:.3f}"])

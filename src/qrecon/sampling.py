@@ -242,10 +242,10 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
                             max_parity_deviation=max_dev)
 
 
-def chi2_band(replicas: int, sigma: float = 5.0) -> tuple[float, float]:
-    """Relative band for a sample variance of `replicas` draws: the scaled
-    variance is chi^2 with replicas-1 dof, whose relative sd is
-    sqrt(2/(replicas-1))."""
+def chi2_band(replicas: int, sigma: float) -> tuple[float, float]:
+    """Relative band, `sigma` standard deviations either side of 1, for a
+    sample variance of `replicas` draws: the scaled variance is chi^2 with
+    replicas-1 dof, whose relative sd is sqrt(2/(replicas-1))."""
     rel = sigma * math.sqrt(2.0 / (replicas - 1))
     return 1.0 - rel, 1.0 + rel
 

@@ -117,7 +117,7 @@ def test_10_performance(tmp_path):
     checks, rows, elapsed_s = criteria.run("bench", cfg)
     cli.write_report(tmp_path, "bench", cfg, checks, rows, 0.0, elapsed_s)
     gate(checks, "speedup-N4096")
-    assert (tmp_path / "bench.csv").read_text().startswith(
+    assert (tmp_path / "rows.csv").read_text().startswith(
         "N,dense_ns,butterfly_ns,speedup\n")
 
 

@@ -338,7 +338,7 @@ class TestTransformPreservesGeometry:
             assert after == pytest.approx(before, abs=1e-10)
 
 
-class TestPlanSerialization:
+class TestPlanDiagonals:
     def test_unit_modulus_diagonals(self):
         plan = make_plan(4)
         for level in range(1, 4):

@@ -273,7 +273,7 @@ class TestShiftInvariantSearch:
 
 
 class TestSerialization:
-    def test_json_round_trip_and_sorted_members(self):
+    def test_sets_are_sorted_members(self):
         p = make_lsb_partition(3, 2)
         assert p.domain_width == 3
         assert p.sets == ((0, 4), (1, 5), (2, 6), (3, 7))

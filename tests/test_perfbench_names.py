@@ -54,7 +54,7 @@ def test_tomography_report_has_the_ids_the_worker_reads(tmp_path):
     # "variance-band-<observable>" check per observable of a qubit
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "version": 1, "kind": "tomography", "trials": 1000, "replicas": 50,
+        "version": 1, "kind": "tomography", "trials": 1000, "replicas": 52,
         "state": {"kind": "qubit", "bloch": [0.6, 0.0, 0.8]}}))
     cli.main(["tomography", "--config", str(config), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "report.json").read_text())
