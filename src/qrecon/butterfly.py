@@ -248,10 +248,26 @@ def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     return _dft_columns(size, np.arange(size), sign)
 
 
+# Entries per row block of _dft_columns: the integer products j*k exist one
+# block at a time, so the only N x B array is the complex result.
+DFT_BLOCK = 1 << 16
+
+
 def _dft_columns(size: int, cols: np.ndarray, sign: int) -> np.ndarray:
-    """Columns `cols` of dft_matrix(size, sign), entry for entry."""
-    j = np.arange(size)
-    return np.exp(sign * 2j * np.pi * np.outer(j, cols) / size) / math.sqrt(size)
+    """Columns `cols` of dft_matrix(size, sign), entry for entry: each row
+    block runs exp(sign*2j*pi*j*k / size) / sqrt(size) in place, in that
+    order, which gives the bits of the whole-array expression.  (A shared
+    root table would not: fl(2*pi*j*k) / size is not periodic in j*k.)"""
+    out = np.empty((size, len(cols)), dtype=complex)
+    rows = max(1, DFT_BLOCK // len(cols))
+    for start in range(0, size, rows):
+        block = out[start:start + rows]
+        j = np.arange(start, start + len(block))
+        np.multiply(sign * 2j * np.pi, np.outer(j, cols), out=block)
+        block /= size
+        np.exp(block, out=block)
+        block /= math.sqrt(size)
+    return out
 
 
 # ------------------------------------------------------------ verifications

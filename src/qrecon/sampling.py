@@ -15,6 +15,10 @@ A tomography experiment computes the keys of all its replicas in one uint32
 array pass that redoes numpy's SeedSequence mixing (a test pins them to
 numpy's keys), and reuses one bit generator, setting each replica's key
 with a zero counter, so its draws equal those of `measurement_stream`.
+The bit generator is reset from plain Python ints, which its state setter
+converts faster than numpy items; the keys are turned into ints one
+bounded chunk of `KEY_CHUNK` replicas at a time, so memory stays linear
+in the uint64 key array.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
+
+# Replica keys become Python ints this many at a time.  As a list a key
+# takes about 150 B, against 16 B in the uint64 array: a chunk of 1,024 is
+# about 150 KB, where a list of every key would grow with the replicas.
+KEY_CHUNK = 1024
 
 
 def measurement_stream(master_seed: int, observable: str, replica: int) -> np.random.Generator:
@@ -181,18 +190,19 @@ def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
     keys = _replica_keys(seed, OBSERVABLE_CODES[observable], replicas)
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    key_state = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    key_state = {"counter": (0, 0, 0, 0), "key": None}
     state = {"bit_generator": "Philox", "state": key_state,
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     out = np.empty(replicas)
-    for r in range(replicas):
-        key_state["key"] = keys[r]
-        bitgen.state = state
-        zeros = rng.binomial(trials, p0)
-        # scalar math: np.arccos(np.sqrt(...)) on the array is not
-        # bit-identical to it
-        out[r] = 2.0 * math.acos(math.sqrt(zeros / trials))
+    for start in range(0, replicas, KEY_CHUNK):
+        for r, key in enumerate(keys[start:start + KEY_CHUNK].tolist(), start):
+            key_state["key"] = key
+            bitgen.state = state
+            zeros = rng.binomial(trials, p0)
+            # scalar math: np.arccos(np.sqrt(...)) on the array is not
+            # bit-identical to it, and int / int rounds once for any trials
+            out[r] = 2.0 * math.acos(math.sqrt(zeros / trials))
     return out
 
 

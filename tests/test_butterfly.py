@@ -171,6 +171,17 @@ class TestDftMatrix:
         with pytest.raises(DomainError):
             dft_matrix(12)
 
+    # one row per block, uneven blocks of a few rows, and the default
+    @pytest.mark.parametrize("block", [1, 1000, butterfly.DFT_BLOCK])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_row_blocks_give_the_whole_array_bits(self, monkeypatch, block, sign):
+        monkeypatch.setattr(butterfly, "DFT_BLOCK", block)
+        for n in range(10):
+            size = 1 << n
+            j = np.arange(size)
+            whole = np.exp(sign * 2j * np.pi * np.outer(j, j) / size) / math.sqrt(size)
+            assert dft_matrix(size, sign).tobytes() == whole.tobytes()
+
 
 class TestApplyButterfly:
     def test_point_input_spreads_uniformly(self):

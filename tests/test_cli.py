@@ -241,6 +241,48 @@ class TestSchemaProperty:
         assert cfg[field] is value
 
 
+def _tomography_configs(kind, state):
+    count = st.integers(1, cli.MAX_TRIALS)
+    names = st.sampled_from(criteria.OBSERVABLES[kind])
+    return st.fixed_dictionaries({
+        "state": state,
+        "trials": count | st.dictionaries(names, count, min_size=1),
+        # seeds of 1 to 5 uint32 words
+        "seed": st.integers(1, 5).flatmap(
+            lambda words: st.integers(1 << 32 * (words - 1), (1 << 32 * words) - 1)),
+        "replicas": st.integers(cli.MIN_REPLICAS, 300)})
+
+
+def _on_sphere(a, b):
+    return {"kind": "qubit", "bloch": [math.sin(a) * math.cos(b),
+                                       math.sin(a) * math.sin(b), math.cos(a)]}
+
+
+# valid tomography configs only, trial counts up to the schema's cap
+TOMOGRAPHY_CONFIGS = (
+    _tomography_configs("rebit", st.builds(
+        lambda theta: {"kind": "rebit", "theta_q": theta},
+        st.floats(allow_nan=False, allow_infinity=False)))
+    | _tomography_configs("qubit", st.builds(
+        _on_sphere, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))))
+
+
+class TestTomographyProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(TOMOGRAPHY_CONFIGS)
+    def test_valid_configs_end_in_a_verdict(self, tmp_path_factory, doc):
+        out = tmp_path_factory.mktemp("tomography")
+        cfg = write_config(out, {"version": 1, "kind": "tomography", **doc})
+        assert run(["tomography", "--config", cfg, "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert all(math.isfinite(c["value"]) for c in report["checks"])
+        for row in report["rows"]:
+            assert math.isfinite(row["thetaHat"]) and math.isfinite(row["varHat"])
+            # an estimate with no spread has no finite precision
+            assert (math.isinf(row["precisionPerMeasurement"])
+                    == (row["varHat"] == 0.0))
+
+
 class TestExitCodes:
     def test_out_naming_a_file_exits_two_before_any_criterion(self, tmp_path, capsys,
                                                               monkeypatch):

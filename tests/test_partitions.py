@@ -272,7 +272,7 @@ class TestShiftInvariantSearch:
                     == shift_invariant_equal_partitions_oracle(n, 1 << c))
 
 
-class TestSerialization:
+class TestPartitionSets:
     def test_sets_are_sorted_members(self):
         p = make_lsb_partition(3, 2)
         assert p.domain_width == 3

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qrecon.bloch import BlochPoint
 from qrecon.exceptions import DomainError
-from qrecon.sampling import (MeasurementSample, _replica_estimates,
+from qrecon.sampling import (KEY_CHUNK, MeasurementSample, _replica_estimates,
                              _replica_keys, chi2_band, measurement_stream,
                              mle_theta, simulate_bernoulli,
                              tomography_experiment)
@@ -78,6 +79,38 @@ class TestReplicaEstimates:
                       for r in range(40)]
             assert np.array_equal(_replica_estimates(theta, trials, 17, o, 40),
                                   direct)
+
+    # a seed of three words; trials above 2**53, where a float division
+    # would round the counts first (at 2**60 + 1 that rounding is to a power
+    # of 2 and changes no estimate, at 10**18 + 7 it changes about one in
+    # eight); replicas on both sides of a key chunk's edge
+    @pytest.mark.parametrize("seed,trials,replicas,checked", [
+        (2**64 + 5, 1000, 40, range(40)),
+        (17, 2**60 + 1, 40, range(40)),
+        (17, 10**18 + 7, 40, range(40)),
+        (17, 1000, KEY_CHUNK + 3, (0, KEY_CHUNK - 1, KEY_CHUNK, KEY_CHUNK + 2)),
+    ], ids=["seed-3-words", "trials-2^60+1", "trials-10^18+7", "chunk-edge"])
+    def test_equal_to_one_stream_per_replica_at_the_edges(self, seed, trials,
+                                                          replicas, checked):
+        for o in "qpr":
+            est = _replica_estimates(1.0, trials, seed, o, replicas)
+            assert est.shape == (replicas,)
+            for r in checked:
+                sample = simulate_bernoulli(1.0, trials, seed, o, replica=r)
+                assert est[r] == mle_theta(sample)[0]
+
+    def test_memory_stays_linear_in_the_key_array(self):
+        # the uint64 keys and their mixing peak at 56 B per replica; every
+        # key as a Python list at once would hold about 200 B per replica.
+        # Below some 10**4 replicas the run's fixed allocations dominate.
+        replicas = 40_960
+        tracemalloc.start()
+        try:
+            _replica_estimates(1.0, 10, 17, "q", replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * replicas
 
 
 class TestMleTheta:
