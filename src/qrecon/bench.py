@@ -8,23 +8,11 @@ N = 4096.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .butterfly import apply_butterfly, dft_matrix, make_plan
 from .exceptions import DomainError
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    size: int
-    dense_ns: int
-    butterfly_ns: int
-
-    @property
-    def speedup(self) -> float:
-        return self.dense_ns / self.butterfly_ns
 
 
 def _best_ns(fn, repeats: int) -> int:
@@ -37,8 +25,9 @@ def _best_ns(fn, repeats: int) -> int:
     return best
 
 
-def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0) -> list[BenchRow]:
-    """Time dense matvec against the butterfly apply for each size."""
+def run_bench(sizes: list[int], repeats: int, seed: int) -> list[dict]:
+    """Time dense matvec against the butterfly apply for each size: one row
+    {N, dense_ns, butterfly_ns, speedup} per size, best of `repeats`."""
     rng = np.random.default_rng(seed)
     rows = []
     for size in sizes:
@@ -53,6 +42,7 @@ def run_bench(sizes: list[int], repeats: int = 7, seed: int = 0) -> list[BenchRo
         dense @ psi
         dense_ns = _best_ns(lambda: dense @ psi, repeats)
         fly_ns = _best_ns(lambda: apply_butterfly(plan, psi), repeats)
-        rows.append(BenchRow(size, dense_ns, fly_ns))
+        rows.append({"N": size, "dense_ns": dense_ns, "butterfly_ns": fly_ns,
+                     "speedup": dense_ns / fly_ns})
     return rows
 

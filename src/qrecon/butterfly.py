@@ -9,12 +9,14 @@ in-place evaluation costs O(N log N) cell operations against O(N^2) for the
 dense product.  `transform_columns` runs the ladder on a whole column stack
 in one kernel call.
 
-The transform checks (ladder against the Fourier matrix, unitarity, the
-diagonalized shift, the Danielson-Lanczos recursion) come from one streamed
-measurement over blocks of LADDER_BLOCK identity columns.  The ladder and
-the half-size recursion are both built a column block at a time, so the
-measurement needs O(N * LADDER_BLOCK) memory and no N x N matrix;
-`verify_danielson_lanczos` and `shift_operator_check` report views of it.
+All four transform checks (ladder against the Fourier matrix, unitarity,
+the diagonalized shift, the Danielson-Lanczos decomposition) come from one
+streamed measurement over blocks of LADDER_BLOCK identity columns,
+`_ladder_deviations`.  The ladder and the half-size recursion are both built
+a column block at a time, and the final cell is checked on all N/2 pairs as
+one stack of 2x2 cells, so the measurement builds no dense matrix and needs
+O(N * LADDER_BLOCK) memory at every size; `verify_danielson_lanczos` and
+`shift_operator_check` rename its keys.
 
 Sign convention: `twiddle_phase` returns the phases of the q -> p ladder,
 which adopts the minus sign in the shift recursion.  A plan built with
@@ -158,17 +160,13 @@ class ButterflyPlan:
         alone."""
         if not 1 <= level <= self.n - 1:
             raise DomainError(f"twiddle level {level} outside 1..{self.n - 1}")
-        return _expand_ramp(self.ramps[level - 1],
-                            np.ones(1 << self.n, dtype=complex))
+        ramp = self.ramps[level - 1]
+        row = np.ones(1 << self.n, dtype=complex)
+        row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
+        return row
 
     def twiddle_phases(self, level: int) -> np.ndarray:
         return np.angle(self.diagonal(level))
-
-
-def _expand_ramp(ramp: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Write ramp into the second half of every block of a row of ones."""
-    row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
-    return row
 
 
 def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
@@ -293,6 +291,12 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     the depth-n shift phases on its diagonal ("diagonal").  Each value is the
     one a pass over the whole matrices gives, bit for bit, and no array
     holds more than O(N B) entries.
+
+    From two levels on, the final cell F_1 t_1 restricted to each pair
+    (j, j + N/2), the 2x2 stage cell times the pair's twiddles, is compared
+    with [[1, W^j], [1, -W^j]]/sqrt(2), W = exp(2*pi*i/N), for all pairs in
+    one (N/2, 2, 2) pass ("cell"), and W^(j + N/2) with -W^j
+    ("half_period").
     """
     size = 1 << n
     phases = np.exp(1j * derive_shift_phases(n))
@@ -313,8 +317,19 @@ def _ladder_deviations(n: int) -> dict[str, float]:
                                    np.abs(shift).max(),
                                    np.abs(shift_diag - phases[cols]).max(),
                                    np.abs(_recursion_columns(n, cols) - dft).max()])
-    return dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
-                    map(float, worst)))
+    dev = dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
+                   map(float, worst)))
+    if n >= 2:
+        half = size >> 1
+        w = np.exp(2j * np.pi * np.arange(size) / size)
+        # stage_matrix(1, 1) @ diag(t[j], t[j + N/2]): column c times entry c
+        pairs = make_plan(n, +1).diagonal(1).reshape(2, half).T
+        cell = stage_matrix(1, 1) * pairs[:, None, :]
+        ones = np.ones(half)
+        target = np.array([[ones, w[:half]], [ones, -w[:half]]]).transpose(2, 0, 1)
+        dev["cell"] = float(np.abs(cell - target * _INV_SQRT2).max())
+        dev["half_period"] = float(np.abs(w[half:] + w[:half]).max())
+    return dev
 
 
 def _recursion_columns(n: int, cols: np.ndarray) -> np.ndarray:
@@ -337,41 +352,6 @@ def _recursion_columns(n: int, cols: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _danielson_lanczos_terms(n: int, deviations: dict[str, float]) -> dict:
-    """verify_danielson_lanczos's report, its ladder and recursion terms read
-    from a _ladder_deviations(n) measurement."""
-    size = 1 << n
-    half = size // 2
-    plan = make_plan(n, +1)
-    w = np.exp(2j * np.pi * np.arange(half) / size)
-    if size <= 512:
-        # explicit dense check that F_1 t_1 couples exactly the pairs
-        # (j, j + N/2) through [[1, W^j], [1, -W^j]]/sqrt(2)
-        coupled = stage_matrix(n, 1) @ np.diag(plan.diagonal(1))
-        cell_dev = 0.0
-        for j in range(half):
-            cell = coupled[np.ix_([j, j + half], [j, j + half])]
-            target = np.array([[1.0, w[j]], [1.0, -w[j]]]) * _INV_SQRT2
-            cell_dev = max(cell_dev, float(np.abs(cell - target).max()))
-            zeroed = coupled[j].copy()
-            zeroed[[j, j + half]] = 0.0
-            cell_dev = max(cell_dev, float(np.abs(zeroed).max()))
-    else:
-        # the stage couples (j, j + N/2) by construction; check the diagonal
-        d = plan.diagonal(1)
-        cell_dev = max(float(np.abs(d[:half] - 1.0).max()),
-                       float(np.abs(d[half:] - w).max()))
-    j = np.arange(half)
-    w_shift = np.exp(2j * np.pi * (j + half) / size)
-    return {
-        "n": n,
-        "cell_deviation": cell_dev,
-        "recursion_deviation": deviations["recursion"],
-        "ladder_deviation": deviations["ladder"],
-        "half_period_deviation": float(np.abs(w_shift + w).max()),
-    }
-
-
 def verify_danielson_lanczos(n: int) -> dict:
     """Check the ladder against the half-size decomposition of the Fourier
     matrix.
@@ -382,7 +362,14 @@ def verify_danielson_lanczos(n: int) -> dict:
     """
     if n < 2:
         raise DomainError("need at least two levels")
-    return _danielson_lanczos_terms(n, _ladder_deviations(n))
+    dev = _ladder_deviations(n)
+    return {
+        "n": n,
+        "cell_deviation": dev["cell"],
+        "recursion_deviation": dev["recursion"],
+        "ladder_deviation": dev["ladder"],
+        "half_period_deviation": dev["half_period"],
+    }
 
 
 def shift_operator_check(n: int) -> dict:

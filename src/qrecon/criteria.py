@@ -21,8 +21,7 @@ from . import bench as bench_mod
 from . import kernels
 from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
                     rebit_conjugate)
-from .butterfly import (_danielson_lanczos_terms, _ladder_deviations,
-                        derive_shift_phases)
+from .butterfly import _ladder_deviations, derive_shift_phases
 from .exceptions import RangeError
 from .metrics import (Tangent, draw_state, draw_tangent, extended_fisher_metric,
                       extended_fisher_metric_recursive, fubini_study_metric,
@@ -153,9 +152,7 @@ def ladder_transform(cfg: dict, rng: np.random.Generator):
                     "closed-form phases", max(dev["off_diagonal"], dev["diagonal"]),
                     EXACT_TOL)]
     if n >= 2:
-        dl = _danielson_lanczos_terms(n, dev)
-        worst = max(dl["cell_deviation"], dl["recursion_deviation"],
-                    dl["ladder_deviation"], dl["half_period_deviation"])
+        worst = max(dev["cell"], dev["recursion"], dev["ladder"], dev["half_period"])
         checks.append(below("danielson-lanczos", "final ladder cell and half-size "
                             "recursion reproduce the Fourier matrix", worst, EXACT_TOL))
     return checks, []
@@ -249,15 +246,14 @@ def tomography(cfg: dict, rng: np.random.Generator):
 
 
 def speedup(cfg: dict, rng: np.random.Generator):
-    rows = bench_mod.run_bench(cfg["sizes"], repeats=cfg["repeats"], seed=cfg["seed"])
-    checks = [Check(f"speedup-N{row.size}",
-                    f"butterfly beats the dense product at N={row.size} "
+    rows = bench_mod.run_bench(cfg["sizes"], cfg["repeats"], cfg["seed"])
+    checks = [Check(f"speedup-N{row['N']}",
+                    f"butterfly beats the dense product at N={row['N']} "
                     f"(backend {kernels.BACKEND})",
-                    row.speedup, cfg["min_speedup"], row.speedup >= cfg["min_speedup"])
-              for row in rows if row.size >= cfg["assert_at"]]
-    return checks, [{"N": r.size, "dense_ns": r.dense_ns,
-                     "butterfly_ns": r.butterfly_ns, "speedup": r.speedup}
-                    for r in rows]
+                    row["speedup"], cfg["min_speedup"],
+                    row["speedup"] >= cfg["min_speedup"])
+              for row in rows if row["N"] >= cfg["assert_at"]]
+    return checks, rows
 
 
 # Each kind's criteria in run order, keyed by the check ids each one emits

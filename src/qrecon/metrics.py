@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, Distribution,
-                        ThetaAngle, mass_pyramid, prob_from_theta, reconstitute,
+from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, ThetaAngle,
+                        mass_pyramid, prob_from_theta, reconstitute,
                         theta_from_prob)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
@@ -46,16 +46,6 @@ class StateVector:
         arr = _normalized(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
-
-    @property
-    def nbits(self) -> int:
-        return int(self.amps.size).bit_length() - 1
-
-    def probabilities(self) -> Distribution:
-        return Distribution(np.abs(self.amps) ** 2)
-
-    def phases(self) -> np.ndarray:
-        return np.angle(self.amps)
 
 
 @dataclass(frozen=True)

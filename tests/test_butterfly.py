@@ -447,7 +447,11 @@ def recursive_dft(m):
 
 
 def dense_deviations(n):
-    """The whole-matrix passes the streamed measurement replaces."""
+    """The whole-matrix passes the streamed measurement replaces.  From two
+    levels on they include the dense final-cell check: F_1 t_1 as an N x N
+    matrix couples each pair (j, j + N/2) through [[1, W^j], [1, -W^j]]/sqrt(2),
+    W = exp(2*pi*i/N), and row j holds nothing outside its pair; and the
+    half-period relation W^(j + N/2) = -W^j."""
     size = 1 << n
     fwd = assemble_transform(n, "natural", +1)
     dft = dft_matrix(size, +1)
@@ -456,11 +460,26 @@ def dense_deviations(n):
                                         "natural"))
     off = shifted - np.diag(np.diag(shifted))
     phases = np.exp(1j * derive_shift_phases(n))
-    return {"ladder": float(np.abs(fwd - dft).max()),
-            "unitarity": float(np.abs(gram - np.eye(size)).max()),
-            "off_diagonal": float(np.abs(off).max()),
-            "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
-            "recursion": float(np.abs(recursive_dft(n) - dft).max())}
+    dev = {"ladder": float(np.abs(fwd - dft).max()),
+           "unitarity": float(np.abs(gram - np.eye(size)).max()),
+           "off_diagonal": float(np.abs(off).max()),
+           "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
+           "recursion": float(np.abs(recursive_dft(n) - dft).max())}
+    if n < 2:
+        return dev
+    half = size // 2
+    w = np.exp(2j * np.pi * np.arange(half) / size)
+    coupled = stage_matrix(n, 1) @ np.diag(make_plan(n, +1).diagonal(1))
+    cell_dev = 0.0
+    for j in range(half):
+        cell = coupled[np.ix_([j, j + half], [j, j + half])]
+        target = np.array([[1.0, w[j]], [1.0, -w[j]]]) * butterfly._INV_SQRT2
+        cell_dev = max(cell_dev, float(np.abs(cell - target).max()))
+        zeroed = coupled[j].copy()
+        zeroed[[j, j + half]] = 0.0
+        cell_dev = max(cell_dev, float(np.abs(zeroed).max()))
+    w_shift = np.exp(2j * np.pi * (np.arange(half) + half) / size)
+    return {**dev, "cell": cell_dev, "half_period": float(np.abs(w_shift + w).max())}
 
 
 class TestLadderDeviations:
@@ -483,9 +502,11 @@ class TestLadderDeviations:
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_reports_are_views_of_one_measurement(self, n):
         dense = dense_deviations(n)
-        dl = verify_danielson_lanczos(n)
-        assert (dl["ladder_deviation"], dl["recursion_deviation"]) == (
-            dense["ladder"], dense["recursion"])
+        assert verify_danielson_lanczos(n) == {
+            "n": n, "cell_deviation": dense["cell"],
+            "recursion_deviation": dense["recursion"],
+            "ladder_deviation": dense["ladder"],
+            "half_period_deviation": dense["half_period"]}
         shift = shift_operator_check(n)
         assert (shift["off_diagonal_max"], shift["diagonal_deviation"]) == (
             dense["off_diagonal"], dense["diagonal"])

@@ -33,6 +33,21 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"version": 2, "kind": "fft-derive"})
         assert run(["fft-derive", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_version_must_be_the_int_one(self, tmp_path, capsys, version):
+        cfg = write_config(tmp_path, {"version": version, "kind": "fft-derive"})
+        assert run(["fft-derive", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "version must be 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_nesting_past_the_recursion_limit_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"version": 1, "levels": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run(["fft-derive", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"version": 1, "kind": "bench"})
         assert run(["fft-derive", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -142,6 +157,9 @@ class TestConfigSchema:
         ("metric-check", {"levels": 20}, "samples"),
         ("metric-check", {"levels": 5, "samples": 10**6}, "samples"),
         ("metric-check", {"levels": 11, "samples": 8193}, "samples"),
+        # one above the trials cap: above 2**60 numpy's binomial adds variance
+        ("tomography", {"trials": 2**60 + 1}, "trials"),
+        ("tomography", {"trials": {"q": 1000, "p": 2**60 + 1}}, "trials"),
     ])
     def test_out_of_range_is_a_usage_error(self, tmp_path, capsys, kind, doc,
                                            field):
@@ -195,12 +213,17 @@ class TestConfigSchema:
             assert cli.validate(kind, {}) == cli.DEFAULTS[kind]
 
     def test_count_caps_pass_the_schema(self):
-        fields = {"trials": {"q": 2**63 - 1, "p": 1}, "replicas": 10**6}
+        fields = {"trials": {"q": cli.MAX_TRIALS, "p": 1}, "replicas": 10**6}
         assert cli.validate("tomography", fields)["replicas"] == 10**6
-        assert cli.validate("tomography", {"trials": 2**63 - 1})
+        assert cli.validate("tomography", {"trials": cli.MAX_TRIALS})
         fields = {"samples": 10**6, "chart_points": 10**6}
         assert cli.validate("metric-check", fields)["chart_points"] == 10**6
         assert cli.validate("bench", {"repeats": 10**3})["repeats"] == 10**3
+
+    def test_default_tomography_passes_at_the_trials_cap(self, tmp_path):
+        # up to the cap numpy's binomial draws keep M * var(theta_hat) near 1
+        cfg = write_config(tmp_path, {"version": 1, "trials": cli.MAX_TRIALS})
+        assert run(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("levels", [1, 4, 11, 20])
     def test_amplitude_cap_passes_the_schema(self, levels):
@@ -209,9 +232,11 @@ class TestConfigSchema:
         assert cli.validate("metric-check", fields)["samples"] == samples
 
 
-# ints around every bound the schema checks (2**63 overflows numpy's
-# binomial, 2**1024 a float), floats whose square overflows, nan and +-inf
-BOUNDS = [0, 1, 2, 4, 12, 20, 10**3, 4096, 10**6, 2**24, 2**63, 2**64, 2**1024]
+# ints around every bound the schema checks (2**60 caps the trials, 2**63
+# overflows numpy's binomial, 2**1024 a float), floats whose square
+# overflows, nan and +-inf
+BOUNDS = [0, 1, 2, 4, 12, 20, 10**3, 4096, 10**6, 2**24, 2**60, 2**63, 2**64,
+          2**1024]
 NAMES = ["kind", "rebit", "qubit", "theta_q", "bloch", "q", "p", "r"]
 NUMBERS = (st.builds(int.__add__, st.sampled_from(BOUNDS), st.integers(-1, 1))
            | st.sampled_from([-2**1024, 1e154, 1e200, 1.7976931348623157e308])
