@@ -6,8 +6,11 @@ L = 2**(n-l+1)) separated by diagonal twiddle phases t_l derived from the
 cyclic-shift recursion.  Composing the ladder and undoing the bit-reversal
 of the output reproduces the unitary discrete Fourier matrix exactly; the
 in-place evaluation costs O(N log N) cell operations against O(N^2) for the
-dense product.  `transform_columns` runs the ladder on a whole column stack
-in one kernel call.
+dense product.  `apply_butterfly` runs the first n - 6 stages in place on
+one state and the last 6 on a transposed (64, N/64) stack of its 64-entry
+blocks, with the bit reversal folded into two row gathers, bit for bit
+the one-array pass.  `transform_columns` runs the ladder on a whole column
+stack in one kernel call.
 
 All four transform checks (ladder against the Fourier matrix, unitarity,
 the diagonalized shift, the Danielson-Lanczos decomposition) come from one
@@ -177,10 +180,11 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     for a power of two s.  Every ramp is contiguous and read-only, and its
     values are bit-identical to the second halves of twiddle_stage.
     """
-    if n < 1:
-        raise DomainError("plan needs at least one stage")
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
+    # bool is an int subclass: True is not a stage count or a sign here
+    if type(n) is not int or n < 1:
+        raise DomainError("plan needs an integer number of stages, at least 1")
+    if type(sign) is not int or sign not in (+1, -1):
+        raise DomainError("sign must be the integer +1 or -1")
     size = 1 << n
     phases = -2.0 * math.pi * np.arange(size >> 1) / size
     base = np.exp(-1j * sign * phases)
@@ -199,16 +203,32 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     order 'bitReversed' returns the ladder output as produced (component mu
     holds the coefficient of the bit-reversed index); 'natural' undoes the
     permutation.  Matches the dense assemble_transform action to rounding.
+
+    The first n - s stages run in place on a copy of psi, s = min(n,
+    TAIL_STAGES).  Below them the ladder is 2**(n-s) independent s-stage
+    ladders, one per contiguous block of 2**s entries, with the plan's last
+    s - 1 ramps: the blocks become the columns of a (2**s, N / 2**s) stack,
+    in bit-reversed block order, and the stack kernel runs the last s stages
+    on all of them at once (Bailey's four-step FFT).  Reading the stack's
+    rows in bit-reversed order then gives the natural order.  Each entry
+    meets the same float operations in the same order as in a pass of all n
+    stages over one array, so the result has the same bits.
     """
+    if order not in ("natural", "bitReversed"):
+        raise DomainError(f"unknown order {order!r}")
+    n = plan.n
     work = np.array(psi, dtype=complex)
-    if work.shape != (1 << plan.n,):
+    if work.shape != (1 << n,):
         raise DomainError("state length does not match the plan order")
-    kernels.apply_stages_inplace(work, plan.ramps, plan.n)
+    s = min(n, TAIL_STAGES)
+    kernels.apply_stage_range(work, plan.ramps, n, 1, n - s)
+    tail = work.reshape(-1, 1 << s)[bit_reversal_permutation(n - s)].T.copy()
+    del work
+    kernels.apply_stage_range(tail, plan.ramps[n - s:], s, 1, s)
+    out = tail[bit_reversal_permutation(s)].reshape(-1)
     if order == "bitReversed":
-        return work
-    if order == "natural":
-        return work[bit_reversal_permutation(plan.n)]
-    raise DomainError(f"unknown order {order!r}")
+        return out[bit_reversal_permutation(n)]
+    return out
 
 
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
@@ -216,6 +236,8 @@ def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
     """Apply the composed ladder to every column of mat: one kernel call
     runs all stages on a C-contiguous copy of the column stack."""
     size = 1 << n
+    if mat.ndim not in (1, 2):
+        raise DomainError("need one column or a 2-D stack of columns")
     if mat.shape[0] != size:
         raise DomainError("column length does not match the ladder order")
     plan = make_plan(n, sign)
@@ -274,6 +296,14 @@ def _dft_columns(size: int, cols: np.ndarray, sign: int) -> np.ndarray:
 # on a 2-core VM, blocks of 32 to 128 columns took about the same time, and
 # one block of all N columns took about 1.3 times as long.
 LADDER_BLOCK = 64
+
+# Stages that apply_butterfly runs on a transposed column stack.  At n = 18
+# on a 2-core VM, a stage with half-blocks of 2 to 16 entries took 2.2 to
+# 5.1 ms on one array, against 1.1 to 1.2 ms for a stage with half-blocks
+# of 4,096 or more.  Tails of 5 to 9 stages gave about the same apply time
+# (medians of 30 to 31 ms over five alternated sweeps); a tail of 4 took
+# about 7% longer.
+TAIL_STAGES = 6
 
 
 def _ladder_deviations(n: int) -> dict[str, float]:

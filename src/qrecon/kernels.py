@@ -8,7 +8,9 @@ follows stage l < n.  psi may be one state of N = 2**n components or a
 C-contiguous (N, B) stack of B column states; on a stack each stage works on
 every column at once, so its innermost loops run along the B columns (with
 the ramp broadcast down them) and stay long even where the stage's halves
-are short.  BACKEND names the kernel for reports.
+are short.  `butterfly.apply_butterfly` uses both forms: it runs the first
+n - 6 stages on the state and the last 6 on a transposed (64, N/64) stack
+of its 64-entry blocks.  BACKEND names the kernel for reports.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def _run_stages(psi: np.ndarray, twiddles: Sequence[np.ndarray],
     cols = psi.shape[1:]  # () for one state, (B,) for a stack
     for l in range(l_start, l_end + 1):
         half = 1 << (n - l)
-        view = psi.reshape(-1, 2, half, *cols)
+        # the block count, not -1: an empty stack (B = 0) has no size to infer it
+        view = psi.reshape(psi.shape[0] // (2 * half), 2, half, *cols)
         top = view[:, 0]
         bot = view[:, 1]
         tmp = top - bot

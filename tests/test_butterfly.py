@@ -226,6 +226,24 @@ class TestApplyButterfly:
         out = apply_butterfly(make_plan(n, sign), psi)
         assert np.abs(out - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_equals_one_pass_of_all_stages_bit_for_bit(self, n, sign, order):
+        # n <= 6 is all tail, n = 7 has one stage before it
+        rng = np.random.default_rng(500 + n)
+        psi = random_psi(rng, n)
+        plan = make_plan(n, sign)
+        one_pass = psi.copy()
+        kernels.apply_stages_inplace(one_pass, plan.ramps, n)
+        if order == "natural":
+            one_pass = one_pass[bit_reversal_permutation(n)]
+        assert apply_butterfly(plan, psi, order).tobytes() == one_pass.tobytes()
+
+    def test_unknown_order(self):
+        with pytest.raises(DomainError):
+            apply_butterfly(make_plan(3), np.ones(8, dtype=complex), "reversed")
+
     def test_strided_input_is_copied_not_changed(self):
         rng = np.random.default_rng(3)
         wide = random_psi(rng, 6)
@@ -246,6 +264,15 @@ class TestTransformColumns:
         columns = [apply_butterfly(plan, mat[:, j], order) for j in range(5)]
         assert np.array_equal(transform_columns(mat, n, sign, order),
                               np.stack(columns, axis=1))
+
+    def test_an_empty_stack_transforms_to_an_empty_stack(self):
+        out = transform_columns(np.ones((8, 0)), 3)
+        assert out.shape == (8, 0)
+
+    @pytest.mark.parametrize("shape", [(), (8, 2, 2)])
+    def test_rejects_an_array_that_is_not_one_or_two_d(self, shape):
+        with pytest.raises(DomainError):
+            transform_columns(np.ones(shape), 3)
 
     def test_kernel_rejects_a_non_contiguous_stack(self):
         stack = np.ones((8, 4), dtype=complex).T
@@ -386,6 +413,12 @@ class TestPlanRamps:
     def test_twiddle_level_out_of_range(self, level):
         with pytest.raises(DomainError):
             make_plan(4).twiddle_phases(level)
+
+    @pytest.mark.parametrize("args", [(True,), (3, 1.0), (3.0,)],
+                             ids=["n-true", "sign-1.0", "n-3.0"])
+    def test_order_and_sign_must_be_integers(self, args):
+        with pytest.raises(DomainError):
+            make_plan(*args)
 
     def test_one_level_phases_expand_only_that_level(self):
         # all 17 expanded diagonals of n = 18 would take 68 MB; one level

@@ -308,6 +308,37 @@ class TestTomographyProperty:
                     == (row["varHat"] == 0.0))
 
 
+SEEDS = st.integers(min_value=0)
+# bench sizes stop at 512, where dft_matrix is quick
+BENCH_SIZES = st.lists(st.sampled_from([1 << k for k in range(1, 10)]),
+                       min_size=1, max_size=3)
+# valid configs of the other kinds
+OTHER_CONFIGS = {
+    "fft-derive": st.fixed_dictionaries({"levels": st.integers(1, 8), "seed": SEEDS}),
+    "partition-audit": st.fixed_dictionaries({"width": st.integers(1, 4),
+                                              "seed": SEEDS}),
+    "bench": BENCH_SIZES.flatmap(lambda sizes: st.fixed_dictionaries({
+        "sizes": st.just(sizes), "repeats": st.integers(1, 3), "seed": SEEDS,
+        "min_speedup": (st.integers(min_value=1)
+                        | st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        "assert_at": st.integers(1, max(sizes))})),
+}
+
+
+class TestOtherKindsProperty:
+    @pytest.mark.parametrize("kind", sorted(OTHER_CONFIGS))
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_valid_configs_end_in_a_verdict(self, tmp_path_factory, kind, data):
+        doc = data.draw(OTHER_CONFIGS[kind])
+        out = tmp_path_factory.mktemp(kind)
+        cfg = write_config(out, {"version": 1, "kind": kind, **doc})
+        assert run([kind, "--config", cfg, "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"]
+        assert all(math.isfinite(c["value"]) for c in report["checks"])
+
+
 class TestExitCodes:
     def test_out_naming_a_file_exits_two_before_any_criterion(self, tmp_path, capsys,
                                                               monkeypatch):
