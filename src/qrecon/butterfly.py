@@ -6,11 +6,12 @@ L = 2**(n-l+1)) separated by diagonal twiddle phases t_l derived from the
 cyclic-shift recursion.  Composing the ladder and undoing the bit-reversal
 of the output reproduces the unitary discrete Fourier matrix exactly; the
 in-place evaluation costs O(N log N) cell operations against O(N^2) for the
-dense product.  `apply_butterfly` runs the first n - 6 stages in place on
-one state and the last 6 on a transposed (64, N/64) stack of its 64-entry
-blocks, with the bit reversal folded into two row gathers, bit for bit
-the one-array pass.  `transform_columns` runs the ladder on a whole column
-stack in one kernel call.
+dense product.  `apply_butterfly` is the one body that runs the ladder.
+On one state it runs the first n - 6 stages in place and the last 6 on a
+transposed (64, N/64) stack of its 64-entry blocks, with the bit reversal
+folded into two row gathers, bit for bit the one-array pass; on an (N, B)
+column stack it runs all n stages in one kernel call.  `transform_columns`
+is that call with a plan built from (n, sign).
 
 All four transform checks (ladder against the Fourier matrix, unitarity,
 the diagonalized shift, the Danielson-Lanczos decomposition) come from one
@@ -44,11 +45,31 @@ from .probmodel import RENORM_TOL, Distribution
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _integer(what: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int, if it is a Python or numpy integer (not a
+    bool, not a float) in lo..hi (lo and up for hi None); DomainError
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, not {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"{lo}..{hi}" if hi is not None else f"{lo} and up"
+        raise DomainError(f"{what} {value} outside {bounds}")
+    return int(value)
+
+
+def _check_sign(sign) -> None:
+    # bool is an int subclass: True is not a sign here
+    if type(sign) is not int or sign not in (+1, -1):
+        raise DomainError("sign must be the integer +1 or -1")
+
+
 # ----------------------------------------------------------------- indexing
 
-@functools.lru_cache(maxsize=None)
+# typed: True and 1.0 must not hit the cache entry of 1
+@functools.lru_cache(maxsize=None, typed=True)
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index array br with br[y] = y with its n bits in reversed order."""
+    n = _integer("width", n, 0)
     br = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         br = np.concatenate([2 * br, 2 * br + 1])
@@ -62,10 +83,10 @@ def node_position(n: int, l: int, x: int, y: int) -> int:
 
     l = 0 returns x itself; l = n returns the bit reversal of y.
     """
-    if not 0 <= l <= n:
-        raise DomainError(f"level {l} outside 0..{n}")
-    if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
-        raise DomainError("index outside the width-n domain")
+    n = _integer("width", n, 0)
+    l = _integer("level", l, 0, n)
+    x = _integer("q-index", x, 0, (1 << n) - 1)
+    y = _integer("p-index", y, 0, (1 << n) - 1)
     mu = 0
     for i in range(l):
         mu = (mu << 1) | ((y >> i) & 1)
@@ -83,8 +104,7 @@ def derive_shift_phases(l: int) -> np.ndarray:
     second half by subtracting pi; the result equals the closed form
     -2*pi*k/2**l to rounding.
     """
-    if l < 1:
-        raise DomainError("depth must be at least 1")
+    l = _integer("depth", l, 1)
     values = np.array([0.0, -math.pi])
     for m in range(2, l + 1):
         half = 1 << (m - 1)
@@ -102,10 +122,9 @@ def twiddle_phase(n: int, level: int, k: int) -> float:
     Zero on the first half of each block of 2**(n-level+1) entries, then a
     ramp of -2*pi*(offset into the second half)/blocksize.
     """
-    if not 1 <= level <= n - 1:
-        raise DomainError(f"twiddle level {level} outside 1..{n - 1}")
-    if not 0 <= k < (1 << n):
-        raise DomainError("index outside the width-n domain")
+    n = _integer("width", n, 1)
+    level = _integer("twiddle level", level, 1, n - 1)
+    k = _integer("index", k, 0, (1 << n) - 1)
     block = 1 << (n - level + 1)
     half = block >> 1
     r = k % block
@@ -116,6 +135,8 @@ def twiddle_phase(n: int, level: int, k: int) -> float:
 
 def twiddle_stage(n: int, level: int) -> np.ndarray:
     """Read-only phase vector of the q -> p twiddle diagonal t_level."""
+    n = _integer("width", n, 1)
+    level = _integer("twiddle level", level, 1, n - 1)
     block = 1 << (n - level + 1)
     half = block >> 1
     r = np.arange(1 << n) % block
@@ -127,8 +148,8 @@ def twiddle_stage(n: int, level: int) -> np.ndarray:
 def stage_matrix(n: int, l: int) -> np.ndarray:
     """Dense operator of stage l: Hadamard cells pairing k and k + L/2 inside
     each contiguous block of L = 2**(n-l+1) components."""
-    if not 1 <= l <= n:
-        raise DomainError(f"stage {l} outside 1..{n}")
+    n = _integer("width", n, 1)
+    l = _integer("stage", l, 1, n)
     size = 1 << n
     half = 1 << (n - l)
     mat = np.zeros((size, size))
@@ -161,8 +182,7 @@ class ButterflyPlan:
     def diagonal(self, level: int) -> np.ndarray:
         """Full twiddle diagonal after stage `level`, expanded from its ramp
         alone."""
-        if not 1 <= level <= self.n - 1:
-            raise DomainError(f"twiddle level {level} outside 1..{self.n - 1}")
+        level = _integer("twiddle level", level, 1, self.n - 1)
         ramp = self.ramps[level - 1]
         row = np.ones(1 << self.n, dtype=complex)
         row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
@@ -180,11 +200,8 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     for a power of two s.  Every ramp is contiguous and read-only, and its
     values are bit-identical to the second halves of twiddle_stage.
     """
-    # bool is an int subclass: True is not a stage count or a sign here
-    if type(n) is not int or n < 1:
-        raise DomainError("plan needs an integer number of stages, at least 1")
-    if type(sign) is not int or sign not in (+1, -1):
-        raise DomainError("sign must be the integer +1 or -1")
+    n = _integer("stage count", n, 1)
+    _check_sign(sign)
     size = 1 << n
     phases = -2.0 * math.pi * np.arange(size >> 1) / size
     base = np.exp(-1j * sign * phases)
@@ -198,14 +215,16 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
 
 def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
                     order: str = "natural") -> np.ndarray:
-    """Evaluate the ladder on psi in O(N log N) cell operations.
+    """Evaluate the ladder on psi, one state (N,) or a column stack (N, B), in
+    O(N log N) cell operations per state.
 
     order 'bitReversed' returns the ladder output as produced (component mu
     holds the coefficient of the bit-reversed index); 'natural' undoes the
     permutation.  Matches the dense assemble_transform action to rounding.
 
-    The first n - s stages run in place on a copy of psi, s = min(n,
-    TAIL_STAGES).  Below them the ladder is 2**(n-s) independent s-stage
+    A stack runs all n stages in one kernel call on a C-contiguous copy.
+    On one state the first n - s stages run in place on a copy of psi, s =
+    min(n, TAIL_STAGES).  Below them the ladder is 2**(n-s) independent s-stage
     ladders, one per contiguous block of 2**s entries, with the plan's last
     s - 1 ramps: the blocks become the columns of a (2**s, N / 2**s) stack,
     in bit-reversed block order, and the stack kernel runs the last s stages
@@ -217,9 +236,14 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     if order not in ("natural", "bitReversed"):
         raise DomainError(f"unknown order {order!r}")
     n = plan.n
-    work = np.array(psi, dtype=complex)
-    if work.shape != (1 << n,):
-        raise DomainError("state length does not match the plan order")
+    psi = np.asarray(psi)
+    if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
+        raise DomainError("need one state or an (N, B) column stack of the "
+                          "plan's length N")
+    work = np.array(psi, dtype=complex, order="C")
+    if work.ndim == 2:
+        kernels.apply_stage_range(work, plan.ramps, n, 1, n)
+        return work[bit_reversal_permutation(n)] if order == "natural" else work
     s = min(n, TAIL_STAGES)
     kernels.apply_stage_range(work, plan.ramps, n, 1, n - s)
     tail = work.reshape(-1, 1 << s)[bit_reversal_permutation(n - s)].T.copy()
@@ -233,21 +257,9 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
 
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
                       order: str = "natural") -> np.ndarray:
-    """Apply the composed ladder to every column of mat: one kernel call
-    runs all stages on a C-contiguous copy of the column stack."""
-    size = 1 << n
-    if mat.ndim not in (1, 2):
-        raise DomainError("need one column or a 2-D stack of columns")
-    if mat.shape[0] != size:
-        raise DomainError("column length does not match the ladder order")
-    plan = make_plan(n, sign)
-    work = np.array(mat, dtype=complex, order="C")
-    kernels.apply_stage_range(work, plan.ramps, n, 1, n)
-    if order == "natural":
-        return work[bit_reversal_permutation(n)]
-    if order == "bitReversed":
-        return work
-    raise DomainError(f"unknown order {order!r}")
+    """Apply the composed n-stage ladder to one column or to every column of
+    a 2-D stack: apply_butterfly with the plan make_plan(n, sign)."""
+    return apply_butterfly(make_plan(n, sign), mat, order)
 
 
 def assemble_transform(n: int, order: str = "natural", sign: int = +1) -> np.ndarray:
@@ -256,15 +268,16 @@ def assemble_transform(n: int, order: str = "natural", sign: int = +1) -> np.nda
     With sign=+1 and natural order this equals dft_matrix(2**n, +1), the
     unitary positive-exponent Fourier matrix, to rounding.
     """
+    n = _integer("width", n, 1)
     return transform_columns(np.eye(1 << n, dtype=complex), n, sign, order)
 
 
 def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     """Unitary Fourier matrix exp(sign * 2*pi*i*j*k/N) / sqrt(N)."""
-    if size < 1 or size & (size - 1):
+    size = _integer("size", size, 1)
+    if size & (size - 1):
         raise DomainError("size must be a power of 2")
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
+    _check_sign(sign)
     return _dft_columns(size, np.arange(size), sign)
 
 
@@ -390,8 +403,7 @@ def verify_danielson_lanczos(n: int) -> dict:
     through [[1, W^j], [1, -W^j]]/sqrt(2) with W = exp(2*pi*i/N), and that
     recursing that decomposition rebuilds dft_matrix(N, +1) entrywise.
     """
-    if n < 2:
-        raise DomainError("need at least two levels")
+    n = _integer("level count", n, 2)
     dev = _ladder_deviations(n)
     return {
         "n": n,
@@ -409,8 +421,7 @@ def shift_operator_check(n: int) -> dict:
     The diagonal phases are exactly the depth-n shift phases, tying the
     twiddle derivation to the translation symmetry it came from.
     """
-    if n < 1:
-        raise DomainError("need at least one level")
+    n = _integer("level count", n, 1)
     deviations = _ladder_deviations(n)
     return {
         "n": n,
@@ -419,7 +430,7 @@ def shift_operator_check(n: int) -> dict:
     }
 
 
-def chain_propagate(psi: np.ndarray, plan: ButterflyPlan | None = None) -> list[Distribution]:
+def chain_propagate(psi: np.ndarray) -> list[Distribution]:
     """Per-level probability distributions along the ladder.
 
     Level 0 is |psi|^2 on the input indexing; level l the squared moduli of
@@ -430,18 +441,17 @@ def chain_propagate(psi: np.ndarray, plan: ButterflyPlan | None = None) -> list[
     corresponding level-l pair mass.
     """
     psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise DomainError("chain_propagate needs one flat state vector psi")
     size = psi.size
     n = size.bit_length() - 1 if size else 0
     if size != 1 << n or n < 1:
         raise DomainError("state length must be a power of 2, at least 2")
-    if plan is None:
-        plan = make_plan(n, +1)
-    if plan.n != n:
-        raise DomainError("plan order does not match the state")
     norm = float(np.vdot(psi, psi).real)
     if abs(norm - 1.0) > RENORM_TOL:
         raise DomainError("state is not normalized")
-    work = np.ascontiguousarray(psi.copy())
+    plan = make_plan(n, +1)
+    work = psi.copy()
     levels = [Distribution(np.abs(work) ** 2)]
     for l in range(1, n + 1):
         kernels.apply_stage_range(work, plan.ramps, n, l, l)

@@ -69,22 +69,18 @@ RECURSION_TOL = 1e-9   # recursion, max relative deviation
 CHART_TOL = 1e-9       # chart-invariance, max relative spread over the charts
 
 
-def metric_sample(cfg: dict, rng: np.random.Generator, lowest: int | None = None):
+def metric_sample(cfg: dict, rng: np.random.Generator):
     """fs-factor and recursion over cfg["samples"] random states and tangents
-    of cfg["levels"] bits, or, given `lowest`, of a bit count each sample
-    first draws from lowest..levels.  Each sample makes its draws in
-    random_state/random_tangent order; the states and tangents are built and
-    evaluated a stacked block at a time."""
-    top = cfg["levels"]
-    pending: dict[int, list] = {}
+    of cfg["levels"] bits.  Each sample makes its draws in random_state/
+    random_tangent order; the states and tangents are built and evaluated a
+    stacked block of METRIC_BLOCK_CELLS amplitudes (at least one state) at a
+    time."""
+    nbits = cfg["levels"]
+    block = max(1, METRIC_BLOCK_CELLS >> nbits)
     worst = np.zeros(2)
-    for _ in range(cfg["samples"]):
-        nbits = top if lowest is None else int(rng.integers(lowest, top + 1))
-        rows = pending.setdefault(nbits, [])
-        rows.append(draw_state(nbits, rng) + draw_tangent(1 << nbits, rng))
-        if len(rows) << nbits >= METRIC_BLOCK_CELLS:
-            worst = np.maximum(worst, _metric_deviations(pending.pop(nbits)))
-    for rows in pending.values():
+    for start in range(0, cfg["samples"], block):
+        rows = [draw_state(nbits, rng) + draw_tangent(1 << nbits, rng)
+                for _ in range(min(block, cfg["samples"] - start))]
         worst = np.maximum(worst, _metric_deviations(rows))
     return [below("fs-factor", "extended metric equals 4x Fubini-Study (max rel dev)",
                   worst[0], FS_TOL),

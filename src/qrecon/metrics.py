@@ -104,6 +104,8 @@ def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
     amps, damps = _as_amps(psi), _as_damps(d)
     if amps.ndim not in (1, 2) or amps.shape != damps.shape:
         raise DomainError("need a state and a tangent of one shape, (N,) or (S, N)")
+    if amps.shape[-1] == 0:
+        raise DomainError("a state needs at least one amplitude")
     return amps, damps
 
 
@@ -171,10 +173,11 @@ def fisher_info_theta(theta: ThetaAngle | float) -> float:
     return 1.0
 
 
-def fisher_info_theta_numeric(theta: float, step: float = 1e-4) -> float:
+def fisher_info_theta_numeric(theta: float) -> float:
     """Expectation sum sum_i (d log rho_i / d theta)^2 rho_i evaluated with
-    Richardson-extrapolated central differences (cross-check of
+    Richardson-extrapolated central differences of step 1e-4 (cross-check of
     fisher_info_theta)."""
+    step = 1e-4
     if not step < theta < math.pi - step:
         raise DomainError("theta too close to the boundary for differencing")
     total = 0.0
@@ -256,8 +259,9 @@ def extended_fisher_metric_recursive(psi, d):
     # empty nodes divide by zero; np.where drops what they produce
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for level in range(1, len(mass)):
-            # branch k of node s sits at [..., k, s] of the finer level
-            split = mass[level].shape[:-1] + (2, -1)
+            # branch k of node s sits at [..., k, s] of the finer level (the
+            # node count, not -1: an empty stack has no size to infer it)
+            split = mass[level].shape[:-1] + (2, mass[level].shape[-1])
             m_k, d_k, p_k = (v[level - 1].reshape(split)
                              for v in (mass, flow, phase))
             m_s = mass[level][..., None, :]
@@ -313,14 +317,12 @@ def draw_tangent(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return rng.normal(0.0, 0.1, size), rng.normal(0.0, 0.1, size)
 
 
-def state_amplitudes(weights: np.ndarray, phases: np.ndarray,
-                     min_mass: float | None = None) -> np.ndarray:
+def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Normalized amplitudes sqrt(rho) e^{i phase} from simplex weights, with
-    every probability floored at min_mass (default 0.1 / N); one row (N,) or
-    a stack (S, N), checked and renormalized per row as StateVector does."""
+    every probability floored at 0.1 / N; one row (N,) or a stack (S, N),
+    checked and renormalized per row as StateVector does."""
     size = weights.shape[-1]
-    if min_mass is None:
-        min_mass = 0.1 / size
+    min_mass = 0.1 / size
     rho = weights * (1.0 - size * min_mass) + min_mass
     return _normalized(np.sqrt(rho) * np.exp(1j * phases))
 

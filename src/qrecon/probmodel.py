@@ -57,7 +57,7 @@ class Distribution:
 
     def __init__(self, probs: Sequence[float]):
         arr = np.asarray(probs, dtype=float)
-        if arr.ndim != 1 or arr.size & (arr.size - 1):
+        if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
             raise DomainError("need a flat vector with power-of-2 length")
         if not np.isfinite(arr).all():
             # NaN passes every comparison below
@@ -159,7 +159,9 @@ def mass_pyramid(values: np.ndarray) -> list[np.ndarray]:
     """
     pyramid = [values]
     while values.shape[-1] > 1:
-        values = values.reshape(*values.shape[:-1], 2, -1).sum(axis=-2)
+        # the half length, not -1: an empty stack has no size to infer it
+        half = values.shape[-1] // 2
+        values = values.reshape(*values.shape[:-1], 2, half).sum(axis=-2)
         pyramid.append(values)
     return pyramid
 

@@ -1,9 +1,10 @@
 """Acceptance gate: every release criterion at its stated tolerance.
 
 The CLI's criteria (`qrecon.criteria`) at the release scope: 1..10 ladder
-levels, 10^4 metric samples over 1..6 bits, three Cramer-Rao angles and
-widths 1..4.  Each check prints the CLI's PASS/FAIL line (visible with
-`pytest -s` or on failure), so the suite doubles as a checklist.
+levels, one metric sample of 1,667 states at each of 1..6 bits, three
+Cramer-Rao angles and widths 1..4.  Each check prints the CLI's PASS/FAIL
+line (visible with `pytest -s` or on failure), so the suite doubles as a
+checklist.
 """
 
 import math
@@ -59,11 +60,13 @@ def test_02_twiddle_recursion(fft_derive):
 
 @pytest.fixture(scope="module")
 def metric_checks():
-    """The metric sample, then the gauge state, drawn from one generator."""
+    """One metric sample per level 1..6, then the gauge state, drawn from
+    one generator."""
     rng = np.random.default_rng(SEED)
-    cfg = config("metric-check", samples=10_000, levels=6)
-    return (criteria.metric_sample(cfg, rng, lowest=1)[0]
-            + criteria.closed_form_identities(cfg, rng)[0])
+    checks = [c for levels in range(1, 7) for c in criteria.metric_sample(
+        config("metric-check", samples=1_667, levels=levels), rng)[0]]
+    return checks + criteria.closed_form_identities(
+        config("metric-check", levels=6), rng)[0]
 
 
 def test_03_metric_correspondence(metric_checks):

@@ -21,6 +21,25 @@ def random_psi(rng, n):
     return psi / np.linalg.norm(psi)
 
 
+# widths, levels, depths and sizes that are not integers in range
+@pytest.mark.parametrize("call", [
+    lambda: twiddle_stage(3, 0),
+    lambda: twiddle_stage(3, 3),
+    lambda: twiddle_stage(3, 5),
+    lambda: stage_matrix(3.0, 1),
+    lambda: verify_danielson_lanczos(2.5),
+    lambda: dft_matrix(4.0),
+    lambda: dft_matrix(True),
+    lambda: derive_shift_phases(True),
+    lambda: bit_reversal_permutation(-1),
+], ids=["twiddle-level-0", "twiddle-level-n", "twiddle-level-past-n",
+        "stage-width-float", "dl-levels-float", "dft-size-float",
+        "dft-size-true", "shift-depth-true", "bit-reversal-negative"])
+def test_integer_arguments_are_checked(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestNodePosition:
     def test_bottom_level_is_the_q_index(self):
         for x in range(8):
@@ -171,6 +190,11 @@ class TestDftMatrix:
         with pytest.raises(DomainError):
             dft_matrix(12)
 
+    @pytest.mark.parametrize("sign", [True, 1.0])
+    def test_sign_must_be_an_integer(self, sign):
+        with pytest.raises(DomainError):
+            dft_matrix(4, sign)
+
     # one row per block, uneven blocks of a few rows, and the default
     @pytest.mark.parametrize("block", [1, 1000, butterfly.DFT_BLOCK])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -261,9 +285,11 @@ class TestTransformColumns:
         rng = np.random.default_rng(200 + n)
         mat = rng.normal(size=(1 << n, 5)) + 1j * rng.normal(size=(1 << n, 5))
         plan = make_plan(n, sign)
-        columns = [apply_butterfly(plan, mat[:, j], order) for j in range(5)]
-        assert np.array_equal(transform_columns(mat, n, sign, order),
-                              np.stack(columns, axis=1))
+        columns = np.stack([apply_butterfly(plan, mat[:, j], order)
+                            for j in range(5)], axis=1)
+        for stack in (transform_columns(mat, n, sign, order),
+                      apply_butterfly(plan, mat, order)):
+            assert stack.tobytes() == columns.tobytes()
 
     def test_an_empty_stack_transforms_to_an_empty_stack(self):
         out = transform_columns(np.ones((8, 0)), 3)
@@ -273,6 +299,20 @@ class TestTransformColumns:
     def test_rejects_an_array_that_is_not_one_or_two_d(self, shape):
         with pytest.raises(DomainError):
             transform_columns(np.ones(shape), 3)
+
+    def test_unknown_order_fails_before_any_kernel_call(self, monkeypatch):
+        calls = []
+        real = kernels.apply_stage_range
+        monkeypatch.setattr(kernels, "apply_stage_range",
+                            lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(DomainError):
+            transform_columns(np.eye(1024, dtype=complex), 10, +1, "bogus")
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [3.0, -1])
+    def test_rejects_a_width_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(DomainError):
+            transform_columns(np.ones((8, 2), dtype=complex), n)
 
     def test_kernel_rejects_a_non_contiguous_stack(self):
         stack = np.ones((8, 4), dtype=complex).T
@@ -353,13 +393,16 @@ class TestChainPropagate:
         with pytest.raises(DomainError):
             chain_propagate(np.ones(4, dtype=complex))
 
+    def test_rejects_a_stack_by_its_own_name(self):
+        with pytest.raises(DomainError, match="chain_propagate"):
+            chain_propagate(np.ones((2, 2)) / 2)
+
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_top_level_is_the_squared_ladder_output(self, n):
         rng = np.random.default_rng(8)
         psi = random_psi(rng, n)
-        plan = make_plan(n)
-        levels = chain_propagate(psi, plan)
-        raw = apply_butterfly(plan, psi, "bitReversed")
+        levels = chain_propagate(psi)
+        raw = apply_butterfly(make_plan(n), psi, "bitReversed")
         assert np.array_equal(levels[-1].probs, np.abs(raw) ** 2)
 
 

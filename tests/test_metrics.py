@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qrecon import metrics
 from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, StateVector, Tangent,
                             amplitude_phase_differentials, draw_state,
@@ -32,8 +33,7 @@ class TestFisherInfoTheta:
 
     def test_small_theta_extrapolation(self):
         # the numeric sum approaches 1 toward the boundary as well
-        values = [fisher_info_theta_numeric(t, step=t * 1e-3)
-                  for t in (0.2, 0.1, 0.05)]
+        values = [fisher_info_theta_numeric(t) for t in (0.2, 0.1, 0.05)]
         assert all(abs(v - 1.0) < 1e-5 for v in values)
 
 
@@ -368,6 +368,17 @@ class TestStackedMetrics:
         with pytest.raises(DomainError, match=r"\(row 1\)"):
             fubini_study_metric(amps, np.ones((2, 2), dtype=complex))
 
+    @pytest.mark.parametrize("metric", [extended_fisher_metric,
+                                        extended_fisher_metric_recursive])
+    def test_a_state_of_no_amplitudes_is_rejected(self, metric):
+        with pytest.raises(DomainError, match="amplitude"):
+            metric(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_stack_of_no_states_gives_no_values(self, metric):
+        empty = np.zeros((0, 4), dtype=complex)
+        assert metric(empty, empty).shape == (0,)
+
     @pytest.mark.parametrize("metric", METRICS)
     def test_mismatched_shapes_rejected(self, metric):
         with pytest.raises(DomainError):
@@ -427,7 +438,7 @@ class TestBlockBuilders:
 
     def test_rows_off_norm_by_rounding_are_renormalized_alone(self):
         amps = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11]], dtype=complex)
-        out = state_amplitudes(np.abs(amps) ** 2, np.zeros((2, 2)), min_mass=0.0)
+        out = metrics._normalized(amps)
         for row, expected in zip(out, amps):
             assert row.tobytes() == StateVector(expected).amps.tobytes()
         assert out[1].tobytes() != amps[1].tobytes()

@@ -1,4 +1,5 @@
-"""Every perfbench workload serves its warm-up request without a failure.
+"""Every perfbench workload serves its warm-up request without a failure,
+untraced and traced.
 
 perfbench/worker.py writes the configs its workloads run and judges their
 reports; a schema or report change that breaks one would otherwise show
@@ -32,3 +33,19 @@ def test_warmup_request_is_served(worker, tmp_path, workload):
     handler = worker.HANDLERS[workload](tmp_path)
     _, failure = worker.serve_once(handler, worker.warmup_request(workload), None)
     assert failure is None
+
+
+# the layer through which each workload's request enters qrecon
+ENTRY_LAYER = {"metric-check": "cli.main", "tomography": "cli.main",
+               "ladder": "butterfly.apply_butterfly", "derive": "cli.main"}
+
+
+@pytest.mark.parametrize("workload", list(ENTRY_LAYER))
+def test_warmup_request_is_served_traced(worker, tmp_path, workload):
+    # the --trace 1 wrappers replace qrecon's functions for the traced serving
+    handler = worker.HANDLERS[workload](tmp_path)
+    tracer = worker.Tracer()
+    result = worker.serve_all(handler, [worker.warmup_request(workload)], tracer,
+                              worker.CALIBRATIONS[workload])
+    assert result["failures"] == []
+    assert worker.layer_summary(tracer, 1)[f"{ENTRY_LAYER[workload]}.calls"] >= 1

@@ -86,6 +86,10 @@ class TestDistributionValidation:
         with pytest.raises(DomainError):
             Distribution([1 / 3.0] * 3)
 
+    def test_rejects_zero_outcomes(self):
+        with pytest.raises(DomainError):
+            Distribution([])
+
 
 class TestMassPyramid:
     @pytest.mark.parametrize("nbits", range(0, 7))
