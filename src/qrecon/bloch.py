@@ -13,11 +13,10 @@ author-relative; this module fixes one and offers no other):
 * the global phase is gauge-fixed to phi_0 = 0 whenever a state vector is
   constructed from chart or sphere data.
 
-`extended_from_bloch` and `chart_tangent_metric` read a point's chart
-angles through one map (`_chart_angles`).  The chart sweep of
-`metric-check` stays scalar, one point and axis per call: vector cos/arccos
-need not match `math` bit for bit.  Each call works on plain floats and
-three-vectors and builds no BlochPoint or ExtendedCoords on its curve.
+`extended_from_bloch` reads a point's chart angles through one map
+(`_chart_angles`).  `chart_tangent_metric` differentiates the same angles by
+the chain rule in closed form, one array pass over a (P, 3) stack of points
+and tangents, so the chart sweep of `metric-check` makes one call per axis.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
+from .metrics import _reject_rows
 from .probmodel import RENORM_TOL, ThetaAngle
 
 POLE_TOL = 1e-12
@@ -38,9 +38,10 @@ CHART_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def _check_on_sphere(norm2: float) -> None:
-    if abs(norm2 - 1.0) > RENORM_TOL:
-        raise DomainError(f"off-sphere point, |S|^2 = {norm2}")
+def _off_sphere(norm2):
+    """Whether |S|^2 (of one point or of each row of a stack) misses 1 by
+    more than RENORM_TOL; NaN misses it too."""
+    return ~(np.abs(norm2 - 1.0) <= RENORM_TOL)
 
 
 def _chart_angles(mu: float, nu: float, xi: float) -> tuple[float, float | None]:
@@ -64,7 +65,8 @@ class BlochPoint:
     sr: float
 
     def __post_init__(self):
-        _check_on_sphere(self.norm2())
+        if _off_sphere(self.norm2()):
+            raise DomainError(f"off-sphere point, |S|^2 = {self.norm2()}")
 
     def norm2(self) -> float:
         return self.sq**2 + self.sp**2 + self.sr**2
@@ -215,51 +217,56 @@ def transformed_phase_jacobian(psi: np.ndarray) -> np.ndarray:
     return jac
 
 
-def chart_tangent_metric(point: BlochPoint, velocity: np.ndarray, axis: str) -> float:
-    """Chart value of the metric for a sphere tangent, by numeric chain rule.
+def _floats(values) -> np.ndarray:
+    """values as a float array; DomainError for text, complex numbers or
+    ragged nesting."""
+    try:
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"not an array of reals: {values!r}")
 
-    Follows the great circle through `point` with initial velocity
-    `velocity` (projected onto the tangent plane), differentiates the chart
-    functions theta(t), alpha(t) at t = 0 by Richardson-extrapolated central
-    differences, and evaluates dtheta^2 + sin^2(theta) dalpha^2.  Every
-    chart must return the same number for the same tangent.
 
-    The curve is differentiated at unit speed and the metric, being
-    quadratic in the tangent, is scaled by speed**2 afterwards; a short
-    tangent would otherwise move the curve so little over the difference
-    step that rounding error dominates.
+def chart_tangent_metric(point, velocity, axis: str):
+    """Chart value of the metric for a sphere tangent, by the chain rule in
+    closed form.
+
+    The tangent is `velocity` projected onto the tangent plane at `point`.
+    On the chart triplet (mu, nu, xi) of `axis`, theta = arccos(S_mu) and
+    alpha = atan2(S_xi, S_nu), so dtheta = -dS_mu / sin(theta) and dalpha =
+    (S_nu dS_xi - S_xi dS_nu) / (S_nu^2 + S_xi^2); the value is dtheta^2 +
+    sin^2(theta) dalpha^2.  Every chart must return the same number for the
+    same tangent.
+
+    One BlochPoint and a 3-vector give a float; a (P, 3) stack of points
+    and one of velocities give the (P,) array.  One point runs as a one-row
+    stack, so it has the bits of its row in any stack.
     """
-    p = point.as_array()
-    v = np.asarray(velocity, dtype=float)
-    v = v - np.dot(v, p) * p
-    speed = math.sqrt(v.dot(v))  # np.linalg.norm of a real vector
-    if speed < 1e-15:
-        raise DomainError("zero tangent")
-    direction = v / speed
-    # positions of the chart triplet (mu, nu, xi) in (sQ, sP, sR)
+    if not isinstance(axis, str) or axis not in CHART_TRIPLETS:
+        raise DomainError(f"unknown axis {axis!r}")
+    single = isinstance(point, BlochPoint)
+    if single:
+        p, v = point.as_array()[None], _floats(velocity)[None]
+    else:
+        p, v = _floats(point), _floats(velocity)
+    if p.ndim != 2 or p.shape[1] != 3 or v.shape != p.shape:
+        raise DomainError("need a BlochPoint and a 3-vector, or (P, 3) stacks "
+                          "of points and velocities of one shape")
+
+    def reject(bad: np.ndarray, exc: type[Exception], message: str) -> None:
+        _reject_rows(bad[0] if single else bad, exc, message)
+
+    reject(_off_sphere((p * p).sum(axis=1)), DomainError, "off-sphere point")
+    reject(~np.isfinite(v).all(axis=1), DomainError, "non-finite velocity")
+    t = v - (v * p).sum(axis=1, keepdims=True) * p
+    reject(np.sqrt((t * t).sum(axis=1)) < 1e-15, DomainError, "zero tangent")
     order = ["qpr".index(name) for name in CHART_TRIPLETS[axis]]
-
-    def chart_at(t: float) -> tuple[float, complex]:
-        c = math.cos(t) * p + math.sin(t) * direction
-        s = (c / math.sqrt(c.dot(c))).tolist()
-        _check_on_sphere(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
-        theta, alpha = _chart_angles(*(s[i] for i in order))
-        if alpha is None:
-            raise SingularityError("tangent curve crosses a chart pole")
-        return theta, np.exp(1j * alpha)
-
-    def derivatives(h: float) -> tuple[float, float]:
-        t_plus, a_plus = chart_at(h)
-        t_minus, a_minus = chart_at(-h)
-        dtheta = (t_plus - t_minus) / (2.0 * h)
-        # phase difference through the complex exponential avoids the +-pi wrap
-        dalpha = float(np.angle(a_plus / a_minus)) / (2.0 * h)
-        return dtheta, dalpha
-
-    theta0, _ = chart_at(0.0)
-    step = 2e-4
-    coarse = derivatives(step)
-    fine = derivatives(step / 2.0)
-    dtheta = (4.0 * fine[0] - coarse[0]) / 3.0
-    dalpha = (4.0 * fine[1] - coarse[1]) / 3.0
-    return metric_in_coords(theta0, dtheta, dalpha) * speed**2
+    mu, nu, xi = (p[:, i] for i in order)
+    dmu, dnu, dxi = (t[:, i] for i in order)
+    sin = np.sin(np.arccos(np.clip(mu, -1.0, 1.0)))
+    reject((sin < POLE_TOL) | (np.hypot(nu, xi) < POLE_TOL), SingularityError,
+           "point at a chart pole")
+    dalpha = (nu * dxi - xi * dnu) / (nu**2 + xi**2)
+    values = (dmu / sin) ** 2 + sin**2 * dalpha**2
+    return float(values[0]) if single else values

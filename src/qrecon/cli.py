@@ -39,7 +39,8 @@ MAX_REPLICAS = 10**6
 # too small a variance can fail it: 1 - sigma * sqrt(2 / (replicas - 1)) > 0
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # metric-check draws each sample and chart point in Python: at the default
-# levels a run at either cap takes minutes, not forever
+# levels a run at the samples cap took 32 s, and one at the chart_points cap
+# 13 s with a 174 MB peak (2-core Xeon VM)
 MAX_SAMPLES = 10**6
 # metric-check samples x 2**levels, the amplitudes a run draws: a run at this
 # many took 7 s at 20 levels and 29 s at 4 (2-core Xeon VM, one BLAS thread)

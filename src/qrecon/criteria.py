@@ -120,18 +120,23 @@ def closed_form_identities(cfg: dict, rng: np.random.Generator):
 
 
 def chart_sweep(cfg: dict, rng: np.random.Generator):
-    worst = 0.0
-    points = 0
-    while points < cfg["chart_points"]:
+    """chart-invariance over cfg["chart_points"] random points and tangents,
+    drawn a point at a time and evaluated one chart at a time over all of
+    them."""
+    count = cfg["chart_points"]
+    points, tangents = np.empty((count, 3)), np.empty((count, 3))
+    drawn = 0
+    while drawn < count:
         vec = rng.normal(size=3)
         vec /= np.linalg.norm(vec)
         if np.max(np.abs(vec)) > 0.99:
             continue  # too close to a chart pole
-        points += 1
-        point = BlochPoint(*vec)
-        tangent = rng.normal(size=3)
-        values = [chart_tangent_metric(point, tangent, axis) for axis in "qpr"]
-        worst = max(worst, (max(values) - min(values)) / max(values))
+        points[drawn] = vec
+        tangents[drawn] = rng.normal(size=3)
+        drawn += 1
+    values = np.array([chart_tangent_metric(points, tangents, axis) for axis in "qpr"])
+    top = values.max(axis=0)
+    worst = np.max((top - values.min(axis=0)) / top, initial=0.0)
     return [below("chart-invariance", "tangent metric agrees across the q/p/r charts",
                   worst, CHART_TOL)], []
 

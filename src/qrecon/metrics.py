@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .butterfly import _integer
 from .exceptions import DomainError, SingularityError
 from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, ThetaAngle,
                         mass_pyramid, prob_from_theta, reconstitute,
@@ -69,10 +70,9 @@ class Tangent:
 
     @classmethod
     def projected(cls, psi: StateVector | np.ndarray, raw: np.ndarray) -> "Tangent":
-        """Remove the norm-changing component Re<psi|raw> psi."""
-        amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
-        return cls(np.asarray(raw, dtype=complex)
-                   - float(np.vdot(amps, raw).real) * amps)
+        """Remove the norm-changing component Re<psi|raw> psi of one state."""
+        amps, raw = _one_state_pair(psi, raw, "a state and a raw tangent")
+        return cls(raw - float(np.vdot(amps, raw).real) * amps)
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -97,6 +97,14 @@ def _as_amps(psi) -> np.ndarray:
 
 def _as_damps(d) -> np.ndarray:
     return d.damps if isinstance(d, Tangent) else np.asarray(d, dtype=complex)
+
+
+def _one_state_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat, non-empty amplitude vectors of one length."""
+    a, b = _as_amps(a), _as_amps(b)
+    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
+        raise DomainError(f"need {what} of one length, (N,)")
+    return a, b
 
 
 def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +307,7 @@ def fubini_study_metric(psi, d):
 
 def fubini_study_distance(psi1, psi2) -> float:
     """arccos sqrt(|<psi1|psi2>|^2) for normalized states, in [0, pi/2]."""
-    a1, a2 = _as_amps(psi1), _as_amps(psi2)
+    a1, a2 = _one_state_pair(psi1, psi2, "two states")
     fid = abs(complex(np.vdot(a1, a2))) ** 2
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
 
@@ -307,7 +315,7 @@ def fubini_study_distance(psi1, psi2) -> float:
 def draw_state(nbits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The draws of one random state of nbits bits: simplex weights, then
     phases uniform on [-pi, pi)."""
-    size = 1 << nbits
+    size = 1 << _integer("nbits", nbits, 0)
     return rng.dirichlet(np.ones(size)), rng.uniform(-math.pi, math.pi, size)
 
 

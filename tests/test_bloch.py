@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qrecon import criteria
 from qrecon.bloch import (BlochPoint, ExtendedCoords, bloch_from_extended,
                           chart_tangent_metric, extended_from_bloch,
                           hadamard_transform, metric_in_coords,
                           pauli_expectations, psi_from_bloch, rebit_conjugate,
                           shift_rotation_2, transformed_phase_jacobian)
+from qrecon.criteria import CHART_TOL
 from qrecon.exceptions import DomainError, SingularityError
 
 
@@ -155,8 +157,11 @@ class TestMetricInCoords:
 
 
 def chart_tangent_metric_oracle(point, velocity, axis, step=2e-4):
-    """chart_tangent_metric as it read before it dropped its per-point chart
-    objects, with the chart map it called: the values it must keep."""
+    """The chain rule by finite differences: follow the great circle through
+    the point along the projected tangent at unit speed, differentiate the
+    chart angles by Richardson-extrapolated central differences, and scale
+    the metric by speed**2.  chart_tangent_metric's closed form must agree
+    with it to CHART_TOL."""
     p = point.as_array()
     v = np.asarray(velocity, dtype=float)
     v = v - np.dot(v, p) * p
@@ -193,15 +198,19 @@ def chart_tangent_metric_oracle(point, velocity, axis, step=2e-4):
 
 
 class TestChartTangentMetricOracle:
-    def test_equals_the_oracle_bit_for_bit(self):
+    def test_agrees_with_the_oracle_within_chart_tol(self):
         rng = np.random.default_rng(2024)
         scales = (1.0, 1e-3, 1e-6, 1e-9)  # short tangents included
+        points, tangents = [], []
         for k in range(20_000):
-            pt = random_point(rng, pole_margin=0.01)
-            tangent = scales[k % len(scales)] * rng.normal(size=3)
-            for axis in "qpr":
-                assert (chart_tangent_metric(pt, tangent, axis)
-                        == chart_tangent_metric_oracle(pt, tangent, axis))
+            points.append(random_point(rng, pole_margin=0.01))
+            tangents.append(scales[k % len(scales)] * rng.normal(size=3))
+        stack = np.array([pt.as_array() for pt in points])
+        for axis in "qpr":
+            closed = chart_tangent_metric(stack, np.array(tangents), axis)
+            oracle = np.array([chart_tangent_metric_oracle(pt, tangent, axis)
+                               for pt, tangent in zip(points, tangents)])
+            assert (np.abs(closed - oracle) <= CHART_TOL * oracle).all()
 
     def test_guards_match_the_oracle(self):
         pole = BlochPoint(0.0, 0.0, 1.0)
@@ -210,6 +219,69 @@ class TestChartTangentMetricOracle:
                 metric(pole, np.array([0.0, 0.0, 2.0]), "q")  # radial only
             with pytest.raises(SingularityError):
                 metric(pole, np.array([1.0, 0.0, 0.0]), "r")
+
+
+ON_SPHERE = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]])
+
+
+class TestChartTangentMetricStack:
+    @pytest.mark.parametrize("axis", "qpr")
+    def test_a_stack_is_the_per_point_calls_byte_for_byte(self, axis):
+        rng = np.random.default_rng(31)
+        points = [random_point(rng, pole_margin=0.01) for _ in range(500)]
+        tangents = rng.normal(size=(500, 3))
+        stacked = chart_tangent_metric(np.array([pt.as_array() for pt in points]),
+                                       tangents, axis)
+        single = np.array([chart_tangent_metric(pt, tangent, axis)
+                           for pt, tangent in zip(points, tangents)])
+        assert stacked.shape == (500,)
+        assert stacked.tobytes() == single.tobytes()
+
+    def test_an_empty_stack_gives_an_empty_array(self):
+        assert chart_tangent_metric(np.empty((0, 3)), np.empty((0, 3)), "q").shape == (0,)
+
+    @pytest.mark.parametrize("point,velocity,axis,exc,match", [
+        (BlochPoint(0.6, 0.8, 0.0), [0.0, 0.0, 1.0], "x", DomainError, "axis"),
+        (BlochPoint(0.6, 0.8, 0.0), [0.0, 1.0], "q", DomainError, "3-vector"),
+        (BlochPoint(0.6, 0.8, 0.0), [np.nan, 0.0, 1.0], "q", DomainError, "non-finite"),
+        (BlochPoint(0.6, 0.8, 0.0), "abc", "q", DomainError, "reals"),
+        (BlochPoint(0.6, 0.8, 0.0), [0.0, 0.0, 1j], "q", DomainError, "reals"),
+        ((0.6, 0.8, 0.0), [0.0, 0.0, 1.0], "q", DomainError, "BlochPoint"),
+        (ON_SPHERE, np.ones((2, 3)), "q", DomainError, "one shape"),
+        (ON_SPHERE[0], np.ones(3), "q", DomainError, "one shape"),
+        (ON_SPHERE * [[1.0], [1.1], [1.0]], np.ones((3, 3)), "q", DomainError,
+         r"off-sphere point \(row 1\)"),
+        (ON_SPHERE * [[1.0], [1.0], [np.nan]], np.ones((3, 3)), "q", DomainError,
+         r"off-sphere point \(row 2\)"),
+        (ON_SPHERE, [[1.0, 0, 0], [1.0, 0, np.inf], [1.0, 0, 0]], "q", DomainError,
+         r"non-finite velocity \(row 1\)"),
+        (ON_SPHERE, [[0, 0, 1.0], ON_SPHERE[1], [0, 0, 1.0]], "q", DomainError,
+         r"zero tangent \(row 1\)"),
+        (np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)), "r",
+         SingularityError, r"chart pole \(row 1\)"),
+    ], ids=["axis", "short-velocity", "nan-velocity", "text-velocity",
+            "complex-velocity", "tuple-point",
+            "stack-shapes", "flat-point-array", "off-sphere-row", "nan-row",
+            "inf-velocity-row", "zero-tangent-row", "pole-row"])
+    def test_bad_input_is_rejected(self, point, velocity, axis, exc, match):
+        with pytest.raises(exc, match=match):
+            chart_tangent_metric(point, velocity, axis)
+
+
+class TestChartSweep:
+    @pytest.mark.parametrize("chart_points", [1, 1_000])
+    def test_one_call_per_axis(self, monkeypatch, chart_points):
+        calls = []
+
+        def counted(point, velocity, axis):
+            calls.append(axis)
+            return chart_tangent_metric(point, velocity, axis)
+
+        monkeypatch.setattr(criteria, "chart_tangent_metric", counted)
+        checks, _ = criteria.chart_sweep({"chart_points": chart_points},
+                                         np.random.default_rng(5))
+        assert calls == ["q", "p", "r"]
+        assert checks[0].passed
 
 
 class TestShiftRotation:
@@ -290,6 +362,10 @@ class TestValidation:
     def test_off_sphere_rejected(self):
         with pytest.raises(DomainError):
             BlochPoint(1.0, 1.0, 0.0)
+
+    def test_nan_component_rejected(self):
+        with pytest.raises(DomainError):
+            BlochPoint(np.nan, 0.0, 0.0)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(DomainError):

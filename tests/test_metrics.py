@@ -408,6 +408,12 @@ def per_sample_and_block(seed, bit_counts):
 
 
 class TestBlockBuilders:
+    @pytest.mark.parametrize("draw", [draw_state, random_state])
+    @pytest.mark.parametrize("nbits", [-1, 2.0, True, np.float64(3.0), "3"])
+    def test_nbits_must_be_a_non_negative_integer(self, draw, nbits):
+        with pytest.raises(DomainError, match="nbits"):
+            draw(nbits, np.random.default_rng(0))
+
     @pytest.mark.parametrize("seed", [0, 7, 401, 20240801])
     def test_block_is_the_stack_of_per_sample_results(self, seed):
         for nbits in range(11):
@@ -501,6 +507,16 @@ class TestFubiniStudyDistance:
             u = haar_unitary(4, rng)
             assert fubini_study_distance(u @ a.amps, u @ b.amps) == pytest.approx(
                 fubini_study_distance(a, b), abs=1e-10)
+
+    @pytest.mark.parametrize("function", [fubini_study_distance, Tangent.projected])
+    @pytest.mark.parametrize("a,b", [
+        (np.ones((2, 2)) / 2.0, np.ones((2, 2)) / 2.0),
+        (np.array([0.6, 0.8]), np.ones(4) / 2.0),
+        (np.array([]), np.array([])),
+    ], ids=["stacks", "lengths-2-and-4", "empty"])
+    def test_shapes_are_checked(self, function, a, b):
+        with pytest.raises(DomainError, match="of one length"):
+            function(a, b)
 
 
 class TestTangent:
