@@ -16,11 +16,15 @@ import argparse
 import csv
 import json
 import math
+import os
+import platform
 import sys
 import time
 import traceback
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import criteria
 from .bloch import BlochPoint
@@ -39,14 +43,17 @@ MAX_REPLICAS = 10**6
 # too small a variance can fail it: 1 - sigma * sqrt(2 / (replicas - 1)) > 0
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # metric-check draws each sample and chart point in Python: at the default
-# levels a run at the samples cap took 32 s, and one at the chart_points cap
-# 13 s with a 174 MB peak (2-core Xeon VM)
+# levels a run at the samples cap took 22 s with a 37 MB peak, and one at the
+# chart_points cap 13 s with a 174 MB peak (2-core Xeon VM)
 MAX_SAMPLES = 10**6
 # metric-check samples x 2**levels, the amplitudes a run draws: a run at this
-# many took 7 s at 20 levels and 29 s at 4 (2-core Xeon VM, one BLAS thread)
+# many took 8 s at 20 levels (247 MB peak) and 22 s at 4 (2-core Xeon VM, one
+# BLAS thread)
 MAX_AMPLITUDES = 1 << 24
 # bench times each size this many times over
 MAX_REPEATS = 10**3
+# the thread counts a BLAS build reads from the environment
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _is_number(value) -> bool:
@@ -200,6 +207,19 @@ def _write_csv(path: Path, fields: list[str], records: list[dict]) -> None:
         writer.writerows(records)
 
 
+def environment(seed: int) -> dict:
+    """What bit-for-bit replay of a seeded run rests on besides the config:
+    the interpreter, numpy (its generator algorithms), the machine and the
+    BLAS thread settings.  Only cheap reads, no subprocess."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "seed": seed,
+    }
+
+
 def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Check],
                  rows: list[dict], elapsed: float,
                  criterion_elapsed: dict[str, float]) -> dict:
@@ -213,6 +233,7 @@ def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Chec
         "elapsed_s": elapsed,
         # wall time of each criterion, keyed by its function's name
         "criterion_elapsed_s": criterion_elapsed,
+        "env": environment(cfg["seed"]),
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2))
     _write_csv(out_dir / "report.csv", ["id", "value", "tolerance", "passed"],

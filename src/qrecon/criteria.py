@@ -90,8 +90,8 @@ def metric_sample(cfg: dict, rng: np.random.Generator):
 
 def _metric_deviations(rows: list) -> tuple[float, float]:
     """The worst fs-factor and recursion deviations of one block of draws."""
-    weights, phases, drho, dphi = (np.array(col) for col in zip(*rows))
-    amps = state_amplitudes(weights, phases)
+    exponentials, uniforms, drho, dphi = (np.array(col) for col in zip(*rows))
+    amps = state_amplitudes(exponentials, uniforms)
     damps = tangent_amplitudes(amps, drho, dphi)
     efm = extended_fisher_metric(amps, damps)
     scale = np.maximum(np.abs(efm), 1e-6)

@@ -9,11 +9,16 @@ and must agree.  The metrics take one state and tangent, or a stack of them
 evaluated in whole-array passes.
 
 Random states and tangents are drawn one sample at a time (`draw_state`,
-`draw_tangent`: the generator calls, in replay order) and built a block at a
-time (`state_amplitudes`, `tangent_amplitudes`: all arithmetic on the draws,
-for one row (N,) or a stack (S, N)).  `random_state` and `random_tangent`
-are the one-row case of the same two steps, so a stacked block is byte for
-byte the stack of the per-sample results.
+`draw_tangent`: only the raw generator calls, in replay order:
+`standard_exponential(N)` and `random(N)` for a state, two
+`standard_normal(N)` for a tangent) and built a block at a time
+(`state_amplitudes`, `tangent_amplitudes`: all arithmetic on the draws, for
+one row (N,) or a stack (S, N)).  The builders turn the raw draws into the
+values of `dirichlet(np.ones(N))`, `uniform(-pi, pi, N)` and
+`normal(0.0, 0.1, N)` bit for bit, in numpy's own operation order.
+`random_state` and `random_tangent` are the one-row case of the same two
+steps, so a stacked block is byte for byte the stack of the per-sample
+results.
 """
 
 from __future__ import annotations
@@ -313,36 +318,85 @@ def fubini_study_distance(psi1, psi2) -> float:
 
 
 def draw_state(nbits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one random state of nbits bits: simplex weights, then
-    phases uniform on [-pi, pi)."""
+    """The raw draws of one random state of nbits bits: N standard
+    exponentials (the Dirichlet weights), then N uniforms on [0, 1) (the
+    phases)."""
     size = 1 << _integer("nbits", nbits, 0)
-    return rng.dirichlet(np.ones(size)), rng.uniform(-math.pi, math.pi, size)
+    return rng.standard_exponential(size), rng.random(size)
 
 
 def draw_tangent(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one random tangent: drho, then dphi increments, each
-    normal with standard deviation 0.1."""
-    return rng.normal(0.0, 0.1, size), rng.normal(0.0, 0.1, size)
+    """The raw draws of one random tangent: size standard normals for drho,
+    then size for dphi."""
+    size = _integer("size", size, 1)
+    return rng.standard_normal(size), rng.standard_normal(size)
 
 
-def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Normalized amplitudes sqrt(rho) e^{i phase} from simplex weights, with
-    every probability floored at 0.1 / N; one row (N,) or a stack (S, N),
-    checked and renormalized per row as StateVector does."""
-    size = weights.shape[-1]
+# The recipes below turn raw draws into Generator.dirichlet(np.ones(N)),
+# Generator.uniform(-pi, pi, N) and Generator.normal(0.0, 0.1, N) values bit
+# for bit: numpy computes each from the same raw draws, in this operation
+# order.
+
+def _dirichlet_weights(exponentials: np.ndarray) -> np.ndarray:
+    """Each exponential times 1 / acc, acc its row's sum taken strictly left
+    to right (np.sum would add pairwise)."""
+    return exponentials * (1.0 / np.add.accumulate(exponentials, axis=-1)[..., -1:])
+
+
+def _uniform_phases(uniforms: np.ndarray) -> np.ndarray:
+    """low + (high - low) u on [low, high) = [-pi, pi)."""
+    return uniforms * (math.pi - -math.pi) + -math.pi
+
+
+def _normal_increments(normals: np.ndarray) -> np.ndarray:
+    """loc + scale z with loc 0 and scale 0.1."""
+    return normals * 0.1 + 0.0
+
+
+def _check_block(**arrays) -> None:
+    """DomainError naming the argument unless the arrays share the first's
+    shape, (N,) or (S, N) with N >= 1, and every row is finite; checked once
+    for a whole block."""
+    shape = None
+    for name, arr in arrays.items():
+        if shape is None:
+            shape = arr.shape
+            if arr.ndim not in (1, 2) or shape[-1] == 0:
+                raise DomainError(f"{name} must be a non-empty row (N,) or a stack "
+                                  f"(S, N), not shape {shape}")
+        elif arr.shape != shape:
+            raise DomainError(f"{name} must have shape {shape}, not {arr.shape}")
+        _reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
+                     f"{name} has a non-finite entry")
+
+
+def state_amplitudes(exponentials: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Normalized amplitudes sqrt(rho) e^{i phase} from draw_state's raw
+    draws: Dirichlet weights with every probability floored at 0.1 / N, and
+    phases uniform on [-pi, pi); one row (N,) or a stack (S, N), checked and
+    renormalized per row as StateVector does."""
+    exponentials, uniforms = np.asarray(exponentials), np.asarray(uniforms)
+    _check_block(exponentials=exponentials, uniforms=uniforms)
+    # a zero row would divide by zero, a negative entry take a negative root
+    _reject_rows((exponentials < 0.0).any(axis=-1) | (exponentials == 0.0).all(axis=-1),
+                 DomainError, "exponentials must be non-negative with a positive sum")
+    size = exponentials.shape[-1]
     min_mass = 0.1 / size
-    rho = weights * (1.0 - size * min_mass) + min_mass
-    return _normalized(np.sqrt(rho) * np.exp(1j * phases))
+    rho = _dirichlet_weights(exponentials) * (1.0 - size * min_mass) + min_mass
+    return _normalized(np.sqrt(rho) * np.exp(1j * _uniform_phases(uniforms)))
 
 
 def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
                        dphi: np.ndarray) -> np.ndarray:
-    """Norm-preserving perturbations of amps from (drho, dphi) increments,
-    each row's drho first shifted to mean zero; one row (N,) or a stack
-    (S, N)."""
+    """Norm-preserving perturbations of amps from draw_tangent's raw draws:
+    normal (drho, dphi) increments with standard deviation 0.1, each row's
+    drho first shifted to mean zero; one row (N,) or a stack (S, N)."""
+    amps, drho, dphi = np.asarray(amps), np.asarray(drho), np.asarray(dphi)
+    _check_block(amps=amps, drho=drho, dphi=dphi)
     rho = np.abs(amps) ** 2
+    drho = _normal_increments(drho)
     drho = drho - drho.mean(axis=-1, keepdims=True)
-    return (drho / (2.0 * np.sqrt(rho)) + 1j * np.sqrt(rho) * dphi) \
+    return (drho / (2.0 * np.sqrt(rho)) + 1j * np.sqrt(rho) * _normal_increments(dphi)) \
         * np.exp(1j * np.angle(amps))
 
 
@@ -354,4 +408,6 @@ def random_state(nbits: int, rng: np.random.Generator) -> StateVector:
 
 def random_tangent(psi: StateVector, rng: np.random.Generator) -> Tangent:
     """Random norm-preserving tangent built from (drho, dphi) increments."""
+    if not isinstance(psi, StateVector):
+        raise DomainError(f"psi must be a StateVector, not {type(psi).__name__}")
     return Tangent(tangent_amplitudes(psi.amps, *draw_tangent(psi.amps.size, rng)))

@@ -1,6 +1,8 @@
 import json
 import math
+import platform
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -524,6 +526,19 @@ class TestDeterminism:
                                in criteria.CRITERIA["metric-check"].values()]
         assert all(t >= 0.0 for t in times.values())
         assert sum(times.values()) <= doc["elapsed_s"]
+
+    def test_report_names_what_replay_rests_on(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert run(["partition-audit", "--seed", "11", "--out", str(tmp_path)]) == 0
+        env = json.loads((tmp_path / "report.json").read_text())["env"]
+        assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+        assert env["numpy"] == np.__version__
+        assert env["machine"] == platform.machine()
+        assert list(env["blas_threads"]) == list(cli.BLAS_THREAD_VARS)
+        assert env["blas_threads"]["OMP_NUM_THREADS"] == "3"
+        assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert env["seed"] == 11
 
     def test_default_metric_check_replays_the_seed_7_sample(self, tmp_path):
         # values of a one-state-at-a-time evaluation: stacking the samples

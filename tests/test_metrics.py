@@ -450,10 +450,88 @@ class TestBlockBuilders:
         assert out[1].tobytes() != amps[1].tobytes()
 
     def test_off_norm_row_is_named(self):
-        weights = np.full((3, 4), 0.25)
-        weights[2, 0] = 0.5
+        amps = np.full((3, 4), 0.5, dtype=complex)
+        amps[2, 0] = 0.75
         with pytest.raises(DomainError, match=r"row 2"):
-            state_amplitudes(weights, np.zeros((3, 4)))
+            metrics._normalized(amps)
+
+    @pytest.mark.parametrize("size", [-1, 0, 2.0, True, np.float64(3.0), "3"])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(DomainError, match="size"):
+            draw_tangent(size, np.random.default_rng(0))
+
+    def test_random_tangent_needs_a_state_vector(self):
+        with pytest.raises(DomainError, match="StateVector"):
+            random_tangent(np.ones(4) / 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("exponentials,uniforms,match", [
+        (np.ones((3, 4)), np.zeros(4), "uniforms must have shape"),
+        (np.ones(4), np.zeros((1, 4)), "uniforms must have shape"),
+        (np.ones(0), np.zeros(0), "exponentials must be a non-empty"),
+        (np.ones((2, 0)), np.zeros((2, 0)), "exponentials must be a non-empty"),
+        (np.ones((1, 2, 4)), np.zeros((1, 2, 4)), "exponentials must be a non-empty"),
+        (np.float64(1.0), np.float64(0.0), "exponentials must be a non-empty"),
+    ], ids=["stack-and-row", "row-and-stack", "empty", "empty-rows", "3-d", "0-d"])
+    def test_state_draws_of_a_bad_shape_are_named(self, exponentials, uniforms, match):
+        with pytest.raises(DomainError, match=match):
+            state_amplitudes(exponentials, uniforms)
+
+    @pytest.mark.parametrize("name,value", [
+        ("exponentials", np.nan), ("exponentials", np.inf), ("uniforms", np.nan),
+    ])
+    def test_non_finite_state_draw_row_is_named(self, name, value):
+        draws = {"exponentials": np.ones((4, 8)), "uniforms": np.zeros((4, 8))}
+        draws[name][3, 5] = value
+        with pytest.raises(DomainError, match=rf"{name} .*\(row 3\)"):
+            state_amplitudes(**draws)
+
+    @pytest.mark.parametrize("row", [np.zeros(8), -np.ones(8), np.r_[-1.0, np.ones(7)]],
+                             ids=["zero", "negative", "one-negative"])
+    def test_exponential_row_without_positive_sum_is_named(self, row):
+        exponentials = np.ones((3, 8))
+        exponentials[1] = row
+        with pytest.raises(DomainError, match=r"exponentials .*\(row 1\)"):
+            state_amplitudes(exponentials, np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("name", ["drho", "dphi"])
+    def test_tangent_draws_must_match_the_states(self, name):
+        amps = state_amplitudes(np.ones((3, 4)), np.zeros((3, 4)))
+        draws = {"drho": np.zeros((3, 4)), "dphi": np.zeros((3, 4))}
+        for bad in (np.zeros(4), np.zeros((3, 8)), np.zeros((2, 4))):
+            with pytest.raises(DomainError, match=f"{name} must have shape"):
+                tangent_amplitudes(amps, **{**draws, name: bad})
+        draws[name][2, 1] = np.nan
+        with pytest.raises(DomainError, match=rf"{name} .*\(row 2\)"):
+            tangent_amplitudes(amps, **draws)
+
+    def test_empty_states_are_named(self):
+        with pytest.raises(DomainError, match="amps must be a non-empty"):
+            tangent_amplitudes(np.ones((2, 0), dtype=complex), np.zeros((2, 0)),
+                               np.zeros((2, 0)))
+
+
+class TestNumpyRecipes:
+    """The raw draws and the builders' recipes give numpy's own dirichlet,
+    uniform and normal values to the byte, and leave the generator where
+    numpy's calls leave it: if numpy changes one of its algorithms, this
+    fails instead of every seeded value drifting silently."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 123, 99991, 20240801])
+    def test_raw_draws_and_recipes_are_numpys_calls(self, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for nbits in range(11):
+            size = 1 << nbits
+            exponentials, uniforms = draw_state(nbits, ours)
+            drho, dphi = draw_tangent(size, ours)
+            built = (metrics._dirichlet_weights(exponentials),
+                     metrics._uniform_phases(uniforms),
+                     metrics._normal_increments(drho), metrics._normal_increments(dphi))
+            expected = (theirs.dirichlet(np.ones(size)),
+                        theirs.uniform(-math.pi, math.pi, size),
+                        theirs.normal(0.0, 0.1, size), theirs.normal(0.0, 0.1, size))
+            for value, numpy_value in zip(built, expected):
+                assert value.tobytes() == numpy_value.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestFubiniStudy:
