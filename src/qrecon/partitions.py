@@ -62,7 +62,9 @@ class Partition:
 
     @classmethod
     def from_sets(cls, domain_width: int, sets: Iterable[Iterable[int]]) -> "Partition":
-        canon = tuple(sorted((tuple(sorted(set(s))) for s in sets), key=lambda s: s[0]))
+        # disjoint sets sort by their least element; an empty one sorts
+        # first and fails validate
+        canon = tuple(sorted(tuple(sorted(set(s))) for s in sets))
         p = cls(domain_width, canon)
         p.validate()
         return p
@@ -71,6 +73,8 @@ class Partition:
         n = self.domain_width
         seen: set[int] = set()
         for s in self.sets:
+            if not s:
+                raise DomainError("partition contains an empty set")
             for x in s:
                 if not 0 <= x < (1 << n):
                     raise DomainError(f"element {x} outside width-{n} domain")

@@ -118,21 +118,30 @@ class ConditionalTree:
         store = []
         for i, lev in enumerate(levels):
             arr = np.asarray(lev, dtype=float)
-            if arr.size != 1 << i:
-                raise DomainError("malformed level width")
+            if arr.ndim != 1 or arr.size != 1 << i:
+                raise DomainError(f"level {depth - i} must be a flat vector of "
+                                  f"{1 << i} values")
+            if not np.isfinite(arr).all():
+                # NaN passes the range test below
+                raise DomainError("conditional probabilities must be finite")
             if arr.min() < 0.0 or arr.max() > 1.0:
                 raise DomainError("conditional probability outside [0, 1]")
             arr.setflags(write=False)
             store.append(arr)
         self._levels = tuple(store)
 
-    def node(self, level: int, suffix: int) -> float:
-        """Probability that bit `level` is 0 given the lower bits `suffix`."""
+    def _row(self, level: int, suffix: int) -> int:
+        """Index into _levels of the node (level, suffix), once both are in
+        range; DomainError otherwise."""
         if not 1 <= level <= self.depth:
             raise DomainError(f"level {level} outside 1..{self.depth}")
         if not 0 <= suffix < (1 << (self.depth - level)):
             raise DomainError("suffix out of range for level")
-        return float(self._levels[self.depth - level][suffix])
+        return self.depth - level
+
+    def node(self, level: int, suffix: int) -> float:
+        """Probability that bit `level` is 0 given the lower bits `suffix`."""
+        return float(self._levels[self._row(level, suffix)][suffix])
 
     def nodes(self) -> Iterator[tuple[int, int, float]]:
         """Yield (level, suffix, p0) from the root (level n) downward."""
@@ -142,8 +151,9 @@ class ConditionalTree:
                 yield level, suffix, float(p0)
 
     def with_node(self, level: int, suffix: int, p0: float) -> "ConditionalTree":
+        row = self._row(level, suffix)
         levels = [lev.copy() for lev in self._levels]
-        levels[self.depth - level][suffix] = p0
+        levels[row][suffix] = p0
         return ConditionalTree(self.depth, levels)
 
 

@@ -203,8 +203,23 @@ class TestDftMatrix:
         for n in range(10):
             size = 1 << n
             j = np.arange(size)
-            whole = np.exp(sign * 2j * np.pi * np.outer(j, j) / size) / math.sqrt(size)
+            whole = (np.exp(sign * 2j * np.pi * (np.outer(j, j) % size) / size)
+                     / math.sqrt(size))
             assert dft_matrix(size, sign).tobytes() == whole.tobytes()
+
+    # each entry is the root of j*k mod N: row 1 holds all N of them, and
+    # every other row repeats them bit for bit (compared a row band at a
+    # time, so no second N x N array exists)
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_entries_depend_on_j_k_mod_n_only(self, n, sign):
+        size = 1 << n
+        mat = dft_matrix(size, sign)
+        j = np.arange(size)
+        for start in range(0, size, 256):
+            band = j[start:start + 256]
+            assert (mat[band].tobytes()
+                    == mat[1][np.outer(band, j) % size].tobytes())
 
 
 class TestApplyButterfly:
@@ -565,8 +580,9 @@ class TestLadderDeviations:
         whole = recursive_dft(n)
         for start in range(0, 1 << n, block):
             cols = np.arange(start, min(start + block, 1 << n))
-            assert (butterfly._recursion_columns(n, cols).tobytes()
-                    == whole[:, cols].tobytes())
+            assert (butterfly._recursion_columns(
+                n, cols, butterfly._roots(1 << n, +1)).tobytes()
+                == whole[:, cols].tobytes())
 
     # N = 2..256 falls below, at and above the default block of 64 columns
     @pytest.mark.parametrize("block", [1, 3, butterfly.LADDER_BLOCK])
@@ -591,8 +607,8 @@ class TestLadderDeviations:
         monkeypatch.setattr(butterfly, "LADDER_BLOCK", 2)
         real = butterfly._dft_columns
 
-        def poisoned(size, cols, sign):
-            out = real(size, cols, sign)
+        def poisoned(roots, cols):
+            out = real(roots, cols)
             if cols[0] == 2:
                 out[0, 0] = np.nan
             return out
@@ -600,3 +616,9 @@ class TestLadderDeviations:
         monkeypatch.setattr(butterfly, "_dft_columns", poisoned)
         dev = butterfly._ladder_deviations(3)
         assert math.isnan(dev["ladder"]) and math.isnan(dev["recursion"])
+
+    # against roots reduced exactly, only the ladder's own rounding is left:
+    # a few ulps at every size, where the old reference grew with sqrt(N)
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_ladder_deviation_is_a_few_ulps(self, n):
+        assert butterfly._ladder_deviations(n)["ladder"] <= 4 * np.finfo(float).eps

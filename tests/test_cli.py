@@ -558,17 +558,17 @@ class TestDeterminism:
             "variance-band-q": 1.0118507348602452,
             "variance-band-p": 1.0277502214966825}),
         ("fft-derive", {}, {
-            "ladder-vs-dft": 1.4339186896849533e-15,
+            "ladder-vs-dft": 1.1443916996305594e-16,
             "unitarity": 4.451433209309296e-16,
             "shift-diagonal": 6.473657049138937e-16,
-            "danielson-lanczos": 1.4339186896849533e-15,
+            "danielson-lanczos": 1.5700924586837752e-16,
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
         ("fft-derive", {"levels": 10}, {
-            "ladder-vs-dft": 2.1777376102360428e-14,
+            "ladder-vs-dft": 5.898059818321144e-17,
             "unitarity": 1.9095053517258334e-15,
             "shift-diagonal": 2.1065000811460206e-15,
-            "danielson-lanczos": 2.1777376102360428e-14,
+            "danielson-lanczos": 6.473657049138937e-16,
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
     ])

@@ -449,6 +449,19 @@ class TestBlockBuilders:
             assert row.tobytes() == StateVector(expected).amps.tobytes()
         assert out[1].tobytes() != amps[1].tobytes()
 
+    # rows off norm by more than SUM_TOL are rescaled; the array pass must
+    # give each row inside the stack the bits it gets alone
+    @pytest.mark.parametrize("size", [1, 16, 1 << 14])
+    def test_a_stack_normalizes_as_its_rows_do_alone(self, size):
+        rng = np.random.default_rng(size)
+        amps = rng.normal(size=(5, size)) + 1j * rng.normal(size=(5, size))
+        amps /= np.sqrt((np.abs(amps) ** 2).sum(axis=1))[:, None]
+        amps *= 1.0 + np.array([0.0, 1e-11, -3e-11, 2e-10, -4e-10])[:, None]
+        out = metrics._normalized(amps)
+        for row, alone in zip(out, amps):
+            assert row.tobytes() == metrics._normalized(alone).tobytes()
+        assert all(a.tobytes() != b.tobytes() for a, b in zip(out[1:], amps[1:]))
+
     def test_off_norm_row_is_named(self):
         amps = np.full((3, 4), 0.5, dtype=complex)
         amps[2, 0] = 0.75

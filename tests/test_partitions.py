@@ -278,6 +278,15 @@ class TestPartitionSets:
         assert p.domain_width == 3
         assert p.sets == ((0, 4), (1, 5), (2, 6), (3, 7))
 
+    @pytest.mark.parametrize("sets", [[[], [0, 1]], [[0, 1], []], [[0], [1], [], []]])
+    def test_an_empty_set_is_rejected(self, sets):
+        with pytest.raises(DomainError, match="empty set"):
+            Partition.from_sets(1, sets)
+
+    def test_validate_rejects_an_empty_set(self):
+        with pytest.raises(DomainError, match="empty set"):
+            Partition(1, ((), (0, 1))).validate()
+
     def test_validation_rejects_overlap_and_gaps(self):
         with pytest.raises(DomainError):
             part(2, (0, 1), (1, 2, 3))

@@ -173,6 +173,36 @@ class TestReconstitute:
         assert np.allclose(d.probs, expected)
 
 
+class TestConditionalTreeValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_node_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ConditionalTree(1, [[bad]])
+        with pytest.raises(DomainError, match="finite"):
+            ConditionalTree(2, [[0.5], [0.5, bad]])
+
+    @pytest.mark.parametrize("levels", [[[[0.5]]], [[0.5], [[0.5, 0.5]]],
+                                        [[0.5], [[0.5], [0.5]]], [0.5]])
+    def test_levels_must_be_flat(self, levels):
+        with pytest.raises(DomainError, match="flat vector"):
+            ConditionalTree(len(levels), levels)
+
+    @pytest.mark.parametrize("level,suffix", [(0, 0), (3, 0), (1, -1), (1, 4),
+                                              (2, 2), (2, -1)])
+    def test_with_node_checks_its_position(self, level, suffix):
+        tree = ConditionalTree(2, [[0.5], [0.5, 0.5]])
+        with pytest.raises(DomainError):
+            tree.node(level, suffix)
+        with pytest.raises(DomainError):
+            tree.with_node(level, suffix, 0.3)
+
+    def test_with_node_value_is_checked(self):
+        tree = ConditionalTree(1, [[0.5]])
+        for bad in (math.nan, -0.1, 1.5):
+            with pytest.raises(DomainError):
+                tree.with_node(1, 0, bad)
+
+
 class TestMarginalize:
     def test_whole_domain(self):
         rng = np.random.default_rng(1)
