@@ -37,22 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exceptions import DomainError
+from .exceptions import DomainError, check_integer
 from .probmodel import RENORM_TOL, Distribution
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _integer(what: str, value, lo: int, hi: int | None = None) -> int:
-    """value as a Python int, if it is a Python or numpy integer (not a
-    bool, not a float) in lo..hi (lo and up for hi None); DomainError
-    otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{what} must be an integer, not {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bounds = f"{lo}..{hi}" if hi is not None else f"{lo} and up"
-        raise DomainError(f"{what} {value} outside {bounds}")
-    return int(value)
 
 
 def _check_sign(sign) -> None:
@@ -67,7 +55,7 @@ def _check_sign(sign) -> None:
 @functools.lru_cache(maxsize=None, typed=True)
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index array br with br[y] = y with its n bits in reversed order."""
-    n = _integer("width", n, 0)
+    n = check_integer("width", n, 0)
     br = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         br = np.concatenate([2 * br, 2 * br + 1])
@@ -81,10 +69,10 @@ def node_position(n: int, l: int, x: int, y: int) -> int:
 
     l = 0 returns x itself; l = n returns the bit reversal of y.
     """
-    n = _integer("width", n, 0)
-    l = _integer("level", l, 0, n)
-    x = _integer("q-index", x, 0, (1 << n) - 1)
-    y = _integer("p-index", y, 0, (1 << n) - 1)
+    n = check_integer("width", n, 0)
+    l = check_integer("level", l, 0, n)
+    x = check_integer("q-index", x, 0, (1 << n) - 1)
+    y = check_integer("p-index", y, 0, (1 << n) - 1)
     mu = 0
     for i in range(l):
         mu = (mu << 1) | ((y >> i) & 1)
@@ -102,7 +90,7 @@ def derive_shift_phases(l: int) -> np.ndarray:
     second half by subtracting pi; the result equals the closed form
     -2*pi*k/2**l to rounding.
     """
-    l = _integer("depth", l, 1)
+    l = check_integer("depth", l, 1)
     values = np.array([0.0, -math.pi])
     for m in range(2, l + 1):
         half = 1 << (m - 1)
@@ -120,9 +108,9 @@ def twiddle_phase(n: int, level: int, k: int) -> float:
     Zero on the first half of each block of 2**(n-level+1) entries, then a
     ramp of -2*pi*(offset into the second half)/blocksize.
     """
-    n = _integer("width", n, 1)
-    level = _integer("twiddle level", level, 1, n - 1)
-    k = _integer("index", k, 0, (1 << n) - 1)
+    n = check_integer("width", n, 1)
+    level = check_integer("twiddle level", level, 1, n - 1)
+    k = check_integer("index", k, 0, (1 << n) - 1)
     block = 1 << (n - level + 1)
     half = block >> 1
     r = k % block
@@ -133,8 +121,8 @@ def twiddle_phase(n: int, level: int, k: int) -> float:
 
 def twiddle_stage(n: int, level: int) -> np.ndarray:
     """Read-only phase vector of the q -> p twiddle diagonal t_level."""
-    n = _integer("width", n, 1)
-    level = _integer("twiddle level", level, 1, n - 1)
+    n = check_integer("width", n, 1)
+    level = check_integer("twiddle level", level, 1, n - 1)
     block = 1 << (n - level + 1)
     half = block >> 1
     r = np.arange(1 << n) % block
@@ -146,8 +134,8 @@ def twiddle_stage(n: int, level: int) -> np.ndarray:
 def stage_matrix(n: int, l: int) -> np.ndarray:
     """Dense operator of stage l: Hadamard cells pairing k and k + L/2 inside
     each contiguous block of L = 2**(n-l+1) components."""
-    n = _integer("width", n, 1)
-    l = _integer("stage", l, 1, n)
+    n = check_integer("width", n, 1)
+    l = check_integer("stage", l, 1, n)
     size = 1 << n
     half = 1 << (n - l)
     mat = np.zeros((size, size))
@@ -180,7 +168,7 @@ class ButterflyPlan:
     def diagonal(self, level: int) -> np.ndarray:
         """Full twiddle diagonal after stage `level`, expanded from its ramp
         alone."""
-        level = _integer("twiddle level", level, 1, self.n - 1)
+        level = check_integer("twiddle level", level, 1, self.n - 1)
         ramp = self.ramps[level - 1]
         row = np.ones(1 << self.n, dtype=complex)
         row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
@@ -198,7 +186,7 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     for a power of two s.  Every ramp is contiguous and read-only, and its
     values are bit-identical to the second halves of twiddle_stage.
     """
-    n = _integer("stage count", n, 1)
+    n = check_integer("stage count", n, 1)
     _check_sign(sign)
     size = 1 << n
     phases = -2.0 * math.pi * np.arange(size >> 1) / size
@@ -220,16 +208,21 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     holds the coefficient of the bit-reversed index); 'natural' undoes the
     permutation.  Matches the dense assemble_transform action to rounding.
 
-    A stack runs all n stages in one kernel call on a C-contiguous copy.
-    On one state the first n - s stages run in place on a copy of psi, s =
-    min(n, TAIL_STAGES).  Below them the ladder is 2**(n-s) independent s-stage
-    ladders, one per contiguous block of 2**s entries, with the plan's last
-    s - 1 ramps: the blocks become the columns of a (2**s, N / 2**s) stack,
-    in bit-reversed block order, and the stack kernel runs the last s stages
-    on all of them at once (Bailey's four-step FFT).  Reading the stack's
-    rows in bit-reversed order then gives the natural order.  Each entry
-    meets the same float operations in the same order as in a pass of all n
-    stages over one array, so the result has the same bits.
+    A state and a stack run the same four steps (Bailey's four-step FFT),
+    with s = min(n, TAIL_STAGES):
+      1. the first n - s stages run in place on a C-contiguous copy of psi;
+      2. below them the ladder is 2**(n-s) independent s-stage ladders, one
+         per contiguous block of 2**s entries (rows, on a stack): the blocks
+         are gathered, in bit-reversed block order and GATHER_ENTRIES
+         entries at a time, into a (2**s, N / 2**s, *cols) tail;
+      3. the last s stages run on the tail as one (2**s, N / 2**s * B)
+         stack, with the plan's last s - 1 ramps, so the short half-blocks
+         of those stages become long rows;
+      4. the tail's rows, read in bit-reversed order, give the natural
+         order; its blocks, read back in bit-reversed order, the ladder's
+         own order.
+    Each entry meets the same float operations in the same order as in a
+    pass of all n stages over one array, so the result has the same bits.
     """
     if order not in ("natural", "bitReversed"):
         raise DomainError(f"unknown order {order!r}")
@@ -238,19 +231,26 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise DomainError("need one state or an (N, B) column stack of the "
                           "plan's length N")
-    work = np.array(psi, dtype=complex, order="C")
-    if work.ndim == 2:
-        kernels.apply_stage_range(work, plan.ramps, n, 1, n)
-        return work[bit_reversal_permutation(n)] if order == "natural" else work
     s = min(n, TAIL_STAGES)
+    work = np.array(psi, dtype=complex, order="C")
     kernels.apply_stage_range(work, plan.ramps, n, 1, n - s)
-    tail = work.reshape(-1, 1 << s)[bit_reversal_permutation(n - s)].T.copy()
-    del work
-    kernels.apply_stage_range(tail, plan.ramps[n - s:], s, 1, s)
-    out = tail[bit_reversal_permutation(s)].reshape(-1)
-    if order == "bitReversed":
-        return out[bit_reversal_permutation(n)]
-    return out
+    # explicit sizes, not -1: an empty stack (B = 0) has no size to infer it
+    cols = psi.shape[1:]
+    blocks = work.reshape(1 << (n - s), 1 << s, *cols)
+    tail = np.empty((1 << s, 1 << (n - s), *cols), dtype=complex)
+    perm = bit_reversal_permutation(n - s)
+    step = max(1, GATHER_ENTRIES // max(1, blocks[0].size))
+    for start in range(0, perm.size, step):
+        chunk = perm[start:start + step]
+        tail[:, start:start + chunk.size] = blocks[chunk].swapaxes(0, 1)
+    del work, blocks
+    kernels.apply_stage_range(tail.reshape(1 << s, tail.size >> s),
+                              plan.ramps[n - s:], s, 1, s)
+    if order == "natural":
+        out = tail[bit_reversal_permutation(s)]
+    else:
+        out = tail.swapaxes(0, 1)[perm]
+    return out.reshape(psi.shape)
 
 
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
@@ -266,14 +266,14 @@ def assemble_transform(n: int, order: str = "natural", sign: int = +1) -> np.nda
     With sign=+1 and natural order this equals dft_matrix(2**n, +1), the
     unitary positive-exponent Fourier matrix, to rounding.
     """
-    n = _integer("width", n, 1)
+    n = check_integer("width", n, 1)
     return transform_columns(np.eye(1 << n, dtype=complex), n, sign, order)
 
 
 def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     """Unitary Fourier matrix exp(sign * 2*pi*i*j*k/N) / sqrt(N), entry (j, k)
     read from the table of N roots at j*k mod N (exact argument reduction)."""
-    size = _integer("size", size, 1)
+    size = check_integer("size", size, 1)
     if size & (size - 1):
         raise DomainError("size must be a power of 2")
     _check_sign(sign)
@@ -308,25 +308,37 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ verifications
 
-# Identity columns per block of the streamed ladder measurement.  At n = 10
-# on a 2-core VM, blocks of 32 to 128 columns took about the same time, and
-# one block of all N columns took about 1.3 times as long.
+# Identity columns per block of the streamed ladder measurement.  With the
+# four-step stack apply, on a 2-core VM (alternated processes, best of 7
+# calls each), blocks of 32 columns took 169-197 ms at n = 10 against
+# 184-210 ms for 64 and 248-272 ms for 128, and at n = 12 4.1-4.3 s against
+# 4.4 s, with a 53 MB process peak against 77 MB.  The value stays 64 until
+# the tests whose ids carry it are renamed with it.
 LADDER_BLOCK = 64
 
-# Stages that apply_butterfly runs on a transposed column stack.  At n = 18
-# on a 2-core VM, a stage with half-blocks of 2 to 16 entries took 2.2 to
-# 5.1 ms on one array, against 1.1 to 1.2 ms for a stage with half-blocks
-# of 4,096 or more.  Tails of 5 to 9 stages gave about the same apply time
-# (medians of 30 to 31 ms over five alternated sweeps); a tail of 4 took
-# about 7% longer.
+# Stages that apply_butterfly runs on its tail stack.  At n = 18 on a
+# 2-core VM, a stage with half-blocks of 2 to 16 entries took 2.2 to 5.1 ms
+# on one array, against 1.1 to 1.2 ms for a stage with half-blocks of 4,096
+# or more.  On one state, tails of 5 to 9 stages gave about the same apply
+# time (medians of 30 to 31 ms over five alternated sweeps) and a tail of 4
+# took about 7% longer; on (1024, 32), (1024, 64) and (4096, 32) stacks,
+# tails of 4 to 10 stages were level within the spread of two sweeps.
 TAIL_STAGES = 6
+
+# Entries per chunk of the block gather into apply_butterfly's tail, so that
+# only one chunk of blocks is ever held twice.  Chunks of 2**11 to 2**20
+# entries gave the same apply times within the spread of two sweeps, on
+# states of n = 10..18 and on (1024, 64), (1024, 128) and (4096, 64)
+# stacks; 2**14 holds the tracemalloc peak of one n = 16 state at 2.3 times
+# its size, where a gather of the whole state makes it 3.
+GATHER_ENTRIES = 1 << 14
 
 
 def _ladder_deviations(n: int) -> dict[str, float]:
     """Worst deviations of the composed ladder F (sign +1, natural order),
     streamed over blocks J of LADDER_BLOCK identity columns.
 
-    Per block, one transform_columns call gives F[:, J], compared with the
+    Per block, one apply_butterfly call gives F[:, J], compared with the
     Fourier columns J ("ladder"), and _recursion_columns gives the half-size
     recursion's columns J, compared with the same Fourier columns
     ("recursion").  A second call on the 2B-column stack [conj(F[:, J]) |
@@ -344,6 +356,7 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     ("half_period").
     """
     size = 1 << n
+    plan = make_plan(n, +1)  # one plan for every block's two calls
     roots = _roots(size, +1)
     phases = np.exp(1j * derive_shift_phases(n))
     worst = np.zeros(5)
@@ -352,10 +365,15 @@ def _ladder_deviations(n: int) -> dict[str, float]:
         diag = (cols, np.arange(cols.size))  # the entries (j, j), j in J
         unit = np.zeros((size, cols.size), dtype=complex)
         unit[diag] = 1.0
-        fwd = transform_columns(unit, n, +1, "natural")
+        fwd = apply_butterfly(plan, unit)
         dft = _dft_columns(roots, cols)
-        stack = np.conj(np.concatenate([fwd, np.roll(fwd, 1, axis=0)], axis=1))
-        gram, shift = np.hsplit(np.conj(transform_columns(stack, n, +1, "natural")), 2)
+        # [conj(F[:, J]) | conj(P F[:, J])], P F[i] = F[i - 1] cyclically
+        stack = np.empty((size, 2 * cols.size), dtype=complex)
+        np.conjugate(fwd, out=stack[:, :cols.size])
+        np.conjugate(fwd[:-1], out=stack[1:, cols.size:])
+        np.conjugate(fwd[-1], out=stack[0, cols.size:])
+        back = apply_butterfly(plan, stack)
+        gram, shift = np.hsplit(np.conjugate(back, out=back), 2)
         shift_diag = shift[diag]
         shift[diag] -= shift_diag  # leaves the off-diagonal part
         worst = np.maximum(worst, [np.abs(fwd - dft).max(),
@@ -368,7 +386,7 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     if n >= 2:
         half = size >> 1
         # stage_matrix(1, 1) @ diag(t[j], t[j + N/2]): column c times entry c
-        pairs = make_plan(n, +1).diagonal(1).reshape(2, half).T
+        pairs = plan.diagonal(1).reshape(2, half).T
         cell = stage_matrix(1, 1) * pairs[:, None, :]
         ones, w = np.ones(half), roots[:half]
         target = np.array([[ones, w], [ones, -w]]).transpose(2, 0, 1)
@@ -403,7 +421,7 @@ def verify_danielson_lanczos(n: int) -> dict:
     through [[1, W^j], [1, -W^j]]/sqrt(2) with W = exp(2*pi*i/N), and that
     recursing that decomposition rebuilds dft_matrix(N, +1) entrywise.
     """
-    n = _integer("level count", n, 2)
+    n = check_integer("level count", n, 2)
     dev = _ladder_deviations(n)
     return {
         "n": n,
@@ -421,7 +439,7 @@ def shift_operator_check(n: int) -> dict:
     The diagonal phases are exactly the depth-n shift phases, tying the
     twiddle derivation to the translation symmetry it came from.
     """
-    n = _integer("level count", n, 1)
+    n = check_integer("level count", n, 1)
     deviations = _ladder_deviations(n)
     return {
         "n": n,

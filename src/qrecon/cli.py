@@ -151,7 +151,7 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "fft-derive": {
         "seed": (0, _integer(0)),
-        # the streamed transform checks take O(N^2 log N) time: 5.2-5.6 s
+        # the streamed transform checks take O(N^2 log N) time: 4.0-4.5 s
         # at 12 levels, about four times more per added level (2-core Xeon VM)
         "levels": (3, _integer(1, 12)),
     },

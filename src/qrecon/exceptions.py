@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer guard that
+every module applies to its widths, levels, sizes and indices."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -16,3 +19,15 @@ class SingularityError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration is malformed (CLI exit code 2)."""
+
+
+def check_integer(what: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int, if it is a Python or numpy integer (not a
+    bool, not a float) in lo..hi (lo and up for hi None); DomainError
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, not {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"{lo}..{hi}" if hi is not None else f"{lo} and up"
+        raise DomainError(f"{what} {value} outside {bounds}")
+    return int(value)

@@ -8,10 +8,10 @@ follows stage l < n.  psi may be one state of N = 2**n components or a
 C-contiguous (N, B) stack of B column states; on a stack each stage works on
 every column at once, so its innermost loops run along the B columns (with
 the ramp broadcast down them) and stay long even where the stage's halves
-are short.  `butterfly.apply_butterfly` uses both forms: it runs all n
-stages on a column stack in one call, and on one state it runs the first
-n - 6 stages on the state and the last 6 on a transposed (64, N/64) stack
-of its 64-entry blocks.  BACKEND names the kernel for reports.
+are short.  `butterfly.apply_butterfly` makes two calls per transform, on
+one state and on a stack alike: the first n - 6 stages run on the input
+itself, and the last 6 on a (64, N/64 * B) stack of its 64-entry blocks.
+BACKEND names the kernel for reports.
 """
 
 from __future__ import annotations

@@ -11,13 +11,13 @@ equality is value equality.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .exceptions import DomainError, RangeError
+import numpy as np
+
+from .exceptions import DomainError, RangeError, check_integer
 
 ENUMERATION_WIDTH_CAP = 4  # brute-force searches refuse above this width
 
@@ -32,6 +32,8 @@ class DigitSubsetSet:
     pattern: int
 
     def __post_init__(self):
+        for what in ("width", "lo", "hi", "pattern"):
+            check_integer(what, getattr(self, what), 0)
         if not (1 <= self.lo <= self.hi <= self.width):
             raise DomainError(
                 f"need 1 <= lo <= hi <= width, got lo={self.lo} hi={self.hi} "
@@ -119,8 +121,8 @@ def make_lsb_partition(n: int, l: int) -> Partition:
     least significant bits).  Set mu collects every x with x mod 2**(n-l+1)
     == mu; each set has 2**(l-1) elements.
     """
-    if not 1 <= l <= n:
-        raise DomainError(f"level l={l} outside 1..{n}")
+    n = check_integer("width", n, 1)
+    l = check_integer("level l", l, 1, n)
     period = 1 << (n - l + 1)
     sets = [tuple(range(mu, 1 << n, period)) for mu in range(period)]
     return Partition.from_sets(n, sets)
@@ -200,6 +202,7 @@ def enumerate_binary_partitions(n: int) -> list[Partition]:
     Refuses n > ENUMERATION_WIDTH_CAP: the count C(2^n - 1, 2^(n-1) - 1)
     explodes combinatorially.
     """
+    n = check_integer("width", n, 1)
     if n > ENUMERATION_WIDTH_CAP:
         raise DomainError(f"enumeration capped at width {ENUMERATION_WIDTH_CAP}")
     size = 1 << n
@@ -215,32 +218,41 @@ def enumerate_binary_partitions(n: int) -> list[Partition]:
 
 def shift_invariant_equal_partitions(n: int, cardinality: int) -> list[Partition]:
     """Exhaustive search for shift-invariant partitions with `cardinality`
-    equal-size sets.
+    equal-size sets, in the order itertools.combinations lists their 0-sets.
 
     Any shift-invariant partition is the orbit of its 0-set under +1: every
     block contains some x, and the block of x is the 0-block shifted by x.
     Enumerating all candidate 0-blocks of the right size is therefore a
-    complete search.  A candidate is a 2**n-bit mask, so its shift by +k is
-    a rotation of the mask, its orbit a set of masks and its coverage their
-    OR; each surviving orbit is re-checked directly.
+    complete search.  A candidate is a 2**n-bit mask, the odd masks with as
+    many bits as a block has members, so its shift by +k is a rotation of
+    the mask.  One array pass takes every rotation of every candidate; the
+    orbit size is the count of distinct rotations and the coverage their
+    OR.  Each surviving orbit becomes a Partition and is re-checked
+    directly.
     """
+    n = check_integer("width", n, 0)
     if n > ENUMERATION_WIDTH_CAP:
         raise DomainError(f"enumeration capped at width {ENUMERATION_WIDTH_CAP}")
-    if cardinality & (cardinality - 1) or not 1 <= cardinality <= (1 << n):
+    cardinality = check_integer("cardinality", cardinality, 1, 1 << n)
+    if cardinality & (cardinality - 1):
         raise DomainError("cardinality must be a power of 2 within the domain")
     size = 1 << n
-    block = size // cardinality
     full = (1 << size) - 1
+    # the cap keeps masks below 2**16, so every rotation fits an int32
+    masks = np.arange(1, full + 1, 2, dtype=np.int32)
+    masks = masks[np.bitwise_count(masks) == size // cardinality]
+    shifts = np.arange(size, dtype=np.int32)[:, None]
+    orbits = masks << shifts
+    orbits |= masks >> (size - shifts)
+    orbits &= full
+    orbits.sort(axis=0)
+    distinct = 1 + np.count_nonzero(np.diff(orbits, axis=0), axis=0)
+    keep = (distinct == cardinality) & (np.bitwise_or.reduce(orbits, axis=0) == full)
     found = []
-    for extra in itertools.combinations(range(1, size), block - 1):
-        base = 1 + sum(1 << x for x in extra)
-        orbit = {((base << k) | (base >> (size - k))) & full for k in range(size)}
-        if len(orbit) != cardinality:
-            continue
-        if functools.reduce(operator.or_, orbit) != full:
-            continue
+    for orbit in orbits[:, keep].T.tolist():
         p = Partition.from_sets(
-            n, [[x for x in range(size) if (mask >> x) & 1] for mask in orbit])
+            n, [[x for x in range(size) if (mask >> x) & 1] for mask in set(orbit)])
         if is_invariant_under_shift(p):
             found.append(p)
-    return found
+    # every 0-set is the first set of its partition
+    return sorted(found, key=lambda p: p.sets[0])

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, check_integer
 from .partitions import Partition
 
 SUM_TOL = 1e-12          # accepted deviation of sum(probs) from 1
@@ -112,6 +112,7 @@ class ConditionalTree:
     def __init__(self, depth: int, levels: Sequence[Sequence[float]]):
         # levels[0] is the root level (level n, one node), levels[-1] the
         # deepest level (level 1, 2**(n-1) nodes).
+        depth = check_integer("depth", depth, 0)
         if len(levels) != depth:
             raise DomainError("level count does not match depth")
         self.depth = depth
@@ -133,10 +134,8 @@ class ConditionalTree:
     def _row(self, level: int, suffix: int) -> int:
         """Index into _levels of the node (level, suffix), once both are in
         range; DomainError otherwise."""
-        if not 1 <= level <= self.depth:
-            raise DomainError(f"level {level} outside 1..{self.depth}")
-        if not 0 <= suffix < (1 << (self.depth - level)):
-            raise DomainError("suffix out of range for level")
+        level = check_integer("level", level, 1, self.depth)
+        check_integer("suffix", suffix, 0, (1 << (self.depth - level)) - 1)
         return self.depth - level
 
     def node(self, level: int, suffix: int) -> float:

@@ -518,6 +518,64 @@ class TestColumnStackKernel:
         assert mat[0, 0] == 1.0 and not mat[1:].any()
 
 
+class TestFourStepStack:
+    """A stack runs the same four steps as one state: stages in place, the
+    blocks gathered into a tail chunk by chunk, the tail stages, the rows
+    read back."""
+
+    # 1,000 entries: at most 15 blocks of 64 per chunk, so from n = 10 on a
+    # gather spans several chunks and ends in a partial one
+    @pytest.mark.parametrize("gather", [butterfly.GATHER_ENTRIES, 1000])
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("cols", [1, 5, 64, 128])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stack_equals_per_column_states_bit_for_bit(
+            self, n, cols, sign, order, gather, monkeypatch):
+        monkeypatch.setattr(butterfly, "GATHER_ENTRIES", gather)
+        rng = np.random.default_rng(700 + n)
+        stack = (rng.normal(size=(1 << n, cols))
+                 + 1j * rng.normal(size=(1 << n, cols)))
+        plan = make_plan(n, sign)
+        columns = np.stack([apply_butterfly(plan, stack[:, j], order)
+                            for j in range(cols)], axis=1)
+        assert apply_butterfly(plan, stack, order).tobytes() == columns.tobytes()
+
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_one_pass_of_all_stages_bit_for_bit(self, n, sign, order):
+        rng = np.random.default_rng(800 + n)
+        stack = rng.normal(size=(1 << n, 7)) + 1j * rng.normal(size=(1 << n, 7))
+        plan = make_plan(n, sign)
+        one_pass = stack.copy()
+        kernels.apply_stages_inplace(one_pass, plan.ramps, n)
+        if order == "natural":
+            one_pass = one_pass[bit_reversal_permutation(n)]
+        assert apply_butterfly(plan, stack, order).tobytes() == one_pass.tobytes()
+
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_an_empty_stack_gives_an_empty_stack(self, n, order):
+        out = apply_butterfly(make_plan(n), np.ones((1 << n, 0)), order)
+        assert out.shape == (1 << n, 0) and out.dtype == complex
+
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    def test_one_state_holds_no_second_full_size_temporary(self, order):
+        # the copy of the state and the tail are two states; a gather of all
+        # blocks at once would make a third
+        n = 16
+        psi = random_psi(np.random.default_rng(4), n)
+        plan = make_plan(n)
+        tracemalloc.start()
+        try:
+            apply_butterfly(plan, psi, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * psi.nbytes
+
+
 @functools.lru_cache(maxsize=None)
 def recursive_dft(m):
     """The Danielson-Lanczos recursion for the 2**m-point Fourier matrix, a

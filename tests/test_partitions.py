@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -39,6 +41,27 @@ def shift_invariant_equal_partitions_oracle(n: int, cardinality: int) -> list[Pa
         if len(covered) != size:
             continue
         p = Partition.from_sets(n, orbit)
+        if is_invariant_under_shift(p):
+            found.append(p)
+    return found
+
+
+def shift_invariant_equal_partitions_loop(n: int, cardinality: int) -> list[Partition]:
+    """The search as one Python loop over itertools.combinations: an oracle
+    for the array pass, with the order of its results."""
+    size = 1 << n
+    block = size // cardinality
+    full = (1 << size) - 1
+    found = []
+    for extra in itertools.combinations(range(1, size), block - 1):
+        base = 1 + sum(1 << x for x in extra)
+        orbit = {((base << k) | (base >> (size - k))) & full for k in range(size)}
+        if len(orbit) != cardinality:
+            continue
+        if functools.reduce(operator.or_, orbit) != full:
+            continue
+        p = Partition.from_sets(
+            n, [[x for x in range(size) if (mask >> x) & 1] for mask in orbit])
         if is_invariant_under_shift(p):
             found.append(p)
     return found
@@ -270,6 +293,40 @@ class TestShiftInvariantSearch:
         for c in range(n + 1):
             assert (shift_invariant_equal_partitions(n, 1 << c)
                     == shift_invariant_equal_partitions_oracle(n, 1 << c))
+
+
+class TestArraySearch:
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_equals_the_loop_in_its_order(self, n):
+        for c in range(n + 1):
+            assert (shift_invariant_equal_partitions(n, 1 << c)
+                    == shift_invariant_equal_partitions_loop(n, 1 << c))
+
+
+# a float, a bool or a negative width is not a width, level or cardinality
+@pytest.mark.parametrize("call", [
+    lambda: shift_invariant_equal_partitions(-1, 1),
+    lambda: shift_invariant_equal_partitions(2.0, 2),
+    lambda: shift_invariant_equal_partitions(2, 2.0),
+    lambda: shift_invariant_equal_partitions(True, 2),
+    lambda: shift_invariant_equal_partitions(2, True),
+    lambda: enumerate_binary_partitions(-1),
+    lambda: enumerate_binary_partitions(0),
+    lambda: enumerate_binary_partitions(2.0),
+    lambda: make_lsb_partition(2.0, 1),
+    lambda: make_lsb_partition(2, 1.0),
+    lambda: make_lsb_partition(True, True),
+    lambda: DigitSubsetSet(2.0, 1, 2, 0),
+    lambda: DigitSubsetSet(2, True, 2, 0),
+    lambda: DigitSubsetSet(2, 1, 2, 0.0),
+], ids=["search-width-negative", "search-width-float", "search-card-float",
+        "search-width-true", "search-card-true", "binary-width-negative",
+        "binary-width-0", "binary-width-float", "lsb-width-float",
+        "lsb-level-float", "lsb-true-true", "digit-width-float",
+        "digit-lo-true", "digit-pattern-float"])
+def test_integer_arguments_are_checked(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestPartitionSets:

@@ -202,6 +202,27 @@ class TestConditionalTreeValidation:
             with pytest.raises(DomainError):
                 tree.with_node(1, 0, bad)
 
+    # a float or a bool is not a level, a suffix or a depth, even when it
+    # equals one
+    @pytest.mark.parametrize("level,suffix", [(1, 0.0), (1.0, 0), (True, 1),
+                                              (2, False), (np.int64(1), 1.0)])
+    def test_node_positions_must_be_integers(self, level, suffix):
+        tree = ConditionalTree(2, [[0.5], [0.5, 0.5]])
+        with pytest.raises(DomainError):
+            tree.node(level, suffix)
+        with pytest.raises(DomainError):
+            tree.with_node(level, suffix, 0.3)
+
+    @pytest.mark.parametrize("depth", [True, 1.0, -1])
+    def test_depth_must_be_a_non_negative_integer(self, depth):
+        with pytest.raises(DomainError):
+            ConditionalTree(depth, [[0.5]])
+
+    def test_numpy_integer_positions_are_taken(self):
+        tree = ConditionalTree(np.int64(2), [[0.5], [0.25, 0.75]])
+        assert tree.depth == 2 and type(tree.depth) is int
+        assert tree.node(np.int32(1), np.uint8(1)) == 0.75
+
 
 class TestMarginalize:
     def test_whole_domain(self):
