@@ -136,15 +136,10 @@ def stage_matrix(n: int, l: int) -> np.ndarray:
     each contiguous block of L = 2**(n-l+1) components."""
     n = check_integer("width", n, 1)
     l = check_integer("stage", l, 1, n)
-    size = 1 << n
-    half = 1 << (n - l)
-    mat = np.zeros((size, size))
-    for b in range(0, size, 2 * half):
-        for k in range(half):
-            i, j = b + k, b + k + half
-            mat[i, i] = mat[i, j] = mat[j, i] = _INV_SQRT2
-            mat[j, j] = -_INV_SQRT2
-    return mat
+    # integer Kronecker factors, scaled once: a float -1/sqrt(2) times a
+    # zero of the identity would leave -0.0 entries
+    cell = np.kron([[1, 1], [1, -1]], np.eye(1 << (n - l), dtype=int))
+    return np.kron(np.eye(1 << (l - 1), dtype=int), cell) * _INV_SQRT2
 
 
 # ------------------------------------------------------------------- plans
@@ -312,9 +307,8 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray) -> np.ndarray:
 # four-step stack apply, on a 2-core VM (alternated processes, best of 7
 # calls each), blocks of 32 columns took 169-197 ms at n = 10 against
 # 184-210 ms for 64 and 248-272 ms for 128, and at n = 12 4.1-4.3 s against
-# 4.4 s, with a 53 MB process peak against 77 MB.  The value stays 64 until
-# the tests whose ids carry it are renamed with it.
-LADDER_BLOCK = 64
+# 4.4 s, with a 53 MB process peak against 77 MB.
+LADDER_BLOCK = 32
 
 # Stages that apply_butterfly runs on its tail stack.  At n = 18 on a
 # 2-core VM, a stage with half-blocks of 2 to 16 entries took 2.2 to 5.1 ms

@@ -36,8 +36,8 @@ CONFIG_VERSION = 1
 # pi/3 (5,000 replicas, seeds 1..20) reads 1.002 from 2**56 to 2**60, then
 # 1.008 at 2**61, 1.051 at 2**62 and 1.132 at 2**63 - 1, where 1 is due
 MAX_TRIALS = 2**60
-# keeps each replica index one uint32 spawn-key word and the arrays of
-# replica keys (16 bytes a replica) small
+# bounds a run's estimate arrays (24 bytes a replica at the peak) and its
+# time: at 10**6 replicas a three-observable run draws 3 * 10**6 binomials
 MAX_REPLICAS = 10**6
 # the fewest replicas whose variance band has its lower edge above 0, so that
 # too small a variance can fail it: 1 - sigma * sqrt(2 / (replicas - 1)) > 0

@@ -6,19 +6,13 @@ one {observable: theta} dict, and the maximum-likelihood estimate maps the
 observed frequency back through the same chart.  The experiment reports the
 spread of its estimates; `qrecon.criteria` judges them.
 
-Randomness comes from counter-based Philox streams (Salmon et al., SC 2011)
-keyed by (master seed, observable, replica), so each replica's draws depend
-only on its key and replay bit-identically from the seed.
-`measurement_stream` defines a stream: the Philox key is
-`SeedSequence(entropy=seed, spawn_key=(observable code, replica))`.
-A tomography experiment computes the keys of all its replicas in one uint32
-array pass that redoes numpy's SeedSequence mixing (a test pins them to
-numpy's keys), and reuses one bit generator, setting each replica's key
-with a zero counter, so its draws equal those of `measurement_stream`.
-The bit generator is reset from plain Python ints, which its state setter
-converts faster than numpy items; the keys are turned into ints one
-bounded chunk of `KEY_CHUNK` replicas at a time, so memory stays linear
-in the uint64 key array.
+Randomness comes from counter-based Philox streams (Salmon et al., SC 2011),
+one per (master seed, observable): `measurement_stream` keys it with
+`SeedSequence(entropy=seed, spawn_key=(observable code,))`.  Replica r of a
+tomography experiment is the r-th binomial draw of its observable's stream,
+so all replicas come from one array draw, replay bit-identically from the
+seed, and the first k replicas of any run are those of a k-replica run.
+`simulate_bernoulli` is replica 0.
 """
 
 from __future__ import annotations
@@ -28,29 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, check_integer
 from .probmodel import ThetaAngle, prob_from_theta, theta_from_prob
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
 
-# Replica keys become Python ints this many at a time.  As a list a key
-# takes about 150 B, against 16 B in the uint64 array: a chunk of 1,024 is
-# about 150 KB, where a list of every key would grow with the replicas.
-KEY_CHUNK = 1024
-
-
-def measurement_stream(master_seed: int, observable: str, replica: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, observable, replica) cell."""
-    code = OBSERVABLE_CODES[observable]
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(code, replica))
+def measurement_stream(master_seed: int, observable: str) -> np.random.Generator:
+    """Independent Philox stream for one (seed, observable) pair."""
+    seed = check_integer("seed", master_seed, 0)
+    if observable not in OBSERVABLE_CODES:
+        raise DomainError(f"unknown observable {observable!r}; expected one of "
+                          f"{', '.join(OBSERVABLE_CODES)}")
+    seq = np.random.SeedSequence(entropy=seed,
+                                 spawn_key=(OBSERVABLE_CODES[observable],))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -69,14 +54,25 @@ class MeasurementSample:
         return sum(self.counts)
 
 
-def simulate_bernoulli(theta: ThetaAngle | float, trials: int, seed: int,
-                       observable: str = "q", replica: int = 0) -> MeasurementSample:
-    """Draw `trials` i.i.d. binary outcomes with P(0) = cos^2(theta/2)."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
+def _replica_zeros(theta: ThetaAngle | float, trials: int, seed: int,
+                   observable: str, replicas: int) -> np.ndarray:
+    """Counts of outcome 0 of the first `replicas` replicas, `trials`
+    outcomes each: replica r is the r-th binomial draw of the (seed,
+    observable) stream."""
+    if not isinstance(theta, ThetaAngle) and not math.isfinite(theta):
+        raise DomainError(f"observable {observable}: theta {theta} is not finite")
+    # numpy's binomial takes the trial count as an int64
+    check_integer(f"observable {observable}: trials", trials, 1,
+                  np.iinfo(np.int64).max)
     p0, _ = prob_from_theta(theta)
-    rng = measurement_stream(seed, observable, replica)
-    zeros = int(rng.binomial(trials, p0))
+    return measurement_stream(seed, observable).binomial(trials, p0, size=replicas)
+
+
+def simulate_bernoulli(theta: ThetaAngle | float, trials: int, seed: int,
+                       observable: str = "q") -> MeasurementSample:
+    """Draw `trials` i.i.d. binary outcomes with P(0) = cos^2(theta/2):
+    replica 0 of a tomography experiment with this seed."""
+    zeros = int(_replica_zeros(theta, trials, seed, observable, 1)[0])
     return MeasurementSample((zeros, trials - zeros))
 
 
@@ -127,83 +123,12 @@ class TomographyReport:
         ]
 
 
-def _replica_keys(master_seed: int, code: int, replicas: int) -> np.ndarray:
-    """(replicas, 2) uint64 Philox keys: row r is
-    `SeedSequence(entropy=master_seed, spawn_key=(code, r)).generate_state(2,
-    np.uint64)`, for code and every r below 2**32 (one spawn-key word each).
-
-    Every entropy word is a uint32 array: shape (1,) for the words all
-    replicas share, (replicas,) for the replica index, so one pass of
-    numpy's mixing serves every replica.  The hash constants advance the
-    same way for all replicas and stay Python ints.
-    """
-    words = []
-    while True:  # the seed's uint32 words, low first; 0 is one word
-        words.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    # a spawn key follows, so the run entropy is zero-padded to the pool size
-    words += [0] * (_POOL_SIZE - len(words)) + [code]
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(replicas, dtype=np.uint32))
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const  # uint32 arrays wrap mod 2**32, as in C
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    # generate_state(2, np.uint64): four uint32 words, paired little-endian
-    hash_const = _INIT_B
-    state = np.empty((replicas, _POOL_SIZE), dtype="<u4")
-    for i in range(_POOL_SIZE):
-        data = pool[i] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        data = data * hash_const
-        state[:, i] = data ^ (data >> _XSHIFT)
-    return state.view("<u8").astype(np.uint64)
-
-
 def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
                        replicas: int) -> np.ndarray:
-    """The MLE of each replica's `simulate_bernoulli` sample: one Philox is
-    reset to each replica's key (zero counter, empty buffer), which draws
-    exactly what that replica's `measurement_stream` would."""
-    p0, _ = prob_from_theta(theta)
-    keys = _replica_keys(seed, OBSERVABLE_CODES[observable], replicas)
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    key_state = {"counter": (0, 0, 0, 0), "key": None}
-    state = {"bit_generator": "Philox", "state": key_state,
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    out = np.empty(replicas)
-    for start in range(0, replicas, KEY_CHUNK):
-        for r, key in enumerate(keys[start:start + KEY_CHUNK].tolist(), start):
-            key_state["key"] = key
-            bitgen.state = state
-            zeros = rng.binomial(trials, p0)
-            # scalar math: np.arccos(np.sqrt(...)) on the array is not
-            # bit-identical to it, and int / int rounds once for any trials
-            out[r] = 2.0 * math.acos(math.sqrt(zeros / trials))
-    return out
+    """Each replica's maximum-likelihood estimate 2*arccos(sqrt(N0/M)), in
+    one array pass."""
+    zeros = _replica_zeros(theta, trials, seed, observable, replicas)
+    return 2.0 * np.arccos(np.sqrt(zeros / trials))
 
 
 def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
@@ -226,14 +151,12 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     unknown = sorted(set(trials) - set(thetas))
     if unknown:
         raise DomainError(f"observable {unknown[0]}: trial count given but no angle")
-    if replicas < 2:
+    if check_integer("replicas", replicas, 0) < 2:
         raise DomainError("need at least two replicas for a variance")
     summaries = []
     for name in sorted(trials):
         theta = thetas[name]
         m = trials[name]
-        if m < 1:
-            raise DomainError(f"observable {name}: need at least one trial")
         est = _replica_estimates(theta, m, seed, name, replicas)
         var_hat = float(np.var(est, ddof=1))
         precision = 1.0 / (m * var_hat) if var_hat > 0.0 else math.inf

@@ -142,6 +142,20 @@ class TestStageMatrix:
             assert np.linalg.norm(stage_matrix(3, l) @ psi) == pytest.approx(
                 1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_cell_loop_bit_for_bit(self, n):
+        # the per-cell construction: +0.0 off the cells, +-1/sqrt(2) on them
+        size = 1 << n
+        for l in range(1, n + 1):
+            half = 1 << (n - l)
+            loop = np.zeros((size, size))
+            for b in range(0, size, 2 * half):
+                for k in range(half):
+                    i, j = b + k, b + k + half
+                    loop[i, i] = loop[i, j] = loop[j, i] = butterfly._INV_SQRT2
+                    loop[j, j] = -butterfly._INV_SQRT2
+            assert stage_matrix(n, l).tobytes() == loop.tobytes()
+
 
 class TestAssembleTransform:
     def test_single_level_is_hadamard(self):
@@ -632,7 +646,8 @@ def dense_deviations(n):
 
 
 class TestLadderDeviations:
-    @pytest.mark.parametrize("block", [1, 3, butterfly.LADDER_BLOCK])
+    @pytest.mark.parametrize("block", [
+        1, 3, pytest.param(butterfly.LADDER_BLOCK, id="default")])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_recursion_columns_equal_the_whole_matrix(self, n, block):
         whole = recursive_dft(n)
@@ -642,8 +657,9 @@ class TestLadderDeviations:
                 n, cols, butterfly._roots(1 << n, +1)).tobytes()
                 == whole[:, cols].tobytes())
 
-    # N = 2..256 falls below, at and above the default block of 64 columns
-    @pytest.mark.parametrize("block", [1, 3, butterfly.LADDER_BLOCK])
+    # N = 2..256 falls below, at and above the default block of columns
+    @pytest.mark.parametrize("block", [
+        1, 3, pytest.param(butterfly.LADDER_BLOCK, id="default")])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_streamed_equal_the_dense_passes(self, n, block, monkeypatch):
         monkeypatch.setattr(butterfly, "LADDER_BLOCK", block)

@@ -554,9 +554,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kind,extra,pinned", [
         ("tomography", {}, {
-            "precision-parity": 0.015590781703531287,
-            "variance-band-q": 1.0118507348602452,
-            "variance-band-p": 1.0277502214966825}),
+            "precision-parity": 0.024602268388916416,
+            "variance-band-q": 0.9960339946990404,
+            "variance-band-p": 1.0208438800906623}),
         ("fft-derive", {}, {
             "ladder-vs-dft": 1.1443916996305594e-16,
             "unitarity": 4.451433209309296e-16,

@@ -4,12 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrecon import cli, criteria
 from qrecon.bloch import BlochPoint
 from qrecon.exceptions import DomainError
-from qrecon.sampling import (KEY_CHUNK, MeasurementSample, _replica_estimates,
-                             _replica_keys, chi2_band, measurement_stream,
+from qrecon.sampling import (MeasurementSample, _replica_estimates,
+                             _replica_zeros, chi2_band, measurement_stream,
                              mle_theta, simulate_bernoulli,
                              tomography_experiment)
+
+
+def mle_replicas(theta, trials, seed, replicas):
+    """mle_theta of each of the first `replicas` replicas of observable q."""
+    return [mle_theta(MeasurementSample((z, trials - z)))[0]
+            for z in _replica_zeros(theta, trials, seed, "q", replicas).tolist()]
 
 
 class TestSimulateBernoulli:
@@ -32,39 +39,55 @@ class TestSimulateBernoulli:
             simulate_bernoulli(1.0, 0, seed=0)
 
     def test_deterministic_per_key(self):
-        a = simulate_bernoulli(1.0, 1000, seed=3, observable="q", replica=5)
-        b = simulate_bernoulli(1.0, 1000, seed=3, observable="q", replica=5)
-        c = simulate_bernoulli(1.0, 1000, seed=3, observable="q", replica=6)
-        d = simulate_bernoulli(1.0, 1000, seed=3, observable="p", replica=5)
+        a = simulate_bernoulli(1.0, 1000, seed=3, observable="q")
+        b = simulate_bernoulli(1.0, 1000, seed=3, observable="q")
+        c = simulate_bernoulli(1.0, 1000, seed=4, observable="q")
+        d = simulate_bernoulli(1.0, 1000, seed=3, observable="p")
         assert a == b
         assert a != c or a != d  # distinct streams decorrelate
+
+    # seed -1 once looped without end, growing a list of the seed's words
+    @pytest.mark.parametrize("call", [
+        lambda: simulate_bernoulli(1.0, 10, seed=-1),
+        lambda: tomography_experiment({"q": 1.0}, {"q": 10}, seed=-1, replicas=10),
+        lambda: simulate_bernoulli(1.0, 10, seed=1.5),
+        lambda: tomography_experiment({"q": 1.0}, {"q": 10}, seed=1.5, replicas=10),
+        lambda: simulate_bernoulli(1.0, True, seed=1),
+        lambda: tomography_experiment({"q": 1.0}, {"q": True}, seed=1, replicas=10),
+        lambda: simulate_bernoulli(1.0, 10.5, seed=1),
+        lambda: tomography_experiment({"q": 1.0}, {"q": 10.5}, seed=1, replicas=10),
+        lambda: simulate_bernoulli(1.0, 2.5, seed=1),
+        lambda: simulate_bernoulli(1.0, 2**63, seed=1),
+        lambda: tomography_experiment({"q": 1.0}, {"q": 10}, seed=1, replicas=2.5),
+        lambda: simulate_bernoulli(1.0, 10, seed=1, observable="x"),
+        lambda: tomography_experiment({"x": 1.0}, {"x": 10}, seed=1, replicas=10),
+        lambda: simulate_bernoulli(math.nan, 10, seed=1),
+        lambda: tomography_experiment({"q": math.nan}, {"q": 10}, seed=1,
+                                      replicas=10),
+        lambda: simulate_bernoulli(math.inf, 10, seed=1),
+    ], ids=["seed-negative", "tomography-seed-negative", "seed-float",
+            "tomography-seed-float", "trials-true", "tomography-trials-true",
+            "trials-float", "tomography-trials-float", "trials-2.5",
+            "trials-past-int64", "tomography-replicas-float",
+            "observable-unknown", "tomography-observable-unknown", "theta-nan",
+            "tomography-theta-nan", "theta-inf"])
+    def test_bad_arguments_raise_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestMeasurementStream:
     def test_streams_are_reproducible(self):
-        x = measurement_stream(11, "p", 3).integers(0, 1 << 30, 8)
-        y = measurement_stream(11, "p", 3).integers(0, 1 << 30, 8)
+        x = measurement_stream(11, "p").integers(0, 1 << 30, 8)
+        y = measurement_stream(11, "p").integers(0, 1 << 30, 8)
         assert np.array_equal(x, y)
 
     def test_streams_differ_across_cells(self):
-        base = measurement_stream(11, "p", 3).integers(0, 1 << 30, 8)
-        other = measurement_stream(11, "p", 4).integers(0, 1 << 30, 8)
-        third = measurement_stream(12, "p", 3).integers(0, 1 << 30, 8)
+        base = measurement_stream(11, "p").integers(0, 1 << 30, 8)
+        other = measurement_stream(11, "q").integers(0, 1 << 30, 8)
+        third = measurement_stream(12, "p").integers(0, 1 << 30, 8)
         assert not np.array_equal(base, other)
         assert not np.array_equal(base, third)
-
-
-class TestReplicaKeys:
-    # seeds of 1, 2, 3, 4 and 5 uint32 words
-    @pytest.mark.parametrize("seed", [7, 2**40 + 3, 2**64 + 5, 2**100 + 7,
-                                      2**130 + 1])
-    @pytest.mark.parametrize("code", [0, 1, 2])
-    def test_keys_equal_numpy_seed_sequence(self, seed, code):
-        keys = _replica_keys(seed, code, 3000)
-        assert keys.shape == (3000, 2) and keys.dtype == np.uint64
-        for r in (0, 1, 2999):
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(code, r))
-            assert np.array_equal(keys[r], seq.generate_state(2, np.uint64))
 
 
 class TestReplicaEstimates:
@@ -72,37 +95,37 @@ class TestReplicaEstimates:
     # above; theta 0 and pi are the p = 1 and p = 0 boundaries
     @pytest.mark.parametrize("trials", [1, 10, 100_000])
     @pytest.mark.parametrize("theta", [0.0, 1.0, 2.5, math.pi])
-    def test_equal_to_one_stream_per_replica(self, theta, trials):
+    def test_first_replicas_equal_a_shorter_run(self, theta, trials):
         for o in "qpr":
-            direct = [mle_theta(simulate_bernoulli(theta, trials, 17, o,
-                                                   replica=r))[0]
-                      for r in range(40)]
-            assert np.array_equal(_replica_estimates(theta, trials, 17, o, 40),
-                                  direct)
+            run = _replica_estimates(theta, trials, 17, o, 1000)
+            assert run.shape == (1000,)
+            for k in (1, 37, 999):
+                assert np.array_equal(
+                    run[:k], _replica_estimates(theta, trials, 17, o, k))
 
-    # a seed of three words; trials above 2**53, where a float division
-    # would round the counts first (at 2**60 + 1 that rounding is to a power
-    # of 2 and changes no estimate, at 10**18 + 7 it changes about one in
-    # eight); replicas on both sides of a key chunk's edge
-    @pytest.mark.parametrize("seed,trials,replicas,checked", [
-        (2**64 + 5, 1000, 40, range(40)),
-        (17, 2**60 + 1, 40, range(40)),
-        (17, 10**18 + 7, 40, range(40)),
-        (17, 1000, KEY_CHUNK + 3, (0, KEY_CHUNK - 1, KEY_CHUNK, KEY_CHUNK + 2)),
-    ], ids=["seed-3-words", "trials-2^60+1", "trials-10^18+7", "chunk-edge"])
-    def test_equal_to_one_stream_per_replica_at_the_edges(self, seed, trials,
-                                                          replicas, checked):
-        for o in "qpr":
-            est = _replica_estimates(1.0, trials, seed, o, replicas)
-            assert est.shape == (replicas,)
-            for r in checked:
-                sample = simulate_bernoulli(1.0, trials, seed, o, replica=r)
-                assert est[r] == mle_theta(sample)[0]
+    # up to 2**53 trials the frequency N0/M is the correctly rounded one
+    # mle_theta takes; np.arccos may differ from math.acos in the last bit
+    @pytest.mark.parametrize("trials", [1, 10, 100_000, 2**53])
+    @pytest.mark.parametrize("theta", [0.0, 0.01, 1.0, 2.5, math.pi])
+    def test_replica_0_is_simulate_bernoulli(self, theta, trials):
+        for seed in (0, 17, 2**64 + 5):
+            for o in "qpr":
+                sample = simulate_bernoulli(theta, trials, seed, o)
+                zeros = _replica_zeros(theta, trials, seed, o, 5)
+                assert zeros[0] == sample.counts[0]
+                est = _replica_estimates(theta, trials, seed, o, 5)[0]
+                mle = mle_theta(sample)[0]
+                assert abs(est - mle) <= 2 * math.ulp(mle)
+
+    def test_q_and_p_streams_differ(self):
+        q, p, r = (_replica_zeros(1.0, 1000, 17, o, 64) for o in "qpr")
+        assert not np.array_equal(q, p)
+        assert not np.array_equal(q, r) and not np.array_equal(p, r)
 
     def test_memory_stays_linear_in_the_key_array(self):
-        # the uint64 keys and their mixing peak at 56 B per replica; every
-        # key as a Python list at once would hold about 200 B per replica.
-        # Below some 10**4 replicas the run's fixed allocations dominate.
+        # the counts and two float temporaries peak at 24 B per replica; the
+        # run's fixed allocations add about 18 B per replica here, and
+        # dominate below some 10**4 replicas.
         replicas = 40_960
         tracemalloc.start()
         try:
@@ -125,22 +148,14 @@ class TestMleTheta:
 
     def test_empirical_variance_near_cramer_rao(self):
         trials = 10_000
-        estimates = []
-        for replica in range(200):
-            sample = simulate_bernoulli(math.pi / 3, trials, seed=20240801,
-                                        replica=replica)
-            estimates.append(mle_theta(sample)[0])
+        estimates = mle_replicas(math.pi / 3, trials, 20240801, 200)
         scaled = np.var(estimates, ddof=1) * trials
         assert abs(scaled - 1.0) < 0.2
 
     def test_variance_tracks_one_over_m(self):
         # the scaled variance M*var stays pinned near 1 as M grows
         for trials in (100, 10_000):
-            estimates = [
-                mle_theta(simulate_bernoulli(1.0, trials, seed=31,
-                                             replica=r))[0]
-                for r in range(300)
-            ]
+            estimates = mle_replicas(1.0, trials, 31, 300)
             scaled = np.var(estimates, ddof=1) * trials
             assert abs(scaled - 1.0) < 0.45  # 5-sigma band at 300 replicas
 
@@ -184,17 +199,25 @@ class TestTomography:
         with pytest.raises(DomainError, match="no observables"):
             tomography_experiment({}, {}, seed=3, replicas=10)
 
-    def test_replicas_are_keyed_by_seed_observable_replica(self):
+    def test_replicas_are_draws_of_one_stream_per_observable(self):
         thetas, trials = {"q": 1.0, "p": 0.3}, {"q": 5000, "p": 5000}
         report = tomography_experiment(thetas, trials, seed=9, replicas=64)
         for o in "qp":
-            direct = np.mean([
-                mle_theta(simulate_bernoulli(thetas[o], trials[o], 9, o,
-                                             replica=r))[0]
-                for r in range(64)])
-            assert report.summary_for(o).theta_hat_mean == direct
+            est = _replica_estimates(thetas[o], trials[o], 9, o, 64)
+            assert report.summary_for(o).theta_hat_mean == float(est.mean())
         assert report == tomography_experiment(thetas, trials, seed=9,
                                                replicas=64)
+
+    def test_no_variance_band_fails_at_default_replicas(self):
+        # 600 five-sigma bands: a failure has odds of about 3e-4
+        for seed in range(200):
+            cfg = cli.validate("tomography", {
+                "state": {"kind": "qubit", "bloch": [0.36, 0.48, 0.8]},
+                "seed": seed})
+            checks, _ = criteria.tomography(cfg, None)
+            bands = [c for c in checks if c.id.startswith("variance-band-")]
+            assert len(bands) == 3
+            assert all(c.passed for c in bands), (seed, bands)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
