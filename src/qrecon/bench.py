@@ -1,8 +1,8 @@
 """Dense matrix product vs in-place butterfly timing.
 
 The ladder costs O(N log N) cell operations against O(N^2) for the dense
-product, so the speedup must grow with N; the CLI asserts a floor at
-N = 4096.
+product, so the speedup must grow with N; `criteria.speedup` asserts a
+floor at N = 4096.
 """
 
 from __future__ import annotations

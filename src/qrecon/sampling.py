@@ -128,7 +128,15 @@ def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
     """Each replica's maximum-likelihood estimate 2*arccos(sqrt(N0/M)), in
     one array pass."""
     zeros = _replica_zeros(theta, trials, seed, observable, replicas)
-    return 2.0 * np.arccos(np.sqrt(zeros / trials))
+    if trials > 2**53:
+        # float64 rounds counts above 2**53; Python's int division gives the
+        # correctly rounded N0/M that mle_theta takes
+        freq = np.array([z / trials for z in zeros.tolist()])
+    else:
+        # float64 holds these counts exactly, so the array division is
+        # correctly rounded too
+        freq = zeros / trials
+    return 2.0 * np.arccos(np.sqrt(freq))
 
 
 def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],

@@ -62,7 +62,7 @@ class TestConfigHandling:
 
     def test_zero_bench_repeats_is_a_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
-                                      "sizes": [16], "repeats": 0})
+                                      "sizes": [4096], "repeats": 0})
         assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "repeats must be at least 1" in capsys.readouterr().err
 
@@ -91,13 +91,12 @@ class TestConfigHandling:
         assert "trials must" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_bench_assert_at_above_every_size_is_a_usage_error(self, tmp_path,
-                                                               capsys):
+    def test_bench_sizes_without_4096_is_a_usage_error(self, tmp_path, capsys):
+        # the speedup floor is judged at 4096 only: without it no check is made
         cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
-                                      "sizes": [16, 64], "repeats": 1,
-                                      "assert_at": 128})
+                                      "sizes": [16, 64], "repeats": 1})
         assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "above every size" in capsys.readouterr().err
+        assert "sizes must include 4096" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -311,19 +310,18 @@ class TestTomographyProperty:
 
 
 SEEDS = st.integers(min_value=0)
-# bench sizes stop at 512, where dft_matrix is quick
+# bench sizes: up to two below 512, where dft_matrix is quick, and the 4096
+# every config must time, in any order
 BENCH_SIZES = st.lists(st.sampled_from([1 << k for k in range(1, 10)]),
-                       min_size=1, max_size=3)
+                       max_size=2).flatmap(
+    lambda small: st.permutations(small + [criteria.SPEEDUP_SIZE]))
 # valid configs of the other kinds
 OTHER_CONFIGS = {
     "fft-derive": st.fixed_dictionaries({"levels": st.integers(1, 8), "seed": SEEDS}),
     "partition-audit": st.fixed_dictionaries({"width": st.integers(1, 4),
                                               "seed": SEEDS}),
-    "bench": BENCH_SIZES.flatmap(lambda sizes: st.fixed_dictionaries({
-        "sizes": st.just(sizes), "repeats": st.integers(1, 3), "seed": SEEDS,
-        "min_speedup": (st.integers(min_value=1)
-                        | st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        "assert_at": st.integers(1, max(sizes))})),
+    "bench": st.fixed_dictionaries({"sizes": BENCH_SIZES,
+                                    "repeats": st.integers(1, 3), "seed": SEEDS}),
 }
 
 
@@ -380,8 +378,7 @@ class TestCriteriaTable:
         "metric-check": {"samples": 20, "chart_points": 5},
         "fft-derive": {"levels": 3},
         "partition-audit": {"width": 2},
-        "bench": {"sizes": [16], "repeats": 1, "assert_at": 16,
-                  "min_speedup": 1e-9},
+        "bench": {"sizes": [4096], "repeats": 1},
     }
 
     def test_check_ids_are_unique(self):
@@ -482,15 +479,16 @@ class TestSubcommands:
         assert [c["id"] for c in report["checks"]] == ids
 
     def test_bench_writes_csv(self, tmp_path):
-        # small sizes need not beat the dense product: the check at N=64
-        # asks for a speedup any positive timing meets
+        # small sizes need not beat the dense product: only N=4096 is judged
         cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
-                                      "sizes": [16, 64], "repeats": 2,
-                                      "assert_at": 64, "min_speedup": 1e-9})
+                                      "sizes": [16, 4096], "repeats": 2})
         assert run(["bench", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "rows.csv").read_text().splitlines()
         assert lines[0] == "N,dense_ns,butterfly_ns,speedup"
         assert len(lines) == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [(c["id"], c["tolerance"]) for c in report["checks"]] == [
+            ("speedup-N4096", criteria.MIN_SPEEDUP)]
 
 
 class TestDeterminism:
@@ -598,3 +596,58 @@ class TestDeterminism:
                     "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["seed"] == 99
+
+
+OUTPUTS = ("report.json", "report.csv", "rows.csv")
+
+
+def read_outputs(out):
+    """report.json without its wall-clock fields, and the bytes of each CSV."""
+    doc = json.loads((out / "report.json").read_text())
+    doc.pop("elapsed_s")
+    doc.pop("criterion_elapsed_s")
+    return doc, (out / "report.csv").read_bytes(), (out / "rows.csv").read_bytes()
+
+
+class TestOutputFiles:
+    def test_old_outputs_are_replaced_not_written_through(self, tmp_path):
+        out, keep = tmp_path / "out", tmp_path / "keep"
+        out.mkdir()
+        keep.mkdir()
+        for i, name in enumerate(OUTPUTS):
+            (out / name).write_bytes(f"old {name} {i}\n".encode())
+            (keep / name).hardlink_to(out / name)
+        assert run(["tomography", "--seed", "3", "--out", str(out)]) == 0
+        for i, name in enumerate(OUTPUTS):
+            assert (keep / name).read_bytes() == f"old {name} {i}\n".encode()
+        fresh = tmp_path / "fresh"
+        assert run(["tomography", "--seed", "3", "--out", str(fresh)]) == 0
+        assert read_outputs(out) == read_outputs(fresh)
+
+    def test_a_symlinked_output_becomes_a_regular_file(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"target\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.csv").symlink_to(target)
+        assert run(["partition-audit", "--out", str(out)]) == 0
+        assert not (out / "report.csv").is_symlink()
+        assert (out / "report.csv").read_text().startswith("id,value,tolerance,passed")
+        assert target.read_bytes() == b"target\n"
+
+
+class TestParser:
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_no_argument_carries_over_between_calls(self, tmp_path):
+        def seed_of(args, out):
+            assert run(["partition-audit", *args, "--out", str(out)]) == 0
+            return json.loads((out / "report.json").read_text())["config"]["seed"]
+
+        cfg = write_config(tmp_path, {"version": 1, "kind": "partition-audit",
+                                      "seed": 3})
+        assert seed_of(["--seed", "5"], tmp_path / "a") == 5
+        assert seed_of([], tmp_path / "b") == cli.DEFAULTS["partition-audit"]["seed"]
+        assert seed_of(["--seed", "5", "--config", cfg], tmp_path / "c") == 5
+        assert seed_of(["--config", cfg], tmp_path / "d") == 3

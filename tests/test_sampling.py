@@ -103,9 +103,9 @@ class TestReplicaEstimates:
                 assert np.array_equal(
                     run[:k], _replica_estimates(theta, trials, 17, o, k))
 
-    # up to 2**53 trials the frequency N0/M is the correctly rounded one
+    # at every trial count the frequency N0/M is the correctly rounded one
     # mle_theta takes; np.arccos may differ from math.acos in the last bit
-    @pytest.mark.parametrize("trials", [1, 10, 100_000, 2**53])
+    @pytest.mark.parametrize("trials", [1, 10, 100_000, 2**53, 10**18 + 7, 2**60])
     @pytest.mark.parametrize("theta", [0.0, 0.01, 1.0, 2.5, math.pi])
     def test_replica_0_is_simulate_bernoulli(self, theta, trials):
         for seed in (0, 17, 2**64 + 5):
