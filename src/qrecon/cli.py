@@ -45,13 +45,14 @@ MAX_REPLICAS = 10**6
 # the fewest replicas whose variance band has its lower edge above 0, so that
 # too small a variance can fail it: 1 - sigma * sqrt(2 / (replicas - 1)) > 0
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
-# metric-check draws each sample and chart point in Python: at the default
-# levels a run at the samples cap took 22 s with a 37 MB peak, and one at the
-# chart_points cap 13 s with a 174 MB peak (2-core Xeon VM)
+# bounds metric-check's time: it draws and evaluates the samples a block at a
+# time, so at the default levels a run at the samples cap took 8.9 s with a
+# 36 MB peak, and one at the chart_points cap 1.1 s with a 167 MB peak
+# (2-core Xeon VM, one BLAS thread)
 MAX_SAMPLES = 10**6
 # metric-check samples x 2**levels, the amplitudes a run draws: a run at this
-# many took 8 s at 20 levels (247 MB peak) and 22 s at 4 (2-core Xeon VM, one
-# BLAS thread)
+# many took 7.5 s at 20 levels (221 MB peak) and 8.9 s at 4 (2-core Xeon VM,
+# one BLAS thread)
 MAX_AMPLITUDES = 1 << 24
 # bench times each size this many times over
 MAX_REPEATS = 10**3
@@ -124,10 +125,13 @@ def _sizes(name, value, cfg):
             type(s) is int and 2 <= s <= 1 << 12 and not s & (s - 1) for s in value)):
         raise ConfigError(f"{name} must be a non-empty list of powers of 2 "
                           "from 2 to 4096")
-    # every run times the size its one check judges
+    # every run times the size its one check judges, once: a repeated size
+    # would time it again and give two checks one id
     if criteria.SPEEDUP_SIZE not in value:
         raise ConfigError(f"{name} must include {criteria.SPEEDUP_SIZE}, the size "
                           "the speedup floor is checked at")
+    if len(set(value)) != len(value):
+        raise ConfigError(f"{name} must list each size once")
 
 
 # Every field of each kind: its default and the check of its type and range.

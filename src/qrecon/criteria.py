@@ -3,7 +3,8 @@
 A criterion is a function (cfg, rng) -> (checks, report rows): one
 measurement and the checks that judge it.  `CRITERIA` lists each kind's
 criteria in run order; the criteria of one run share one generator seeded
-from cfg["seed"], so their order is their draw order.  The CLI runs them at
+from cfg["seed"] and draw from it, or spawn child streams from it, in that
+order, so their order fixes what each one draws.  The CLI runs them at
 a config's scope, tests/test_acceptance.py at the release scope.  Each
 tolerance is a constant here, next to its check: no config can loosen it.
 """
@@ -23,7 +24,7 @@ from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
                     rebit_conjugate)
 from .butterfly import _ladder_deviations, derive_shift_phases
 from .exceptions import RangeError
-from .metrics import (Tangent, draw_state, draw_tangent, extended_fisher_metric,
+from .metrics import (Tangent, extended_fisher_metric,
                       extended_fisher_metric_recursive, fubini_study_metric,
                       random_state, state_amplitudes, tangent_amplitudes)
 from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
@@ -32,7 +33,9 @@ from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
 from .sampling import chi2_band, gaussian_p_value, tomography_experiment
 
 # amplitudes per stacked block of metric samples (a block holds at least one
-# state): 64 kB per stack and about 0.5 MB of metric temporaries
+# state): 32 kB per raw draw array (four of them), 64 kB per stack and about
+# 0.5 MB of metric temporaries; a performance constant only, since no check
+# value depends on it
 METRIC_BLOCK_CELLS = 1 << 12
 
 # the observables each tomography state kind measures
@@ -71,26 +74,31 @@ CHART_TOL = 1e-9       # chart-invariance, max relative spread over the charts
 
 def metric_sample(cfg: dict, rng: np.random.Generator):
     """fs-factor and recursion over cfg["samples"] random states and tangents
-    of cfg["levels"] bits.  Each sample makes its draws in random_state/
-    random_tangent order; the states and tangents are built and evaluated a
-    stacked block of METRIC_BLOCK_CELLS amplitudes (at least one state) at a
-    time."""
-    nbits = cfg["levels"]
+    of cfg["levels"] bits, drawn, built and evaluated a block of
+    METRIC_BLOCK_CELLS amplitudes (at least one state) at a time.  Each kind
+    of raw draw (draw_state's exponentials and uniforms, draw_tangent's drho
+    and dphi normals) comes from its own stream spawned from rng, one (S, N)
+    call per block; numpy fills an array one value after another, so sample
+    i is row i of each stream whatever the block size."""
+    nbits, samples = cfg["levels"], cfg["samples"]
     block = max(1, METRIC_BLOCK_CELLS >> nbits)
+    exps, unifs, drhos, dphis = rng.spawn(4)
     worst = np.zeros(2)
-    for start in range(0, cfg["samples"], block):
-        rows = [draw_state(nbits, rng) + draw_tangent(1 << nbits, rng)
-                for _ in range(min(block, cfg["samples"] - start))]
-        worst = np.maximum(worst, _metric_deviations(rows))
+    for start in range(0, samples, block):
+        shape = (min(block, samples - start), 1 << nbits)
+        worst = np.maximum(worst, _metric_deviations(
+            exps.standard_exponential(shape), unifs.random(shape),
+            drhos.standard_normal(shape), dphis.standard_normal(shape)))
     return [below("fs-factor", "extended metric equals 4x Fubini-Study (max rel dev)",
                   worst[0], FS_TOL),
             below("recursion", "even/odd recursion equals the closed form (max rel dev)",
                   worst[1], RECURSION_TOL)], []
 
 
-def _metric_deviations(rows: list) -> tuple[float, float]:
-    """The worst fs-factor and recursion deviations of one block of draws."""
-    exponentials, uniforms, drho, dphi = (np.array(col) for col in zip(*rows))
+def _metric_deviations(exponentials: np.ndarray, uniforms: np.ndarray,
+                       drho: np.ndarray, dphi: np.ndarray) -> tuple[float, float]:
+    """The worst fs-factor and recursion deviations of one (S, N) block of
+    raw draws."""
     amps = state_amplitudes(exponentials, uniforms)
     damps = tangent_amplitudes(amps, drho, dphi)
     efm = extended_fisher_metric(amps, damps)
@@ -120,25 +128,32 @@ def closed_form_identities(cfg: dict, rng: np.random.Generator):
 
 
 def chart_sweep(cfg: dict, rng: np.random.Generator):
-    """chart-invariance over cfg["chart_points"] random points and tangents,
-    drawn a point at a time and evaluated one chart at a time over all of
-    them."""
-    count = cfg["chart_points"]
-    points, tangents = np.empty((count, 3)), np.empty((count, 3))
-    drawn = 0
-    while drawn < count:
-        vec = rng.normal(size=3)
-        vec /= np.linalg.norm(vec)
-        if np.max(np.abs(vec)) > 0.99:
-            continue  # too close to a chart pole
-        points[drawn] = vec
-        tangents[drawn] = rng.normal(size=3)
-        drawn += 1
+    """chart-invariance over cfg["chart_points"] random points and tangents
+    (see _chart_draw), evaluated one chart at a time over all of them."""
+    points, tangents = _chart_draw(cfg["chart_points"], rng)
     values = np.array([chart_tangent_metric(points, tangents, axis) for axis in "qpr"])
     top = values.max(axis=0)
     worst = np.max((top - values.min(axis=0)) / top, initial=0.0)
     return [below("chart-invariance", "tangent metric agrees across the q/p/r charts",
                   worst, CHART_TOL)], []
+
+
+def _chart_draw(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """count unit points (count, 3) away from every chart pole and count
+    tangents (count, 3), from two streams spawned from rng.  Candidate points
+    are normalized standard normals, drawn in batches the size of the count
+    still missing; point i is the i-th accepted one and pairs with tangent
+    row i, so a k-point draw is the prefix of any larger one."""
+    point_rng, tangent_rng = rng.spawn(2)
+    points = np.empty((count, 3))
+    drawn = 0
+    while drawn < count:
+        batch = point_rng.standard_normal((count - drawn, 3))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        batch = batch[np.abs(batch).max(axis=1) <= 0.99]  # drop those near a chart pole
+        points[drawn:drawn + len(batch)] = batch
+        drawn += len(batch)
+    return points, tangent_rng.standard_normal((count, 3))
 
 
 def ladder_transform(cfg: dict, rng: np.random.Generator):

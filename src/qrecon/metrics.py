@@ -8,14 +8,16 @@ tangents; both a closed form and a bottom-up even/odd recursion are provided
 and must agree.  The metrics take one state and tangent, or a stack of them
 evaluated in whole-array passes.
 
-Random states and tangents are drawn one sample at a time (`draw_state`,
-`draw_tangent`: only the raw generator calls, in replay order:
-`standard_exponential(N)` and `random(N)` for a state, two
-`standard_normal(N)` for a tangent) and built a block at a time
-(`state_amplitudes`, `tangent_amplitudes`: all arithmetic on the draws, for
-one row (N,) or a stack (S, N)).  The builders turn the raw draws into the
-values of `dirichlet(np.ones(N))`, `uniform(-pi, pi, N)` and
-`normal(0.0, 0.1, N)` bit for bit, in numpy's own operation order.
+Random states and tangents come from raw generator calls,
+`standard_exponential` and `random` for a state and two `standard_normal`
+for a tangent, and are built from them by `state_amplitudes` and
+`tangent_amplitudes` (all arithmetic on the draws, for one row (N,) or a
+stack (S, N)).  `draw_state` and `draw_tangent` make one sample's raw
+draws, (N,) each, in replay order; `criteria.metric_sample` makes each kind
+a whole block (S, N) at a time from its own spawned stream.  The builders
+turn the raw draws into the values of `dirichlet(np.ones(N))`,
+`uniform(-pi, pi, N)` and `normal(0.0, 0.1, N)` bit for bit, in numpy's own
+operation order.
 `random_state` and `random_tangent` are the one-row case of the same two
 steps, so a stacked block is byte for byte the stack of the per-sample
 results.

@@ -283,6 +283,22 @@ class TestChartSweep:
         assert calls == ["q", "p", "r"]
         assert checks[0].passed
 
+    def test_a_short_draw_is_the_prefix_of_a_long_one(self):
+        # the pole rule drops a candidate among seed 9's first 50, so the
+        # 50-point draw takes a second batch where the 200-point one needs none
+        raw = np.random.default_rng(9).spawn(1)[0].standard_normal((50, 3))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        assert (np.abs(raw).max(axis=1) > 0.99).any()
+        short = criteria._chart_draw(50, np.random.default_rng(9))
+        long = criteria._chart_draw(200, np.random.default_rng(9))
+        for part, whole in zip(short, long):
+            assert part.tobytes() == whole[:50].tobytes()
+        points, tangents = long
+        assert points.shape == tangents.shape == (200, 3)
+        norms = np.linalg.norm(points, axis=1)
+        assert np.abs(norms - 1.0).max() <= 4 * np.finfo(float).eps
+        assert np.abs(points).max() <= 0.99
+
 
 class TestShiftRotation:
     def test_p_shift_leaves_q_probabilities(self):

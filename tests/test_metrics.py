@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrecon import metrics
+from qrecon import criteria, metrics
 from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, StateVector, Tangent,
                             amplitude_phase_differentials, draw_state,
@@ -545,6 +545,56 @@ class TestNumpyRecipes:
             for value, numpy_value in zip(built, expected):
                 assert value.tobytes() == numpy_value.tobytes()
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestChunkedDraws:
+    """One (S, N) call of each raw draw equals S (N,) calls, to the byte: numpy
+    fills an array one value after another.  metric_sample draws a block of
+    samples with one call per kind; if numpy ever changes its fill, this fails
+    instead of the block size silently becoming visible in seeded values."""
+
+    @pytest.mark.parametrize("method", ["standard_exponential", "random",
+                                        "standard_normal"])
+    @pytest.mark.parametrize("seed", [0, 7, 20240801])
+    def test_one_block_call_is_its_row_calls(self, method, seed):
+        block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count, size in [(7, 16), (3, 1), (5, 1024)]:
+            stacked = getattr(block, method)((count, size))
+            alone = [getattr(rows, method)(size) for _ in range(count)]
+            assert stacked.tobytes() == np.array(alone).tobytes()
+        assert block.bit_generator.state == rows.bit_generator.state
+
+
+class TestMetricSample:
+    # 300 samples leave a partial last block at every block size but one state
+    # per block (16 cells at 4 and 7 levels)
+    @pytest.mark.parametrize("levels", [1, 4, 7])
+    def test_check_values_do_not_depend_on_the_block_size(self, monkeypatch, levels):
+        values = set()
+        for cells in (16, criteria.METRIC_BLOCK_CELLS, 1 << 20):
+            monkeypatch.setattr(criteria, "METRIC_BLOCK_CELLS", cells)
+            checks, _ = criteria.metric_sample({"levels": levels, "samples": 300},
+                                               np.random.default_rng(11))
+            values.add(tuple(float.hex(c.value) for c in checks))
+        assert len(values) == 1
+
+    def test_one_generator_call_per_kind_per_block(self):
+        calls = []
+
+        def counted(name):
+            def draw(self, *args, **kwargs):
+                calls.append(name)
+                return getattr(np.random.Generator, name)(self, *args, **kwargs)
+            return draw
+
+        # spawned streams are of the parent's type, so they count too
+        names = ("standard_exponential", "random", "standard_normal", "normal")
+        counting = type("Counting", (np.random.Generator,),
+                        {name: counted(name) for name in names})
+        criteria.metric_sample({"levels": 4, "samples": 1000}, counting(np.random.PCG64(3)))
+        blocks = -(-1000 // (criteria.METRIC_BLOCK_CELLS >> 4))
+        assert sorted(calls) == sorted(["standard_exponential", "random",
+                                        "standard_normal", "standard_normal"] * blocks)
 
 
 class TestFubiniStudy:
