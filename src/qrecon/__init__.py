@@ -12,8 +12,8 @@ kernel (`kernels`), and a dense-vs-ladder benchmark (`bench`).
 
 from .bloch import (BlochPoint, ExtendedCoords, bloch_from_extended,
                     chart_tangent_metric, extended_from_bloch,
-                    hadamard_transform, metric_in_coords, pauli_expectations,
-                    psi_from_bloch, rebit_conjugate, shift_rotation_2,
+                    metric_in_coords, pauli_expectations, psi_from_bloch,
+                    rebit_conjugate, shift_rotation_2,
                     transformed_phase_jacobian)
 from .butterfly import (ButterflyPlan, apply_butterfly, assemble_transform,
                         bit_reversal_permutation, chain_propagate,

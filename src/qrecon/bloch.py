@@ -1,22 +1,24 @@
 """Reconstructed one-bit systems: the rebit circle, the Bloch sphere with its
-three observable-adapted charts, the two-dimensional complex representation,
-and the Hadamard change of basis between the q and p descriptions.
+three observable-adapted charts, and the two-dimensional complex
+representation, whose Hadamard change of basis q -> p is the one-stage
+butterfly ladder `transform_columns(psi, 1)`.
 
 Conventions pinned here (the chart freedom alpha -> pi/2 - alpha makes them
 author-relative; this module fixes one and offers no other):
 
-* expectations: sQ = |psi_1|^2 - |psi_0|^2, sP = 2 Re(conj(psi_0) psi_1),
-  sR = 2 Im(conj(psi_0) psi_1);
+* expectations: sQ = |psi_0|^2 - |psi_1|^2, sP = 2 Re(conj(psi_0) psi_1),
+  sR = 2 Im(conj(psi_0) psi_1); outcome 0 has probability (1 + S)/2;
 * charts rotate the observable triplet: axis q spans (q, p, r), axis r spans
   (r, q, p), axis p spans (p, r, q); the polar angle sits on the axis,
   S_axis = cos(theta), and alpha sweeps the remaining pair (cos, sin);
 * the global phase is gauge-fixed to phi_0 = 0 whenever a state vector is
   constructed from chart or sphere data.
 
-`extended_from_bloch` reads a point's chart angles through one map
-(`_chart_angles`).  `chart_tangent_metric` differentiates the same angles by
-the chain rule in closed form, one array pass over a (P, 3) stack of points
-and tangents, so the chart sweep of `metric-check` makes one call per axis.
+`extended_from_bloch` and `psi_from_bloch` read a point's chart angles
+through one map (`_chart_angles`).  `chart_tangent_metric` differentiates
+the same angles by the chain rule in closed form, one array pass over a
+(P, 3) stack of points and tangents, so the chart sweep of `metric-check`
+makes one call per axis.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ POLE_TOL = 1e-12
 # axis -> (mu, nu, xi): S_mu = cos t, S_nu = sin t cos a, S_xi = sin t sin a
 CHART_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q")}
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
 
 def _off_sphere(norm2):
     """Whether |S|^2 (of one point or of each row of a stack) misses 1 by
@@ -54,6 +54,14 @@ def _chart_angles(mu: float, nu: float, xi: float) -> tuple[float, float | None]
     if alpha <= -math.pi:
         alpha = math.pi
     return theta, alpha
+
+
+def _two_component(psi) -> np.ndarray:
+    """psi as a complex (2,) array; DomainError for any other shape."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (2,):
+        raise DomainError("two-component state expected")
+    return psi
 
 
 @dataclass(frozen=True)
@@ -142,38 +150,23 @@ def extended_from_bloch(axis: str, point: BlochPoint) -> ExtendedCoords:
 
 
 def psi_from_bloch(point: BlochPoint) -> np.ndarray:
-    """Two-component state vector in the q description, phi_0 = 0 gauge.
-
-    Solves sQ = |psi_1|^2 - |psi_0|^2 and the transverse expectations:
-    psi = (sin(t/2), cos(t/2) e^{i a}) with t = arccos(sQ), a = atan2(sR, sP).
-    """
-    theta = math.acos(min(max(point.sq, -1.0), 1.0))
-    transverse = math.hypot(point.sp, point.sr)
-    alpha = math.atan2(point.sr, point.sp) if transverse > POLE_TOL else 0.0
-    return np.array([math.sin(theta / 2.0),
-                     math.cos(theta / 2.0) * np.exp(1j * alpha)])
+    """State (cos(t/2), sin(t/2) e^{i a}) in the q description, phi_0 = 0
+    gauge, from the point's q-chart angles (t, a); a = 0 at a pole."""
+    theta, alpha = _chart_angles(point.sq, point.sp, point.sr)
+    alpha = 0.0 if alpha is None else alpha
+    return np.array([math.cos(theta / 2.0),
+                     math.sin(theta / 2.0) * np.exp(1j * alpha)])
 
 
 def pauli_expectations(psi: np.ndarray) -> BlochPoint:
     """(sQ, sP, sR) of a two-component state."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise DomainError("two-component state expected")
+    psi = _two_component(psi)
     cross = complex(np.conj(psi[0]) * psi[1])
     return BlochPoint(
-        sq=float(abs(psi[1]) ** 2 - abs(psi[0]) ** 2),
+        sq=float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2),
         sp=2.0 * cross.real,
         sr=2.0 * cross.imag,
     )
-
-
-def hadamard_transform(psi: np.ndarray) -> np.ndarray:
-    """Basis change q -> p; the output moduli squared are the p-outcome
-    probabilities ((1+sP)/2, (1-sP)/2) of the same Bloch point."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise DomainError("two-component state expected")
-    return HADAMARD @ psi
 
 
 def metric_in_coords(theta: float, dtheta: float, dalpha: float) -> float:
@@ -185,9 +178,7 @@ def shift_rotation_2(psi: np.ndarray, axis: str) -> np.ndarray:
     """One-step shift of a two-value observable: axis 'q' swaps the
     components, axis 'p' applies diag(1, -1) (swaps the p outcomes while
     leaving the q probabilities untouched)."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise DomainError("two-component state expected")
+    psi = _two_component(psi)
     if axis == "q":
         return psi[::-1].copy()
     if axis == "p":
@@ -203,9 +194,7 @@ def transformed_phase_jacobian(psi: np.ndarray) -> np.ndarray:
     component k, so it flips only for the (k=1, j=1) entry.  The weighted
     phase mean rho_0 dphi_0 + rho_1 dphi_1 is invariant under this map.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise DomainError("two-component state expected")
+    psi = _two_component(psi)
     jac = np.empty((2, 2))
     for k in (0, 1):
         image = psi[0] + (-1) ** k * psi[1]

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exceptions import DomainError, check_integer
+from .exceptions import MAX_WIDTH, DomainError, check_integer
 from .probmodel import RENORM_TOL, Distribution
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -55,7 +55,7 @@ def _check_sign(sign) -> None:
 @functools.lru_cache(maxsize=None, typed=True)
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index array br with br[y] = y with its n bits in reversed order."""
-    n = check_integer("width", n, 0)
+    n = check_integer("width", n, 0, MAX_WIDTH)
     br = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         br = np.concatenate([2 * br, 2 * br + 1])
@@ -69,7 +69,7 @@ def node_position(n: int, l: int, x: int, y: int) -> int:
 
     l = 0 returns x itself; l = n returns the bit reversal of y.
     """
-    n = check_integer("width", n, 0)
+    n = check_integer("width", n, 0, MAX_WIDTH)
     l = check_integer("level", l, 0, n)
     x = check_integer("q-index", x, 0, (1 << n) - 1)
     y = check_integer("p-index", y, 0, (1 << n) - 1)
@@ -90,7 +90,7 @@ def derive_shift_phases(l: int) -> np.ndarray:
     second half by subtracting pi; the result equals the closed form
     -2*pi*k/2**l to rounding.
     """
-    l = check_integer("depth", l, 1)
+    l = check_integer("depth", l, 1, MAX_WIDTH)
     values = np.array([0.0, -math.pi])
     for m in range(2, l + 1):
         half = 1 << (m - 1)
@@ -103,25 +103,16 @@ def derive_shift_phases(l: int) -> np.ndarray:
 
 
 def twiddle_phase(n: int, level: int, k: int) -> float:
-    """Phase of entry k of the q -> p twiddle diagonal t_level.
-
-    Zero on the first half of each block of 2**(n-level+1) entries, then a
-    ramp of -2*pi*(offset into the second half)/blocksize.
-    """
-    n = check_integer("width", n, 1)
-    level = check_integer("twiddle level", level, 1, n - 1)
-    k = check_integer("index", k, 0, (1 << n) - 1)
-    block = 1 << (n - level + 1)
-    half = block >> 1
-    r = k % block
-    if r < half:
-        return 0.0
-    return -2.0 * math.pi * (r - half) / block
+    """Phase of entry k of the q -> p twiddle diagonal t_level."""
+    stage = twiddle_stage(n, level)
+    return float(stage[check_integer("index", k, 0, stage.size - 1)])
 
 
 def twiddle_stage(n: int, level: int) -> np.ndarray:
-    """Read-only phase vector of the q -> p twiddle diagonal t_level."""
-    n = check_integer("width", n, 1)
+    """Read-only phase vector of the q -> p twiddle diagonal t_level: zero on
+    the first half of each block of 2**(n-level+1) entries, then a ramp of
+    -2*pi*(offset into the second half)/blocksize."""
+    n = check_integer("width", n, 1, MAX_WIDTH)
     level = check_integer("twiddle level", level, 1, n - 1)
     block = 1 << (n - level + 1)
     half = block >> 1
@@ -134,7 +125,7 @@ def twiddle_stage(n: int, level: int) -> np.ndarray:
 def stage_matrix(n: int, l: int) -> np.ndarray:
     """Dense operator of stage l: Hadamard cells pairing k and k + L/2 inside
     each contiguous block of L = 2**(n-l+1) components."""
-    n = check_integer("width", n, 1)
+    n = check_integer("width", n, 1, MAX_WIDTH // 2)
     l = check_integer("stage", l, 1, n)
     # integer Kronecker factors, scaled once: a float -1/sqrt(2) times a
     # zero of the identity would leave -0.0 entries
@@ -169,9 +160,6 @@ class ButterflyPlan:
         row.reshape(-1, 2, ramp.size)[:, 1, :] = ramp
         return row
 
-    def twiddle_phases(self, level: int) -> np.ndarray:
-        return np.angle(self.diagonal(level))
-
 
 def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     """Plan the n-stage ladder: one np.exp over the level-1 ramp.
@@ -181,7 +169,7 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     for a power of two s.  Every ramp is contiguous and read-only, and its
     values are bit-identical to the second halves of twiddle_stage.
     """
-    n = check_integer("stage count", n, 1)
+    n = check_integer("stage count", n, 1, MAX_WIDTH)
     _check_sign(sign)
     size = 1 << n
     phases = -2.0 * math.pi * np.arange(size >> 1) / size
@@ -261,14 +249,14 @@ def assemble_transform(n: int, order: str = "natural", sign: int = +1) -> np.nda
     With sign=+1 and natural order this equals dft_matrix(2**n, +1), the
     unitary positive-exponent Fourier matrix, to rounding.
     """
-    n = check_integer("width", n, 1)
+    n = check_integer("width", n, 1, MAX_WIDTH // 2)
     return transform_columns(np.eye(1 << n, dtype=complex), n, sign, order)
 
 
 def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     """Unitary Fourier matrix exp(sign * 2*pi*i*j*k/N) / sqrt(N), entry (j, k)
     read from the table of N roots at j*k mod N (exact argument reduction)."""
-    size = check_integer("size", size, 1)
+    size = check_integer("size", size, 1, 1 << (MAX_WIDTH // 2))
     if size & (size - 1):
         raise DomainError("size must be a power of 2")
     _check_sign(sign)
@@ -415,7 +403,7 @@ def verify_danielson_lanczos(n: int) -> dict:
     through [[1, W^j], [1, -W^j]]/sqrt(2) with W = exp(2*pi*i/N), and that
     recursing that decomposition rebuilds dft_matrix(N, +1) entrywise.
     """
-    n = check_integer("level count", n, 2)
+    n = check_integer("level count", n, 2, MAX_WIDTH - 6)
     dev = _ladder_deviations(n)
     return {
         "n": n,
@@ -433,7 +421,7 @@ def shift_operator_check(n: int) -> dict:
     The diagonal phases are exactly the depth-n shift phases, tying the
     twiddle derivation to the translation symmetry it came from.
     """
-    n = check_integer("level count", n, 1)
+    n = check_integer("level count", n, 1, MAX_WIDTH - 6)
     deviations = _ladder_deviations(n)
     return {
         "n": n,

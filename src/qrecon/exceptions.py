@@ -21,6 +21,12 @@ class ConfigError(ValueError):
     """An experiment configuration is malformed (CLI exit code 2)."""
 
 
+# No array holds more than 2**MAX_WIDTH entries, so a width guard fails well
+# before memory runs out: n <= MAX_WIDTH for a vector or table of N = 2**n,
+# MAX_WIDTH // 2 for a dense N x N matrix, MAX_WIDTH - 6 for N x 64 blocks.
+MAX_WIDTH = 24
+
+
 def check_integer(what: str, value, lo: int, hi: int | None = None) -> int:
     """value as a Python int, if it is a Python or numpy integer (not a
     bool, not a float) in lo..hi (lo and up for hi None); DomainError

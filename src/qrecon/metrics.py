@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, SingularityError, check_integer
+from .exceptions import MAX_WIDTH, DomainError, SingularityError, check_integer
 from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, ThetaAngle,
                         mass_pyramid, prob_from_theta, reconstitute,
                         theta_from_prob)
@@ -323,14 +323,14 @@ def draw_state(nbits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     """The raw draws of one random state of nbits bits: N standard
     exponentials (the Dirichlet weights), then N uniforms on [0, 1) (the
     phases)."""
-    size = 1 << check_integer("nbits", nbits, 0)
+    size = 1 << check_integer("nbits", nbits, 0, MAX_WIDTH)
     return rng.standard_exponential(size), rng.random(size)
 
 
 def draw_tangent(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The raw draws of one random tangent: size standard normals for drho,
     then size for dphi."""
-    size = check_integer("size", size, 1)
+    size = check_integer("size", size, 1, 1 << MAX_WIDTH)
     return rng.standard_normal(size), rng.standard_normal(size)
 
 

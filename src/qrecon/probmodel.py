@@ -83,12 +83,6 @@ class Distribution:
     def __len__(self) -> int:
         return int(self.probs.size)
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Distribution) and np.array_equal(self.probs, other.probs)
-
 
 def s_variable(d: Distribution | Sequence[float]) -> float:
     """S = rho(0) - rho(1) of a binary distribution; equals cos(theta)."""

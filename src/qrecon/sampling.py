@@ -91,7 +91,6 @@ def mle_theta(sample: MeasurementSample) -> tuple[float, float]:
 class ObservableSummary:
     observable: str
     trials: int
-    replicas: int
     theta_true: float
     theta_hat_mean: float
     var_hat: float
@@ -100,7 +99,6 @@ class ObservableSummary:
 
 @dataclass(frozen=True)
 class TomographyReport:
-    seed: int
     summaries: tuple[ObservableSummary, ...]
     max_parity_deviation: float
 
@@ -169,7 +167,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
         var_hat = float(np.var(est, ddof=1))
         precision = 1.0 / (m * var_hat) if var_hat > 0.0 else math.inf
         summaries.append(ObservableSummary(
-            observable=name, trials=m, replicas=replicas, theta_true=theta,
+            observable=name, trials=m, theta_true=theta,
             theta_hat_mean=float(est.mean()), var_hat=var_hat,
             precision_per_measurement=precision))
     finite = [s.precision_per_measurement for s in summaries
@@ -179,7 +177,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
         for j in range(i + 1, len(finite)):
             mean = 0.5 * (finite[i] + finite[j])
             max_dev = max(max_dev, abs(finite[i] - finite[j]) / mean)
-    return TomographyReport(seed=seed, summaries=tuple(summaries),
+    return TomographyReport(summaries=tuple(summaries),
                             max_parity_deviation=max_dev)
 
 

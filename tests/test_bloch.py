@@ -6,11 +6,13 @@ import pytest
 from qrecon import criteria
 from qrecon.bloch import (BlochPoint, ExtendedCoords, bloch_from_extended,
                           chart_tangent_metric, extended_from_bloch,
-                          hadamard_transform, metric_in_coords,
-                          pauli_expectations, psi_from_bloch, rebit_conjugate,
-                          shift_rotation_2, transformed_phase_jacobian)
+                          metric_in_coords, pauli_expectations,
+                          psi_from_bloch, rebit_conjugate, shift_rotation_2,
+                          transformed_phase_jacobian)
+from qrecon.butterfly import transform_columns
 from qrecon.criteria import CHART_TOL
 from qrecon.exceptions import DomainError, SingularityError
+from qrecon.probmodel import s_variable
 
 
 def random_point(rng, pole_margin=0.0):
@@ -80,7 +82,19 @@ class TestBlochCharts:
 class TestPsiFromBloch:
     def test_q_determined(self):
         psi = psi_from_bloch(BlochPoint(1.0, 0.0, 0.0))
-        assert np.allclose(psi, [0.0, 1.0], atol=1e-15)
+        assert np.allclose(psi, [1.0, 0.0], atol=1e-15)
+
+    def test_q_outcome_0_has_probability_one_plus_s_over_two(self):
+        # the state's q labels follow outcome_probabilities and s_variable,
+        # the convention of every other binary outcome
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            pt = random_point(rng)
+            psi = psi_from_bloch(pt)
+            rho = np.abs(psi) ** 2
+            assert np.allclose(rho, pt.outcome_probabilities("q"), atol=1e-12)
+            assert s_variable(rho) == pytest.approx(
+                pauli_expectations(psi).sq, abs=1e-12)
 
     def test_p_determined(self):
         psi = psi_from_bloch(BlochPoint(0.0, 1.0, 0.0))
@@ -101,23 +115,24 @@ class TestPsiFromBloch:
             assert psi[0].real >= 0.0
 
 
+# the q -> p change of basis is the one-stage ladder, transform_columns(psi, 1)
 class TestHadamard:
     def test_matrix_action(self):
-        out = hadamard_transform(np.array([1.0, 0.0]))
+        out = transform_columns(np.array([1.0, 0.0]), 1)
         assert np.allclose(out, np.array([1.0, 1.0]) / math.sqrt(2))
 
     def test_self_inverse(self):
         rng = np.random.default_rng(5)
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
-        assert np.allclose(hadamard_transform(hadamard_transform(psi)), psi,
+        assert np.allclose(transform_columns(transform_columns(psi, 1), 1), psi,
                            atol=1e-15)
 
     def test_output_moduli_are_p_probabilities(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             pt = random_point(rng)
-            out = hadamard_transform(psi_from_bloch(pt))
+            out = transform_columns(psi_from_bloch(pt), 1)
             rho_p = np.abs(out) ** 2
             assert rho_p[0] == pytest.approx((1 + pt.sp) / 2, abs=1e-12)
             assert rho_p[1] == pytest.approx((1 - pt.sp) / 2, abs=1e-12)
@@ -125,7 +140,7 @@ class TestHadamard:
     def test_unitary(self):
         rng = np.random.default_rng(7)
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert np.linalg.norm(hadamard_transform(psi)) == pytest.approx(
+        assert np.linalg.norm(transform_columns(psi, 1)) == pytest.approx(
             np.linalg.norm(psi), abs=1e-14)
 
 
@@ -344,8 +359,8 @@ class TestTransformedPhaseJacobian:
                 lowered = psi.copy()
                 lowered[j] *= np.exp(-1j * step)
                 for k in (0, 1):
-                    up = np.angle(hadamard_transform(bumped)[k])
-                    dn = np.angle(hadamard_transform(lowered)[k])
+                    up = np.angle(transform_columns(bumped, 1)[k])
+                    dn = np.angle(transform_columns(lowered, 1)[k])
                     fd = (up - dn) / (2 * step)
                     assert jac[k, j] == pytest.approx(fd, abs=1e-6)
 
@@ -358,7 +373,7 @@ class TestTransformedPhaseJacobian:
                 continue
             jac = transformed_phase_jacobian(psi)
             rho = np.abs(psi) ** 2
-            rho_out = np.abs(hadamard_transform(psi)) ** 2
+            rho_out = np.abs(transform_columns(psi, 1)) ** 2
             for dphi in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                          rng.normal(size=2)):
                 dphi_out = jac @ dphi

@@ -473,18 +473,10 @@ class TestPlanRamps:
             expected = np.exp(-1j * sign * twiddle_stage(n, level))
             assert np.array_equal(plan.diagonal(level), expected)
 
-    @pytest.mark.parametrize("sign", [+1, -1])
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_one_level_phases_equal_the_expanded_diagonals(self, n, sign):
-        plan = make_plan(n, sign)
-        for level in range(1, n):
-            assert np.array_equal(plan.twiddle_phases(level),
-                                  np.angle(plan.diagonal(level)))
-
     @pytest.mark.parametrize("level", [0, 4, -1])
     def test_twiddle_level_out_of_range(self, level):
         with pytest.raises(DomainError):
-            make_plan(4).twiddle_phases(level)
+            make_plan(4).diagonal(level)
 
     @pytest.mark.parametrize("args", [(True,), (3, 1.0), (3.0,)],
                              ids=["n-true", "sign-1.0", "n-3.0"])
@@ -492,13 +484,13 @@ class TestPlanRamps:
         with pytest.raises(DomainError):
             make_plan(*args)
 
-    def test_one_level_phases_expand_only_that_level(self):
+    def test_one_diagonal_expands_only_that_level(self):
         # all 17 expanded diagonals of n = 18 would take 68 MB; one level
-        # takes a 4 MB diagonal and its 2 MB of phases
+        # takes a 4 MB diagonal
         plan = make_plan(18)
         tracemalloc.start()
         try:
-            plan.twiddle_phases(1)
+            plan.diagonal(1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

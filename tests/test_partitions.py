@@ -240,6 +240,26 @@ class TestScaleTransform:
                 continue
             assert (out.q_constraint.lo, out.p_constraint.lo) in family
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_constraint_pair_moves_its_members(self, n):
+        # q -> 2q mod 2**n lands in the q image and p -> p >> 1 in the p
+        # image, for every pair of constraints that has an image, p windows
+        # that stop above the bottom bit (the interior branch) included
+        constraints = [DigitSubsetSet(n, lo, hi, pattern)
+                       for lo in range(1, n + 1) for hi in range(lo, n + 1)
+                       for pattern in range(1 << (hi - lo + 1))]
+        interior = 0
+        for q, p in itertools.product(constraints, repeat=2):
+            try:
+                out = scale_transform_set(PhaseSpaceSet(q, p))
+            except RangeError:
+                continue
+            interior += p.hi < n
+            assert out.level_sum == q.lo + p.lo
+            assert all((2 * x) % (1 << n) in out.q_constraint for x in q.members())
+            assert all(y >> 1 in out.p_constraint for y in p.members())
+        assert interior > 0 or n == 1
+
 
 class TestEnumerateBinaryPartitions:
     def test_counts(self):

@@ -1,0 +1,86 @@
+"""The public surface of qrecon and the width cap its guards share.
+
+The names `qrecon/__init__.py` imports are pinned here, so that adding or
+removing a public name is a visible edit of this list.  Every width guard
+refuses widths above its cap with a DomainError before it allocates: the
+cases below must never reach an allocation, because the arrays they name
+would not fit in memory.
+"""
+
+import ast
+
+import numpy as np
+import pytest
+
+import qrecon
+from qrecon.butterfly import (assemble_transform, bit_reversal_permutation,
+                              derive_shift_phases, dft_matrix, make_plan,
+                              node_position, shift_operator_check,
+                              stage_matrix, twiddle_phase, twiddle_stage,
+                              verify_danielson_lanczos)
+from qrecon.exceptions import MAX_WIDTH, DomainError
+from qrecon.metrics import draw_state, draw_tangent
+from qrecon.partitions import make_lsb_partition
+
+PUBLIC_NAMES = [
+    "AVAILABLE_BACKENDS", "BACKEND", "BlochPoint", "ButterflyPlan",
+    "ConditionalTree", "ConfigError", "DigitSubsetSet", "Distribution",
+    "DomainError", "ExtendedCoords", "MeasurementSample", "Partition",
+    "PhaseSpaceSet", "RangeError", "SingularityError", "StateVector",
+    "Tangent", "ThetaAngle", "TomographyReport", "apply_butterfly",
+    "apply_shift", "assemble_transform", "bit_reversal_permutation",
+    "bloch_from_extended", "chain_propagate", "chart_tangent_metric",
+    "derive_shift_phases", "dft_matrix", "enumerate_binary_partitions",
+    "extended_fisher_metric", "extended_fisher_metric_recursive",
+    "extended_from_bloch", "factorize", "finest_common_partition",
+    "fisher_info_theta", "fisher_info_theta_numeric",
+    "fisher_matrix_numeric", "fubini_study_distance", "fubini_study_metric",
+    "is_invariant_under_shift", "make_lsb_partition", "make_plan",
+    "marginalize_to_partition", "measurement_stream", "metric_in_coords",
+    "mle_theta", "node_position", "pauli_expectations", "prob_from_theta",
+    "psi_from_bloch", "random_state", "random_tangent", "rebit_conjugate",
+    "reconstitute", "s_variable", "scale_transform_set",
+    "shift_invariant_equal_partitions", "shift_operator_check",
+    "shift_rotation_2", "simulate_bernoulli", "stage_matrix",
+    "theta_from_prob", "tomography_experiment", "transformed_phase_jacobian",
+    "twiddle_phase", "twiddle_stage", "verify_danielson_lanczos",
+]
+
+
+def test_the_public_names_are_pinned():
+    with open(qrecon.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = sorted(alias.asname or alias.name for node in tree.body
+                      if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert imported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 67
+
+
+VECTOR, DENSE, STREAMED = MAX_WIDTH, MAX_WIDTH // 2, MAX_WIDTH - 6
+RNG = np.random.default_rng(0)
+
+# (name, call of one width or size, the least width or size above its cap)
+CAPPED = [
+    ("bit_reversal_permutation", bit_reversal_permutation, VECTOR + 1),
+    ("node_position", lambda n: node_position(n, 0, 0, 0), VECTOR + 1),
+    ("derive_shift_phases", derive_shift_phases, VECTOR + 1),
+    ("twiddle_stage", lambda n: twiddle_stage(n, 1), VECTOR + 1),
+    ("twiddle_phase", lambda n: twiddle_phase(n, 1, 0), VECTOR + 1),
+    ("make_plan", make_plan, VECTOR + 1),
+    ("draw_state", lambda n: draw_state(n, RNG), VECTOR + 1),
+    ("draw_tangent", lambda size: draw_tangent(size, RNG), (1 << VECTOR) + 1),
+    ("make_lsb_partition", lambda n: make_lsb_partition(n, 1), VECTOR + 1),
+    ("stage_matrix", lambda n: stage_matrix(n, 1), DENSE + 1),
+    ("assemble_transform", assemble_transform, DENSE + 1),
+    # the least power of 2 above the cap: other sizes fail as such
+    ("dft_matrix", dft_matrix, 2 << DENSE),
+    ("verify_danielson_lanczos", verify_danielson_lanczos, STREAMED + 1),
+    ("shift_operator_check", shift_operator_check, STREAMED + 1),
+]
+
+
+@pytest.mark.parametrize("which", ["cap+1", "1e30"])
+@pytest.mark.parametrize("name, call, above", CAPPED, ids=[c[0] for c in CAPPED])
+def test_widths_above_the_cap_are_refused(name, call, above, which):
+    with pytest.raises(DomainError):
+        call(above if which == "cap+1" else 10**30)
