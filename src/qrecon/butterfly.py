@@ -206,6 +206,9 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
          own order.
     Each entry meets the same float operations in the same order as in a
     pass of all n stages over one array, so the result has the same bits.
+    The steps run at numpy's least ufunc buffer (STAGE_BUFSIZE), restored on
+    return: numpy then reads the short strided half-blocks in place instead
+    of copying them through its buffer, which changes no bit.
     """
     if order not in ("natural", "bitReversed"):
         raise DomainError(f"unknown order {order!r}")
@@ -215,20 +218,22 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
         raise DomainError("need one state or an (N, B) column stack of the "
                           "plan's length N")
     s = min(n, TAIL_STAGES)
-    work = np.array(psi, dtype=complex, order="C")
-    kernels.apply_stage_range(work, plan.ramps, n, 1, n - s)
-    # explicit sizes, not -1: an empty stack (B = 0) has no size to infer it
-    cols = psi.shape[1:]
-    blocks = work.reshape(1 << (n - s), 1 << s, *cols)
-    tail = np.empty((1 << s, 1 << (n - s), *cols), dtype=complex)
-    perm = bit_reversal_permutation(n - s)
-    step = max(1, GATHER_ENTRIES // max(1, blocks[0].size))
-    for start in range(0, perm.size, step):
-        chunk = perm[start:start + step]
-        tail[:, start:start + chunk.size] = blocks[chunk].swapaxes(0, 1)
-    del work, blocks
-    kernels.apply_stage_range(tail.reshape(1 << s, tail.size >> s),
-                              plan.ramps[n - s:], s, 1, s)
+    with np.errstate():  # restores numpy's buffer size on exit, raise or not
+        np.setbufsize(STAGE_BUFSIZE)
+        work = np.array(psi, dtype=complex, order="C")
+        kernels.apply_stage_range(work, plan.ramps, n, 1, n - s)
+        # explicit sizes, not -1: an empty stack (B = 0) has no size to infer it
+        cols = psi.shape[1:]
+        blocks = work.reshape(1 << (n - s), 1 << s, *cols)
+        tail = np.empty((1 << s, 1 << (n - s), *cols), dtype=complex)
+        perm = bit_reversal_permutation(n - s)
+        step = max(1, GATHER_ENTRIES // max(1, blocks[0].size))
+        for start in range(0, perm.size, step):
+            chunk = perm[start:start + step]
+            tail[:, start:start + chunk.size] = blocks[chunk].swapaxes(0, 1)
+        del work, blocks
+        kernels.apply_stage_range(tail.reshape(1 << s, tail.size >> s),
+                                  plan.ramps[n - s:], s, 1, s)
     if order == "natural":
         out = tail[bit_reversal_permutation(s)]
     else:
@@ -292,28 +297,40 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------ verifications
 
 # Identity columns per block of the streamed ladder measurement.  With the
-# four-step stack apply, on a 2-core VM (alternated processes, best of 7
-# calls each), blocks of 32 columns took 169-197 ms at n = 10 against
-# 184-210 ms for 64 and 248-272 ms for 128, and at n = 12 4.1-4.3 s against
-# 4.4 s, with a 53 MB process peak against 77 MB.
+# stages at STAGE_BUFSIZE, on a 2-core VM (nine alternated sweeps in one
+# process), _ladder_deviations(10) took 152 ms at blocks of 32 columns,
+# against 163 ms for 16 and 203 ms for 64; at n = 12 an earlier sweep read
+# a 53 MB process peak for 32 against 77 MB for 64.
 LADDER_BLOCK = 32
 
-# Stages that apply_butterfly runs on its tail stack.  At n = 18 on a
-# 2-core VM, a stage with half-blocks of 2 to 16 entries took 2.2 to 5.1 ms
-# on one array, against 1.1 to 1.2 ms for a stage with half-blocks of 4,096
-# or more.  On one state, tails of 5 to 9 stages gave about the same apply
-# time (medians of 30 to 31 ms over five alternated sweeps) and a tail of 4
-# took about 7% longer; on (1024, 32), (1024, 64) and (4096, 32) stacks,
-# tails of 4 to 10 stages were level within the spread of two sweeps.
+# Stages that apply_butterfly runs on its tail stack.  At n = 18 on a 2-core
+# VM, with the stages at STAGE_BUFSIZE, a stage with half-blocks of 64
+# entries or more took 0.9 to 1.2 ms on one array, against 1.6 to 6.0 ms
+# for half-blocks of 32 down to 2.  Over five alternated sweeps (medians of
+# best-of-k), tails of 5 to 9 stages were level at n = 16 (3.0 to 3.2 ms)
+# and n = 18 (23 to 24 ms) and a tail of 4 took 10 to 13% longer; from 9
+# stages on, n = 10..14 and (1024, 32) and (1024, 64) stacks slowed by 20
+# to 70%.  _ladder_deviations(10) read 176 to 182 ms for tails of 5 to 8.
 TAIL_STAGES = 6
 
 # Entries per chunk of the block gather into apply_butterfly's tail, so that
-# only one chunk of blocks is ever held twice.  Chunks of 2**11 to 2**20
-# entries gave the same apply times within the spread of two sweeps, on
-# states of n = 10..18 and on (1024, 64), (1024, 128) and (4096, 64)
-# stacks; 2**14 holds the tracemalloc peak of one n = 16 state at 2.3 times
-# its size, where a gather of the whole state makes it 3.
+# only one chunk of blocks is ever held twice, and in cache.  On a 2-core VM
+# the gather alone took 0.165 ms at 2**13 to 2**14 on a (1024, 64) stack
+# against 0.22 ms at 2**11 and 0.8 to 1.1 ms for one chunk of the whole
+# stack, 0.25 ms at 2**14 on an n = 16 state against 1.1 to 1.2 ms for one
+# chunk, and 1.2 ms at 2**14 at n = 18 against 4.4 ms.  2**14 also holds
+# the tracemalloc peak of one n = 16 state at 2.3 times its size.
 GATHER_ENTRIES = 1 << 14
+
+# numpy's ufunc buffer, in elements, while apply_butterfly runs: the least
+# numpy accepts.  The default buffer of 8,192 copies a strided operand whose
+# contiguous runs are shorter than about half of it, which no stage needs,
+# since no operand is cast.  On a 2-core VM (seven alternated sweeps) the
+# apply took 0.78 to 0.86 ms at n = 14 and 3.7 to 4.1 ms at n = 16 with
+# buffers of 16 to 1,024, against 1.08 and 5.1 ms with the default; the
+# bits are the same.  Half-blocks of 16 entries or fewer gain from the
+# default buffer, so chain_propagate's one-pass stages keep it.
+STAGE_BUFSIZE = 16
 
 
 def _ladder_deviations(n: int) -> dict[str, float]:

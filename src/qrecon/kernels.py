@@ -11,6 +11,10 @@ the ramp broadcast down them) and stay long even where the stage's halves
 are short.  `butterfly.apply_butterfly` makes two calls per transform, on
 one state and on a stack alike: the first n - 6 stages run on the input
 itself, and the last 6 on a (64, N/64 * B) stack of its 64-entry blocks.
+It makes both at numpy's least ufunc buffer (`butterfly.STAGE_BUFSIZE`), so
+numpy does not copy the strided halves through its buffer; the kernel
+itself keeps the caller's buffer size, which `chain_propagate`'s one-pass
+stages, with half-blocks of a few entries, run faster at.
 BACKEND names the kernel for reports.
 """
 

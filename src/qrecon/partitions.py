@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .exceptions import MAX_WIDTH, DomainError, RangeError, check_integer
+from .exceptions import MAX_OBJECT_WIDTH, DomainError, RangeError, check_integer
 
 ENUMERATION_WIDTH_CAP = 4  # brute-force searches refuse above this width
 
@@ -118,7 +118,7 @@ def make_lsb_partition(n: int, l: int) -> Partition:
     least significant bits).  Set mu collects every x with x mod 2**(n-l+1)
     == mu; each set has 2**(l-1) elements.
     """
-    n = check_integer("width", n, 1, MAX_WIDTH)
+    n = check_integer("width", n, 1, MAX_OBJECT_WIDTH)
     l = check_integer("level l", l, 1, n)
     period = 1 << (n - l + 1)
     sets = [tuple(range(mu, 1 << n, period)) for mu in range(period)]

@@ -582,6 +582,86 @@ class TestFourStepStack:
         assert peak < 2.5 * psi.nbytes
 
 
+DEFAULT_BUFSIZE = 8192  # numpy's ufunc buffer, in elements, unless set
+
+
+def default_buffer_ladder(plan, psi, order):
+    """All n stages as one loop of this module's own, with the kernel's float
+    operations in the kernel's order, at numpy's default buffer size."""
+    n = plan.n
+    out = np.array(psi, dtype=complex)
+    cols = out.shape[1:]
+    with np.errstate():
+        np.setbufsize(DEFAULT_BUFSIZE)
+        for l in range(1, n + 1):
+            half = 1 << (n - l)
+            view = out.reshape(-1, 2, half, *cols)
+            top, bot = view[:, 0], view[:, 1]
+            tmp = top - bot
+            top += bot
+            top *= butterfly._INV_SQRT2
+            tmp *= butterfly._INV_SQRT2
+            if l < n:
+                ramp = plan.ramps[l - 1]
+                tmp *= ramp[:, None] if cols else ramp
+            bot[...] = tmp
+    return out[bit_reversal_permutation(n)] if order == "natural" else out
+
+
+class TestStageBuffer:
+    """apply_butterfly runs its stages at numpy's least ufunc buffer size and
+    leaves the caller's buffer size as it found it."""
+
+    # at these sizes the middle stages' contiguous runs are shorter than
+    # half the default buffer, so the default buffer copies them
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("shape", [(1 << 13,), (1 << 14,), (1 << 15,),
+                                       (1 << 16,), (1024, 32), (1024, 64)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_equals_the_default_buffer_loop_bit_for_bit(self, shape, sign, order):
+        rng = np.random.default_rng(900 + len(shape))
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        plan = make_plan(shape[0].bit_length() - 1, sign)
+        ref = default_buffer_ladder(plan, psi, order)
+        assert apply_butterfly(plan, psi, order).tobytes() == ref.tobytes()
+
+    def test_the_stages_run_at_the_least_buffer(self, monkeypatch):
+        seen = []
+        real = kernels.apply_stage_range
+        monkeypatch.setattr(kernels, "apply_stage_range",
+                            lambda *args: seen.append(np.getbufsize()) or real(*args))
+        apply_butterfly(make_plan(12), np.ones(1 << 12, dtype=complex))
+        assert seen == [butterfly.STAGE_BUFSIZE] * 2
+        # one-pass stages have half-blocks of a few entries, which gain from
+        # the default buffer
+        seen.clear()
+        chain_propagate(np.full(1 << 4, 0.25, dtype=complex))
+        assert seen == [DEFAULT_BUFSIZE] * 4
+
+    def test_the_buffer_size_is_restored(self):
+        before = np.getbufsize()
+        apply_butterfly(make_plan(12), np.ones(1 << 12, dtype=complex))
+        assert np.getbufsize() == before
+
+    def test_the_buffer_size_is_restored_when_a_stage_raises(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("stage failed")
+
+        before = np.getbufsize()
+        monkeypatch.setattr(kernels, "apply_stage_range", fail)
+        with pytest.raises(RuntimeError):
+            apply_butterfly(make_plan(12), np.ones(1 << 12, dtype=complex))
+        assert np.getbufsize() == before
+
+    def test_a_callers_own_buffer_size_survives_the_call(self):
+        with np.errstate():
+            np.setbufsize(64)
+            apply_butterfly(make_plan(12), np.ones(1 << 12, dtype=complex))
+            assert np.getbufsize() == 64
+        assert np.getbufsize() == DEFAULT_BUFSIZE
+
+
 @functools.lru_cache(maxsize=None)
 def recursive_dft(m):
     """The Danielson-Lanczos recursion for the 2**m-point Fourier matrix, a

@@ -18,7 +18,7 @@ from qrecon.butterfly import (assemble_transform, bit_reversal_permutation,
                               node_position, shift_operator_check,
                               stage_matrix, twiddle_phase, twiddle_stage,
                               verify_danielson_lanczos)
-from qrecon.exceptions import MAX_WIDTH, DomainError
+from qrecon.exceptions import MAX_OBJECT_WIDTH, MAX_WIDTH, DomainError
 from qrecon.metrics import draw_state, draw_tangent
 from qrecon.partitions import make_lsb_partition
 
@@ -69,7 +69,7 @@ CAPPED = [
     ("make_plan", make_plan, VECTOR + 1),
     ("draw_state", lambda n: draw_state(n, RNG), VECTOR + 1),
     ("draw_tangent", lambda size: draw_tangent(size, RNG), (1 << VECTOR) + 1),
-    ("make_lsb_partition", lambda n: make_lsb_partition(n, 1), VECTOR + 1),
+    ("make_lsb_partition", lambda n: make_lsb_partition(n, 1), MAX_OBJECT_WIDTH + 1),
     ("stage_matrix", lambda n: stage_matrix(n, 1), DENSE + 1),
     ("assemble_transform", assemble_transform, DENSE + 1),
     # the least power of 2 above the cap: other sizes fail as such
