@@ -33,11 +33,10 @@ from .partitions import (DigitSubsetSet, Partition, PhaseSpaceSet,
                          finest_common_partition, is_invariant_under_shift,
                          make_lsb_partition, scale_transform_set,
                          shift_invariant_equal_partitions)
-from .probmodel import (ConditionalTree, Distribution, ThetaAngle, factorize,
+from .probmodel import (ConditionalTree, Distribution, factorize,
                         marginalize_to_partition, prob_from_theta,
                         reconstitute, s_variable, theta_from_prob)
-from .sampling import (MeasurementSample, TomographyReport,
-                       measurement_stream, mle_theta, simulate_bernoulli,
-                       tomography_experiment)
+from .sampling import (MeasurementSample, measurement_stream, mle_theta,
+                       simulate_bernoulli, tomography_experiment)
 
 __version__ = "0.1.0"

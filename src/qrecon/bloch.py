@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import DomainError, SingularityError
 from .metrics import _reject_rows
-from .probmodel import RENORM_TOL, ThetaAngle
+from .probmodel import RENORM_TOL
 
 POLE_TOL = 1e-12
 
@@ -120,14 +120,13 @@ class ExtendedCoords:
             raise DomainError("alpha outside (-pi, pi]")
 
 
-def rebit_conjugate(theta_q: ThetaAngle | float) -> float:
+def rebit_conjugate(theta_q: float) -> float:
     """theta_p = pi/2 - theta_q on the rebit circle.
 
     The value can leave [0, pi]; the rebit chart extends to negative angles,
     and probabilities only see cos^2/sin^2 (even in theta).
     """
-    t = theta_q.value if isinstance(theta_q, ThetaAngle) else float(theta_q)
-    return math.pi / 2.0 - t
+    return math.pi / 2.0 - float(theta_q)
 
 
 def bloch_from_extended(coords: ExtendedCoords) -> BlochPoint:

@@ -38,9 +38,8 @@ import numpy as np
 
 from . import kernels
 from .exceptions import MAX_WIDTH, DomainError, check_integer
+from .kernels import _INV_SQRT2
 from .probmodel import RENORM_TOL, Distribution
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _check_sign(sign) -> None:
@@ -51,11 +50,13 @@ def _check_sign(sign) -> None:
 
 # ----------------------------------------------------------------- indexing
 
-# typed: True and 1.0 must not hit the cache entry of 1
-@functools.lru_cache(maxsize=None, typed=True)
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """Index array br with br[y] = y with its n bits in reversed order."""
-    n = check_integer("width", n, 0, MAX_WIDTH)
+    return _bit_reversal(check_integer("width", n, 0, MAX_WIDTH))
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_reversal(n: int) -> np.ndarray:
     br = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         br = np.concatenate([2 * br, 2 * br + 1])

@@ -15,6 +15,7 @@ It makes both at numpy's least ufunc buffer (`butterfly.STAGE_BUFSIZE`), so
 numpy does not copy the strided halves through its buffer; the kernel
 itself keeps the caller's buffer size, which `chain_propagate`'s one-pass
 stages, with half-blocks of a few entries, run faster at.
+`apply_stages_inplace` is `apply_stage_range` over all n stages.
 BACKEND names the kernel for reports.
 """
 
@@ -35,19 +36,6 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
                       n: int, l_start: int, l_end: int) -> None:
     """Run stages l_start..l_end (with their trailing twiddles) in place on
     one state (N,) or a column stack (N, B)."""
-    _run_stages(psi, twiddles, n, l_start, l_end)
-
-
-def apply_stages_inplace(psi: np.ndarray, twiddles: Sequence[np.ndarray],
-                         n: int) -> None:
-    """Run all n stages (with interleaved twiddles) on psi in place."""
-    _run_stages(psi, twiddles, n, 1, n)
-
-
-# Both entry points share this body rather than one calling the other, so a
-# call of either is one span when the public functions are wrapped for tracing.
-def _run_stages(psi: np.ndarray, twiddles: Sequence[np.ndarray],
-                n: int, l_start: int, l_end: int) -> None:
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise ValueError("need one state of 2**n components or an (N, B) stack")
     if psi.ndim == 2 and not psi.flags.c_contiguous:
@@ -69,3 +57,8 @@ def _run_stages(psi: np.ndarray, twiddles: Sequence[np.ndarray],
             tmp *= ramp[:, None] if cols else ramp
         bot[...] = tmp
 
+
+def apply_stages_inplace(psi: np.ndarray, twiddles: Sequence[np.ndarray],
+                         n: int) -> None:
+    """Run all n stages (with interleaved twiddles) on psi in place."""
+    apply_stage_range(psi, twiddles, n, 1, n)

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import MAX_WIDTH, DomainError, SingularityError, check_integer
-from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, ThetaAngle,
-                        mass_pyramid, prob_from_theta, reconstitute,
-                        theta_from_prob)
+from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, mass_pyramid,
+                        prob_from_theta, reconstitute, theta_from_prob)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
@@ -176,14 +175,13 @@ def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.n
     return rho, drho, dphi
 
 
-def fisher_info_theta(theta: ThetaAngle | float) -> float:
+def fisher_info_theta(theta: float) -> float:
     """Fisher information of the theta parametrization of a binary outcome.
 
     Analytically the expectation sum collapses to 1 for every theta; the
     endpoints are covered by continuity.
     """
-    t = theta.value if isinstance(theta, ThetaAngle) else float(theta)
-    if not 0.0 <= t <= math.pi:
+    if not 0.0 <= float(theta) <= math.pi:
         raise DomainError("theta outside [0, pi]")
     return 1.0
 
@@ -197,7 +195,7 @@ def fisher_info_theta_numeric(theta: float) -> float:
         raise DomainError("theta too close to the boundary for differencing")
     total = 0.0
     for i in (0, 1):
-        f = lambda t: (math.cos(t / 2.0) ** 2, math.sin(t / 2.0) ** 2)[i]
+        f = lambda t: prob_from_theta(t)[i]
 
         def diff(h):
             return (math.log(f(theta + h)) - math.log(f(theta - h))) / (2 * h)
@@ -225,7 +223,7 @@ def fisher_matrix_numeric(tree: ConditionalTree) -> np.ndarray:
         if not 0.0 < p0 < 1.0:
             raise SingularityError(
                 f"boundary node p0={p0} at level {level}, suffix {suffix}")
-        theta = theta_from_prob(p0).value
+        theta = theta_from_prob(p0)
         up, dn = (reconstitute(tree.with_node(level, suffix, prob_from_theta(t)[0])).probs
                   for t in (theta + step, theta - step))
         with np.errstate(divide="ignore"):

@@ -5,15 +5,18 @@ domain, bit 1 is the top bit and bit n the bottom bit of ``x``, so the value
 of bit ``i`` of ``x`` is ``(x >> (n - i)) & 1``.
 
 Domains always have ``2**n`` elements and partitions a power-of-2 number of
-sets.  Partitions are canonically ordered by smallest member, so structural
-equality is value equality.
+sets.  ``Partition(n, sets)`` is the one constructor: it sorts each set,
+orders the sets by smallest member and checks that they partition the
+domain, so every Partition is valid and structural equality is value
+equality.  A partition is shift-invariant when ``apply_shift(p, 1) == p``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -57,35 +60,36 @@ class DigitSubsetSet:
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of {0, .., 2**domain_width - 1} into disjoint sets."""
+    """A partition of {0, .., 2**domain_width - 1} into a power-of-2 number
+    of disjoint sets.  Construction sorts each set and orders the sets by
+    least element, so structural equality is value equality, and rejects
+    anything that is not such a partition."""
 
     domain_width: int
     sets: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_sets(cls, domain_width: int, sets: Iterable[Iterable[int]]) -> "Partition":
-        # disjoint sets sort by their least element; an empty one sorts
-        # first and fails validate
-        canon = tuple(sorted(tuple(sorted(set(s))) for s in sets))
-        p = cls(domain_width, canon)
-        p.validate()
-        return p
-
-    def validate(self) -> None:
-        n = self.domain_width
+    def __post_init__(self):
+        n = check_integer("width", self.domain_width, 0, MAX_OBJECT_WIDTH)
+        try:
+            # disjoint sets sort by their least element; an empty one sorts first
+            canon = tuple(sorted(tuple(sorted(set(s))) for s in self.sets))
+            elements = [operator.index(x) for s in canon for x in s]
+        except TypeError as exc:  # not a collection of collections of integers
+            raise DomainError(f"sets must be collections of integers: {exc}") from exc
+        object.__setattr__(self, "domain_width", n)
+        object.__setattr__(self, "sets", canon)
+        if not all(canon):
+            raise DomainError("partition contains an empty set")
         seen: set[int] = set()
-        for s in self.sets:
-            if not s:
-                raise DomainError("partition contains an empty set")
-            for x in s:
-                if not 0 <= x < (1 << n):
-                    raise DomainError(f"element {x} outside width-{n} domain")
-                if x in seen:
-                    raise DomainError(f"element {x} appears in two sets")
-                seen.add(x)
+        for x in elements:
+            if not 0 <= x < (1 << n):
+                raise DomainError(f"element {x} outside width-{n} domain")
+            if x in seen:
+                raise DomainError(f"element {x} appears in two sets")
+            seen.add(x)
         if len(seen) != (1 << n):
             raise DomainError("union of sets does not cover the domain")
-        if len(self.sets) & (len(self.sets) - 1):
+        if len(canon) & (len(canon) - 1):
             raise DomainError("number of sets must be a power of 2")
 
     def __len__(self) -> int:
@@ -96,9 +100,6 @@ class Partition:
             if x in s:
                 return i
         raise DomainError(f"{x} not in domain")
-
-    def as_frozensets(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(s) for s in self.sets)
 
 
 @dataclass(frozen=True)
@@ -122,22 +123,18 @@ def make_lsb_partition(n: int, l: int) -> Partition:
     l = check_integer("level l", l, 1, n)
     period = 1 << (n - l + 1)
     sets = [tuple(range(mu, 1 << n, period)) for mu in range(period)]
-    return Partition.from_sets(n, sets)
+    return Partition(n, sets)
 
 
 def apply_shift(p: Partition, k: int) -> Partition:
     """Shift every element by +k mod 2**n, keeping the set grouping."""
     size = 1 << p.domain_width
-    return Partition.from_sets(
-        p.domain_width, [[(x + k) % size for x in s] for s in p.sets])
+    return Partition(p.domain_width, [[(x + k) % size for x in s] for s in p.sets])
 
 
 def is_invariant_under_shift(p: Partition) -> bool:
     """True iff shifting by +1 maps every set onto a set of the partition."""
-    size = 1 << p.domain_width
-    originals = p.as_frozensets()
-    return all(
-        frozenset((x + 1) % size for x in s) in originals for s in p.sets)
+    return apply_shift(p, 1) == p
 
 
 def finest_common_partition(a: Partition, b: Partition) -> Partition:
@@ -168,7 +165,7 @@ def finest_common_partition(a: Partition, b: Partition) -> Partition:
     blocks: dict[int, list[int]] = {}
     for x in parent:
         blocks.setdefault(find(x), []).append(x)
-    return Partition.from_sets(a.domain_width, blocks.values())
+    return Partition(a.domain_width, blocks.values())
 
 
 def scale_transform_set(s: PhaseSpaceSet) -> PhaseSpaceSet:
@@ -209,7 +206,7 @@ def enumerate_binary_partitions(n: int) -> list[Partition]:
     for extra in itertools.combinations(rest, half - 1):
         first = (0, *extra)
         second = tuple(x for x in range(size) if x not in first)
-        out.append(Partition.from_sets(n, [first, second]))
+        out.append(Partition(n, [first, second]))
     return out
 
 
@@ -247,8 +244,8 @@ def shift_invariant_equal_partitions(n: int, cardinality: int) -> list[Partition
     keep = (distinct == cardinality) & (np.bitwise_or.reduce(orbits, axis=0) == full)
     found = []
     for orbit in orbits[:, keep].T.tolist():
-        p = Partition.from_sets(
-            n, [[x for x in range(size) if (mask >> x) & 1] for mask in set(orbit)])
+        p = Partition(n, [[x for x in range(size) if (mask >> x) & 1]
+                          for mask in set(orbit)])
         if is_invariant_under_shift(p):
             found.append(p)
     # every 0-set is the first set of its partition

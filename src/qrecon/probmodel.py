@@ -12,7 +12,6 @@ leaf probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,30 +23,18 @@ SUM_TOL = 1e-12          # accepted deviation of sum(probs) from 1
 RENORM_TOL = 1e-9        # constructors renormalize within this, reject beyond
 
 
-@dataclass(frozen=True)
-class ThetaAngle:
-    """Angle in [0, pi] parametrizing a binary distribution as
-    (cos^2(theta/2), sin^2(theta/2))."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= math.pi:
-            raise DomainError(f"theta {self.value} outside [0, pi]")
-
-
-def prob_from_theta(theta: ThetaAngle | float) -> tuple[float, float]:
+def prob_from_theta(theta: float) -> tuple[float, float]:
     """(cos^2(theta/2), sin^2(theta/2)); the two entries sum to 1."""
-    t = theta.value if isinstance(theta, ThetaAngle) else float(theta)
+    t = float(theta)
     return math.cos(t / 2.0) ** 2, math.sin(t / 2.0) ** 2
 
 
-def theta_from_prob(p0: float) -> ThetaAngle:
-    """Inverse of prob_from_theta, theta = 2*arccos(sqrt(p0))."""
+def theta_from_prob(p0: float) -> float:
+    """Inverse of prob_from_theta, theta = 2*arccos(sqrt(p0)) in [0, pi]."""
     if not -SUM_TOL <= p0 <= 1.0 + SUM_TOL:
         raise DomainError(f"probability {p0} outside [0, 1]")
     p0 = min(max(p0, 0.0), 1.0)
-    return ThetaAngle(2.0 * math.acos(math.sqrt(p0)))
+    return 2.0 * math.acos(math.sqrt(p0))
 
 
 class Distribution:

@@ -3,8 +3,9 @@
 Every binary observable is described by its angle on the theta chart,
 P(0) = cos^2(theta/2) (`qrecon.probmodel`): a tomography experiment takes
 one {observable: theta} dict, and the maximum-likelihood estimate maps the
-observed frequency back through the same chart.  The experiment reports the
-spread of its estimates; `qrecon.criteria` judges them.
+observed frequency back through the same chart.  The experiment returns one
+summary of its estimates' spread per observable; `qrecon.criteria` compares
+their precisions and judges them.
 
 Randomness comes from counter-based Philox streams (Salmon et al., SC 2011),
 one per (master seed, observable): `measurement_stream` keys it with
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, check_integer
-from .probmodel import ThetaAngle, prob_from_theta, theta_from_prob
+from .probmodel import prob_from_theta, theta_from_prob
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
 
@@ -31,7 +32,7 @@ OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
 def measurement_stream(master_seed: int, observable: str) -> np.random.Generator:
     """Independent Philox stream for one (seed, observable) pair."""
     seed = check_integer("seed", master_seed, 0)
-    if observable not in OBSERVABLE_CODES:
+    if not isinstance(observable, str) or observable not in OBSERVABLE_CODES:
         raise DomainError(f"unknown observable {observable!r}; expected one of "
                           f"{', '.join(OBSERVABLE_CODES)}")
     seq = np.random.SeedSequence(entropy=seed,
@@ -54,12 +55,12 @@ class MeasurementSample:
         return sum(self.counts)
 
 
-def _replica_zeros(theta: ThetaAngle | float, trials: int, seed: int,
+def _replica_zeros(theta: float, trials: int, seed: int,
                    observable: str, replicas: int) -> np.ndarray:
     """Counts of outcome 0 of the first `replicas` replicas, `trials`
     outcomes each: replica r is the r-th binomial draw of the (seed,
     observable) stream."""
-    if not isinstance(theta, ThetaAngle) and not math.isfinite(theta):
+    if not math.isfinite(theta):
         raise DomainError(f"observable {observable}: theta {theta} is not finite")
     # numpy's binomial takes the trial count as an int64
     check_integer(f"observable {observable}: trials", trials, 1,
@@ -68,7 +69,7 @@ def _replica_zeros(theta: ThetaAngle | float, trials: int, seed: int,
     return measurement_stream(seed, observable).binomial(trials, p0, size=replicas)
 
 
-def simulate_bernoulli(theta: ThetaAngle | float, trials: int, seed: int,
+def simulate_bernoulli(theta: float, trials: int, seed: int,
                        observable: str = "q") -> MeasurementSample:
     """Draw `trials` i.i.d. binary outcomes with P(0) = cos^2(theta/2):
     replica 0 of a tomography experiment with this seed."""
@@ -84,7 +85,7 @@ def mle_theta(sample: MeasurementSample) -> tuple[float, float]:
     m = sample.total
     if m == 0:
         raise DomainError("empty sample")
-    return theta_from_prob(sample.counts[0] / m).value, 1.0 / m
+    return theta_from_prob(sample.counts[0] / m), 1.0 / m
 
 
 @dataclass(frozen=True)
@@ -95,30 +96,6 @@ class ObservableSummary:
     theta_hat_mean: float
     var_hat: float
     precision_per_measurement: float
-
-
-@dataclass(frozen=True)
-class TomographyReport:
-    summaries: tuple[ObservableSummary, ...]
-    max_parity_deviation: float
-
-    def summary_for(self, observable: str) -> ObservableSummary:
-        for s in self.summaries:
-            if s.observable == observable:
-                return s
-        raise KeyError(observable)
-
-    def as_rows(self) -> list[dict]:
-        return [
-            {
-                "observable": s.observable,
-                "M": s.trials,
-                "thetaHat": s.theta_hat_mean,
-                "varHat": s.var_hat,
-                "precisionPerMeasurement": s.precision_per_measurement,
-            }
-            for s in self.summaries
-        ]
 
 
 def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
@@ -138,16 +115,15 @@ def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
 
 
 def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
-                          seed: int, replicas: int) -> TomographyReport:
-    """Repeated-measurement estimation experiment over a set of observables.
+                          seed: int, replicas: int) -> tuple[ObservableSummary, ...]:
+    """Repeated-measurement estimation experiment over a set of observables:
+    one summary per measured observable, in name order.
 
     `thetas` gives each observable's angle on the theta chart.  Each
     observable is measured `trials[name]` times per replica; the spread of
     the per-replica estimates gives the empirical estimator variance and the
-    per-measurement precision contribution 1 / (M * var).  The report
-    carries the largest relative difference between those contributions
-    (observables pinned at a boundary estimate carry no spread and are
-    excluded from the comparison); `qrecon.criteria` judges it.
+    per-measurement precision contribution 1 / (M * var), infinite for an
+    estimate pinned at a boundary.
     """
     thetas = {name: float(theta) for name, theta in thetas.items()}
     if not thetas:
@@ -170,15 +146,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
             observable=name, trials=m, theta_true=theta,
             theta_hat_mean=float(est.mean()), var_hat=var_hat,
             precision_per_measurement=precision))
-    finite = [s.precision_per_measurement for s in summaries
-              if math.isfinite(s.precision_per_measurement)]
-    max_dev = 0.0
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            mean = 0.5 * (finite[i] + finite[j])
-            max_dev = max(max_dev, abs(finite[i] - finite[j]) / mean)
-    return TomographyReport(summaries=tuple(summaries),
-                            max_parity_deviation=max_dev)
+    return tuple(summaries)
 
 
 def chi2_band(replicas: int, sigma: float) -> tuple[float, float]:

@@ -32,9 +32,13 @@ def random_psi(rng, n):
     lambda: dft_matrix(True),
     lambda: derive_shift_phases(True),
     lambda: bit_reversal_permutation(-1),
+    # unhashable: checked before any cache lookup
+    lambda: bit_reversal_permutation([]),
+    lambda: bit_reversal_permutation(np.eye(2)),
 ], ids=["twiddle-level-0", "twiddle-level-n", "twiddle-level-past-n",
         "stage-width-float", "dl-levels-float", "dft-size-float",
-        "dft-size-true", "shift-depth-true", "bit-reversal-negative"])
+        "dft-size-true", "shift-depth-true", "bit-reversal-negative",
+        "bit-reversal-list", "bit-reversal-array"])
 def test_integer_arguments_are_checked(call):
     with pytest.raises(DomainError):
         call()

@@ -40,7 +40,7 @@ def shift_invariant_equal_partitions_oracle(n: int, cardinality: int) -> list[Pa
         covered = set().union(*orbit)
         if len(covered) != size:
             continue
-        p = Partition.from_sets(n, orbit)
+        p = Partition(n, orbit)
         if is_invariant_under_shift(p):
             found.append(p)
     return found
@@ -60,7 +60,7 @@ def shift_invariant_equal_partitions_loop(n: int, cardinality: int) -> list[Part
             continue
         if functools.reduce(operator.or_, orbit) != full:
             continue
-        p = Partition.from_sets(
+        p = Partition(
             n, [[x for x in range(size) if (mask >> x) & 1] for mask in orbit])
         if is_invariant_under_shift(p):
             found.append(p)
@@ -68,7 +68,7 @@ def shift_invariant_equal_partitions_loop(n: int, cardinality: int) -> list[Part
 
 
 def part(n, *sets):
-    return Partition.from_sets(n, sets)
+    return Partition(n, sets)
 
 
 class TestDigitSubsetSet:
@@ -186,7 +186,7 @@ class TestFinestCommonPartition:
             blocks = {}
             for x, lab in labels.items():
                 blocks.setdefault(lab, []).append(x)
-            oracle = Partition.from_sets(a.domain_width, blocks.values())
+            oracle = Partition(a.domain_width, blocks.values())
             assert finest_common_partition(a, b) == oracle
 
     def test_meet_outside_the_dyadic_class_is_rejected(self):
@@ -286,7 +286,7 @@ class TestShiftInvariantSearch:
                 prod.setdefault((a.index_of(x), b.index_of(x)), []).append(x)
             if len(prod) != 4 or any(len(v) != 2 for v in prod.values()):
                 continue
-            p = Partition.from_sets(3, prod.values())
+            p = Partition(3, prod.values())
             if is_invariant_under_shift(p):
                 seen_invariant.add(p.sets)
         assert seen_invariant == {target.sets}
@@ -339,11 +339,24 @@ class TestArraySearch:
     lambda: DigitSubsetSet(2.0, 1, 2, 0),
     lambda: DigitSubsetSet(2, True, 2, 0),
     lambda: DigitSubsetSet(2, 1, 2, 0.0),
+    lambda: Partition("x", [[0], [1]]),
+    lambda: Partition(1.0, [[0], [1]]),
+    lambda: Partition(True, [[0], [1]]),
+    lambda: Partition(10**30, [[0]]),
+    # sets of integers: 0.5 and 1 once passed as a partition of width 1
+    lambda: Partition(1, [[0.5], [1]]),
+    lambda: Partition(1, [["a"], [0, 1]]),
+    lambda: Partition(1, [[[0]], [1]]),
+    lambda: Partition(1, [0, 1]),
+    lambda: Partition(1, None),
 ], ids=["search-width-negative", "search-width-float", "search-card-float",
         "search-width-true", "search-card-true", "binary-width-negative",
         "binary-width-0", "binary-width-float", "lsb-width-float",
         "lsb-level-float", "lsb-true-true", "digit-width-float",
-        "digit-lo-true", "digit-pattern-float"])
+        "digit-lo-true", "digit-pattern-float", "partition-width-str",
+        "partition-width-float", "partition-width-true", "partition-width-1e30",
+        "partition-element-float", "partition-element-str",
+        "partition-element-list", "partition-sets-of-ints", "partition-sets-none"])
 def test_integer_arguments_are_checked(call):
     with pytest.raises(DomainError):
         call()
@@ -358,7 +371,7 @@ class TestPartitionSets:
     @pytest.mark.parametrize("sets", [[[], [0, 1]], [[0, 1], []], [[0], [1], [], []]])
     def test_an_empty_set_is_rejected(self, sets):
         with pytest.raises(DomainError, match="empty set"):
-            Partition.from_sets(1, sets)
+            Partition(1, sets)
 
     def test_validate_rejects_an_empty_set(self):
         with pytest.raises(DomainError, match="empty set"):
@@ -369,3 +382,8 @@ class TestPartitionSets:
             part(2, (0, 1), (1, 2, 3))
         with pytest.raises(DomainError):
             part(2, (0, 1), (2,))
+
+    def test_construction_sorts_the_sets(self):
+        p = Partition(2, [[3, 1], [2, 0]])
+        assert p.sets == ((0, 2), (1, 3))
+        assert p == Partition(2, ((0, 2), (1, 3)))

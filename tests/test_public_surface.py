@@ -27,8 +27,8 @@ PUBLIC_NAMES = [
     "ConditionalTree", "ConfigError", "DigitSubsetSet", "Distribution",
     "DomainError", "ExtendedCoords", "MeasurementSample", "Partition",
     "PhaseSpaceSet", "RangeError", "SingularityError", "StateVector",
-    "Tangent", "ThetaAngle", "TomographyReport", "apply_butterfly",
-    "apply_shift", "assemble_transform", "bit_reversal_permutation",
+    "Tangent", "apply_butterfly", "apply_shift", "assemble_transform",
+    "bit_reversal_permutation",
     "bloch_from_extended", "chain_propagate", "chart_tangent_metric",
     "derive_shift_phases", "dft_matrix", "enumerate_binary_partitions",
     "extended_fisher_metric", "extended_fisher_metric_recursive",
@@ -53,7 +53,7 @@ def test_the_public_names_are_pinned():
     imported = sorted(alias.asname or alias.name for node in tree.body
                       if isinstance(node, ast.ImportFrom) for alias in node.names)
     assert imported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 65
 
 
 VECTOR, DENSE, STREAMED = MAX_WIDTH, MAX_WIDTH // 2, MAX_WIDTH - 6

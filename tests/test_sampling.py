@@ -65,12 +65,15 @@ class TestSimulateBernoulli:
         lambda: tomography_experiment({"q": math.nan}, {"q": 10}, seed=1,
                                       replicas=10),
         lambda: simulate_bernoulli(math.inf, 10, seed=1),
+        lambda: measurement_stream(1, []),
+        lambda: simulate_bernoulli(1.0, 10, seed=1, observable=[]),
     ], ids=["seed-negative", "tomography-seed-negative", "seed-float",
             "tomography-seed-float", "trials-true", "tomography-trials-true",
             "trials-float", "tomography-trials-float", "trials-2.5",
             "trials-past-int64", "tomography-replicas-float",
             "observable-unknown", "tomography-observable-unknown", "theta-nan",
-            "tomography-theta-nan", "theta-inf"])
+            "tomography-theta-nan", "theta-inf", "stream-observable-list",
+            "observable-list"])
     def test_bad_arguments_raise_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
@@ -164,14 +167,26 @@ class TestMleTheta:
             mle_theta(MeasurementSample((1, 2, 3)))
 
 
+def by_name(summaries):
+    return {s.observable: s for s in summaries}
+
+
+def precision_parity(cfg):
+    """The precision-parity value criteria.tomography finds for cfg."""
+    checks, _ = criteria.tomography(cfg, np.random.default_rng(cfg["seed"]))
+    return next(c.value for c in checks if c.id == "precision-parity")
+
+
 class TestTomography:
     def test_rebit_precision_parity(self):
         theta_q = math.pi / 3
-        report = tomography_experiment(
+        summaries = tomography_experiment(
             {"q": theta_q, "p": math.pi / 2 - theta_q},
             {"q": 100_000, "p": 100_000}, seed=20240801, replicas=4000)
-        assert report.max_parity_deviation < 0.05
-        for s in report.summaries:
+        assert precision_parity({
+            "state": {"kind": "rebit", "theta_q": theta_q}, "trials": 100_000,
+            "seed": 20240801, "replicas": 4000}) < 0.05
+        for s in summaries:
             assert s.theta_hat_mean == pytest.approx(s.theta_true, abs=0.01)
 
     def test_cardinal_point_estimates(self):
@@ -179,34 +194,34 @@ class TestTomography:
         # 50 replicas leave ~30% spread on a variance ratio; the parity
         # bound here only needs to absorb that noise (the tight parity
         # claim is exercised with large replica counts in the acceptance run)
-        report = tomography_experiment({o: point.theta_of(o) for o in "qpr"},
-                                       {"q": 2000, "p": 2000, "r": 2000},
-                                       seed=5, replicas=50)
-        r = report.summary_for("r")
+        summaries = by_name(tomography_experiment(
+            {o: point.theta_of(o) for o in "qpr"},
+            {"q": 2000, "p": 2000, "r": 2000}, seed=5, replicas=50))
+        r = summaries["r"]
         assert r.theta_hat_mean == 0.0
         assert r.var_hat == 0.0
-        assert report.summary_for("q").theta_hat_mean == pytest.approx(
-            math.pi / 2, abs=0.05)
-        assert report.summary_for("p").theta_hat_mean == pytest.approx(
-            math.pi / 2, abs=0.05)
+        assert summaries["q"].theta_hat_mean == pytest.approx(math.pi / 2, abs=0.05)
+        assert summaries["p"].theta_hat_mean == pytest.approx(math.pi / 2, abs=0.05)
         # the pinned estimate has no spread and is excluded from parity
-        assert report.max_parity_deviation <= 1.5
+        assert precision_parity({
+            "state": {"kind": "qubit", "bloch": [0.0, 0.0, 1.0]}, "trials": 2000,
+            "seed": 5, "replicas": 50}) <= 1.5
 
     def test_angles_are_floats_and_some_are_needed(self):
-        report = tomography_experiment({"q": 0}, {"q": 500}, seed=3, replicas=10)
-        assert report.summary_for("q").theta_true == 0.0
-        assert type(report.summary_for("q").theta_true) is float
+        (q,) = tomography_experiment({"q": 0}, {"q": 500}, seed=3, replicas=10)
+        assert q.theta_true == 0.0
+        assert type(q.theta_true) is float
         with pytest.raises(DomainError, match="no observables"):
             tomography_experiment({}, {}, seed=3, replicas=10)
 
     def test_replicas_are_draws_of_one_stream_per_observable(self):
         thetas, trials = {"q": 1.0, "p": 0.3}, {"q": 5000, "p": 5000}
-        report = tomography_experiment(thetas, trials, seed=9, replicas=64)
+        summaries = tomography_experiment(thetas, trials, seed=9, replicas=64)
         for o in "qp":
             est = _replica_estimates(thetas[o], trials[o], 9, o, 64)
-            assert report.summary_for(o).theta_hat_mean == float(est.mean())
-        assert report == tomography_experiment(thetas, trials, seed=9,
-                                               replicas=64)
+            assert by_name(summaries)[o].theta_hat_mean == float(est.mean())
+        assert summaries == tomography_experiment(thetas, trials, seed=9,
+                                                  replicas=64)
 
     def test_no_variance_band_fails_at_default_replicas(self):
         # 600 five-sigma bands: a failure has odds of about 3e-4
