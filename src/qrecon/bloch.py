@@ -38,6 +38,12 @@ POLE_TOL = 1e-12
 CHART_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q")}
 
 
+def _check_axis(axis) -> None:
+    # the type test first: a list is unhashable, and NaN or 1.5 no key
+    if not isinstance(axis, str) or axis not in CHART_TRIPLETS:
+        raise DomainError(f"unknown axis {axis!r}")
+
+
 def _off_sphere(norm2):
     """Whether |S|^2 (of one point or of each row of a stack) misses 1 by
     more than RENORM_TOL; NaN misses it too."""
@@ -112,8 +118,7 @@ class ExtendedCoords:
     alpha: float | None
 
     def __post_init__(self):
-        if self.axis not in CHART_TRIPLETS:
-            raise DomainError(f"unknown axis {self.axis!r}")
+        _check_axis(self.axis)
         if not 0.0 <= self.theta <= math.pi:
             raise DomainError("theta outside [0, pi]")
         if self.alpha is not None and not -math.pi < self.alpha <= math.pi + 1e-15:
@@ -144,6 +149,7 @@ def bloch_from_extended(coords: ExtendedCoords) -> BlochPoint:
 
 def extended_from_bloch(axis: str, point: BlochPoint) -> ExtendedCoords:
     """Invert bloch_from_extended; at a pole of the chart alpha is None."""
+    _check_axis(axis)
     return ExtendedCoords(axis, *_chart_angles(
         *(point.component(name) for name in CHART_TRIPLETS[axis])))
 
@@ -231,8 +237,7 @@ def chart_tangent_metric(point, velocity, axis: str):
     and one of velocities give the (P,) array.  One point runs as a one-row
     stack, so it has the bits of its row in any stack.
     """
-    if not isinstance(axis, str) or axis not in CHART_TRIPLETS:
-        raise DomainError(f"unknown axis {axis!r}")
+    _check_axis(axis)
     single = isinstance(point, BlochPoint)
     if single:
         p, v = point.as_array()[None], _floats(velocity)[None]

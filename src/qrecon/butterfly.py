@@ -6,9 +6,10 @@ L = 2**(n-l+1)) separated by diagonal twiddle phases t_l derived from the
 cyclic-shift recursion.  Composing the ladder and undoing the bit-reversal
 of the output reproduces the unitary discrete Fourier matrix exactly; the
 in-place evaluation costs O(N log N) cell operations against O(N^2) for the
-dense product.  `apply_butterfly` is the one body that runs the ladder, on
-one state or on an (N, B) column stack; `transform_columns` is that call
-with a plan built from (n, sign).
+dense product.  `apply_butterfly` runs the ladder on one state or on an
+(N, B) column stack; `transform_columns` is that call with a plan built
+from (n, sign).  Its body, `_ladder_tail`, is also run by
+`_ladder_deviations` on block arrays held for a whole sweep.
 
 All four transform checks (ladder against the Fourier matrix, unitarity,
 the diagonalized shift, the Danielson-Lanczos decomposition) come from one
@@ -193,7 +194,7 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     permutation.  Matches the dense assemble_transform action to rounding.
 
     A state and a stack run the same four steps (Bailey's four-step FFT),
-    with s = min(n, TAIL_STAGES):
+    with s = min(n, TAIL_STAGES); _ladder_tail runs the first three:
       1. the first n - s stages run in place on a C-contiguous copy of psi;
       2. below them the ladder is 2**(n-s) independent s-stage ladders, one
          per contiguous block of 2**s entries (rows, on a stack): the blocks
@@ -207,9 +208,7 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
          own order.
     Each entry meets the same float operations in the same order as in a
     pass of all n stages over one array, so the result has the same bits.
-    The steps run at numpy's least ufunc buffer (STAGE_BUFSIZE), restored on
-    return: numpy then reads the short strided half-blocks in place instead
-    of copying them through its buffer, which changes no bit.
+    The copy is dropped before step 4, so at most two states are held.
     """
     if order not in ("natural", "bitReversed"):
         raise DomainError(f"unknown order {order!r}")
@@ -219,27 +218,47 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
         raise DomainError("need one state or an (N, B) column stack of the "
                           "plan's length N")
     s = min(n, TAIL_STAGES)
+    work = np.array(psi, dtype=complex, order="C")
+    tail = _ladder_tail(plan, work, np.empty(work.size, dtype=complex))
+    del work
+    if order == "natural":
+        out = tail[bit_reversal_permutation(s)]
+    else:
+        out = tail.swapaxes(0, 1)[bit_reversal_permutation(n - s)]
+    return out.reshape(psi.shape)
+
+
+def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
+                 flat: np.ndarray) -> np.ndarray:
+    """Steps 1-3 of apply_butterfly on `work`, a C-contiguous complex state
+    (N,) or stack (N, B), which it overwrites: returns the tail, a
+    (2**s, N / 2**s, *cols) view of `flat`, a flat complex buffer of
+    work.size entries.
+
+    Neither stage range allocates: each buffer is the other's scratch while
+    it is idle, `flat` while stages 1..n-s run on work, the spent work while
+    the tail stages run on flat.  The steps run at numpy's least ufunc buffer
+    (STAGE_BUFSIZE), restored on return: numpy then reads the short strided
+    half-blocks in place instead of copying them through its buffer, which
+    changes no bit.
+    """
+    n = plan.n
+    s = min(n, TAIL_STAGES)
+    cols = work.shape[1:]
     with np.errstate():  # restores numpy's buffer size on exit, raise or not
         np.setbufsize(STAGE_BUFSIZE)
-        work = np.array(psi, dtype=complex, order="C")
-        kernels.apply_stage_range(work, plan.ramps, n, 1, n - s)
+        kernels.apply_stage_range(work, plan.ramps, n, 1, n - s, flat)
         # explicit sizes, not -1: an empty stack (B = 0) has no size to infer it
-        cols = psi.shape[1:]
         blocks = work.reshape(1 << (n - s), 1 << s, *cols)
-        tail = np.empty((1 << s, 1 << (n - s), *cols), dtype=complex)
+        tail = flat.reshape(1 << s, 1 << (n - s), *cols)
         perm = bit_reversal_permutation(n - s)
         step = max(1, GATHER_ENTRIES // max(1, blocks[0].size))
         for start in range(0, perm.size, step):
             chunk = perm[start:start + step]
             tail[:, start:start + chunk.size] = blocks[chunk].swapaxes(0, 1)
-        del work, blocks
         kernels.apply_stage_range(tail.reshape(1 << s, tail.size >> s),
-                                  plan.ramps[n - s:], s, 1, s)
-    if order == "natural":
-        out = tail[bit_reversal_permutation(s)]
-    else:
-        out = tail.swapaxes(0, 1)[perm]
-    return out.reshape(psi.shape)
+                                  plan.ramps[n - s:], s, 1, s, work.reshape(-1))
+    return tail
 
 
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
@@ -298,10 +317,11 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------ verifications
 
 # Identity columns per block of the streamed ladder measurement.  With the
-# stages at STAGE_BUFSIZE, on a 2-core VM (nine alternated sweeps in one
-# process), _ladder_deviations(10) took 152 ms at blocks of 32 columns,
-# against 163 ms for 16 and 203 ms for 64; at n = 12 an earlier sweep read
-# a 53 MB process peak for 32 against 77 MB for 64.
+# block arrays held for the sweep, on a 2-core VM (nine alternated sweeps in
+# one process, two processes), _ladder_deviations(10) took 121 to 123 ms at
+# blocks of 32 columns, against 139 to 146 ms for 16, 139 to 147 ms for 64
+# and 166 to 176 ms for 128; at n = 12 an earlier sweep read a 53 MB process
+# peak for 32 against 77 MB for 64.
 LADDER_BLOCK = 32
 
 # Stages that apply_butterfly runs on its tail stack.  At n = 18 on a 2-core
@@ -338,16 +358,20 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     """Worst deviations of the composed ladder F (sign +1, natural order),
     streamed over blocks J of LADDER_BLOCK identity columns.
 
-    Per block, one apply_butterfly call gives F[:, J], compared with the
-    Fourier columns J ("ladder"), and _recursion_columns gives the half-size
-    recursion's columns J, compared with the same Fourier columns
-    ("recursion").  A second call on the 2B-column stack [conj(F[:, J]) |
-    conj(P F[:, J])], P the one-step cyclic shift of rows, gives columns J
-    of F^dagger F and of F^dagger P F: F's matrix is symmetric, so F^dagger X
-    = conj(F conj(X)).  The first should be the identity ("unitarity"); the
-    second diagonal ("off_diagonal") with the depth-n shift phases on its
-    diagonal ("diagonal").  Each value is the one a pass over the whole
-    matrices gives, bit for bit, and no array holds more than O(N B) entries.
+    Per block, one pass of apply_butterfly's body (_ladder_tail and the
+    natural-order read-back) gives F[:, J], compared with the Fourier columns
+    J ("ladder"), and _recursion_columns gives the half-size recursion's
+    columns J, compared with the same Fourier columns ("recursion").  A
+    second pass on the 2B-column stack [conj(F[:, J]) | conj(P F[:, J])],
+    P the one-step cyclic shift of rows, gives columns J of F^dagger F and
+    of F^dagger P F: F's matrix is symmetric, so F^dagger X = conj(F conj(X)).
+    The first should be the identity ("unitarity"); the second diagonal
+    ("off_diagonal") with the depth-n shift phases on its diagonal
+    ("diagonal").  Each value is the one a pass over the whole matrices
+    gives, bit for bit.  The block arrays are allocated once per sweep and
+    each pass reads its tail back into them, so no array holds more than
+    O(N B) entries and a block allocates little beyond its Fourier and
+    recursion columns.
 
     From two levels on, the final cell F_1 t_1 restricted to each pair
     (j, j + N/2), the 2x2 stage cell times the pair's twiddles, is compared
@@ -356,31 +380,49 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     ("half_period").
     """
     size = 1 << n
-    plan = make_plan(n, +1)  # one plan for every block's two calls
+    plan = make_plan(n, +1)  # one plan for every block's two passes
     roots = _roots(size, +1)
     phases = np.exp(1j * derive_shift_phases(n))
+    perm = bit_reversal_permutation(min(n, TAIL_STAGES))
+    # one set of flat buffers for the sweep, viewed per block of b columns,
+    # so that a short last block fits
+    cells = size * min(LADDER_BLOCK, size)
+    fwd_buf = np.empty(cells, dtype=complex)
+    stack_buf = np.empty(2 * cells, dtype=complex)
+    flat_buf = np.empty(2 * cells, dtype=complex)  # each pass's tail
+    diff_buf = np.empty(cells, dtype=complex)
+    mag_buf = np.empty(cells)
     worst = np.zeros(5)
     for start in range(0, size, LADDER_BLOCK):
         cols = np.arange(start, min(start + LADDER_BLOCK, size))
-        diag = (cols, np.arange(cols.size))  # the entries (j, j), j in J
-        unit = np.zeros((size, cols.size), dtype=complex)
-        unit[diag] = 1.0
-        fwd = apply_butterfly(plan, unit)
+        b = cols.size
+        diag = (cols, np.arange(b))  # the entries (j, j), j in J
+        fwd = fwd_buf[:size * b].reshape(size, b)
+        fwd.fill(0.0)
+        fwd[diag] = 1.0  # the identity columns J, overwritten by F[:, J]
+        tail = _ladder_tail(plan, fwd, flat_buf[:size * b])
+        np.take(tail, perm, axis=0, out=fwd.reshape(tail.shape), mode="clip")
         dft = _dft_columns(roots, cols)
         # [conj(F[:, J]) | conj(P F[:, J])], P F[i] = F[i - 1] cyclically
-        stack = np.empty((size, 2 * cols.size), dtype=complex)
-        np.conjugate(fwd, out=stack[:, :cols.size])
-        np.conjugate(fwd[:-1], out=stack[1:, cols.size:])
-        np.conjugate(fwd[-1], out=stack[0, cols.size:])
-        back = apply_butterfly(plan, stack)
-        gram, shift = np.hsplit(np.conjugate(back, out=back), 2)
+        stack = stack_buf[:2 * size * b].reshape(size, 2 * b)
+        np.conjugate(fwd, out=stack[:, :b])
+        np.conjugate(fwd[:-1], out=stack[1:, b:])
+        np.conjugate(fwd[-1], out=stack[0, b:])
+        tail = _ladder_tail(plan, stack, flat_buf[:2 * size * b])
+        np.take(tail, perm, axis=0, out=stack.reshape(tail.shape), mode="clip")
+        gram, shift = np.hsplit(np.conjugate(stack, out=stack), 2)
         shift_diag = shift[diag]
         shift[diag] -= shift_diag  # leaves the off-diagonal part
-        worst = np.maximum(worst, [np.abs(fwd - dft).max(),
-                                   np.abs(gram - unit).max(),
-                                   np.abs(shift).max(),
-                                   np.abs(shift_diag - phases[cols]).max(),
-                                   np.abs(_recursion_columns(n, cols, roots) - dft).max()])
+        gram[diag] -= 1.0  # leaves F^dagger F - I
+        diff = diff_buf[:size * b].reshape(size, b)
+        mag = mag_buf[:size * b].reshape(size, b)
+        worst = np.maximum(worst, [
+            np.abs(np.subtract(fwd, dft, out=diff), out=mag).max(),
+            np.abs(gram, out=mag).max(),
+            np.abs(shift, out=mag).max(),
+            np.abs(shift_diag - phases[cols]).max(),
+            np.abs(np.subtract(_recursion_columns(n, cols, roots), dft, out=diff),
+                   out=mag).max()])
     dev = dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
                    map(float, worst)))
     if n >= 2:
@@ -470,8 +512,9 @@ def chain_propagate(psi: np.ndarray) -> list[Distribution]:
         raise DomainError("state is not normalized")
     plan = make_plan(n, +1)
     work = psi.copy()
+    scratch = np.empty(size // 2, dtype=complex)  # shared by the n stages
     levels = [Distribution(np.abs(work) ** 2)]
     for l in range(1, n + 1):
-        kernels.apply_stage_range(work, plan.ramps, n, l, l)
+        kernels.apply_stage_range(work, plan.ramps, n, l, l, scratch)
         levels.append(Distribution(np.abs(work) ** 2))
     return levels

@@ -8,14 +8,18 @@ follows stage l < n.  psi may be one state of N = 2**n components or a
 C-contiguous (N, B) stack of B column states; on a stack each stage works on
 every column at once, so its innermost loops run along the B columns (with
 the ramp broadcast down them) and stay long even where the stage's halves
-are short.  `butterfly.apply_butterfly` makes two calls per transform, on
-one state and on a stack alike: the first n - 6 stages run on the input
-itself, and the last 6 on a (64, N/64 * B) stack of its 64-entry blocks.
-It makes both at numpy's least ufunc buffer (`butterfly.STAGE_BUFSIZE`), so
-numpy does not copy the strided halves through its buffer; the kernel
-itself keeps the caller's buffer size, which `chain_propagate`'s one-pass
-stages, with half-blocks of a few entries, run faster at.
-`apply_stages_inplace` is `apply_stage_range` over all n stages.
+are short.  A stage allocates nothing: the difference of its halves goes
+into the caller's `scratch`, a flat complex array of at least N * B / 2
+entries, and the stage's last multiply writes it straight into the second
+halves, so there is no copy pass.  `butterfly.apply_butterfly` makes two
+calls per transform, on one state and on a stack alike: the first n - 6
+stages run on the input itself, and the last 6 on a (64, N/64 * B) stack of
+its 64-entry blocks.  It makes both at numpy's least ufunc buffer
+(`butterfly.STAGE_BUFSIZE`), so numpy does not copy the strided halves
+through its buffer; the kernel itself keeps the caller's buffer size, which
+`chain_propagate`'s one-pass stages, with half-blocks of a few entries, run
+faster at.  `apply_stages_inplace` is `apply_stage_range` over all n stages,
+with a scratch of its own.
 BACKEND names the kernel for reports.
 """
 
@@ -33,14 +37,22 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
-                      n: int, l_start: int, l_end: int) -> None:
+                      n: int, l_start: int, l_end: int,
+                      scratch: np.ndarray) -> None:
     """Run stages l_start..l_end (with their trailing twiddles) in place on
-    one state (N,) or a column stack (N, B)."""
+    one state (N,) or a column stack (N, B), using the flat complex `scratch`
+    of at least psi.size // 2 entries for the halves' differences."""
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise ValueError("need one state of 2**n components or an (N, B) stack")
     if psi.ndim == 2 and not psi.flags.c_contiguous:
         # the stage reshape would copy, and the stages would miss psi
         raise ValueError("a stack of states must be C-contiguous")
+    half_size = psi.size // 2
+    if (not isinstance(scratch, np.ndarray) or scratch.ndim != 1
+            or not scratch.flags.c_contiguous
+            or scratch.dtype != complex or scratch.size < half_size):
+        raise ValueError("scratch must be a flat C-contiguous complex array "
+                         "of at least psi.size // 2 entries")
     cols = psi.shape[1:]  # () for one state, (B,) for a stack
     for l in range(l_start, l_end + 1):
         half = 1 << (n - l)
@@ -48,17 +60,20 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
         view = psi.reshape(psi.shape[0] // (2 * half), 2, half, *cols)
         top = view[:, 0]
         bot = view[:, 1]
-        tmp = top - bot
+        tmp = scratch[:half_size].reshape(top.shape)
+        np.subtract(top, bot, out=tmp)
         top += bot
         top *= _INV_SQRT2
-        tmp *= _INV_SQRT2
         if l < n:
+            tmp *= _INV_SQRT2
             ramp = twiddles[l - 1]
-            tmp *= ramp[:, None] if cols else ramp
-        bot[...] = tmp
+            np.multiply(tmp, ramp[:, None] if cols else ramp, out=bot)
+        else:
+            np.multiply(tmp, _INV_SQRT2, out=bot)
 
 
 def apply_stages_inplace(psi: np.ndarray, twiddles: Sequence[np.ndarray],
                          n: int) -> None:
     """Run all n stages (with interleaved twiddles) on psi in place."""
-    apply_stage_range(psi, twiddles, n, 1, n)
+    apply_stage_range(psi, twiddles, n, 1, n,
+                      np.empty(psi.size // 2, dtype=complex))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, check_integer
+from .exceptions import MAX_WIDTH, DomainError, check_integer
 from .probmodel import prob_from_theta, theta_from_prob
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
@@ -133,7 +133,9 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     unknown = sorted(set(trials) - set(thetas))
     if unknown:
         raise DomainError(f"observable {unknown[0]}: trial count given but no angle")
-    if check_integer("replicas", replicas, 0) < 2:
+    # no array above 2**MAX_WIDTH entries: a replica count past it fails
+    # here, before any draw, not in numpy
+    if check_integer("replicas", replicas, 0, 1 << MAX_WIDTH) < 2:
         raise DomainError("need at least two replicas for a variance")
     summaries = []
     for name in sorted(trials):

@@ -70,6 +70,11 @@ class TestBlochCharts:
         assert coords.theta == pytest.approx(math.pi / 2)
         assert coords.alpha == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("axis", [None, -1, 1.5, True, math.nan, 10**30, "x"])
+    def test_unknown_axis_raises_domain_error(self, axis):
+        with pytest.raises(DomainError):
+            extended_from_bloch(axis, BlochPoint(1.0, 0.0, 0.0))
+
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         for _ in range(200):

@@ -350,7 +350,8 @@ class TestTransformColumns:
     def test_kernel_rejects_a_non_contiguous_stack(self):
         stack = np.ones((8, 4), dtype=complex).T
         with pytest.raises(ValueError):
-            kernels.apply_stage_range(stack, make_plan(3).ramps, 3, 1, 3)
+            kernels.apply_stage_range(stack, make_plan(3).ramps, 3, 1, 3,
+                                      np.empty(16, dtype=complex))
 
 
 class TestVerifyDanielsonLanczos:
@@ -512,14 +513,41 @@ class TestColumnStackKernel:
         plan = make_plan(n, sign)
         columns = [apply_butterfly(plan, stack[:, j], "bitReversed")
                    for j in range(cols)]
-        kernels.apply_stage_range(stack, plan.ramps, n, 1, n)
+        kernels.apply_stage_range(stack, plan.ramps, n, 1, n,
+                                  np.empty(stack.size // 2, dtype=complex))
         assert np.array_equal(stack, np.stack(columns, axis=1))
 
     @pytest.mark.parametrize("shape", [(4, 8), (16, 2), (7,), (8, 2, 2)])
     def test_rejects_a_stack_whose_first_axis_is_not_n(self, shape):
         with pytest.raises(ValueError):
             kernels.apply_stage_range(np.ones(shape, dtype=complex),
-                                      make_plan(3).ramps, 3, 1, 3)
+                                      make_plan(3).ramps, 3, 1, 3,
+                                      np.empty(16, dtype=complex))
+
+    @pytest.mark.parametrize("scratch", [
+        np.empty(15, dtype=complex), np.empty(16), np.empty((4, 4), dtype=complex)],
+        ids=["too-short", "float", "two-d"])
+    def test_rejects_a_scratch_that_cannot_hold_the_halves(self, scratch):
+        with pytest.raises(ValueError):
+            kernels.apply_stage_range(np.ones((8, 4), dtype=complex),
+                                      make_plan(3).ramps, 3, 1, 3, scratch)
+
+    def test_a_stage_range_allocates_no_temporary(self):
+        # the halves' differences go to the caller's scratch, and the last
+        # multiply writes the second halves: no per-stage array, no copy
+        n = 10
+        stack = np.ones((1 << n, 32), dtype=complex)
+        scratch = np.empty(stack.size // 2, dtype=complex)
+        plan = make_plan(n)
+        with np.errstate():
+            np.setbufsize(butterfly.STAGE_BUFSIZE)
+            tracemalloc.start()
+            try:
+                kernels.apply_stage_range(stack, plan.ramps, n, 1, n, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.01 * stack.nbytes
 
     def test_transform_columns_leaves_a_single_column_unchanged(self):
         mat = np.zeros((8, 1), dtype=complex)
@@ -766,6 +794,17 @@ class TestLadderDeviations:
         monkeypatch.setattr(butterfly, "_dft_columns", poisoned)
         dev = butterfly._ladder_deviations(3)
         assert math.isnan(dev["ladder"]) and math.isnan(dev["recursion"])
+
+    def test_a_sweep_holds_its_block_arrays_once(self):
+        # the block arrays are allocated once per sweep and each pass reads
+        # its tail back into them: 5.81 MiB when every block made its own
+        tracemalloc.start()
+        try:
+            butterfly._ladder_deviations(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.4 * 2**20
 
     # against roots reduced exactly, only the ladder's own rounding is left:
     # a few ulps at every size, where the old reference grew with sqrt(N)

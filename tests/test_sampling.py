@@ -248,6 +248,19 @@ class TestTomography:
             tomography_experiment({"q": 1.0}, {"q": 10}, seed=1, replicas=1)
 
 
+    # 2**40 once ended in a bare MemoryError and 10**30 in a bare ValueError
+    @pytest.mark.parametrize("replicas", [2**24 + 1, 2**40, 10**30])
+    def test_replicas_past_the_array_cap_fail_before_any_draw(self, replicas):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="replicas"):
+                tomography_experiment({"q": 1.0}, {"q": 10}, seed=1,
+                                      replicas=replicas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 class TestBands:
     def test_chi2_band_shape(self):
         lo, hi = chi2_band(200, sigma=5.0)
