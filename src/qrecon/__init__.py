@@ -23,7 +23,7 @@ from .butterfly import (ButterflyPlan, apply_butterfly, assemble_transform,
                         verify_danielson_lanczos)
 from .exceptions import ConfigError, DomainError, RangeError, SingularityError
 from .kernels import AVAILABLE_BACKENDS, BACKEND
-from .metrics import (StateVector, Tangent, extended_fisher_metric,
+from .metrics import (extended_fisher_metric,
                       extended_fisher_metric_recursive, fisher_info_theta,
                       fisher_info_theta_numeric, fisher_matrix_numeric,
                       fubini_study_distance, fubini_study_metric,
@@ -36,7 +36,7 @@ from .partitions import (DigitSubsetSet, Partition, PhaseSpaceSet,
 from .probmodel import (ConditionalTree, Distribution, factorize,
                         marginalize_to_partition, prob_from_theta,
                         reconstitute, s_variable, theta_from_prob)
-from .sampling import (MeasurementSample, measurement_stream, mle_theta,
-                       simulate_bernoulli, tomography_experiment)
+from .sampling import (measurement_stream, mle_theta, simulate_bernoulli,
+                       tomography_experiment)
 
 __version__ = "0.1.0"

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, SingularityError
+from .exceptions import (DomainError, SingularityError, check_real,
+                         complex_array, real_array)
 from .metrics import _reject_rows
 from .probmodel import RENORM_TOL
 
@@ -64,7 +65,7 @@ def _chart_angles(mu: float, nu: float, xi: float) -> tuple[float, float | None]
 
 def _two_component(psi) -> np.ndarray:
     """psi as a complex (2,) array; DomainError for any other shape."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = complex_array(psi)
     if psi.shape != (2,):
         raise DomainError("two-component state expected")
     return psi
@@ -131,7 +132,7 @@ def rebit_conjugate(theta_q: float) -> float:
     The value can leave [0, pi]; the rebit chart extends to negative angles,
     and probabilities only see cos^2/sin^2 (even in theta).
     """
-    return math.pi / 2.0 - float(theta_q)
+    return math.pi / 2.0 - check_real("theta_q", theta_q)
 
 
 def bloch_from_extended(coords: ExtendedCoords) -> BlochPoint:
@@ -176,6 +177,8 @@ def pauli_expectations(psi: np.ndarray) -> BlochPoint:
 
 def metric_in_coords(theta: float, dtheta: float, dalpha: float) -> float:
     """Chart form of the extended metric, dtheta^2 + sin^2(theta) dalpha^2."""
+    theta, dtheta, dalpha = map(check_real, ("theta", "dtheta", "dalpha"),
+                                (theta, dtheta, dalpha))
     return dtheta**2 + math.sin(theta) ** 2 * dalpha**2
 
 
@@ -211,17 +214,6 @@ def transformed_phase_jacobian(psi: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _floats(values) -> np.ndarray:
-    """values as a float array; DomainError for text, complex numbers or
-    ragged nesting."""
-    try:
-        if not np.iscomplexobj(values):
-            return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        pass
-    raise DomainError(f"not an array of reals: {values!r}")
-
-
 def chart_tangent_metric(point, velocity, axis: str):
     """Chart value of the metric for a sphere tangent, by the chain rule in
     closed form.
@@ -240,9 +232,9 @@ def chart_tangent_metric(point, velocity, axis: str):
     _check_axis(axis)
     single = isinstance(point, BlochPoint)
     if single:
-        p, v = point.as_array()[None], _floats(velocity)[None]
+        p, v = point.as_array()[None], real_array(velocity)[None]
     else:
-        p, v = _floats(point), _floats(velocity)
+        p, v = real_array(point), real_array(velocity)
     if p.ndim != 2 or p.shape[1] != 3 or v.shape != p.shape:
         raise DomainError("need a BlochPoint and a 3-vector, or (P, 3) stacks "
                           "of points and velocities of one shape")

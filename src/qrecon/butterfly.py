@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exceptions import MAX_WIDTH, DomainError, check_integer
+from .exceptions import MAX_WIDTH, DomainError, check_integer, complex_array
 from .kernels import _INV_SQRT2
 from .probmodel import RENORM_TOL, Distribution
 
@@ -213,19 +213,20 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     if order not in ("natural", "bitReversed"):
         raise DomainError(f"unknown order {order!r}")
     n = plan.n
-    psi = np.asarray(psi)
+    psi = complex_array(psi)
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise DomainError("need one state or an (N, B) column stack of the "
                           "plan's length N")
     s = min(n, TAIL_STAGES)
-    work = np.array(psi, dtype=complex, order="C")
+    shape, work = psi.shape, np.array(psi, order="C")
+    del psi  # the converted copy of a real input goes before the tail comes
     tail = _ladder_tail(plan, work, np.empty(work.size, dtype=complex))
     del work
     if order == "natural":
         out = tail[bit_reversal_permutation(s)]
     else:
         out = tail.swapaxes(0, 1)[bit_reversal_permutation(n - s)]
-    return out.reshape(psi.shape)
+    return out.reshape(shape)
 
 
 def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
@@ -500,7 +501,7 @@ def chain_propagate(psi: np.ndarray) -> list[Distribution]:
     on their two components, so each level-(l-1) pair mass equals the
     corresponding level-l pair mass.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = complex_array(psi)
     if psi.ndim != 1:
         raise DomainError("chain_propagate needs one flat state vector psi")
     size = psi.size

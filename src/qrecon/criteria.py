@@ -25,9 +25,9 @@ from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
                     rebit_conjugate)
 from .butterfly import _ladder_deviations, derive_shift_phases
 from .exceptions import RangeError
-from .metrics import (Tangent, extended_fisher_metric,
-                      extended_fisher_metric_recursive, fubini_study_metric,
-                      random_state, state_amplitudes, tangent_amplitudes)
+from .metrics import (extended_fisher_metric, extended_fisher_metric_recursive,
+                      fubini_study_metric, random_state, state_amplitudes,
+                      tangent_amplitudes)
 from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
                          scale_transform_set,
                          shift_invariant_equal_partitions)
@@ -111,7 +111,7 @@ def _metric_deviations(exponentials: np.ndarray, uniforms: np.ndarray,
 def closed_form_identities(cfg: dict, rng: np.random.Generator):
     """gauge-zero on a random state and one-bit-form on a fixed tangent."""
     psi = random_state(cfg["levels"], rng)
-    gauge = extended_fisher_metric(psi, Tangent(1j * psi.amps))
+    gauge = extended_fisher_metric(psi, 1j * psi)
     theta, alpha = 1.1, 0.4
     dtheta, dalpha = 0.21, -0.34
     amps = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * alpha)])

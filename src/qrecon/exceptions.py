@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the integer guard that
-every module applies to its widths, levels, sizes and indices."""
+"""Exception types shared across the package, and the guards that every
+module applies to its arguments: the integer guard for widths, levels, sizes
+and indices, and the real and complex conversions for numbers and arrays."""
+
+import math
 
 import numpy as np
 
@@ -44,3 +47,38 @@ def check_integer(what: str, value, lo: int, hi: int | None = None) -> int:
         bounds = f"{lo}..{hi}" if hi is not None else f"{lo} and up"
         raise DomainError(f"{what} {value} outside {bounds}")
     return int(value)
+
+
+def _array(values, dtype: type, refused: str, what: str) -> np.ndarray:
+    """values as an array of dtype, the array itself if it is one already;
+    DomainError for ragged nesting or an array of a kind in `refused`."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind not in refused:
+            return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"not an array of {what}: {values!r}")
+
+
+def real_array(values) -> np.ndarray:
+    """values as a float array; DomainError for text, complex numbers or
+    ragged nesting."""
+    return _array(values, float, "cUS", "reals")
+
+
+def complex_array(values) -> np.ndarray:
+    """values as a complex array; DomainError for text or ragged nesting."""
+    return _array(values, complex, "US", "numbers")
+
+
+def check_real(what: str, value) -> float:
+    """value as a Python float, if real_array takes it to one finite number
+    (a 0-d array; None becomes NaN there); DomainError otherwise."""
+    try:
+        arr = real_array(value)
+    except DomainError:
+        arr = None
+    if arr is None or arr.ndim or not math.isfinite(arr):
+        raise DomainError(f"{what} must be a finite real number, not {value!r}")
+    return float(arr)

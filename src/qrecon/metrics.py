@@ -5,8 +5,10 @@ its extension to amplitude-and-phase coordinates on normalized complex
 vectors, and the Fubini-Study metric/distance.  The extended metric equals
 four times the Fubini-Study metric on normalized states with norm-preserving
 tangents; both a closed form and a bottom-up even/odd recursion are provided
-and must agree.  The metrics take one state and tangent, or a stack of them
-evaluated in whole-array passes.
+and must agree.  A state is its amplitude array and a tangent its
+perturbation array: the metrics take one state and tangent (N,), or a stack
+of them (S, N) evaluated in whole-array passes, as anything
+`exceptions.complex_array` converts.
 
 Random states and tangents come from raw generator calls,
 `standard_exponential` and `random` for a state and two `standard_normal`
@@ -19,65 +21,24 @@ turn the raw draws into the values of `dirichlet(np.ones(N))`,
 `uniform(-pi, pi, N)` and `normal(0.0, 0.1, N)` bit for bit, in numpy's own
 operation order.
 `random_state` and `random_tangent` are the one-row case of the same two
-steps, so a stacked block is byte for byte the stack of the per-sample
-results.
+steps, returning the (N,) arrays, so a stacked block is byte for byte the
+stack of the per-sample results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import MAX_WIDTH, DomainError, SingularityError, check_integer
+from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
+                         check_integer, check_real, complex_array,
+                         real_array)
 from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, mass_pyramid,
                         prob_from_theta, reconstitute, theta_from_prob)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitude vector of length 2**n, held in a
-    read-only copy of the caller's array."""
-
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.array(self.amps, dtype=complex, order="C")
-        if arr.ndim != 1 or arr.size & (arr.size - 1):
-            raise DomainError("need a flat vector with power-of-2 length")
-        arr = _normalized(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amps", arr)
-
-
-@dataclass(frozen=True)
-class Tangent:
-    """Complex perturbation dpsi attached to a state vector, held in a
-    read-only copy of the caller's array."""
-
-    damps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.array(self.damps, dtype=complex, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "damps", arr)
-
-    def is_norm_preserving(self, psi: StateVector | np.ndarray) -> bool:
-        """Whether the tangent keeps the norm of psi (of every state of a
-        stack) to first order, the test the metric functions apply before
-        they accept it."""
-        drift = _norm_drift(_drho(_as_amps(psi), self.damps))
-        return bool((drift <= TANGENT_TOL).all())
-
-    @classmethod
-    def projected(cls, psi: StateVector | np.ndarray, raw: np.ndarray) -> "Tangent":
-        """Remove the norm-changing component Re<psi|raw> psi of one state."""
-        amps, raw = _one_state_pair(psi, raw, "a state and a raw tangent")
-        return cls(raw - float(np.vdot(amps, raw).real) * amps)
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -97,25 +58,9 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _as_amps(psi) -> np.ndarray:
-    return psi.amps if isinstance(psi, StateVector) else np.asarray(psi, dtype=complex)
-
-
-def _as_damps(d) -> np.ndarray:
-    return d.damps if isinstance(d, Tangent) else np.asarray(d, dtype=complex)
-
-
-def _one_state_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat, non-empty amplitude vectors of one length."""
-    a, b = _as_amps(a), _as_amps(b)
-    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
-        raise DomainError(f"need {what} of one length, (N,)")
-    return a, b
-
-
 def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes and perturbations as one state (N,) or a stack (S, N)."""
-    amps, damps = _as_amps(psi), _as_damps(d)
+    amps, damps = complex_array(psi), complex_array(d)
     if amps.ndim not in (1, 2) or amps.shape != damps.shape:
         raise DomainError("need a state and a tangent of one shape, (N,) or (S, N)")
     if amps.shape[-1] == 0:
@@ -181,7 +126,7 @@ def fisher_info_theta(theta: float) -> float:
     Analytically the expectation sum collapses to 1 for every theta; the
     endpoints are covered by continuity.
     """
-    if not 0.0 <= float(theta) <= math.pi:
+    if not 0.0 <= check_real("theta", theta) <= math.pi:
         raise DomainError("theta outside [0, pi]")
     return 1.0
 
@@ -191,6 +136,7 @@ def fisher_info_theta_numeric(theta: float) -> float:
     Richardson-extrapolated central differences of step 1e-4 (cross-check of
     fisher_info_theta)."""
     step = 1e-4
+    theta = check_real("theta", theta)
     if not step < theta < math.pi - step:
         raise DomainError("theta too close to the boundary for differencing")
     total = 0.0
@@ -312,7 +258,9 @@ def fubini_study_metric(psi, d):
 
 def fubini_study_distance(psi1, psi2) -> float:
     """arccos sqrt(|<psi1|psi2>|^2) for normalized states, in [0, pi/2]."""
-    a1, a2 = _one_state_pair(psi1, psi2, "two states")
+    a1, a2 = complex_array(psi1), complex_array(psi2)
+    if a1.ndim != 1 or a1.shape != a2.shape or a1.size == 0:
+        raise DomainError("need two states of one length, (N,)")
     fid = abs(complex(np.vdot(a1, a2))) ** 2
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
 
@@ -374,8 +322,8 @@ def state_amplitudes(exponentials: np.ndarray, uniforms: np.ndarray) -> np.ndarr
     """Normalized amplitudes sqrt(rho) e^{i phase} from draw_state's raw
     draws: Dirichlet weights with every probability floored at 0.1 / N, and
     phases uniform on [-pi, pi); one row (N,) or a stack (S, N), checked and
-    renormalized per row as StateVector does."""
-    exponentials, uniforms = np.asarray(exponentials), np.asarray(uniforms)
+    renormalized per row by _normalized."""
+    exponentials, uniforms = real_array(exponentials), real_array(uniforms)
     _check_block(exponentials=exponentials, uniforms=uniforms)
     # a zero row would divide by zero, a negative entry take a negative root
     _reject_rows((exponentials < 0.0).any(axis=-1) | (exponentials == 0.0).all(axis=-1),
@@ -391,7 +339,7 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
     """Norm-preserving perturbations of amps from draw_tangent's raw draws:
     normal (drho, dphi) increments with standard deviation 0.1, each row's
     drho first shifted to mean zero; one row (N,) or a stack (S, N)."""
-    amps, drho, dphi = np.asarray(amps), np.asarray(drho), np.asarray(dphi)
+    amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
     _check_block(amps=amps, drho=drho, dphi=dphi)
     rho = np.abs(amps) ** 2
     drho = _normal_increments(drho)
@@ -400,14 +348,16 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
         * np.exp(1j * np.angle(amps))
 
 
-def random_state(nbits: int, rng: np.random.Generator) -> StateVector:
-    """Random normalized state with every probability floored at 0.1 / N
+def random_state(nbits: int, rng: np.random.Generator) -> np.ndarray:
+    """Random normalized state (N,) with every probability floored at 0.1 / N
     (keeps the drho^2/rho terms well conditioned in metric sweeps)."""
-    return StateVector(state_amplitudes(*draw_state(nbits, rng)))
+    return state_amplitudes(*draw_state(nbits, rng))
 
 
-def random_tangent(psi: StateVector, rng: np.random.Generator) -> Tangent:
-    """Random norm-preserving tangent built from (drho, dphi) increments."""
-    if not isinstance(psi, StateVector):
-        raise DomainError(f"psi must be a StateVector, not {type(psi).__name__}")
-    return Tangent(tangent_amplitudes(psi.amps, *draw_tangent(psi.amps.size, rng)))
+def random_tangent(psi, rng: np.random.Generator) -> np.ndarray:
+    """Random norm-preserving tangent (N,) of one state psi (N,), built from
+    (drho, dphi) increments."""
+    psi = complex_array(psi)
+    if psi.ndim != 1:
+        raise DomainError(f"need one state (N,), not shape {psi.shape}")
+    return tangent_amplitudes(psi, *draw_tangent(psi.size, rng))

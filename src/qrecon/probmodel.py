@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, check_integer
+from .exceptions import DomainError, check_integer, check_real, real_array
 from .partitions import Partition
 
 SUM_TOL = 1e-12          # accepted deviation of sum(probs) from 1
@@ -25,12 +25,13 @@ RENORM_TOL = 1e-9        # constructors renormalize within this, reject beyond
 
 def prob_from_theta(theta: float) -> tuple[float, float]:
     """(cos^2(theta/2), sin^2(theta/2)); the two entries sum to 1."""
-    t = float(theta)
+    t = check_real("theta", theta)
     return math.cos(t / 2.0) ** 2, math.sin(t / 2.0) ** 2
 
 
 def theta_from_prob(p0: float) -> float:
     """Inverse of prob_from_theta, theta = 2*arccos(sqrt(p0)) in [0, pi]."""
+    p0 = check_real("p0", p0)
     if not -SUM_TOL <= p0 <= 1.0 + SUM_TOL:
         raise DomainError(f"probability {p0} outside [0, 1]")
     p0 = min(max(p0, 0.0), 1.0)
@@ -43,7 +44,7 @@ class Distribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs: Sequence[float]):
-        arr = np.asarray(probs, dtype=float)
+        arr = real_array(probs)
         if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
             raise DomainError("need a flat vector with power-of-2 length")
         if not np.isfinite(arr).all():
@@ -73,7 +74,7 @@ class Distribution:
 
 def s_variable(d: Distribution | Sequence[float]) -> float:
     """S = rho(0) - rho(1) of a binary distribution; equals cos(theta)."""
-    probs = d.probs if isinstance(d, Distribution) else np.asarray(d, dtype=float)
+    probs = d.probs if isinstance(d, Distribution) else real_array(d)
     if probs.size != 2:
         raise DomainError("S-variable is defined for binary distributions")
     return float(probs[0] - probs[1])
@@ -99,7 +100,7 @@ class ConditionalTree:
         self.depth = depth
         store = []
         for i, lev in enumerate(levels):
-            arr = np.asarray(lev, dtype=float)
+            arr = real_array(lev)
             if arr.ndim != 1 or arr.size != 1 << i:
                 raise DomainError(f"level {depth - i} must be a flat vector of "
                                   f"{1 << i} values")

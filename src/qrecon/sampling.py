@@ -2,10 +2,11 @@
 
 Every binary observable is described by its angle on the theta chart,
 P(0) = cos^2(theta/2) (`qrecon.probmodel`): a tomography experiment takes
-one {observable: theta} dict, and the maximum-likelihood estimate maps the
-observed frequency back through the same chart.  The experiment returns one
-summary of its estimates' spread per observable; `qrecon.criteria` compares
-their precisions and judges them.
+one {observable: theta} dict.  A measurement of M binary outcomes is its
+count N0 of outcome 0, and the maximum-likelihood estimate `mle_theta(N0, M)`
+maps the observed frequency N0/M back through the same chart.  The
+experiment returns one summary of its estimates' spread per observable;
+`qrecon.criteria` compares their precisions and judges them.
 
 Randomness comes from counter-based Philox streams (Salmon et al., SC 2011),
 one per (master seed, observable): `measurement_stream` keys it with
@@ -13,7 +14,7 @@ one per (master seed, observable): `measurement_stream` keys it with
 tomography experiment is the r-th binomial draw of its observable's stream,
 so all replicas come from one array draw, replay bit-identically from the
 seed, and the first k replicas of any run are those of a k-replica run.
-`simulate_bernoulli` is replica 0.
+`simulate_bernoulli` draws replica 0's count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MAX_WIDTH, DomainError, check_integer
+from .exceptions import MAX_WIDTH, DomainError, check_integer, check_real
 from .probmodel import prob_from_theta, theta_from_prob
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
@@ -40,28 +41,11 @@ def measurement_stream(master_seed: int, observable: str) -> np.random.Generator
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
-    """Outcome counts of M repeated binary measurements."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise DomainError("negative count")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 def _replica_zeros(theta: float, trials: int, seed: int,
                    observable: str, replicas: int) -> np.ndarray:
     """Counts of outcome 0 of the first `replicas` replicas, `trials`
     outcomes each: replica r is the r-th binomial draw of the (seed,
     observable) stream."""
-    if not math.isfinite(theta):
-        raise DomainError(f"observable {observable}: theta {theta} is not finite")
     # numpy's binomial takes the trial count as an int64
     check_integer(f"observable {observable}: trials", trials, 1,
                   np.iinfo(np.int64).max)
@@ -70,22 +54,19 @@ def _replica_zeros(theta: float, trials: int, seed: int,
 
 
 def simulate_bernoulli(theta: float, trials: int, seed: int,
-                       observable: str = "q") -> MeasurementSample:
-    """Draw `trials` i.i.d. binary outcomes with P(0) = cos^2(theta/2):
-    replica 0 of a tomography experiment with this seed."""
-    zeros = int(_replica_zeros(theta, trials, seed, observable, 1)[0])
-    return MeasurementSample((zeros, trials - zeros))
+                       observable: str = "q") -> int:
+    """The count of outcome 0 in `trials` i.i.d. binary outcomes with P(0) =
+    cos^2(theta/2): replica 0 of a tomography experiment with this seed."""
+    return int(_replica_zeros(theta, trials, seed, observable, 1)[0])
 
 
-def mle_theta(sample: MeasurementSample) -> tuple[float, float]:
-    """Maximum-likelihood estimate 2*arccos(sqrt(N0/M)) and its asymptotic
-    variance 1/M (boundary counts give 0 or pi)."""
-    if len(sample.counts) != 2:
-        raise DomainError("binary sample expected")
-    m = sample.total
-    if m == 0:
-        raise DomainError("empty sample")
-    return theta_from_prob(sample.counts[0] / m), 1.0 / m
+def mle_theta(zeros: int, trials: int) -> tuple[float, float]:
+    """Maximum-likelihood estimate 2*arccos(sqrt(N0/M)) from N0 = `zeros` of
+    M = `trials` outcomes, and its asymptotic variance 1/M (boundary counts
+    give 0 or pi)."""
+    trials = check_integer("trials", trials, 1)
+    zeros = check_integer("zeros", zeros, 0, trials)
+    return theta_from_prob(zeros / trials), 1.0 / trials
 
 
 @dataclass(frozen=True)
@@ -125,7 +106,8 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     per-measurement precision contribution 1 / (M * var), infinite for an
     estimate pinned at a boundary.
     """
-    thetas = {name: float(theta) for name, theta in thetas.items()}
+    thetas = {name: check_real(f"observable {name}: theta", theta)
+              for name, theta in thetas.items()}
     if not thetas:
         raise DomainError("no observables to measure")
     if not trials:

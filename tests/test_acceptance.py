@@ -104,8 +104,8 @@ def test_09_linearity_consequence(fft_derive):
     for _ in range(1_000):
         nbits = int(rng.integers(1, 9))
         plan = make_plan(nbits)
-        a = random_state(nbits, rng).amps
-        b = random_state(nbits, rng).amps
+        a = random_state(nbits, rng)
+        b = random_state(nbits, rng)
         before = fubini_study_distance(a, b)
         after = fubini_study_distance(apply_butterfly(plan, a),
                                       apply_butterfly(plan, b))
@@ -131,7 +131,7 @@ def test_11_chain_coherence():
     for _ in range(1_000):
         nbits = int(rng.integers(1, 7))
         size = 1 << nbits
-        psi = random_state(nbits, rng).amps
+        psi = random_state(nbits, rng)
         levels = chain_propagate(psi)
         for l in range(1, nbits + 1):
             half = 1 << (nbits - l)

@@ -445,8 +445,8 @@ class TestTransformPreservesGeometry:
         rng = np.random.default_rng(7)
         plan = make_plan(5)
         for _ in range(25):
-            a = random_state(5, rng).amps
-            b = random_state(5, rng).amps
+            a = random_state(5, rng)
+            b = random_state(5, rng)
             before = fubini_study_distance(a, b)
             after = fubini_study_distance(apply_butterfly(plan, a),
                                           apply_butterfly(plan, b))

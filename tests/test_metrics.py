@@ -5,9 +5,8 @@ import pytest
 
 from qrecon import criteria, metrics
 from qrecon.exceptions import DomainError, SingularityError
-from qrecon.metrics import (ZERO_MASS, StateVector, Tangent,
-                            amplitude_phase_differentials, draw_state,
-                            draw_tangent, extended_fisher_metric,
+from qrecon.metrics import (ZERO_MASS, amplitude_phase_differentials,
+                            draw_state, draw_tangent, extended_fisher_metric,
                             extended_fisher_metric_recursive,
                             fisher_info_theta, fisher_info_theta_numeric,
                             fisher_matrix_numeric, fubini_study_distance,
@@ -103,7 +102,7 @@ class TestExtendedFisherMetric:
     def test_global_phase_costs_nothing(self):
         rng = np.random.default_rng(0)
         psi = random_state(3, rng)
-        assert extended_fisher_metric(psi, Tangent(1j * 0.3 * psi.amps)) == \
+        assert extended_fisher_metric(psi, 1j * 0.3 * psi) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_one_bit_chart_form(self):
@@ -158,8 +157,7 @@ class TestExtendedFisherMetric:
         base_rec = extended_fisher_metric_recursive(psi, tan)
         for _ in range(20):
             perm = rng.permutation(16)
-            p_psi = StateVector(psi.amps[perm])
-            p_tan = Tangent(tan.damps[perm])
+            p_psi, p_tan = psi[perm], tan[perm]
             assert extended_fisher_metric(p_psi, p_tan) == pytest.approx(
                 base_closed, abs=1e-12)
             assert extended_fisher_metric_recursive(p_psi, p_tan) == pytest.approx(
@@ -186,7 +184,7 @@ def random_stack(nbits, count, rng):
     pairs = []
     for _ in range(count):
         psi = random_state(nbits, rng)
-        pairs.append((psi.amps, random_tangent(psi, rng).damps))
+        pairs.append((psi, random_tangent(psi, rng)))
     return tuple(np.array(col) for col in zip(*pairs))
 
 
@@ -266,7 +264,7 @@ class TestStackedMetrics:
             amps[1, 1::2], damps[1, 1::2] = 0.0, 0.0
         for row in (0, 1):
             amps[row] /= np.linalg.norm(amps[row])
-            damps[row] = Tangent.projected(amps[row], damps[row]).damps
+            damps[row] -= np.vdot(amps[row], damps[row]).real * amps[row]
         expected = [per_node_recursion(*amplitude_phase_differentials(a, d))
                     for a, d in zip(amps, damps)]
         np.testing.assert_allclose(extended_fisher_metric_recursive(amps, damps),
@@ -287,7 +285,7 @@ class TestStackedMetrics:
         amps = np.array([0.6, 0.48j, 0.0, 0.64], dtype=complex)
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
         raw[2] = 0.0
-        damps = Tangent.projected(amps, raw).damps
+        damps = raw - np.vdot(amps, raw).real * amps
         closed = extended_fisher_metric(amps, damps)
         assert extended_fisher_metric_recursive(amps, damps) == pytest.approx(
             closed, rel=1e-12)
@@ -395,7 +393,7 @@ def per_sample_and_block(seed, bit_counts):
     stacked, draws = {}, {}
     for nbits in bit_counts:
         psi = random_state(nbits, one)
-        stacked.setdefault(nbits, []).append((psi.amps, random_tangent(psi, one).damps))
+        stacked.setdefault(nbits, []).append((psi, random_tangent(psi, one)))
         draws.setdefault(nbits, []).append(draw_state(nbits, block)
                                            + draw_tangent(1 << nbits, block))
     out = {}
@@ -439,14 +437,14 @@ class TestBlockBuilders:
         amps = state_amplitudes(*draw_state(3, rng))
         damps = tangent_amplitudes(amps, *draw_tangent(8, rng))
         assert amps.shape == damps.shape == (8,)
-        assert StateVector(amps).amps.tobytes() == amps.tobytes()
-        assert Tangent(damps).is_norm_preserving(amps)
+        assert metrics._normalized(amps).tobytes() == amps.tobytes()
+        assert extended_fisher_metric(amps, damps) > 0.0  # norm-preserving
 
     def test_rows_off_norm_by_rounding_are_renormalized_alone(self):
         amps = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11]], dtype=complex)
         out = metrics._normalized(amps)
         for row, expected in zip(out, amps):
-            assert row.tobytes() == StateVector(expected).amps.tobytes()
+            assert row.tobytes() == metrics._normalized(expected).tobytes()
         assert out[1].tobytes() != amps[1].tobytes()
 
     # rows off norm by more than SUM_TOL are rescaled; the array pass must
@@ -473,9 +471,9 @@ class TestBlockBuilders:
         with pytest.raises(DomainError, match="size"):
             draw_tangent(size, np.random.default_rng(0))
 
-    def test_random_tangent_needs_a_state_vector(self):
-        with pytest.raises(DomainError, match="StateVector"):
-            random_tangent(np.ones(4) / 2, np.random.default_rng(0))
+    def test_random_tangent_takes_one_state(self):
+        with pytest.raises(DomainError, match="one state"):
+            random_tangent(np.ones((2, 4)) / 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("exponentials,uniforms,match", [
         (np.ones((3, 4)), np.zeros(4), "uniforms must have shape"),
@@ -601,7 +599,7 @@ class TestFubiniStudy:
     def test_gauge_direction_is_null(self):
         rng = np.random.default_rng(10)
         psi = random_state(3, rng)
-        assert fubini_study_metric(psi, Tangent(1j * psi.amps * 1e-2)) == \
+        assert fubini_study_metric(psi, 1j * psi * 1e-2) == \
             pytest.approx(0.0, abs=1e-16)
 
     def test_orthonormal_tangent_has_unit_length(self):
@@ -618,7 +616,7 @@ class TestFubiniStudy:
             tan = random_tangent(psi, rng)
             u = haar_unitary(8, rng)
             before = fubini_study_metric(psi, tan)
-            after = fubini_study_metric(u @ psi.amps, u @ tan.damps)
+            after = fubini_study_metric(u @ psi, u @ tan)
             assert after == pytest.approx(before, rel=1e-12, abs=1e-14)
 
     def test_zero_vector_rejected(self):
@@ -646,34 +644,25 @@ class TestFubiniStudyDistance:
             a = random_state(2, rng)
             b = random_state(2, rng)
             u = haar_unitary(4, rng)
-            assert fubini_study_distance(u @ a.amps, u @ b.amps) == pytest.approx(
+            assert fubini_study_distance(u @ a, u @ b) == pytest.approx(
                 fubini_study_distance(a, b), abs=1e-10)
 
-    @pytest.mark.parametrize("function", [fubini_study_distance, Tangent.projected])
     @pytest.mark.parametrize("a,b", [
         (np.ones((2, 2)) / 2.0, np.ones((2, 2)) / 2.0),
         (np.array([0.6, 0.8]), np.ones(4) / 2.0),
         (np.array([]), np.array([])),
     ], ids=["stacks", "lengths-2-and-4", "empty"])
-    def test_shapes_are_checked(self, function, a, b):
+    def test_shapes_are_checked(self, a, b):
         with pytest.raises(DomainError, match="of one length"):
-            function(a, b)
+            fubini_study_distance(a, b)
 
 
 class TestTangent:
-    def test_projected_tangent_preserves_norm(self):
-        rng = np.random.default_rng(14)
-        psi = random_state(3, rng)
-        raw = rng.normal(size=8) + 1j * rng.normal(size=8)
-        tan = Tangent.projected(psi, raw)
-        assert tan.is_norm_preserving(psi)
-
     @pytest.mark.parametrize("radial,accepted", [(1e-9, True), (1e-8, False)])
     def test_norm_preservation_is_what_the_metric_accepts(self, radial, accepted):
         # |sum drho| = 2 * radial against TANGENT_TOL = 1e-8 on both sides
-        psi = StateVector([0.6, 0.8])
-        tan = Tangent(0.01j * np.ones(2) + radial * psi.amps)
-        assert tan.is_norm_preserving(psi) is accepted
+        psi = np.array([0.6, 0.8])
+        tan = 0.01j * np.ones(2) + radial * psi
         if accepted:
             assert extended_fisher_metric(psi, tan) > 0.0
         else:
@@ -684,26 +673,15 @@ class TestTangent:
         # the rows drift by +-2e-3: their sum cancels, but each row breaks it
         amps = np.array([[0.6, 0.8], [0.8, 0.6]], dtype=complex)
         damps = 0.01j * np.ones((2, 2)) + np.array([[1e-3], [-1e-3]]) * amps
-        assert not Tangent(damps).is_norm_preserving(amps)
         with pytest.raises(DomainError, match="row 0"):
             extended_fisher_metric(amps, damps)
 
-    def test_state_vector_normalizes_small_drift(self):
+    def test_normalized_removes_small_drift(self):
         amps = np.ones(4, dtype=complex) / 2.0 * (1 + 1e-11)
-        sv = StateVector(amps)
-        assert float(np.vdot(sv.amps, sv.amps).real) == pytest.approx(1.0, abs=1e-14)
+        out = metrics._normalized(amps)
+        assert float(np.vdot(out, out).real) == pytest.approx(1.0, abs=1e-14)
 
-    def test_state_vector_rejects_large_drift(self):
+    def test_normalized_rejects_large_drift(self):
         with pytest.raises(DomainError):
-            StateVector(np.ones(4, dtype=complex))
+            metrics._normalized(np.ones(4, dtype=complex))
 
-    @pytest.mark.parametrize("make", [StateVector, Tangent])
-    def test_caller_array_stays_writeable_and_unchanged(self, make):
-        # a contiguous complex input is exactly the case that needs no cast
-        arr = np.array([0.6, 0.8], dtype=complex)
-        before = arr.copy()
-        held = make(arr)
-        assert arr.flags.writeable
-        arr[0] = 0.0
-        assert (held.amps if make is StateVector else held.damps).tobytes() \
-            == before.tobytes()

@@ -1,13 +1,16 @@
-"""The public surface of qrecon and the width cap its guards share.
+"""The public surface of qrecon and the guards it shares.
 
 The names `qrecon/__init__.py` imports are pinned here, so that adding or
 removing a public name is a visible edit of this list.  Every width guard
 refuses widths above its cap with a DomainError before it allocates: the
 cases below must never reach an allocation, because the arrays they name
-would not fit in memory.
+would not fit in memory.  Every array and every angle goes through one real
+or complex conversion, which refuses text and ragged nesting with a
+DomainError.
 """
 
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -19,15 +22,15 @@ from qrecon.butterfly import (assemble_transform, bit_reversal_permutation,
                               stage_matrix, twiddle_phase, twiddle_stage,
                               verify_danielson_lanczos)
 from qrecon.exceptions import MAX_OBJECT_WIDTH, MAX_WIDTH, DomainError
-from qrecon.metrics import draw_state, draw_tangent
+from qrecon.metrics import draw_state, draw_tangent, tangent_amplitudes
 from qrecon.partitions import make_lsb_partition
 
 PUBLIC_NAMES = [
     "AVAILABLE_BACKENDS", "BACKEND", "BlochPoint", "ButterflyPlan",
     "ConditionalTree", "ConfigError", "DigitSubsetSet", "Distribution",
-    "DomainError", "ExtendedCoords", "MeasurementSample", "Partition",
-    "PhaseSpaceSet", "RangeError", "SingularityError", "StateVector",
-    "Tangent", "apply_butterfly", "apply_shift", "assemble_transform",
+    "DomainError", "ExtendedCoords", "Partition", "PhaseSpaceSet",
+    "RangeError", "SingularityError", "apply_butterfly", "apply_shift",
+    "assemble_transform",
     "bit_reversal_permutation",
     "bloch_from_extended", "chain_propagate", "chart_tangent_metric",
     "derive_shift_phases", "dft_matrix", "enumerate_binary_partitions",
@@ -53,7 +56,7 @@ def test_the_public_names_are_pinned():
     imported = sorted(alias.asname or alias.name for node in tree.body
                       if isinstance(node, ast.ImportFrom) for alias in node.names)
     assert imported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 62
 
 
 VECTOR, DENSE, STREAMED = MAX_WIDTH, MAX_WIDTH // 2, MAX_WIDTH - 6
@@ -84,3 +87,55 @@ CAPPED = [
 def test_widths_above_the_cap_are_refused(name, call, above, which):
     with pytest.raises(DomainError):
         call(above if which == "cap+1" else 10**30)
+
+
+TEXT, RAGGED = ["a", "b"], [[0.6], [0.6, 0.8]]
+STATE = np.array([0.6, 0.8])
+
+# (name, call of one array-valued input): text or ragged nesting in an
+# array position
+ARRAY_INPUTS = [
+    ("extended_fisher_metric", lambda x: qrecon.extended_fisher_metric(x, x)),
+    ("extended_fisher_metric_recursive",
+     lambda x: qrecon.extended_fisher_metric_recursive(x, x)),
+    ("fubini_study_metric", lambda x: qrecon.fubini_study_metric(STATE, x)),
+    ("fubini_study_distance", lambda x: qrecon.fubini_study_distance(x, STATE)),
+    ("random_tangent", lambda x: qrecon.random_tangent(x, RNG)),
+    ("tangent_amplitudes", lambda x: tangent_amplitudes(STATE, x, x)),
+    ("chain_propagate", qrecon.chain_propagate),
+    ("apply_butterfly", lambda x: qrecon.apply_butterfly(make_plan(1), x)),
+    ("pauli_expectations", qrecon.pauli_expectations),
+    ("transformed_phase_jacobian", qrecon.transformed_phase_jacobian),
+    ("Distribution", qrecon.Distribution),
+    ("s_variable", qrecon.s_variable),
+    ("ConditionalTree", lambda x: qrecon.ConditionalTree(1, [x])),
+]
+
+
+@pytest.mark.parametrize("value", [TEXT, RAGGED], ids=["text", "ragged"])
+@pytest.mark.parametrize("name, call", ARRAY_INPUTS, ids=[c[0] for c in ARRAY_INPUTS])
+def test_text_or_ragged_arrays_are_refused(name, call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+# (name, call of one angle)
+ANGLES = [
+    ("prob_from_theta", qrecon.prob_from_theta),
+    ("theta_from_prob", qrecon.theta_from_prob),
+    ("tomography_experiment",
+     lambda t: qrecon.tomography_experiment({"q": t}, {"q": 10}, 1, 10)),
+    ("simulate_bernoulli", lambda t: qrecon.simulate_bernoulli(t, 10, 1)),
+    ("fisher_info_theta", qrecon.fisher_info_theta),
+    ("fisher_info_theta_numeric", qrecon.fisher_info_theta_numeric),
+    ("rebit_conjugate", qrecon.rebit_conjugate),
+    ("metric_in_coords", lambda t: qrecon.metric_in_coords(t, 0.1, 0.2)),
+]
+
+
+@pytest.mark.parametrize("value", ["x", None, np.ones((2, 2)), math.nan, math.inf],
+                         ids=["text", "None", "2x2", "nan", "inf"])
+@pytest.mark.parametrize("name, call", ANGLES, ids=[c[0] for c in ANGLES])
+def test_an_angle_must_be_a_real_number(name, call, value):
+    with pytest.raises(DomainError):
+        call(value)

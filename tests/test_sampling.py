@@ -7,32 +7,29 @@ import pytest
 from qrecon import cli, criteria
 from qrecon.bloch import BlochPoint
 from qrecon.exceptions import DomainError
-from qrecon.sampling import (MeasurementSample, _replica_estimates,
-                             _replica_zeros, chi2_band, measurement_stream,
-                             mle_theta, simulate_bernoulli,
-                             tomography_experiment)
+from qrecon.sampling import (_replica_estimates, _replica_zeros, chi2_band,
+                             measurement_stream, mle_theta,
+                             simulate_bernoulli, tomography_experiment)
 
 
 def mle_replicas(theta, trials, seed, replicas):
     """mle_theta of each of the first `replicas` replicas of observable q."""
-    return [mle_theta(MeasurementSample((z, trials - z)))[0]
+    return [mle_theta(z, trials)[0]
             for z in _replica_zeros(theta, trials, seed, "q", replicas).tolist()]
 
 
 class TestSimulateBernoulli:
     def test_degenerate_zero(self):
-        sample = simulate_bernoulli(0.0, 500, seed=1)
-        assert sample.counts == (500, 0)
+        assert simulate_bernoulli(0.0, 500, seed=1) == 500
 
     def test_degenerate_pi(self):
-        sample = simulate_bernoulli(math.pi, 500, seed=1)
-        assert sample.counts == (0, 500)
+        assert simulate_bernoulli(math.pi, 500, seed=1) == 0
 
     def test_balanced_within_binomial_band(self):
         trials = 1_000_000
-        sample = simulate_bernoulli(math.pi / 2, trials, seed=7)
+        zeros = simulate_bernoulli(math.pi / 2, trials, seed=7)
         sigma = math.sqrt(trials * 0.25)
-        assert abs(sample.counts[0] - trials / 2) < 5 * sigma
+        assert abs(zeros - trials / 2) < 5 * sigma
 
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
@@ -113,11 +110,11 @@ class TestReplicaEstimates:
     def test_replica_0_is_simulate_bernoulli(self, theta, trials):
         for seed in (0, 17, 2**64 + 5):
             for o in "qpr":
-                sample = simulate_bernoulli(theta, trials, seed, o)
+                count = simulate_bernoulli(theta, trials, seed, o)
                 zeros = _replica_zeros(theta, trials, seed, o, 5)
-                assert zeros[0] == sample.counts[0]
+                assert zeros[0] == count
                 est = _replica_estimates(theta, trials, seed, o, 5)[0]
-                mle = mle_theta(sample)[0]
+                mle = mle_theta(count, trials)[0]
                 assert abs(est - mle) <= 2 * math.ulp(mle)
 
     def test_q_and_p_streams_differ(self):
@@ -141,11 +138,11 @@ class TestReplicaEstimates:
 
 class TestMleTheta:
     def test_boundary_counts(self):
-        assert mle_theta(MeasurementSample((100, 0)))[0] == 0.0
-        assert mle_theta(MeasurementSample((0, 100)))[0] == pytest.approx(math.pi)
+        assert mle_theta(100, 100)[0] == 0.0
+        assert mle_theta(0, 100)[0] == pytest.approx(math.pi)
 
     def test_balanced_counts(self):
-        theta, var = mle_theta(MeasurementSample((50, 50)))
+        theta, var = mle_theta(50, 100)
         assert theta == pytest.approx(math.pi / 2)
         assert var == pytest.approx(0.01)
 
@@ -162,9 +159,14 @@ class TestMleTheta:
             scaled = np.var(estimates, ddof=1) * trials
             assert abs(scaled - 1.0) < 0.45  # 5-sigma band at 300 replicas
 
-    def test_rejects_non_binary(self):
-        with pytest.raises(DomainError):
-            mle_theta(MeasurementSample((1, 2, 3)))
+    @pytest.mark.parametrize("zeros,trials,match", [
+        (0, 0, "trials"), (1, -1, "trials"), (1, 2.0, "trials"),
+        (1, True, "trials"), (-1, 10, "zeros"), (11, 10, "zeros"),
+        (0.5, 10, "zeros"), ("1", 10, "zeros"),
+    ])
+    def test_counts_are_checked(self, zeros, trials, match):
+        with pytest.raises(DomainError, match=match):
+            mle_theta(zeros, trials)
 
 
 def by_name(summaries):
