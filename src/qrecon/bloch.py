@@ -80,8 +80,14 @@ class BlochPoint:
     sr: float
 
     def __post_init__(self):
-        if _off_sphere(self.norm2()):
-            raise DomainError(f"off-sphere point, |S|^2 = {self.norm2()}")
+        for name in ("sq", "sp", "sr"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        try:
+            norm2 = self.norm2()
+        except OverflowError:  # a component's square overflows a float
+            norm2 = math.inf
+        if _off_sphere(norm2):
+            raise DomainError(f"off-sphere point, |S|^2 = {norm2}")
 
     def norm2(self) -> float:
         return self.sq**2 + self.sp**2 + self.sr**2
@@ -91,10 +97,6 @@ class BlochPoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.sq, self.sp, self.sr])
-
-    @classmethod
-    def from_components(cls, values: dict[str, float]) -> "BlochPoint":
-        return cls(values["q"], values["p"], values["r"])
 
     def theta_of(self, observable: str) -> float:
         """Polar parameter of one observable, arccos(S)."""
@@ -120,6 +122,9 @@ class ExtendedCoords:
 
     def __post_init__(self):
         _check_axis(self.axis)
+        object.__setattr__(self, "theta", check_real("theta", self.theta))
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", check_real("alpha", self.alpha))
         if not 0.0 <= self.theta <= math.pi:
             raise DomainError("theta outside [0, pi]")
         if self.alpha is not None and not -math.pi < self.alpha <= math.pi + 1e-15:
@@ -145,7 +150,7 @@ def bloch_from_extended(coords: ExtendedCoords) -> BlochPoint:
         nu: math.sin(coords.theta) * math.cos(alpha),
         xi: math.sin(coords.theta) * math.sin(alpha),
     }
-    return BlochPoint.from_components(values)
+    return BlochPoint(values["q"], values["p"], values["r"])
 
 
 def extended_from_bloch(axis: str, point: BlochPoint) -> ExtendedCoords:
@@ -187,11 +192,11 @@ def shift_rotation_2(psi: np.ndarray, axis: str) -> np.ndarray:
     components, axis 'p' applies diag(1, -1) (swaps the p outcomes while
     leaving the q probabilities untouched)."""
     psi = _two_component(psi)
+    if not isinstance(axis, str) or axis not in ("q", "p"):
+        raise DomainError(f"unknown axis {axis!r}")
     if axis == "q":
         return psi[::-1].copy()
-    if axis == "p":
-        return np.array([psi[0], -psi[1]])
-    raise DomainError(f"unknown axis {axis!r}")
+    return np.array([psi[0], -psi[1]])
 
 
 def transformed_phase_jacobian(psi: np.ndarray) -> np.ndarray:
@@ -214,7 +219,7 @@ def transformed_phase_jacobian(psi: np.ndarray) -> np.ndarray:
     return jac
 
 
-def chart_tangent_metric(point, velocity, axis: str):
+def chart_tangent_metric(point, velocity, axis: str) -> np.ndarray:
     """Chart value of the metric for a sphere tangent, by the chain rule in
     closed form.
 
@@ -225,33 +230,23 @@ def chart_tangent_metric(point, velocity, axis: str):
     sin^2(theta) dalpha^2.  Every chart must return the same number for the
     same tangent.
 
-    One BlochPoint and a 3-vector give a float; a (P, 3) stack of points
-    and one of velocities give the (P,) array.  One point runs as a one-row
-    stack, so it has the bits of its row in any stack.
+    Takes a (P, 3) stack of points and one of velocities and returns the
+    (P,) array; each row's value has the same bits in any stack.
     """
     _check_axis(axis)
-    single = isinstance(point, BlochPoint)
-    if single:
-        p, v = point.as_array()[None], real_array(velocity)[None]
-    else:
-        p, v = real_array(point), real_array(velocity)
+    p, v = real_array(point), real_array(velocity)
     if p.ndim != 2 or p.shape[1] != 3 or v.shape != p.shape:
-        raise DomainError("need a BlochPoint and a 3-vector, or (P, 3) stacks "
-                          "of points and velocities of one shape")
-
-    def reject(bad: np.ndarray, exc: type[Exception], message: str) -> None:
-        _reject_rows(bad[0] if single else bad, exc, message)
-
-    reject(_off_sphere((p * p).sum(axis=1)), DomainError, "off-sphere point")
-    reject(~np.isfinite(v).all(axis=1), DomainError, "non-finite velocity")
+        raise DomainError("need (P, 3) stacks of points and velocities of one "
+                          "shape")
+    _reject_rows(_off_sphere((p * p).sum(axis=1)), DomainError, "off-sphere point")
+    _reject_rows(~np.isfinite(v).all(axis=1), DomainError, "non-finite velocity")
     t = v - (v * p).sum(axis=1, keepdims=True) * p
-    reject(np.sqrt((t * t).sum(axis=1)) < 1e-15, DomainError, "zero tangent")
+    _reject_rows(np.sqrt((t * t).sum(axis=1)) < 1e-15, DomainError, "zero tangent")
     order = ["qpr".index(name) for name in CHART_TRIPLETS[axis]]
     mu, nu, xi = (p[:, i] for i in order)
     dmu, dnu, dxi = (t[:, i] for i in order)
     sin = np.sin(np.arccos(np.clip(mu, -1.0, 1.0)))
-    reject((sin < POLE_TOL) | (np.hypot(nu, xi) < POLE_TOL), SingularityError,
-           "point at a chart pole")
+    _reject_rows((sin < POLE_TOL) | (np.hypot(nu, xi) < POLE_TOL), SingularityError,
+                 "point at a chart pole")
     dalpha = (nu * dxi - xi * dnu) / (nu**2 + xi**2)
-    values = (dmu / sin) ** 2 + sin**2 * dalpha**2
-    return float(values[0]) if single else values
+    return (dmu / sin) ** 2 + sin**2 * dalpha**2

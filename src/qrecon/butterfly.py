@@ -184,14 +184,12 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     return ButterflyPlan(n, sign, tuple(ramps))
 
 
-def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
-                    order: str = "natural") -> np.ndarray:
+def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     """Evaluate the ladder on psi, one state (N,) or a column stack (N, B), in
-    O(N log N) cell operations per state.
-
-    order 'bitReversed' returns the ladder output as produced (component mu
-    holds the coefficient of the bit-reversed index); 'natural' undoes the
-    permutation.  Matches the dense assemble_transform action to rounding.
+    O(N log N) cell operations per state, in natural order: the ladder's own
+    output is this result indexed by bit_reversal_permutation(n) (component
+    mu holds the coefficient of the bit-reversed index).  Matches the dense
+    assemble_transform action to rounding.
 
     A state and a stack run the same four steps (Bailey's four-step FFT),
     with s = min(n, TAIL_STAGES); _ladder_tail runs the first three:
@@ -204,14 +202,11 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
          stack, with the plan's last s - 1 ramps, so the short half-blocks
          of those stages become long rows;
       4. the tail's rows, read in bit-reversed order, give the natural
-         order; its blocks, read back in bit-reversed order, the ladder's
-         own order.
+         order.
     Each entry meets the same float operations in the same order as in a
     pass of all n stages over one array, so the result has the same bits.
     The copy is dropped before step 4, so at most two states are held.
     """
-    if order not in ("natural", "bitReversed"):
-        raise DomainError(f"unknown order {order!r}")
     n = plan.n
     psi = complex_array(psi)
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
@@ -222,11 +217,7 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray,
     del psi  # the converted copy of a real input goes before the tail comes
     tail = _ladder_tail(plan, work, np.empty(work.size, dtype=complex))
     del work
-    if order == "natural":
-        out = tail[bit_reversal_permutation(s)]
-    else:
-        out = tail.swapaxes(0, 1)[bit_reversal_permutation(n - s)]
-    return out.reshape(shape)
+    return tail[bit_reversal_permutation(s)].reshape(shape)
 
 
 def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
@@ -262,21 +253,20 @@ def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
     return tail
 
 
-def transform_columns(mat: np.ndarray, n: int, sign: int = +1,
-                      order: str = "natural") -> np.ndarray:
+def transform_columns(mat: np.ndarray, n: int, sign: int = +1) -> np.ndarray:
     """Apply the composed n-stage ladder to one column or to every column of
     a 2-D stack: apply_butterfly with the plan make_plan(n, sign)."""
-    return apply_butterfly(make_plan(n, sign), mat, order)
+    return apply_butterfly(make_plan(n, sign), mat)
 
 
-def assemble_transform(n: int, order: str = "natural", sign: int = +1) -> np.ndarray:
-    """Dense matrix of the composed ladder.
+def assemble_transform(n: int, sign: int = +1) -> np.ndarray:
+    """Dense matrix of the composed ladder, in natural order.
 
-    With sign=+1 and natural order this equals dft_matrix(2**n, +1), the
-    unitary positive-exponent Fourier matrix, to rounding.
+    With sign=+1 this equals dft_matrix(2**n, +1), the unitary
+    positive-exponent Fourier matrix, to rounding.
     """
     n = check_integer("width", n, 1, MAX_WIDTH // 2)
-    return transform_columns(np.eye(1 << n, dtype=complex), n, sign, order)
+    return transform_columns(np.eye(1 << n, dtype=complex), n, sign)
 
 
 def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
@@ -356,7 +346,7 @@ STAGE_BUFSIZE = 16
 
 
 def _ladder_deviations(n: int) -> dict[str, float]:
-    """Worst deviations of the composed ladder F (sign +1, natural order),
+    """Worst deviations of the composed ladder F (sign +1),
     streamed over blocks J of LADDER_BLOCK identity columns.
 
     Per block, one pass of apply_butterfly's body (_ladder_tail and the

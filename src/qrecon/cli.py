@@ -104,8 +104,6 @@ def _state(name, value, cfg):
         BlochPoint(*bloch)
     except DomainError as exc:
         raise ConfigError(f"{name}.bloch: {exc}") from exc
-    except OverflowError as exc:  # a component's square overflows a float
-        raise ConfigError(f"{name}.bloch: off-sphere point") from exc
 
 
 def _trials(name, value, cfg):

@@ -77,8 +77,8 @@ def metric_sample(cfg: dict, rng: np.random.Generator):
     """fs-factor and recursion over cfg["samples"] random states and tangents
     of cfg["levels"] bits, drawn, built and evaluated a block of
     METRIC_BLOCK_CELLS amplitudes (at least one state) at a time.  Each kind
-    of raw draw (draw_state's exponentials and uniforms, draw_tangent's drho
-    and dphi normals) comes from its own stream spawned from rng, one (S, N)
+    of raw draw (a state's exponentials and uniforms, a tangent's drho and
+    dphi normals) comes from its own stream spawned from rng, one (S, N)
     call per block; numpy fills an array one value after another, so sample
     i is row i of each stream whatever the block size."""
     nbits, samples = cfg["levels"], cfg["samples"]

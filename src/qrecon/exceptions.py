@@ -56,7 +56,7 @@ def _array(values, dtype: type, refused: str, what: str) -> np.ndarray:
         arr = np.asarray(values)
         if arr.dtype.kind not in refused:
             return arr.astype(dtype, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # also an int too large
         pass
     raise DomainError(f"not an array of {what}: {values!r}")
 

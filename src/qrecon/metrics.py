@@ -14,15 +14,14 @@ Random states and tangents come from raw generator calls,
 `standard_exponential` and `random` for a state and two `standard_normal`
 for a tangent, and are built from them by `state_amplitudes` and
 `tangent_amplitudes` (all arithmetic on the draws, for one row (N,) or a
-stack (S, N)).  `draw_state` and `draw_tangent` make one sample's raw
+stack (S, N)).  `random_state` and `random_tangent` make one sample's raw
 draws, (N,) each, in replay order; `criteria.metric_sample` makes each kind
 a whole block (S, N) at a time from its own spawned stream.  The builders
 turn the raw draws into the values of `dirichlet(np.ones(N))`,
 `uniform(-pi, pi, N)` and `normal(0.0, 0.1, N)` bit for bit, in numpy's own
-operation order.
-`random_state` and `random_tangent` are the one-row case of the same two
-steps, returning the (N,) arrays, so a stacked block is byte for byte the
-stack of the per-sample results.
+operation order.  So `random_state` and `random_tangent`, the one-row case
+of the same two steps returning the (N,) arrays, give a stacked block byte
+for byte as the stack of the per-sample results.
 """
 
 from __future__ import annotations
@@ -159,8 +158,11 @@ def fisher_matrix_numeric(tree: ConditionalTree) -> np.ndarray:
     (step 1e-6 in theta) of the tree-to-distribution map.  Coordinates are
     ordered root first, then by level downward with ascending suffix; the
     result is diagonal with the conditioning-suffix masses on the diagonal.
-    A node at p0 = 0 or 1 sits on the chart boundary and is rejected.
+    A node at p0 = 0 or 1 sits on the chart boundary and is rejected.  The
+    scores fill a dense (2**n - 1) x 2**n array, so a tree deeper than
+    MAX_WIDTH // 2 is refused before anything is allocated.
     """
+    check_integer("tree depth", tree.depth, 0, MAX_WIDTH // 2)
     step = 1e-6
     nodes = list(tree.nodes())
     base = reconstitute(tree).probs
@@ -265,21 +267,6 @@ def fubini_study_distance(psi1, psi2) -> float:
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
 
 
-def draw_state(nbits: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The raw draws of one random state of nbits bits: N standard
-    exponentials (the Dirichlet weights), then N uniforms on [0, 1) (the
-    phases)."""
-    size = 1 << check_integer("nbits", nbits, 0, MAX_WIDTH)
-    return rng.standard_exponential(size), rng.random(size)
-
-
-def draw_tangent(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The raw draws of one random tangent: size standard normals for drho,
-    then size for dphi."""
-    size = check_integer("size", size, 1, 1 << MAX_WIDTH)
-    return rng.standard_normal(size), rng.standard_normal(size)
-
-
 # The recipes below turn raw draws into Generator.dirichlet(np.ones(N)),
 # Generator.uniform(-pi, pi, N) and Generator.normal(0.0, 0.1, N) values bit
 # for bit: numpy computes each from the same raw draws, in this operation
@@ -319,7 +306,7 @@ def _check_block(**arrays) -> None:
 
 
 def state_amplitudes(exponentials: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Normalized amplitudes sqrt(rho) e^{i phase} from draw_state's raw
+    """Normalized amplitudes sqrt(rho) e^{i phase} from a state's raw
     draws: Dirichlet weights with every probability floored at 0.1 / N, and
     phases uniform on [-pi, pi); one row (N,) or a stack (S, N), checked and
     renormalized per row by _normalized."""
@@ -336,7 +323,7 @@ def state_amplitudes(exponentials: np.ndarray, uniforms: np.ndarray) -> np.ndarr
 
 def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
                        dphi: np.ndarray) -> np.ndarray:
-    """Norm-preserving perturbations of amps from draw_tangent's raw draws:
+    """Norm-preserving perturbations of amps from a tangent's raw draws:
     normal (drho, dphi) increments with standard deviation 0.1, each row's
     drho first shifted to mean zero; one row (N,) or a stack (S, N)."""
     amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
@@ -350,14 +337,18 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
 
 def random_state(nbits: int, rng: np.random.Generator) -> np.ndarray:
     """Random normalized state (N,) with every probability floored at 0.1 / N
-    (keeps the drho^2/rho terms well conditioned in metric sweeps)."""
-    return state_amplitudes(*draw_state(nbits, rng))
+    (keeps the drho^2/rho terms well conditioned in metric sweeps), from N
+    standard exponentials (the Dirichlet weights), then N uniforms on [0, 1)
+    (the phases)."""
+    size = 1 << check_integer("nbits", nbits, 0, MAX_WIDTH)
+    return state_amplitudes(rng.standard_exponential(size), rng.random(size))
 
 
 def random_tangent(psi, rng: np.random.Generator) -> np.ndarray:
     """Random norm-preserving tangent (N,) of one state psi (N,), built from
-    (drho, dphi) increments."""
+    (drho, dphi) increments: N standard normals for drho, then N for dphi."""
     psi = complex_array(psi)
     if psi.ndim != 1:
         raise DomainError(f"need one state (N,), not shape {psi.shape}")
-    return tangent_amplitudes(psi, *draw_tangent(psi.size, rng))
+    return tangent_amplitudes(psi, rng.standard_normal(psi.size),
+                              rng.standard_normal(psi.size))

@@ -14,6 +14,7 @@ equality.  A partition is shift-invariant when ``apply_shift(p, 1) == p``.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -129,6 +130,7 @@ def make_lsb_partition(n: int, l: int) -> Partition:
 def apply_shift(p: Partition, k: int) -> Partition:
     """Shift every element by +k mod 2**n, keeping the set grouping."""
     size = 1 << p.domain_width
+    k = check_integer("shift", k, -math.inf) % size  # any integer
     return Partition(p.domain_width, [[(x + k) % size for x in s] for s in p.sets])
 
 

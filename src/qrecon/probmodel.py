@@ -95,12 +95,16 @@ class ConditionalTree:
         # levels[0] is the root level (level n, one node), levels[-1] the
         # deepest level (level 1, 2**(n-1) nodes).
         depth = check_integer("depth", depth, 0)
-        if len(levels) != depth:
+        try:
+            count = len(levels)
+        except TypeError:  # not a sequence at all
+            count = None
+        if count != depth:
             raise DomainError("level count does not match depth")
         self.depth = depth
         store = []
         for i, lev in enumerate(levels):
-            arr = real_array(lev)
+            arr = real_array(lev).copy()  # frozen below: never the caller's array
             if arr.ndim != 1 or arr.size != 1 << i:
                 raise DomainError(f"level {depth - i} must be a flat vector of "
                                   f"{1 << i} values")
@@ -133,7 +137,8 @@ class ConditionalTree:
 
     def with_node(self, level: int, suffix: int, p0: float) -> "ConditionalTree":
         row = self._row(level, suffix)
-        levels = [lev.copy() for lev in self._levels]
+        levels = list(self._levels)
+        levels[row] = levels[row].copy()
         levels[row][suffix] = p0
         return ConditionalTree(self.depth, levels)
 

@@ -23,6 +23,13 @@ def random_point(rng, pole_margin=0.0):
             return BlochPoint(*v)
 
 
+def one_point(point, velocity, axis):
+    """chart_tangent_metric on a one-row stack: the value at one BlochPoint."""
+    return float(chart_tangent_metric(point.as_array()[None],
+                                      np.asarray(velocity, dtype=float)[None],
+                                      axis)[0])
+
+
 class TestRebitConjugate:
     def test_cardinal_points(self):
         assert rebit_conjugate(0.0) == pytest.approx(math.pi / 2)
@@ -162,8 +169,7 @@ class TestMetricInCoords:
             pt = random_point(rng, pole_margin=0.1)
             tangent = rng.normal(size=3)
             for scale in (1.0, 1e-3):  # a short tangent must not lose digits
-                values = [chart_tangent_metric(pt, scale * tangent, axis)
-                          for axis in "qpr"]
+                values = [one_point(pt, scale * tangent, axis) for axis in "qpr"]
                 assert max(values) - min(values) < 1e-10 * max(values)
 
     def test_chart_value_is_the_sphere_metric(self):
@@ -172,7 +178,7 @@ class TestMetricInCoords:
         tangent = rng.normal(size=3)
         projected = tangent - np.dot(tangent, pt.as_array()) * pt.as_array()
         expected = float(np.dot(projected, projected))
-        assert chart_tangent_metric(pt, tangent, "q") == pytest.approx(
+        assert one_point(pt, tangent, "q") == pytest.approx(
             expected, rel=1e-9)
 
 
@@ -234,7 +240,7 @@ class TestChartTangentMetricOracle:
 
     def test_guards_match_the_oracle(self):
         pole = BlochPoint(0.0, 0.0, 1.0)
-        for metric in (chart_tangent_metric, chart_tangent_metric_oracle):
+        for metric in (one_point, chart_tangent_metric_oracle):
             with pytest.raises(DomainError):
                 metric(pole, np.array([0.0, 0.0, 2.0]), "q")  # radial only
             with pytest.raises(SingularityError):
@@ -247,12 +253,13 @@ ON_SPHERE = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]])
 class TestChartTangentMetricStack:
     @pytest.mark.parametrize("axis", "qpr")
     def test_a_stack_is_the_per_point_calls_byte_for_byte(self, axis):
+        # each one-row stack gives its row of the full stack
         rng = np.random.default_rng(31)
         points = [random_point(rng, pole_margin=0.01) for _ in range(500)]
         tangents = rng.normal(size=(500, 3))
         stacked = chart_tangent_metric(np.array([pt.as_array() for pt in points]),
                                        tangents, axis)
-        single = np.array([chart_tangent_metric(pt, tangent, axis)
+        single = np.array([one_point(pt, tangent, axis)
                            for pt, tangent in zip(points, tangents)])
         assert stacked.shape == (500,)
         assert stacked.tobytes() == single.tobytes()
@@ -261,12 +268,13 @@ class TestChartTangentMetricStack:
         assert chart_tangent_metric(np.empty((0, 3)), np.empty((0, 3)), "q").shape == (0,)
 
     @pytest.mark.parametrize("point,velocity,axis,exc,match", [
-        (BlochPoint(0.6, 0.8, 0.0), [0.0, 0.0, 1.0], "x", DomainError, "axis"),
-        (BlochPoint(0.6, 0.8, 0.0), [0.0, 1.0], "q", DomainError, "3-vector"),
-        (BlochPoint(0.6, 0.8, 0.0), [np.nan, 0.0, 1.0], "q", DomainError, "non-finite"),
-        (BlochPoint(0.6, 0.8, 0.0), "abc", "q", DomainError, "reals"),
-        (BlochPoint(0.6, 0.8, 0.0), [0.0, 0.0, 1j], "q", DomainError, "reals"),
-        ((0.6, 0.8, 0.0), [0.0, 0.0, 1.0], "q", DomainError, "BlochPoint"),
+        (ON_SPHERE[:1], [[0.0, 0.0, 1.0]], "x", DomainError, "axis"),
+        (ON_SPHERE[:1], [[0.0, 1.0]], "q", DomainError, "one shape"),
+        (ON_SPHERE[:1], [[np.nan, 0.0, 1.0]], "q", DomainError, "non-finite"),
+        (ON_SPHERE[:1], "abc", "q", DomainError, "reals"),
+        (ON_SPHERE[:1], [[0.0, 0.0, 1j]], "q", DomainError, "reals"),
+        ((0.6, 0.8, 0.0), [0.0, 0.0, 1.0], "q", DomainError, r"\(P, 3\) stacks"),
+        (BlochPoint(0.6, 0.8, 0.0), [0.0, 0.0, 1.0], "q", DomainError, "reals"),
         (ON_SPHERE, np.ones((2, 3)), "q", DomainError, "one shape"),
         (ON_SPHERE[0], np.ones(3), "q", DomainError, "one shape"),
         (ON_SPHERE * [[1.0], [1.1], [1.0]], np.ones((3, 3)), "q", DomainError,
@@ -280,7 +288,7 @@ class TestChartTangentMetricStack:
         (np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)), "r",
          SingularityError, r"chart pole \(row 1\)"),
     ], ids=["axis", "short-velocity", "nan-velocity", "text-velocity",
-            "complex-velocity", "tuple-point",
+            "complex-velocity", "tuple-point", "bloch-point",
             "stack-shapes", "flat-point-array", "off-sphere-row", "nan-row",
             "inf-velocity-row", "zero-tangent-row", "pole-row"])
     def test_bad_input_is_rejected(self, point, velocity, axis, exc, match):
@@ -333,6 +341,11 @@ class TestShiftRotation:
         after = pauli_expectations(shift_rotation_2(psi, "p"))
         assert after.sp == pytest.approx(-before.sp, abs=1e-12)
         assert after.sq == pytest.approx(before.sq, abs=1e-12)
+
+    @pytest.mark.parametrize("axis", ["r", np.ones((2, 2)), None])
+    def test_an_unknown_axis_is_refused(self, axis):
+        with pytest.raises(DomainError):
+            shift_rotation_2(np.array([1.0, 0.0]), axis)
 
     def test_q_shift_is_component_swap(self):
         out = shift_rotation_2(np.array([0.2 + 0.1j, 0.9]), "q")
@@ -406,6 +419,23 @@ class TestValidation:
     def test_bad_axis_rejected(self):
         with pytest.raises(DomainError):
             ExtendedCoords("x", 0.5, 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: BlochPoint("x", 0.0, 0.0),
+        lambda: BlochPoint(np.ones((2, 2)), 0.0, 0.0),
+        lambda: BlochPoint(0.0, None, 1.0),
+        lambda: BlochPoint(1e200, 0.0, 0.0),  # its square overflows a float
+        lambda: ExtendedCoords("q", "x", 0.1),
+        lambda: ExtendedCoords("q", 0.5, np.ones(2)),
+    ], ids=["text", "matrix", "none", "huge", "text-theta", "vector-alpha"])
+    def test_a_field_must_be_a_real_number(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_fields_are_stored_as_floats(self):
+        pt = BlochPoint(np.float64(0.6), 0.8, 0)
+        assert [type(v) for v in (pt.sq, pt.sp, pt.sr)] == [float] * 3
+        assert (pt.sq, pt.sp, pt.sr) == (0.6, 0.8, 0.0)
 
     def test_outcome_probabilities(self):
         pt = BlochPoint(0.6, 0.8, 0.0)

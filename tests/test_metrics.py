@@ -6,13 +6,14 @@ import pytest
 from qrecon import criteria, metrics
 from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, amplitude_phase_differentials,
-                            draw_state, draw_tangent, extended_fisher_metric,
+                            extended_fisher_metric,
                             extended_fisher_metric_recursive,
                             fisher_info_theta, fisher_info_theta_numeric,
                             fisher_matrix_numeric, fubini_study_distance,
                             fubini_study_metric, random_state, random_tangent,
                             state_amplitudes, tangent_amplitudes)
-from qrecon.probmodel import Distribution, factorize, reconstitute
+from qrecon.probmodel import (ConditionalTree, Distribution, factorize,
+                              reconstitute)
 
 
 def haar_unitary(size, rng):
@@ -95,6 +96,12 @@ class TestFisherMatrixNumeric:
     def test_boundary_node_raises(self):
         tree = factorize(Distribution([1.0, 0.0]))
         with pytest.raises(SingularityError):
+            fisher_matrix_numeric(tree)
+
+    def test_a_tree_too_deep_for_the_dense_scores_is_refused(self):
+        # depth 13 would fill a (2**13 - 1) x 2**13 score array
+        tree = ConditionalTree(13, [np.full(1 << i, 0.5) for i in range(13)])
+        with pytest.raises(DomainError, match="depth 13"):
             fisher_matrix_numeric(tree)
 
 
@@ -394,8 +401,10 @@ def per_sample_and_block(seed, bit_counts):
     for nbits in bit_counts:
         psi = random_state(nbits, one)
         stacked.setdefault(nbits, []).append((psi, random_tangent(psi, one)))
-        draws.setdefault(nbits, []).append(draw_state(nbits, block)
-                                           + draw_tangent(1 << nbits, block))
+        size = 1 << nbits
+        draws.setdefault(nbits, []).append((
+            block.standard_exponential(size), block.random(size),
+            block.standard_normal(size), block.standard_normal(size)))
     out = {}
     for nbits, rows in draws.items():
         weights, phases, drho, dphi = (np.array(col) for col in zip(*rows))
@@ -406,11 +415,10 @@ def per_sample_and_block(seed, bit_counts):
 
 
 class TestBlockBuilders:
-    @pytest.mark.parametrize("draw", [draw_state, random_state])
     @pytest.mark.parametrize("nbits", [-1, 2.0, True, np.float64(3.0), "3"])
-    def test_nbits_must_be_a_non_negative_integer(self, draw, nbits):
+    def test_nbits_must_be_a_non_negative_integer(self, nbits):
         with pytest.raises(DomainError, match="nbits"):
-            draw(nbits, np.random.default_rng(0))
+            random_state(nbits, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 7, 401, 20240801])
     def test_block_is_the_stack_of_per_sample_results(self, seed):
@@ -434,8 +442,8 @@ class TestBlockBuilders:
 
     def test_one_row_is_a_state_and_a_tangent(self):
         rng = np.random.default_rng(3)
-        amps = state_amplitudes(*draw_state(3, rng))
-        damps = tangent_amplitudes(amps, *draw_tangent(8, rng))
+        amps = state_amplitudes(rng.standard_exponential(8), rng.random(8))
+        damps = tangent_amplitudes(amps, rng.standard_normal(8), rng.standard_normal(8))
         assert amps.shape == damps.shape == (8,)
         assert metrics._normalized(amps).tobytes() == amps.tobytes()
         assert extended_fisher_metric(amps, damps) > 0.0  # norm-preserving
@@ -465,11 +473,6 @@ class TestBlockBuilders:
         amps[2, 0] = 0.75
         with pytest.raises(DomainError, match=r"row 2"):
             metrics._normalized(amps)
-
-    @pytest.mark.parametrize("size", [-1, 0, 2.0, True, np.float64(3.0), "3"])
-    def test_size_must_be_a_positive_integer(self, size):
-        with pytest.raises(DomainError, match="size"):
-            draw_tangent(size, np.random.default_rng(0))
 
     def test_random_tangent_takes_one_state(self):
         with pytest.raises(DomainError, match="one state"):
@@ -532,8 +535,8 @@ class TestNumpyRecipes:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for nbits in range(11):
             size = 1 << nbits
-            exponentials, uniforms = draw_state(nbits, ours)
-            drho, dphi = draw_tangent(size, ours)
+            exponentials, uniforms = ours.standard_exponential(size), ours.random(size)
+            drho, dphi = ours.standard_normal(size), ours.standard_normal(size)
             built = (metrics._dirichlet_weights(exponentials),
                      metrics._uniform_phases(uniforms),
                      metrics._normal_increments(drho), metrics._normal_increments(dphi))

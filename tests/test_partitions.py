@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 
+import numpy as np
 import pytest
 
 from qrecon.exceptions import DomainError, RangeError
@@ -123,6 +124,17 @@ class TestApplyShift:
     def test_modular_period(self):
         p = part(3, (0, 1, 2, 3), (4, 5, 6, 7))
         assert apply_shift(p, 8) == p
+
+    def test_negative_and_huge_shifts_wrap(self):
+        p = part(2, (0, 1), (2, 3))
+        assert apply_shift(p, -1) == apply_shift(p, 3) == part(2, (3, 0), (1, 2))
+        assert apply_shift(p, 10**30 + 1) == apply_shift(p, 1)
+        assert apply_shift(p, np.int64(-3)) == apply_shift(p, 1)
+
+    @pytest.mark.parametrize("k", [None, "x", [], 1.0, True])
+    def test_a_shift_must_be_an_integer(self, k):
+        with pytest.raises(DomainError, match="shift"):
+            apply_shift(part(2, (0, 1), (2, 3)), k)
 
 
 class TestShiftInvariance:

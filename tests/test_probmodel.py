@@ -216,6 +216,18 @@ class TestConditionalTreeValidation:
         with pytest.raises(DomainError):
             ConditionalTree(depth, [[0.5]])
 
+    @pytest.mark.parametrize("levels", [5, None, 0.5])
+    def test_levels_must_be_a_sequence(self, levels):
+        with pytest.raises(DomainError, match="level count"):
+            ConditionalTree(1, levels)
+
+    def test_the_callers_array_stays_writeable_and_unchanged(self):
+        level = np.array([0.5])
+        tree = ConditionalTree(1, [level])
+        assert level.flags.writeable
+        level[0] = 0.25
+        assert tree.node(1, 0) == 0.5
+
     def test_numpy_integer_positions_are_taken(self):
         tree = ConditionalTree(np.int64(2), [[0.5], [0.25, 0.75]])
         assert tree.depth == 2 and type(tree.depth) is int

@@ -5,8 +5,8 @@ removing a public name is a visible edit of this list.  Every width guard
 refuses widths above its cap with a DomainError before it allocates: the
 cases below must never reach an allocation, because the arrays they name
 would not fit in memory.  Every array and every angle goes through one real
-or complex conversion, which refuses text and ragged nesting with a
-DomainError.
+or complex conversion, which refuses text, ragged nesting and ints too large
+for a float with a DomainError.
 """
 
 import ast
@@ -22,7 +22,7 @@ from qrecon.butterfly import (assemble_transform, bit_reversal_permutation,
                               stage_matrix, twiddle_phase, twiddle_stage,
                               verify_danielson_lanczos)
 from qrecon.exceptions import MAX_OBJECT_WIDTH, MAX_WIDTH, DomainError
-from qrecon.metrics import draw_state, draw_tangent, tangent_amplitudes
+from qrecon.metrics import tangent_amplitudes
 from qrecon.partitions import make_lsb_partition
 
 PUBLIC_NAMES = [
@@ -70,8 +70,7 @@ CAPPED = [
     ("twiddle_stage", lambda n: twiddle_stage(n, 1), VECTOR + 1),
     ("twiddle_phase", lambda n: twiddle_phase(n, 1, 0), VECTOR + 1),
     ("make_plan", make_plan, VECTOR + 1),
-    ("draw_state", lambda n: draw_state(n, RNG), VECTOR + 1),
-    ("draw_tangent", lambda size: draw_tangent(size, RNG), (1 << VECTOR) + 1),
+    ("random_state", lambda n: qrecon.random_state(n, RNG), VECTOR + 1),
     ("make_lsb_partition", lambda n: make_lsb_partition(n, 1), MAX_OBJECT_WIDTH + 1),
     ("stage_matrix", lambda n: stage_matrix(n, 1), DENSE + 1),
     ("assemble_transform", assemble_transform, DENSE + 1),
@@ -90,10 +89,11 @@ def test_widths_above_the_cap_are_refused(name, call, above, which):
 
 
 TEXT, RAGGED = ["a", "b"], [[0.6], [0.6, 0.8]]
+HUGE = 10**400  # an int too large for a float
 STATE = np.array([0.6, 0.8])
 
-# (name, call of one array-valued input): text or ragged nesting in an
-# array position
+# (name, call of one array-valued input): text, ragged nesting or an int too
+# large for a float in an array position
 ARRAY_INPUTS = [
     ("extended_fisher_metric", lambda x: qrecon.extended_fisher_metric(x, x)),
     ("extended_fisher_metric_recursive",
@@ -112,7 +112,7 @@ ARRAY_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("value", [TEXT, RAGGED], ids=["text", "ragged"])
+@pytest.mark.parametrize("value", [TEXT, RAGGED, HUGE], ids=["text", "ragged", "huge"])
 @pytest.mark.parametrize("name, call", ARRAY_INPUTS, ids=[c[0] for c in ARRAY_INPUTS])
 def test_text_or_ragged_arrays_are_refused(name, call, value):
     with pytest.raises(DomainError):
@@ -133,8 +133,8 @@ ANGLES = [
 ]
 
 
-@pytest.mark.parametrize("value", ["x", None, np.ones((2, 2)), math.nan, math.inf],
-                         ids=["text", "None", "2x2", "nan", "inf"])
+@pytest.mark.parametrize("value", ["x", None, np.ones((2, 2)), math.nan, math.inf, HUGE],
+                         ids=["text", "None", "2x2", "nan", "inf", "huge"])
 @pytest.mark.parametrize("name, call", ANGLES, ids=[c[0] for c in ANGLES])
 def test_an_angle_must_be_a_real_number(name, call, value):
     with pytest.raises(DomainError):
