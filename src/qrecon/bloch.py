@@ -93,6 +93,7 @@ class BlochPoint:
         return self.sq**2 + self.sp**2 + self.sr**2
 
     def component(self, name: str) -> float:
+        _check_axis(name)
         return {"q": self.sq, "p": self.sp, "r": self.sr}[name]
 
     def as_array(self) -> np.ndarray:

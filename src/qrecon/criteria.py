@@ -25,9 +25,9 @@ from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
                     rebit_conjugate)
 from .butterfly import _ladder_deviations, derive_shift_phases
 from .exceptions import RangeError
-from .metrics import (extended_fisher_metric, extended_fisher_metric_recursive,
-                      fubini_study_metric, random_state, state_amplitudes,
-                      tangent_amplitudes)
+from .metrics import (_closed_form, _norm_preserving_differentials, _recursion,
+                      extended_fisher_metric, fubini_study_metric, random_state,
+                      state_amplitudes, tangent_amplitudes)
 from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
                          scale_transform_set,
                          shift_invariant_equal_partitions)
@@ -36,7 +36,11 @@ from .sampling import chi2_band, gaussian_p_value, tomography_experiment
 # amplitudes per stacked block of metric samples (a block holds at least one
 # state): 32 kB per raw draw array (four of them), 64 kB per stack and about
 # 0.5 MB of metric temporaries; a performance constant only, since no check
-# value depends on it
+# value depends on it.  Swept with the half-slice recursion (perfbench
+# metric-check, ten alternated rounds, 2-core Xeon VM, numpy 2.4.6): 2^12,
+# 2^13 and 2^14 read p50 4.67, 4.48 and 4.06 ref_ms and peak RSS 37.65,
+# 38.35 and 39.64 MB.  2^13 gains less than the rounds' spread for about 2%
+# more memory, so the block stays at 2^12.
 METRIC_BLOCK_CELLS = 1 << 12
 
 # the observables each tomography state kind measures
@@ -99,13 +103,15 @@ def metric_sample(cfg: dict, rng: np.random.Generator):
 def _metric_deviations(exponentials: np.ndarray, uniforms: np.ndarray,
                        drho: np.ndarray, dphi: np.ndarray) -> tuple[float, float]:
     """The worst fs-factor and recursion deviations of one (S, N) block of
-    raw draws."""
+    raw draws: extended_fisher_metric and extended_fisher_metric_recursive
+    evaluated on one set of differentials."""
     amps = state_amplitudes(exponentials, uniforms)
     damps = tangent_amplitudes(amps, drho, dphi)
-    efm = extended_fisher_metric(amps, damps)
+    differentials = _norm_preserving_differentials(amps, damps)
+    efm = _closed_form(*differentials)
     scale = np.maximum(np.abs(efm), 1e-6)
     return (np.max(np.abs(efm - 4.0 * fubini_study_metric(amps, damps)) / scale),
-            np.max(np.abs(efm - extended_fisher_metric_recursive(amps, damps)) / scale))
+            np.max(np.abs(efm - _recursion(*differentials)) / scale))
 
 
 def closed_form_identities(cfg: dict, rng: np.random.Generator):

@@ -8,7 +8,12 @@ tangents; both a closed form and a bottom-up even/odd recursion are provided
 and must agree.  A state is its amplitude array and a tangent its
 perturbation array: the metrics take one state and tangent (N,), or a stack
 of them (S, N) evaluated in whole-array passes, as anything
-`exceptions.complex_array` converts.
+`exceptions.complex_array` converts.  The recursion makes one pass per tree
+level over `probmodel.mass_pyramid`, whose levels are sums of half-slices:
+a node's two branches are the two halves of the finer level.  Both metrics
+are the public wrapper of a private form on checked differentials
+(rho, drho, dphi), so `criteria.metric_sample` computes each block's
+differentials once for the two.
 
 Random states and tangents come from raw generator calls,
 `standard_exponential` and `random` for a state and two `standard_normal`
@@ -92,9 +97,12 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     amps, damps = _state_and_tangent(psi, d)
     rho = np.abs(amps) ** 2
     alive = rho > ZERO_MASS
+    drho = _drho(amps, damps)
+    if alive.all():
+        # nothing to reject and no undefined phase to zero
+        return rho, drho, (damps / amps).imag
     _reject_rows(np.any(~alive & (np.abs(damps) > 1e-12), axis=-1),
                  SingularityError, "perturbation of a zero-amplitude component")
-    drho = _drho(amps, damps)
     dphi = np.zeros_like(rho)
     dphi[alive] = (damps[alive] / amps[alive]).imag
     return rho, drho, dphi
@@ -186,11 +194,15 @@ def extended_fisher_metric(psi, d):
     contribute nothing.  One state gives a float, a stack (S, N) of states
     and tangents an (S,) array.
     """
-    rho, drho, dphi = _norm_preserving_differentials(psi, d)
+    return _result(_closed_form(*_norm_preserving_differentials(psi, d)))
+
+
+def _closed_form(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """extended_fisher_metric of checked differentials, one value per row."""
     alive = rho > ZERO_MASS
     quad = np.divide(drho**2, rho, out=np.zeros_like(rho), where=alive).sum(axis=-1)
     mean = np.sum(rho * dphi, axis=-1)
-    return _result(quad + 4.0 * np.sum(rho * dphi**2, axis=-1) - 4.0 * mean**2)
+    return quad + 4.0 * np.sum(rho * dphi**2, axis=-1) - 4.0 * mean**2
 
 
 def extended_fisher_metric_recursive(psi, d):
@@ -210,7 +222,14 @@ def extended_fisher_metric_recursive(psi, d):
     mass flow into it raises.  One state gives a float, a stack (S, N) of
     states and tangents an (S,) array.
     """
-    rho, drho, dphi = _norm_preserving_differentials(psi, d)
+    return _result(_recursion(*_norm_preserving_differentials(psi, d)))
+
+
+def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """extended_fisher_metric_recursive of checked differentials, one value
+    per row.  The nodes of a level are the entries of its mass_pyramid
+    level; their branches 0 and 1 are the two halves of the finer level
+    (mass_pyramid's child order), so each pass reads two half-slices."""
     size = rho.shape[-1]
     if size & (size - 1):
         raise DomainError("need a power-of-2 length")
@@ -220,28 +239,33 @@ def extended_fisher_metric_recursive(psi, d):
     # empty nodes divide by zero; np.where drops what they produce
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for level in range(1, len(mass)):
-            # branch k of node s sits at [..., k, s] of the finer level (the
-            # node count, not -1: an empty stack has no size to infer it)
-            split = mass[level].shape[:-1] + (2, mass[level].shape[-1])
-            m_k, d_k, p_k = (v[level - 1].reshape(split)
-                             for v in (mass, flow, phase))
-            m_s = mass[level][..., None, :]
-            q = m_k / m_s
-            dq = (d_k - q * flow[level][..., None, :]) / m_s
-            live = q > ZERO_MASS
-            mean = np.where(live, p_k / m_k, 0.0)
-            q0, q1, dq0 = q[..., 0, :], q[..., 1, :], dq[..., 0, :]
-            interior = (q0 > ZERO_MASS) & (q0 < 1.0 - ZERO_MASS)
-            node = (dq0**2 / (q0 * q1)
-                    + 4.0 * q0 * q1 * (mean[..., 1, :] - mean[..., 0, :]) ** 2)
-            metric = (np.where(live, q * metric.reshape(split), 0.0).sum(axis=-2)
+            m_s, f_s = mass[level], flow[level]
+            half = m_s.shape[-1]
+            m0, m1 = _halves(mass[level - 1], half)
+            p0, p1 = _halves(phase[level - 1], half)
+            q0, q1 = m0 / m_s, m1 / m_s
+            dq0 = (flow[level - 1][..., :half] - q0 * f_s) / m_s
+            live0, live1 = q0 > ZERO_MASS, q1 > ZERO_MASS
+            mean0 = np.where(live0, p0 / m0, 0.0)
+            mean1 = np.where(live1, p1 / m1, 0.0)
+            interior = live0 & (q0 < 1.0 - ZERO_MASS)
+            node = dq0**2 / (q0 * q1) + 4.0 * q0 * q1 * (mean1 - mean0) ** 2
+            below0, below1 = _halves(metric, half)
+            metric = (np.where(live0, q0 * below0, 0.0)
+                      + np.where(live1, q1 * below1, 0.0)
                       + np.where(interior, node, 0.0))
             # only live branches pass a fault up: nothing below an empty
             # branch is evaluated
-            broken = ((live & broken.reshape(split)).any(axis=-2)
+            fault0, fault1 = _halves(broken, half)
+            broken = ((live0 & fault0) | (live1 & fault1)
                       | (~interior & (np.abs(dq0) > ZERO_MASS)))
     _reject_rows(broken[..., 0], SingularityError, "mass flow across an empty branch")
-    return _result(metric[..., 0])
+    return metric[..., 0]
+
+
+def _halves(values: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """The branch-0 and branch-1 entries of a pyramid level, as views."""
+    return values[..., :half], values[..., half:]
 
 
 def fubini_study_metric(psi, d):
@@ -328,10 +352,10 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
     drho first shifted to mean zero; one row (N,) or a stack (S, N)."""
     amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
     _check_block(amps=amps, drho=drho, dphi=dphi)
-    rho = np.abs(amps) ** 2
+    root = np.sqrt(np.abs(amps) ** 2)  # sqrt(rho); |amps| can differ in the last bit
     drho = _normal_increments(drho)
     drho = drho - drho.mean(axis=-1, keepdims=True)
-    return (drho / (2.0 * np.sqrt(rho)) + 1j * np.sqrt(rho) * _normal_increments(dphi)) \
+    return (drho / (2.0 * root) + 1j * root * _normal_increments(dphi)) \
         * np.exp(1j * np.angle(amps))
 
 

@@ -139,7 +139,7 @@ class ConditionalTree:
         row = self._row(level, suffix)
         levels = list(self._levels)
         levels[row] = levels[row].copy()
-        levels[row][suffix] = p0
+        levels[row][suffix] = check_real("p0", p0)
         return ConditionalTree(self.depth, levels)
 
 
@@ -155,9 +155,8 @@ def mass_pyramid(values: np.ndarray) -> list[np.ndarray]:
     """
     pyramid = [values]
     while values.shape[-1] > 1:
-        # the half length, not -1: an empty stack has no size to infer it
         half = values.shape[-1] // 2
-        values = values.reshape(*values.shape[:-1], 2, half).sum(axis=-2)
+        values = values[..., :half] + values[..., half:]
         pyramid.append(values)
     return pyramid
 

@@ -432,6 +432,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize("name", ["x", 5, None, ["q"]])
+    @pytest.mark.parametrize("method", ["component", "theta_of",
+                                        "outcome_probabilities"])
+    def test_an_unknown_observable_is_refused(self, method, name):
+        with pytest.raises(DomainError, match="unknown axis"):
+            getattr(BlochPoint(0.6, 0.8, 0.0), method)(name)
+
     def test_fields_are_stored_as_floats(self):
         pt = BlochPoint(np.float64(0.6), 0.8, 0)
         assert [type(v) for v in (pt.sq, pt.sp, pt.sr)] == [float] * 3

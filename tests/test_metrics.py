@@ -13,7 +13,7 @@ from qrecon.metrics import (ZERO_MASS, amplitude_phase_differentials,
                             fubini_study_metric, random_state, random_tangent,
                             state_amplitudes, tangent_amplitudes)
 from qrecon.probmodel import (ConditionalTree, Distribution, factorize,
-                              reconstitute)
+                              mass_pyramid, reconstitute)
 
 
 def haar_unitary(size, rng):
@@ -237,6 +237,60 @@ def per_node_recursion(rho, drho, dphi):
     return total
 
 
+def stack_with_dead_rows(nbits):
+    """100 random states and tangents of nbits bits; row 0 has a dead leaf
+    and, for nbits > 1, row 1 a dead odd branch."""
+    rng = np.random.default_rng(300 + nbits)
+    amps, damps = random_stack(nbits, 100, rng)
+    amps[0, 1], damps[0, 1] = 0.0, 0.0
+    if nbits > 1:
+        amps[1, 1::2], damps[1, 1::2] = 0.0, 0.0
+    for row in (0, 1):
+        amps[row] /= np.linalg.norm(amps[row])
+        damps[row] -= np.vdot(amps[row], damps[row]).real * amps[row]
+    return amps, damps
+
+
+def masked_differentials(amps, damps):
+    """Reference: (rho, drho, dphi) with dphi gathered and scattered at the
+    live components only, whether or not any component is dead."""
+    rho = np.abs(amps) ** 2
+    alive = rho > ZERO_MASS
+    dphi = np.zeros_like(rho)
+    dphi[alive] = (damps[alive] / amps[alive]).imag
+    return rho, 2.0 * (amps.conj() * damps).real, dphi
+
+
+def reshape_sum_recursion(rho, drho, dphi):
+    """Reference: the level passes with both branches of a node on a
+    length-2 axis, [..., k, s], reduced by .sum(axis=-2) and .any(axis=-2)
+    (mass_pyramid is pinned to its own length-2-axis form in
+    test_probmodel.py)."""
+    mass, flow, phase = (mass_pyramid(v) for v in (rho, drho, rho * dphi))
+    metric = np.zeros_like(rho)
+    broken = np.zeros(rho.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for level in range(1, len(mass)):
+            split = mass[level].shape[:-1] + (2, mass[level].shape[-1])
+            m_k, d_k, p_k = (v[level - 1].reshape(split)
+                             for v in (mass, flow, phase))
+            m_s = mass[level][..., None, :]
+            q = m_k / m_s
+            dq = (d_k - q * flow[level][..., None, :]) / m_s
+            live = q > ZERO_MASS
+            mean = np.where(live, p_k / m_k, 0.0)
+            q0, q1, dq0 = q[..., 0, :], q[..., 1, :], dq[..., 0, :]
+            interior = (q0 > ZERO_MASS) & (q0 < 1.0 - ZERO_MASS)
+            node = (dq0**2 / (q0 * q1)
+                    + 4.0 * q0 * q1 * (mean[..., 1, :] - mean[..., 0, :]) ** 2)
+            metric = (np.where(live, q * metric.reshape(split), 0.0).sum(axis=-2)
+                      + np.where(interior, node, 0.0))
+            broken = ((live & broken.reshape(split)).any(axis=-2)
+                      | (~interior & (np.abs(dq0) > ZERO_MASS)))
+    assert not broken[..., 0].any()
+    return metric[..., 0]
+
+
 class TestStackedMetrics:
     @pytest.mark.parametrize("nbits", range(0, 7))
     def test_stack_equals_its_rows_one_by_one(self, nbits):
@@ -263,15 +317,7 @@ class TestStackedMetrics:
 
     @pytest.mark.parametrize("nbits", range(1, 7))
     def test_levels_agree_with_the_per_node_reference(self, nbits):
-        rng = np.random.default_rng(300 + nbits)
-        amps, damps = random_stack(nbits, 100, rng)
-        # a dead leaf and, for nbits > 1, a dead odd branch
-        amps[0, 1], damps[0, 1] = 0.0, 0.0
-        if nbits > 1:
-            amps[1, 1::2], damps[1, 1::2] = 0.0, 0.0
-        for row in (0, 1):
-            amps[row] /= np.linalg.norm(amps[row])
-            damps[row] -= np.vdot(amps[row], damps[row]).real * amps[row]
+        amps, damps = stack_with_dead_rows(nbits)
         expected = [per_node_recursion(*amplitude_phase_differentials(a, d))
                     for a, d in zip(amps, damps)]
         np.testing.assert_allclose(extended_fisher_metric_recursive(amps, damps),
@@ -390,6 +436,46 @@ class TestStackedMetrics:
             metric(np.ones((2, 4)) / 2.0, np.zeros((3, 4)))
         with pytest.raises(DomainError):
             metric(np.ones((1, 2, 4)) / 2.0, np.zeros((1, 2, 4)))
+
+
+class TestHalfSlicePasses:
+    """The recursion's half-slice passes and the differentials' all-alive
+    path keep the bits of the length-2-axis and masked forms."""
+
+    @pytest.mark.parametrize("count", [None, 0, 1, 7, 256])
+    @pytest.mark.parametrize("nbits", range(0, 9))
+    def test_recursion_keeps_the_bits_of_the_reshape_sum_form(self, nbits, count):
+        rng = np.random.default_rng(400 + nbits)
+        shape = (1 << nbits,) if count is None else (count, 1 << nbits)
+        amps = state_amplitudes(rng.standard_exponential(shape), rng.random(shape))
+        damps = tangent_amplitudes(amps, rng.standard_normal(shape),
+                                   rng.standard_normal(shape))
+        differentials = amplitude_phase_differentials(amps, damps)
+        for part, expected in zip(differentials, masked_differentials(amps, damps)):
+            assert part.tobytes() == expected.tobytes()
+        assert (np.asarray(extended_fisher_metric_recursive(amps, damps)).tobytes()
+                == reshape_sum_recursion(*differentials).tobytes())
+
+    @pytest.mark.parametrize("nbits", range(1, 7))
+    def test_dead_leaf_and_dead_branch_rows_keep_their_bits(self, nbits):
+        amps, damps = stack_with_dead_rows(nbits)
+        differentials = amplitude_phase_differentials(amps, damps)
+        for part, expected in zip(differentials, masked_differentials(amps, damps)):
+            assert part.tobytes() == expected.tobytes()
+        assert (extended_fisher_metric_recursive(amps, damps).tobytes()
+                == reshape_sum_recursion(*differentials).tobytes())
+
+    @pytest.mark.parametrize("function", [amplitude_phase_differentials,
+                                          extended_fisher_metric,
+                                          extended_fisher_metric_recursive])
+    def test_one_perturbed_dead_component_keeps_its_message(self, function):
+        rng = np.random.default_rng(13)
+        amps, damps = random_stack(3, 5, rng)
+        amps[3, 2], damps[3, 2] = 0.0, 0.1
+        with pytest.raises(SingularityError) as raised:
+            function(amps, damps)
+        assert str(raised.value) == ("perturbation of a zero-amplitude component "
+                                     "(row 3)")
 
 
 def per_sample_and_block(seed, bit_counts):
@@ -578,6 +664,22 @@ class TestMetricSample:
                                                np.random.default_rng(11))
             values.add(tuple(float.hex(c.value) for c in checks))
         assert len(values) == 1
+
+    @pytest.mark.parametrize("levels,count", [(0, 5), (1, 7), (4, 256), (8, 16)])
+    def test_block_deviations_are_those_of_the_public_metrics(self, levels, count):
+        rng = np.random.default_rng(600 + levels)
+        shape = (count, 1 << levels)
+        draws = (rng.standard_exponential(shape), rng.random(shape),
+                 rng.standard_normal(shape), rng.standard_normal(shape))
+        amps = state_amplitudes(*draws[:2])
+        damps = tangent_amplitudes(amps, *draws[2:])
+        efm = extended_fisher_metric(amps, damps)
+        scale = np.maximum(np.abs(efm), 1e-6)
+        expected = (np.max(np.abs(efm - 4.0 * fubini_study_metric(amps, damps)) / scale),
+                    np.max(np.abs(efm - extended_fisher_metric_recursive(amps, damps))
+                           / scale))
+        assert (np.array(criteria._metric_deviations(*draws)).tobytes()
+                == np.array(expected).tobytes())
 
     def test_one_generator_call_per_kind_per_block(self):
         calls = []

@@ -89,6 +89,17 @@ class TestDistributionValidation:
             Distribution([])
 
 
+def reshape_sum_pyramid(values):
+    """Reference: mass_pyramid with each level summed over a length-2 axis,
+    values.reshape(..., 2, half).sum(axis=-2)."""
+    pyramid = [values]
+    while values.shape[-1] > 1:
+        half = values.shape[-1] // 2
+        values = values.reshape(*values.shape[:-1], 2, half).sum(axis=-2)
+        pyramid.append(values)
+    return pyramid
+
+
 class TestMassPyramid:
     @pytest.mark.parametrize("nbits", range(0, 7))
     def test_levels_are_suffix_sums(self, nbits):
@@ -108,6 +119,18 @@ class TestMassPyramid:
         for level, rows in zip(mass_pyramid(stack),
                                zip(*(mass_pyramid(row) for row in stack))):
             assert np.array_equal(level, np.array(rows))
+
+    @pytest.mark.parametrize("count", [None, 0, 1, 7, 256])
+    @pytest.mark.parametrize("nbits", range(0, 9))
+    def test_half_slices_add_as_the_length_two_axis_sum(self, nbits, count):
+        rng = np.random.default_rng(10 * nbits + 1)
+        values = rng.normal(size=(1 << nbits) if count is None
+                            else (count, 1 << nbits))
+        pyramid = mass_pyramid(values)
+        assert len(pyramid) == len(reshape_sum_pyramid(values))
+        for level, expected in zip(pyramid, reshape_sum_pyramid(values)):
+            assert level.shape == expected.shape
+            assert level.tobytes() == expected.tobytes()
 
 
 class TestFactorize:
@@ -199,6 +222,12 @@ class TestConditionalTreeValidation:
         for bad in (math.nan, -0.1, 1.5):
             with pytest.raises(DomainError):
                 tree.with_node(1, 0, bad)
+
+    @pytest.mark.parametrize("bad", ["x", [0.1, 0.2], 10**400, None],
+                             ids=["text", "list", "huge", "none"])
+    def test_with_node_value_must_be_a_real_number(self, bad):
+        with pytest.raises(DomainError, match="p0"):
+            ConditionalTree(1, [[0.5]]).with_node(1, 0, bad)
 
     # a float or a bool is not a level, a suffix or a depth, even when it
     # equals one
