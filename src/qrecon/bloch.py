@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (DomainError, SingularityError, check_real,
-                         complex_array, real_array)
-from .metrics import _reject_rows
+                         complex_array, real_array, reject_rows)
 from .probmodel import RENORM_TOL
 
 POLE_TOL = 1e-12
@@ -239,15 +238,15 @@ def chart_tangent_metric(point, velocity, axis: str) -> np.ndarray:
     if p.ndim != 2 or p.shape[1] != 3 or v.shape != p.shape:
         raise DomainError("need (P, 3) stacks of points and velocities of one "
                           "shape")
-    _reject_rows(_off_sphere((p * p).sum(axis=1)), DomainError, "off-sphere point")
-    _reject_rows(~np.isfinite(v).all(axis=1), DomainError, "non-finite velocity")
+    reject_rows(_off_sphere((p * p).sum(axis=1)), DomainError, "off-sphere point")
+    reject_rows(~np.isfinite(v).all(axis=1), DomainError, "non-finite velocity")
     t = v - (v * p).sum(axis=1, keepdims=True) * p
-    _reject_rows(np.sqrt((t * t).sum(axis=1)) < 1e-15, DomainError, "zero tangent")
+    reject_rows(np.sqrt((t * t).sum(axis=1)) < 1e-15, DomainError, "zero tangent")
     order = ["qpr".index(name) for name in CHART_TRIPLETS[axis]]
     mu, nu, xi = (p[:, i] for i in order)
     dmu, dnu, dxi = (t[:, i] for i in order)
     sin = np.sin(np.arccos(np.clip(mu, -1.0, 1.0)))
-    _reject_rows((sin < POLE_TOL) | (np.hypot(nu, xi) < POLE_TOL), SingularityError,
-                 "point at a chart pole")
+    reject_rows((sin < POLE_TOL) | (np.hypot(nu, xi) < POLE_TOL), SingularityError,
+                "point at a chart pole")
     dalpha = (nu * dxi - xi * dnu) / (nu**2 + xi**2)
     return (dmu / sin) ** 2 + sin**2 * dalpha**2

@@ -43,10 +43,12 @@ from .kernels import _INV_SQRT2
 from .probmodel import RENORM_TOL, Distribution
 
 
-def _check_sign(sign) -> None:
-    # bool is an int subclass: True is not a sign here
-    if type(sign) is not int or sign not in (+1, -1):
+def _check_sign(sign) -> int:
+    """sign as a Python int, if check_integer takes it to +1 or -1."""
+    sign = check_integer("sign", sign, -1, 1)
+    if sign == 0:
         raise DomainError("sign must be the integer +1 or -1")
+    return sign
 
 
 # ----------------------------------------------------------------- indexing
@@ -172,7 +174,7 @@ def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
     values are bit-identical to the second halves of twiddle_stage.
     """
     n = check_integer("stage count", n, 1, MAX_WIDTH)
-    _check_sign(sign)
+    sign = _check_sign(sign)
     size = 1 << n
     phases = -2.0 * math.pi * np.arange(size >> 1) / size
     base = np.exp(-1j * sign * phases)
@@ -275,8 +277,7 @@ def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     size = check_integer("size", size, 1, 1 << (MAX_WIDTH // 2))
     if size & (size - 1):
         raise DomainError("size must be a power of 2")
-    _check_sign(sign)
-    return _dft_columns(_roots(size, sign), np.arange(size))
+    return _dft_columns(_roots(size, _check_sign(sign)), np.arange(size))
 
 
 def _roots(size: int, sign: int) -> np.ndarray:
@@ -499,7 +500,7 @@ def chain_propagate(psi: np.ndarray) -> list[Distribution]:
     if size != 1 << n or n < 1:
         raise DomainError("state length must be a power of 2, at least 2")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > RENORM_TOL:
+    if not abs(norm - 1.0) <= RENORM_TOL:  # NaN fails it too
         raise DomainError("state is not normalized")
     plan = make_plan(n, +1)
     work = psi.copy()

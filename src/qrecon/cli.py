@@ -32,6 +32,7 @@ import numpy as np
 from . import criteria
 from .bloch import BlochPoint
 from .exceptions import ConfigError, DomainError
+from .partitions import ENUMERATION_WIDTH_CAP
 
 CONFIG_VERSION = 1
 
@@ -46,13 +47,13 @@ MAX_REPLICAS = 10**6
 # too small a variance can fail it: 1 - sigma * sqrt(2 / (replicas - 1)) > 0
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # bounds metric-check's time: it draws and evaluates the samples a block at a
-# time, so at the default levels a run at the samples cap took 8.9 s with a
-# 36 MB peak, and one at the chart_points cap 1.1 s with a 167 MB peak
+# time, so at the default levels a run at the samples cap took 5.2 s with a
+# 37 MB peak, and one at the chart_points cap 1.1 s with a 167 MB peak
 # (2-core Xeon VM, one BLAS thread)
 MAX_SAMPLES = 10**6
 # metric-check samples x 2**levels, the amplitudes a run draws: a run at this
-# many took 7.5 s at 20 levels (221 MB peak) and 8.9 s at 4 (2-core Xeon VM,
-# one BLAS thread)
+# many took 5.1-6.3 s at 20 levels (221 MB peak) and 5.2 s at 4 (2-core Xeon
+# VM, one BLAS thread)
 MAX_AMPLITUDES = 1 << 24
 # bench times each size this many times over
 MAX_REPEATS = 10**3
@@ -153,7 +154,8 @@ FIELDS: dict[str, dict[str, tuple]] = {
         # at 12 levels, about four times more per added level (2-core Xeon VM)
         "levels": (3, _integer(1, 12)),
     },
-    "partition-audit": {"seed": (0, _integer(0)), "width": (3, _integer(1, 4))},
+    "partition-audit": {"seed": (0, _integer(0)),
+                        "width": (3, _integer(1, ENUMERATION_WIDTH_CAP))},
     "bench": {
         "seed": (0, _integer(0)), "sizes": ([256, 1024, 4096], _sizes),
         "repeats": (7, _integer(1, MAX_REPEATS)),

@@ -25,16 +25,16 @@ from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
                     rebit_conjugate)
 from .butterfly import _ladder_deviations, derive_shift_phases
 from .exceptions import RangeError
-from .metrics import (_closed_form, _norm_preserving_differentials, _recursion,
-                      extended_fisher_metric, fubini_study_metric, random_state,
-                      state_amplitudes, tangent_amplitudes)
+from .metrics import (INCREMENT_SD, _closed_form, _norm_preserving_differentials,
+                      _recursion, extended_fisher_metric, fubini_study_metric,
+                      random_state, state_amplitudes, tangent_amplitudes)
 from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
                          scale_transform_set,
                          shift_invariant_equal_partitions)
 from .sampling import chi2_band, gaussian_p_value, tomography_experiment
 
 # amplitudes per stacked block of metric samples (a block holds at least one
-# state): 32 kB per raw draw array (four of them), 64 kB per stack and about
+# state): 32 kB per draw array (four of them), 64 kB per stack and about
 # 0.5 MB of metric temporaries; a performance constant only, since no check
 # value depends on it.  Swept with the half-slice recursion (perfbench
 # metric-check, ten alternated rounds, 2-core Xeon VM, numpy 2.4.6): 2^12,
@@ -80,32 +80,35 @@ CHART_TOL = 1e-9       # chart-invariance, max relative spread over the charts
 def metric_sample(cfg: dict, rng: np.random.Generator):
     """fs-factor and recursion over cfg["samples"] random states and tangents
     of cfg["levels"] bits, drawn, built and evaluated a block of
-    METRIC_BLOCK_CELLS amplitudes (at least one state) at a time.  Each kind
-    of raw draw (a state's exponentials and uniforms, a tangent's drho and
-    dphi normals) comes from its own stream spawned from rng, one (S, N)
-    call per block; numpy fills an array one value after another, so sample
-    i is row i of each stream whatever the block size."""
+    METRIC_BLOCK_CELLS amplitudes (at least one state) at a time.  Each draw
+    (a state's Dirichlet weights and uniform phases, a tangent's drho and
+    dphi normal increments) comes from its own stream spawned from rng, one
+    call per block; numpy fills an array one row after another, so sample i
+    is row i of each stream whatever the block size."""
     nbits, samples = cfg["levels"], cfg["samples"]
     block = max(1, METRIC_BLOCK_CELLS >> nbits)
-    exps, unifs, drhos, dphis = rng.spawn(4)
+    alpha = np.ones(1 << nbits)  # Dirichlet(1, ..., 1)
+    weight_rng, phase_rng, drho_rng, dphi_rng = rng.spawn(4)
     worst = np.zeros(2)
     for start in range(0, samples, block):
-        shape = (min(block, samples - start), 1 << nbits)
+        shape = (min(block, samples - start), alpha.size)
         worst = np.maximum(worst, _metric_deviations(
-            exps.standard_exponential(shape), unifs.random(shape),
-            drhos.standard_normal(shape), dphis.standard_normal(shape)))
+            weight_rng.dirichlet(alpha, shape[0]),
+            phase_rng.uniform(-math.pi, math.pi, shape),
+            drho_rng.normal(0.0, INCREMENT_SD, shape),
+            dphi_rng.normal(0.0, INCREMENT_SD, shape)))
     return [below("fs-factor", "extended metric equals 4x Fubini-Study (max rel dev)",
                   worst[0], FS_TOL),
             below("recursion", "even/odd recursion equals the closed form (max rel dev)",
                   worst[1], RECURSION_TOL)], []
 
 
-def _metric_deviations(exponentials: np.ndarray, uniforms: np.ndarray,
+def _metric_deviations(weights: np.ndarray, phases: np.ndarray,
                        drho: np.ndarray, dphi: np.ndarray) -> tuple[float, float]:
     """The worst fs-factor and recursion deviations of one (S, N) block of
-    raw draws: extended_fisher_metric and extended_fisher_metric_recursive
+    draws: extended_fisher_metric and extended_fisher_metric_recursive
     evaluated on one set of differentials."""
-    amps = state_amplitudes(exponentials, uniforms)
+    amps = state_amplitudes(weights, phases)
     damps = tangent_amplitudes(amps, drho, dphi)
     differentials = _norm_preserving_differentials(amps, damps)
     efm = _closed_form(*differentials)

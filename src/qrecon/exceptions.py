@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the guards that every
 module applies to its arguments: the integer guard for widths, levels, sizes
-and indices, and the real and complex conversions for numbers and arrays."""
+and indices, the real and complex conversions for numbers and arrays, and
+the row check that names the first bad row of a stack."""
 
 import math
 
@@ -47,6 +48,15 @@ def check_integer(what: str, value, lo: int, hi: int | None = None) -> int:
         bounds = f"{lo}..{hi}" if hi is not None else f"{lo} and up"
         raise DomainError(f"{what} {value} outside {bounds}")
     return int(value)
+
+
+def reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
+    """Raise exc(message) if any row of a stack is flagged, naming the first;
+    a 0-d flag stands for a single state."""
+    if bad.any():
+        if bad.ndim:
+            message = f"{message} (row {int(np.flatnonzero(bad)[0])})"
+        raise exc(message)
 
 
 def _array(values, dtype: type, refused: str, what: str) -> np.ndarray:

@@ -15,18 +15,12 @@ are the public wrapper of a private form on checked differentials
 (rho, drho, dphi), so `criteria.metric_sample` computes each block's
 differentials once for the two.
 
-Random states and tangents come from raw generator calls,
-`standard_exponential` and `random` for a state and two `standard_normal`
-for a tangent, and are built from them by `state_amplitudes` and
-`tangent_amplitudes` (all arithmetic on the draws, for one row (N,) or a
-stack (S, N)).  `random_state` and `random_tangent` make one sample's raw
-draws, (N,) each, in replay order; `criteria.metric_sample` makes each kind
-a whole block (S, N) at a time from its own spawned stream.  The builders
-turn the raw draws into the values of `dirichlet(np.ones(N))`,
-`uniform(-pi, pi, N)` and `normal(0.0, 0.1, N)` bit for bit, in numpy's own
-operation order.  So `random_state` and `random_tangent`, the one-row case
-of the same two steps returning the (N,) arrays, give a stacked block byte
-for byte as the stack of the per-sample results.
+Random states take Dirichlet(1, ..., 1) probabilities (Wootters' invariant
+measure), floored at 0.1 / N, and uniform phases; tangents take normal
+increments.  `state_amplitudes` and `tangent_amplitudes` build a row (N,) or
+a stack (S, N) from numpy's `dirichlet`, `uniform` and `normal` values, drawn
+one sample at a time by `random_state` and `random_tangent` and a block at a
+time by `criteria.metric_sample`: a sample has the same bits either way.
 """
 
 from __future__ import annotations
@@ -37,12 +31,13 @@ import numpy as np
 
 from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
                          check_integer, check_real, complex_array,
-                         real_array)
+                         real_array, reject_rows)
 from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, mass_pyramid,
                         prob_from_theta, reconstitute, theta_from_prob)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
+INCREMENT_SD = 0.1       # standard deviation of a random tangent's increments
 
 
 def _normalized(amps: np.ndarray) -> np.ndarray:
@@ -55,8 +50,8 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     off = np.abs(norm2 - 1.0)
     bad, rescale = off > RENORM_TOL, off > SUM_TOL
     if bad.any():
-        _reject_rows(bad, DomainError,
-                     f"squared norm {float(norm2[bad].flat[0])} is not 1")
+        reject_rows(bad, DomainError,
+                    f"squared norm {float(norm2[bad].flat[0])} is not 1")
     if rescale.any():
         amps = np.where(rescale[..., None], amps / np.sqrt(norm2)[..., None], amps)
     return amps
@@ -70,15 +65,6 @@ def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
     if amps.shape[-1] == 0:
         raise DomainError("a state needs at least one amplitude")
     return amps, damps
-
-
-def _reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
-    """Raise exc(message) if any row of a stack is flagged, naming the first;
-    a 0-d flag stands for a single state."""
-    if bad.any():
-        if bad.ndim:
-            message = f"{message} (row {int(np.flatnonzero(bad)[0])})"
-        raise exc(message)
 
 
 def _result(values: np.ndarray):
@@ -101,8 +87,8 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     if alive.all():
         # nothing to reject and no undefined phase to zero
         return rho, drho, (damps / amps).imag
-    _reject_rows(np.any(~alive & (np.abs(damps) > 1e-12), axis=-1),
-                 SingularityError, "perturbation of a zero-amplitude component")
+    reject_rows(np.any(~alive & (np.abs(damps) > 1e-12), axis=-1),
+                SingularityError, "perturbation of a zero-amplitude component")
     dphi = np.zeros_like(rho)
     dphi[alive] = (damps[alive] / amps[alive]).imag
     return rho, drho, dphi
@@ -122,8 +108,8 @@ def _norm_drift(drho: np.ndarray) -> np.ndarray:
 
 def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rho, drho, dphi = amplitude_phase_differentials(psi, d)
-    _reject_rows(_norm_drift(drho) > TANGENT_TOL, DomainError,
-                 "tangent does not preserve the norm to first order")
+    reject_rows(_norm_drift(drho) > TANGENT_TOL, DomainError,
+                "tangent does not preserve the norm to first order")
     return rho, drho, dphi
 
 
@@ -259,7 +245,7 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
             fault0, fault1 = _halves(broken, half)
             broken = ((live0 & fault0) | (live1 & fault1)
                       | (~interior & (np.abs(dq0) > ZERO_MASS)))
-    _reject_rows(broken[..., 0], SingularityError, "mass flow across an empty branch")
+    reject_rows(broken[..., 0], SingularityError, "mass flow across an empty branch")
     return metric[..., 0]
 
 
@@ -276,7 +262,7 @@ def fubini_study_metric(psi, d):
     """
     amps, damps = _state_and_tangent(psi, d)
     norm2 = np.einsum("...i,...i->...", amps.conj(), amps).real
-    _reject_rows(norm2 <= 0.0, DomainError, "zero state vector")
+    reject_rows(norm2 <= 0.0, DomainError, "zero state vector")
     overlap = np.einsum("...i,...i->...", amps.conj(), damps)
     length2 = np.einsum("...i,...i->...", damps.conj(), damps).real
     return _result(length2 / norm2 - np.abs(overlap) ** 2 / norm2**2)
@@ -289,27 +275,6 @@ def fubini_study_distance(psi1, psi2) -> float:
         raise DomainError("need two states of one length, (N,)")
     fid = abs(complex(np.vdot(a1, a2))) ** 2
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
-
-
-# The recipes below turn raw draws into Generator.dirichlet(np.ones(N)),
-# Generator.uniform(-pi, pi, N) and Generator.normal(0.0, 0.1, N) values bit
-# for bit: numpy computes each from the same raw draws, in this operation
-# order.
-
-def _dirichlet_weights(exponentials: np.ndarray) -> np.ndarray:
-    """Each exponential times 1 / acc, acc its row's sum taken strictly left
-    to right (np.sum would add pairwise)."""
-    return exponentials * (1.0 / np.add.accumulate(exponentials, axis=-1)[..., -1:])
-
-
-def _uniform_phases(uniforms: np.ndarray) -> np.ndarray:
-    """low + (high - low) u on [low, high) = [-pi, pi)."""
-    return uniforms * (math.pi - -math.pi) + -math.pi
-
-
-def _normal_increments(normals: np.ndarray) -> np.ndarray:
-    """loc + scale z with loc 0 and scale 0.1."""
-    return normals * 0.1 + 0.0
 
 
 def _check_block(**arrays) -> None:
@@ -325,54 +290,53 @@ def _check_block(**arrays) -> None:
                                   f"(S, N), not shape {shape}")
         elif arr.shape != shape:
             raise DomainError(f"{name} must have shape {shape}, not {arr.shape}")
-        _reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
-                     f"{name} has a non-finite entry")
+        reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
+                    f"{name} has a non-finite entry")
 
 
-def state_amplitudes(exponentials: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Normalized amplitudes sqrt(rho) e^{i phase} from a state's raw
-    draws: Dirichlet weights with every probability floored at 0.1 / N, and
-    phases uniform on [-pi, pi); one row (N,) or a stack (S, N), checked and
-    renormalized per row by _normalized."""
-    exponentials, uniforms = real_array(exponentials), real_array(uniforms)
-    _check_block(exponentials=exponentials, uniforms=uniforms)
-    # a zero row would divide by zero, a negative entry take a negative root
-    _reject_rows((exponentials < 0.0).any(axis=-1) | (exponentials == 0.0).all(axis=-1),
-                 DomainError, "exponentials must be non-negative with a positive sum")
-    size = exponentials.shape[-1]
+def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Normalized amplitudes sqrt(rho) e^{i phase} from a state's Dirichlet
+    weights, every probability floored at 0.1 / N, and its phases; one row
+    (N,) or a stack (S, N), checked and renormalized per row by _normalized,
+    which also names a row whose weights do not sum to 1 (an all-zero one)."""
+    weights, phases = real_array(weights), real_array(phases)
+    _check_block(weights=weights, phases=phases)
+    # a negative weight would take a negative root
+    reject_rows((weights < 0.0).any(axis=-1), DomainError,
+                "weights must be non-negative")
+    size = weights.shape[-1]
     min_mass = 0.1 / size
-    rho = _dirichlet_weights(exponentials) * (1.0 - size * min_mass) + min_mass
-    return _normalized(np.sqrt(rho) * np.exp(1j * _uniform_phases(uniforms)))
+    rho = weights * (1.0 - size * min_mass) + min_mass
+    return _normalized(np.sqrt(rho) * np.exp(1j * phases))
 
 
 def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
                        dphi: np.ndarray) -> np.ndarray:
-    """Norm-preserving perturbations of amps from a tangent's raw draws:
-    normal (drho, dphi) increments with standard deviation 0.1, each row's
-    drho first shifted to mean zero; one row (N,) or a stack (S, N)."""
+    """Norm-preserving perturbations of amps from a tangent's (drho, dphi)
+    increments, each row's drho first shifted to mean zero; one row (N,) or
+    a stack (S, N)."""
     amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
     _check_block(amps=amps, drho=drho, dphi=dphi)
     root = np.sqrt(np.abs(amps) ** 2)  # sqrt(rho); |amps| can differ in the last bit
-    drho = _normal_increments(drho)
     drho = drho - drho.mean(axis=-1, keepdims=True)
-    return (drho / (2.0 * root) + 1j * root * _normal_increments(dphi)) \
-        * np.exp(1j * np.angle(amps))
+    return (drho / (2.0 * root) + 1j * root * dphi) * np.exp(1j * np.angle(amps))
 
 
 def random_state(nbits: int, rng: np.random.Generator) -> np.ndarray:
     """Random normalized state (N,) with every probability floored at 0.1 / N
     (keeps the drho^2/rho terms well conditioned in metric sweeps), from N
-    standard exponentials (the Dirichlet weights), then N uniforms on [0, 1)
-    (the phases)."""
+    Dirichlet(1, ..., 1) weights, then N phases uniform on [-pi, pi)."""
     size = 1 << check_integer("nbits", nbits, 0, MAX_WIDTH)
-    return state_amplitudes(rng.standard_exponential(size), rng.random(size))
+    return state_amplitudes(rng.dirichlet(np.ones(size)),
+                            rng.uniform(-math.pi, math.pi, size))
 
 
 def random_tangent(psi, rng: np.random.Generator) -> np.ndarray:
-    """Random norm-preserving tangent (N,) of one state psi (N,), built from
-    (drho, dphi) increments: N standard normals for drho, then N for dphi."""
+    """Random norm-preserving tangent (N,) of one state psi (N,), from rng's
+    normal increments of standard deviation INCREMENT_SD: N for drho, then
+    N for dphi."""
     psi = complex_array(psi)
     if psi.ndim != 1:
         raise DomainError(f"need one state (N,), not shape {psi.shape}")
-    return tangent_amplitudes(psi, rng.standard_normal(psi.size),
-                              rng.standard_normal(psi.size))
+    return tangent_amplitudes(psi, rng.normal(0.0, INCREMENT_SD, psi.size),
+                              rng.normal(0.0, INCREMENT_SD, psi.size))

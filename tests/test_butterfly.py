@@ -51,6 +51,33 @@ def test_integer_arguments_are_checked(call):
         call()
 
 
+class TestSignGuard:
+    """A sign goes through exceptions.check_integer: any Python or numpy
+    integer +1 or -1 is taken and gives the bytes of the Python int."""
+
+    @pytest.mark.parametrize("sign", [np.int64(1), np.int64(-1), np.int32(1),
+                                      np.int32(-1), np.int8(-1), np.uint8(1)],
+                             ids=["int64+1", "int64-1", "int32+1", "int32-1", "int8-1",
+                                  "uint8+1"])
+    def test_numpy_integer_signs_give_the_python_int_bytes(self, sign):
+        plan, expected = make_plan(3, sign), make_plan(3, int(sign))
+        assert type(plan.sign) is int and plan.sign == sign
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(plan.ramps, expected.ramps))
+        assert dft_matrix(8, sign).tobytes() == dft_matrix(8, int(sign)).tobytes()
+        mat = random_psi(np.random.default_rng(3), 2)[:, None] * np.ones(3)
+        assert (transform_columns(mat, 2, sign).tobytes()
+                == transform_columns(mat, 2, int(sign)).tobytes())
+
+    @pytest.mark.parametrize("sign", [True, np.True_, 0, 2, -2, 1.0, np.float64(-1.0),
+                                      None, "1"])
+    @pytest.mark.parametrize("call", [lambda s: make_plan(3, s), lambda s: dft_matrix(8, s),
+                                      lambda s: transform_columns(np.eye(4), 2, s)],
+                             ids=["make_plan", "dft_matrix", "transform_columns"])
+    def test_anything_else_is_refused(self, call, sign):
+        with pytest.raises(DomainError, match="sign"):
+            call(sign)
+
+
 class TestNodePosition:
     def test_bottom_level_is_the_q_index(self):
         for x in range(8):
@@ -410,6 +437,15 @@ class TestChainPropagate:
     def test_rejects_a_stack_by_its_own_name(self):
         with pytest.raises(DomainError, match="chain_propagate"):
             chain_propagate(np.ones((2, 2)) / 2)
+
+    # the squared norm of these is NaN, which no tolerance comparison passes:
+    # refused before any stage runs, not by a Distribution of the n-th level
+    @pytest.mark.parametrize("psi", [[np.nan, 0.0], [np.inf, 0.0], [np.inf, np.inf],
+                                     [0.5, 0.5, np.nan, 0.5]],
+                             ids=["nan", "inf", "inf-inf", "nan-of-four"])
+    def test_a_non_finite_state_is_not_normalized(self, psi):
+        with pytest.raises(DomainError, match="^state is not normalized$"):
+            chain_propagate(np.array(psi, dtype=complex))
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_top_level_is_the_squared_ladder_output(self, n):

@@ -186,6 +186,16 @@ class TestExtendedFisherMetric:
             extended_fisher_metric(psi, 0.1 * psi)  # pure radial direction
 
 
+def numpy_draws(rng, shape):
+    """(weights, phases, drho, dphi) of one state and tangent (N,) or a block
+    (S, N), from numpy's own calls in the order random_state and
+    random_tangent make them."""
+    return (rng.dirichlet(np.ones(shape[-1]), shape[:-1] or None),
+            rng.uniform(-math.pi, math.pi, shape),
+            rng.normal(0.0, metrics.INCREMENT_SD, shape),
+            rng.normal(0.0, metrics.INCREMENT_SD, shape))
+
+
 def random_stack(nbits, count, rng):
     """count states and norm-preserving tangents as (count, 2**nbits) stacks."""
     pairs = []
@@ -447,9 +457,9 @@ class TestHalfSlicePasses:
     def test_recursion_keeps_the_bits_of_the_reshape_sum_form(self, nbits, count):
         rng = np.random.default_rng(400 + nbits)
         shape = (1 << nbits,) if count is None else (count, 1 << nbits)
-        amps = state_amplitudes(rng.standard_exponential(shape), rng.random(shape))
-        damps = tangent_amplitudes(amps, rng.standard_normal(shape),
-                                   rng.standard_normal(shape))
+        weights, phases, drho, dphi = numpy_draws(rng, shape)
+        amps = state_amplitudes(weights, phases)
+        damps = tangent_amplitudes(amps, drho, dphi)
         differentials = amplitude_phase_differentials(amps, damps)
         for part, expected in zip(differentials, masked_differentials(amps, damps)):
             assert part.tobytes() == expected.tobytes()
@@ -487,10 +497,7 @@ def per_sample_and_block(seed, bit_counts):
     for nbits in bit_counts:
         psi = random_state(nbits, one)
         stacked.setdefault(nbits, []).append((psi, random_tangent(psi, one)))
-        size = 1 << nbits
-        draws.setdefault(nbits, []).append((
-            block.standard_exponential(size), block.random(size),
-            block.standard_normal(size), block.standard_normal(size)))
+        draws.setdefault(nbits, []).append(numpy_draws(block, (1 << nbits,)))
     out = {}
     for nbits, rows in draws.items():
         weights, phases, drho, dphi = (np.array(col) for col in zip(*rows))
@@ -528,8 +535,9 @@ class TestBlockBuilders:
 
     def test_one_row_is_a_state_and_a_tangent(self):
         rng = np.random.default_rng(3)
-        amps = state_amplitudes(rng.standard_exponential(8), rng.random(8))
-        damps = tangent_amplitudes(amps, rng.standard_normal(8), rng.standard_normal(8))
+        weights, phases, drho, dphi = numpy_draws(rng, (8,))
+        amps = state_amplitudes(weights, phases)
+        damps = tangent_amplitudes(amps, drho, dphi)
         assert amps.shape == damps.shape == (8,)
         assert metrics._normalized(amps).tobytes() == amps.tobytes()
         assert extended_fisher_metric(amps, damps) > 0.0  # norm-preserving
@@ -564,38 +572,43 @@ class TestBlockBuilders:
         with pytest.raises(DomainError, match="one state"):
             random_tangent(np.ones((2, 4)) / 2, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("exponentials,uniforms,match", [
-        (np.ones((3, 4)), np.zeros(4), "uniforms must have shape"),
-        (np.ones(4), np.zeros((1, 4)), "uniforms must have shape"),
-        (np.ones(0), np.zeros(0), "exponentials must be a non-empty"),
-        (np.ones((2, 0)), np.zeros((2, 0)), "exponentials must be a non-empty"),
-        (np.ones((1, 2, 4)), np.zeros((1, 2, 4)), "exponentials must be a non-empty"),
-        (np.float64(1.0), np.float64(0.0), "exponentials must be a non-empty"),
+    @pytest.mark.parametrize("weights,phases,match", [
+        (np.ones((3, 4)), np.zeros(4), "phases must have shape"),
+        (np.ones(4), np.zeros((1, 4)), "phases must have shape"),
+        (np.ones(0), np.zeros(0), "weights must be a non-empty"),
+        (np.ones((2, 0)), np.zeros((2, 0)), "weights must be a non-empty"),
+        (np.ones((1, 2, 4)), np.zeros((1, 2, 4)), "weights must be a non-empty"),
+        (np.float64(1.0), np.float64(0.0), "weights must be a non-empty"),
     ], ids=["stack-and-row", "row-and-stack", "empty", "empty-rows", "3-d", "0-d"])
-    def test_state_draws_of_a_bad_shape_are_named(self, exponentials, uniforms, match):
+    def test_state_draws_of_a_bad_shape_are_named(self, weights, phases, match):
         with pytest.raises(DomainError, match=match):
-            state_amplitudes(exponentials, uniforms)
+            state_amplitudes(weights, phases)
 
     @pytest.mark.parametrize("name,value", [
-        ("exponentials", np.nan), ("exponentials", np.inf), ("uniforms", np.nan),
+        ("weights", np.nan), ("weights", np.inf), ("phases", np.nan),
     ])
     def test_non_finite_state_draw_row_is_named(self, name, value):
-        draws = {"exponentials": np.ones((4, 8)), "uniforms": np.zeros((4, 8))}
+        draws = {"weights": np.full((4, 8), 1 / 8), "phases": np.zeros((4, 8))}
         draws[name][3, 5] = value
         with pytest.raises(DomainError, match=rf"{name} .*\(row 3\)"):
             state_amplitudes(**draws)
 
-    @pytest.mark.parametrize("row", [np.zeros(8), -np.ones(8), np.r_[-1.0, np.ones(7)]],
-                             ids=["zero", "negative", "one-negative"])
-    def test_exponential_row_without_positive_sum_is_named(self, row):
-        exponentials = np.ones((3, 8))
-        exponentials[1] = row
-        with pytest.raises(DomainError, match=r"exponentials .*\(row 1\)"):
-            state_amplitudes(exponentials, np.zeros((3, 8)))
+    # a negative weight is refused by name; a zero row floors every
+    # probability at 0.1 / N, and _normalized names its squared norm (0.1)
+    @pytest.mark.parametrize("row,match", [
+        (np.zeros(8), r"squared norm 0\.0999.* is not 1 \(row 1\)"),
+        (-np.ones(8), r"weights must be non-negative \(row 1\)"),
+        (np.r_[-1.0, np.ones(7)], r"weights must be non-negative \(row 1\)"),
+    ], ids=["zero", "negative", "one-negative"])
+    def test_weight_row_that_is_no_distribution_is_named(self, row, match):
+        weights = np.full((3, 8), 1 / 8)
+        weights[1] = row
+        with pytest.raises(DomainError, match=match):
+            state_amplitudes(weights, np.zeros((3, 8)))
 
     @pytest.mark.parametrize("name", ["drho", "dphi"])
     def test_tangent_draws_must_match_the_states(self, name):
-        amps = state_amplitudes(np.ones((3, 4)), np.zeros((3, 4)))
+        amps = state_amplitudes(np.full((3, 4), 1 / 4), np.zeros((3, 4)))
         draws = {"drho": np.zeros((3, 4)), "dphi": np.zeros((3, 4))}
         for bad in (np.zeros(4), np.zeros((3, 8)), np.zeros((2, 4))):
             with pytest.raises(DomainError, match=f"{name} must have shape"):
@@ -610,44 +623,96 @@ class TestBlockBuilders:
                                np.zeros((2, 0)))
 
 
+# Recipes that compute numpy's dirichlet, uniform and normal values from raw
+# generator calls, in numpy's operation order: the oracle of those calls.
+
+def dirichlet_recipe(exponentials):
+    """Each exponential times 1 / acc, acc its row's sum taken strictly left
+    to right (np.sum would add pairwise)."""
+    return exponentials * (1.0 / np.add.accumulate(exponentials, axis=-1)[..., -1:])
+
+
+def uniform_recipe(uniforms):
+    """low + (high - low) u on [low, high) = [-pi, pi)."""
+    return uniforms * (math.pi - -math.pi) + -math.pi
+
+
+def normal_recipe(normals):
+    """loc + scale z with loc 0 and scale 0.1."""
+    return normals * 0.1 + 0.0
+
+
+def recipe_draws(rng, shape):
+    """numpy_draws computed by the recipes from raw generator calls."""
+    return (dirichlet_recipe(rng.standard_exponential(shape)),
+            uniform_recipe(rng.random(shape)),
+            normal_recipe(rng.standard_normal(shape)),
+            normal_recipe(rng.standard_normal(shape)))
+
+
 class TestNumpyRecipes:
-    """The raw draws and the builders' recipes give numpy's own dirichlet,
-    uniform and normal values to the byte, and leave the generator where
-    numpy's calls leave it: if numpy changes one of its algorithms, this
-    fails instead of every seeded value drifting silently."""
+    """numpy's dirichlet, uniform and normal give the recipes' values on the
+    same raw draws to the byte, and leave the generator where the raw calls
+    leave it: so the seeded samples are those the raw draws gave, and if
+    numpy changes one of its algorithms, this fails instead of every seeded
+    value drifting silently."""
 
     @pytest.mark.parametrize("seed", [0, 7, 123, 99991, 20240801])
-    def test_raw_draws_and_recipes_are_numpys_calls(self, seed):
+    def test_rows_are_the_recipes_of_the_raw_draws(self, seed):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         for nbits in range(11):
-            size = 1 << nbits
-            exponentials, uniforms = ours.standard_exponential(size), ours.random(size)
-            drho, dphi = ours.standard_normal(size), ours.standard_normal(size)
-            built = (metrics._dirichlet_weights(exponentials),
-                     metrics._uniform_phases(uniforms),
-                     metrics._normal_increments(drho), metrics._normal_increments(dphi))
-            expected = (theirs.dirichlet(np.ones(size)),
-                        theirs.uniform(-math.pi, math.pi, size),
-                        theirs.normal(0.0, 0.1, size), theirs.normal(0.0, 0.1, size))
-            for value, numpy_value in zip(built, expected):
-                assert value.tobytes() == numpy_value.tobytes()
+            shape = (1 << nbits,)
+            for value, oracle in zip(numpy_draws(ours, shape), recipe_draws(theirs, shape)):
+                assert value.shape == shape
+                assert value.tobytes() == oracle.tobytes()
             assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 20240801])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 16), (256, 16), (232, 16), (3, 1024)])
+    def test_blocks_are_the_recipes_of_the_raw_draws(self, seed, shape):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for value, oracle in zip(numpy_draws(ours, shape), recipe_draws(theirs, shape)):
+            assert value.shape == shape
+            assert value.tobytes() == oracle.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 401])
+    def test_random_samples_are_the_recipes_built(self, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for nbits in range(9):
+            psi = random_state(nbits, ours)
+            tangent = random_tangent(psi, ours)
+            weights, phases, drho, dphi = recipe_draws(theirs, (1 << nbits,))
+            assert psi.tobytes() == state_amplitudes(weights, phases).tobytes()
+            assert tangent.tobytes() == tangent_amplitudes(psi, drho, dphi).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def numpy_call(rng, method, count, size):
+    """One of metric_sample's draws: a row (N,) for count None, else a block
+    (count, N)."""
+    shape = size if count is None else (count, size)
+    if method == "dirichlet":
+        return rng.dirichlet(np.ones(size), count)
+    if method == "uniform":
+        return rng.uniform(-math.pi, math.pi, shape)
+    return rng.normal(0.0, metrics.INCREMENT_SD, shape)
 
 
 class TestChunkedDraws:
-    """One (S, N) call of each raw draw equals S (N,) calls, to the byte: numpy
-    fills an array one value after another.  metric_sample draws a block of
+    """One (S, N) call of each draw equals S (N,) calls, to the byte: numpy
+    fills an array one row after another.  metric_sample draws a block of
     samples with one call per kind; if numpy ever changes its fill, this fails
     instead of the block size silently becoming visible in seeded values."""
 
-    @pytest.mark.parametrize("method", ["standard_exponential", "random",
-                                        "standard_normal"])
+    @pytest.mark.parametrize("method", ["dirichlet", "uniform", "normal"])
     @pytest.mark.parametrize("seed", [0, 7, 20240801])
     def test_one_block_call_is_its_row_calls(self, method, seed):
         block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
         for count, size in [(7, 16), (3, 1), (5, 1024)]:
-            stacked = getattr(block, method)((count, size))
-            alone = [getattr(rows, method)(size) for _ in range(count)]
+            stacked = numpy_call(block, method, count, size)
+            alone = [numpy_call(rows, method, None, size) for _ in range(count)]
+            assert stacked.shape == (count, size)
             assert stacked.tobytes() == np.array(alone).tobytes()
         assert block.bit_generator.state == rows.bit_generator.state
 
@@ -668,9 +733,7 @@ class TestMetricSample:
     @pytest.mark.parametrize("levels,count", [(0, 5), (1, 7), (4, 256), (8, 16)])
     def test_block_deviations_are_those_of_the_public_metrics(self, levels, count):
         rng = np.random.default_rng(600 + levels)
-        shape = (count, 1 << levels)
-        draws = (rng.standard_exponential(shape), rng.random(shape),
-                 rng.standard_normal(shape), rng.standard_normal(shape))
+        draws = numpy_draws(rng, (count, 1 << levels))
         amps = state_amplitudes(*draws[:2])
         damps = tangent_amplitudes(amps, *draws[2:])
         efm = extended_fisher_metric(amps, damps)
@@ -690,14 +753,15 @@ class TestMetricSample:
                 return getattr(np.random.Generator, name)(self, *args, **kwargs)
             return draw
 
-        # spawned streams are of the parent's type, so they count too
-        names = ("standard_exponential", "random", "standard_normal", "normal")
+        # spawned streams are of the parent's type, so they count too; the
+        # raw calls are counted so that none of them is made beside numpy's
+        names = ("dirichlet", "uniform", "normal", "standard_exponential", "random",
+                 "standard_normal")
         counting = type("Counting", (np.random.Generator,),
                         {name: counted(name) for name in names})
         criteria.metric_sample({"levels": 4, "samples": 1000}, counting(np.random.PCG64(3)))
         blocks = -(-1000 // (criteria.METRIC_BLOCK_CELLS >> 4))
-        assert sorted(calls) == sorted(["standard_exponential", "random",
-                                        "standard_normal", "standard_normal"] * blocks)
+        assert sorted(calls) == sorted(["dirichlet", "uniform", "normal", "normal"] * blocks)
 
 
 class TestFubiniStudy:
