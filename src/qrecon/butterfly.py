@@ -16,10 +16,11 @@ the diagonalized shift, the Danielson-Lanczos decomposition) come from one
 streamed measurement over blocks of LADDER_BLOCK identity columns,
 `_ladder_deviations`, which builds no dense matrix and needs
 O(N * LADDER_BLOCK) memory at every size; `verify_danielson_lanczos` and
-`shift_operator_check` rename its keys.  Its Fourier references read one
-table of N roots at j*k mod N (exact argument reduction) and `make_plan`
-keeps its own ramps, so the checks measure the ladder's rounding, not the
-reference's.
+`shift_operator_check` rename its keys.  The plan's twiddle ramps and the
+Fourier references read one table of roots, `_root_table`, filled exactly
+by symmetry from cos and sin on its first octant; the references take
+entry j*k mod N (exact argument reduction).  Its error stays below one eps,
+so the checks measure the ladder's rounding, not the table's.
 
 Sign convention: `twiddle_phase` returns the phases of the q -> p ladder,
 which adopts the minus sign in the shift recursion.  A plan built with
@@ -107,9 +108,15 @@ def derive_shift_phases(l: int) -> np.ndarray:
 
 
 def twiddle_phase(n: int, level: int, k: int) -> float:
-    """Phase of entry k of the q -> p twiddle diagonal t_level."""
-    stage = twiddle_stage(n, level)
-    return float(stage[check_integer("index", k, 0, stage.size - 1)])
+    """Phase of entry k of the q -> p twiddle diagonal t_level: the bits of
+    twiddle_stage(n, level)[k], from the same float operations on k alone."""
+    n = check_integer("width", n, 1, MAX_WIDTH)
+    level = check_integer("twiddle level", level, 1, n - 1)
+    k = check_integer("index", k, 0, (1 << n) - 1)
+    block = 1 << (n - level + 1)
+    half = block >> 1
+    r = k % block
+    return 0.0 if r < half else -2.0 * math.pi * (r - half) / block
 
 
 def twiddle_stage(n: int, level: int) -> np.ndarray:
@@ -166,24 +173,54 @@ class ButterflyPlan:
 
 
 def make_plan(n: int, sign: int = +1) -> ButterflyPlan:
-    """Plan the n-stage ladder: one np.exp over the level-1 ramp.
+    """Plan the n-stage ladder from the root table of N = 2**n.
 
-    The level-1 ramp has phases -2*pi*k/N, k < N/2; the level-l ramp is its
-    stride-2**(l-1) slice, since -2*pi*(s*k)/N equals -2*pi*k/(N/s) exactly
-    for a power of two s.  Every ramp is contiguous and read-only, and its
-    values are bit-identical to the second halves of twiddle_stage.
+    The level-1 ramp is exp(sign * 2*pi*i*k/N), k < N/2: the table itself.
+    The level-l ramp, exp(sign * 2*pi*i*k/(N/s)) with s = 2**(l-1), is the
+    table's stride-s slice.  Every ramp is contiguous and read-only.
     """
     n = check_integer("stage count", n, 1, MAX_WIDTH)
     sign = _check_sign(sign)
-    size = 1 << n
-    phases = -2.0 * math.pi * np.arange(size >> 1) / size
-    base = np.exp(-1j * sign * phases)
+    return _plan(n, sign, _root_table(1 << n, sign))
+
+
+def _plan(n: int, sign: int, table: np.ndarray) -> ButterflyPlan:
+    """The plan whose level-1 ramp is `table`, N/2 read-only roots."""
     ramps = []
     for level in range(1, n):
-        ramp = np.ascontiguousarray(base[::1 << (level - 1)])
+        ramp = np.ascontiguousarray(table[::1 << (level - 1)])
         ramp.setflags(write=False)
         ramps.append(ramp)
     return ButterflyPlan(n, sign, tuple(ramps))
+
+
+def _root_table(size: int, sign: int) -> np.ndarray:
+    """exp(sign * 2*pi*i*k/N) for k < N/2 (k = 0 alone at N = 1), read-only.
+
+    np.cos and np.sin run on the angles of the first octant, k < N/8; the
+    octant's end is sqrt(1/2) twice, and the rest of the half circle is
+    filled exactly by swapping and negating the real and imaginary views:
+    entry N/4 - k is (sin, cos) of k, entry N/4 + k is (-sin, cos) of k.
+    Sign -1 negates the imaginary view.  N = 1, 2 and 4 give 1 and i.
+    """
+    if size < 8:
+        table = np.array([1, 1j])[:max(1, size >> 1)]
+    else:
+        half, quarter, octant = size >> 1, size >> 2, size >> 3
+        table = np.empty(half, dtype=complex)
+        re, im = table.real, table.imag
+        angles = np.arange(octant) * (2.0 * math.pi / size)
+        np.cos(angles, out=re[:octant])
+        np.sin(angles, out=im[:octant])
+        re[octant] = im[octant] = math.sqrt(0.5)
+        re[quarter:octant:-1] = im[:octant]
+        im[quarter:octant:-1] = re[:octant]
+        np.negative(im[1:quarter], out=re[quarter + 1:])
+        im[quarter + 1:] = re[1:quarter]
+    if sign < 0:
+        np.negative(table.imag, out=table.imag)
+    table.setflags(write=False)
+    return table
 
 
 def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
@@ -277,12 +314,19 @@ def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     size = check_integer("size", size, 1, 1 << (MAX_WIDTH // 2))
     if size & (size - 1):
         raise DomainError("size must be a power of 2")
-    return _dft_columns(_roots(size, _check_sign(sign)), np.arange(size))
+    return _dft_columns(_roots(size, _check_sign(sign)), np.arange(size),
+                        np.empty((size, size), dtype=complex))
 
 
 def _roots(size: int, sign: int) -> np.ndarray:
-    """exp(sign * 2*pi*i*m/N) for m < N: the table behind every Fourier reference."""
-    return np.exp(sign * 2j * np.pi * np.arange(size) / size)
+    """exp(sign * 2*pi*i*m/N) for m < N, the table behind every Fourier
+    reference: the half circle of _root_table, then its negation, since
+    W^(m + N/2) = -W^m.  Read-only, so its first half can serve as a plan's
+    level-1 ramp."""
+    table = _root_table(size, sign)
+    roots = np.concatenate((table, -table))[:size]
+    roots.setflags(write=False)
+    return roots
 
 
 # Entries per row block of _dft_columns: the integer products j*k exist one
@@ -290,12 +334,12 @@ def _roots(size: int, sign: int) -> np.ndarray:
 DFT_BLOCK = 1 << 16
 
 
-def _dft_columns(roots: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns `cols` of the unitary Fourier matrix whose N roots are `roots`:
-    each row block gathers roots[(j*k) & (N-1)] / sqrt(N)."""
+def _dft_columns(roots: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Columns `cols` of the unitary Fourier matrix whose N roots are `roots`,
+    written into `out`, an (N, len(cols)) complex array: each row block
+    gathers roots[(j*k) & (N-1)] / sqrt(N)."""
     size = roots.size
-    out = np.empty((size, len(cols)), dtype=complex)
-    # out before the table, the mask in place: 2 MB less peak RSS at n = 10
+    # the scaled table after out, the mask in place: 2 MB less peak RSS at n = 10
     scaled = roots / math.sqrt(size)
     rows = max(1, DFT_BLOCK // len(cols))
     for start in range(0, size, rows):
@@ -360,26 +404,28 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     The first should be the identity ("unitarity"); the second diagonal
     ("off_diagonal") with the depth-n shift phases on its diagonal
     ("diagonal").  Each value is the one a pass over the whole matrices
-    gives, bit for bit.  The block arrays are allocated once per sweep and
-    each pass reads its tail back into them, so no array holds more than
-    O(N B) entries and a block allocates little beyond its Fourier and
-    recursion columns.
+    gives, bit for bit.  The block arrays, the Fourier columns among them,
+    are allocated once per sweep and each pass reads its tail back into
+    them, so no array holds more than O(N B) entries and a block allocates
+    little beyond its recursion columns.  The plan's ramps and the
+    references read one table of roots, built once per sweep.
 
     From two levels on, the final cell F_1 t_1 restricted to each pair
     (j, j + N/2), the 2x2 stage cell times the pair's twiddles, is compared
     with [[1, W^j], [1, -W^j]]/sqrt(2), W = exp(2*pi*i/N), for all pairs in
     one (N/2, 2, 2) pass ("cell"), and W^(j + N/2) with -W^j
-    ("half_period").
+    ("half_period", 0 by the table's construction).
     """
     size = 1 << n
-    plan = make_plan(n, +1)  # one plan for every block's two passes
-    roots = _roots(size, +1)
+    roots = _roots(size, +1)  # one table for the references and the plan
+    plan = _plan(n, +1, roots[:size >> 1])  # for every block's two passes
     phases = np.exp(1j * derive_shift_phases(n))
     perm = bit_reversal_permutation(min(n, TAIL_STAGES))
     # one set of flat buffers for the sweep, viewed per block of b columns,
     # so that a short last block fits
     cells = size * min(LADDER_BLOCK, size)
     fwd_buf = np.empty(cells, dtype=complex)
+    dft_buf = np.empty(cells, dtype=complex)
     stack_buf = np.empty(2 * cells, dtype=complex)
     flat_buf = np.empty(2 * cells, dtype=complex)  # each pass's tail
     diff_buf = np.empty(cells, dtype=complex)
@@ -394,7 +440,7 @@ def _ladder_deviations(n: int) -> dict[str, float]:
         fwd[diag] = 1.0  # the identity columns J, overwritten by F[:, J]
         tail = _ladder_tail(plan, fwd, flat_buf[:size * b])
         np.take(tail, perm, axis=0, out=fwd.reshape(tail.shape), mode="clip")
-        dft = _dft_columns(roots, cols)
+        dft = _dft_columns(roots, cols, dft_buf[:size * b].reshape(size, b))
         # [conj(F[:, J]) | conj(P F[:, J])], P F[i] = F[i - 1] cyclically
         stack = stack_buf[:2 * size * b].reshape(size, 2 * b)
         np.conjugate(fwd, out=stack[:, :b])

@@ -15,6 +15,8 @@ from qrecon.butterfly import (apply_butterfly, assemble_transform,
 from qrecon.exceptions import DomainError
 from qrecon.metrics import fubini_study_distance, random_state
 
+EPS = np.finfo(float).eps
+
 
 def random_psi(rng, n):
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -156,6 +158,25 @@ class TestTwiddlePhase:
                 assert phases[k + half] - phases[k] == pytest.approx(
                     shift[k], abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_entries_are_the_stage_bits(self, n):
+        for level in range(1, n):
+            stage = twiddle_stage(n, level)
+            for k in range(1 << n):
+                assert np.float64(twiddle_phase(n, level, k)).tobytes() == stage[k].tobytes()
+
+    def test_one_entry_builds_no_vector(self):
+        # the 2**24-entry stage vector alone would take 128 MB
+        tracemalloc.start()
+        try:
+            first = twiddle_phase(24, 3, 5)
+            second = twiddle_phase(24, 3, 3 * 2**21 + 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (first, second) == (0.0, -2.0 * math.pi * 5 / 2**22)
+
     def test_range_errors(self):
         with pytest.raises(DomainError):
             twiddle_phase(3, 3, 0)
@@ -249,8 +270,7 @@ class TestDftMatrix:
         for n in range(10):
             size = 1 << n
             j = np.arange(size)
-            whole = (np.exp(sign * 2j * np.pi * (np.outer(j, j) % size) / size)
-                     / math.sqrt(size))
+            whole = butterfly._roots(size, sign)[np.outer(j, j) % size] / math.sqrt(size)
             assert dft_matrix(size, sign).tobytes() == whole.tobytes()
 
     # each entry is the root of j*k mod N: row 1 holds all N of them, and
@@ -476,6 +496,65 @@ class TestPlanDiagonals:
             assert np.abs(np.abs(plan.diagonal(level)) - 1.0).max() < 1e-15
 
 
+# pi to 50 digits: an x87 long double keeps 64 of its bits
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288419716939937510")
+
+
+class TestRootTable:
+    """The one table behind every plan and Fourier reference: exp(sign *
+    2*pi*i*k/N), k < N/2, from cos and sin on the first octant."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_within_one_eps_of_the_exact_roots(self, n, sign):
+        size = 1 << n
+        table = butterfly._root_table(size, sign)
+        assert table.shape == (max(1, size >> 1),) and not table.flags.writeable
+        k = np.arange(table.size)
+        if np.finfo(np.longdouble).eps < EPS:
+            angles = 2 * LONG_PI * k.astype(np.longdouble) / size
+            re = table.real.astype(np.longdouble) - np.cos(angles)
+            im = table.imag.astype(np.longdouble) - sign * np.sin(angles)
+            assert np.sqrt(re * re + im * im).max() <= EPS
+        else:
+            # a long double that is only a double: np.exp rounds its angle
+            # and is itself up to 1.8 eps off at these sizes
+            expected = np.exp(sign * 2j * np.pi * k / size)
+            assert np.abs(table - expected).max() <= 2 * EPS
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_quarter_turn_symmetries_hold_exactly(self, n):
+        size = 1 << n
+        quarter = size >> 2
+        table = butterfly._root_table(size, +1)
+        k = np.arange(quarter + 1)
+        assert np.array_equal(table[quarter - k], 1j * np.conj(table[k]))
+        assert np.array_equal(table[k[:-1] + quarter], 1j * table[k[:-1]])
+
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_minus_sign_is_the_conjugate(self, n):
+        plus, minus = (butterfly._root_table(1 << n, s) for s in (+1, -1))
+        assert minus.tobytes() == np.conj(plus).tobytes()
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_small_circles_are_exact(self, sign):
+        assert butterfly._roots(1, sign).tolist() == [1]
+        assert butterfly._roots(2, sign).tolist() == [1, -1]
+        assert butterfly._roots(4, sign).tolist() == [1, sign * 1j, -1, -sign * 1j]
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_second_half_circle_is_the_negated_first(self, n, sign):
+        roots = butterfly._roots(1 << n, sign)
+        half = roots.size >> 1
+        assert roots[half:].tobytes() == (-roots[:half]).tobytes()
+        assert roots[:half].tobytes() == butterfly._root_table(1 << n, sign).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_half_period_reads_zero(self, n):
+        assert verify_danielson_lanczos(n)["half_period_deviation"] == 0.0
+
+
 class TestPlanRamps:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_one_ramp_per_twiddle_level(self, n):
@@ -486,13 +565,24 @@ class TestPlanRamps:
         for r in ramps:
             assert r.flags.c_contiguous and not r.flags.writeable
 
+    # np.exp of a rounded phase is itself up to 1.57 eps off at these sizes
+    # and the ramps read up to 1.625 eps from it, so the bound is two eps;
+    # test_ramps_are_strided_slices_of_the_table pins the ramps' exact values
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_diagonals_equal_the_twiddle_stages_exactly(self, n, sign):
+    def test_diagonals_are_the_twiddle_stages_within_two_eps(self, n, sign):
         plan = make_plan(n, sign)
         for level in range(1, n):
             expected = np.exp(-1j * sign * twiddle_stage(n, level))
-            assert np.array_equal(plan.diagonal(level), expected)
+            assert np.abs(plan.diagonal(level) - expected).max() <= 2 * EPS
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ramps_are_strided_slices_of_the_table(self, n, sign):
+        table = butterfly._root_table(1 << n, sign)
+        ramps = make_plan(n, sign).ramps
+        for level in range(1, n):
+            assert ramps[level - 1].tobytes() == table[::1 << (level - 1)].tobytes()
 
     @pytest.mark.parametrize("level", [0, 4, -1])
     def test_twiddle_level_out_of_range(self, level):
@@ -720,7 +810,7 @@ def recursive_dft(m):
     size = 1 << m
     half = size // 2
     out = np.empty((size, size), dtype=complex)
-    w = np.exp(2j * np.pi * np.arange(size) / size)
+    w = butterfly._roots(size, +1)
     for j in range(size):
         out[j, 0::2] = sub[j % half] * butterfly._INV_SQRT2
         out[j, 1::2] = w[j] * sub[j % half] * butterfly._INV_SQRT2
@@ -748,7 +838,8 @@ def dense_deviations(n):
     if n < 2:
         return dev
     half = size // 2
-    w = np.exp(2j * np.pi * np.arange(half) / size)
+    roots = butterfly._roots(size, +1)
+    w = roots[:half]
     coupled = stage_matrix(n, 1) @ np.diag(make_plan(n, +1).diagonal(1))
     cell_dev = 0.0
     for j in range(half):
@@ -758,8 +849,7 @@ def dense_deviations(n):
         zeroed = coupled[j].copy()
         zeroed[[j, j + half]] = 0.0
         cell_dev = max(cell_dev, float(np.abs(zeroed).max()))
-    w_shift = np.exp(2j * np.pi * (np.arange(half) + half) / size)
-    return {**dev, "cell": cell_dev, "half_period": float(np.abs(w_shift + w).max())}
+    return {**dev, "cell": cell_dev, "half_period": float(np.abs(roots[half:] + w).max())}
 
 
 class TestLadderDeviations:
@@ -798,8 +888,8 @@ class TestLadderDeviations:
         monkeypatch.setattr(butterfly, "LADDER_BLOCK", 2)
         real = butterfly._dft_columns
 
-        def poisoned(roots, cols):
-            out = real(roots, cols)
+        def poisoned(roots, cols, out):
+            out = real(roots, cols, out)
             if cols[0] == 2:
                 out[0, 0] = np.nan
             return out

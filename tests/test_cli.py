@@ -559,17 +559,17 @@ class TestDeterminism:
             "variance-band-q": 0.9960339946990404,
             "variance-band-p": 1.0208438800906623}),
         ("fft-derive", {}, {
-            "ladder-vs-dft": 1.1443916996305594e-16,
-            "unitarity": 4.451433209309296e-16,
-            "shift-diagonal": 6.473657049138937e-16,
-            "danielson-lanczos": 1.5700924586837752e-16,
+            "ladder-vs-dft": 7.850462293418876e-17,
+            "unitarity": 4.440892098500626e-16,
+            "shift-diagonal": 4.965068306494546e-16,
+            "danielson-lanczos": 7.850462293418876e-17,
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
         ("fft-derive", {"levels": 10}, {
-            "ladder-vs-dft": 5.898059818321144e-17,
-            "unitarity": 1.9095053517258334e-15,
-            "shift-diagonal": 2.1065000811460206e-15,
-            "danielson-lanczos": 6.473657049138937e-16,
+            "ladder-vs-dft": 4.291468873614597e-17,
+            "unitarity": 1.782745552422465e-15,
+            "shift-diagonal": 2.0175840826237853e-15,
+            "danielson-lanczos": 4.291468873614597e-17,
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
     ])
