@@ -41,7 +41,7 @@ import numpy as np
 from . import kernels
 from .exceptions import MAX_WIDTH, DomainError, check_integer, complex_array
 from .kernels import _INV_SQRT2
-from .probmodel import RENORM_TOL, Distribution
+from .probmodel import _normalized
 
 
 def _check_sign(sign) -> int:
@@ -386,7 +386,7 @@ GATHER_ENTRIES = 1 << 14
 # apply took 0.78 to 0.86 ms at n = 14 and 3.7 to 4.1 ms at n = 16 with
 # buffers of 16 to 1,024, against 1.08 and 5.1 ms with the default; the
 # bits are the same.  Half-blocks of 16 entries or fewer gain from the
-# default buffer, so chain_propagate's one-pass stages keep it.
+# default buffer, so chain_propagate's per-stage calls keep it.
 STAGE_BUFSIZE = 16
 
 
@@ -408,13 +408,9 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     are allocated once per sweep and each pass reads its tail back into
     them, so no array holds more than O(N B) entries and a block allocates
     little beyond its recursion columns.  The plan's ramps and the
-    references read one table of roots, built once per sweep.
-
-    From two levels on, the final cell F_1 t_1 restricted to each pair
-    (j, j + N/2), the 2x2 stage cell times the pair's twiddles, is compared
-    with [[1, W^j], [1, -W^j]]/sqrt(2), W = exp(2*pi*i/N), for all pairs in
-    one (N/2, 2, 2) pass ("cell"), and W^(j + N/2) with -W^j
-    ("half_period", 0 by the table's construction).
+    references read one table of roots, built once per sweep, so the final
+    cell's twiddles W^j and the table's half-period symmetry
+    W^(j + N/2) = -W^j hold by construction; tests pin both on the table.
     """
     size = 1 << n
     roots = _roots(size, +1)  # one table for the references and the plan
@@ -461,18 +457,8 @@ def _ladder_deviations(n: int) -> dict[str, float]:
             np.abs(shift_diag - phases[cols]).max(),
             np.abs(np.subtract(_recursion_columns(n, cols, roots), dft, out=diff),
                    out=mag).max()])
-    dev = dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
-                   map(float, worst)))
-    if n >= 2:
-        half = size >> 1
-        # stage_matrix(1, 1) @ diag(t[j], t[j + N/2]): column c times entry c
-        pairs = plan.diagonal(1).reshape(2, half).T
-        cell = stage_matrix(1, 1) * pairs[:, None, :]
-        ones, w = np.ones(half), roots[:half]
-        target = np.array([[ones, w], [ones, -w]]).transpose(2, 0, 1)
-        dev["cell"] = float(np.abs(cell - target * _INV_SQRT2).max())
-        dev["half_period"] = float(np.abs(roots[half:] + roots[:half]).max())
-    return dev
+    return dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
+                    map(float, worst)))
 
 
 def _recursion_columns(n: int, cols: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -497,18 +483,17 @@ def verify_danielson_lanczos(n: int) -> dict:
     """Check the ladder against the half-size decomposition of the Fourier
     matrix.
 
-    Confirms that the final cell F_1 t_1 couples components (j, j + N/2)
-    through [[1, W^j], [1, -W^j]]/sqrt(2) with W = exp(2*pi*i/N), and that
-    recursing that decomposition rebuilds dft_matrix(N, +1) entrywise.
+    Confirms that recursing the decomposition, whose final cell couples
+    components (j, j + N/2) through [[1, W^j], [1, -W^j]]/sqrt(2) with
+    W = exp(2*pi*i/N), rebuilds dft_matrix(N, +1) entrywise, and that the
+    ladder does too.
     """
     n = check_integer("level count", n, 2, MAX_WIDTH - 6)
     dev = _ladder_deviations(n)
     return {
         "n": n,
-        "cell_deviation": dev["cell"],
         "recursion_deviation": dev["recursion"],
         "ladder_deviation": dev["ladder"],
-        "half_period_deviation": dev["half_period"],
     }
 
 
@@ -528,31 +513,34 @@ def shift_operator_check(n: int) -> dict:
     }
 
 
-def chain_propagate(psi: np.ndarray) -> list[Distribution]:
-    """Per-level probability distributions along the ladder.
+def chain_propagate(psi: np.ndarray) -> np.ndarray:
+    """Per-level probabilities along the ladder, for one state (N,) or a
+    stack of states (S, N): a read-only (n + 1, N) or (n + 1, S, N) array.
 
     Level 0 is |psi|^2 on the input indexing; level l the squared moduli of
-    the partial ladder product through stage l (twiddles do not move mass);
-    level n the output distribution in the diagram's node indexing, i.e. the
-    transformed probabilities under bit reversal.  Stage cells are unitary
-    on their two components, so each level-(l-1) pair mass equals the
-    corresponding level-l pair mass.
+    the partial ladder product through stage l (twiddles do not move mass),
+    in the ladder's in-place order; level n the output distribution in the
+    diagram's node indexing, i.e. the transformed probabilities under bit
+    reversal.  Stage cells are unitary on their two components, so each
+    level-(l-1) pair mass equals the corresponding level-l pair mass.
+    Norms are checked by _normalized; a stack runs as one (N, S) column
+    stack, one kernel call per stage, and each row has its own call's bits.
     """
     psi = complex_array(psi)
-    if psi.ndim != 1:
-        raise DomainError("chain_propagate needs one flat state vector psi")
-    size = psi.size
+    if psi.ndim not in (1, 2):
+        raise DomainError(f"need one state (N,) or a stack (S, N), "
+                          f"not shape {psi.shape}")
+    size = psi.shape[-1]
     n = size.bit_length() - 1 if size else 0
     if size != 1 << n or n < 1:
         raise DomainError("state length must be a power of 2, at least 2")
-    norm = float(np.vdot(psi, psi).real)
-    if not abs(norm - 1.0) <= RENORM_TOL:  # NaN fails it too
-        raise DomainError("state is not normalized")
     plan = make_plan(n, +1)
-    work = psi.copy()
-    scratch = np.empty(size // 2, dtype=complex)  # shared by the n stages
-    levels = [Distribution(np.abs(work) ** 2)]
+    work = np.array(_normalized(psi).T, order="C")
+    scratch = np.empty(work.size // 2, dtype=complex)  # shared by the n stages
+    levels = np.empty((n + 1, *psi.shape))
+    levels[0] = np.abs(work).T ** 2
     for l in range(1, n + 1):
         kernels.apply_stage_range(work, plan.ramps, n, l, l, scratch)
-        levels.append(Distribution(np.abs(work) ** 2))
+        levels[l] = np.abs(work).T ** 2
+    levels.setflags(write=False)
     return levels

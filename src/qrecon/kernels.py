@@ -16,9 +16,10 @@ calls per transform, on one state and on a stack alike: the first n - 6
 stages run on the input itself, and the last 6 on a (64, N/64 * B) stack of
 its 64-entry blocks.  It makes both at numpy's least ufunc buffer
 (`butterfly.STAGE_BUFSIZE`), so numpy does not copy the strided halves
-through its buffer; the kernel itself keeps the caller's buffer size, which
-`chain_propagate`'s one-pass stages, with half-blocks of a few entries, run
-faster at.  `apply_stages_inplace` is `apply_stage_range` over all n stages,
+through its buffer; the kernel itself keeps the caller's buffer size.
+`butterfly.chain_propagate` makes one call per stage, on one state or an
+(N, S) stack, at numpy's default buffer, which its half-blocks of a few
+entries run faster at.  `apply_stages_inplace` is `apply_stage_range` over all n stages,
 with a scratch of its own.
 BACKEND names the kernel for reports.
 """

@@ -32,29 +32,12 @@ import numpy as np
 from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
                          check_integer, check_real, complex_array,
                          real_array, reject_rows)
-from .probmodel import (RENORM_TOL, SUM_TOL, ConditionalTree, mass_pyramid,
+from .probmodel import (ConditionalTree, _normalized, mass_pyramid,
                         prob_from_theta, reconstitute, theta_from_prob)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
 INCREMENT_SD = 0.1       # standard deviation of a random tangent's increments
-
-
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    """One state (N,) or a stack (S, N) with each state's squared norm (the
-    sum of squares of its real and imaginary parts, one pass over the array)
-    checked to be 1 within RENORM_TOL and, if it is off by more than
-    SUM_TOL, divided out; the array itself when none is.  A row's norm has
-    the same bits alone as inside a stack."""
-    norm2 = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
-    off = np.abs(norm2 - 1.0)
-    bad, rescale = off > RENORM_TOL, off > SUM_TOL
-    if bad.any():
-        reject_rows(bad, DomainError,
-                    f"squared norm {float(norm2[bad].flat[0])} is not 1")
-    if rescale.any():
-        amps = np.where(rescale[..., None], amps / np.sqrt(norm2)[..., None], amps)
-    return amps
 
 
 def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
@@ -78,12 +61,16 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     Takes one state (N,) or a stack (S, N) and returns arrays of the same
     shape.  At zero-mass components the phase is undefined: dphi is set to 0
     there, and any non-vanishing perturbation of such a component is
-    rejected.
+    rejected.  A row whose drho is not finite (a NaN or infinite entry, or
+    an overflow) is refused first.
     """
     amps, damps = _state_and_tangent(psi, d)
+    with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+        drho = _drho(amps, damps)
+        finite = np.isfinite(drho.sum(axis=-1))
+    reject_rows(~finite, DomainError, "drho = 2 Re(conj(psi) dpsi) is not finite")
     rho = np.abs(amps) ** 2
     alive = rho > ZERO_MASS
-    drho = _drho(amps, damps)
     if alive.all():
         # nothing to reject and no undefined phase to zero
         return rho, drho, (damps / amps).imag
@@ -258,22 +245,29 @@ def fubini_study_metric(psi, d):
     """<dpsi|dpsi>/<psi|psi> - <dpsi|psi><psi|dpsi>/<psi|psi>^2.
 
     One state gives a float, a stack (S, N) of states and tangents an (S,)
-    array.
+    array.  A non-finite squared norm or length is refused.
     """
     amps, damps = _state_and_tangent(psi, d)
     norm2 = np.einsum("...i,...i->...", amps.conj(), amps).real
+    reject_rows(~np.isfinite(norm2), DomainError,
+                "squared norm of the state is not finite")
     reject_rows(norm2 <= 0.0, DomainError, "zero state vector")
     overlap = np.einsum("...i,...i->...", amps.conj(), damps)
     length2 = np.einsum("...i,...i->...", damps.conj(), damps).real
+    reject_rows(~np.isfinite(length2), DomainError,
+                "squared length of the tangent is not finite")
     return _result(length2 / norm2 - np.abs(overlap) ** 2 / norm2**2)
 
 
 def fubini_study_distance(psi1, psi2) -> float:
-    """arccos sqrt(|<psi1|psi2>|^2) for normalized states, in [0, pi/2]."""
+    """arccos sqrt(|<psi1|psi2>|^2) for normalized states, in [0, pi/2]; a
+    non-finite overlap is refused."""
     a1, a2 = complex_array(psi1), complex_array(psi2)
     if a1.ndim != 1 or a1.shape != a2.shape or a1.size == 0:
         raise DomainError("need two states of one length, (N,)")
     fid = abs(complex(np.vdot(a1, a2))) ** 2
+    if not math.isfinite(fid):
+        raise DomainError("overlap of the states is not finite")
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
 
 

@@ -16,11 +16,29 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, check_integer, check_real, real_array
+from .exceptions import DomainError, check_integer, check_real, real_array, reject_rows
 from .partitions import Partition
 
 SUM_TOL = 1e-12          # accepted deviation of sum(probs) from 1
 RENORM_TOL = 1e-9        # constructors renormalize within this, reject beyond
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """One state (N,) or a stack (S, N) with each state's squared norm (the
+    sum of squares of its real and imaginary parts, one pass over the array)
+    checked to be 1 within RENORM_TOL and, if it is off by more than
+    SUM_TOL, divided out; the array itself when none is.  A NaN norm is
+    refused too, and a refused row is named.  A row's norm has the same bits
+    alone as inside a stack."""
+    norm2 = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
+    off = np.abs(norm2 - 1.0)
+    bad, rescale = ~(off <= RENORM_TOL), off > SUM_TOL  # NaN is bad
+    if bad.any():
+        reject_rows(bad, DomainError,
+                    f"squared norm {float(norm2[bad].flat[0])} is not 1")
+    if rescale.any():
+        amps = np.where(rescale[..., None], amps / np.sqrt(norm2)[..., None], amps)
+    return amps
 
 
 def prob_from_theta(theta: float) -> tuple[float, float]:

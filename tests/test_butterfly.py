@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrecon import butterfly, kernels
+from qrecon import butterfly, kernels, probmodel
 from qrecon.butterfly import (apply_butterfly, assemble_transform,
                               bit_reversal_permutation, chain_propagate,
                               derive_shift_phases, dft_matrix, make_plan,
@@ -382,17 +382,15 @@ class TestTransformColumns:
 
 
 class TestVerifyDanielsonLanczos:
-    def test_two_level_cell_is_exact(self):
-        report = verify_danielson_lanczos(2)
-        assert report["cell_deviation"] == 0.0
+    def test_reports_the_recursion_and_the_ladder(self):
+        assert set(verify_danielson_lanczos(2)) == {
+            "n", "recursion_deviation", "ladder_deviation"}
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_deviations_tiny(self, n):
         report = verify_danielson_lanczos(n)
-        assert report["cell_deviation"] < 1e-12
         assert report["recursion_deviation"] < 1e-12
         assert report["ladder_deviation"] < 1e-12
-        assert report["half_period_deviation"] < 1e-12
 
 
 class TestShiftOperatorCheck:
@@ -428,7 +426,7 @@ class TestChainPropagate:
         psi[0] = 1.0
         levels = chain_propagate(psi)
         assert len(levels) == 4
-        assert np.allclose(levels[-1].probs, 1 / 8.0, atol=1e-15)
+        assert np.allclose(levels[-1], 1 / 8.0, atol=1e-15)
 
     def test_pair_masses_survive_each_stage(self):
         rng = np.random.default_rng(5)
@@ -437,8 +435,8 @@ class TestChainPropagate:
         levels = chain_propagate(psi)
         for l in range(1, n + 1):
             half = 1 << (n - l)
-            parent_from_below = levels[l - 1].probs.reshape(-1, 2, half).sum(axis=1)
-            parent_from_above = levels[l].probs.reshape(-1, 2, half).sum(axis=1)
+            parent_from_below = levels[l - 1].reshape(-1, 2, half).sum(axis=1)
+            parent_from_above = levels[l].reshape(-1, 2, half).sum(axis=1)
             assert np.abs(parent_from_below - parent_from_above).max() < 1e-12
 
     def test_top_level_is_bit_reversed_output_distribution(self):
@@ -448,24 +446,61 @@ class TestChainPropagate:
         levels = chain_propagate(psi)
         target = np.abs(dft_matrix(1 << n) @ psi) ** 2
         br = bit_reversal_permutation(n)
-        assert np.abs(levels[-1].probs[br] - target).max() < 1e-12
+        assert np.abs(levels[-1][br] - target).max() < 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             chain_propagate(np.ones(4, dtype=complex))
 
-    def test_rejects_a_stack_by_its_own_name(self):
-        with pytest.raises(DomainError, match="chain_propagate"):
-            chain_propagate(np.ones((2, 2)) / 2)
+    @pytest.mark.parametrize("shape", [(1, 2, 4), (2, 2, 2, 2)])
+    def test_rejects_more_than_a_stack(self, shape):
+        with pytest.raises(DomainError, match=r"need one state \(N,\) or a stack"):
+            chain_propagate(np.full(shape, 0.5))
 
-    # the squared norm of these is NaN, which no tolerance comparison passes:
-    # refused before any stage runs, not by a Distribution of the n-th level
+    # the squared norm of these is NaN or infinite, which the norm rule
+    # refuses before any stage runs
     @pytest.mark.parametrize("psi", [[np.nan, 0.0], [np.inf, 0.0], [np.inf, np.inf],
                                      [0.5, 0.5, np.nan, 0.5]],
                              ids=["nan", "inf", "inf-inf", "nan-of-four"])
     def test_a_non_finite_state_is_not_normalized(self, psi):
-        with pytest.raises(DomainError, match="^state is not normalized$"):
+        with pytest.raises(DomainError, match="^squared norm (nan|inf) is not 1$"):
             chain_propagate(np.array(psi, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan, np.inf], ids=["large", "nan", "inf"])
+    def test_a_bad_row_of_a_stack_is_named(self, bad):
+        stack = np.full((4, 8), math.sqrt(1 / 8), dtype=complex)
+        stack[2, 5] = bad
+        with pytest.raises(DomainError, match=r"squared norm .* is not 1 \(row 2\)$"):
+            chain_propagate(stack)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_row_of_a_stack_has_the_bits_of_its_own_call(self, n):
+        rng = np.random.default_rng(40 + n)
+        stack = np.array([random_state(n, rng) for _ in range(9)])
+        levels = chain_propagate(stack)
+        assert levels.shape == (n + 1, 9, 1 << n)
+        for i, psi in enumerate(stack):
+            assert levels[:, i].tobytes() == chain_propagate(psi).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (0, 8)])
+    def test_one_read_only_array_of_levels(self, shape):
+        levels = chain_propagate(np.full(shape, math.sqrt(1 / 8), dtype=complex))
+        assert isinstance(levels, np.ndarray) and levels.dtype == float
+        assert levels.shape == (4, *shape)
+        assert not levels.flags.writeable
+
+    def test_a_stack_runs_one_kernel_call_per_stage(self, monkeypatch):
+        calls = []
+        real = kernels.apply_stage_range
+        monkeypatch.setattr(kernels, "apply_stage_range",
+                            lambda *args: calls.append(args[0].shape) or real(*args))
+        chain_propagate(np.full((5, 16), 0.25, dtype=complex))
+        assert calls == [(16, 5)] * 4
+
+    def test_a_state_off_norm_by_rounding_is_rescaled(self):
+        psi = np.full(4, 0.5 * (1 + 1e-11), dtype=complex)
+        assert chain_propagate(psi)[0].tobytes() == (
+            np.abs(probmodel._normalized(psi)) ** 2).tobytes()
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_top_level_is_the_squared_ladder_output(self, n):
@@ -473,7 +508,7 @@ class TestChainPropagate:
         psi = random_psi(rng, n)
         levels = chain_propagate(psi)
         raw = ladder_output(make_plan(n), psi, "bitReversed")
-        assert np.array_equal(levels[-1].probs, np.abs(raw) ** 2)
+        assert np.array_equal(levels[-1], np.abs(raw) ** 2)
 
 
 class TestTransformPreservesGeometry:
@@ -549,10 +584,6 @@ class TestRootTable:
         half = roots.size >> 1
         assert roots[half:].tobytes() == (-roots[:half]).tobytes()
         assert roots[:half].tobytes() == butterfly._root_table(1 << n, sign).tobytes()
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_half_period_reads_zero(self, n):
-        assert verify_danielson_lanczos(n)["half_period_deviation"] == 0.0
 
 
 class TestPlanRamps:
@@ -818,11 +849,7 @@ def recursive_dft(m):
 
 
 def dense_deviations(n):
-    """The whole-matrix passes the streamed measurement replaces.  From two
-    levels on they include the dense final-cell check: F_1 t_1 as an N x N
-    matrix couples each pair (j, j + N/2) through [[1, W^j], [1, -W^j]]/sqrt(2),
-    W = exp(2*pi*i/N), and row j holds nothing outside its pair; and the
-    half-period relation W^(j + N/2) = -W^j."""
+    """The whole-matrix passes the streamed measurement replaces."""
     size = 1 << n
     fwd = assemble_transform(n, +1)
     dft = dft_matrix(size, +1)
@@ -830,26 +857,11 @@ def dense_deviations(n):
     shifted = np.conj(transform_columns(np.conj(np.roll(fwd, 1, axis=0)), n, +1))
     off = shifted - np.diag(np.diag(shifted))
     phases = np.exp(1j * derive_shift_phases(n))
-    dev = {"ladder": float(np.abs(fwd - dft).max()),
-           "unitarity": float(np.abs(gram - np.eye(size)).max()),
-           "off_diagonal": float(np.abs(off).max()),
-           "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
-           "recursion": float(np.abs(recursive_dft(n) - dft).max())}
-    if n < 2:
-        return dev
-    half = size // 2
-    roots = butterfly._roots(size, +1)
-    w = roots[:half]
-    coupled = stage_matrix(n, 1) @ np.diag(make_plan(n, +1).diagonal(1))
-    cell_dev = 0.0
-    for j in range(half):
-        cell = coupled[np.ix_([j, j + half], [j, j + half])]
-        target = np.array([[1.0, w[j]], [1.0, -w[j]]]) * butterfly._INV_SQRT2
-        cell_dev = max(cell_dev, float(np.abs(cell - target).max()))
-        zeroed = coupled[j].copy()
-        zeroed[[j, j + half]] = 0.0
-        cell_dev = max(cell_dev, float(np.abs(zeroed).max()))
-    return {**dev, "cell": cell_dev, "half_period": float(np.abs(roots[half:] + w).max())}
+    return {"ladder": float(np.abs(fwd - dft).max()),
+            "unitarity": float(np.abs(gram - np.eye(size)).max()),
+            "off_diagonal": float(np.abs(off).max()),
+            "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
+            "recursion": float(np.abs(recursive_dft(n) - dft).max())}
 
 
 class TestLadderDeviations:
@@ -876,10 +888,8 @@ class TestLadderDeviations:
     def test_reports_are_views_of_one_measurement(self, n):
         dense = dense_deviations(n)
         assert verify_danielson_lanczos(n) == {
-            "n": n, "cell_deviation": dense["cell"],
-            "recursion_deviation": dense["recursion"],
-            "ladder_deviation": dense["ladder"],
-            "half_period_deviation": dense["half_period"]}
+            "n": n, "recursion_deviation": dense["recursion"],
+            "ladder_deviation": dense["ladder"]}
         shift = shift_operator_check(n)
         assert (shift["off_diagonal_max"], shift["diagonal_deviation"]) == (
             dense["off_diagonal"], dense["diagonal"])

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qrecon import criteria, metrics
+from qrecon import criteria, metrics, probmodel
 from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, amplitude_phase_differentials,
                             extended_fisher_metric,
@@ -539,14 +540,14 @@ class TestBlockBuilders:
         amps = state_amplitudes(weights, phases)
         damps = tangent_amplitudes(amps, drho, dphi)
         assert amps.shape == damps.shape == (8,)
-        assert metrics._normalized(amps).tobytes() == amps.tobytes()
+        assert probmodel._normalized(amps).tobytes() == amps.tobytes()
         assert extended_fisher_metric(amps, damps) > 0.0  # norm-preserving
 
     def test_rows_off_norm_by_rounding_are_renormalized_alone(self):
         amps = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11]], dtype=complex)
-        out = metrics._normalized(amps)
+        out = probmodel._normalized(amps)
         for row, expected in zip(out, amps):
-            assert row.tobytes() == metrics._normalized(expected).tobytes()
+            assert row.tobytes() == probmodel._normalized(expected).tobytes()
         assert out[1].tobytes() != amps[1].tobytes()
 
     # rows off norm by more than SUM_TOL are rescaled; the array pass must
@@ -557,16 +558,16 @@ class TestBlockBuilders:
         amps = rng.normal(size=(5, size)) + 1j * rng.normal(size=(5, size))
         amps /= np.sqrt((np.abs(amps) ** 2).sum(axis=1))[:, None]
         amps *= 1.0 + np.array([0.0, 1e-11, -3e-11, 2e-10, -4e-10])[:, None]
-        out = metrics._normalized(amps)
+        out = probmodel._normalized(amps)
         for row, alone in zip(out, amps):
-            assert row.tobytes() == metrics._normalized(alone).tobytes()
+            assert row.tobytes() == probmodel._normalized(alone).tobytes()
         assert all(a.tobytes() != b.tobytes() for a, b in zip(out[1:], amps[1:]))
 
     def test_off_norm_row_is_named(self):
         amps = np.full((3, 4), 0.5, dtype=complex)
         amps[2, 0] = 0.75
         with pytest.raises(DomainError, match=r"row 2"):
-            metrics._normalized(amps)
+            probmodel._normalized(amps)
 
     def test_random_tangent_takes_one_state(self):
         with pytest.raises(DomainError, match="one state"):
@@ -847,10 +848,70 @@ class TestTangent:
 
     def test_normalized_removes_small_drift(self):
         amps = np.ones(4, dtype=complex) / 2.0 * (1 + 1e-11)
-        out = metrics._normalized(amps)
+        out = probmodel._normalized(amps)
         assert float(np.vdot(out, out).real) == pytest.approx(1.0, abs=1e-14)
 
     def test_normalized_rejects_large_drift(self):
         with pytest.raises(DomainError):
-            metrics._normalized(np.ones(4, dtype=complex))
+            probmodel._normalized(np.ones(4, dtype=complex))
+
+    # a NaN squared norm fails every comparison with a tolerance, so the
+    # rule is written as "not within RENORM_TOL"
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.5)],
+                             ids=["nan", "inf", "nan-real"])
+    def test_normalized_rejects_a_non_finite_row_by_number(self, bad):
+        amps = np.full((3, 4), 0.5, dtype=complex)
+        amps[1, 2] = bad
+        with pytest.raises(DomainError,
+                           match=r"squared norm (nan|inf) is not 1 \(row 1\)"):
+            probmodel._normalized(amps)
+        with pytest.raises(DomainError, match=r"^squared norm (nan|inf) is not 1$"):
+            probmodel._normalized(amps[1])
+
+
+class TestNonFiniteMetricInputs:
+    """A NaN or infinite entry is refused, before any divide, from the
+    per-row sums each metric computes anyway, and a stack names its row."""
+
+    @pytest.mark.parametrize("psi,d", [
+        ([np.nan, 0.8], [0.1, 0.1j]), ([0.6, 0.8], [np.inf, 0.1j]),
+        ([np.inf, 0.8], [0.1, 0.1j]), ([0.6, 0.8], [0.1, np.nan]),
+    ], ids=["nan-state", "inf-tangent", "inf-state", "nan-tangent"])
+    @pytest.mark.parametrize("metric", [extended_fisher_metric,
+                                        extended_fisher_metric_recursive,
+                                        amplitude_phase_differentials],
+                             ids=lambda f: f.__name__)
+    def test_extended_metric_refuses_without_warnings(self, metric, psi, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match=r"^drho = 2 Re\(conj\(psi\) dpsi\) is not finite$"):
+                metric(np.array(psi, dtype=complex), np.array(d, dtype=complex))
+
+    def test_a_non_finite_row_of_a_stack_is_named(self):
+        amps = np.array([[0.6, 0.8], [0.8, 0.6], [0.6, 0.8]], dtype=complex)
+        damps = 0.01j * amps
+        damps[2, 0] = np.nan
+        with pytest.raises(DomainError, match=r"is not finite \(row 2\)"):
+            extended_fisher_metric(amps, damps)
+        with pytest.raises(DomainError, match=r"tangent is not finite \(row 2\)"):
+            fubini_study_metric(amps, damps)
+
+    @pytest.mark.parametrize("psi,d,match", [
+        ([np.nan, 0.8], [0.1, 0.1j], "squared norm of the state"),
+        ([np.inf, 0.8], [0.1, 0.1j], "squared norm of the state"),
+        ([0.6, 0.8], [np.inf, 0.1j], "squared length of the tangent"),
+        ([0.6, 0.8], [np.nan, 0.1j], "squared length of the tangent"),
+    ], ids=["nan-state", "inf-state", "inf-tangent", "nan-tangent"])
+    def test_fubini_study_metric_refuses(self, psi, d, match):
+        with pytest.raises(DomainError, match=f"^{match} is not finite$"):
+            fubini_study_metric(psi, d)
+
+    @pytest.mark.parametrize("a,b", [
+        ([np.nan, 1.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, np.inf]),
+        ([np.inf, 0.0], [1.0, 0.0]),
+    ], ids=["nan-first", "inf-second", "inf-first"])
+    def test_fubini_study_distance_refuses(self, a, b):
+        with pytest.raises(DomainError, match="^overlap of the states is not finite$"):
+            fubini_study_distance(a, b)
 
