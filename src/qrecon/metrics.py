@@ -20,7 +20,9 @@ measure), floored at 0.1 / N, and uniform phases; tangents take normal
 increments.  `state_amplitudes` and `tangent_amplitudes` build a row (N,) or
 a stack (S, N) from numpy's `dirichlet`, `uniform` and `normal` values, drawn
 one sample at a time by `random_state` and `random_tangent` and a block at a
-time by `criteria.metric_sample`: a sample has the same bits either way.
+time by `criteria.metric_sample`: a sample has the same bits either way.  A
+tangent is the state times its log-derivative, psi (drho / (2 rho) + i dphi),
+the inverse of `amplitude_phase_differentials`.
 """
 
 from __future__ import annotations
@@ -260,15 +262,14 @@ def fubini_study_metric(psi, d):
 
 
 def fubini_study_distance(psi1, psi2) -> float:
-    """arccos sqrt(|<psi1|psi2>|^2) for normalized states, in [0, pi/2]; a
-    non-finite overlap is refused."""
+    """arccos sqrt(|<psi1|psi2>|^2) of two states, in [0, pi/2]; each is
+    checked and renormalized by _normalized, so a state off norm beyond
+    RENORM_TOL (or a NaN or infinite one) is refused."""
     a1, a2 = complex_array(psi1), complex_array(psi2)
     if a1.ndim != 1 or a1.shape != a2.shape or a1.size == 0:
         raise DomainError("need two states of one length, (N,)")
-    fid = abs(complex(np.vdot(a1, a2))) ** 2
-    if not math.isfinite(fid):
-        raise DomainError("overlap of the states is not finite")
-    return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))
+    fid = abs(complex(np.vdot(_normalized(a1), _normalized(a2)))) ** 2
+    return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))  # clamp the rounding
 
 
 def _check_block(**arrays) -> None:
@@ -306,14 +307,21 @@ def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
                        dphi: np.ndarray) -> np.ndarray:
-    """Norm-preserving perturbations of amps from a tangent's (drho, dphi)
-    increments, each row's drho first shifted to mean zero; one row (N,) or
-    a stack (S, N)."""
+    """Norm-preserving perturbations psi (drho / (2 rho) + i dphi) of amps
+    from a tangent's (drho, dphi) increments, each row's drho first shifted
+    to mean zero; one row (N,) or a stack (S, N).  The inverse of
+    amplitude_phase_differentials; a row with a component of mass at most
+    ZERO_MASS has no such tangent and is refused."""
     amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
     _check_block(amps=amps, drho=drho, dphi=dphi)
-    root = np.sqrt(np.abs(amps) ** 2)  # sqrt(rho); |amps| can differ in the last bit
-    drho = drho - drho.mean(axis=-1, keepdims=True)
-    return (drho / (2.0 * root) + 1j * root * dphi) * np.exp(1j * np.angle(amps))
+    rho = amps.real ** 2 + amps.imag ** 2
+    reject_rows((rho <= ZERO_MASS).any(axis=-1), SingularityError,
+                "amps has a zero-amplitude component")
+    damps = (drho - drho.mean(axis=-1, keepdims=True)) / (2.0 * rho) + 1j * dphi
+    # in place: numpy may write `amps * (...)` into a large temporary with the
+    # operands swapped, and a complex product need not be bitwise commutative
+    damps *= amps
+    return damps
 
 
 def random_state(nbits: int, rng: np.random.Generator) -> np.ndarray:

@@ -624,6 +624,64 @@ class TestBlockBuilders:
                                np.zeros((2, 0)))
 
 
+class TestTangentAmplitudes:
+    """A tangent is the state times its log-derivative,
+    psi (drho / (2 rho) + i dphi)."""
+
+    # numpy may reuse a temporary of 256 KiB or more for a product's result
+    # and swap the operands when it does; every size here is past that
+    @pytest.mark.parametrize("count,size", [(300, 128), (4096, 16), (40, 1024)])
+    def test_stack_rows_are_their_single_row_calls(self, count, size):
+        rng = np.random.default_rng(count + size)
+        weights, phases, drho, dphi = numpy_draws(rng, (count, size))
+        amps = state_amplitudes(weights, phases)
+        damps = tangent_amplitudes(amps, drho, dphi)
+        assert damps.nbytes >= 1 << 18
+        for i in range(count):
+            row = tangent_amplitudes(amps[i], drho[i], dphi[i])
+            assert row.tobytes() == damps[i].tobytes()
+
+    # With u = 2**-53 and L = |c / (2 rho) + i dphi|, c the centred drho:
+    # rho = re**2 + im**2 is within 2u of |psi|**2 and c / (2 rho) within 3u
+    # of its exact value; each part of the product psi L and of the real
+    # part of conj(psi) dpsi takes two products and a sum, at most 2u of
+    # |psi| |L| per part, so 2 Re(conj(psi) dpsi) is within
+    # 2 (3u + 2 sqrt(2) u + 2u) rho |L| < 16u rho |L| of c (|c| <= 2 rho |L|).
+    # The quotient dpsi / psi (Smith's algorithm, scaling by the ratio of
+    # psi's parts, at most 1) errs by at most 3 sqrt(2) u |L| from its
+    # numerator and 5u |L| from its scale; with the 2 sqrt(2) u |L| of the
+    # product, dphi comes back within 13u |L|.  Both bounds are to first
+    # order in u.
+    @pytest.mark.parametrize("nbits", range(11))
+    def test_is_the_inverse_of_the_differentials(self, nbits):
+        rng = np.random.default_rng(900 + nbits)
+        weights, phases, drho, dphi = numpy_draws(rng, (50, 1 << nbits))
+        psi = state_amplitudes(weights, phases)
+        rho, back_drho, back_dphi = amplitude_phase_differentials(
+            psi, tangent_amplitudes(psi, drho, dphi))
+        centred = drho - drho.mean(axis=-1, keepdims=True)
+        scale = np.hypot(centred / (2.0 * rho), dphi) * 2.0**-53
+        assert rho.tobytes() == (np.abs(psi) ** 2).tobytes()
+        assert np.all(np.abs(back_drho - centred) <= 16.0 * rho * scale)
+        assert np.all(np.abs(back_dphi - dphi) <= 13.0 * scale)
+
+    def test_a_state_with_a_zero_amplitude_is_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError,
+                               match="^amps has a zero-amplitude component$"):
+                random_tangent(np.array([1.0, 0.0]), np.random.default_rng(0))
+
+    def test_a_zero_amplitude_row_of_a_stack_is_named(self):
+        amps = state_amplitudes(np.full((4, 8), 1 / 8), np.zeros((4, 8)))
+        amps[2, 5] = ZERO_MASS ** 0.5 / 2.0  # rho = ZERO_MASS / 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError,
+                               match=r"^amps has a zero-amplitude component \(row 2\)$"):
+                tangent_amplitudes(amps, np.zeros((4, 8)), np.ones((4, 8)))
+
+
 # Recipes that compute numpy's dirichlet, uniform and normal values from raw
 # generator calls, in numpy's operation order: the oracle of those calls.
 
@@ -826,6 +884,24 @@ class TestFubiniStudyDistance:
         with pytest.raises(DomainError, match="of one length"):
             fubini_study_distance(a, b)
 
+    # two vectors on one ray, and one twice the other: the clamp of
+    # |<a|b>|**2 into [0, 1] is for rounding, not for a norm
+    @pytest.mark.parametrize("a,b,norm2", [
+        ([3.0, 0.0], [0.1, 0.0], "9.0"), ([2.0, 0.0], [1.0, 0.0], "4.0"),
+    ], ids=["one-ray", "double"])
+    def test_states_off_their_norm_are_refused(self, a, b, norm2):
+        with pytest.raises(DomainError, match=f"^squared norm {norm2} is not 1$"):
+            fubini_study_distance(a, b)
+
+    def test_a_state_off_its_norm_by_rounding_is_rescaled(self):
+        rng = np.random.default_rng(14)
+        a, b = random_state(3, rng), random_state(3, rng)
+        off = a * math.sqrt(1.0 + 1e-11)
+        rescaled = probmodel._normalized(off)
+        assert rescaled.tobytes() != off.tobytes()
+        assert fubini_study_distance(off, b) == fubini_study_distance(rescaled, b)
+        assert fubini_study_distance(b, off) == fubini_study_distance(b, rescaled)
+
 
 class TestTangent:
     @pytest.mark.parametrize("radial,accepted", [(1e-9, True), (1e-8, False)])
@@ -912,6 +988,6 @@ class TestNonFiniteMetricInputs:
         ([np.inf, 0.0], [1.0, 0.0]),
     ], ids=["nan-first", "inf-second", "inf-first"])
     def test_fubini_study_distance_refuses(self, a, b):
-        with pytest.raises(DomainError, match="^overlap of the states is not finite$"):
+        with pytest.raises(DomainError, match="^squared norm (nan|inf) is not 1$"):
             fubini_study_distance(a, b)
 
