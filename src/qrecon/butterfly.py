@@ -230,21 +230,26 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     mu holds the coefficient of the bit-reversed index).  Matches the dense
     assemble_transform action to rounding.
 
-    A state and a stack run the same four steps (Bailey's four-step FFT),
-    with s = min(n, TAIL_STAGES); _ladder_tail runs the first three:
-      1. the first n - s stages run in place on a C-contiguous copy of psi;
-      2. below them the ladder is 2**(n-s) independent s-stage ladders, one
-         per contiguous block of 2**s entries (rows, on a stack): the blocks
-         are gathered, in bit-reversed block order and GATHER_ENTRIES
-         entries at a time, into a (2**s, N / 2**s, *cols) tail;
-      3. the last s stages run on the tail as one (2**s, N / 2**s * B)
-         stack, with the plan's last s - 1 ramps, so the short half-blocks
-         of those stages become long rows;
-      4. the tail's rows, read in bit-reversed order, give the natural
-         order.
+    After its first h stages the ladder is 2**h independent ladders of
+    b = n - h stages, one per contiguous block of 2**b entries (rows, on a
+    stack), and every twiddle ramp is the same for every block (Bailey's
+    hierarchical-memory FFT).  b is the widest block of at least
+    TAIL_STAGES rows that holds at most BLOCK_ENTRIES entries, so that a
+    block's stages run in cache; h is 0 when the copy of psi holds no more
+    than BLOCK_ENTRIES entries or no such block exists (_head_stages):
+      1. the first h stages run in place on a C-contiguous copy of psi;
+      2. each block runs _ladder_tail, the four-step ladder of b stages with
+         the plan's last b - 1 ramps, on its own rows of the copy and its own
+         region of one flat buffer;
+      3. the blocks' tails, read in bit-reversed order, give the natural
+         order: with s = min(n, TAIL_STAGES), entry (r, c, i) of the result
+         viewed as (2**s, 2**(b-s), 2**h, *cols) is entry
+         (perm_s(r), c) of the tail of block br_h(i), perm_s and br_h the
+         s- and h-bit reversals.
     Each entry meets the same float operations in the same order as in a
     pass of all n stages over one array, so the result has the same bits.
-    The copy is dropped before step 4, so at most two states are held.
+    The copy is dropped before the result is allocated, so at most two
+    states are held.
     """
     n = plan.n
     psi = complex_array(psi)
@@ -254,17 +259,53 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     s = min(n, TAIL_STAGES)
     shape, work = psi.shape, np.array(psi, order="C")
     del psi  # the converted copy of a real input goes before the tail comes
-    tail = _ladder_tail(plan, work, np.empty(work.size, dtype=complex))
-    del work
-    return tail[bit_reversal_permutation(s)].reshape(shape)
+    flat = np.empty(work.size, dtype=complex)
+    h = _head_stages(n, work.size >> n)
+    if not h:
+        tail = _ladder_tail(plan, work, flat)
+        del work
+        return tail[bit_reversal_permutation(s)].reshape(shape)
+    b, cols = n - h, work.shape[1:]
+    with np.errstate():  # restores numpy's buffer size on exit, raise or not
+        np.setbufsize(STAGE_BUFSIZE)
+        kernels.apply_stage_range(work, plan.ramps, n, 1, h, flat)
+    block_plan = ButterflyPlan(b, plan.sign, plan.ramps[h:])
+    blocks = work.reshape(1 << h, 1 << b, *cols)
+    regions = flat.reshape(1 << h, flat.size >> h)
+    tails = [_ladder_tail(block_plan, blocks[k], regions[k]) for k in range(1 << h)]
+    del work, blocks
+    out = np.empty(shape, dtype=complex)
+    natural = out.reshape(1 << s, 1 << (b - s), 1 << h, *cols)
+    perm = bit_reversal_permutation(s)
+    for i, k in enumerate(bit_reversal_permutation(h)):
+        natural[perm, :, i] = tails[k]  # perm is its own inverse
+    return out
+
+
+def _head_stages(n: int, width: int) -> int:
+    """Stages that apply_butterfly runs over the whole copy of an (N, width)
+    stack, N = 2**n (width 1 for one state): n - b for the widest b >=
+    TAIL_STAGES with 2**b * width <= BLOCK_ENTRIES, or 0 if there is none or
+    b would reach n (and for an empty stack)."""
+    b = (BLOCK_ENTRIES // width).bit_length() - 1 if width else n
+    return n - b if TAIL_STAGES <= b < n else 0
 
 
 def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
                  flat: np.ndarray) -> np.ndarray:
-    """Steps 1-3 of apply_butterfly on `work`, a C-contiguous complex state
-    (N,) or stack (N, B), which it overwrites: returns the tail, a
-    (2**s, N / 2**s, *cols) view of `flat`, a flat complex buffer of
-    work.size entries.
+    """The four-step ladder of apply_butterfly's blocks on `work`, a
+    C-contiguous complex state (N,) or stack (N, B), which it overwrites:
+    returns the tail, a (2**s, N / 2**s, *cols) view of `flat`, a flat
+    complex buffer of work.size entries, whose rows read in bit-reversed
+    order give the natural order.  s = min(n, TAIL_STAGES):
+      1. the first n - s stages run in place on work;
+      2. below them the ladder is 2**(n-s) independent s-stage ladders, one
+         per contiguous block of 2**s entries (rows, on a stack): the blocks
+         are gathered, in bit-reversed block order and GATHER_ENTRIES
+         entries at a time, into the tail;
+      3. the last s stages run on the tail as one (2**s, N / 2**s * B)
+         stack, with the plan's last s - 1 ramps, so the short half-blocks
+         of those stages become long rows.
 
     Neither stage range allocates: each buffer is the other's scratch while
     it is idle, `flat` while stages 1..n-s run on work, the spent work while
@@ -370,7 +411,17 @@ LADDER_BLOCK = 32
 # to 70%.  _ladder_deviations(10) read 176 to 182 ms for tails of 5 to 8.
 TAIL_STAGES = 6
 
-# Entries per chunk of the block gather into apply_butterfly's tail, so that
+# Entries of the largest block that apply_butterfly runs as a ladder of its
+# own, once the stages whose blocks are larger have run over the whole
+# state: 1 MiB of complex128, half of the 2 MiB L2 cache of a core of the
+# 2-core VM measured here.  Over three sweeps of 25 alternated applies
+# (medians), n = 17 took 5.7 to 8.5 ms at 2**16 against 5.9 to 8.6 ms at
+# 2**15 and 7.5 to 9.7 ms at 2**17 (one block, the whole state), and
+# n = 18 took 15.6 to 21.0 ms at 2**16 against 16.9 to 21.5 ms at 2**15,
+# 19.8 to 24.5 ms at 2**17 and 21.4 to 24.7 ms with no blocks.
+BLOCK_ENTRIES = 1 << 16
+
+# Entries per chunk of the block gather into a tail, so that
 # only one chunk of blocks is ever held twice, and in cache.  On a 2-core VM
 # the gather alone took 0.165 ms at 2**13 to 2**14 on a (1024, 64) stack
 # against 0.22 ms at 2**11 and 0.8 to 1.1 ms for one chunk of the whole
@@ -426,6 +477,7 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     flat_buf = np.empty(2 * cells, dtype=complex)  # each pass's tail
     diff_buf = np.empty(cells, dtype=complex)
     mag_buf = np.empty(cells)
+    rec_buf = np.empty(cells * 3 // 2, dtype=complex)  # the recursion's levels
     worst = np.zeros(5)
     for start in range(0, size, LADDER_BLOCK):
         cols = np.arange(start, min(start + LADDER_BLOCK, size))
@@ -450,33 +502,47 @@ def _ladder_deviations(n: int) -> dict[str, float]:
         gram[diag] -= 1.0  # leaves F^dagger F - I
         diff = diff_buf[:size * b].reshape(size, b)
         mag = mag_buf[:size * b].reshape(size, b)
+        rec = _recursion_columns(n, cols, roots, rec_buf)
         worst = np.maximum(worst, [
             np.abs(np.subtract(fwd, dft, out=diff), out=mag).max(),
             np.abs(gram, out=mag).max(),
             np.abs(shift, out=mag).max(),
             np.abs(shift_diag - phases[cols]).max(),
-            np.abs(np.subtract(_recursion_columns(n, cols, roots), dft, out=diff),
-                   out=mag).max()])
+            np.abs(np.subtract(rec, dft, out=diff), out=mag).max()])
     return dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
                     map(float, worst)))
 
 
-def _recursion_columns(n: int, cols: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _recursion_columns(n: int, cols: np.ndarray, roots: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
     """Columns `cols` of the Danielson-Lanczos recursion for the 2**n-point
     Fourier matrix, built from the 2x2 base [[1, 1], [1, -1]]/sqrt(2) with
     one array pass per level: column c of the 2**m matrix is column c >> 1
     of the half-size matrix tiled down both halves (row j reads row
     j mod 2**(m-1)), times W^j = roots[j * 2**(n-m)], W = exp(2*pi*i/2**m),
-    when c is odd, and times 1/sqrt(2).  Each column is built as a
-    contiguous row and the (N, len(cols)) result is a transposed view."""
+    when c is odd, and times 1/sqrt(2).  Each level is built as one
+    contiguous row per column in `out`, a flat complex buffer of at least
+    3/2 * len(cols) * N entries: level m at its start when n - m is even,
+    after its first len(cols) * N entries when it is odd, so that no level
+    overwrites the one it is built from and level n lands at the start.
+    The (N, len(cols)) result is a transposed view of `out`."""
+    b, size = cols.size, 1 << n
+
+    def rows(m):  # level m's b rows of 2**m entries
+        return out[(n - m) % 2 * b * size:][:b << m].reshape(b, 1 << m)
+
     base = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
-    out = base[cols >> (n - 1)]  # base is symmetric: row c is column c
+    level = rows(1)
+    level[...] = base[cols >> (n - 1)]  # base is symmetric: row c is column c
     for m in range(2, n + 1):
-        out = np.concatenate([out, out], axis=1)
-        odd = np.flatnonzero((cols >> (n - m)) & 1)
-        out[odd] = roots[::1 << (n - m)] * out[odd]
-        out *= _INV_SQRT2
-    return out.T
+        half, prev = 1 << (m - 1), level
+        level = rows(m)
+        level[:, :half] = prev
+        level[:, half:] = prev
+        odd = ((cols >> (n - m)) & 1).astype(bool)[:, None]
+        np.multiply(roots[::1 << (n - m)], level, out=level, where=odd)
+        level *= _INV_SQRT2
+    return level.T
 
 
 def verify_danielson_lanczos(n: int) -> dict:

@@ -829,6 +829,110 @@ class TestStageBuffer:
         assert np.getbufsize() == DEFAULT_BUFSIZE
 
 
+# (shape, BLOCK_ENTRIES, head stages h): the ladder splits into 2**h blocks
+# of 2**(n - h) rows, each at least TAIL_STAGES wide
+SMALL_BLOCKS = [
+    ((1 << 8,), 1 << 7, 1), ((1 << 9,), 1 << 7, 2), ((1 << 10,), 1 << 7, 3),
+    ((1 << 11,), 1 << 7, 4), ((1 << 12,), 1 << 10, 2),
+    ((256, 2), 1 << 8, 1), ((512, 2), 1 << 9, 1), ((1024, 4), 1 << 9, 3),
+    ((2048, 8), 1 << 10, 4), ((4096, 3), 1 << 10, 4)]
+
+
+def block_case_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+class TestBlockedLadder:
+    """Past BLOCK_ENTRIES entries, apply_butterfly runs its first h stages
+    over the whole copy and the rest as 2**h block ladders, whose tails it
+    interleaves into natural order; the bits are those of one ladder."""
+
+    @pytest.mark.parametrize("n, width, head", [
+        (16, 1, 0), (17, 1, 1), (18, 1, 2), (20, 1, 4), (10, 32, 0),
+        (10, 64, 0), (12, 32, 1), (14, 8, 1), (10, 128, 1), (7, 1024, 1),
+        (12, 4096, 0), (17, 0, 0), (1, 1, 0), (6, 1, 0)])
+    def test_head_stages_at_the_shipped_block(self, n, width, head):
+        assert butterfly.BLOCK_ENTRIES == 1 << 16
+        assert butterfly._head_stages(n, width) == head
+
+    @pytest.mark.parametrize("order", ["natural", "bitReversed"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("shape, entries, head", SMALL_BLOCKS,
+                             ids=block_case_id)
+    def test_small_blocks_equal_one_ladder_bit_for_bit(
+            self, shape, entries, head, sign, order, monkeypatch):
+        rng = np.random.default_rng(1100 + len(shape) * 16 + head)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        n = shape[0].bit_length() - 1
+        plan = make_plan(n, sign)
+        whole = ladder_output(plan, psi, order)
+        ref = default_buffer_ladder(plan, psi, order)
+        monkeypatch.setattr(butterfly, "BLOCK_ENTRIES", entries)
+        assert butterfly._head_stages(n, psi.size >> n) == head
+        blocked = ladder_output(plan, psi, order)
+        assert blocked.tobytes() == whole.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape, entries, head", SMALL_BLOCKS[:5],
+                             ids=block_case_id)
+    def test_small_blocks_run_one_head_range_and_two_ranges_a_block(
+            self, shape, entries, head, monkeypatch):
+        seen = []
+        real = kernels.apply_stage_range
+        monkeypatch.setattr(kernels, "apply_stage_range",
+                            lambda psi, tw, n, lo, hi, scratch:
+                            seen.append((psi.shape[0], lo, hi))
+                            or real(psi, tw, n, lo, hi, scratch))
+        monkeypatch.setattr(butterfly, "BLOCK_ENTRIES", entries)
+        apply_butterfly(make_plan(shape[0].bit_length() - 1), np.ones(shape))
+        rows = shape[0] >> head
+        b = rows.bit_length() - 1
+        tail = butterfly.TAIL_STAGES
+        assert seen == [(shape[0], 1, head)] + [
+            (rows, 1, b - tail), (1 << tail, 1, tail)] * (1 << head)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_shipped_blocks_equal_one_ladder_and_numpy_fft(
+            self, n, sign, monkeypatch):
+        psi = random_psi(np.random.default_rng(1200 + n), n)
+        plan = make_plan(n, sign)
+        blocked = apply_butterfly(plan, psi)
+        ref = (np.fft.ifft if sign > 0 else np.fft.fft)(psi, norm="ortho")
+        assert np.abs(blocked - ref).max() < 1e-12
+        monkeypatch.setattr(butterfly, "BLOCK_ENTRIES", 1 << 30)
+        assert blocked.tobytes() == apply_butterfly(plan, psi).tobytes()
+
+    def test_an_empty_stack_of_shipped_length_stays_empty(self):
+        out = apply_butterfly(make_plan(17), np.ones((1 << 17, 0)))
+        assert out.shape == (1 << 17, 0) and out.dtype == complex
+
+    def test_a_blocked_state_holds_no_third_state(self):
+        # the copy and the flat buffer of tails, then the tails and the
+        # result: two states at a time, as at n = 16
+        n = 17
+        psi = random_psi(np.random.default_rng(5), n)
+        plan = make_plan(n)
+        tracemalloc.start()
+        try:
+            apply_butterfly(plan, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * psi.nbytes
+
+    def test_every_stage_range_of_a_blocked_apply_runs_at_the_least_buffer(
+            self, monkeypatch):
+        seen = []
+        real = kernels.apply_stage_range
+        monkeypatch.setattr(kernels, "apply_stage_range",
+                            lambda *args: seen.append(np.getbufsize()) or real(*args))
+        before = np.getbufsize()
+        apply_butterfly(make_plan(17), np.ones(1 << 17, dtype=complex))
+        # one head range, then two ranges in each of the two blocks
+        assert seen == [butterfly.STAGE_BUFSIZE] * 5
+        assert np.getbufsize() == before
+
+
 @functools.lru_cache(maxsize=None)
 def recursive_dft(m):
     """The Danielson-Lanczos recursion for the 2**m-point Fourier matrix, a
@@ -870,10 +974,12 @@ class TestLadderDeviations:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_recursion_columns_equal_the_whole_matrix(self, n, block):
         whole = recursive_dft(n)
+        # one buffer for every block, as a sweep holds it; NaN until written
+        buf = np.full(3 * (block << n) // 2, np.nan, dtype=complex)
         for start in range(0, 1 << n, block):
             cols = np.arange(start, min(start + block, 1 << n))
             assert (butterfly._recursion_columns(
-                n, cols, butterfly._roots(1 << n, +1)).tobytes()
+                n, cols, butterfly._roots(1 << n, +1), buf).tobytes()
                 == whole[:, cols].tobytes())
 
     # N = 2..256 falls below, at and above the default block of columns
