@@ -8,8 +8,8 @@ of the output reproduces the unitary discrete Fourier matrix exactly; the
 in-place evaluation costs O(N log N) cell operations against O(N^2) for the
 dense product.  `apply_butterfly` runs the ladder on one state or on an
 (N, B) column stack; `transform_columns` is that call with a plan built
-from (n, sign).  Its body, `_ladder_tail`, is also run by
-`_ladder_deviations` on block arrays held for a whole sweep.
+from (n, sign).  Its body, `_ladder_tail` and `_natural_order`, is also
+run by `_ladder_deviations` on block arrays held for a whole sweep.
 
 All four transform checks (ladder against the Fourier matrix, unitarity,
 the diagonalized shift, the Danielson-Lanczos decomposition) come from one
@@ -230,107 +230,99 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     mu holds the coefficient of the bit-reversed index).  Matches the dense
     assemble_transform action to rounding.
 
-    After its first h stages the ladder is 2**h independent ladders of
-    b = n - h stages, one per contiguous block of 2**b entries (rows, on a
-    stack), and every twiddle ramp is the same for every block (Bailey's
-    hierarchical-memory FFT).  b is the widest block of at least
-    TAIL_STAGES rows that holds at most BLOCK_ENTRIES entries, so that a
-    block's stages run in cache; h is 0 when the copy of psi holds no more
-    than BLOCK_ENTRIES entries or no such block exists (_head_stages):
-      1. the first h stages run in place on a C-contiguous copy of psi;
-      2. each block runs _ladder_tail, the four-step ladder of b stages with
-         the plan's last b - 1 ramps, on its own rows of the copy and its own
-         region of one flat buffer;
-      3. the blocks' tails, read in bit-reversed order, give the natural
-         order: with s = min(n, TAIL_STAGES), entry (r, c, i) of the result
-         viewed as (2**s, 2**(b-s), 2**h, *cols) is entry
-         (perm_s(r), c) of the tail of block br_h(i), perm_s and br_h the
-         s- and h-bit reversals.
-    Each entry meets the same float operations in the same order as in a
-    pass of all n stages over one array, so the result has the same bits.
-    The copy is dropped before the result is allocated, so at most two
-    states are held.
+    _ladder_tail runs the ladder on a C-contiguous copy of psi, in blocks
+    that fit in cache once the copy holds more than BLOCK_ENTRIES entries,
+    and _natural_order reads its tail into the result.  Each entry meets the
+    same float operations in the same order as in a pass of all n stages
+    over one array, so the result has the same bits.  The copy is dropped
+    before the result is allocated, so at most two states are held.
     """
     n = plan.n
     psi = complex_array(psi)
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise DomainError("need one state or an (N, B) column stack of the "
                           "plan's length N")
-    s = min(n, TAIL_STAGES)
     shape, work = psi.shape, np.array(psi, order="C")
     del psi  # the converted copy of a real input goes before the tail comes
-    flat = np.empty(work.size, dtype=complex)
-    h = _head_stages(n, work.size >> n)
-    if not h:
-        tail = _ladder_tail(plan, work, flat)
-        del work
-        return tail[bit_reversal_permutation(s)].reshape(shape)
-    b, cols = n - h, work.shape[1:]
-    with np.errstate():  # restores numpy's buffer size on exit, raise or not
-        np.setbufsize(STAGE_BUFSIZE)
-        kernels.apply_stage_range(work, plan.ramps, n, 1, h, flat)
-    block_plan = ButterflyPlan(b, plan.sign, plan.ramps[h:])
-    blocks = work.reshape(1 << h, 1 << b, *cols)
-    regions = flat.reshape(1 << h, flat.size >> h)
-    tails = [_ladder_tail(block_plan, blocks[k], regions[k]) for k in range(1 << h)]
-    del work, blocks
-    out = np.empty(shape, dtype=complex)
-    natural = out.reshape(1 << s, 1 << (b - s), 1 << h, *cols)
-    perm = bit_reversal_permutation(s)
-    for i, k in enumerate(bit_reversal_permutation(h)):
-        natural[perm, :, i] = tails[k]  # perm is its own inverse
-    return out
+    tail = _ladder_tail(plan, work, np.empty(work.size, dtype=complex))
+    del work
+    return _natural_order(tail, np.empty(shape, dtype=complex))
 
 
 def _head_stages(n: int, width: int) -> int:
-    """Stages that apply_butterfly runs over the whole copy of an (N, width)
-    stack, N = 2**n (width 1 for one state): n - b for the widest b >=
-    TAIL_STAGES with 2**b * width <= BLOCK_ENTRIES, or 0 if there is none or
-    b would reach n (and for an empty stack)."""
+    """Stages that _ladder_tail runs over the whole of an (N, width) stack,
+    N = 2**n (width 1 for one state): n - b for the widest b >= TAIL_STAGES
+    with 2**b * width <= BLOCK_ENTRIES, or 0 if there is none or b would
+    reach n (and for an empty stack)."""
     b = (BLOCK_ENTRIES // width).bit_length() - 1 if width else n
     return n - b if TAIL_STAGES <= b < n else 0
 
 
 def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
                  flat: np.ndarray) -> np.ndarray:
-    """The four-step ladder of apply_butterfly's blocks on `work`, a
-    C-contiguous complex state (N,) or stack (N, B), which it overwrites:
-    returns the tail, a (2**s, N / 2**s, *cols) view of `flat`, a flat
-    complex buffer of work.size entries, whose rows read in bit-reversed
-    order give the natural order.  s = min(n, TAIL_STAGES):
-      1. the first n - s stages run in place on work;
-      2. below them the ladder is 2**(n-s) independent s-stage ladders, one
-         per contiguous block of 2**s entries (rows, on a stack): the blocks
-         are gathered, in bit-reversed block order and GATHER_ENTRIES
-         entries at a time, into the tail;
-      3. the last s stages run on the tail as one (2**s, N / 2**s * B)
-         stack, with the plan's last s - 1 ramps, so the short half-blocks
-         of those stages become long rows.
+    """The ladder of apply_butterfly on `work`, a C-contiguous complex state
+    (N,) or stack (N, B), which it overwrites: returns the tail, a
+    (2**h, 2**s, 2**(b-s), *cols) view of `flat`, a flat complex buffer of
+    work.size entries, which _natural_order reads in natural order.  With
+    s = min(n, TAIL_STAGES), h = _head_stages(n, B) and b = n - h, so that
+    h = 0 for an input of at most BLOCK_ENTRIES entries (Bailey's four-step
+    and hierarchical-memory FFTs):
+      1. the first h stages run over the whole of work;
+      2. below them the ladder is 2**h independent ladders, one per
+         contiguous block of 2**b entries (rows, on a stack), with the same
+         ramps, the plan's last b - 1; their next b - s stages run one block
+         at a time, in cache;
+      3. below those the ladder is 2**(n-s) independent s-stage ladders, one
+         per contiguous run of 2**s entries: the runs are gathered, in
+         bit-reversed order and GATHER_ENTRIES entries at a time, into the
+         tail, 2**(b-s) side by side in each of its 2**h blocks;
+      4. the last s stages run on each tail block as one
+         (2**s, 2**(b-s) * B) stack, with the plan's last s - 1 ramps, so
+         the short half-blocks of those stages become long rows.
 
-    Neither stage range allocates: each buffer is the other's scratch while
-    it is idle, `flat` while stages 1..n-s run on work, the spent work while
-    the tail stages run on flat.  The steps run at numpy's least ufunc buffer
-    (STAGE_BUFSIZE), restored on return: numpy then reads the short strided
-    half-blocks in place instead of copying them through its buffer, which
-    changes no bit.
+    No stage range allocates: each buffer is the other's scratch while it
+    is idle, `flat` while stages 1..n-s run on work, the spent work while
+    the tail stages run on flat.  The steps run at numpy's least ufunc
+    buffer (STAGE_BUFSIZE), restored on return: numpy then reads the short
+    strided half-blocks in place instead of copying them through its
+    buffer, which changes no bit.
     """
     n = plan.n
     s = min(n, TAIL_STAGES)
-    cols = work.shape[1:]
+    h = _head_stages(n, work.size >> n)
+    b, cols = n - h, work.shape[1:]
     with np.errstate():  # restores numpy's buffer size on exit, raise or not
         np.setbufsize(STAGE_BUFSIZE)
-        kernels.apply_stage_range(work, plan.ramps, n, 1, n - s, flat)
+        if h:
+            kernels.apply_stage_range(work, plan.ramps, n, 1, h, flat)
         # explicit sizes, not -1: an empty stack (B = 0) has no size to infer it
-        blocks = work.reshape(1 << (n - s), 1 << s, *cols)
-        tail = flat.reshape(1 << s, 1 << (n - s), *cols)
-        perm = bit_reversal_permutation(n - s)
-        step = max(1, GATHER_ENTRIES // max(1, blocks[0].size))
-        for start in range(0, perm.size, step):
-            chunk = perm[start:start + step]
-            tail[:, start:start + chunk.size] = blocks[chunk].swapaxes(0, 1)
-        kernels.apply_stage_range(tail.reshape(1 << s, tail.size >> s),
-                                  plan.ramps[n - s:], s, 1, s, work.reshape(-1))
+        for block in work.reshape(1 << h, 1 << b, *cols):
+            kernels.apply_stage_range(block, plan.ramps[h:], b, 1, b - s, flat)
+        runs = work.reshape(1 << (n - s), 1 << s, *cols)
+        tail = flat.reshape(1 << h, 1 << s, 1 << (b - s), *cols)
+        perm = bit_reversal_permutation(n - s).reshape(1 << h, 1 << (b - s))
+        step = max(1, GATHER_ENTRIES // max(1, runs[0].size))
+        for block, order in zip(tail, perm):
+            for start in range(0, order.size, step):
+                chunk = order[start:start + step]
+                block[:, start:start + chunk.size] = runs[chunk].swapaxes(0, 1)
+        for block in tail:
+            kernels.apply_stage_range(block.reshape(1 << s, block.size >> s),
+                                      plan.ramps[n - s:], s, 1, s, work.reshape(-1))
     return tail
+
+
+def _natural_order(tail: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ladder's result, held by _ladder_tail's tail, into `out`, a
+    C-contiguous complex array of as many entries, in natural order, and
+    return out: with out viewed as (2**s, 2**h, 2**(b-s), *cols), entry
+    (r, k, c) is tail[k, perm_s(r), c], perm_s the s-bit reversal."""
+    count, rows = tail.shape[:2]
+    perm = _bit_reversal(rows.bit_length() - 1)
+    natural = out.reshape(rows, count, *tail.shape[2:])
+    for k, block in enumerate(tail):
+        natural[perm, k] = block  # perm is its own inverse
+    return out
 
 
 def transform_columns(mat: np.ndarray, n: int, sign: int = +1) -> np.ndarray:
@@ -411,14 +403,16 @@ LADDER_BLOCK = 32
 # to 70%.  _ladder_deviations(10) read 176 to 182 ms for tails of 5 to 8.
 TAIL_STAGES = 6
 
-# Entries of the largest block that apply_butterfly runs as a ladder of its
-# own, once the stages whose blocks are larger have run over the whole
-# state: 1 MiB of complex128, half of the 2 MiB L2 cache of a core of the
-# 2-core VM measured here.  Over three sweeps of 25 alternated applies
-# (medians), n = 17 took 5.7 to 8.5 ms at 2**16 against 5.9 to 8.6 ms at
-# 2**15 and 7.5 to 9.7 ms at 2**17 (one block, the whole state), and
-# n = 18 took 15.6 to 21.0 ms at 2**16 against 16.9 to 21.5 ms at 2**15,
-# 19.8 to 24.5 ms at 2**17 and 21.4 to 24.7 ms with no blocks.
+# Entries of the largest block that _ladder_tail runs on its own, once the
+# stages whose blocks are larger have run over the whole state, and of each
+# block of its tail: 1 MiB of complex128, half of the 2 MiB L2 cache of a
+# core of the 2-core VM measured here.  Over three sweeps of 25 alternated
+# applies (medians), n = 17 took 7.7 to 10.6 ms at 2**16, 7.5 to 10.1 ms at
+# 2**15, 8.4 to 11.2 ms at 2**14 and 9.9 to 12.8 ms at 2**17 (one block),
+# and n = 18 took 18.1 to 18.9 ms at 2**16, 17.1 to 18.6 ms at 2**15, 19.9
+# to 20.6 ms at 2**14, 22.0 to 23.7 ms at 2**17 and 23.4 to 24.1 ms with no
+# blocks.  2**15 gained nothing on an n = 16 state or on fft-derive's
+# (1024, 64) stacks, which 2**16 keeps as one block.
 BLOCK_ENTRIES = 1 << 16
 
 # Entries per chunk of the block gather into a tail, so that
@@ -445,8 +439,8 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     """Worst deviations of the composed ladder F (sign +1),
     streamed over blocks J of LADDER_BLOCK identity columns.
 
-    Per block, one pass of apply_butterfly's body (_ladder_tail and the
-    natural-order read-back) gives F[:, J], compared with the Fourier columns
+    Per block, one pass of apply_butterfly's body (_ladder_tail and
+    _natural_order) gives F[:, J], compared with the Fourier columns
     J ("ladder"), and _recursion_columns gives the half-size recursion's
     columns J, compared with the same Fourier columns ("recursion").  A
     second pass on the 2B-column stack [conj(F[:, J]) | conj(P F[:, J])],
@@ -467,7 +461,6 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     roots = _roots(size, +1)  # one table for the references and the plan
     plan = _plan(n, +1, roots[:size >> 1])  # for every block's two passes
     phases = np.exp(1j * derive_shift_phases(n))
-    perm = bit_reversal_permutation(min(n, TAIL_STAGES))
     # one set of flat buffers for the sweep, viewed per block of b columns,
     # so that a short last block fits
     cells = size * min(LADDER_BLOCK, size)
@@ -486,16 +479,14 @@ def _ladder_deviations(n: int) -> dict[str, float]:
         fwd = fwd_buf[:size * b].reshape(size, b)
         fwd.fill(0.0)
         fwd[diag] = 1.0  # the identity columns J, overwritten by F[:, J]
-        tail = _ladder_tail(plan, fwd, flat_buf[:size * b])
-        np.take(tail, perm, axis=0, out=fwd.reshape(tail.shape), mode="clip")
+        _natural_order(_ladder_tail(plan, fwd, flat_buf[:size * b]), fwd)
         dft = _dft_columns(roots, cols, dft_buf[:size * b].reshape(size, b))
         # [conj(F[:, J]) | conj(P F[:, J])], P F[i] = F[i - 1] cyclically
         stack = stack_buf[:2 * size * b].reshape(size, 2 * b)
         np.conjugate(fwd, out=stack[:, :b])
         np.conjugate(fwd[:-1], out=stack[1:, b:])
         np.conjugate(fwd[-1], out=stack[0, b:])
-        tail = _ladder_tail(plan, stack, flat_buf[:2 * size * b])
-        np.take(tail, perm, axis=0, out=stack.reshape(tail.shape), mode="clip")
+        _natural_order(_ladder_tail(plan, stack, flat_buf[:2 * size * b]), stack)
         gram, shift = np.hsplit(np.conjugate(stack, out=stack), 2)
         shift_diag = shift[diag]
         shift[diag] -= shift_diag  # leaves the off-diagonal part

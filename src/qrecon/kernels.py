@@ -12,16 +12,15 @@ are short.  A stage allocates nothing: the difference of its halves goes
 into the caller's `scratch`, a flat complex array of at least N * B / 2
 entries, and the stage's last multiply writes it straight into the second
 halves, so there is no copy pass.  `butterfly.apply_butterfly` makes two
-calls per block, on one state and on a stack alike: the first b - 6 stages
-of a block of 2**b entries run on the block itself, and the last 6 on a
-(64, 2**b/64 * B) stack of its 64-entry sub-blocks.  An input of at most
-`butterfly.BLOCK_ENTRIES` entries, or whose blocks of that size would have
-fewer than 64 rows, is one block (b = n) and takes two calls; a larger one
-takes one more call first, which runs its first n - b stages over the
-whole input.  It makes every call at
-numpy's least ufunc buffer (`butterfly.STAGE_BUFSIZE`), so numpy does not
-copy the strided halves through its buffer; the kernel itself keeps the
-caller's buffer size.
+calls per transform of at most `butterfly.BLOCK_ENTRIES` entries, on one
+state and on a stack alike: the first n - 6 stages run on the input itself,
+and the last 6 on a (64, N/64 * B) stack of its 64-entry blocks.  A larger
+input runs in 2**h blocks of 2**b rows (b = n - h, if b >= 6): one call
+runs its first h stages over the whole input, one call per block its next
+b - 6, and one per block of the tail, a (64, 2**b/64 * B) stack, its last
+6.  It makes every call at numpy's least ufunc buffer
+(`butterfly.STAGE_BUFSIZE`), so numpy does not copy the strided halves
+through its buffer; the kernel itself keeps the caller's buffer size.
 `butterfly.chain_propagate` makes one call per stage, on one state or an
 (N, S) stack, at numpy's default buffer, which its half-blocks of a few
 entries run faster at.  `apply_stages_inplace` is `apply_stage_range` over all n stages,

@@ -835,7 +835,8 @@ SMALL_BLOCKS = [
     ((1 << 8,), 1 << 7, 1), ((1 << 9,), 1 << 7, 2), ((1 << 10,), 1 << 7, 3),
     ((1 << 11,), 1 << 7, 4), ((1 << 12,), 1 << 10, 2),
     ((256, 2), 1 << 8, 1), ((512, 2), 1 << 9, 1), ((1024, 4), 1 << 9, 3),
-    ((2048, 8), 1 << 10, 4), ((4096, 3), 1 << 10, 4)]
+    ((2048, 8), 1 << 10, 4), ((4096, 3), 1 << 10, 4),
+    ((256, 4), 1 << 8, 2)]  # blocks of TAIL_STAGES rows: no stages between
 
 
 def block_case_id(value):
@@ -844,8 +845,9 @@ def block_case_id(value):
 
 class TestBlockedLadder:
     """Past BLOCK_ENTRIES entries, apply_butterfly runs its first h stages
-    over the whole copy and the rest as 2**h block ladders, whose tails it
-    interleaves into natural order; the bits are those of one ladder."""
+    over the whole copy, the next b - 6 in each of 2**h blocks of 2**b rows
+    and the last 6 in each of 2**h tail blocks, which it reads back in
+    natural order; the bits are those of one ladder."""
 
     @pytest.mark.parametrize("n, width, head", [
         (16, 1, 0), (17, 1, 1), (18, 1, 2), (20, 1, 4), (10, 32, 0),
@@ -874,7 +876,7 @@ class TestBlockedLadder:
 
     @pytest.mark.parametrize("shape, entries, head", SMALL_BLOCKS[:5],
                              ids=block_case_id)
-    def test_small_blocks_run_one_head_range_and_two_ranges_a_block(
+    def test_small_blocks_run_a_head_range_then_one_range_a_block(
             self, shape, entries, head, monkeypatch):
         seen = []
         real = kernels.apply_stage_range
@@ -887,8 +889,8 @@ class TestBlockedLadder:
         rows = shape[0] >> head
         b = rows.bit_length() - 1
         tail = butterfly.TAIL_STAGES
-        assert seen == [(shape[0], 1, head)] + [
-            (rows, 1, b - tail), (1 << tail, 1, tail)] * (1 << head)
+        assert seen == ([(shape[0], 1, head)] + [(rows, 1, b - tail)] * (1 << head)
+                        + [(1 << tail, 1, tail)] * (1 << head))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("n", [17, 18])
@@ -907,7 +909,7 @@ class TestBlockedLadder:
         assert out.shape == (1 << 17, 0) and out.dtype == complex
 
     def test_a_blocked_state_holds_no_third_state(self):
-        # the copy and the flat buffer of tails, then the tails and the
+        # the copy and the flat buffer of the tail, then the tail and the
         # result: two states at a time, as at n = 16
         n = 17
         psi = random_psi(np.random.default_rng(5), n)
@@ -928,7 +930,8 @@ class TestBlockedLadder:
                             lambda *args: seen.append(np.getbufsize()) or real(*args))
         before = np.getbufsize()
         apply_butterfly(make_plan(17), np.ones(1 << 17, dtype=complex))
-        # one head range, then two ranges in each of the two blocks
+        # one head range, then one range in each of the two blocks and one
+        # in each of the two tail blocks
         assert seen == [butterfly.STAGE_BUFSIZE] * 5
         assert np.getbufsize() == before
 
