@@ -234,8 +234,11 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     that fit in cache once the copy holds more than BLOCK_ENTRIES entries,
     and _natural_order reads its tail into the result.  Each entry meets the
     same float operations in the same order as in a pass of all n stages
-    over one array, so the result has the same bits.  The copy is dropped
-    before the result is allocated, so at most two states are held.
+    over one array, so the result has the same bits.  The stages' cells add
+    and subtract without a 1/sqrt(2), and the last stage multiplies by the
+    ladder's one normalization, 2**(-n/2) (kernels._unit_scale).  The copy
+    is dropped before the result is allocated, so at most two states are
+    held.
     """
     n = plan.n
     psi = complex_array(psi)
@@ -278,7 +281,9 @@ def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
          tail, 2**(b-s) side by side in each of its 2**h blocks;
       4. the last s stages run on each tail block as one
          (2**s, 2**(b-s) * B) stack, with the plan's last s - 1 ramps, so
-         the short half-blocks of those stages become long rows.
+         the short half-blocks of those stages become long rows; the last
+         stage multiplies by the whole ladder's 2**(-n/2), the one factor
+         that normalizes the n add-and-subtract stages before it.
 
     No stage range allocates: each buffer is the other's scratch while it
     is idle, `flat` while stages 1..n-s run on work, the spent work while
@@ -306,9 +311,11 @@ def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
             for start in range(0, order.size, step):
                 chunk = order[start:start + step]
                 block[:, start:start + chunk.size] = runs[chunk].swapaxes(0, 1)
+        scale = kernels._unit_scale(n)  # the whole ladder's, not the tail's
         for block in tail:
             kernels.apply_stage_range(block.reshape(1 << s, block.size >> s),
-                                      plan.ramps[n - s:], s, 1, s, work.reshape(-1))
+                                      plan.ramps[n - s:], s, 1, s, work.reshape(-1),
+                                      scale)
     return tail
 
 
@@ -578,8 +585,11 @@ def chain_propagate(psi: np.ndarray) -> np.ndarray:
     the partial ladder product through stage l (twiddles do not move mass),
     in the ladder's in-place order; level n the output distribution in the
     diagram's node indexing, i.e. the transformed probabilities under bit
-    reversal.  Stage cells are unitary on their two components, so each
-    level-(l-1) pair mass equals the corresponding level-l pair mass.
+    reversal.  The kernel's stages add and subtract without 1/sqrt(2), so
+    each doubles the mass: level l < n is the squared moduli times 2**(-l),
+    an exact rescaling, and the last stage multiplies by 2**(-n/2) as
+    apply_butterfly's does, so level n has the bits of its squared output.
+    Each level-(l-1) pair mass equals the corresponding level-l pair mass.
     Norms are checked by _normalized; a stack runs as one (N, S) column
     stack, one kernel call per stage, and each row has its own call's bits.
     """
@@ -599,5 +609,7 @@ def chain_propagate(psi: np.ndarray) -> np.ndarray:
     for l in range(1, n + 1):
         kernels.apply_stage_range(work, plan.ramps, n, l, l, scratch)
         levels[l] = np.abs(work).T ** 2
+        if l < n:  # l unnormalized stages doubled the mass l times
+            levels[l] *= math.ldexp(1.0, -l)
     levels.setflags(write=False)
     return levels

@@ -1,30 +1,38 @@
 """The in-place radix-2 butterfly kernel behind the ladder apply.
 
-One vectorized numpy kernel runs every stage: each stage pairs the halves of
-its blocks through a Hadamard cell, then multiplies the second halves by the
-stage's twiddle ramp (the first halves' twiddle is the identity).  `twiddles`
-is `ButterflyPlan.ramps`: twiddles[l-1] is the ramp of 2**(n-l) entries that
-follows stage l < n.  psi may be one state of N = 2**n components or a
-C-contiguous (N, B) stack of B column states; on a stack each stage works on
-every column at once, so its innermost loops run along the B columns (with
-the ramp broadcast down them) and stay long even where the stage's halves
-are short.  A stage allocates nothing: the difference of its halves goes
-into the caller's `scratch`, a flat complex array of at least N * B / 2
-entries, and the stage's last multiply writes it straight into the second
-halves, so there is no copy pass.  `butterfly.apply_butterfly` makes two
-calls per transform of at most `butterfly.BLOCK_ENTRIES` entries, on one
-state and on a stack alike: the first n - 6 stages run on the input itself,
-and the last 6 on a (64, N/64 * B) stack of its 64-entry blocks.  A larger
-input runs in 2**h blocks of 2**b rows (b = n - h, if b >= 6): one call
-runs its first h stages over the whole input, one call per block its next
-b - 6, and one per block of the tail, a (64, 2**b/64 * B) stack, its last
-6.  It makes every call at numpy's least ufunc buffer
-(`butterfly.STAGE_BUFSIZE`), so numpy does not copy the strided halves
-through its buffer; the kernel itself keeps the caller's buffer size.
-`butterfly.chain_propagate` makes one call per stage, on one state or an
-(N, S) stack, at numpy's default buffer, which its half-blocks of a few
-entries run faster at.  `apply_stages_inplace` is `apply_stage_range` over all n stages,
-with a scratch of its own.
+One vectorized numpy kernel runs every stage: each stage takes the sum and
+the difference of the halves of its blocks, then multiplies the difference
+by the stage's twiddle ramp (the first halves' twiddle is the identity), in
+three passes.  The cells carry no 1/sqrt(2): the ladder's one normalization,
+2**(-n/2), is `scale`, by which stage n of a call (its own numbering)
+multiplies both halves in place of the ramp.  That factor is exact for even
+n; for odd n it is _INV_SQRT2 times a power of two, so it carries that
+constant's error, 0.56 ulp (1/sqrt(2) rounded twice).  An unnormalized
+stage grows an entry's modulus at most 2-fold, so entries up to about 1e300
+stay finite through every width up to `exceptions.MAX_WIDTH` = 24
+(2**24 * 1e300 is about 1.7e307).  `twiddles` is `ButterflyPlan.ramps`: twiddles[l-1] is the
+ramp of 2**(n-l) entries that follows stage l < n.  psi may be one state of
+N = 2**n components or a C-contiguous (N, B) stack of B column states; on a
+stack each stage works on every column at once, so its innermost loops run
+along the B columns (with the ramp broadcast down them) and stay long even
+where the stage's halves are short.  A stage allocates nothing: the
+difference of its halves goes into the caller's `scratch`, a flat complex
+array of at least N * B / 2 entries, and the stage's last multiply writes
+it straight into the second halves, so there is no copy pass.
+`butterfly.apply_butterfly` makes two calls per transform of at most
+`butterfly.BLOCK_ENTRIES` entries, on one state and on a stack alike: the
+first n - 6 stages run on the input itself, and the last 6 on a
+(64, N/64 * B) stack of its 64-entry blocks, with the scale of the whole
+n-stage ladder.  A larger input runs in 2**h blocks of 2**b rows
+(b = n - h, if b >= 6): one call runs its first h stages over the whole
+input, one call per block its next b - 6, and one per block of the tail, a
+(64, 2**b/64 * B) stack, its last 6.  It makes every call at numpy's least
+ufunc buffer (`butterfly.STAGE_BUFSIZE`), so numpy does not copy the
+strided halves through its buffer; the kernel itself keeps the caller's
+buffer size.  `butterfly.chain_propagate` makes one call per stage, on one
+state or an (N, S) stack, at numpy's default buffer, which its half-blocks
+of a few entries run faster at.  `apply_stages_inplace` is
+`apply_stage_range` over all n stages, with a scratch of its own.
 BACKEND names the kernel for reports.
 """
 
@@ -41,12 +49,20 @@ AVAILABLE_BACKENDS = (BACKEND,)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _unit_scale(n: int) -> float:
+    """2**(-n/2), the factor that makes n unnormalized stages unitary: exact
+    for even n, _INV_SQRT2's error for odd n."""
+    return math.ldexp(_INV_SQRT2 if n & 1 else 1.0, -(n // 2))
+
+
 def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
                       n: int, l_start: int, l_end: int,
-                      scratch: np.ndarray) -> None:
+                      scratch: np.ndarray, scale: float | None = None) -> None:
     """Run stages l_start..l_end (with their trailing twiddles) in place on
     one state (N,) or a column stack (N, B), using the flat complex `scratch`
-    of at least psi.size // 2 entries for the halves' differences."""
+    of at least psi.size // 2 entries for the halves' differences.  Stage n,
+    if the range reaches it, multiplies both halves by `scale`, by default
+    _unit_scale(n), so that a call over all n stages is the unitary ladder."""
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise ValueError("need one state of 2**n components or an (N, B) stack")
     if psi.ndim == 2 and not psi.flags.c_contiguous:
@@ -59,6 +75,8 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
         raise ValueError("scratch must be a flat C-contiguous complex array "
                          "of at least psi.size // 2 entries")
     cols = psi.shape[1:]  # () for one state, (B,) for a stack
+    if scale is None:
+        scale = _unit_scale(n)
     for l in range(l_start, l_end + 1):
         half = 1 << (n - l)
         # the block count, not -1: an empty stack (B = 0) has no size to infer it
@@ -68,13 +86,12 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
         tmp = scratch[:half_size].reshape(top.shape)
         np.subtract(top, bot, out=tmp)
         top += bot
-        top *= _INV_SQRT2
         if l < n:
-            tmp *= _INV_SQRT2
             ramp = twiddles[l - 1]
             np.multiply(tmp, ramp[:, None] if cols else ramp, out=bot)
         else:
-            np.multiply(tmp, _INV_SQRT2, out=bot)
+            top *= scale
+            np.multiply(tmp, scale, out=bot)
 
 
 def apply_stages_inplace(psi: np.ndarray, twiddles: Sequence[np.ndarray],

@@ -345,6 +345,21 @@ class TestApplyButterfly:
         assert np.array_equal(wide, before)
         assert np.array_equal(out, apply_butterfly(make_plan(5), wide[::2].copy()))
 
+    # the cells add and subtract, so an entry grows at most 2**l-fold over
+    # l stages before the last one scales by 2**(-n/2); a power of two
+    # commutes with every rounding of the stages, so only an overflow or
+    # an underflow can make the scaled input's bytes differ
+    @pytest.mark.parametrize("target", [1e300, 1e-270], ids=["near-1e300", "near-1e-270"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", [12, 18])
+    def test_power_of_two_scaling_commutes_with_the_ladder(self, n, sign, target):
+        psi = random_psi(np.random.default_rng(1300 + n), n)
+        k = math.floor(math.log2(target / np.abs(psi).max()))
+        plan = make_plan(n, sign)
+        scaled = apply_butterfly(plan, psi * 2.0**k)
+        assert np.isfinite(scaled).all()
+        assert scaled.tobytes() == (apply_butterfly(plan, psi) * 2.0**k).tobytes()
+
 
 class TestTransformColumns:
     @pytest.mark.parametrize("order", ["natural", "bitReversed"])
@@ -502,13 +517,35 @@ class TestChainPropagate:
         assert chain_propagate(psi)[0].tobytes() == (
             np.abs(probmodel._normalized(psi)) ** 2).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 4, 9])
+    # one kernel convention: the last stage scales by the whole ladder's
+    # 2**(-n/2) in both
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_top_level_is_the_squared_ladder_output(self, n):
-        rng = np.random.default_rng(8)
-        psi = random_psi(rng, n)
+        psi = random_state(n, np.random.default_rng(8))
         levels = chain_propagate(psi)
-        raw = ladder_output(make_plan(n), psi, "bitReversed")
-        assert np.array_equal(levels[-1], np.abs(raw) ** 2)
+        raw = apply_butterfly(make_plan(n), psi)[bit_reversal_permutation(n)]
+        assert levels[-1].tobytes() == (np.abs(raw) ** 2).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_level_of_a_stack_sums_to_one(self, n):
+        # Levels l < n are the unnormalized stages' squared moduli times
+        # 2**(-l), which is exact.  Bound, first order in u = eps/2: a stage
+        # moves an entry by at most 6u relative (u for the sum or difference,
+        # 2.83u for the complex multiply by the ramp, 2u for the ramp's own
+        # error, one eps at most), so l stages move the squared norm by at
+        # most 12*l*u, and stage n adds 4u (the odd-n scale's error and its
+        # multiply, squared).  A level's sum adds 5u per term (hypot within
+        # an ulp, squared, rounded) and at most (19 + n)u of summation
+        # (numpy's pairwise sum of 2**n terms), and level 0's sum stands
+        # for the input's own norm with as much again.
+        u = EPS / 2
+        stack = np.array([random_state(n, np.random.default_rng(80 + n))
+                          for _ in range(9)])
+        sums = chain_propagate(stack).sum(axis=2)  # (n + 1, 9)
+        off = np.abs(sums - 1.0)
+        for l in range(1, n + 1):
+            bound = off[0] + (12 * l + 4 * (l == n) + 2 * (24 + n)) * u
+            assert (off[l] <= bound).all()
 
 
 class TestTransformPreservesGeometry:
@@ -754,8 +791,10 @@ DEFAULT_BUFSIZE = 8192  # numpy's ufunc buffer, in elements, unless set
 
 def default_buffer_ladder(plan, psi, order):
     """All n stages as one loop of this module's own, with the kernel's float
-    operations in the kernel's order, at numpy's default buffer size."""
+    operations in the kernel's order, at numpy's default buffer size: the
+    cells add and subtract, and only the last stage scales, by 2**(-n/2)."""
     n = plan.n
+    scale = math.ldexp(butterfly._INV_SQRT2 if n & 1 else 1.0, -(n // 2))
     out = np.array(psi, dtype=complex)
     cols = out.shape[1:]
     with np.errstate():
@@ -766,11 +805,12 @@ def default_buffer_ladder(plan, psi, order):
             top, bot = view[:, 0], view[:, 1]
             tmp = top - bot
             top += bot
-            top *= butterfly._INV_SQRT2
-            tmp *= butterfly._INV_SQRT2
             if l < n:
                 ramp = plan.ramps[l - 1]
                 tmp *= ramp[:, None] if cols else ramp
+            else:
+                top *= scale
+                tmp *= scale
             bot[...] = tmp
     return out[bit_reversal_permutation(n)] if order == "natural" else out
 
@@ -881,9 +921,9 @@ class TestBlockedLadder:
         seen = []
         real = kernels.apply_stage_range
         monkeypatch.setattr(kernels, "apply_stage_range",
-                            lambda psi, tw, n, lo, hi, scratch:
+                            lambda psi, tw, n, lo, hi, scratch, scale=None:
                             seen.append((psi.shape[0], lo, hi))
-                            or real(psi, tw, n, lo, hi, scratch))
+                            or real(psi, tw, n, lo, hi, scratch, scale))
         monkeypatch.setattr(butterfly, "BLOCK_ENTRIES", entries)
         apply_butterfly(make_plan(shape[0].bit_length() - 1), np.ones(shape))
         rows = shape[0] >> head

@@ -547,17 +547,17 @@ class TestDeterminism:
             "variance-band-q": 0.9960339946990404,
             "variance-band-p": 1.0208438800906623}),
         ("fft-derive", {}, {
-            "ladder-vs-dft": 7.850462293418876e-17,
-            "unitarity": 4.440892098500626e-16,
-            "shift-diagonal": 4.965068306494546e-16,
+            "ladder-vs-dft": 0.0,
+            "unitarity": 2.220446049250313e-16,
+            "shift-diagonal": 2.8818119592750155e-16,
             "danielson-lanczos": 7.850462293418876e-17,
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
         ("fft-derive", {"levels": 10}, {
-            "ladder-vs-dft": 4.291468873614597e-17,
-            "unitarity": 1.782745552422465e-15,
-            "shift-diagonal": 2.0175840826237853e-15,
-            "danielson-lanczos": 4.291468873614597e-17,
+            "ladder-vs-dft": 1.3985787785349405e-17,
+            "unitarity": 1.2977290470663804e-16,
+            "shift-diagonal": 8.671119018262734e-16,
+            "danielson-lanczos": 4.1777673608052095e-17,
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
         # at the default seed 7 the sample and the chart draw from streams
