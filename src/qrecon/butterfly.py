@@ -15,12 +15,15 @@ All four transform checks (ladder against the Fourier matrix, unitarity,
 the diagonalized shift, the Danielson-Lanczos decomposition) come from one
 streamed measurement over blocks of LADDER_BLOCK identity columns,
 `_ladder_deviations`, which builds no dense matrix and needs
-O(N * LADDER_BLOCK) memory at every size; `verify_danielson_lanczos` and
-`shift_operator_check` rename its keys.  The plan's twiddle ramps and the
-Fourier references read one table of roots, `_root_table`, filled exactly
-by symmetry from cos and sin on its first octant; the references take
-entry j*k mod N (exact argument reduction).  Its error stays below one eps,
-so the checks measure the ladder's rounding, not the table's.
+O(N * LADDER_BLOCK) memory at every size: two ladder passes per block, one
+for the columns and one, with the sign -1 plan, for unitarity, while the
+shift is judged as P F = F D on the columns alone.
+`verify_danielson_lanczos` and `shift_operator_check` rename its keys.  The
+plan's twiddle ramps and the Fourier references read one table of roots,
+`_root_table`, filled exactly by symmetry from cos and sin on its first
+octant; the references take entry j*k mod N (exact argument reduction).
+Its error stays below one eps, so the checks measure the ladder's
+rounding, not the table's.
 
 Sign convention: `twiddle_phase` returns the phases of the q -> p ladder,
 which adopts the minus sign in the shift recursion.  A plan built with
@@ -392,12 +395,12 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.nda
 
 # ------------------------------------------------------------ verifications
 
-# Identity columns per block of the streamed ladder measurement.  With the
-# block arrays held for the sweep, on a 2-core VM (nine alternated sweeps in
-# one process, two processes), _ladder_deviations(10) took 121 to 123 ms at
-# blocks of 32 columns, against 139 to 146 ms for 16, 139 to 147 ms for 64
-# and 166 to 176 ms for 128; at n = 12 an earlier sweep read a 53 MB process
-# peak for 32 against 77 MB for 64.
+# Identity columns per block of the streamed ladder measurement.  On a 2-core
+# VM (three rounds of nine alternated sweeps in one process, best of each),
+# _ladder_deviations(10) took 67.8 to 68.7 ms at blocks of 32 columns,
+# against 79.0 to 80.2 ms for 16, 67.0 to 68.0 ms for 64 and 73.3 to
+# 73.7 ms for 128; 64 doubles the sweep's tracemalloc peak at n = 10
+# (3.5 MiB at 32, 6.7 MiB at 64) for no gain.
 LADDER_BLOCK = 32
 
 # Stages that apply_butterfly runs on its tail stack.  At n = 18 on a 2-core
@@ -418,8 +421,8 @@ TAIL_STAGES = 6
 # 2**15, 8.4 to 11.2 ms at 2**14 and 9.9 to 12.8 ms at 2**17 (one block),
 # and n = 18 took 18.1 to 18.9 ms at 2**16, 17.1 to 18.6 ms at 2**15, 19.9
 # to 20.6 ms at 2**14, 22.0 to 23.7 ms at 2**17 and 23.4 to 24.1 ms with no
-# blocks.  2**15 gained nothing on an n = 16 state or on fft-derive's
-# (1024, 64) stacks, which 2**16 keeps as one block.
+# blocks.  2**15 gained nothing on an n = 16 state or on (1024, 64)
+# stacks, which 2**16 keeps as one block.
 BLOCK_ENTRIES = 1 << 16
 
 # Entries per chunk of the block gather into a tail, so that
@@ -449,66 +452,66 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     Per block, one pass of apply_butterfly's body (_ladder_tail and
     _natural_order) gives F[:, J], compared with the Fourier columns
     J ("ladder"), and _recursion_columns gives the half-size recursion's
-    columns J, compared with the same Fourier columns ("recursion").  A
-    second pass on the 2B-column stack [conj(F[:, J]) | conj(P F[:, J])],
-    P the one-step cyclic shift of rows, gives columns J of F^dagger F and
-    of F^dagger P F: F's matrix is symmetric, so F^dagger X = conj(F conj(X)).
-    The first should be the identity ("unitarity"); the second diagonal
-    ("off_diagonal") with the depth-n shift phases on its diagonal
-    ("diagonal").  Each value is the one a pass over the whole matrices
-    gives, bit for bit.  The block arrays, the Fourier columns among them,
-    are allocated once per sweep and each pass reads its tail back into
-    them, so no array holds more than O(N B) entries and a block allocates
-    little beyond its recursion columns.  The plan's ramps and the
-    references read one table of roots, built once per sweep, so the final
-    cell's twiddles W^j and the table's half-period symmetry
+    columns J, compared with the same Fourier columns ("recursion").  The
+    shift is judged on F[:, J] alone, with no ladder pass: for a unitary F,
+    F^dagger P F = D exactly when P F = F D, P the one-step cyclic shift of
+    rows and D the diagonal of the depth-n shift phases, so "shift" is
+    sqrt(N) times the worst entry of P F[:, J] - F[:, J] D_J.  It bounds
+    the worst entry of F^dagger P F - D up to the unitarity rounding, since
+    an entry of F^dagger R is at most ||R[:, j]||_2 <= sqrt(N) max|R|.  A second
+    pass, the sign -1 ladder on the B columns F[:, J] in place, gives columns
+    J of F^dagger F, which should be the identity ("unitarity"): F's matrix
+    is symmetric, so F^dagger = conj(F), the sign -1 ladder, whose bits are
+    those of conj(F conj(X)).  Each value is the one a pass over the whole
+    matrices gives, bit for bit.  The block arrays, the Fourier columns
+    among them, are allocated once per sweep and each pass reads its tail
+    back into them, so no array holds more than O(N B) entries and a block
+    allocates little beyond its recursion columns.  The plan's ramps and
+    the references read one table of roots, built once per sweep, so the
+    final cell's twiddles W^j and the table's half-period symmetry
     W^(j + N/2) = -W^j hold by construction; tests pin both on the table.
     """
     size = 1 << n
     roots = _roots(size, +1)  # one table for the references and the plan
-    plan = _plan(n, +1, roots[:size >> 1])  # for every block's two passes
+    plan = _plan(n, +1, roots[:size >> 1])
+    adjoint = _plan(n, -1, _root_table(size, -1))
     phases = np.exp(1j * derive_shift_phases(n))
     # one set of flat buffers for the sweep, viewed per block of b columns,
     # so that a short last block fits
     cells = size * min(LADDER_BLOCK, size)
     fwd_buf = np.empty(cells, dtype=complex)
     dft_buf = np.empty(cells, dtype=complex)
-    stack_buf = np.empty(2 * cells, dtype=complex)
-    flat_buf = np.empty(2 * cells, dtype=complex)  # each pass's tail
+    flat_buf = np.empty(cells, dtype=complex)  # each pass's tail
     diff_buf = np.empty(cells, dtype=complex)
     mag_buf = np.empty(cells)
     rec_buf = np.empty(cells * 3 // 2, dtype=complex)  # the recursion's levels
-    worst = np.zeros(5)
+    worst = np.zeros(4)
     for start in range(0, size, LADDER_BLOCK):
         cols = np.arange(start, min(start + LADDER_BLOCK, size))
         b = cols.size
         diag = (cols, np.arange(b))  # the entries (j, j), j in J
         fwd = fwd_buf[:size * b].reshape(size, b)
+        flat = flat_buf[:size * b]
         fwd.fill(0.0)
         fwd[diag] = 1.0  # the identity columns J, overwritten by F[:, J]
-        _natural_order(_ladder_tail(plan, fwd, flat_buf[:size * b]), fwd)
+        _natural_order(_ladder_tail(plan, fwd, flat), fwd)
         dft = _dft_columns(roots, cols, dft_buf[:size * b].reshape(size, b))
-        # [conj(F[:, J]) | conj(P F[:, J])], P F[i] = F[i - 1] cyclically
-        stack = stack_buf[:2 * size * b].reshape(size, 2 * b)
-        np.conjugate(fwd, out=stack[:, :b])
-        np.conjugate(fwd[:-1], out=stack[1:, b:])
-        np.conjugate(fwd[-1], out=stack[0, b:])
-        _natural_order(_ladder_tail(plan, stack, flat_buf[:2 * size * b]), stack)
-        gram, shift = np.hsplit(np.conjugate(stack, out=stack), 2)
-        shift_diag = shift[diag]
-        shift[diag] -= shift_diag  # leaves the off-diagonal part
-        gram[diag] -= 1.0  # leaves F^dagger F - I
         diff = diff_buf[:size * b].reshape(size, b)
         mag = mag_buf[:size * b].reshape(size, b)
+        ladder = np.abs(np.subtract(fwd, dft, out=diff), out=mag).max()
+        # P F - F D on columns J, P F[i] = F[i - 1] cyclically
+        np.multiply(fwd, phases[cols], out=diff)
+        np.subtract(fwd[:-1], diff[1:], out=diff[1:])
+        np.subtract(fwd[-1], diff[0], out=diff[0])
+        shift = np.abs(diff, out=mag).max()
+        gram = _natural_order(_ladder_tail(adjoint, fwd, flat), fwd)
+        gram[diag] -= 1.0  # leaves F^dagger F - I
+        unitarity = np.abs(gram, out=mag).max()
         rec = _recursion_columns(n, cols, roots, rec_buf)
-        worst = np.maximum(worst, [
-            np.abs(np.subtract(fwd, dft, out=diff), out=mag).max(),
-            np.abs(gram, out=mag).max(),
-            np.abs(shift, out=mag).max(),
-            np.abs(shift_diag - phases[cols]).max(),
-            np.abs(np.subtract(rec, dft, out=diff), out=mag).max()])
-    return dict(zip(("ladder", "unitarity", "off_diagonal", "diagonal", "recursion"),
-                    map(float, worst)))
+        recursion = np.abs(np.subtract(rec, dft, out=diff), out=mag).max()
+        worst = np.maximum(worst, [ladder, unitarity, shift, recursion])
+    worst[2] *= math.sqrt(size)
+    return dict(zip(("ladder", "unitarity", "shift", "recursion"), map(float, worst)))
 
 
 def _recursion_columns(n: int, cols: np.ndarray, roots: np.ndarray,
@@ -562,19 +565,18 @@ def verify_danielson_lanczos(n: int) -> dict:
 
 
 def shift_operator_check(n: int) -> dict:
-    """Conjugate the one-step cyclic shift of the transformed variable back
-    through the ladder and compare with the diagonal exp(-2*pi*i*k/N).
+    """Check that the ladder diagonalizes the one-step cyclic shift P of the
+    transformed variable: sqrt(N) times the worst entry of P F - F D, D the
+    diagonal exp(-2*pi*i*k/N).
 
-    The diagonal phases are exactly the depth-n shift phases, tying the
-    twiddle derivation to the translation symmetry it came from.
+    For a unitary F (checked on the same sweep) P F = F D holds exactly when
+    F^dagger P F = D, and the value bounds the worst entry of F^dagger P F - D
+    up to the unitarity rounding.  The diagonal phases are exactly the
+    depth-n shift phases, tying the twiddle derivation to the translation
+    symmetry it came from.
     """
     n = check_integer("level count", n, 1, MAX_WIDTH - 6)
-    deviations = _ladder_deviations(n)
-    return {
-        "n": n,
-        "off_diagonal_max": deviations["off_diagonal"],
-        "diagonal_deviation": deviations["diagonal"],
-    }
+    return {"n": n, "shift_deviation": _ladder_deviations(n)["shift"]}
 
 
 def chain_propagate(psi: np.ndarray) -> np.ndarray:

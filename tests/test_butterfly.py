@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrecon import butterfly, kernels, probmodel
+from qrecon import butterfly, criteria, kernels, probmodel
 from qrecon.butterfly import (apply_butterfly, assemble_transform,
                               bit_reversal_permutation, chain_propagate,
                               derive_shift_phases, dft_matrix, make_plan,
@@ -360,6 +360,19 @@ class TestApplyButterfly:
         assert np.isfinite(scaled).all()
         assert scaled.tobytes() == (apply_butterfly(plan, psi) * 2.0**k).tobytes()
 
+    # the sign -1 plan's table is the sign +1 table with its imaginary view
+    # negated, and a complex product of conjugates is the conjugate of the
+    # product, so _ladder_deviations' unitarity pass needs no conjugation
+    @pytest.mark.parametrize("shape", ["state", "stack"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_the_sign_minus_plan_is_the_conjugated_ladder(self, n, shape):
+        rng = np.random.default_rng(1400 + n)
+        psi = (random_psi(rng, n) if shape == "state"
+               else np.stack([random_psi(rng, n) for _ in range(32)], axis=1))
+        direct = apply_butterfly(make_plan(n, -1), psi)
+        conjugated = np.conj(apply_butterfly(make_plan(n, +1), np.conj(psi)))
+        assert direct.tobytes() == conjugated.tobytes()
+
 
 class TestTransformColumns:
     @pytest.mark.parametrize("order", ["natural", "bitReversed"])
@@ -415,9 +428,7 @@ class TestShiftOperatorCheck:
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         conj = fwd.conj().T @ swap @ fwd
         assert np.allclose(conj, np.diag([1.0, -1.0]), atol=1e-15)
-        report = shift_operator_check(1)
-        assert report["off_diagonal_max"] < 1e-15
-        assert report["diagonal_deviation"] < 1e-15
+        assert shift_operator_check(1)["shift_deviation"] < 1e-15
 
     def test_two_level_phases(self):
         fwd = assemble_transform(2)
@@ -430,9 +441,7 @@ class TestShiftOperatorCheck:
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_matches_closed_form(self, n):
-        report = shift_operator_check(n)
-        assert report["off_diagonal_max"] < 1e-12
-        assert report["diagonal_deviation"] < 1e-12
+        assert shift_operator_check(n)["shift_deviation"] < 1e-12
 
 
 class TestChainPropagate:
@@ -1001,13 +1010,11 @@ def dense_deviations(n):
     fwd = assemble_transform(n, +1)
     dft = dft_matrix(size, +1)
     gram = np.conj(transform_columns(np.conj(fwd), n, +1))
-    shifted = np.conj(transform_columns(np.conj(np.roll(fwd, 1, axis=0)), n, +1))
-    off = shifted - np.diag(np.diag(shifted))
     phases = np.exp(1j * derive_shift_phases(n))
+    residual = np.roll(fwd, 1, axis=0) - fwd * phases  # P F - F D
     return {"ladder": float(np.abs(fwd - dft).max()),
             "unitarity": float(np.abs(gram - np.eye(size)).max()),
-            "off_diagonal": float(np.abs(off).max()),
-            "diagonal": float(np.abs(np.diag(shifted) - phases).max()),
+            "shift": float(np.sqrt(size) * np.abs(residual).max()),
             "recursion": float(np.abs(recursive_dft(n) - dft).max())}
 
 
@@ -1039,9 +1046,38 @@ class TestLadderDeviations:
         assert verify_danielson_lanczos(n) == {
             "n": n, "recursion_deviation": dense["recursion"],
             "ladder_deviation": dense["ladder"]}
-        shift = shift_operator_check(n)
-        assert (shift["off_diagonal_max"], shift["diagonal_deviation"]) == (
-            dense["off_diagonal"], dense["diagonal"])
+        assert shift_operator_check(n) == {"n": n, "shift_deviation": dense["shift"]}
+
+    # an entry of F^dagger (P F - F D) is at most sqrt(N) max|P F - F D|, and
+    # F^dagger P F - D is that plus (F^dagger F - I) D, so the shift value
+    # bounds the conjugated shift's deviation up to the unitarity rounding
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_shift_bounds_the_conjugated_shift(self, n):
+        fwd = assemble_transform(n, +1)
+        conjugated = np.conj(transform_columns(np.conj(np.roll(fwd, 1, axis=0)), n, +1))
+        phases = np.exp(1j * derive_shift_phases(n))
+        dense = dense_deviations(n)
+        assert dense["shift"] >= (np.abs(conjugated - np.diag(phases)).max()
+                                  - dense["unitarity"])
+
+    @pytest.mark.parametrize("entry", ["first", "last"])
+    @pytest.mark.parametrize("n", [3, 8, 10])
+    def test_a_shift_phase_one_root_step_off_fails(self, n, entry, monkeypatch):
+        def shift_diagonal():
+            checks, _ = criteria.ladder_transform({"levels": n}, None)
+            return next(c for c in checks if c.id == "shift-diagonal")
+
+        assert shift_diagonal().passed
+        real = butterfly.derive_shift_phases
+
+        def one_step_off(l):
+            phases = real(l).copy()
+            phases[0 if entry == "first" else -1] -= 2 * math.pi / (1 << l)
+            return phases
+
+        monkeypatch.setattr(butterfly, "derive_shift_phases", one_step_off)
+        check = shift_diagonal()
+        assert not check.passed and check.value > 1e3 * check.tolerance
 
     def test_a_nan_in_one_block_is_not_lost(self, monkeypatch):
         monkeypatch.setattr(butterfly, "LADDER_BLOCK", 2)
