@@ -25,9 +25,8 @@ from .exceptions import ConfigError, DomainError, RangeError, SingularityError
 from .kernels import AVAILABLE_BACKENDS, BACKEND
 from .metrics import (extended_fisher_metric,
                       extended_fisher_metric_recursive, fisher_info_theta,
-                      fisher_info_theta_numeric, fisher_matrix_numeric,
-                      fubini_study_distance, fubini_study_metric,
-                      random_state, random_tangent)
+                      fisher_matrix, fubini_study_distance,
+                      fubini_study_metric, random_state, random_tangent)
 from .partitions import (DigitSubsetSet, Partition, PhaseSpaceSet,
                          apply_shift, enumerate_binary_partitions,
                          finest_common_partition, is_invariant_under_shift,

@@ -150,8 +150,9 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "fft-derive": {
         "seed": (0, _integer(0)),
-        # the streamed transform checks take O(N^2 log N) time: 4.0-4.5 s
-        # at 12 levels, about four times more per added level (2-core Xeon VM)
+        # the streamed transform checks take O(N^2 log N) time: a run at 12
+        # levels took 1.7-1.9 s (elapsed_s; 2.0-2.3 s as a process) and one at
+        # 11 took 0.43 s, about four times less per level (2-core Xeon VM)
         "levels": (3, _integer(1, 12)),
     },
     "partition-audit": {"seed": (0, _integer(0)),

@@ -2,12 +2,14 @@
 
 The central objects are the Fisher information of the theta parametrization,
 its extension to amplitude-and-phase coordinates on normalized complex
-vectors, and the Fubini-Study metric/distance.  The extended metric equals
-four times the Fubini-Study metric on normalized states with norm-preserving
-tangents; both a closed form and a bottom-up even/odd recursion are provided
-and must agree.  A state is its amplitude array and a tangent its
-perturbation array: the metrics take one state and tangent (N,), or a stack
-of them (S, N) evaluated in whole-array passes, as anything
+vectors, and the Fubini-Study metric/distance.  The Fisher matrix of a
+conditional tree comes from analytic scores, one array pass per pair of tree
+levels over `probmodel.mass_pyramid`'s branch masses.  The extended metric
+equals four times the Fubini-Study metric on normalized states with
+norm-preserving tangents; both a closed form and a bottom-up even/odd
+recursion are provided and must agree.  A state is its amplitude array and
+a tangent its perturbation array: the metrics take one state and tangent
+(N,), or a stack of them (S, N) evaluated in whole-array passes, as anything
 `exceptions.complex_array` converts.  The recursion makes one pass per tree
 level over `probmodel.mass_pyramid`, whose levels are sums of half-slices:
 a node's two branches are the two halves of the finer level.  Both metrics
@@ -35,7 +37,7 @@ from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
                          check_integer, check_real, complex_array,
                          real_array, reject_rows)
 from .probmodel import (ConditionalTree, _normalized, mass_pyramid,
-                        prob_from_theta, reconstitute, theta_from_prob)
+                        reconstitute)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
@@ -113,53 +115,46 @@ def fisher_info_theta(theta: float) -> float:
     return 1.0
 
 
-def fisher_info_theta_numeric(theta: float) -> float:
-    """Expectation sum sum_i (d log rho_i / d theta)^2 rho_i evaluated with
-    Richardson-extrapolated central differences of step 1e-4 (cross-check of
-    fisher_info_theta)."""
-    step = 1e-4
-    theta = check_real("theta", theta)
-    if not step < theta < math.pi - step:
-        raise DomainError("theta too close to the boundary for differencing")
-    total = 0.0
-    for i in (0, 1):
-        f = lambda t: prob_from_theta(t)[i]
+def fisher_matrix(tree: ConditionalTree) -> np.ndarray:
+    """Fisher information matrix S diag(p) S^T over the tree's theta-node
+    coordinates, p the tree's distribution and S[a, x] = d log p(x) / d theta_a.
 
-        def diff(h):
-            return (math.log(f(theta + h)) - math.log(f(theta - h))) / (2 * h)
-
-        score = (4.0 * diff(step / 2.0) - diff(step)) / 3.0
-        total += score**2 * f(theta)
-    return total
-
-
-def fisher_matrix_numeric(tree: ConditionalTree) -> np.ndarray:
-    """Fisher information matrix over the tree's theta-node coordinates.
-
-    Entry (a, b) is the expectation over outcomes of the product of the two
-    log-likelihood scores, each evaluated by central finite differences
-    (step 1e-6 in theta) of the tree-to-distribution map.  Coordinates are
-    ordered root first, then by level downward with ascending suffix; the
-    result is diagonal with the conditioning-suffix masses on the diagonal.
-    A node at p0 = 0 or 1 sits on the chart boundary and is rejected.  The
-    scores fill a dense (2**n - 1) x 2**n array, so a tree deeper than
-    MAX_WIDTH // 2 is refused before anything is allocated.
+    At node a = (l, s) with (q0, q1) = (p0, 1 - p0), the score is
+    -tan(theta/2) = -sqrt(q1/q0) where bit l is 0 and cot(theta/2) =
+    sqrt(q0/q1) where it is 1, on the outcomes with lower bits s; 0 elsewhere.
+    A level's scores are constant on the branches (suffix and next bit) of
+    every deeper level, so each pair of levels is one array pass over
+    mass_pyramid(p)'s branch masses: a level's own block is diagonal with its
+    suffix masses, its block with a shallower level that level's score times
+    the branch-weighted mean score, 0 up to rounding.  Coordinates run root
+    first, then level by level with ascending suffix.  A node at p0 = 0 or 1
+    is on the chart boundary and is refused.  The (2**n - 1)-square result is
+    dense, so a tree deeper than MAX_WIDTH // 2 is refused before anything is
+    allocated.
     """
-    check_integer("tree depth", tree.depth, 0, MAX_WIDTH // 2)
-    step = 1e-6
-    nodes = list(tree.nodes())
-    base = reconstitute(tree).probs
-    scores = np.empty((len(nodes), base.size))
-    for a, (level, suffix, p0) in enumerate(nodes):
-        if not 0.0 < p0 < 1.0:
-            raise SingularityError(
-                f"boundary node p0={p0} at level {level}, suffix {suffix}")
-        theta = theta_from_prob(p0)
-        up, dn = (reconstitute(tree.with_node(level, suffix, prob_from_theta(t)[0])).probs
-                  for t in (theta + step, theta - step))
-        with np.errstate(divide="ignore"):
-            scores[a] = (np.log(up) - np.log(dn)) / (2.0 * step)
-    return np.einsum("ax,bx,x->ab", scores, scores, base)
+    n = check_integer("tree depth", tree.depth, 0, MAX_WIDTH // 2)
+    masses = mass_pyramid(reconstitute(tree).probs)
+    fisher = np.zeros(((1 << n) - 1,) * 2)
+    scores = []  # per level i: its score on each branch s + bit * 2**i
+    for i, p0 in enumerate(tree.levels):
+        (edge,) = np.nonzero((p0 <= 0.0) | (p0 >= 1.0))
+        if edge.size:
+            raise SingularityError(f"boundary node p0={p0[edge[0]]} at level "
+                                   f"{n - i}, suffix {edge[0]}")
+        q1 = 1.0 - p0
+        score = np.concatenate([-np.sqrt(q1 / p0), np.sqrt(p0 / q1)])
+        weighted = masses[n - i - 1] * score  # its 2**(i+1) branch masses
+        suffix = np.arange(1 << i)
+        nodes = (1 << i) - 1 + suffix
+        fisher[nodes, nodes] = np.add(*_halves(weighted * score, 1 << i))
+        mean = np.add(*_halves(weighted, 1 << i))
+        for k, above in enumerate(scores):
+            # level k < i: node suffix mod 2**k, branch suffix mod 2**(k+1)
+            rows = (1 << k) - 1 + (suffix & ((1 << k) - 1))
+            block = above[suffix & ((2 << k) - 1)] * mean
+            fisher[rows, nodes] = fisher[nodes, rows] = block
+        scores.append(score)
+    return fisher
 
 
 def extended_fisher_metric(psi, d):

@@ -104,14 +104,14 @@ class ConditionalTree:
     node(l, suffix) stores rho(bit l = 0 | bits l+1..n = suffix), where
     suffix is the integer value of the n-l lower bits.  Zero-mass suffixes
     carry the convention value 1/2, which keeps the tree total; the factor
-    is annihilated on reconstitution by the vanishing parent mass.
+    is annihilated on reconstitution by the vanishing parent mass.  The tree
+    is immutable: `levels` is a tuple of read-only arrays, levels[i] holding
+    the 2**i nodes of level n - i indexed by suffix, root level first.
     """
 
-    __slots__ = ("depth", "_levels")
+    __slots__ = ("depth", "levels")
 
     def __init__(self, depth: int, levels: Sequence[Sequence[float]]):
-        # levels[0] is the root level (level n, one node), levels[-1] the
-        # deepest level (level 1, 2**(n-1) nodes).
         depth = check_integer("depth", depth, 0)
         try:
             count = len(levels)
@@ -119,7 +119,6 @@ class ConditionalTree:
             count = None
         if count != depth:
             raise DomainError("level count does not match depth")
-        self.depth = depth
         store = []
         for i, lev in enumerate(levels):
             arr = real_array(lev).copy()  # frozen below: never the caller's array
@@ -133,32 +132,24 @@ class ConditionalTree:
                 raise DomainError("conditional probability outside [0, 1]")
             arr.setflags(write=False)
             store.append(arr)
-        self._levels = tuple(store)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "levels", tuple(store))
 
-    def _row(self, level: int, suffix: int) -> int:
-        """Index into _levels of the node (level, suffix), once both are in
-        range; DomainError otherwise."""
-        level = check_integer("level", level, 1, self.depth)
-        check_integer("suffix", suffix, 0, (1 << (self.depth - level)) - 1)
-        return self.depth - level
+    def __setattr__(self, name, value):
+        raise AttributeError("ConditionalTree is immutable")
 
     def node(self, level: int, suffix: int) -> float:
         """Probability that bit `level` is 0 given the lower bits `suffix`."""
-        return float(self._levels[self._row(level, suffix)][suffix])
+        level = check_integer("level", level, 1, self.depth)
+        check_integer("suffix", suffix, 0, (1 << (self.depth - level)) - 1)
+        return float(self.levels[self.depth - level][suffix])
 
     def nodes(self) -> Iterator[tuple[int, int, float]]:
         """Yield (level, suffix, p0) from the root (level n) downward."""
-        for i, lev in enumerate(self._levels):
+        for i, lev in enumerate(self.levels):
             level = self.depth - i
             for suffix, p0 in enumerate(lev):
                 yield level, suffix, float(p0)
-
-    def with_node(self, level: int, suffix: int, p0: float) -> "ConditionalTree":
-        row = self._row(level, suffix)
-        levels = list(self._levels)
-        levels[row] = levels[row].copy()
-        levels[row][suffix] = check_real("p0", p0)
-        return ConditionalTree(self.depth, levels)
 
 
 def mass_pyramid(values: np.ndarray) -> list[np.ndarray]:
@@ -199,10 +190,8 @@ def factorize(d: Distribution) -> ConditionalTree:
 
 def reconstitute(tree: ConditionalTree) -> Distribution:
     """Distribution whose leaf probabilities are the root-to-leaf products."""
-    n = tree.depth
     mass = np.array([1.0])
-    for level in range(n, 0, -1):
-        p0 = tree._levels[n - level]
+    for p0 in tree.levels:
         mass = np.concatenate([p0 * mass, (1.0 - p0) * mass])
     return Distribution(mass)
 

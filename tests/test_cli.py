@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import platform
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +375,22 @@ class TestExitCodes:
         assert run(["partition-audit", "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["checks"] == [] and report["passed"] is False
+
+    def test_python_dash_m_runs_the_cli_and_passes_its_exit_code(self, tmp_path):
+        # PYTHONPATH names the directory that holds the package, as
+        # `PYTHONPATH=src` does in a source checkout
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def python_m(*args):
+            return subprocess.run([sys.executable, "-m", "qrecon", *args], env=env,
+                                  cwd=tmp_path, capture_output=True, timeout=120)
+
+        out = tmp_path / "out"
+        assert python_m("partition-audit", "--out", str(out)).returncode == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+        missing = python_m("partition-audit", "--config", str(tmp_path / "none.json"),
+                           "--out", str(out))
+        assert missing.returncode == 2 and b"config error" in missing.stderr
 
 
 class TestCriteriaTable:

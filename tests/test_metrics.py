@@ -9,12 +9,14 @@ from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, amplitude_phase_differentials,
                             extended_fisher_metric,
                             extended_fisher_metric_recursive,
-                            fisher_info_theta, fisher_info_theta_numeric,
-                            fisher_matrix_numeric, fubini_study_distance,
-                            fubini_study_metric, random_state, random_tangent,
-                            state_amplitudes, tangent_amplitudes)
+                            fisher_info_theta, fisher_matrix,
+                            fubini_study_distance, fubini_study_metric,
+                            random_state, random_tangent, state_amplitudes,
+                            tangent_amplitudes)
 from qrecon.probmodel import (ConditionalTree, Distribution, factorize,
                               mass_pyramid, reconstitute)
+
+UNIT = np.finfo(float).eps / 2  # unit roundoff of a double
 
 
 def haar_unitary(size, rng):
@@ -28,33 +30,32 @@ class TestFisherInfoTheta:
     def test_analytic_value_is_one(self, theta):
         assert fisher_info_theta(theta) == 1.0
 
-    def test_numeric_cross_check(self):
-        for theta in np.linspace(0.3, math.pi - 0.3, 25):
-            assert abs(fisher_info_theta_numeric(theta) - 1.0) < 1e-10
+    def test_is_the_depth_one_fisher_matrix(self):
+        # the one-node tree's matrix is the chart's information, close to the
+        # boundary as well: 1 within (3n + 6)u at n = 1 (the bound derived in
+        # TestFisherMatrix, the exact mass being 1)
+        for theta in [*np.linspace(0.3, math.pi - 0.3, 25), 0.2, 0.1, 0.05]:
+            tree = ConditionalTree(1, [[math.cos(theta / 2.0) ** 2]])
+            assert abs(fisher_matrix(tree)[0, 0] - 1.0) <= 9 * UNIT
 
-    def test_small_theta_extrapolation(self):
-        # the numeric sum approaches 1 toward the boundary as well
-        values = [fisher_info_theta_numeric(t) for t in (0.2, 0.1, 0.05)]
-        assert all(abs(v - 1.0) < 1e-5 for v in values)
 
-
-class TestFisherMatrixNumeric:
+class TestFisherMatrix:
     def test_single_bit_scalar(self):
         tree = factorize(Distribution([0.3, 0.7]))
-        mat = fisher_matrix_numeric(tree)
+        mat = fisher_matrix(tree)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_uniform_two_bit_diagonal(self):
         tree = factorize(Distribution([0.25] * 4))
-        mat = fisher_matrix_numeric(tree)
+        mat = fisher_matrix(tree)
         assert np.allclose(mat, np.diag([1.0, 0.5, 0.5]), atol=1e-8)
 
     def test_diagonal_weights_are_suffix_masses(self):
         rng = np.random.default_rng(4)
         d = Distribution(rng.dirichlet(np.ones(8)))
         tree = factorize(d)
-        mat = fisher_matrix_numeric(tree)
+        mat = fisher_matrix(tree)
         off = mat - np.diag(np.diag(mat))
         assert np.abs(off).max() < 1e-8
         # the diagonal entry of node (l, s) is the mass of its suffix
@@ -65,26 +66,56 @@ class TestFisherMatrixNumeric:
             expected.append(d.probs[mask].sum())
         assert np.allclose(np.diag(mat), expected, atol=1e-8)
 
+    @pytest.mark.parametrize("nbits", range(1, 11))
+    def test_diagonal_with_trace_n_up_to_rounding(self, nbits):
+        # Bounds from rounding, u the unit roundoff, first order in u.  A
+        # leaf of reconstitute is n products with n roundings of 1 - p0, and
+        # a branch mass of the pyramid adds at most n - 1 roundings of
+        # positive sums: within (3n - 1)u of its exact mass.  A score takes
+        # at most 2u, its square 5u, a product and the two-term sum 1u each.
+        # So a diagonal entry is its exact suffix mass M within (3n + 6)u
+        # and the pyramid's mass m within 3n u of it: |F_aa - m_a| <=
+        # (6n + 6)u m_a.  Each level's exact masses sum to 1, so the
+        # correctly rounded (fsum) trace is n within n (3n + 6)u + n u.  An
+        # off-diagonal entry is level k's score times the mean score
+        # M(w0 s0 + w1 s1), |mean| <= M sqrt(q0 q1) 2(3n + 3)u with
+        # sqrt(q0 q1) <= 1/2; one more product, and |S_k| sqrt(M_b) <=
+        # sqrt(M_a) (Cauchy-Schwarz over level k's node a), give |F_ab| <=
+        # (3n + 4)u sqrt(M_a M_b).
+        rng = np.random.default_rng(nbits)
+        for _ in range(20):
+            tree = ConditionalTree(nbits, [rng.uniform(size=1 << i)
+                                           for i in range(nbits)])
+            mat = fisher_matrix(tree)
+            masses = np.concatenate(
+                mass_pyramid(reconstitute(tree).probs)[:0:-1])
+            diag = np.diag(mat)
+            assert np.all(np.abs(diag - masses) <= (6 * nbits + 6) * UNIT * masses)
+            assert abs(math.fsum(diag) - nbits) <= nbits * (3 * nbits + 7) * UNIT
+            off = np.abs(mat - np.diag(diag))
+            assert np.all(off <= (3 * nbits + 4) * UNIT
+                          * np.sqrt(np.outer(masses, masses)))
+
     def test_matches_expected_log_likelihood_hessian(self):
+        # the independent oracle: central differences of the expected
+        # log-likelihood over the theta-node coordinates, each evaluation a
+        # tree built from the perturbed level arrays
         rng = np.random.default_rng(8)
         d = Distribution(rng.dirichlet(np.ones(8)))
         tree = factorize(d)
-        mat = fisher_matrix_numeric(tree)
-        nodes = [(lev, suf, p0) for lev, suf, p0 in tree.nodes()]
+        mat = fisher_matrix(tree)
         step = 1e-4
 
         def loglik(thetas):
-            t = tree
-            for (lev, suf, _), th in zip(nodes, thetas):
-                t = t.with_node(lev, suf, math.cos(th / 2.0) ** 2)
-            probs = reconstitute(t).probs
+            levels = [np.cos(thetas[(1 << i) - 1:(2 << i) - 1] / 2.0) ** 2
+                      for i in range(tree.depth)]
+            probs = reconstitute(ConditionalTree(tree.depth, levels)).probs
             return float(np.sum(d.probs * np.log(probs)))
 
-        base = np.array([2.0 * math.acos(math.sqrt(p0)) for _, _, p0 in nodes])
-        hess = np.empty((len(nodes), len(nodes)))
-        for a in range(len(nodes)):
-            for b in range(len(nodes)):
-                t = base.copy()
+        base = np.array([2.0 * math.acos(math.sqrt(p0)) for _, _, p0 in tree.nodes()])
+        hess = np.empty((base.size, base.size))
+        for a in range(base.size):
+            for b in range(base.size):
                 vals = []
                 for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                     t = base.copy()
@@ -97,13 +128,21 @@ class TestFisherMatrixNumeric:
     def test_boundary_node_raises(self):
         tree = factorize(Distribution([1.0, 0.0]))
         with pytest.raises(SingularityError):
-            fisher_matrix_numeric(tree)
+            fisher_matrix(tree)
 
-    def test_a_tree_too_deep_for_the_dense_scores_is_refused(self):
-        # depth 13 would fill a (2**13 - 1) x 2**13 score array
+    def test_a_deeper_boundary_node_is_named(self):
+        tree = ConditionalTree(2, [[0.5], [0.3, 0.0]])
+        with pytest.raises(SingularityError, match="level 1, suffix 1"):
+            fisher_matrix(tree)
+
+    def test_depth_zero_gives_an_empty_matrix(self):
+        assert fisher_matrix(ConditionalTree(0, [])).shape == (0, 0)
+
+    def test_a_tree_too_deep_for_the_dense_matrix_is_refused(self):
+        # depth 13 would fill a (2**13 - 1) x (2**13 - 1) matrix
         tree = ConditionalTree(13, [np.full(1 << i, 0.5) for i in range(13)])
         with pytest.raises(DomainError, match="depth 13"):
-            fisher_matrix_numeric(tree)
+            fisher_matrix(tree)
 
 
 class TestExtendedFisherMetric:

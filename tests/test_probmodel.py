@@ -210,24 +210,10 @@ class TestConditionalTreeValidation:
 
     @pytest.mark.parametrize("level,suffix", [(0, 0), (3, 0), (1, -1), (1, 4),
                                               (2, 2), (2, -1)])
-    def test_with_node_checks_its_position(self, level, suffix):
+    def test_node_checks_its_position(self, level, suffix):
         tree = ConditionalTree(2, [[0.5], [0.5, 0.5]])
         with pytest.raises(DomainError):
             tree.node(level, suffix)
-        with pytest.raises(DomainError):
-            tree.with_node(level, suffix, 0.3)
-
-    def test_with_node_value_is_checked(self):
-        tree = ConditionalTree(1, [[0.5]])
-        for bad in (math.nan, -0.1, 1.5):
-            with pytest.raises(DomainError):
-                tree.with_node(1, 0, bad)
-
-    @pytest.mark.parametrize("bad", ["x", [0.1, 0.2], 10**400, None],
-                             ids=["text", "list", "huge", "none"])
-    def test_with_node_value_must_be_a_real_number(self, bad):
-        with pytest.raises(DomainError, match="p0"):
-            ConditionalTree(1, [[0.5]]).with_node(1, 0, bad)
 
     # a float or a bool is not a level, a suffix or a depth, even when it
     # equals one
@@ -237,8 +223,6 @@ class TestConditionalTreeValidation:
         tree = ConditionalTree(2, [[0.5], [0.5, 0.5]])
         with pytest.raises(DomainError):
             tree.node(level, suffix)
-        with pytest.raises(DomainError):
-            tree.with_node(level, suffix, 0.3)
 
     @pytest.mark.parametrize("depth", [True, 1.0, -1])
     def test_depth_must_be_a_non_negative_integer(self, depth):
@@ -256,6 +240,16 @@ class TestConditionalTreeValidation:
         assert level.flags.writeable
         level[0] = 0.25
         assert tree.node(1, 0) == 0.5
+
+    def test_the_levels_are_a_read_only_tuple(self):
+        tree = ConditionalTree(2, [[0.5], [0.25, 0.75]])
+        assert isinstance(tree.levels, tuple)
+        assert [lev.tolist() for lev in tree.levels] == [[0.5], [0.25, 0.75]]
+        with pytest.raises(ValueError):
+            tree.levels[1][0] = 0.5
+        for name, value in (("levels", ()), ("depth", 3)):
+            with pytest.raises(AttributeError):
+                setattr(tree, name, value)
 
     def test_numpy_integer_positions_are_taken(self):
         tree = ConditionalTree(np.int64(2), [[0.5], [0.25, 0.75]])
