@@ -7,7 +7,8 @@ Subsystems: bit-pattern partitions and their shift/scale symmetries
 measurement simulation and maximum-likelihood estimation (`sampling`), the
 Bloch sphere and its observable charts (`bloch`), and the butterfly ladder
 relating conjugate distributions (`butterfly`) with its in-place numpy
-kernel (`kernels`), and a dense-vs-ladder benchmark (`bench`).
+kernel (`kernels`).  `criteria` holds the paper's numerical criteria, the
+dense-vs-ladder timing among them, and `cli` runs them.
 """
 
 from .bloch import (BlochPoint, ExtendedCoords, bloch_from_extended,

@@ -403,6 +403,11 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.nda
 # (3.5 MiB at 32, 6.7 MiB at 64) for no gain.
 LADDER_BLOCK = 32
 
+# Widest streamed sweep: 2**n * LADDER_BLOCK <= 2**(MAX_WIDTH - 1), so that
+# its (N, LADDER_BLOCK) block arrays hold at most half of the entries that
+# MAX_WIDTH allows one array.
+STREAMED_WIDTH = MAX_WIDTH - LADDER_BLOCK.bit_length()
+
 # Stages that apply_butterfly runs on its tail stack.  At n = 18 on a 2-core
 # VM, with the stages at STAGE_BUFSIZE, a stage with half-blocks of 64
 # entries or more took 0.9 to 1.2 ms on one array, against 1.6 to 6.0 ms
@@ -463,41 +468,35 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     J of F^dagger F, which should be the identity ("unitarity"): F's matrix
     is symmetric, so F^dagger = conj(F), the sign -1 ladder, whose bits are
     those of conj(F conj(X)).  Each value is the one a pass over the whole
-    matrices gives, bit for bit.  The block arrays, the Fourier columns
-    among them, are allocated once per sweep and each pass reads its tail
-    back into them, so no array holds more than O(N B) entries and a block
-    allocates little beyond its recursion columns.  The plan's ramps and
-    the references read one table of roots, built once per sweep, so the
-    final cell's twiddles W^j and the table's half-period symmetry
-    W^(j + N/2) = -W^j hold by construction; tests pin both on the table.
+    matrices gives, bit for bit.  N and LADDER_BLOCK are powers of 2, so
+    every block is B = min(LADDER_BLOCK, N) columns wide: the (N, B) block
+    arrays, the Fourier columns among them, are allocated once per sweep
+    and each pass reads its tail back into them, so no array holds more
+    than O(N B) entries.  Both plans and the references read one table of
+    roots, built once per sweep: the sign -1 plan reads its conjugate,
+    which has the bits of _root_table(N, -1).  So the final cell's twiddles
+    W^j and the table's half-period symmetry W^(j + N/2) = -W^j hold by
+    construction; tests pin both on the table.
     """
     size = 1 << n
-    roots = _roots(size, +1)  # one table for the references and the plan
+    b = min(LADDER_BLOCK, size)  # both powers of 2: every block is b wide
+    roots = _roots(size, +1)  # one table for the references and both plans
     plan = _plan(n, +1, roots[:size >> 1])
-    adjoint = _plan(n, -1, _root_table(size, -1))
+    adjoint = _plan(n, -1, roots[:size >> 1].conj())
     phases = np.exp(1j * derive_shift_phases(n))
-    # one set of flat buffers for the sweep, viewed per block of b columns,
-    # so that a short last block fits
-    cells = size * min(LADDER_BLOCK, size)
-    fwd_buf = np.empty(cells, dtype=complex)
-    dft_buf = np.empty(cells, dtype=complex)
-    flat_buf = np.empty(cells, dtype=complex)  # each pass's tail
-    diff_buf = np.empty(cells, dtype=complex)
-    mag_buf = np.empty(cells)
-    rec_buf = np.empty(cells * 3 // 2, dtype=complex)  # the recursion's levels
+    # one set of block arrays for the sweep
+    fwd, dft, diff = (np.empty((size, b), dtype=complex) for _ in range(3))
+    flat = np.empty(size * b, dtype=complex)  # each pass's tail
+    mag = np.empty((size, b))
+    rec_buf = np.empty(size * b * 3 // 2, dtype=complex)  # the recursion's levels
     worst = np.zeros(4)
-    for start in range(0, size, LADDER_BLOCK):
-        cols = np.arange(start, min(start + LADDER_BLOCK, size))
-        b = cols.size
+    for start in range(0, size, b):
+        cols = np.arange(start, start + b)
         diag = (cols, np.arange(b))  # the entries (j, j), j in J
-        fwd = fwd_buf[:size * b].reshape(size, b)
-        flat = flat_buf[:size * b]
         fwd.fill(0.0)
         fwd[diag] = 1.0  # the identity columns J, overwritten by F[:, J]
         _natural_order(_ladder_tail(plan, fwd, flat), fwd)
-        dft = _dft_columns(roots, cols, dft_buf[:size * b].reshape(size, b))
-        diff = diff_buf[:size * b].reshape(size, b)
-        mag = mag_buf[:size * b].reshape(size, b)
+        _dft_columns(roots, cols, dft)
         ladder = np.abs(np.subtract(fwd, dft, out=diff), out=mag).max()
         # P F - F D on columns J, P F[i] = F[i - 1] cyclically
         np.multiply(fwd, phases[cols], out=diff)
@@ -555,7 +554,7 @@ def verify_danielson_lanczos(n: int) -> dict:
     W = exp(2*pi*i/N), rebuilds dft_matrix(N, +1) entrywise, and that the
     ladder does too.
     """
-    n = check_integer("level count", n, 2, MAX_WIDTH - 6)
+    n = check_integer("level count", n, 2, STREAMED_WIDTH)
     dev = _ladder_deviations(n)
     return {
         "n": n,
@@ -575,7 +574,7 @@ def shift_operator_check(n: int) -> dict:
     depth-n shift phases, tying the twiddle derivation to the translation
     symmetry it came from.
     """
-    n = check_integer("level count", n, 1, MAX_WIDTH - 6)
+    n = check_integer("level count", n, 1, STREAMED_WIDTH)
     return {"n": n, "shift_deviation": _ladder_deviations(n)["shift"]}
 
 

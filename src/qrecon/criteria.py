@@ -19,11 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import bench as bench_mod
-from . import kernels
 from .bloch import (BlochPoint, chart_tangent_metric, metric_in_coords,
                     rebit_conjugate)
-from .butterfly import _ladder_deviations, derive_shift_phases
+from .butterfly import (_ladder_deviations, apply_butterfly,
+                        derive_shift_phases, dft_matrix, make_plan)
 from .exceptions import RangeError
 from .metrics import (INCREMENT_SD, _closed_form, _norm_preserving_differentials,
                       _recursion, extended_fisher_metric, fubini_study_metric,
@@ -284,14 +283,38 @@ SPEEDUP_SIZE = 4096  # the one size the floor judges; every bench config times i
 
 
 def speedup(cfg: dict, rng: np.random.Generator):
-    """One row per configured size; the check judges the SPEEDUP_SIZE row."""
-    rows = bench_mod.run_bench(cfg["sizes"], cfg["repeats"], cfg["seed"])
+    """The dense matrix-vector product against the butterfly apply, one row
+    {N, dense_ns, butterfly_ns, speedup} per configured size, best of
+    cfg["repeats"]; the check judges the SPEEDUP_SIZE row.  The ladder costs
+    O(N log N) cell operations against O(N^2) for the dense product, so the
+    speedup grows with N."""
+    rows = []
+    for size in cfg["sizes"]:
+        psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+        psi /= np.linalg.norm(psi)
+        dense = dft_matrix(size, +1)
+        plan = make_plan(size.bit_length() - 1, +1)
+        apply_butterfly(plan, psi)  # warm up
+        dense @ psi
+        dense_ns = _best_ns(lambda: dense @ psi, cfg["repeats"])
+        fly_ns = _best_ns(lambda: apply_butterfly(plan, psi), cfg["repeats"])
+        rows.append({"N": size, "dense_ns": dense_ns, "butterfly_ns": fly_ns,
+                     "speedup": dense_ns / fly_ns})
     checks = [Check(f"speedup-N{row['N']}",
-                    f"butterfly beats the dense product at N={row['N']} "
-                    f"(backend {kernels.BACKEND})",
+                    f"butterfly beats the dense product at N={row['N']}",
                     row["speedup"], MIN_SPEEDUP, row["speedup"] >= MIN_SPEEDUP)
               for row in rows if row["N"] == SPEEDUP_SIZE]
     return checks, rows
+
+
+def _best_ns(fn: Callable[[], object], repeats: int) -> int:
+    """The least of `repeats` wall times of fn(), in nanoseconds."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter_ns()
+        fn()
+        times.append(time.perf_counter_ns() - t0)
+    return min(times)
 
 
 # Each kind's criteria in run order, keyed by the check ids each one emits

@@ -27,9 +27,8 @@ class ConfigError(ValueError):
 
 # No array holds more than 2**MAX_WIDTH entries, so a width guard fails well
 # before memory runs out: n <= MAX_WIDTH for a vector or table of N = 2**n,
-# MAX_WIDTH // 2 for a dense N x N matrix, and MAX_WIDTH - 6 for the streamed
-# N x LADDER_BLOCK (32-column) blocks of butterfly, which keeps them at half
-# of the 2**MAX_WIDTH entries.
+# MAX_WIDTH // 2 for a dense N x N matrix, and butterfly.STREAMED_WIDTH for
+# the streamed N x LADDER_BLOCK blocks, derived there from the block width.
 MAX_WIDTH = 24
 
 # A builder that makes one Python int per element of a width-n domain stops

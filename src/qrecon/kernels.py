@@ -10,30 +10,18 @@ n; for odd n it is _INV_SQRT2 times a power of two, so it carries that
 constant's error, 0.56 ulp (1/sqrt(2) rounded twice).  An unnormalized
 stage grows an entry's modulus at most 2-fold, so entries up to about 1e300
 stay finite through every width up to `exceptions.MAX_WIDTH` = 24
-(2**24 * 1e300 is about 1.7e307).  `twiddles` is `ButterflyPlan.ramps`: twiddles[l-1] is the
-ramp of 2**(n-l) entries that follows stage l < n.  psi may be one state of
-N = 2**n components or a C-contiguous (N, B) stack of B column states; on a
-stack each stage works on every column at once, so its innermost loops run
-along the B columns (with the ramp broadcast down them) and stay long even
-where the stage's halves are short.  A stage allocates nothing: the
-difference of its halves goes into the caller's `scratch`, a flat complex
-array of at least N * B / 2 entries, and the stage's last multiply writes
-it straight into the second halves, so there is no copy pass.
-`butterfly.apply_butterfly` makes two calls per transform of at most
-`butterfly.BLOCK_ENTRIES` entries, on one state and on a stack alike: the
-first n - 6 stages run on the input itself, and the last 6 on a
-(64, N/64 * B) stack of its 64-entry blocks, with the scale of the whole
-n-stage ladder.  A larger input runs in 2**h blocks of 2**b rows
-(b = n - h, if b >= 6): one call runs its first h stages over the whole
-input, one call per block its next b - 6, and one per block of the tail, a
-(64, 2**b/64 * B) stack, its last 6.  It makes every call at numpy's least
-ufunc buffer (`butterfly.STAGE_BUFSIZE`), so numpy does not copy the
-strided halves through its buffer; the kernel itself keeps the caller's
-buffer size.  `butterfly.chain_propagate` makes one call per stage, on one
-state or an (N, S) stack, at numpy's default buffer, which its half-blocks
-of a few entries run faster at.  `apply_stages_inplace` is
-`apply_stage_range` over all n stages, with a scratch of its own.
-BACKEND names the kernel for reports.
+(2**24 * 1e300 is about 1.7e307).  `twiddles` is `ButterflyPlan.ramps`:
+twiddles[l-1] is the ramp of 2**(n-l) entries that follows stage l < n.
+psi may be one state of N = 2**n components or a C-contiguous (N, B) stack
+of B column states; on a stack each stage works on every column at once,
+so its innermost loops run along the B columns (with the ramp broadcast
+down them) and stay long even where the stage's halves are short.  A stage
+allocates nothing: the difference of its halves goes into the caller's
+`scratch`, a flat complex array of at least N * B / 2 entries, and the
+stage's last multiply writes it straight into the second halves, so there
+is no copy pass.  The kernel runs at the caller's ufunc buffer size.
+`apply_stages_inplace` is `apply_stage_range` over all n stages, with a
+scratch of its own.  BACKEND names the kernel for reports.
 """
 
 from __future__ import annotations

@@ -128,7 +128,8 @@ def fisher_matrix(tree: ConditionalTree) -> np.ndarray:
     suffix masses, its block with a shallower level that level's score times
     the branch-weighted mean score, 0 up to rounding.  Coordinates run root
     first, then level by level with ascending suffix.  A node at p0 = 0 or 1
-    is on the chart boundary and is refused.  The (2**n - 1)-square result is
+    is on the chart boundary and is refused, as is a node whose p0 is so
+    small (subnormal) that q1/q0 overflows.  The (2**n - 1)-square result is
     dense, so a tree deeper than MAX_WIDTH // 2 is refused before anything is
     allocated.
     """
@@ -137,12 +138,15 @@ def fisher_matrix(tree: ConditionalTree) -> np.ndarray:
     fisher = np.zeros(((1 << n) - 1,) * 2)
     scores = []  # per level i: its score on each branch s + bit * 2**i
     for i, p0 in enumerate(tree.levels):
-        (edge,) = np.nonzero((p0 <= 0.0) | (p0 >= 1.0))
-        if edge.size:
-            raise SingularityError(f"boundary node p0={p0[edge[0]]} at level "
-                                   f"{n - i}, suffix {edge[0]}")
         q1 = 1.0 - p0
-        score = np.concatenate([-np.sqrt(q1 / p0), np.sqrt(p0 / q1)])
+        with np.errstate(divide="ignore", over="ignore"):
+            odds = q1 / p0  # inf at p0 = 0 and where a subnormal p0 overflows it
+        (edge,) = np.nonzero(np.isinf(odds) | (q1 <= 0.0))
+        if edge.size:
+            raise SingularityError(f"node p0={p0[edge[0]]} at level {n - i}, "
+                                   f"suffix {edge[0]} is on or too near the "
+                                   "chart boundary")
+        score = np.concatenate([-np.sqrt(odds), np.sqrt(p0 / q1)])
         weighted = masses[n - i - 1] * score  # its 2**(i+1) branch masses
         suffix = np.arange(1 << i)
         nodes = (1 << i) - 1 + suffix
@@ -172,7 +176,7 @@ def _closed_form(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndar
     alive = rho > ZERO_MASS
     quad = np.divide(drho**2, rho, out=np.zeros_like(rho), where=alive).sum(axis=-1)
     mean = np.sum(rho * dphi, axis=-1)
-    return quad + 4.0 * np.sum(rho * dphi**2, axis=-1) - 4.0 * mean**2
+    return quad + 4 * np.sum(rho * dphi**2, axis=-1) - 4 * mean**2
 
 
 def extended_fisher_metric_recursive(psi, d):
@@ -216,14 +220,14 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
             q0, q1 = m0 / m_s, m1 / m_s
             dq0 = (flow[level - 1][..., :half] - q0 * f_s) / m_s
             live0, live1 = q0 > ZERO_MASS, q1 > ZERO_MASS
-            mean0 = np.where(live0, p0 / m0, 0.0)
-            mean1 = np.where(live1, p1 / m1, 0.0)
+            mean0 = np.where(live0, p0 / m0, 0)
+            mean1 = np.where(live1, p1 / m1, 0)
             interior = live0 & (q0 < 1.0 - ZERO_MASS)
-            node = dq0**2 / (q0 * q1) + 4.0 * q0 * q1 * (mean1 - mean0) ** 2
+            node = dq0**2 / (q0 * q1) + 4 * q0 * q1 * (mean1 - mean0) ** 2
             below0, below1 = _halves(metric, half)
-            metric = (np.where(live0, q0 * below0, 0.0)
-                      + np.where(live1, q1 * below1, 0.0)
-                      + np.where(interior, node, 0.0))
+            metric = (np.where(live0, q0 * below0, 0)
+                      + np.where(live1, q1 * below1, 0)
+                      + np.where(interior, node, 0))
             # only live branches pass a fault up: nothing below an empty
             # branch is evaluated
             fault0, fault1 = _halves(broken, half)

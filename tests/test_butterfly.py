@@ -1034,11 +1034,43 @@ class TestLadderDeviations:
 
     # N = 2..256 falls below, at and above the default block of columns
     @pytest.mark.parametrize("block", [
-        1, 3, pytest.param(butterfly.LADDER_BLOCK, id="default")])
+        1, 2, pytest.param(butterfly.LADDER_BLOCK, id="default")])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_streamed_equal_the_dense_passes(self, n, block, monkeypatch):
         monkeypatch.setattr(butterfly, "LADDER_BLOCK", block)
         assert butterfly._ladder_deviations(n) == dense_deviations(n)
+
+    def test_the_block_width_is_a_power_of_two(self):
+        # so is N, so every block of a sweep is min(LADDER_BLOCK, N) wide
+        block = butterfly.LADDER_BLOCK
+        assert block >= 1 and block & (block - 1) == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_a_sweep_builds_one_root_table(self, n, monkeypatch):
+        calls = []
+        real = butterfly._root_table
+
+        def counted(size, sign):
+            calls.append((size, sign))
+            return real(size, sign)
+
+        monkeypatch.setattr(butterfly, "_root_table", counted)
+        butterfly._ladder_deviations(n)
+        assert calls == [(1 << n, +1)]
+
+    def test_every_pass_runs_on_the_same_block_arrays(self, monkeypatch):
+        passes = []
+        real = butterfly._ladder_tail
+
+        def recorded(plan, work, flat):
+            passes.append((work, flat))
+            return real(plan, work, flat)
+
+        monkeypatch.setattr(butterfly, "_ladder_tail", recorded)
+        butterfly._ladder_deviations(8)  # 8 blocks, two passes each
+        assert len(passes) == 16
+        assert all(work is passes[0][0] and flat is passes[0][1]
+                   for work, flat in passes)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_reports_are_views_of_one_measurement(self, n):

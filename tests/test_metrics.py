@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,25 @@ class TestFisherMatrix:
         tree = ConditionalTree(2, [[0.5], [0.3, 0.0]])
         with pytest.raises(SingularityError, match="level 1, suffix 1"):
             fisher_matrix(tree)
+
+    # below about 5.6e-309 (1 over the largest double) q1/p0 overflows, so
+    # the score would be infinite and the matrix inf and NaN
+    @pytest.mark.parametrize("levels, where", [
+        ([[1e-310], [0.5, 0.5]], "level 2, suffix 0"),
+        ([[0.5], [0.3, 5e-324]], "level 1, suffix 1")], ids=["root", "deeper"])
+    def test_a_subnormal_node_is_refused(self, levels, where):
+        with pytest.raises(SingularityError, match=where):
+            fisher_matrix(ConditionalTree(2, levels))
+
+    def test_a_tiny_normal_node_keeps_its_matrix(self):
+        # the suffix masses are 1, p0 and 1 - p0; the bounds are those of
+        # test_diagonal_with_trace_n_up_to_rounding at n = 2
+        mat = fisher_matrix(ConditionalTree(2, [[1e-300], [0.5, 0.5]]))
+        masses = np.array([1.0, 1e-300, 1.0 - 1e-300])
+        diag = np.diag(mat)
+        assert np.all(np.abs(diag - masses) <= 18 * UNIT * masses)
+        assert np.all(np.abs(mat - np.diag(diag))
+                      <= 10 * UNIT * np.sqrt(np.outer(masses, masses)))
 
     def test_depth_zero_gives_an_empty_matrix(self):
         assert fisher_matrix(ConditionalTree(0, [])).shape == (0, 0)
@@ -526,6 +546,25 @@ class TestHalfSlicePasses:
             function(amps, damps)
         assert str(raised.value) == ("perturbation of a zero-amplitude component "
                                      "(row 3)")
+
+
+class TestExactRationals:
+    @pytest.mark.parametrize("nbits", [1, 2, 3])
+    def test_both_forms_give_one_fraction(self, nbits):
+        # a rational (rho, drho, dphi), sum drho = 0: the forms' int
+        # literals keep every value a Fraction, and the identity is exact
+        rng = np.random.default_rng(nbits)
+        size = 1 << nbits
+        weights = [Fraction(int(w)) for w in rng.integers(1, 50, size)]
+        steps = [Fraction(int(k), 97) for k in rng.integers(-20, 21, size)]
+        rho = np.array([[w / sum(weights) for w in weights]], dtype=object)
+        drho = np.array([[k - sum(steps) / size for k in steps]], dtype=object)
+        dphi = np.array([[Fraction(int(k), 13) for k in rng.integers(-30, 31, size)]],
+                        dtype=object)
+        (closed,) = metrics._closed_form(rho, drho, dphi)
+        (recursive,) = metrics._recursion(rho, drho, dphi)
+        assert type(closed) is Fraction and type(recursive) is Fraction
+        assert closed == recursive
 
 
 def per_sample_and_block(seed, bit_counts):
