@@ -9,15 +9,17 @@ in-place evaluation costs O(N log N) cell operations against O(N^2) for the
 dense product.  `apply_butterfly` runs the ladder on one state or on an
 (N, B) column stack; `transform_columns` is that call with a plan built
 from (n, sign).  Its body, `_ladder_tail` and `_natural_order`, is also
-run by `_ladder_deviations` on block arrays held for a whole sweep.
+run by `_ladder_deviations` on block arrays that each of its workers holds
+for a whole sweep.
 
 All four transform checks (ladder against the Fourier matrix, unitarity,
 the diagonalized shift, the Danielson-Lanczos decomposition) come from one
 streamed measurement over blocks of LADDER_BLOCK identity columns,
 `_ladder_deviations`, which builds no dense matrix and needs
-O(N * LADDER_BLOCK) memory at every size: two ladder passes per block, one
-for the columns and one, with the sign -1 plan, for unitarity, while the
-shift is judged as P F = F D on the columns alone.
+O(N * LADDER_BLOCK) memory per worker (at most SWEEP_WORKERS of them) at
+every size: two ladder passes per block, one for the columns and one, with
+the sign -1 plan, for unitarity, while the shift is judged as P F = F D on
+the columns alone.
 `verify_danielson_lanczos` and `shift_operator_check` rename its keys.  The
 plan's twiddle ramps and the Fourier references read one table of roots,
 `_root_table`, filled exactly by symmetry from cos and sin on its first
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,8 +360,10 @@ def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     size = check_integer("size", size, 1, 1 << (MAX_WIDTH // 2))
     if size & (size - 1):
         raise DomainError("size must be a power of 2")
-    return _dft_columns(_roots(size, _check_sign(sign)), np.arange(size),
-                        np.empty((size, size), dtype=complex))
+    table = _roots(size, _check_sign(sign)) / math.sqrt(size)
+    rows = min(size, max(1, DFT_BLOCK // size))
+    return _dft_columns(table, np.arange(size), np.empty((size, size), dtype=complex),
+                        np.empty((rows, size), dtype=np.intp))
 
 
 def _roots(size: int, sign: int) -> np.ndarray:
@@ -377,19 +382,19 @@ def _roots(size: int, sign: int) -> np.ndarray:
 DFT_BLOCK = 1 << 16
 
 
-def _dft_columns(roots: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Columns `cols` of the unitary Fourier matrix whose N roots are `roots`,
-    written into `out`, an (N, len(cols)) complex array: each row block
-    gathers roots[(j*k) & (N-1)] / sqrt(N)."""
-    size = roots.size
-    # the scaled table after out, the mask in place: 2 MB less peak RSS at n = 10
-    scaled = roots / math.sqrt(size)
-    rows = max(1, DFT_BLOCK // len(cols))
-    for start in range(0, size, rows):
-        block = out[start:start + rows]
-        idx = np.outer(np.arange(start, start + len(block)), cols)
-        idx &= size - 1
-        np.take(scaled, idx, out=block, mode="clip")
+def _dft_columns(table: np.ndarray, cols: np.ndarray, out: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """Columns `cols` of the unitary Fourier matrix whose N roots divided by
+    sqrt(N) are `table`, written into `out`, an (N, len(cols)) complex
+    array: each block of len(idx) rows gathers table[(j*k) & (N-1)], the
+    products j*k held in `idx`, an integer (rows, len(cols)) buffer."""
+    size = table.size
+    for start in range(0, size, len(idx)):
+        block = out[start:start + len(idx)]
+        products = idx[:len(block)]
+        np.multiply.outer(np.arange(start, start + len(block)), cols, out=products)
+        products &= size - 1
+        np.take(table, products, out=block, mode="clip")
     return out
 
 
@@ -397,16 +402,27 @@ def _dft_columns(roots: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.nda
 
 # Identity columns per block of the streamed ladder measurement.  On a 2-core
 # VM (three rounds of nine alternated sweeps in one process, best of each),
-# _ladder_deviations(10) took 67.8 to 68.7 ms at blocks of 32 columns,
-# against 79.0 to 80.2 ms for 16, 67.0 to 68.0 ms for 64 and 73.3 to
-# 73.7 ms for 128; 64 doubles the sweep's tracemalloc peak at n = 10
-# (3.5 MiB at 32, 6.7 MiB at 64) for no gain.
+# _ladder_deviations(10) on one worker took 67.8 to 68.7 ms at blocks of 32
+# columns, against 79.0 to 80.2 ms for 16, 67.0 to 68.0 ms for 64 and 73.3
+# to 73.7 ms for 128, so these timings are per worker; 64 doubled that
+# sweep's tracemalloc peak at n = 10 (3.5 MiB at 32, 6.7 MiB at 64, when
+# it held 6 * N * B block entries) for no gain.
 LADDER_BLOCK = 32
 
 # Widest streamed sweep: 2**n * LADDER_BLOCK <= 2**(MAX_WIDTH - 1), so that
 # its (N, LADDER_BLOCK) block arrays hold at most half of the entries that
 # MAX_WIDTH allows one array.
 STREAMED_WIDTH = MAX_WIDTH - LADDER_BLOCK.bit_length()
+
+# Workers of a _ladder_deviations sweep, the calling thread among them: two,
+# or one where the process may run on one CPU only (its affinity set, or
+# the machine's count where the platform has none).  Each worker's block
+# arrays (1.75 MiB at n = 10) stay in one core's 2 MiB L2 cache, and numpy
+# releases the GIL inside each array pass, so on a 2-core VM two workers
+# overlap; at blocks of 16 columns, twice the Python glue per column made
+# them lose to one.
+SWEEP_WORKERS = min(2, len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # Stages that apply_butterfly runs on its tail stack.  At n = 18 on a 2-core
 # VM, with the stages at STAGE_BUFSIZE, a stage with half-blocks of 64
@@ -469,14 +485,22 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     is symmetric, so F^dagger = conj(F), the sign -1 ladder, whose bits are
     those of conj(F conj(X)).  Each value is the one a pass over the whole
     matrices gives, bit for bit.  N and LADDER_BLOCK are powers of 2, so
-    every block is B = min(LADDER_BLOCK, N) columns wide: the (N, B) block
-    arrays, the Fourier columns among them, are allocated once per sweep
-    and each pass reads its tail back into them, so no array holds more
-    than O(N B) entries.  Both plans and the references read one table of
-    roots, built once per sweep: the sign -1 plan reads its conjugate,
-    which has the bits of _root_table(N, -1).  So the final cell's twiddles
-    W^j and the table's half-period symmetry W^(j + N/2) = -W^j hold by
-    construction; tests pin both on the table.
+    every block is B = min(LADDER_BLOCK, N) columns wide.  Both plans and
+    the references read one table of roots, built once per sweep: the
+    sign -1 plan reads its conjugate, which has the bits of
+    _root_table(N, -1), and the references its quotient by sqrt(N).  So the
+    final cell's twiddles W^j and the table's half-period symmetry
+    W^(j + N/2) = -W^j hold by construction; tests pin both on the table.
+
+    The blocks are independent, so the sweep splits them among
+    min(SWEEP_WORKERS, N / B) workers, worker w taking every workers-th
+    block from the w-th (_sweep_blocks, with block arrays of its own).
+    The calling thread is worker 0; the others run on a thread pool made
+    for this call and joined before it returns, raise or not, and numpy
+    releases the GIL inside each array pass.  The result is the
+    elementwise max of the workers' worst values: max is exact, and each
+    block's arithmetic is the same on any worker, so the values have the
+    same bits at every worker count.
     """
     size = 1 << n
     b = min(LADDER_BLOCK, size)  # both powers of 2: every block is b wide
@@ -484,19 +508,58 @@ def _ladder_deviations(n: int) -> dict[str, float]:
     plan = _plan(n, +1, roots[:size >> 1])
     adjoint = _plan(n, -1, roots[:size >> 1].conj())
     phases = np.exp(1j * derive_shift_phases(n))
-    # one set of block arrays for the sweep
-    fwd, dft, diff = (np.empty((size, b), dtype=complex) for _ in range(3))
-    flat = np.empty(size * b, dtype=complex)  # each pass's tail
-    mag = np.empty((size, b))
-    rec_buf = np.empty(size * b * 3 // 2, dtype=complex)  # the recursion's levels
+    sweep = functools.partial(_sweep_blocks, n, b, roots, roots / math.sqrt(size),
+                              plan, adjoint, phases)
+    starts = range(0, size, b)
+    workers = min(SWEEP_WORKERS, len(starts))
+    if workers == 1:
+        worst = sweep(starts)
+    else:
+        # imported here, not with the module: it loads logging, which put
+        # 0.5 MB on the peak RSS of processes that never sweep
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:  # joined on exit
+            others = [pool.submit(sweep, starts[w::workers]) for w in range(1, workers)]
+            worst = np.maximum.reduce([sweep(starts[::workers])]
+                                      + [other.result() for other in others])
+    worst[2] *= math.sqrt(size)
+    return dict(zip(("ladder", "unitarity", "shift", "recursion"), map(float, worst)))
+
+
+def _sweep_blocks(n: int, b: int, roots: np.ndarray, table: np.ndarray,
+                  plan: ButterflyPlan, adjoint: ButterflyPlan, phases: np.ndarray,
+                  starts: range) -> np.ndarray:
+    """One worker's share of _ladder_deviations: the blocks of b identity
+    columns that begin at `starts`, on block arrays allocated once for the
+    share.  Returns the worst (ladder, unitarity, unscaled shift, recursion)
+    values over the share, NaN if any block gave one.
+
+    The share holds 7/2 * N * b complex entries: the Fourier columns `dft`
+    and one arena of 5/2 * N * b, whose parts serve as `fwd` (the identity
+    columns, then F[:, J], then F^dagger F[:, J]), `flat` (each pass's
+    tail, then the ladder's and the shift's differences) and `mag` (the
+    moduli, and the products j*k of _dft_columns before them).  After the
+    unitarity check, flat and mag are _recursion_columns' 3/2 * N * b
+    buffer, which leaves level n in flat; the recursion's difference goes
+    into dft, whose last use it is.  `roots` is the sweep's table of N
+    roots, `table` its quotient by sqrt(N).
+    """
+    size = 1 << n
+    arena = np.empty(5 * size * b // 2, dtype=complex)
+    fwd = arena[:size * b].reshape(size, b)
+    flat = arena[size * b:2 * size * b]
+    diff = flat.reshape(size, b)
+    mag = arena[2 * size * b:].view(float).reshape(size, b)
+    products = mag.view(np.intp)[:max(1, DFT_BLOCK // b)]
+    dft = np.empty((size, b), dtype=complex)
     worst = np.zeros(4)
-    for start in range(0, size, b):
+    for start in starts:
         cols = np.arange(start, start + b)
         diag = (cols, np.arange(b))  # the entries (j, j), j in J
         fwd.fill(0.0)
         fwd[diag] = 1.0  # the identity columns J, overwritten by F[:, J]
         _natural_order(_ladder_tail(plan, fwd, flat), fwd)
-        _dft_columns(roots, cols, dft)
+        _dft_columns(table, cols, dft, products)
         ladder = np.abs(np.subtract(fwd, dft, out=diff), out=mag).max()
         # P F - F D on columns J, P F[i] = F[i - 1] cyclically
         np.multiply(fwd, phases[cols], out=diff)
@@ -506,11 +569,10 @@ def _ladder_deviations(n: int) -> dict[str, float]:
         gram = _natural_order(_ladder_tail(adjoint, fwd, flat), fwd)
         gram[diag] -= 1.0  # leaves F^dagger F - I
         unitarity = np.abs(gram, out=mag).max()
-        rec = _recursion_columns(n, cols, roots, rec_buf)
-        recursion = np.abs(np.subtract(rec, dft, out=diff), out=mag).max()
+        rec = _recursion_columns(n, cols, roots, arena[size * b:])
+        recursion = np.abs(np.subtract(rec, dft, out=dft), out=mag).max()
         worst = np.maximum(worst, [ladder, unitarity, shift, recursion])
-    worst[2] *= math.sqrt(size)
-    return dict(zip(("ladder", "unitarity", "shift", "recursion"), map(float, worst)))
+    return worst
 
 
 def _recursion_columns(n: int, cols: np.ndarray, roots: np.ndarray,

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria
+from . import butterfly, criteria
 from .bloch import BlochPoint
 from .exceptions import ConfigError, DomainError
 from .partitions import ENUMERATION_WIDTH_CAP
@@ -150,9 +150,10 @@ FIELDS: dict[str, dict[str, tuple]] = {
     },
     "fft-derive": {
         "seed": (0, _integer(0)),
-        # the streamed transform checks take O(N^2 log N) time: a run at 12
-        # levels took 1.7-1.9 s (elapsed_s; 2.0-2.3 s as a process) and one at
-        # 11 took 0.43 s, about four times less per level (2-core Xeon VM)
+        # the streamed transform checks take O(N^2 log N) time: on a 2-core
+        # Xeon VM, with the sweep on two workers, a run at 12 levels took
+        # 1.05-1.19 s (elapsed_s; 1.2-1.35 s as a process) and one at 11
+        # took 0.28-0.29 s, about four times less per level
         "levels": (3, _integer(1, 12)),
     },
     "partition-audit": {"seed": (0, _integer(0)),
@@ -220,13 +221,15 @@ def _write_csv(path: Path, fields: list[str], records: list[dict]) -> None:
 
 def environment(seed: int) -> dict:
     """What bit-for-bit replay of a seeded run rests on besides the config:
-    the interpreter, numpy (its generator algorithms), the machine and the
-    BLAS thread settings.  Only cheap reads, no subprocess."""
+    the interpreter, numpy (its generator algorithms), the machine, the
+    BLAS thread settings and the workers of the fft-derive sweep (which
+    change its time, not its values).  Only cheap reads, no subprocess."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "sweep_workers": butterfly.SWEEP_WORKERS,
         "seed": seed,
     }
 

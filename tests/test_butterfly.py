@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1058,7 +1062,8 @@ class TestLadderDeviations:
         butterfly._ladder_deviations(n)
         assert calls == [(1 << n, +1)]
 
-    def test_every_pass_runs_on_the_same_block_arrays(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_pass_runs_on_the_same_block_arrays(self, workers, monkeypatch):
         passes = []
         real = butterfly._ladder_tail
 
@@ -1066,11 +1071,97 @@ class TestLadderDeviations:
             passes.append((work, flat))
             return real(plan, work, flat)
 
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", workers)
         monkeypatch.setattr(butterfly, "_ladder_tail", recorded)
         butterfly._ladder_deviations(8)  # 8 blocks, two passes each
         assert len(passes) == 16
-        assert all(work is passes[0][0] and flat is passes[0][1]
-                   for work, flat in passes)
+        # one (work, flat) pair per worker; passes holds every array, so no
+        # two live arrays share an id
+        pairs = {}
+        for work, flat in passes:
+            assert pairs.setdefault(id(work), (work, flat))[1] is flat
+        assert len(pairs) == workers
+        arrays = [a for pair in pairs.values() for a in pair]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_worker_count_gives_the_same_bits(self, workers, monkeypatch):
+        # three workers split n = 8's 8 blocks 3, 3, 2
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 1)
+        serial = {n: butterfly._ladder_deviations(n) for n in range(1, 11)}
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", workers)
+        assert {n: butterfly._ladder_deviations(n) for n in range(1, 11)} == serial
+
+    def test_more_workers_than_cores_at_a_short_switch_interval(self, monkeypatch):
+        # the workers share only read-only tables: interleaving them as
+        # finely as the interpreter allows changes no bit
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 1)
+        serial = butterfly._ladder_deviations(9)
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert butterfly._ladder_deviations(9) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_workers_take_every_workers_th_block(self, monkeypatch):
+        shares = []
+        real = butterfly._sweep_blocks
+
+        def recorded(*args):
+            shares.append(list(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 3)
+        monkeypatch.setattr(butterfly, "_sweep_blocks", recorded)
+        butterfly._ladder_deviations(8)
+        b = butterfly.LADDER_BLOCK
+        assert sorted(shares) == [[0, 3 * b, 6 * b], [b, 4 * b, 7 * b], [2 * b, 5 * b]]
+
+    def test_a_raise_in_a_pool_worker_propagates(self, monkeypatch):
+        real = butterfly._recursion_columns
+        before = threading.active_count()
+
+        def failing(n, cols, roots, out):
+            if cols[0] == butterfly.LADDER_BLOCK:  # the second block: a pool worker's
+                assert threading.current_thread() is not threading.main_thread()
+                raise FloatingPointError("block 1")
+            return real(n, cols, roots, out)
+
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 2)
+        monkeypatch.setattr(butterfly, "_recursion_columns", failing)
+        with pytest.raises(FloatingPointError, match="block 1"):
+            butterfly._ladder_deviations(8)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 2)
+        before = threading.active_count()
+        butterfly._ladder_deviations(10)
+        assert threading.active_count() == before
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        submitted = []
+        real = ThreadPoolExecutor.submit
+
+        def recorded(pool, *args, **kwargs):
+            submitted.append(args)
+            return real(pool, *args, **kwargs)
+
+        monkeypatch.setattr(butterfly, "SWEEP_WORKERS", 2)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded)
+        for n in range(1, 6):  # N <= LADDER_BLOCK: one block, one worker
+            butterfly._ladder_deviations(n)
+        assert submitted == []
+        butterfly._ladder_deviations(6)  # two blocks: the pool takes one
+        assert len(submitted) == 1
+
+    def test_sweep_workers_is_at_most_two_available_cpus(self):
+        assert 1 <= butterfly.SWEEP_WORKERS <= min(2, os.cpu_count())
+        if hasattr(os, "sched_getaffinity"):
+            assert butterfly.SWEEP_WORKERS <= len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_reports_are_views_of_one_measurement(self, n):
@@ -1115,8 +1206,8 @@ class TestLadderDeviations:
         monkeypatch.setattr(butterfly, "LADDER_BLOCK", 2)
         real = butterfly._dft_columns
 
-        def poisoned(roots, cols, out):
-            out = real(roots, cols, out)
+        def poisoned(table, cols, out, products):
+            out = real(table, cols, out, products)
             if cols[0] == 2:
                 out[0, 0] = np.nan
             return out

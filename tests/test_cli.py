@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrecon import cli, criteria
+from qrecon import butterfly, cli, criteria
 from qrecon.cli import main
 from qrecon.exceptions import ConfigError
 from qrecon.sampling import chi2_band
@@ -558,6 +558,7 @@ class TestDeterminism:
         assert list(env["blas_threads"]) == list(cli.BLAS_THREAD_VARS)
         assert env["blas_threads"]["OMP_NUM_THREADS"] == "3"
         assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert env["sweep_workers"] == butterfly.SWEEP_WORKERS in (1, 2)
         assert env["seed"] == 11
 
     @pytest.mark.parametrize("kind,extra,pinned", [
