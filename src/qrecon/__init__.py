@@ -4,7 +4,7 @@ information-geometric first principles.
 Subsystems: bit-pattern partitions and their shift/scale symmetries
 (`partitions`), probability factorization trees and the theta chart
 (`probmodel`), Fisher / extended Fisher / Fubini-Study metrics (`metrics`),
-measurement simulation and maximum-likelihood estimation (`sampling`), the
+measurement simulation and the replicas' estimates (`sampling`), the
 Bloch sphere and its observable charts (`bloch`), and the butterfly ladder
 relating conjugate distributions (`butterfly`) with its in-place numpy
 kernel (`kernels`).  `criteria` holds the paper's numerical criteria, the
@@ -25,9 +25,9 @@ from .butterfly import (ButterflyPlan, apply_butterfly, assemble_transform,
 from .exceptions import ConfigError, DomainError, RangeError, SingularityError
 from .kernels import AVAILABLE_BACKENDS, BACKEND
 from .metrics import (extended_fisher_metric,
-                      extended_fisher_metric_recursive, fisher_info_theta,
-                      fisher_matrix, fubini_study_distance,
-                      fubini_study_metric, random_state, random_tangent)
+                      extended_fisher_metric_recursive, fisher_matrix,
+                      fubini_study_distance, fubini_study_metric,
+                      random_state, random_tangent)
 from .partitions import (DigitSubsetSet, Partition, PhaseSpaceSet,
                          apply_shift, enumerate_binary_partitions,
                          finest_common_partition, is_invariant_under_shift,
@@ -36,7 +36,6 @@ from .partitions import (DigitSubsetSet, Partition, PhaseSpaceSet,
 from .probmodel import (ConditionalTree, Distribution, factorize,
                         marginalize_to_partition, prob_from_theta,
                         reconstitute, s_variable, theta_from_prob)
-from .sampling import (measurement_stream, mle_theta, simulate_bernoulli,
-                       tomography_experiment)
+from .sampling import measurement_stream, tomography_experiment
 
 __version__ = "0.1.0"

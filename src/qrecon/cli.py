@@ -43,8 +43,9 @@ MAX_TRIALS = 2**60
 # bounds a run's estimate arrays (24 bytes a replica at the peak) and its
 # time: at 10**6 replicas a three-observable run draws 3 * 10**6 binomials
 MAX_REPLICAS = 10**6
-# the fewest replicas whose variance band has its lower edge above 0, so that
-# too small a variance can fail it: 1 - sigma * sqrt(2 / (replicas - 1)) > 0
+# the fewest replicas whose variance band (criteria.chi2_band) has its lower
+# edge above 0, so that too small a variance can fail it: that edge is
+# 1 - BAND_SIGMA times the chi^2 spread, positive once replicas - 1 > 2 sigma^2
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # bounds metric-check's time: it draws and evaluates the samples a block at a
 # time, so at the default levels a run at the samples cap took 5.2 s with a

@@ -7,6 +7,8 @@ from cfg["seed"] and draw from it, or spawn child streams from it, in that
 order, so their order fixes what each one draws.  The CLI runs them at
 a config's scope, tests/test_acceptance.py at the release scope.  Each
 tolerance is a constant here, next to its check: no config can loosen it.
+`qrecon.sampling` only simulates: the tomography variance band is built
+(`chi2_band`, from the chi^2 spread of a sample variance) and judged here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .metrics import (INCREMENT_SD, _closed_form, _norm_preserving_differentials
 from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
                          scale_transform_set,
                          shift_invariant_equal_partitions)
-from .sampling import chi2_band, gaussian_p_value, tomography_experiment
+from .sampling import tomography_experiment
 
 # amplitudes per stacked block of metric samples (a block holds at least one
 # state): 32 kB per draw array (four of them), 64 kB per stack and about
@@ -238,6 +240,25 @@ PARITY_TOL = 0.05  # precision-parity, max relative difference of two precisions
 BAND_SIGMA = 5.0   # variance-band half-width, in chi^2 standard deviations
 
 
+def _chi2_spread(replicas: int) -> float:
+    """Relative standard deviation of the sample variance of `replicas`
+    normal draws: (replicas-1) times its ratio to the true variance is chi^2
+    with replicas-1 dof, of mean replicas-1 and variance 2(replicas-1)."""
+    return math.sqrt(2.0 / (replicas - 1))
+
+
+def chi2_band(replicas: int, sigma: float) -> tuple[float, float]:
+    """Relative band, `sigma` standard deviations either side of 1, for a
+    sample variance of `replicas` draws."""
+    rel = sigma * _chi2_spread(replicas)
+    return 1.0 - rel, 1.0 + rel
+
+
+def gaussian_p_value(z: float) -> float:
+    """Two-sided normal p-value for a z score (reported on band failures)."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
 def tomography(cfg: dict, rng: np.random.Generator):
     """precision-parity and one variance band per observable, from one
     experiment; one report row per observable."""
@@ -266,7 +287,7 @@ def tomography(cfg: dict, rng: np.random.Generator):
     lo, hi = chi2_band(cfg["replicas"], BAND_SIGMA)
     for s in finite:
         scaled = s.var_hat * s.trials
-        z = (scaled - 1.0) / math.sqrt(2.0 / (cfg["replicas"] - 1))
+        z = (scaled - 1.0) / _chi2_spread(cfg["replicas"])
         checks.append(Check(
             f"variance-band-{s.observable}",
             f"M*var(theta_hat) of {s.observable} inside the {BAND_SIGMA}-sigma "

@@ -1,10 +1,10 @@
 """Information metrics on probability trees and on complex state vectors.
 
-The central objects are the Fisher information of the theta parametrization,
-its extension to amplitude-and-phase coordinates on normalized complex
-vectors, and the Fubini-Study metric/distance.  The Fisher matrix of a
-conditional tree comes from analytic scores, one array pass per pair of tree
-levels over `probmodel.mass_pyramid`'s branch masses.  The extended metric
+The central objects are the Fisher matrix of a conditional tree's theta
+coordinates, its extension to amplitude-and-phase coordinates on normalized
+complex vectors, and the Fubini-Study metric/distance.  The Fisher matrix
+comes from analytic scores, one array pass per pair of tree levels over
+`probmodel.mass_pyramid`'s branch masses.  The extended metric
 equals four times the Fubini-Study metric on normalized states with
 norm-preserving tangents; both a closed form and a bottom-up even/odd
 recursion are provided and must agree.  A state is its amplitude array and
@@ -34,8 +34,8 @@ import math
 import numpy as np
 
 from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
-                         check_integer, check_real, complex_array,
-                         real_array, reject_rows)
+                         check_integer, complex_array, real_array,
+                         reject_rows)
 from .probmodel import (ConditionalTree, _normalized, mass_pyramid,
                         reconstitute)
 
@@ -102,17 +102,6 @@ def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.n
     reject_rows(_norm_drift(drho) > TANGENT_TOL, DomainError,
                 "tangent does not preserve the norm to first order")
     return rho, drho, dphi
-
-
-def fisher_info_theta(theta: float) -> float:
-    """Fisher information of the theta parametrization of a binary outcome.
-
-    Analytically the expectation sum collapses to 1 for every theta; the
-    endpoints are covered by continuity.
-    """
-    if not 0.0 <= check_real("theta", theta) <= math.pi:
-        raise DomainError("theta outside [0, pi]")
-    return 1.0
 
 
 def fisher_matrix(tree: ConditionalTree) -> np.ndarray:

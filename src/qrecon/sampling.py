@@ -1,12 +1,12 @@
-"""Measurement simulation and maximum-likelihood estimation.
+"""Measurement simulation.
 
 Every binary observable is described by its angle on the theta chart,
 P(0) = cos^2(theta/2) (`qrecon.probmodel`): a tomography experiment takes
 one {observable: theta} dict.  A measurement of M binary outcomes is its
-count N0 of outcome 0, and the maximum-likelihood estimate `mle_theta(N0, M)`
-maps the observed frequency N0/M back through the same chart.  The
-experiment returns one summary of its estimates' spread per observable;
-`qrecon.criteria` compares their precisions and judges them.
+count N0 of outcome 0, and a replica's maximum-likelihood estimate
+2*arccos(sqrt(N0/M)) maps the observed frequency back through the same
+chart.  The experiment returns one summary of its estimates' spread per
+observable; `qrecon.criteria` compares their precisions and judges them.
 
 Randomness comes from counter-based Philox streams (Salmon et al., SC 2011),
 one per (master seed, observable): `measurement_stream` keys it with
@@ -14,7 +14,6 @@ one per (master seed, observable): `measurement_stream` keys it with
 tomography experiment is the r-th binomial draw of its observable's stream,
 so all replicas come from one array draw, replay bit-identically from the
 seed, and the first k replicas of any run are those of a k-replica run.
-`simulate_bernoulli` draws replica 0's count.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import MAX_WIDTH, DomainError, check_integer, check_real
-from .probmodel import prob_from_theta, theta_from_prob
+from .probmodel import prob_from_theta
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
 
@@ -41,34 +40,6 @@ def measurement_stream(master_seed: int, observable: str) -> np.random.Generator
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _replica_zeros(theta: float, trials: int, seed: int,
-                   observable: str, replicas: int) -> np.ndarray:
-    """Counts of outcome 0 of the first `replicas` replicas, `trials`
-    outcomes each: replica r is the r-th binomial draw of the (seed,
-    observable) stream."""
-    # numpy's binomial takes the trial count as an int64
-    check_integer(f"observable {observable}: trials", trials, 1,
-                  np.iinfo(np.int64).max)
-    p0, _ = prob_from_theta(theta)
-    return measurement_stream(seed, observable).binomial(trials, p0, size=replicas)
-
-
-def simulate_bernoulli(theta: float, trials: int, seed: int,
-                       observable: str = "q") -> int:
-    """The count of outcome 0 in `trials` i.i.d. binary outcomes with P(0) =
-    cos^2(theta/2): replica 0 of a tomography experiment with this seed."""
-    return int(_replica_zeros(theta, trials, seed, observable, 1)[0])
-
-
-def mle_theta(zeros: int, trials: int) -> tuple[float, float]:
-    """Maximum-likelihood estimate 2*arccos(sqrt(N0/M)) from N0 = `zeros` of
-    M = `trials` outcomes, and its asymptotic variance 1/M (boundary counts
-    give 0 or pi)."""
-    trials = check_integer("trials", trials, 1)
-    zeros = check_integer("zeros", zeros, 0, trials)
-    return theta_from_prob(zeros / trials), 1.0 / trials
-
-
 @dataclass(frozen=True)
 class ObservableSummary:
     observable: str
@@ -82,11 +53,16 @@ class ObservableSummary:
 def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
                        replicas: int) -> np.ndarray:
     """Each replica's maximum-likelihood estimate 2*arccos(sqrt(N0/M)), in
-    one array pass."""
-    zeros = _replica_zeros(theta, trials, seed, observable, replicas)
+    one array pass: replica r's count N0 of outcome 0 in M = `trials`
+    outcomes is the r-th binomial draw of the (seed, observable) stream."""
+    # numpy's binomial takes the trial count as an int64
+    check_integer(f"observable {observable}: trials", trials, 1,
+                  np.iinfo(np.int64).max)
+    p0, _ = prob_from_theta(theta)
+    zeros = measurement_stream(seed, observable).binomial(trials, p0, size=replicas)
     if trials > 2**53:
         # float64 rounds counts above 2**53; Python's int division gives the
-        # correctly rounded N0/M that mle_theta takes
+        # correctly rounded N0/M
         freq = np.array([z / trials for z in zeros.tolist()])
     else:
         # float64 holds these counts exactly, so the array division is
@@ -106,6 +82,9 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     per-measurement precision contribution 1 / (M * var), infinite for an
     estimate pinned at a boundary.
     """
+    for arg, given in (("thetas", thetas), ("trials", trials)):
+        if not isinstance(given, dict) or not all(isinstance(k, str) for k in given):
+            raise DomainError(f"{arg} must be a dict keyed by observable name")
     thetas = {name: check_real(f"observable {name}: theta", theta)
               for name, theta in thetas.items()}
     if not thetas:
@@ -131,16 +110,3 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
             theta_hat_mean=float(est.mean()), var_hat=var_hat,
             precision_per_measurement=precision))
     return tuple(summaries)
-
-
-def chi2_band(replicas: int, sigma: float) -> tuple[float, float]:
-    """Relative band, `sigma` standard deviations either side of 1, for a
-    sample variance of `replicas` draws: the scaled variance is chi^2 with
-    replicas-1 dof, whose relative sd is sqrt(2/(replicas-1))."""
-    rel = sigma * math.sqrt(2.0 / (replicas - 1))
-    return 1.0 - rel, 1.0 + rel
-
-
-def gaussian_p_value(z: float) -> float:
-    """Two-sided normal p-value for a z score (reported on band failures)."""
-    return math.erfc(abs(z) / math.sqrt(2.0))

@@ -182,45 +182,48 @@ class TestMetricInCoords:
             expected, rel=1e-9)
 
 
-def chart_tangent_metric_oracle(point, velocity, axis, step=2e-4):
-    """The chain rule by finite differences: follow the great circle through
-    the point along the projected tangent at unit speed, differentiate the
-    chart angles by Richardson-extrapolated central differences, and scale
-    the metric by speed**2.  chart_tangent_metric's closed form must agree
-    with it to CHART_TOL."""
-    p = point.as_array()
-    v = np.asarray(velocity, dtype=float)
-    v = v - np.dot(v, p) * p
-    speed = float(np.linalg.norm(v))
-    if speed < 1e-15:
+# each chart's (mu, nu, xi) components of a stack row (sq, sp, sr)
+CHART_TRIPLETS = {"q": (0, 1, 2), "r": (2, 0, 1), "p": (1, 2, 0)}
+
+
+def chart_tangent_metric_oracle(points, velocities, axis, step=2e-4):
+    """The chain rule by finite differences, over a (P, 3) stack: follow the
+    great circle through each point along its projected tangent at unit
+    speed, differentiate the chart angles by Richardson-extrapolated central
+    differences, and scale the metric dtheta^2 + sin^2(theta) dalpha^2 by
+    speed**2.  chart_tangent_metric's closed form must agree with it to
+    CHART_TOL."""
+    p = np.asarray(points, dtype=float)
+    v = np.asarray(velocities, dtype=float)
+    v = v - np.sum(v * p, axis=1, keepdims=True) * p
+    speed = np.linalg.norm(v, axis=1)
+    if (speed < 1e-15).any():
         raise DomainError("zero tangent")
-    direction = v / speed
+    direction = v / speed[:, None]
+    mu, nu, xi = CHART_TRIPLETS[axis]
 
     def chart_at(t):
         c = math.cos(t) * p + math.sin(t) * direction
-        pt = BlochPoint(*(c / np.linalg.norm(c)))
-        mu, nu, xi = {"q": ("q", "p", "r"), "r": ("r", "q", "p"),
-                      "p": ("p", "r", "q")}[axis]
-        theta = math.acos(min(max(pt.component(mu), -1.0), 1.0))
-        if math.sin(theta) < 1e-12:
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        theta = np.arccos(np.clip(c[:, mu], -1.0, 1.0))
+        if (np.sin(theta) < 1e-12).any():
             raise SingularityError("tangent curve crosses a chart pole")
-        alpha = math.atan2(pt.component(xi), pt.component(nu))
-        if alpha <= -math.pi:
-            alpha = math.pi
+        alpha = np.arctan2(c[:, xi], c[:, nu])
+        alpha[alpha <= -math.pi] = math.pi
         return theta, np.exp(1j * alpha)
 
     def derivatives(h):
         t_plus, a_plus = chart_at(h)
         t_minus, a_minus = chart_at(-h)
         return ((t_plus - t_minus) / (2.0 * h),
-                float(np.angle(a_plus / a_minus)) / (2.0 * h))
+                np.angle(a_plus / a_minus) / (2.0 * h))
 
     theta0, _ = chart_at(0.0)
     coarse = derivatives(step)
     fine = derivatives(step / 2.0)
     dtheta = (4.0 * fine[0] - coarse[0]) / 3.0
     dalpha = (4.0 * fine[1] - coarse[1]) / 3.0
-    return metric_in_coords(theta0, dtheta, dalpha) * speed**2
+    return (dtheta**2 + np.sin(theta0) ** 2 * dalpha**2) * speed**2
 
 
 class TestChartTangentMetricOracle:
@@ -229,22 +232,21 @@ class TestChartTangentMetricOracle:
         scales = (1.0, 1e-3, 1e-6, 1e-9)  # short tangents included
         points, tangents = [], []
         for k in range(20_000):
-            points.append(random_point(rng, pole_margin=0.01))
+            points.append(random_point(rng, pole_margin=0.01).as_array())
             tangents.append(scales[k % len(scales)] * rng.normal(size=3))
-        stack = np.array([pt.as_array() for pt in points])
+        points, tangents = np.array(points), np.array(tangents)
         for axis in "qpr":
-            closed = chart_tangent_metric(stack, np.array(tangents), axis)
-            oracle = np.array([chart_tangent_metric_oracle(pt, tangent, axis)
-                               for pt, tangent in zip(points, tangents)])
+            closed = chart_tangent_metric(points, tangents, axis)
+            oracle = chart_tangent_metric_oracle(points, tangents, axis)
             assert (np.abs(closed - oracle) <= CHART_TOL * oracle).all()
 
     def test_guards_match_the_oracle(self):
-        pole = BlochPoint(0.0, 0.0, 1.0)
-        for metric in (one_point, chart_tangent_metric_oracle):
+        pole = np.array([[0.0, 0.0, 1.0]])  # a one-row stack
+        for metric in (chart_tangent_metric, chart_tangent_metric_oracle):
             with pytest.raises(DomainError):
-                metric(pole, np.array([0.0, 0.0, 2.0]), "q")  # radial only
+                metric(pole, np.array([[0.0, 0.0, 2.0]]), "q")  # radial only
             with pytest.raises(SingularityError):
-                metric(pole, np.array([1.0, 0.0, 0.0]), "r")
+                metric(pole, np.array([[1.0, 0.0, 0.0]]), "r")
 
 
 ON_SPHERE = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]])

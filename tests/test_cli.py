@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from qrecon import butterfly, cli, criteria
 from qrecon.cli import main
+from qrecon.criteria import chi2_band
 from qrecon.exceptions import ConfigError
-from qrecon.sampling import chi2_band
 
 
 def run(args):

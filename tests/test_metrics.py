@@ -9,8 +9,7 @@ from qrecon import criteria, metrics, probmodel
 from qrecon.exceptions import DomainError, SingularityError
 from qrecon.metrics import (ZERO_MASS, amplitude_phase_differentials,
                             extended_fisher_metric,
-                            extended_fisher_metric_recursive,
-                            fisher_info_theta, fisher_matrix,
+                            extended_fisher_metric_recursive, fisher_matrix,
                             fubini_study_distance, fubini_study_metric,
                             random_state, random_tangent, state_amplitudes,
                             tangent_amplitudes)
@@ -26,21 +25,15 @@ def haar_unitary(size, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestFisherInfoTheta:
-    @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.234])
-    def test_analytic_value_is_one(self, theta):
-        assert fisher_info_theta(theta) == 1.0
-
-    def test_is_the_depth_one_fisher_matrix(self):
-        # the one-node tree's matrix is the chart's information, close to the
-        # boundary as well: 1 within (3n + 6)u at n = 1 (the bound derived in
-        # TestFisherMatrix, the exact mass being 1)
+class TestFisherMatrix:
+    def test_depth_one_is_the_unit_chart_information(self):
+        # the one-node tree's matrix is the theta chart's information, 1 for
+        # every theta, close to the boundary as well: 1 within (3n + 6)u at
+        # n = 1 (the bound derived below, the exact mass being 1)
         for theta in [*np.linspace(0.3, math.pi - 0.3, 25), 0.2, 0.1, 0.05]:
             tree = ConditionalTree(1, [[math.cos(theta / 2.0) ** 2]])
             assert abs(fisher_matrix(tree)[0, 0] - 1.0) <= 9 * UNIT
 
-
-class TestFisherMatrix:
     def test_single_bit_scalar(self):
         tree = factorize(Distribution([0.3, 0.7]))
         mat = fisher_matrix(tree)

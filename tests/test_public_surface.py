@@ -36,15 +36,15 @@ PUBLIC_NAMES = [
     "derive_shift_phases", "dft_matrix", "enumerate_binary_partitions",
     "extended_fisher_metric", "extended_fisher_metric_recursive",
     "extended_from_bloch", "factorize", "finest_common_partition",
-    "fisher_info_theta", "fisher_matrix", "fubini_study_distance",
+    "fisher_matrix", "fubini_study_distance",
     "fubini_study_metric",
     "is_invariant_under_shift", "make_lsb_partition", "make_plan",
     "marginalize_to_partition", "measurement_stream", "metric_in_coords",
-    "mle_theta", "node_position", "pauli_expectations", "prob_from_theta",
+    "node_position", "pauli_expectations", "prob_from_theta",
     "psi_from_bloch", "random_state", "random_tangent", "rebit_conjugate",
     "reconstitute", "s_variable", "scale_transform_set",
     "shift_invariant_equal_partitions", "shift_operator_check",
-    "shift_rotation_2", "simulate_bernoulli", "stage_matrix",
+    "shift_rotation_2", "stage_matrix",
     "theta_from_prob", "tomography_experiment", "transformed_phase_jacobian",
     "twiddle_phase", "twiddle_stage", "verify_danielson_lanczos",
 ]
@@ -56,7 +56,7 @@ def test_the_public_names_are_pinned():
     imported = sorted(alias.asname or alias.name for node in tree.body
                       if isinstance(node, ast.ImportFrom) for alias in node.names)
     assert imported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 58
 
 
 VECTOR, DENSE, STREAMED = MAX_WIDTH, MAX_WIDTH // 2, MAX_WIDTH - 6
@@ -125,8 +125,6 @@ ANGLES = [
     ("theta_from_prob", qrecon.theta_from_prob),
     ("tomography_experiment",
      lambda t: qrecon.tomography_experiment({"q": t}, {"q": 10}, 1, 10)),
-    ("simulate_bernoulli", lambda t: qrecon.simulate_bernoulli(t, 10, 1)),
-    ("fisher_info_theta", qrecon.fisher_info_theta),
     ("rebit_conjugate", qrecon.rebit_conjugate),
     ("metric_in_coords", lambda t: qrecon.metric_in_coords(t, 0.1, 0.2)),
 ]

@@ -6,74 +6,59 @@ import pytest
 
 from qrecon import cli, criteria
 from qrecon.bloch import BlochPoint
+from qrecon.criteria import chi2_band
 from qrecon.exceptions import DomainError
-from qrecon.sampling import (_replica_estimates, _replica_zeros, chi2_band,
-                             measurement_stream, mle_theta,
-                             simulate_bernoulli, tomography_experiment)
+from qrecon.probmodel import prob_from_theta, theta_from_prob
+from qrecon.sampling import (_replica_estimates, measurement_stream,
+                             tomography_experiment)
 
 
-def mle_replicas(theta, trials, seed, replicas):
-    """mle_theta of each of the first `replicas` replicas of observable q."""
-    return [mle_theta(z, trials)[0]
-            for z in _replica_zeros(theta, trials, seed, "q", replicas).tolist()]
-
-
-class TestSimulateBernoulli:
-    def test_degenerate_zero(self):
-        assert simulate_bernoulli(0.0, 500, seed=1) == 500
-
-    def test_degenerate_pi(self):
-        assert simulate_bernoulli(math.pi, 500, seed=1) == 0
-
-    def test_balanced_within_binomial_band(self):
-        trials = 1_000_000
-        zeros = simulate_bernoulli(math.pi / 2, trials, seed=7)
-        sigma = math.sqrt(trials * 0.25)
-        assert abs(zeros - trials / 2) < 5 * sigma
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(DomainError):
-            simulate_bernoulli(1.0, 0, seed=0)
-
-    def test_deterministic_per_key(self):
-        a = simulate_bernoulli(1.0, 1000, seed=3, observable="q")
-        b = simulate_bernoulli(1.0, 1000, seed=3, observable="q")
-        c = simulate_bernoulli(1.0, 1000, seed=4, observable="q")
-        d = simulate_bernoulli(1.0, 1000, seed=3, observable="p")
-        assert a == b
-        assert a != c or a != d  # distinct streams decorrelate
-
-    # seed -1 once looped without end, growing a list of the seed's words
+class TestArguments:
+    # seed -1 once looped without end, growing a list of the seed's words;
+    # the malformed containers once raised a bare TypeError or AttributeError
     @pytest.mark.parametrize("call", [
-        lambda: simulate_bernoulli(1.0, 10, seed=-1),
         lambda: tomography_experiment({"q": 1.0}, {"q": 10}, seed=-1, replicas=10),
-        lambda: simulate_bernoulli(1.0, 10, seed=1.5),
         lambda: tomography_experiment({"q": 1.0}, {"q": 10}, seed=1.5, replicas=10),
-        lambda: simulate_bernoulli(1.0, True, seed=1),
         lambda: tomography_experiment({"q": 1.0}, {"q": True}, seed=1, replicas=10),
-        lambda: simulate_bernoulli(1.0, 10.5, seed=1),
         lambda: tomography_experiment({"q": 1.0}, {"q": 10.5}, seed=1, replicas=10),
-        lambda: simulate_bernoulli(1.0, 2.5, seed=1),
-        lambda: simulate_bernoulli(1.0, 2**63, seed=1),
+        lambda: tomography_experiment({"q": 1.0}, {"q": 2.5}, seed=1, replicas=10),
+        lambda: tomography_experiment({"q": 1.0}, {"q": 2**63}, seed=1, replicas=10),
         lambda: tomography_experiment({"q": 1.0}, {"q": 10}, seed=1, replicas=2.5),
-        lambda: simulate_bernoulli(1.0, 10, seed=1, observable="x"),
         lambda: tomography_experiment({"x": 1.0}, {"x": 10}, seed=1, replicas=10),
-        lambda: simulate_bernoulli(math.nan, 10, seed=1),
         lambda: tomography_experiment({"q": math.nan}, {"q": 10}, seed=1,
                                       replicas=10),
-        lambda: simulate_bernoulli(math.inf, 10, seed=1),
+        lambda: tomography_experiment({"q": math.inf}, {"q": 10}, seed=1,
+                                      replicas=10),
         lambda: measurement_stream(1, []),
-        lambda: simulate_bernoulli(1.0, 10, seed=1, observable=[]),
-    ], ids=["seed-negative", "tomography-seed-negative", "seed-float",
-            "tomography-seed-float", "trials-true", "tomography-trials-true",
-            "trials-float", "tomography-trials-float", "trials-2.5",
-            "trials-past-int64", "tomography-replicas-float",
-            "observable-unknown", "tomography-observable-unknown", "theta-nan",
-            "tomography-theta-nan", "theta-inf", "stream-observable-list",
-            "observable-list"])
+        # a list is no dict key: the empty tuple stands for it
+        lambda: tomography_experiment({(): 1.0}, {(): 10}, seed=1, replicas=10),
+        lambda: tomography_experiment({"q": 1.0}, 5, seed=1, replicas=10),
+        lambda: tomography_experiment({"q": 1.0}, ["q"], seed=1, replicas=10),
+        lambda: tomography_experiment({"q": 1.0}, "q", seed=1, replicas=10),
+        lambda: tomography_experiment([1.0], {"q": 10}, seed=1, replicas=10),
+        lambda: tomography_experiment(None, {"q": 10}, seed=1, replicas=10),
+        lambda: tomography_experiment({"q": 1.0, 1: 1.0}, {"q": 10, 1: 10},
+                                      seed=1, replicas=10),
+    ], ids=["tomography-seed-negative", "tomography-seed-float",
+            "tomography-trials-true", "tomography-trials-float",
+            "tomography-trials-2.5", "tomography-trials-past-int64",
+            "tomography-replicas-float", "tomography-observable-unknown",
+            "tomography-theta-nan", "tomography-theta-inf",
+            "stream-observable-list", "tomography-observable-tuple",
+            "tomography-trials-int", "tomography-trials-list",
+            "tomography-trials-str", "tomography-thetas-list",
+            "tomography-thetas-none", "tomography-keys-mixed"])
     def test_bad_arguments_raise_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize("thetas,trials,name", [
+        ({"q": 1.0}, 5, "trials"), ([1.0], {"q": 10}, "thetas"),
+        ({"q": 1.0, 1: 1.0}, {"q": 10, 1: 10}, "thetas"),
+    ])
+    def test_a_malformed_container_is_named(self, thetas, trials, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a dict"):
+            tomography_experiment(thetas, trials, seed=1, replicas=10)
 
 
 class TestMeasurementStream:
@@ -103,22 +88,45 @@ class TestReplicaEstimates:
                 assert np.array_equal(
                     run[:k], _replica_estimates(theta, trials, 17, o, k))
 
+    def test_degenerate_zero(self):
+        assert (_replica_estimates(0.0, 500, 1, "q", 10) == 0.0).all()
+
+    def test_degenerate_pi(self):
+        assert (_replica_estimates(math.pi, 500, 1, "q", 10) == math.pi).all()
+
+    def test_balanced_within_binomial_band(self):
+        # N0 within 5 sd sqrt(M)/2 of M/2: theta_hat within 5 / sqrt(M) of pi/2
+        trials = 1_000_000
+        (est,) = _replica_estimates(math.pi / 2, trials, 7, "q", 1)
+        assert abs(est - math.pi / 2) < 5 / math.sqrt(trials)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(DomainError):
+            _replica_estimates(1.0, 0, 0, "q", 1)
+
+    def test_deterministic_per_key(self):
+        a = _replica_estimates(1.0, 1000, 3, "q", 1)
+        b = _replica_estimates(1.0, 1000, 3, "q", 1)
+        c = _replica_estimates(1.0, 1000, 4, "q", 1)
+        d = _replica_estimates(1.0, 1000, 3, "p", 1)
+        assert np.array_equal(a, b)
+        assert a != c or a != d  # distinct streams decorrelate
+
     # at every trial count the frequency N0/M is the correctly rounded one
-    # mle_theta takes; np.arccos may differ from math.acos in the last bit
+    # theta_from_prob takes; np.arccos may differ from math.acos in the last bit
     @pytest.mark.parametrize("trials", [1, 10, 100_000, 2**53, 10**18 + 7, 2**60])
     @pytest.mark.parametrize("theta", [0.0, 0.01, 1.0, 2.5, math.pi])
-    def test_replica_0_is_simulate_bernoulli(self, theta, trials):
+    def test_replica_0_is_the_first_draw_of_the_stream(self, theta, trials):
+        p0, _ = prob_from_theta(theta)
         for seed in (0, 17, 2**64 + 5):
             for o in "qpr":
-                count = simulate_bernoulli(theta, trials, seed, o)
-                zeros = _replica_zeros(theta, trials, seed, o, 5)
-                assert zeros[0] == count
+                count = int(measurement_stream(seed, o).binomial(trials, p0))
+                mle = theta_from_prob(count / trials)
                 est = _replica_estimates(theta, trials, seed, o, 5)[0]
-                mle = mle_theta(count, trials)[0]
                 assert abs(est - mle) <= 2 * math.ulp(mle)
 
     def test_q_and_p_streams_differ(self):
-        q, p, r = (_replica_zeros(1.0, 1000, 17, o, 64) for o in "qpr")
+        q, p, r = (_replica_estimates(1.0, 1000, 17, o, 64) for o in "qpr")
         assert not np.array_equal(q, p)
         assert not np.array_equal(q, r) and not np.array_equal(p, r)
 
@@ -136,37 +144,19 @@ class TestReplicaEstimates:
         assert peak <= 64 * replicas
 
 
-class TestMleTheta:
-    def test_boundary_counts(self):
-        assert mle_theta(100, 100)[0] == 0.0
-        assert mle_theta(0, 100)[0] == pytest.approx(math.pi)
-
-    def test_balanced_counts(self):
-        theta, var = mle_theta(50, 100)
-        assert theta == pytest.approx(math.pi / 2)
-        assert var == pytest.approx(0.01)
-
+class TestCramerRao:
     def test_empirical_variance_near_cramer_rao(self):
         trials = 10_000
-        estimates = mle_replicas(math.pi / 3, trials, 20240801, 200)
+        estimates = _replica_estimates(math.pi / 3, trials, 20240801, "q", 200)
         scaled = np.var(estimates, ddof=1) * trials
         assert abs(scaled - 1.0) < 0.2
 
     def test_variance_tracks_one_over_m(self):
         # the scaled variance M*var stays pinned near 1 as M grows
         for trials in (100, 10_000):
-            estimates = mle_replicas(1.0, trials, 31, 300)
+            estimates = _replica_estimates(1.0, trials, 31, "q", 300)
             scaled = np.var(estimates, ddof=1) * trials
             assert abs(scaled - 1.0) < 0.45  # 5-sigma band at 300 replicas
-
-    @pytest.mark.parametrize("zeros,trials,match", [
-        (0, 0, "trials"), (1, -1, "trials"), (1, 2.0, "trials"),
-        (1, True, "trials"), (-1, 10, "zeros"), (11, 10, "zeros"),
-        (0.5, 10, "zeros"), ("1", 10, "zeros"),
-    ])
-    def test_counts_are_checked(self, zeros, trials, match):
-        with pytest.raises(DomainError, match=match):
-            mle_theta(zeros, trials)
 
 
 def by_name(summaries):
