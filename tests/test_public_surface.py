@@ -6,7 +6,9 @@ refuses widths above its cap with a DomainError before it allocates: the
 cases below must never reach an allocation, because the arrays they name
 would not fit in memory.  Every array and every angle goes through one real
 or complex conversion, which refuses text, ragged nesting and ints too large
-for a float with a DomainError.
+for a float with a DomainError.  Every seed and count of the sampling layer
+goes through one integer check, which refuses anything but a non-negative
+int with a DomainError.
 """
 
 import ast
@@ -134,5 +136,25 @@ ANGLES = [
                          ids=["text", "None", "2x2", "nan", "inf", "huge"])
 @pytest.mark.parametrize("name, call", ANGLES, ids=[c[0] for c in ANGLES])
 def test_an_angle_must_be_a_real_number(name, call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+# (name, call of one seed or count of the sampling layer)
+COUNTS = [
+    ("measurement_stream-seed", lambda s: qrecon.measurement_stream(s, "q")),
+    ("tomography_experiment-seed",
+     lambda s: qrecon.tomography_experiment({"q": 1.0}, {"q": 10}, s, 10)),
+    ("tomography_experiment-trials",
+     lambda m: qrecon.tomography_experiment({"q": 1.0}, {"q": m}, 1, 10)),
+    ("tomography_experiment-replicas",
+     lambda r: qrecon.tomography_experiment({"q": 1.0}, {"q": 10}, 1, r)),
+]
+
+
+@pytest.mark.parametrize("value", ["1", None, 2.0, math.nan, True, -1],
+                         ids=["text", "None", "float", "nan", "bool", "negative"])
+@pytest.mark.parametrize("name, call", COUNTS, ids=[c[0] for c in COUNTS])
+def test_a_seed_or_count_must_be_a_non_negative_int(name, call, value):
     with pytest.raises(DomainError):
         call(value)
