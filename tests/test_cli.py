@@ -423,6 +423,25 @@ class TestCriteriaTable:
     def test_every_kind_has_criteria(self):
         assert set(criteria.CRITERIA) == set(cli.DEFAULTS)
 
+    def test_only_kinds_that_draw_import_numpy_random(self, tmp_path):
+        # numpy imports numpy.random on first use, so the probe needs a fresh
+        # interpreter; metric-check draws and shows that the probe sees it
+        probe = ("import sys\n"
+                 "from qrecon.cli import main\n"
+                 "def loaded(*args):\n"
+                 "    assert main([*args, '--out', sys.argv[1]]) == 0\n"
+                 "    return 'numpy.random' in sys.modules\n"
+                 "print(loaded('fft-derive'), loaded('partition-audit'),\n"
+                 "      loaded('metric-check', '--config', sys.argv[2]))\n")
+        config = write_config(tmp_path, {"version": 1, "kind": "metric-check",
+                                         "samples": 20, "chart_points": 5})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out"),
+                               config], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False False True"
+
 
 class TestSubcommands:
     def test_fft_derive_passes_and_writes_reports(self, tmp_path):

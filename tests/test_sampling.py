@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrecon import cli, criteria
+from qrecon import cli, criteria, sampling
 from qrecon.bloch import BlochPoint
 from qrecon.criteria import chi2_band
 from qrecon.exceptions import DomainError
 from qrecon.probmodel import prob_from_theta, theta_from_prob
-from qrecon.sampling import (_replica_estimates, measurement_stream,
-                             tomography_experiment)
+from qrecon.sampling import (_replica_estimates, _trial_count,
+                             measurement_stream, tomography_experiment)
 
 
 class TestArguments:
@@ -102,7 +102,7 @@ class TestReplicaEstimates:
 
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
-            _replica_estimates(1.0, 0, 0, "q", 1)
+            _trial_count("q", 0)
 
     def test_deterministic_per_key(self):
         a = _replica_estimates(1.0, 1000, 3, "q", 1)
@@ -229,6 +229,20 @@ class TestTomography:
     def test_zero_trials_rejected(self):
         with pytest.raises(DomainError):
             tomography_experiment({"q": 1.0}, {"q": 0}, seed=1, replicas=10)
+
+    # a bad count once failed only after every observable before it in name
+    # order had been drawn
+    @pytest.mark.parametrize("bad", [2.5, 0, 2**63, True])
+    def test_every_trial_count_is_checked_before_any_draw(self, bad, monkeypatch):
+        streams = []
+        real = sampling.measurement_stream
+        monkeypatch.setattr(sampling, "measurement_stream",
+                            lambda *args: streams.append(args) or real(*args))
+        with pytest.raises(DomainError, match="observable r: trials"):
+            tomography_experiment({o: 1.0 for o in "pqr"},
+                                  {"p": 1000, "q": 1000, "r": bad}, seed=1,
+                                  replicas=10)
+        assert streams == []
 
     def test_trials_must_name_measured_observables(self):
         with pytest.raises(DomainError, match="observable p"):
