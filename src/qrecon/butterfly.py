@@ -269,10 +269,10 @@ def _head_stages(n: int, width: int) -> int:
 
 def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
                  flat: np.ndarray) -> np.ndarray:
-    """The ladder of apply_butterfly on `work`, a C-contiguous complex state
-    (N,) or stack (N, B), which it overwrites: returns the tail, a
-    (2**h, 2**s, 2**(b-s), *cols) view of `flat`, a flat complex buffer of
-    work.size entries, which _natural_order reads in natural order.  With
+    """The ladder of apply_butterfly on `work`, a C-contiguous state (N,) or
+    stack (N, B), which it overwrites in its own dtype: returns the tail, a
+    (2**h, 2**s, 2**(b-s), *cols) view of `flat`, a flat buffer of work's
+    dtype and size, which _natural_order reads in natural order.  With
     s = min(n, TAIL_STAGES), h = _head_stages(n, B) and b = n - h, so that
     h = 0 for an input of at most BLOCK_ENTRIES entries (Bailey's four-step
     and hierarchical-memory FFTs):
@@ -327,7 +327,7 @@ def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
 
 def _natural_order(tail: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the ladder's result, held by _ladder_tail's tail, into `out`, a
-    C-contiguous complex array of as many entries, in natural order, and
+    C-contiguous array of the tail's dtype and size, in natural order, and
     return out: with out viewed as (2**s, 2**h, 2**(b-s), *cols), entry
     (r, k, c) is tail[k, perm_s(r), c], perm_s the s-bit reversal."""
     count, rows = tail.shape[:2]
@@ -578,22 +578,22 @@ def _sweep_blocks(n: int, b: int, roots: np.ndarray, table: np.ndarray,
 def _recursion_columns(n: int, cols: np.ndarray, roots: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """Columns `cols` of the Danielson-Lanczos recursion for the 2**n-point
-    Fourier matrix, built from the 2x2 base [[1, 1], [1, -1]]/sqrt(2) with
-    one array pass per level: column c of the 2**m matrix is column c >> 1
-    of the half-size matrix tiled down both halves (row j reads row
+    Fourier matrix, built from the 2x2 base [[1, 1], [1, -1]] * _INV_SQRT2
+    with one array pass per level: column c of the 2**m matrix is column
+    c >> 1 of the half-size matrix tiled down both halves (row j reads row
     j mod 2**(m-1)), times W^j = roots[j * 2**(n-m)], W = exp(2*pi*i/2**m),
-    when c is odd, and times 1/sqrt(2).  Each level is built as one
-    contiguous row per column in `out`, a flat complex buffer of at least
-    3/2 * len(cols) * N entries: level m at its start when n - m is even,
-    after its first len(cols) * N entries when it is odd, so that no level
-    overwrites the one it is built from and level n lands at the start.
-    The (N, len(cols)) result is a transposed view of `out`."""
+    when c is odd, and times _INV_SQRT2, in the dtype of `roots`.  Each level
+    is one contiguous row per column in `out`, a flat buffer of that dtype
+    and 3/2 * len(cols) * N entries or more: level m at its start when n - m
+    is even, after its first len(cols) * N entries when it is odd, so that
+    no level overwrites the one it is built from and level n lands at the
+    start.  The (N, len(cols)) result is a transposed view of `out`."""
     b, size = cols.size, 1 << n
 
     def rows(m):  # level m's b rows of 2**m entries
         return out[(n - m) % 2 * b * size:][:b << m].reshape(b, 1 << m)
 
-    base = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
+    base = np.array([[1, 1], [1, -1]]) * _INV_SQRT2
     level = rows(1)
     level[...] = base[cols >> (n - 1)]  # base is symmetric: row c is column c
     for m in range(2, n + 1):

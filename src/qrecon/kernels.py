@@ -17,9 +17,10 @@ of B column states; on a stack each stage works on every column at once,
 so its innermost loops run along the B columns (with the ramp broadcast
 down them) and stay long even where the stage's halves are short.  A stage
 allocates nothing: the difference of its halves goes into the caller's
-`scratch`, a flat complex array of at least N * B / 2 entries, and the
-stage's last multiply writes it straight into the second halves, so there
-is no copy pass.  The kernel runs at the caller's ufunc buffer size.
+`scratch`, a flat array of psi's dtype and N * B / 2 entries or more, and
+the stage's last multiply writes it straight into the second halves.  The
+kernel runs at the caller's ufunc buffer size, in psi's dtype: complex
+floats, or exact finite-field ints in an object array.
 `apply_stages_inplace` is `apply_stage_range` over all n stages, with a
 scratch of its own.  BACKEND names the kernel for reports.
 """
@@ -47,10 +48,9 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
                       n: int, l_start: int, l_end: int,
                       scratch: np.ndarray, scale: float | None = None) -> None:
     """Run stages l_start..l_end (with their trailing twiddles) in place on
-    one state (N,) or a column stack (N, B), using the flat complex `scratch`
-    of at least psi.size // 2 entries for the halves' differences.  Stage n,
-    if the range reaches it, multiplies both halves by `scale`, by default
-    _unit_scale(n), so that a call over all n stages is the unitary ladder."""
+    one state (N,) or a column stack (N, B), using the flat `scratch` of psi's
+    dtype, at least psi.size // 2 entries, for the halves' differences.  Stage
+    n, if reached, scales both halves by `scale`, by default _unit_scale(n)."""
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << n:
         raise ValueError("need one state of 2**n components or an (N, B) stack")
     if psi.ndim == 2 and not psi.flags.c_contiguous:
@@ -59,9 +59,9 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
     half_size = psi.size // 2
     if (not isinstance(scratch, np.ndarray) or scratch.ndim != 1
             or not scratch.flags.c_contiguous
-            or scratch.dtype != complex or scratch.size < half_size):
-        raise ValueError("scratch must be a flat C-contiguous complex array "
-                         "of at least psi.size // 2 entries")
+            or scratch.dtype != psi.dtype or scratch.size < half_size):
+        raise ValueError("scratch must be a flat C-contiguous array of psi's "
+                         "dtype and at least psi.size // 2 entries")
     cols = psi.shape[1:]  # () for one state, (B,) for a stack
     if scale is None:
         scale = _unit_scale(n)
@@ -85,5 +85,4 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
 def apply_stages_inplace(psi: np.ndarray, twiddles: Sequence[np.ndarray],
                          n: int) -> None:
     """Run all n stages (with interleaved twiddles) on psi in place."""
-    apply_stage_range(psi, twiddles, n, 1, n,
-                      np.empty(psi.size // 2, dtype=complex))
+    apply_stage_range(psi, twiddles, n, 1, n, np.empty(psi.size // 2, psi.dtype))

@@ -712,12 +712,16 @@ class TestColumnStackKernel:
                                       make_plan(3).ramps, 3, 1, 3,
                                       np.empty(16, dtype=complex))
 
-    @pytest.mark.parametrize("scratch", [
-        np.empty(15, dtype=complex), np.empty(16), np.empty((4, 4), dtype=complex)],
-        ids=["too-short", "float", "two-d"])
-    def test_rejects_a_scratch_that_cannot_hold_the_halves(self, scratch):
+    # (the stack's dtype, the scratch): the scratch must be flat, long
+    # enough and of the stack's own dtype, whichever ring that is
+    @pytest.mark.parametrize("dtype, scratch", [
+        (complex, np.empty(15, dtype=complex)), (complex, np.empty(16)),
+        (complex, np.empty((4, 4), dtype=complex)),
+        (object, np.empty(16, dtype=complex)), (complex, np.empty(16, dtype=object))],
+        ids=["too-short", "float", "two-d", "complex-for-object", "object-for-complex"])
+    def test_rejects_a_scratch_that_cannot_hold_the_halves(self, dtype, scratch):
         with pytest.raises(ValueError):
-            kernels.apply_stage_range(np.ones((8, 4), dtype=complex),
+            kernels.apply_stage_range(np.ones((8, 4), dtype=dtype),
                                       make_plan(3).ramps, 3, 1, 3, scratch)
 
     def test_a_stage_range_allocates_no_temporary(self):
@@ -744,6 +748,23 @@ class TestColumnStackKernel:
         assert mat[0, 0] == 1.0 and not mat[1:].any()
 
 
+# the cases of one (n, cols, sign) are collected one after another
+@functools.lru_cache(maxsize=1)
+def four_step_case(n, cols, sign):
+    """TestFourStepStack's seeded (N, cols) stack and, as its reference, each
+    column run through apply_butterfly as one state, in natural order, at
+    the shipped GATHER_ENTRIES: two read-only arrays."""
+    rng = np.random.default_rng(700 + n)
+    stack = (rng.normal(size=(1 << n, cols))
+             + 1j * rng.normal(size=(1 << n, cols)))
+    plan = make_plan(n, sign)
+    columns = np.stack([apply_butterfly(plan, stack[:, j]) for j in range(cols)],
+                       axis=1)
+    stack.setflags(write=False)
+    columns.setflags(write=False)
+    return stack, columns
+
+
 class TestFourStepStack:
     """A stack runs the same four steps as one state: stages in place, the
     blocks gathered into a tail chunk by chunk, the tail stages, the rows
@@ -758,14 +779,12 @@ class TestFourStepStack:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_stack_equals_per_column_states_bit_for_bit(
             self, n, cols, sign, order, gather, monkeypatch):
+        stack, columns = four_step_case(n, cols, sign)  # before the patch
+        if order == "bitReversed":
+            columns = columns[bit_reversal_permutation(n)]
         monkeypatch.setattr(butterfly, "GATHER_ENTRIES", gather)
-        rng = np.random.default_rng(700 + n)
-        stack = (rng.normal(size=(1 << n, cols))
-                 + 1j * rng.normal(size=(1 << n, cols)))
-        plan = make_plan(n, sign)
-        columns = np.stack([ladder_output(plan, stack[:, j], order)
-                            for j in range(cols)], axis=1)
-        assert ladder_output(plan, stack, order).tobytes() == columns.tobytes()
+        out = ladder_output(make_plan(n, sign), stack, order)
+        assert out.tobytes() == columns.tobytes()
 
     @pytest.mark.parametrize("order", ["natural", "bitReversed"])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -1233,3 +1252,151 @@ class TestLadderDeviations:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_ladder_deviation_is_a_few_ulps(self, n):
         assert butterfly._ladder_deviations(n)["ladder"] <= 4 * np.finfo(float).eps
+
+
+# The exact ring: GF(P), P = 15 * 2**27 + 1, whose primitive root 31 gives a
+# primitive 2**n-th root of unity for every n <= 27 (Pollard, Math. Comp. 25,
+# 365, 1971).  P = 1 mod 8, so sqrt(2) = zeta + 1/zeta, zeta a primitive 8th
+# root, lies in GF(P) too, and so does the ladder's 2**(-n/2).
+P = 15 * 2**27 + 1
+ZETA = pow(31, (P - 1) // 8, P)
+RING_INV_SQRT2 = pow(ZETA + pow(ZETA, -1, P), -1, P)
+
+
+def ring_root(n, sign=+1):
+    """A primitive 2**n-th root of unity g in GF(P), or 1/g for sign -1."""
+    g = pow(31, (P - 1) >> n, P)
+    return g if sign > 0 else pow(g, -1, P)
+
+
+@functools.lru_cache(maxsize=None)
+def ring_powers(root, count):
+    """root**k mod P for k < count: Python ints in a read-only object array."""
+    out = np.empty(count, dtype=object)
+    value = 1
+    for k in range(count):
+        out[k] = value
+        value = value * root % P
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def ring_fourier(n, sign):
+    """The ring's Fourier matrix, entry (j, k) g**(sign * j*k) * 2**(-n/2),
+    read from the powers of g at j*k mod N."""
+    size = 1 << n
+    j = np.arange(size)
+    out = (ring_powers(ring_root(n, sign), size)[np.multiply.outer(j, j) % size]
+           * pow(RING_INV_SQRT2, n, P) % P)
+    out.setflags(write=False)
+    return out
+
+
+def ring_plan(n, sign=+1):
+    """The shipped _plan on the ring's table of N/2 powers of g."""
+    return butterfly._plan(n, sign, ring_powers(ring_root(n, sign), (1 << n) >> 1))
+
+
+def ring_ladder(plan, x):
+    """apply_butterfly's body, _ladder_tail then _natural_order, on a copy of
+    the object array x, reduced mod P once at the end."""
+    work = np.array(x, dtype=object, order="C")
+    tail = butterfly._ladder_tail(plan, work, np.empty(work.size, dtype=object))
+    return butterfly._natural_order(tail, np.empty(work.shape, dtype=object)) % P
+
+
+def unequal_entries(plan):
+    """Entries of the plan's ladder matrix, run over blocks of LADDER_BLOCK
+    identity columns as the sweep runs it, that differ from ring_fourier."""
+    n, size = plan.n, 1 << plan.n
+    b = min(butterfly.LADDER_BLOCK, size)
+    count = 0
+    for start in range(0, size, b):
+        eye = np.zeros((size, b), dtype=object)
+        eye[np.arange(start, start + b), np.arange(b)] = 1
+        count += np.count_nonzero(ring_ladder(plan, eye)
+                                  != ring_fourier(n, plan.sign)[:, start:start + b])
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def dense_step(n):
+    """One seeded dense probe x of N uniform entries of GF(P), as Python
+    ints, and the Danielson-Lanczos step on it, [E + W o O, E - W o O] *
+    2**(-1/2): E and O the ring's ladder at n - 1 on the even and odd
+    entries of x, W**k = g**k.  Called only under TestExactLadder's ring."""
+    x = np.random.default_rng(4300 + n).integers(0, P, 1 << n).astype(object)
+    halves = ring_ladder(ring_plan(n - 1), np.stack([x[0::2], x[1::2]], axis=1))
+    even = halves[:, 0]
+    odd = halves[:, 1] * ring_powers(ring_root(n), (1 << n) >> 1)
+    return x, np.concatenate([even + odd, even - odd]) * RING_INV_SQRT2 % P
+
+
+class TestExactLadder:
+    """The shipped ladder and the Danielson-Lanczos reference, run unchanged
+    over GF(P): every operation is in the dtype of the arrays, here Python
+    ints in object arrays, so the ring's values replace the float ones where
+    the code looks them up (the plan's table, kernels._unit_scale and
+    butterfly._INV_SQRT2).  In a radix-2 ladder each input reaches each
+    output by one path, so an entry of the unscaled matrix is +-w**e; g has
+    order N, so +-g**e = g**(j*k) in GF(P) exactly when +-w**e = w**(j*k).
+    Equality here is a proof of the stage order, the twiddles, the gather
+    and the one normalization, with no tolerance."""
+
+    @pytest.fixture(autouse=True)
+    def ring(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_unit_scale", lambda n: pow(RING_INV_SQRT2, n, P))
+        monkeypatch.setattr(butterfly, "_INV_SQRT2", RING_INV_SQRT2)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_entry_is_the_ring_fourier_entry(self, n, sign):
+        assert unequal_entries(ring_plan(n, sign)) == 0
+
+    # two head stages, then 4 tail blocks of 64 rows x 32 columns, each run
+    # of 2,048 entries gathered as a chunk of its own; the plans of both
+    # signs differ only in their ramps, which the unblocked cases cover
+    def test_the_blocked_four_step_path_is_exact(self, monkeypatch):
+        monkeypatch.setattr(butterfly, "BLOCK_ENTRIES", 1 << 11)
+        monkeypatch.setattr(butterfly, "GATHER_ENTRIES", 100)
+        assert butterfly._head_stages(8, butterfly.LADDER_BLOCK) == 2
+        assert unequal_entries(ring_plan(8)) == 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_recursion_columns_are_exact(self, n):
+        size = 1 << n
+        b = min(butterfly.LADDER_BLOCK, size)
+        roots = ring_powers(ring_root(n), size)
+        buf = np.empty(3 * b * size // 2, dtype=object)
+        for start in range(0, size, b):
+            cols = np.arange(start, start + b)
+            got = butterfly._recursion_columns(n, cols, roots, buf) % P
+            assert np.array_equal(got, ring_fourier(n, +1)[:, cols])
+
+    # past the full-matrix range, by induction on n: once the ladder at
+    # n - 1 is proven, a wrong linear map at n passes one uniform probe with
+    # probability at most 1/P (Schwartz, J. ACM 27, 701, 1980).  A sparse
+    # identity probe would meet only a few ramp entries.
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_the_danielson_lanczos_step_holds_on_a_dense_probe(self, n):
+        x, step = dense_step(n)
+        assert np.array_equal(ring_ladder(ring_plan(n), x), step)
+
+    @pytest.mark.parametrize("n, unequal", [(3, 8), (6, 64), (8, 256)])
+    def test_a_level_one_ramp_entry_one_root_step_off_is_caught(self, n, unequal):
+        g = ring_root(n)
+        table = ring_powers(g, (1 << n) >> 1).copy()
+        table[1] = table[1] * g % P
+        table.setflags(write=False)
+        assert unequal_entries(butterfly._plan(n, +1, table)) == unequal
+
+    def test_a_level_five_ramp_entry_one_root_step_off_fails_the_probe(self):
+        n, level = 14, 5
+        ramps = list(ring_plan(n).ramps)
+        bad = ramps[level - 1].copy()  # bad[k] = w**k, w the level's own root
+        bad[1] = bad[1] * ring_root(n - level + 1) % P
+        ramps[level - 1] = bad
+        x, step = dense_step(n)
+        out = ring_ladder(butterfly.ButterflyPlan(n, +1, tuple(ramps)), x)
+        assert np.count_nonzero(out != step) > 0
