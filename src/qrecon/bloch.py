@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DomainError, SingularityError, check_real,
+from .exceptions import (DomainError, SingularityError, check_name, check_real,
                          complex_array, real_array, reject_rows)
 from .probmodel import RENORM_TOL
 
@@ -36,12 +36,6 @@ POLE_TOL = 1e-12
 
 # axis -> (mu, nu, xi): S_mu = cos t, S_nu = sin t cos a, S_xi = sin t sin a
 CHART_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q")}
-
-
-def _check_axis(axis) -> None:
-    # the type test first: a list is unhashable, and NaN or 1.5 no key
-    if not isinstance(axis, str) or axis not in CHART_TRIPLETS:
-        raise DomainError(f"unknown axis {axis!r}")
 
 
 def _off_sphere(norm2):
@@ -92,7 +86,7 @@ class BlochPoint:
         return self.sq**2 + self.sp**2 + self.sr**2
 
     def component(self, name: str) -> float:
-        _check_axis(name)
+        check_name("axis", name, CHART_TRIPLETS)
         return {"q": self.sq, "p": self.sp, "r": self.sr}[name]
 
     def as_array(self) -> np.ndarray:
@@ -121,7 +115,7 @@ class ExtendedCoords:
     alpha: float | None
 
     def __post_init__(self):
-        _check_axis(self.axis)
+        check_name("axis", self.axis, CHART_TRIPLETS)
         object.__setattr__(self, "theta", check_real("theta", self.theta))
         if self.alpha is not None:
             object.__setattr__(self, "alpha", check_real("alpha", self.alpha))
@@ -155,7 +149,7 @@ def bloch_from_extended(coords: ExtendedCoords) -> BlochPoint:
 
 def extended_from_bloch(axis: str, point: BlochPoint) -> ExtendedCoords:
     """Invert bloch_from_extended; at a pole of the chart alpha is None."""
-    _check_axis(axis)
+    check_name("axis", axis, CHART_TRIPLETS)
     return ExtendedCoords(axis, *_chart_angles(
         *(point.component(name) for name in CHART_TRIPLETS[axis])))
 
@@ -192,8 +186,7 @@ def shift_rotation_2(psi: np.ndarray, axis: str) -> np.ndarray:
     components, axis 'p' applies diag(1, -1) (swaps the p outcomes while
     leaving the q probabilities untouched)."""
     psi = _two_component(psi)
-    if not isinstance(axis, str) or axis not in ("q", "p"):
-        raise DomainError(f"unknown axis {axis!r}")
+    check_name("axis", axis, ("q", "p"))
     if axis == "q":
         return psi[::-1].copy()
     return np.array([psi[0], -psi[1]])
@@ -233,7 +226,7 @@ def chart_tangent_metric(point, velocity, axis: str) -> np.ndarray:
     Takes a (P, 3) stack of points and one of velocities and returns the
     (P,) array; each row's value has the same bits in any stack.
     """
-    _check_axis(axis)
+    check_name("axis", axis, CHART_TRIPLETS)
     p, v = real_array(point), real_array(velocity)
     if p.ndim != 2 or p.shape[1] != 3 or v.shape != p.shape:
         raise DomainError("need (P, 3) stacks of points and velocities of one "

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import butterfly, criteria
 from .bloch import BlochPoint
-from .exceptions import ConfigError, DomainError
+from .exceptions import (ConfigError, DomainError, check_integer, check_name,
+                         check_real)
 from .partitions import ENUMERATION_WIDTH_CAP
 
 CONFIG_VERSION = 1
@@ -62,29 +63,12 @@ MAX_REPEATS = 10**3
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _is_number(value) -> bool:
-    # bool is an int subclass: `true` is not a number here
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _integer(low: int, high: int | None = None):
-    def check(name, value, cfg):
-        if type(value) is not int:
-            raise ConfigError(f"{name} must be an integer")
-        if value < low:
-            raise ConfigError(f"{name} must be at least {low}")
-        if high is not None and value > high:
-            raise ConfigError(f"{name} must be at most {high}")
-    return check
+    return lambda name, value, cfg: check_integer(name, value, low, high)
 
 
 def _samples(name, value, cfg):
-    _integer(1, MAX_SAMPLES)(name, value, cfg)
+    check_integer(name, value, 1, MAX_SAMPLES)
     levels = cfg["levels"]
     if value << levels > MAX_AMPLITUDES:
         raise ConfigError(f"{name} must be at most {MAX_AMPLITUDES >> levels} at "
@@ -92,15 +76,14 @@ def _samples(name, value, cfg):
 
 
 def _state(name, value, cfg):
-    kinds = tuple(criteria.OBSERVABLES)  # `in` a dict would hash an unhashable kind
-    if type(value) is not dict or value.get("kind") not in kinds:
+    if type(value) is not dict:
         raise ConfigError(f"{name} must be an object with kind 'rebit' or 'qubit'")
+    check_name(f"{name}.kind", value.get("kind"), criteria.OBSERVABLES)
     if value["kind"] == "rebit":
-        if not _is_number(value.get("theta_q")):
-            raise ConfigError(f"{name}.theta_q must be a number")
+        check_real(f"{name}.theta_q", value.get("theta_q"))
         return
     bloch = value.get("bloch")
-    if not (type(bloch) is list and len(bloch) == 3 and all(map(_is_number, bloch))):
+    if not (type(bloch) is list and len(bloch) == 3):
         raise ConfigError(f"{name}.bloch must be a list of 3 numbers")
     try:
         BlochPoint(*bloch)
@@ -111,18 +94,18 @@ def _state(name, value, cfg):
 def _trials(name, value, cfg):
     names = criteria.OBSERVABLES[cfg["state"]["kind"]]
     counts = value if type(value) is dict else dict.fromkeys(names, value)
-    if not (counts and set(counts) <= set(names)
-            and all(type(m) is int and 1 <= m <= MAX_TRIALS
-                    for m in counts.values())):
+    if not counts or not set(counts) <= set(names):
         raise ConfigError(f"{name} must be an integer from 1 to {MAX_TRIALS}, or "
                           f"an object giving one to some of the observables "
                           f"{list(names)}")
+    for m in counts.values():
+        check_integer(name, m, 1, MAX_TRIALS)
 
 
 def _sizes(name, value, cfg):
     # the dense product of a size is a size x size matrix
-    if not (type(value) is list and value and all(
-            type(s) is int and 2 <= s <= 1 << 12 and not s & (s - 1) for s in value)):
+    if type(value) is not list or not value or any(
+            check_integer(name, s, 2, 1 << 12) & (s - 1) for s in value):
         raise ConfigError(f"{name} must be a non-empty list of powers of 2 "
                           "from 2 to 4096")
     # every run times the size its one check judges, once: a repeated size
@@ -135,8 +118,9 @@ def _sizes(name, value, cfg):
 
 
 # Every field of each kind: its default and the check of its type and range.
-# A check takes (field, value, config) and raises ConfigError naming the
-# field; fields are checked in this order, so a check may read the ones above.
+# A check takes (field, value, config) and raises ConfigError, or the
+# DomainError of a guard of qrecon.exceptions, naming the field; fields are
+# checked in this order, so a check may read the ones above.
 FIELDS: dict[str, dict[str, tuple]] = {
     "tomography": {
         "seed": (20240801, _integer(0)),
@@ -176,7 +160,10 @@ def validate(kind: str, fields: dict) -> dict:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     cfg = {**DEFAULTS[kind], **fields}
     for name, (_, check) in FIELDS[kind].items():
-        check(name, cfg[name], cfg)
+        try:
+            check(name, cfg[name], cfg)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 

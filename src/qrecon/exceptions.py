@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the guards that every
-module applies to its arguments: the integer guard for widths, levels, sizes
-and indices, the real and complex conversions for numbers and arrays, and
-the row check that names the first bad row of a stack."""
+module and the CLI's config schema apply to their arguments: the integer,
+real (neither takes a bool) and name guards for scalars, the real and
+complex conversions for arrays, and the row check that names the first bad
+row of a stack."""
 
 import math
 
@@ -45,10 +46,19 @@ def check_integer(what: str, value, lo: int, hi: int | None = None) -> int:
     otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{what} must be an integer, not {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        bounds = f"{lo}..{hi}" if hi is not None else f"{lo} and up"
-        raise DomainError(f"{what} {value} outside {bounds}")
+    if value < lo:
+        raise DomainError(f"{what} must be at least {lo}, not {value}")
+    if hi is not None and value > hi:
+        raise DomainError(f"{what} {value} is above its cap, {hi}")
     return int(value)
+
+
+def check_name(what: str, value, names) -> None:
+    """DomainError unless value is a str naming an entry of names."""
+    # the type test first: a list is unhashable, and NaN or 1.5 no key
+    if not isinstance(value, str) or value not in names:
+        raise DomainError(f"unknown {what} {value!r}; expected one of "
+                          f"{', '.join(names)}")
 
 
 def reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
@@ -84,10 +94,11 @@ def complex_array(values) -> np.ndarray:
 
 
 def check_real(what: str, value) -> float:
-    """value as a Python float, if real_array takes it to one finite number
-    (a 0-d array; None becomes NaN there); DomainError otherwise."""
+    """value as a Python float, if it is no bool and real_array takes it to
+    one finite number (a 0-d array; None becomes NaN there); DomainError
+    otherwise."""
     try:
-        arr = real_array(value)
+        arr = _array(value, float, "bcUS", "reals")
     except DomainError:
         arr = None
     if arr is None or arr.ndim or not math.isfinite(arr):

@@ -65,6 +65,11 @@ def apply_stage_range(psi: np.ndarray, twiddles: Sequence[np.ndarray],
     cols = psi.shape[1:]  # () for one state, (B,) for a stack
     if scale is None:
         scale = _unit_scale(n)
+    # a multiply into psi that cannot hold its values would fail after the
+    # first stages had run: complex ramps in a float stack, say
+    if not np.can_cast(np.result_type(*twiddles[l_start - 1:l_end], scale),
+                       psi.dtype, "same_kind"):
+        raise ValueError("the twiddle ramps and scale must fit psi's dtype")
     for l in range(l_start, l_end + 1):
         half = 1 << (n - l)
         # the block count, not -1: an empty stack (B = 0) has no size to infer it

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MAX_WIDTH, DomainError, check_integer, check_real
+from .exceptions import MAX_WIDTH, DomainError, check_integer, check_name, check_real
 from .probmodel import prob_from_theta
 
 OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
@@ -32,9 +32,7 @@ OBSERVABLE_CODES = {"q": 0, "p": 1, "r": 2}
 def measurement_stream(master_seed: int, observable: str) -> np.random.Generator:
     """Independent Philox stream for one (seed, observable) pair."""
     seed = check_integer("seed", master_seed, 0)
-    if not isinstance(observable, str) or observable not in OBSERVABLE_CODES:
-        raise DomainError(f"unknown observable {observable!r}; expected one of "
-                          f"{', '.join(OBSERVABLE_CODES)}")
+    check_name("observable", observable, OBSERVABLE_CODES)
     seq = np.random.SeedSequence(entropy=seed,
                                  spawn_key=(OBSERVABLE_CODES[observable],))
     return np.random.Generator(np.random.Philox(seq))
@@ -51,8 +49,9 @@ class ObservableSummary:
 
 
 def _trial_count(observable: str, trials: int) -> int:
-    """An observable's trial count M, checked: numpy's binomial takes it as
-    an int64."""
+    """An observable's trial count M, checked with its name: numpy's binomial
+    takes it as an int64."""
+    check_name("observable", observable, OBSERVABLE_CODES)
     return check_integer(f"observable {observable}: trials", trials, 1,
                          np.iinfo(np.int64).max)
 
@@ -103,7 +102,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     # here, before any draw, not in numpy
     if check_integer("replicas", replicas, 0, 1 << MAX_WIDTH) < 2:
         raise DomainError("need at least two replicas for a variance")
-    # every count, in name order, before any draw
+    # every name and count, in name order, before any draw
     trials = {name: _trial_count(name, trials[name]) for name in sorted(trials)}
     summaries = []
     for name, m in trials.items():

@@ -429,17 +429,30 @@ class TestValidation:
         lambda: BlochPoint(1e200, 0.0, 0.0),  # its square overflows a float
         lambda: ExtendedCoords("q", "x", 0.1),
         lambda: ExtendedCoords("q", 0.5, np.ones(2)),
-    ], ids=["text", "matrix", "none", "huge", "text-theta", "vector-alpha"])
+        lambda: BlochPoint(True, 0.0, 0.0),
+        lambda: BlochPoint(np.True_, 0.0, 0.0),
+        lambda: ExtendedCoords("q", True, None),
+        lambda: ExtendedCoords("q", np.True_, None),
+    ], ids=["text", "matrix", "none", "huge", "text-theta", "vector-alpha",
+            "true", "np-true", "true-theta", "np-true-theta"])
     def test_a_field_must_be_a_real_number(self, make):
         with pytest.raises(DomainError):
             make()
 
     @pytest.mark.parametrize("name", ["x", 5, None, ["q"]])
-    @pytest.mark.parametrize("method", ["component", "theta_of",
-                                        "outcome_probabilities"])
-    def test_an_unknown_observable_is_refused(self, method, name):
+    @pytest.mark.parametrize("call", [
+        lambda a: BlochPoint(0.6, 0.8, 0.0).component(a),
+        lambda a: BlochPoint(0.6, 0.8, 0.0).theta_of(a),
+        lambda a: BlochPoint(0.6, 0.8, 0.0).outcome_probabilities(a),
+        lambda a: ExtendedCoords(a, 0.5, 0.0),
+        lambda a: extended_from_bloch(a, BlochPoint(0.6, 0.8, 0.0)),
+        lambda a: chart_tangent_metric([[0.6, 0.8, 0.0]], [[0.0, 0.0, 1.0]], a),
+        lambda a: shift_rotation_2(np.array([1.0, 0.0]), a),
+    ], ids=["component", "theta_of", "outcome_probabilities", "ExtendedCoords",
+            "extended_from_bloch", "chart_tangent_metric", "shift_rotation_2"])
+    def test_an_unknown_observable_is_refused(self, call, name):
         with pytest.raises(DomainError, match="unknown axis"):
-            getattr(BlochPoint(0.6, 0.8, 0.0), method)(name)
+            call(name)
 
     def test_fields_are_stored_as_floats(self):
         pt = BlochPoint(np.float64(0.6), 0.8, 0)

@@ -724,6 +724,21 @@ class TestColumnStackKernel:
             kernels.apply_stage_range(np.ones((8, 4), dtype=dtype),
                                       make_plan(3).ramps, 3, 1, 3, scratch)
 
+    # (the stack's dtype, the ramps, the scale): a multiply into a stack that
+    # cannot hold its values once failed after the first stage had run
+    @pytest.mark.parametrize("dtype, ramps, scale", [
+        (float, make_plan(3).ramps, None), (float, (np.ones(4), np.ones(2)), 1j),
+        (complex, tuple(r.astype(object) for r in make_plan(3).ramps), None)],
+        ids=["complex-ramps-in-float", "complex-scale-in-float",
+             "object-ramps-in-complex"])
+    def test_rejects_ramps_or_a_scale_the_stack_cannot_hold(self, dtype, ramps,
+                                                            scale):
+        psi = np.ones(8, dtype=dtype)
+        with pytest.raises(ValueError, match="fit psi's dtype"):
+            kernels.apply_stage_range(psi, ramps, 3, 1, 3,
+                                      np.empty(4, dtype=dtype), scale)
+        assert np.array_equal(psi, np.ones(8))
+
     def test_a_stage_range_allocates_no_temporary(self):
         # the halves' differences go to the caller's scratch, and the last
         # multiply writes the second halves: no per-stage array, no copy

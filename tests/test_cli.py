@@ -129,6 +129,7 @@ class TestConfigSchema:
         ("tomography", {"replicas": 51}, "replicas"),
         ("tomography", {"state": {"kind": "rebit", "theta_q": math.nan}}, "theta_q"),
         ("tomography", {"state": {"kind": "rebit"}}, "theta_q"),
+        ("tomography", {"state": {"kind": "rebit", "theta_q": True}}, "theta_q"),
         ("tomography", {"state": {"kind": "qubit", "bloch": [1, 2]}}, "bloch"),
         ("tomography", {"state": {"kind": "qubit", "bloch": [1, 1, 0]}}, "bloch"),
         ("tomography", {"state": {"kind": "qubit", "bloch": [math.nan, 0, 1]}},

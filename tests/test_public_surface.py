@@ -6,7 +6,7 @@ refuses widths above its cap with a DomainError before it allocates: the
 cases below must never reach an allocation, because the arrays they name
 would not fit in memory.  Every array and every angle goes through one real
 or complex conversion, which refuses text, ragged nesting and ints too large
-for a float with a DomainError.  Every seed and count of the sampling layer
+for a float with a DomainError; an angle is no bool either.  Every seed and count of the sampling layer
 goes through one integer check, which refuses anything but a non-negative
 int with a DomainError.
 """
@@ -132,8 +132,10 @@ ANGLES = [
 ]
 
 
-@pytest.mark.parametrize("value", ["x", None, np.ones((2, 2)), math.nan, math.inf, HUGE],
-                         ids=["text", "None", "2x2", "nan", "inf", "huge"])
+@pytest.mark.parametrize("value", ["x", None, np.ones((2, 2)), math.nan, math.inf, HUGE,
+                                   True, np.True_],
+                         ids=["text", "None", "2x2", "nan", "inf", "huge", "true",
+                              "np-true"])
 @pytest.mark.parametrize("name, call", ANGLES, ids=[c[0] for c in ANGLES])
 def test_an_angle_must_be_a_real_number(name, call, value):
     with pytest.raises(DomainError):

@@ -244,6 +244,18 @@ class TestTomography:
                                   replicas=10)
         assert streams == []
 
+    # an unknown name once failed only after the observables before it in
+    # name order had been drawn
+    def test_every_observable_name_is_checked_before_any_draw(self, monkeypatch):
+        streams = []
+        real = sampling.measurement_stream
+        monkeypatch.setattr(sampling, "measurement_stream",
+                            lambda *args: streams.append(args) or real(*args))
+        with pytest.raises(DomainError, match="unknown observable 'x'"):
+            tomography_experiment({o: 1.0 for o in "pqx"},
+                                  {o: 1000 for o in "pqx"}, seed=1, replicas=10)
+        assert streams == []
+
     def test_trials_must_name_measured_observables(self):
         with pytest.raises(DomainError, match="observable p"):
             tomography_experiment({"q": 1.0}, {"p": 10}, seed=1, replicas=10)
