@@ -49,13 +49,14 @@ MAX_REPLICAS = 10**6
 # 1 - BAND_SIGMA times the chi^2 spread, positive once replicas - 1 > 2 sigma^2
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # bounds metric-check's time: it draws and evaluates the samples a block at a
-# time, so at the default levels a run at the samples cap took 5.2 s with a
-# 37 MB peak, and one at the chart_points cap 1.1 s with a 167 MB peak
-# (2-core Xeon VM, one BLAS thread)
+# time, so at the default levels a run at the samples cap (977 blocks) took
+# 3.3-3.5 s of elapsed_s with a 39 MB process peak, and one at the
+# chart_points cap 0.64-0.66 s with a 166 MB peak (2-core Xeon VM, one BLAS
+# thread, three runs each)
 MAX_SAMPLES = 10**6
 # metric-check samples x 2**levels, the amplitudes a run draws: a run at this
-# many took 5.1-6.3 s at 20 levels (221 MB peak) and 5.2 s at 4 (2-core Xeon
-# VM, one BLAS thread)
+# many took 3.2 s at 20 levels (one state per block, 229 MB peak); at 4
+# levels the samples cap binds first (2-core Xeon VM, one BLAS thread)
 MAX_AMPLITUDES = 1 << 24
 # bench times each size this many times over
 MAX_REPEATS = 10**3

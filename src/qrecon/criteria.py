@@ -39,14 +39,24 @@ from .partitions import (DigitSubsetSet, PhaseSpaceSet, make_lsb_partition,
 from .sampling import tomography_experiment
 
 # amplitudes per stacked block of metric samples (a block holds at least one
-# state): 32 kB per draw array (four of them), 64 kB per stack and about
-# 0.5 MB of metric temporaries; a performance constant only, since no check
-# value depends on it.  Swept with the half-slice recursion (perfbench
-# metric-check, ten alternated rounds, 2-core Xeon VM, numpy 2.4.6): 2^12,
-# 2^13 and 2^14 read p50 4.67, 4.48 and 4.06 ref_ms and peak RSS 37.65,
-# 38.35 and 39.64 MB.  2^13 gains less than the rounds' spread for about 2%
-# more memory, so the block stays at 2^12.
-METRIC_BLOCK_CELLS = 1 << 12
+# state); a performance constant only, since no check value depends on it.
+# At 2^14 a request of at most 16,384 amplitudes, such as perfbench's
+# metric-check (1,000 samples at 4 levels), is one block of about 200 B per
+# amplitude at its tracemalloc peak (3.2 MB): 128 kB per draw array, 256 kB
+# per complex stack, the recursion's leaf-major copies and the temporaries.
+# That request's p50 (2-core Xeon VM, numpy 2.4.6, perfbench --seconds 16)
+# follows the worker's heap history more than this code.  Run from 24
+# checkout directories (their names move the heap layout), 13 read 3.57-3.77
+# ref ms with no page fault per request and 11 read 4.42-4.67 with about
+# 670, when glibc trims the block's freed memory off the top of the heap
+# after each request.  2^12 blocks with the strided recursion read 4.71-4.95
+# in the same directories and never faulted: 0.7 MB blocks fit the heap's
+# free space.  An in-process cli.main loop lands in one state or the other
+# just the same (the constant alone read -5% in one, -17% in the other), so
+# size a variant with perfbench runs from several directories.  Releasing
+# the draws and amplitudes before the recursion cut the peak to 1.6 MB but
+# read 4.27 against 3.79 ref ms (medians over 12 directories).
+METRIC_BLOCK_CELLS = 1 << 14
 
 # the observables each tomography state kind measures
 OBSERVABLES = {"rebit": ("q", "p"), "qubit": ("q", "p", "r")}

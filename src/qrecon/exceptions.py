@@ -96,9 +96,13 @@ def complex_array(values) -> np.ndarray:
 def check_real(what: str, value) -> float:
     """value as a Python float, if it is no bool and real_array takes it to
     one finite number (a 0-d array; None becomes NaN there); DomainError
-    otherwise."""
+    otherwise.  A 0-d object array is judged by its item, since converting
+    it to float would take a bool or a numeral string in it as a number."""
+    item = value
+    while isinstance(item, np.ndarray) and item.dtype == object and not item.ndim:
+        item = item.item()
     try:
-        arr = _array(value, float, "bcUS", "reals")
+        arr = _array(item, float, "bcUS", "reals")
     except DomainError:
         arr = None
     if arr is None or arr.ndim or not math.isfinite(arr):

@@ -12,7 +12,9 @@ a tangent its perturbation array: the metrics take one state and tangent
 (N,), or a stack of them (S, N) evaluated in whole-array passes, as anything
 `exceptions.complex_array` converts.  The recursion makes one pass per tree
 level over `probmodel.mass_pyramid`, whose levels are sums of half-slices:
-a node's two branches are the two halves of the finer level.  Both metrics
+a node's two branches are the two halves of the finer level.  It builds
+the pyramid leaf-major, on (N, S) copies of a stack, so that each half is a
+block of whole rows and each pass a contiguous loop.  Both metrics
 are the public wrapper of a private form on checked differentials
 (rho, drho, dphi), so `criteria.metric_sample` computes each block's
 differentials once for the two.
@@ -36,8 +38,8 @@ import numpy as np
 from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
                          check_integer, complex_array, real_array,
                          reject_rows)
-from .probmodel import (ConditionalTree, _normalized, mass_pyramid,
-                        reconstitute)
+from .probmodel import (ConditionalTree, _leaf_pyramid, _normalized,
+                        mass_pyramid, reconstitute)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
@@ -192,22 +194,27 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
     """extended_fisher_metric_recursive of checked differentials, one value
     per row.  The nodes of a level are the entries of its mass_pyramid
     level; their branches 0 and 1 are the two halves of the finer level
-    (mass_pyramid's child order), so each pass reads two half-slices."""
+    (mass_pyramid's child order), so each pass reads two half-slices.  The
+    passes run leaf-major, on (N, S) copies of a stack: a half-slice is then
+    a block of whole rows, which numpy runs as one contiguous loop, where
+    the (S, N) half-slices are S strided runs of at most N/2 entries."""
     size = rho.shape[-1]
     if size & (size - 1):
         raise DomainError("need a power-of-2 length")
-    mass, flow, phase = (mass_pyramid(v) for v in (rho, drho, rho * dphi))
+    rho, drho, dphi = (np.ascontiguousarray(np.moveaxis(v, -1, 0))
+                       for v in (rho, drho, dphi))
+    mass, flow, phase = (_leaf_pyramid(v) for v in (rho, drho, rho * dphi))
     metric = np.zeros_like(rho)
     broken = np.zeros(rho.shape, dtype=bool)
     # empty nodes divide by zero; np.where drops what they produce
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for level in range(1, len(mass)):
             m_s, f_s = mass[level], flow[level]
-            half = m_s.shape[-1]
+            half = len(m_s)
             m0, m1 = _halves(mass[level - 1], half)
             p0, p1 = _halves(phase[level - 1], half)
             q0, q1 = m0 / m_s, m1 / m_s
-            dq0 = (flow[level - 1][..., :half] - q0 * f_s) / m_s
+            dq0 = (flow[level - 1][:half] - q0 * f_s) / m_s
             live0, live1 = q0 > ZERO_MASS, q1 > ZERO_MASS
             mean0 = np.where(live0, p0 / m0, 0)
             mean1 = np.where(live1, p1 / m1, 0)
@@ -222,13 +229,14 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
             fault0, fault1 = _halves(broken, half)
             broken = ((live0 & fault0) | (live1 & fault1)
                       | (~interior & (np.abs(dq0) > ZERO_MASS)))
-    reject_rows(broken[..., 0], SingularityError, "mass flow across an empty branch")
-    return metric[..., 0]
+    reject_rows(broken[0, ...], SingularityError, "mass flow across an empty branch")
+    return metric[0, ...]
 
 
 def _halves(values: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """The branch-0 and branch-1 entries of a pyramid level, as views."""
-    return values[..., :half], values[..., half:]
+    """The branch-0 and branch-1 entries of a leaf-major pyramid level (the
+    leaf axis first), as views."""
+    return values[:half], values[half:]
 
 
 def fubini_study_metric(psi, d):

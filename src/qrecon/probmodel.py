@@ -160,13 +160,22 @@ def mass_pyramid(values: np.ndarray) -> list[np.ndarray]:
     by dropping the current top bit, so pyramid[n] is the total and the
     children of the node s at pyramid[k] are pyramid[k-1][s] (the next bit
     up is 0) and pyramid[k-1][s + 2**(n-k)] (it is 1).  Leading axes are a
-    stack of independent vectors.
+    stack of independent vectors: the levels are _leaf_pyramid's, viewed
+    with the leaf axis last again.
     """
-    pyramid = [values]
-    while values.shape[-1] > 1:
-        half = values.shape[-1] // 2
-        values = values[..., :half] + values[..., half:]
-        pyramid.append(values)
+    return [np.moveaxis(level, 0, -1)
+            for level in _leaf_pyramid(np.moveaxis(values, -1, 0))]
+
+
+def _leaf_pyramid(rows: np.ndarray) -> list[np.ndarray]:
+    """mass_pyramid over the first axis, the leaf axis of a leaf-major
+    stack (2**n, ...): each level adds the two halves of the finer one, so
+    on a C-ordered stack every addition runs over whole contiguous rows."""
+    pyramid = [rows]
+    while len(rows) > 1:
+        half = len(rows) // 2
+        rows = rows[:half] + rows[half:]
+        pyramid.append(rows)
     return pyramid
 
 

@@ -48,10 +48,15 @@ class ObservableSummary:
     precision_per_measurement: float
 
 
-def _trial_count(observable: str, trials: int) -> int:
-    """An observable's trial count M, checked with its name: numpy's binomial
-    takes it as an int64."""
+def _angle(observable: str, theta) -> float:
+    """An observable's angle on the theta chart, checked with its name."""
     check_name("observable", observable, OBSERVABLE_CODES)
+    return check_real(f"observable {observable}: theta", theta)
+
+
+def _trial_count(observable: str, trials: int) -> int:
+    """An observable's trial count M, checked: numpy's binomial takes it as
+    an int64."""
     return check_integer(f"observable {observable}: trials", trials, 1,
                          np.iinfo(np.int64).max)
 
@@ -89,8 +94,8 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     for arg, given in (("thetas", thetas), ("trials", trials)):
         if not isinstance(given, dict) or not all(isinstance(k, str) for k in given):
             raise DomainError(f"{arg} must be a dict keyed by observable name")
-    thetas = {name: check_real(f"observable {name}: theta", theta)
-              for name, theta in thetas.items()}
+    # every name with its angle, also one no trial count measures
+    thetas = {name: _angle(name, theta) for name, theta in thetas.items()}
     if not thetas:
         raise DomainError("no observables to measure")
     if not trials:
@@ -102,7 +107,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     # here, before any draw, not in numpy
     if check_integer("replicas", replicas, 0, 1 << MAX_WIDTH) < 2:
         raise DomainError("need at least two replicas for a variance")
-    # every name and count, in name order, before any draw
+    # every count, in name order, before any draw (its name came with an angle)
     trials = {name: _trial_count(name, trials[name]) for name in sorted(trials)}
     summaries = []
     for name, m in trials.items():

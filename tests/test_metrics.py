@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -892,6 +893,31 @@ class TestMetricSample:
         criteria.metric_sample({"levels": 4, "samples": 1000}, counting(np.random.PCG64(3)))
         blocks = -(-1000 // (criteria.METRIC_BLOCK_CELLS >> 4))
         assert sorted(calls) == sorted(["dirichlet", "uniform", "normal", "normal"] * blocks)
+
+
+class TestMetricBlockMemory:
+    # the live arrays of one block, per amplitude: the four float64 draws
+    # (32 B), the complex amplitudes and tangent (32 B), the differentials
+    # (32 B, since dphi is a view of a complex quotient), the recursion's
+    # leaf-major copies and phase product (32 B), their pyramid levels above
+    # the leaves (24 B) and the first level's temporaries; measured 199-201 B
+    # at 2^12 and 2^14 cells
+    BYTES_PER_AMPLITUDE = 224
+
+    @pytest.mark.parametrize("cells", [1 << 12, criteria.METRIC_BLOCK_CELLS])
+    def test_peak_is_bounded_per_amplitude_of_a_block(self, monkeypatch, cells):
+        monkeypatch.setattr(criteria, "METRIC_BLOCK_CELLS", cells)
+        cfg = {"levels": 4, "samples": 1000}
+        # a first call makes numpy's and the spawn's one-off allocations
+        criteria.metric_sample({**cfg, "samples": 1}, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            criteria.metric_sample(cfg, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        amplitudes = min(cfg["samples"], cells >> cfg["levels"]) << cfg["levels"]
+        assert peak <= self.BYTES_PER_AMPLITUDE * amplitudes
 
 
 class TestFubiniStudy:

@@ -5,7 +5,7 @@ import pytest
 
 from qrecon.exceptions import DomainError
 from qrecon.partitions import make_lsb_partition, Partition
-from qrecon.probmodel import (ConditionalTree, Distribution,
+from qrecon.probmodel import (ConditionalTree, Distribution, _leaf_pyramid,
                               factorize, marginalize_to_partition,
                               mass_pyramid,
                               prob_from_theta, reconstitute, s_variable,
@@ -119,6 +119,15 @@ class TestMassPyramid:
         for level, rows in zip(mass_pyramid(stack),
                                zip(*(mass_pyramid(row) for row in stack))):
             assert np.array_equal(level, np.array(rows))
+
+    # the recursion builds its pyramids leaf-major and relies on these bits
+    @pytest.mark.parametrize("nbits", range(0, 7))
+    def test_leaf_major_levels_are_the_transposed_levels(self, nbits):
+        stack = np.random.default_rng(nbits).normal(size=(9, 1 << nbits))
+        rows = _leaf_pyramid(np.ascontiguousarray(stack.T))
+        for level, leaf_major in zip(mass_pyramid(stack), rows, strict=True):
+            assert leaf_major.flags.c_contiguous
+            assert level.tobytes() == np.ascontiguousarray(leaf_major.T).tobytes()
 
     @pytest.mark.parametrize("count", [None, 0, 1, 7, 256])
     @pytest.mark.parametrize("nbits", range(0, 9))

@@ -133,9 +133,12 @@ ANGLES = [
 
 
 @pytest.mark.parametrize("value", ["x", None, np.ones((2, 2)), math.nan, math.inf, HUGE,
-                                   True, np.True_],
+                                   True, np.True_, np.array(True, dtype=object),
+                                   np.array(np.True_, dtype=object),
+                                   np.array("1.5", dtype=object)],
                          ids=["text", "None", "2x2", "nan", "inf", "huge", "true",
-                              "np-true"])
+                              "np-true", "object-true", "object-np-true",
+                              "object-text"])
 @pytest.mark.parametrize("name, call", ANGLES, ids=[c[0] for c in ANGLES])
 def test_an_angle_must_be_a_real_number(name, call, value):
     with pytest.raises(DomainError):
