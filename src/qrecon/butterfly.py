@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .exceptions import MAX_WIDTH, DomainError, check_integer, complex_array
+from .exceptions import (MAX_WIDTH, DomainError, check_integer, check_power_of_two,
+                         check_rows, complex_array)
 from .kernels import _INV_SQRT2
 from .probmodel import _normalized
 
@@ -244,7 +245,8 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     and subtract without a 1/sqrt(2), and the last stage multiplies by the
     ladder's one normalization, 2**(-n/2) (kernels._unit_scale).  The copy
     is dropped before the result is allocated, so at most two states are
-    held.
+    held.  A non-finite entry, or one above about 1e300 (where the stages'
+    sums overflow), gives non-finite output, and numpy warns of neither.
     """
     n = plan.n
     psi = complex_array(psi)
@@ -302,7 +304,9 @@ def _ladder_tail(plan: ButterflyPlan, work: np.ndarray,
     s = min(n, TAIL_STAGES)
     h = _head_stages(n, work.size >> n)
     b, cols = n - h, work.shape[1:]
-    with np.errstate():  # restores numpy's buffer size on exit, raise or not
+    # an overflow or inf - inf gives non-finite output, not a warning; the
+    # block also restores numpy's buffer size on exit, raise or not
+    with np.errstate(over="ignore", invalid="ignore"):
         np.setbufsize(STAGE_BUFSIZE)
         if h:
             kernels.apply_stage_range(work, plan.ramps, n, 1, h, flat)
@@ -357,9 +361,7 @@ def assemble_transform(n: int, sign: int = +1) -> np.ndarray:
 def dft_matrix(size: int, sign: int = +1) -> np.ndarray:
     """Unitary Fourier matrix exp(sign * 2*pi*i*j*k/N) / sqrt(N), entry (j, k)
     read from the table of N roots at j*k mod N (exact argument reduction)."""
-    size = check_integer("size", size, 1, 1 << (MAX_WIDTH // 2))
-    if size & (size - 1):
-        raise DomainError("size must be a power of 2")
+    size = 1 << check_power_of_two("size", size, 0, MAX_WIDTH // 2)
     table = _roots(size, _check_sign(sign)) / math.sqrt(size)
     rows = min(size, max(1, DFT_BLOCK // size))
     return _dft_columns(table, np.arange(size), np.empty((size, size), dtype=complex),
@@ -657,13 +659,8 @@ def chain_propagate(psi: np.ndarray) -> np.ndarray:
     stack, one kernel call per stage, and each row has its own call's bits.
     """
     psi = complex_array(psi)
-    if psi.ndim not in (1, 2):
-        raise DomainError(f"need one state (N,) or a stack (S, N), "
-                          f"not shape {psi.shape}")
-    size = psi.shape[-1]
-    n = size.bit_length() - 1 if size else 0
-    if size != 1 << n or n < 1:
-        raise DomainError("state length must be a power of 2, at least 2")
+    check_rows(psi=psi)
+    n = check_power_of_two("state length", psi.shape[-1], 1)
     plan = make_plan(n, +1)
     work = np.array(_normalized(psi).T, order="C")
     scratch = np.empty(work.size // 2, dtype=complex)  # shared by the n stages

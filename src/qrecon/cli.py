@@ -32,7 +32,7 @@ import numpy as np
 from . import butterfly, criteria
 from .bloch import BlochPoint
 from .exceptions import (ConfigError, DomainError, check_integer, check_name,
-                         check_real)
+                         check_power_of_two, check_real)
 from .partitions import ENUMERATION_WIDTH_CAP
 
 CONFIG_VERSION = 1
@@ -44,9 +44,9 @@ MAX_TRIALS = 2**60
 # bounds a run's estimate arrays (24 bytes a replica at the peak) and its
 # time: at 10**6 replicas a three-observable run draws 3 * 10**6 binomials
 MAX_REPLICAS = 10**6
-# the fewest replicas whose variance band (criteria.chi2_band) has its lower
-# edge above 0, so that too small a variance can fail it: that edge is
-# 1 - BAND_SIGMA times the chi^2 spread, positive once replicas - 1 > 2 sigma^2
+# the fewest replicas whose variance-band tolerance, BAND_SIGMA times the chi^2
+# spread sqrt(2 / (replicas - 1)), is below 1, so that too small a variance can
+# fail the band: below 1 once replicas - 1 > 2 sigma^2
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # bounds metric-check's time: it draws and evaluates the samples a block at a
 # time, so at the default levels a run at the samples cap (977 blocks) took
@@ -104,11 +104,12 @@ def _trials(name, value, cfg):
 
 
 def _sizes(name, value, cfg):
-    # the dense product of a size is a size x size matrix
-    if type(value) is not list or not value or any(
-            check_integer(name, s, 2, 1 << 12) & (s - 1) for s in value):
+    if type(value) is not list or not value:
         raise ConfigError(f"{name} must be a non-empty list of powers of 2 "
                           "from 2 to 4096")
+    for size in value:
+        # the dense product of a size is a size x size matrix
+        check_power_of_two(name, size, 1, 12)
     # every run times the size its one check judges, once: a repeated size
     # would time it again and give two checks one id
     if criteria.SPEEDUP_SIZE not in value:
@@ -294,6 +295,3 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,7 +11,7 @@ cfg["seed"]).  The CLI runs them at
 a config's scope, tests/test_acceptance.py at the release scope.  Each
 tolerance is a constant here, next to its check: no config can loosen it.
 `qrecon.sampling` only simulates: the tomography variance band is built
-(`chi2_band`, from the chi^2 spread of a sample variance) and judged here.
+(from the chi^2 spread of a sample variance) and judged here.
 """
 
 from __future__ import annotations
@@ -258,20 +258,6 @@ PARITY_TOL = 0.05  # precision-parity, max relative difference of two precisions
 BAND_SIGMA = 5.0   # variance-band half-width, in chi^2 standard deviations
 
 
-def _chi2_spread(replicas: int) -> float:
-    """Relative standard deviation of the sample variance of `replicas`
-    normal draws: (replicas-1) times its ratio to the true variance is chi^2
-    with replicas-1 dof, of mean replicas-1 and variance 2(replicas-1)."""
-    return math.sqrt(2.0 / (replicas - 1))
-
-
-def chi2_band(replicas: int, sigma: float) -> tuple[float, float]:
-    """Relative band, `sigma` standard deviations either side of 1, for a
-    sample variance of `replicas` draws."""
-    rel = sigma * _chi2_spread(replicas)
-    return 1.0 - rel, 1.0 + rel
-
-
 def gaussian_p_value(z: float) -> float:
     """Two-sided normal p-value for a z score (reported on band failures)."""
     return math.erfc(abs(z) / math.sqrt(2.0))
@@ -302,15 +288,20 @@ def tomography(cfg: dict, rng: np.random.Generator):
             "precision-parity",
             "per-measurement precision contributions agree across observables",
             parity, PARITY_TOL, parity <= PARITY_TOL))
-    lo, hi = chi2_band(cfg["replicas"], BAND_SIGMA)
+    # the sample variance of R normal draws over the true one is chi^2 with
+    # R - 1 dof over R - 1, of relative spread sqrt(2 / (R - 1)); the band
+    # 1 +- BAND_SIGMA spreads is judged as a ceiling on the distance from 1,
+    # so that a variance too small fails above its tolerance too
+    spread = math.sqrt(2.0 / (cfg["replicas"] - 1))
     for s in finite:
-        scaled = s.var_hat * s.trials
-        z = (scaled - 1.0) / _chi2_spread(cfg["replicas"])
+        deviation = s.var_hat * s.trials - 1.0
+        z = deviation / spread
         checks.append(Check(
             f"variance-band-{s.observable}",
-            f"M*var(theta_hat) of {s.observable} inside the {BAND_SIGMA}-sigma "
-            f"chi^2 band around 1 (z={z:.2f}, p={gaussian_p_value(z):.3g})",
-            scaled, hi, lo <= scaled <= hi))
+            f"|M*var(theta_hat) - 1| of {s.observable} within {BAND_SIGMA} chi^2 "
+            f"standard deviations (z={z:.2f}, p={gaussian_p_value(z):.3g})",
+            abs(deviation), BAND_SIGMA * spread,
+            abs(deviation) <= BAND_SIGMA * spread))
     return checks, [{"observable": s.observable, "M": s.trials,
                      "thetaHat": s.theta_hat_mean, "varHat": s.var_hat,
                      "precisionPerMeasurement": s.precision_per_measurement}

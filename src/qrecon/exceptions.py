@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the guards that every
 module and the CLI's config schema apply to their arguments: the integer,
-real (neither takes a bool) and name guards for scalars, the real and
-complex conversions for arrays, and the row check that names the first bad
-row of a stack."""
+real and name guards for scalars, the power-of-2 guard for a size 2**n, the
+real and complex conversions for arrays, the shape guard for a state or a
+stack of them, and the row check that names the first bad row of a stack.
+No guard takes a bool or text for a number, in an array or out of one."""
 
 import math
 
@@ -61,6 +62,15 @@ def check_name(what: str, value, names) -> None:
                           f"{', '.join(names)}")
 
 
+def check_power_of_two(what: str, value, lo: int = 0, hi: int | None = None) -> int:
+    """n for value = 2**n, if check_integer takes value to a power of 2 from
+    2**lo to 2**hi (2**lo and up for hi None); DomainError otherwise."""
+    size = check_integer(what, value, 1 << lo, None if hi is None else 1 << hi)
+    if size & (size - 1):
+        raise DomainError(f"{what} must be a power of 2, not {size}")
+    return size.bit_length() - 1
+
+
 def reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
     """Raise exc(message) if any row of a stack is flagged, naming the first;
     a 0-d flag stands for a single state."""
@@ -70,12 +80,37 @@ def reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
         raise exc(message)
 
 
+def check_rows(stack: bool = True, **arrays: np.ndarray) -> None:
+    """DomainError naming the argument unless the arrays share the first's
+    shape: one row (N,) with N >= 1 or, if stack, a stack (S, N) of them."""
+    shape = None
+    for name, arr in arrays.items():
+        if shape is None:
+            shape = arr.shape
+            if arr.ndim not in ((1, 2) if stack else (1,)) or not shape[-1]:
+                raise DomainError(f"{name} must be a non-empty row (N,)"
+                                  f"{' or a stack (S, N)' if stack else ''}, "
+                                  f"not shape {shape}")
+        elif arr.shape != shape:
+            raise DomainError(f"{name} must have shape {shape}, not {arr.shape}")
+
+
+def _is_number(item) -> bool:
+    """False for a bool or text, or an array holding one, as an item of an
+    object array; numpy's conversion would take either as a number."""
+    if isinstance(item, np.ndarray):
+        kind = item.dtype.kind
+        return kind not in "bUS" and (kind != "O" or all(map(_is_number, item.flat)))
+    return not isinstance(item, (bool, np.bool_, str, bytes))
+
+
 def _array(values, dtype: type, refused: str, what: str) -> np.ndarray:
     """values as an array of dtype, the array itself if it is one already;
-    DomainError for ragged nesting or an array of a kind in `refused`."""
+    DomainError for ragged nesting, an array of a kind in `refused` or of
+    bools or text, or an object array with a bool or text item."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind not in refused:
+        if _is_number(arr) and arr.dtype.kind not in refused:
             return arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):  # also an int too large
         pass
@@ -83,26 +118,22 @@ def _array(values, dtype: type, refused: str, what: str) -> np.ndarray:
 
 
 def real_array(values) -> np.ndarray:
-    """values as a float array; DomainError for text, complex numbers or
-    ragged nesting."""
-    return _array(values, float, "cUS", "reals")
+    """values as a float array; DomainError for bools, text, complex numbers
+    or ragged nesting."""
+    return _array(values, float, "c", "reals")
 
 
 def complex_array(values) -> np.ndarray:
-    """values as a complex array; DomainError for text or ragged nesting."""
-    return _array(values, complex, "US", "numbers")
+    """values as a complex array; DomainError for bools, text or ragged
+    nesting."""
+    return _array(values, complex, "", "numbers")
 
 
 def check_real(what: str, value) -> float:
-    """value as a Python float, if it is no bool and real_array takes it to
-    one finite number (a 0-d array; None becomes NaN there); DomainError
-    otherwise.  A 0-d object array is judged by its item, since converting
-    it to float would take a bool or a numeral string in it as a number."""
-    item = value
-    while isinstance(item, np.ndarray) and item.dtype == object and not item.ndim:
-        item = item.item()
+    """value as a Python float, if real_array takes it to one finite number
+    (a 0-d array; None becomes NaN there); DomainError otherwise."""
     try:
-        arr = _array(item, float, "bcUS", "reals")
+        arr = real_array(value)
     except DomainError:
         arr = None
     if arr is None or arr.ndim or not math.isfinite(arr):

@@ -36,24 +36,14 @@ import math
 import numpy as np
 
 from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
-                         check_integer, complex_array, real_array,
-                         reject_rows)
+                         check_integer, check_power_of_two, check_rows,
+                         complex_array, real_array, reject_rows)
 from .probmodel import (ConditionalTree, _leaf_pyramid, _normalized,
                         mass_pyramid, reconstitute)
 
 TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
 INCREMENT_SD = 0.1       # standard deviation of a random tangent's increments
-
-
-def _state_and_tangent(psi, d) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes and perturbations as one state (N,) or a stack (S, N)."""
-    amps, damps = complex_array(psi), complex_array(d)
-    if amps.ndim not in (1, 2) or amps.shape != damps.shape:
-        raise DomainError("need a state and a tangent of one shape, (N,) or (S, N)")
-    if amps.shape[-1] == 0:
-        raise DomainError("a state needs at least one amplitude")
-    return amps, damps
 
 
 def _result(values: np.ndarray):
@@ -70,7 +60,8 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     rejected.  A row whose drho is not finite (a NaN or infinite entry, or
     an overflow) is refused first.
     """
-    amps, damps = _state_and_tangent(psi, d)
+    amps, damps = complex_array(psi), complex_array(d)
+    check_rows(psi=amps, d=damps)
     with np.errstate(invalid="ignore", over="ignore"):  # refused just below
         drho = _drho(amps, damps)
         finite = np.isfinite(drho.sum(axis=-1))
@@ -198,9 +189,7 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
     passes run leaf-major, on (N, S) copies of a stack: a half-slice is then
     a block of whole rows, which numpy runs as one contiguous loop, where
     the (S, N) half-slices are S strided runs of at most N/2 entries."""
-    size = rho.shape[-1]
-    if size & (size - 1):
-        raise DomainError("need a power-of-2 length")
+    check_power_of_two("state length", rho.shape[-1])
     rho, drho, dphi = (np.ascontiguousarray(np.moveaxis(v, -1, 0))
                        for v in (rho, drho, dphi))
     mass, flow, phase = (_leaf_pyramid(v) for v in (rho, drho, rho * dphi))
@@ -245,7 +234,8 @@ def fubini_study_metric(psi, d):
     One state gives a float, a stack (S, N) of states and tangents an (S,)
     array.  A non-finite squared norm or length is refused.
     """
-    amps, damps = _state_and_tangent(psi, d)
+    amps, damps = complex_array(psi), complex_array(d)
+    check_rows(psi=amps, d=damps)
     norm2 = np.einsum("...i,...i->...", amps.conj(), amps).real
     reject_rows(~np.isfinite(norm2), DomainError,
                 "squared norm of the state is not finite")
@@ -262,25 +252,15 @@ def fubini_study_distance(psi1, psi2) -> float:
     checked and renormalized by _normalized, so a state off norm beyond
     RENORM_TOL (or a NaN or infinite one) is refused."""
     a1, a2 = complex_array(psi1), complex_array(psi2)
-    if a1.ndim != 1 or a1.shape != a2.shape or a1.size == 0:
-        raise DomainError("need two states of one length, (N,)")
+    check_rows(stack=False, psi1=a1, psi2=a2)
     fid = abs(complex(np.vdot(_normalized(a1), _normalized(a2)))) ** 2
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))  # clamp the rounding
 
 
-def _check_block(**arrays) -> None:
-    """DomainError naming the argument unless the arrays share the first's
-    shape, (N,) or (S, N) with N >= 1, and every row is finite; checked once
-    for a whole block."""
-    shape = None
+def _reject_non_finite(**arrays) -> None:
+    """DomainError naming the argument and the first row of it that has a
+    non-finite entry; checked once for a whole block."""
     for name, arr in arrays.items():
-        if shape is None:
-            shape = arr.shape
-            if arr.ndim not in (1, 2) or shape[-1] == 0:
-                raise DomainError(f"{name} must be a non-empty row (N,) or a stack "
-                                  f"(S, N), not shape {shape}")
-        elif arr.shape != shape:
-            raise DomainError(f"{name} must have shape {shape}, not {arr.shape}")
         reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
                     f"{name} has a non-finite entry")
 
@@ -291,7 +271,8 @@ def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     (N,) or a stack (S, N), checked and renormalized per row by _normalized,
     which also names a row whose weights do not sum to 1 (an all-zero one)."""
     weights, phases = real_array(weights), real_array(phases)
-    _check_block(weights=weights, phases=phases)
+    check_rows(weights=weights, phases=phases)
+    _reject_non_finite(weights=weights, phases=phases)
     # a negative weight would take a negative root
     reject_rows((weights < 0.0).any(axis=-1), DomainError,
                 "weights must be non-negative")
@@ -309,7 +290,8 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
     amplitude_phase_differentials; a row with a component of mass at most
     ZERO_MASS has no such tangent and is refused."""
     amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
-    _check_block(amps=amps, drho=drho, dphi=dphi)
+    check_rows(amps=amps, drho=drho, dphi=dphi)
+    _reject_non_finite(amps=amps, drho=drho, dphi=dphi)
     rho = amps.real ** 2 + amps.imag ** 2
     reject_rows((rho <= ZERO_MASS).any(axis=-1), SingularityError,
                 "amps has a zero-amplitude component")
@@ -334,7 +316,6 @@ def random_tangent(psi, rng: np.random.Generator) -> np.ndarray:
     normal increments of standard deviation INCREMENT_SD: N for drho, then
     N for dphi."""
     psi = complex_array(psi)
-    if psi.ndim != 1:
-        raise DomainError(f"need one state (N,), not shape {psi.shape}")
+    check_rows(stack=False, psi=psi)
     return tangent_amplitudes(psi, rng.normal(0.0, INCREMENT_SD, psi.size),
                               rng.normal(0.0, INCREMENT_SD, psi.size))

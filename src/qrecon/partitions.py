@@ -21,7 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .exceptions import MAX_OBJECT_WIDTH, DomainError, RangeError, check_integer
+from .exceptions import (MAX_OBJECT_WIDTH, DomainError, RangeError, check_integer,
+                         check_power_of_two)
 
 ENUMERATION_WIDTH_CAP = 4  # brute-force searches refuse above this width
 
@@ -90,8 +91,7 @@ class Partition:
             seen.add(x)
         if len(seen) != (1 << n):
             raise DomainError("union of sets does not cover the domain")
-        if len(canon) & (len(canon) - 1):
-            raise DomainError("number of sets must be a power of 2")
+        check_power_of_two("number of sets", len(canon))
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -229,9 +229,7 @@ def shift_invariant_equal_partitions(n: int, cardinality: int) -> list[Partition
     n = check_integer("width", n, 0)
     if n > ENUMERATION_WIDTH_CAP:
         raise DomainError(f"enumeration capped at width {ENUMERATION_WIDTH_CAP}")
-    cardinality = check_integer("cardinality", cardinality, 1, 1 << n)
-    if cardinality & (cardinality - 1):
-        raise DomainError("cardinality must be a power of 2 within the domain")
+    cardinality = 1 << check_power_of_two("cardinality", cardinality, 0, n)
     size = 1 << n
     full = (1 << size) - 1
     # the cap keeps masks below 2**16, so every rotation fits an int32

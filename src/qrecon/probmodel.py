@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, check_integer, check_real, real_array, reject_rows
+from .exceptions import (DomainError, check_integer, check_power_of_two, check_real,
+                         check_rows, real_array, reject_rows)
 from .partitions import Partition
 
 SUM_TOL = 1e-12          # accepted deviation of sum(probs) from 1
@@ -63,8 +64,8 @@ class Distribution:
 
     def __init__(self, probs: Sequence[float]):
         arr = real_array(probs)
-        if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
-            raise DomainError("need a flat vector with power-of-2 length")
+        check_rows(stack=False, probs=arr)
+        check_power_of_two("probs length", arr.size)
         if not np.isfinite(arr).all():
             # NaN passes every comparison below
             raise DomainError("probabilities must be finite")

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -365,6 +366,21 @@ class TestApplyButterfly:
         assert np.isfinite(scaled).all()
         assert scaled.tobytes() == (apply_butterfly(plan, psi) * 2.0**k).tobytes()
 
+    # a non-finite entry, or a sum past the float range, gives non-finite
+    # output and no numpy warning, which -W error would make an exception
+    # that is not the package's own
+    @pytest.mark.parametrize("n,psi", [
+        (2, [math.inf, 0.0, 0.0, 0.0]),
+        (2, [math.nan, 1.0, 0.0, 0.0]),
+        (10, np.full(1 << 10, 1e308)),
+        (10, np.r_[1e308, -1e308, np.zeros((1 << 10) - 2)])],
+        ids=["inf-n2", "nan-n2", "1e308-n10", "plus-minus-1e308-n10"])
+    def test_a_non_finite_result_raises_no_warning(self, n, psi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_butterfly(make_plan(n), psi)
+        assert not np.isfinite(out).all()
+
     # the sign -1 plan's table is the sign +1 table with its imaginary view
     # negated, and a complex product of conjugates is the conjugate of the
     # product, so _ladder_deviations' unitarity pass needs no conjugation
@@ -483,7 +499,7 @@ class TestChainPropagate:
 
     @pytest.mark.parametrize("shape", [(1, 2, 4), (2, 2, 2, 2)])
     def test_rejects_more_than_a_stack(self, shape):
-        with pytest.raises(DomainError, match=r"need one state \(N,\) or a stack"):
+        with pytest.raises(DomainError, match=r"psi must be a non-empty row \(N,\) or a stack"):
             chain_propagate(np.full(shape, 0.5))
 
     # the squared norm of these is NaN or infinite, which the norm rule

@@ -5,10 +5,10 @@ removing a public name is a visible edit of this list.  Every width guard
 refuses widths above its cap with a DomainError before it allocates: the
 cases below must never reach an allocation, because the arrays they name
 would not fit in memory.  Every array and every angle goes through one real
-or complex conversion, which refuses text, ragged nesting and ints too large
-for a float with a DomainError; an angle is no bool either.  Every seed and count of the sampling layer
-goes through one integer check, which refuses anything but a non-negative
-int with a DomainError.
+or complex conversion, which refuses bools, text (also as items of an object
+array), ragged nesting and ints too large for a float with a DomainError.
+Every seed and count of the sampling layer goes through one integer check,
+which refuses anything but a non-negative int with a DomainError.
 """
 
 import ast
@@ -92,10 +92,15 @@ def test_widths_above_the_cap_are_refused(name, call, above, which):
 
 TEXT, RAGGED = ["a", "b"], [[0.6], [0.6, 0.8]]
 HUGE = 10**400  # an int too large for a float
+# no bool or text is a number, also as an item of an object array, which
+# numpy's conversion would take as one
+BOOLS = [True, False]
+OBJECT_TEXT = np.array(["0.5", "0.5"], dtype=object)
+OBJECT_BOOLS = np.array([True, False], dtype=object)
 STATE = np.array([0.6, 0.8])
 
-# (name, call of one array-valued input): text, ragged nesting or an int too
-# large for a float in an array position
+# (name, call of one array-valued input): text, ragged nesting, an int too
+# large for a float or bools in an array position
 ARRAY_INPUTS = [
     ("extended_fisher_metric", lambda x: qrecon.extended_fisher_metric(x, x)),
     ("extended_fisher_metric_recursive",
@@ -111,13 +116,48 @@ ARRAY_INPUTS = [
     ("Distribution", qrecon.Distribution),
     ("s_variable", qrecon.s_variable),
     ("ConditionalTree", lambda x: qrecon.ConditionalTree(1, [x])),
+    ("chart_tangent_metric", lambda x: qrecon.chart_tangent_metric(x, x, "q")),
 ]
 
 
-@pytest.mark.parametrize("value", [TEXT, RAGGED, HUGE], ids=["text", "ragged", "huge"])
+@pytest.mark.parametrize("value", [TEXT, RAGGED, HUGE, BOOLS, OBJECT_TEXT, OBJECT_BOOLS],
+                         ids=["text", "ragged", "huge", "bools", "object-text",
+                              "object-bools"])
 @pytest.mark.parametrize("name, call", ARRAY_INPUTS, ids=[c[0] for c in ARRAY_INPUTS])
 def test_text_or_ragged_arrays_are_refused(name, call, value):
     with pytest.raises(DomainError):
+        call(value)
+
+
+def test_an_object_array_of_numbers_is_still_numbers():
+    half = np.array([0.5, np.float64(0.5)], dtype=object)
+    assert qrecon.Distribution(half).probs.tolist() == [0.5, 0.5]
+    assert qrecon.s_variable(np.array([0.75, 0.25], dtype=object)) == 0.5
+
+
+# (name, call of one size that should be a power of 2, the size's name): each
+# goes through exceptions.check_power_of_two, which names the size it refuses
+POWERS = [
+    ("dft_matrix", dft_matrix, "size"),
+    ("chain_propagate", lambda v: qrecon.chain_propagate(np.ones(v) / math.sqrt(v)),
+     "state length"),
+    ("extended_fisher_metric_recursive",
+     lambda v: qrecon.extended_fisher_metric_recursive(np.ones(v) / math.sqrt(v),
+                                                       np.zeros(v)),
+     "state length"),
+    ("Distribution", lambda v: qrecon.Distribution(np.full(v, 1.0 / v)), "probs length"),
+    ("Partition", lambda v: qrecon.Partition(3, [[x] for x in range(v - 1)]
+                                             + [list(range(v - 1, 8))]),
+     "number of sets"),
+    ("shift_invariant_equal_partitions",
+     lambda v: qrecon.shift_invariant_equal_partitions(3, v), "cardinality"),
+]
+
+
+@pytest.mark.parametrize("value", [3, 6])
+@pytest.mark.parametrize("name, call, what", POWERS, ids=[c[0] for c in POWERS])
+def test_a_size_that_is_no_power_of_two_is_named(name, call, what, value):
+    with pytest.raises(DomainError, match=f"^{what} must be a power of 2, not {value}$"):
         call(value)
 
 

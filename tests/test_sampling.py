@@ -6,7 +6,6 @@ import pytest
 
 from qrecon import cli, criteria, sampling
 from qrecon.bloch import BlochPoint
-from qrecon.criteria import chi2_band
 from qrecon.exceptions import DomainError
 from qrecon.probmodel import prob_from_theta, theta_from_prob
 from qrecon.sampling import (_replica_estimates, _trial_count,
@@ -290,7 +289,16 @@ class TestTomography:
         assert peak < 2**20
 
 class TestBands:
-    def test_chi2_band_shape(self):
-        lo, hi = chi2_band(200, sigma=5.0)
-        assert lo == pytest.approx(1 - 5 * math.sqrt(2 / 199))
-        assert hi == pytest.approx(1 + 5 * math.sqrt(2 / 199))
+    # M*var(theta_hat) 20% low and 20% high at 2,000 replicas: both fail with
+    # a value above the tolerance, the 5-sigma chi^2 half-width
+    @pytest.mark.parametrize("scaled", [0.8, 1.2], ids=["low", "high"])
+    def test_a_band_is_judged_as_a_ceiling(self, monkeypatch, scaled):
+        summary = sampling.ObservableSummary("q", 1000, 1.0, 1.0, scaled / 1000, 1.0)
+        monkeypatch.setattr(criteria, "tomography_experiment",
+                            lambda *args, **kwargs: (summary,))
+        cfg = cli.validate("tomography", {"replicas": 2000})
+        (band,), _ = criteria.tomography(cfg, None)
+        assert band.id == "variance-band-q" and not band.passed
+        assert band.value == pytest.approx(0.2)
+        assert band.tolerance == pytest.approx(5 * math.sqrt(2 / 1999))
+        assert band.value > band.tolerance

@@ -4,7 +4,9 @@ Two rules over the syntax trees of src/qrecon, so that a deletion cannot
 leave its helpers behind: no module imports a name it never uses, and every
 module-level private name is referenced somewhere in the package beyond its
 own definition.  `__init__` is exempt from the first rule, since its imports
-are the public surface (pinned in test_public_surface.py).
+are the public surface (pinned in test_public_surface.py).  A third keeps a
+rule of the theory in one place: only `exceptions` tests whether a size is a
+power of 2, with `v & (v - 1)`; every other module calls its guard.
 """
 
 import ast
@@ -70,3 +72,23 @@ def test_every_private_module_name_has_a_reader():
               and not any(other is not stmt and name in names
                           for other, names in reads)]
     assert unread == []
+
+
+def is_power_of_two_test(node: ast.AST) -> bool:
+    """Whether node is `v & (v - 1)` or `(v - 1) & v` on one operand v."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    for value, less in ((node.left, node.right), (node.right, node.left)):
+        if (isinstance(less, ast.BinOp) and isinstance(less.op, ast.Sub)
+                and isinstance(less.right, ast.Constant) and less.right.value == 1
+                and ast.dump(less.left) == ast.dump(value)):
+            return True
+    return False
+
+
+def test_only_exceptions_tests_for_a_power_of_two():
+    sites = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
+             if module != "exceptions" for node in ast.walk(tree)
+             if is_power_of_two_test(node)]
+    assert sites == []
+    assert any(map(is_power_of_two_test, ast.walk(MODULES["exceptions"])))
