@@ -245,8 +245,9 @@ def apply_butterfly(plan: ButterflyPlan, psi: np.ndarray) -> np.ndarray:
     and subtract without a 1/sqrt(2), and the last stage multiplies by the
     ladder's one normalization, 2**(-n/2) (kernels._unit_scale).  The copy
     is dropped before the result is allocated, so at most two states are
-    held.  A non-finite entry, or one above about 1e300 (where the stages'
-    sums overflow), gives non-finite output, and numpy warns of neither.
+    held.  A non-finite entry, or entries so large that the stages' sums
+    leave the float range (about 1.8e308 / 2**n), give non-finite output,
+    and numpy warns of neither.
     """
     n = plan.n
     psi = complex_array(psi)

@@ -96,8 +96,8 @@ def check_rows(stack: bool = True, **arrays: np.ndarray) -> None:
 
 
 def _is_number(item) -> bool:
-    """False for a bool or text, or an array holding one, as an item of an
-    object array; numpy's conversion would take either as a number."""
+    """Whether item, an array or an item of an object array, neither is nor
+    holds a bool or text, which numpy's conversion would take for a number."""
     if isinstance(item, np.ndarray):
         kind = item.dtype.kind
         return kind not in "bUS" and (kind != "O" or all(map(_is_number, item.flat)))
