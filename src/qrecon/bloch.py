@@ -28,20 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DomainError, SingularityError, check_name, check_real,
-                         complex_array, real_array, reject_rows)
-from .probmodel import RENORM_TOL
+from .exceptions import (DomainError, SingularityError, check_finite, check_name,
+                         check_real, check_unit_sums, complex_array, real_array,
+                         reject_rows)
 
 POLE_TOL = 1e-12
 
 # axis -> (mu, nu, xi): S_mu = cos t, S_nu = sin t cos a, S_xi = sin t sin a
 CHART_TRIPLETS = {"q": ("q", "p", "r"), "r": ("r", "q", "p"), "p": ("p", "r", "q")}
-
-
-def _off_sphere(norm2):
-    """Whether |S|^2 (of one point or of each row of a stack) misses 1 by
-    more than RENORM_TOL; NaN misses it too."""
-    return ~(np.abs(norm2 - 1.0) <= RENORM_TOL)
 
 
 def _chart_angles(mu: float, nu: float, xi: float) -> tuple[float, float | None]:
@@ -75,15 +69,11 @@ class BlochPoint:
     def __post_init__(self):
         for name in ("sq", "sp", "sr"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        try:
-            norm2 = self.norm2()
-        except OverflowError:  # a component's square overflows a float
-            norm2 = math.inf
-        if _off_sphere(norm2):
-            raise DomainError(f"off-sphere point, |S|^2 = {norm2}")
+        check_unit_sums("|S|^2", self.norm2())
 
     def norm2(self) -> float:
-        return self.sq**2 + self.sp**2 + self.sr**2
+        # products, not powers: a float's ** raises OverflowError, * gives inf
+        return self.sq * self.sq + self.sp * self.sp + self.sr * self.sr
 
     def component(self, name: str) -> float:
         check_name("axis", name, CHART_TRIPLETS)
@@ -231,8 +221,8 @@ def chart_tangent_metric(point, velocity, axis: str) -> np.ndarray:
     if p.ndim != 2 or p.shape[1] != 3 or v.shape != p.shape:
         raise DomainError("need (P, 3) stacks of points and velocities of one "
                           "shape")
-    reject_rows(_off_sphere((p * p).sum(axis=1)), DomainError, "off-sphere point")
-    reject_rows(~np.isfinite(v).all(axis=1), DomainError, "non-finite velocity")
+    check_unit_sums("|S|^2", (p * p).sum(axis=1))
+    check_finite(velocity=v)
     t = v - (v * p).sum(axis=1, keepdims=True) * p
     reject_rows(np.sqrt((t * t).sum(axis=1)) < 1e-15, DomainError, "zero tangent")
     order = ["qpr".index(name) for name in CHART_TRIPLETS[axis]]

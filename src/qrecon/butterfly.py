@@ -663,7 +663,7 @@ def chain_propagate(psi: np.ndarray) -> np.ndarray:
     check_rows(psi=psi)
     n = check_power_of_two("state length", psi.shape[-1], 1)
     plan = make_plan(n, +1)
-    work = np.array(_normalized(psi).T, order="C")
+    work = np.array(_normalized(psi)[0].T, order="C")
     scratch = np.empty(work.size // 2, dtype=complex)  # shared by the n stages
     levels = np.empty((n + 1, *psi.shape))
     levels[0] = np.abs(work).T ** 2

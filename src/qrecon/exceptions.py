@@ -2,8 +2,8 @@
 module and the CLI's config schema apply to their arguments: the integer,
 real and name guards for scalars, the power-of-2 guard for a size 2**n, the
 real and complex conversions for arrays, the shape guard for a state or a
-stack of them, and the row check that names the first bad row of a stack.
-No guard takes a bool or text for a number, in an array or out of one."""
+stack of them, the finite-entry and unit-sum (norm) rules, and the row check
+that names the first bad row.  No guard takes a bool or text for a number."""
 
 import math
 
@@ -39,6 +39,9 @@ MAX_WIDTH = 24
 # peak (28 MB without it), at width 18 0.46 s and 79 MB, at 20 1.6 s and
 # 236 MB.
 MAX_OBJECT_WIDTH = 16
+
+SUM_TOL = 1e-12          # a sum this close to 1 is taken as it is
+RENORM_TOL = 1e-9        # one closer is divided out, one farther refused
 
 
 def check_integer(what: str, value, lo: int, hi: int | None = None) -> int:
@@ -80,6 +83,26 @@ def reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
         raise exc(message)
 
 
+def check_unit_sums(what: str, sums) -> np.ndarray:
+    """Which sums (squared norms, totals, |S|^2: one, or one per row) miss 1
+    by more than SUM_TOL, for the caller to divide out; DomainError naming
+    the first row that misses it by more than RENORM_TOL or is NaN or inf."""
+    off = np.abs(sums - 1.0)
+    bad, rescale = ~(off <= RENORM_TOL), off > SUM_TOL  # NaN is bad
+    if bad.any():
+        reject_rows(bad, DomainError,
+                    f"{what} {float(np.asarray(sums)[bad].flat[0])} is not 1")
+    return rescale
+
+
+def check_finite(**arrays: np.ndarray) -> None:
+    """DomainError naming the argument and the first row of it that has a
+    non-finite entry; checked once for a whole block."""
+    for name, arr in arrays.items():
+        reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
+                    f"{name} has a non-finite entry")
+
+
 def check_rows(stack: bool = True, **arrays: np.ndarray) -> None:
     """DomainError naming the argument unless the arrays share the first's
     shape: one row (N,) with N >= 1 or, if stack, a stack (S, N) of them."""
@@ -95,22 +118,33 @@ def check_rows(stack: bool = True, **arrays: np.ndarray) -> None:
             raise DomainError(f"{name} must have shape {shape}, not {arr.shape}")
 
 
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def _is_number(item) -> bool:
-    """Whether item, an array or an item of an object array, neither is nor
-    holds a bool or text, which numpy's conversion would take for a number."""
+    """Whether item, an array, a list or tuple (nested) or an item of one,
+    neither is nor holds a bool or text, which numpy's conversion would take
+    for a number."""
+    if isinstance(item, (list, tuple)):
+        kinds = set(map(type, item))  # one test per item type, not per item
+        if any(issubclass(kind, (list, tuple, np.ndarray)) for kind in kinds):
+            return all(map(_is_number, item))
+        return not any(issubclass(kind, _NOT_NUMBERS) for kind in kinds)
     if isinstance(item, np.ndarray):
         kind = item.dtype.kind
         return kind not in "bUS" and (kind != "O" or all(map(_is_number, item.flat)))
-    return not isinstance(item, (bool, np.bool_, str, bytes))
+    return not isinstance(item, _NOT_NUMBERS)
 
 
 def _array(values, dtype: type, refused: str, what: str) -> np.ndarray:
     """values as an array of dtype, the array itself if it is one already;
     DomainError for ragged nesting, an array of a kind in `refused` or of
-    bools or text, or an object array with a bool or text item."""
+    bools or text, or an object array, list or tuple with a bool or text
+    item.  A list or tuple is walked item by item, an array is not."""
     try:
         arr = np.asarray(values)
-        if _is_number(arr) and arr.dtype.kind not in refused:
+        walked = values if isinstance(values, (list, tuple)) else arr
+        if _is_number(walked) and arr.dtype.kind not in refused:
             return arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):  # also an int too large
         pass

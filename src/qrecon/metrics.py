@@ -17,7 +17,7 @@ the pyramid leaf-major, on (N, S) copies of a stack, so that each half is a
 block of whole rows and each pass a contiguous loop.  Both metrics
 are the public wrapper of a private form on checked differentials
 (rho, drho, dphi), so `criteria.metric_sample` computes each block's
-differentials once for the two.
+differentials once for the two; only the wrappers apply the norm rule.
 
 Random states take Dirichlet(1, ..., 1) probabilities (Wootters' invariant
 measure), floored at 0.1 / N, and uniform phases; tangents take normal
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .exceptions import (MAX_WIDTH, DomainError, SingularityError,
+from .exceptions import (MAX_WIDTH, DomainError, SingularityError, check_finite,
                          check_integer, check_power_of_two, check_rows,
                          complex_array, real_array, reject_rows)
 from .probmodel import (ConditionalTree, _leaf_pyramid, _normalized,
@@ -97,6 +97,13 @@ def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.n
     return rho, drho, dphi
 
 
+def _unit_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_norm_preserving_differentials of psi and d after _normalized."""
+    amps, damps = complex_array(psi), complex_array(d)
+    check_rows(psi=amps, d=damps)
+    return _norm_preserving_differentials(*_normalized(amps, damps))
+
+
 def fisher_matrix(tree: ConditionalTree) -> np.ndarray:
     """Fisher information matrix S diag(p) S^T over the tree's theta-node
     coordinates, p the tree's distribution and S[a, x] = d log p(x) / d theta_a.
@@ -146,11 +153,11 @@ def fisher_matrix(tree: ConditionalTree) -> np.ndarray:
 def extended_fisher_metric(psi, d):
     """Closed form sum(drho^2/rho) + 4 sum(rho dphi^2) - 4 (sum rho dphi)^2.
 
-    Requires a norm-preserving tangent (sum drho = 0); zero-mass components
-    contribute nothing.  One state gives a float, a stack (S, N) of states
-    and tangents an (S,) array.
+    Requires a norm-preserving tangent (sum drho = 0) of a normalized
+    state; zero-mass components contribute nothing.  One state gives a
+    float, a stack (S, N) of states and tangents an (S,) array.
     """
-    return _result(_closed_form(*_norm_preserving_differentials(psi, d)))
+    return _result(_closed_form(*_unit_differentials(psi, d)))
 
 
 def _closed_form(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -175,10 +182,9 @@ def extended_fisher_metric_recursive(psi, d):
     Each pass combines the two branches of every node of one tree level, for
     every state of a stack at once, from the leaves (ds^2 = 0) to the root.
     A branch with conditional mass at most ZERO_MASS contributes nothing;
-    mass flow into it raises.  One state gives a float, a stack (S, N) of
-    states and tangents an (S,) array.
+    mass flow into it raises.  Inputs are as for extended_fisher_metric.
     """
-    return _result(_recursion(*_norm_preserving_differentials(psi, d)))
+    return _result(_recursion(*_unit_differentials(psi, d)))
 
 
 def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -253,16 +259,8 @@ def fubini_study_distance(psi1, psi2) -> float:
     RENORM_TOL (or a NaN or infinite one) is refused."""
     a1, a2 = complex_array(psi1), complex_array(psi2)
     check_rows(stack=False, psi1=a1, psi2=a2)
-    fid = abs(complex(np.vdot(_normalized(a1), _normalized(a2)))) ** 2
+    fid = abs(complex(np.vdot(_normalized(a1)[0], _normalized(a2)[0]))) ** 2
     return math.acos(math.sqrt(min(max(fid, 0.0), 1.0)))  # clamp the rounding
-
-
-def _reject_non_finite(**arrays) -> None:
-    """DomainError naming the argument and the first row of it that has a
-    non-finite entry; checked once for a whole block."""
-    for name, arr in arrays.items():
-        reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
-                    f"{name} has a non-finite entry")
 
 
 def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -272,14 +270,14 @@ def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     which also names a row whose weights do not sum to 1 (an all-zero one)."""
     weights, phases = real_array(weights), real_array(phases)
     check_rows(weights=weights, phases=phases)
-    _reject_non_finite(weights=weights, phases=phases)
+    check_finite(weights=weights, phases=phases)
     # a negative weight would take a negative root
     reject_rows((weights < 0.0).any(axis=-1), DomainError,
                 "weights must be non-negative")
     size = weights.shape[-1]
     min_mass = 0.1 / size
     rho = weights * (1.0 - size * min_mass) + min_mass
-    return _normalized(np.sqrt(rho) * np.exp(1j * phases))
+    return _normalized(np.sqrt(rho) * np.exp(1j * phases))[0]
 
 
 def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
@@ -291,7 +289,7 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
     ZERO_MASS has no such tangent and is refused."""
     amps, drho, dphi = complex_array(amps), real_array(drho), real_array(dphi)
     check_rows(amps=amps, drho=drho, dphi=dphi)
-    _reject_non_finite(amps=amps, drho=drho, dphi=dphi)
+    check_finite(amps=amps, drho=drho, dphi=dphi)
     rho = amps.real ** 2 + amps.imag ** 2
     reject_rows((rho <= ZERO_MASS).any(axis=-1), SingularityError,
                 "amps has a zero-amplitude component")

@@ -16,30 +16,24 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import (DomainError, check_integer, check_power_of_two, check_real,
-                         check_rows, real_array, reject_rows)
+from .exceptions import (SUM_TOL, DomainError, check_finite, check_integer,
+                         check_power_of_two, check_real, check_rows, check_unit_sums,
+                         real_array)
 from .partitions import Partition
 
-SUM_TOL = 1e-12          # accepted deviation of sum(probs) from 1
-RENORM_TOL = 1e-9        # constructors renormalize within this, reject beyond
 
-
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    """One state (N,) or a stack (S, N) with each state's squared norm (the
-    sum of squares of its real and imaginary parts, one pass over the array)
-    checked to be 1 within RENORM_TOL and, if it is off by more than
-    SUM_TOL, divided out; the array itself when none is.  A NaN norm is
-    refused too, and a refused row is named.  A row's norm has the same bits
-    alone as inside a stack."""
+def _normalized(amps: np.ndarray, *tangents: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(amps, *tangents), one state (N,) or a stack (S, N) and tangents of its
+    shape, with each state's squared norm (one pass over the real and
+    imaginary parts) taken through exceptions.check_unit_sums and the rows it
+    flags divided by their norm, the arrays themselves when it flags none.
+    A row's norm has the same bits alone as inside a stack."""
     norm2 = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
-    off = np.abs(norm2 - 1.0)
-    bad, rescale = ~(off <= RENORM_TOL), off > SUM_TOL  # NaN is bad
-    if bad.any():
-        reject_rows(bad, DomainError,
-                    f"squared norm {float(norm2[bad].flat[0])} is not 1")
+    rescale = check_unit_sums("squared norm", norm2)
     if rescale.any():
-        amps = np.where(rescale[..., None], amps / np.sqrt(norm2)[..., None], amps)
-    return amps
+        rows, norm = rescale[..., None], np.sqrt(norm2)[..., None]
+        return tuple(np.where(rows, v / norm, v) for v in (amps, *tangents))
+    return (amps, *tangents)
 
 
 def prob_from_theta(theta: float) -> tuple[float, float]:
@@ -66,16 +60,12 @@ class Distribution:
         arr = real_array(probs)
         check_rows(stack=False, probs=arr)
         check_power_of_two("probs length", arr.size)
-        if not np.isfinite(arr).all():
-            # NaN passes every comparison below
-            raise DomainError("probabilities must be finite")
+        check_finite(probs=arr)  # NaN passes every comparison below
         if arr.min() < -SUM_TOL:
             raise DomainError("negative probability")
         arr = np.clip(arr, 0.0, None)
         total = arr.sum()
-        if abs(total - 1.0) > RENORM_TOL:
-            raise DomainError(f"probabilities sum to {total}, not 1")
-        if abs(total - 1.0) > SUM_TOL:
+        if check_unit_sums("probability sum", total):
             arr = arr / total
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -126,9 +116,7 @@ class ConditionalTree:
             if arr.ndim != 1 or arr.size != 1 << i:
                 raise DomainError(f"level {depth - i} must be a flat vector of "
                                   f"{1 << i} values")
-            if not np.isfinite(arr).all():
-                # NaN passes the range test below
-                raise DomainError("conditional probabilities must be finite")
+            check_finite(**{f"level {depth - i}": arr})  # NaN passes the range test
             if arr.min() < 0.0 or arr.max() > 1.0:
                 raise DomainError("conditional probability outside [0, 1]")
             arr.setflags(write=False)

@@ -280,11 +280,11 @@ class TestChartTangentMetricStack:
         (ON_SPHERE, np.ones((2, 3)), "q", DomainError, "one shape"),
         (ON_SPHERE[0], np.ones(3), "q", DomainError, "one shape"),
         (ON_SPHERE * [[1.0], [1.1], [1.0]], np.ones((3, 3)), "q", DomainError,
-         r"off-sphere point \(row 1\)"),
+         r"\|S\|\^2 1\.21.* is not 1 \(row 1\)"),
         (ON_SPHERE * [[1.0], [1.0], [np.nan]], np.ones((3, 3)), "q", DomainError,
-         r"off-sphere point \(row 2\)"),
+         r"\|S\|\^2 nan is not 1 \(row 2\)"),
         (ON_SPHERE, [[1.0, 0, 0], [1.0, 0, np.inf], [1.0, 0, 0]], "q", DomainError,
-         r"non-finite velocity \(row 1\)"),
+         r"velocity has a non-finite entry \(row 1\)"),
         (ON_SPHERE, [[0, 0, 1.0], ON_SPHERE[1], [0, 0, 1.0]], "q", DomainError,
          r"zero tangent \(row 1\)"),
         (np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)), "r",
@@ -413,6 +413,15 @@ class TestValidation:
     def test_off_sphere_rejected(self):
         with pytest.raises(DomainError):
             BlochPoint(1.0, 1.0, 0.0)
+
+    # the norm rule of exceptions.check_unit_sums; a square past the float
+    # range is an infinite |S|^2, not an OverflowError
+    @pytest.mark.parametrize("components,norm2", [
+        ((1.0, 1.0, 0.0), "2.0"), ((0.0, 1e200, 0.0), "inf"),
+    ], ids=["off-sphere", "huge"])
+    def test_off_sphere_point_names_its_norm(self, components, norm2):
+        with pytest.raises(DomainError, match=rf"^\|S\|\^2 {norm2} is not 1$"):
+            BlochPoint(*components)
 
     def test_nan_component_rejected(self):
         with pytest.raises(DomainError):

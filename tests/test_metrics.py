@@ -536,6 +536,7 @@ class TestHalfSlicePasses:
         rng = np.random.default_rng(13)
         amps, damps = random_stack(3, 5, rng)
         amps[3, 2], damps[3, 2] = 0.0, 0.1
+        amps[3] /= np.linalg.norm(amps[3])  # a state still: past the norm rule
         with pytest.raises(SingularityError) as raised:
             function(amps, damps)
         assert str(raised.value) == ("perturbation of a zero-amplitude component "
@@ -612,14 +613,14 @@ class TestBlockBuilders:
         amps = state_amplitudes(weights, phases)
         damps = tangent_amplitudes(amps, drho, dphi)
         assert amps.shape == damps.shape == (8,)
-        assert probmodel._normalized(amps).tobytes() == amps.tobytes()
+        assert probmodel._normalized(amps)[0].tobytes() == amps.tobytes()
         assert extended_fisher_metric(amps, damps) > 0.0  # norm-preserving
 
     def test_rows_off_norm_by_rounding_are_renormalized_alone(self):
         amps = np.array([[0.6, 0.8], [0.6, 0.8 + 1e-11]], dtype=complex)
-        out = probmodel._normalized(amps)
+        out = probmodel._normalized(amps)[0]
         for row, expected in zip(out, amps):
-            assert row.tobytes() == probmodel._normalized(expected).tobytes()
+            assert row.tobytes() == probmodel._normalized(expected)[0].tobytes()
         assert out[1].tobytes() != amps[1].tobytes()
 
     # rows off norm by more than SUM_TOL are rescaled; the array pass must
@@ -630,9 +631,9 @@ class TestBlockBuilders:
         amps = rng.normal(size=(5, size)) + 1j * rng.normal(size=(5, size))
         amps /= np.sqrt((np.abs(amps) ** 2).sum(axis=1))[:, None]
         amps *= 1.0 + np.array([0.0, 1e-11, -3e-11, 2e-10, -4e-10])[:, None]
-        out = probmodel._normalized(amps)
+        out = probmodel._normalized(amps)[0]
         for row, alone in zip(out, amps):
-            assert row.tobytes() == probmodel._normalized(alone).tobytes()
+            assert row.tobytes() == probmodel._normalized(alone)[0].tobytes()
         assert all(a.tobytes() != b.tobytes() for a, b in zip(out[1:], amps[1:]))
 
     def test_off_norm_row_is_named(self):
@@ -995,10 +996,38 @@ class TestFubiniStudyDistance:
         rng = np.random.default_rng(14)
         a, b = random_state(3, rng), random_state(3, rng)
         off = a * math.sqrt(1.0 + 1e-11)
-        rescaled = probmodel._normalized(off)
+        rescaled = probmodel._normalized(off)[0]
         assert rescaled.tobytes() != off.tobytes()
         assert fubini_study_distance(off, b) == fubini_study_distance(rescaled, b)
         assert fubini_study_distance(b, off) == fubini_study_distance(b, rescaled)
+
+
+class TestExtendedMetricNormRule:
+    """The extended metric equals 4x Fubini-Study only on normalized states
+    (Wootters 1981), so both forms take the state through the norm rule and
+    divide the tangent by the same factor."""
+
+    METRICS = [extended_fisher_metric, extended_fisher_metric_recursive]
+
+    @staticmethod
+    def pair():
+        psi = random_state(3, np.random.default_rng(0))
+        return psi, random_tangent(psi, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda f: f.__name__)
+    def test_a_state_off_norm_is_refused(self, metric):
+        psi, d = self.pair()
+        with pytest.raises(DomainError, match=r"^squared norm 4\.0.* is not 1$"):
+            metric(2.0 * psi, 2.0 * d)
+        with pytest.raises(DomainError, match=r"is not 1 \(row 1\)$"):
+            metric(np.array([psi, psi * 1.000001, psi]), np.array([d, d, d]))
+
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda f: f.__name__)
+    def test_a_state_off_norm_by_rounding_is_rescaled_with_its_tangent(self, metric):
+        psi, d = self.pair()
+        scale = 1.0 + 1e-10
+        assert metric(scale * psi, scale * d) == pytest.approx(
+            4.0 * fubini_study_metric(psi, d), rel=1e-13, abs=0.0)
 
 
 class TestTangent:
@@ -1022,7 +1051,7 @@ class TestTangent:
 
     def test_normalized_removes_small_drift(self):
         amps = np.ones(4, dtype=complex) / 2.0 * (1 + 1e-11)
-        out = probmodel._normalized(amps)
+        out = probmodel._normalized(amps)[0]
         assert float(np.vdot(out, out).real) == pytest.approx(1.0, abs=1e-14)
 
     def test_normalized_rejects_large_drift(self):
@@ -1056,10 +1085,14 @@ class TestNonFiniteMetricInputs:
                                         amplitude_phase_differentials],
                              ids=lambda f: f.__name__)
     def test_extended_metric_refuses_without_warnings(self, metric, psi, d):
+        # the metrics take the state through the norm rule first
+        state_refused = metric is not amplitude_phase_differentials and not all(
+            map(np.isfinite, psi))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError,
-                               match=r"^drho = 2 Re\(conj\(psi\) dpsi\) is not finite$"):
+                               match=r"^squared norm (nan|inf) is not 1$" if state_refused
+                               else r"^drho = 2 Re\(conj\(psi\) dpsi\) is not finite$"):
                 metric(np.array(psi, dtype=complex), np.array(d, dtype=complex))
 
     def test_a_non_finite_row_of_a_stack_is_named(self):

@@ -23,7 +23,7 @@ from qrecon.butterfly import (assemble_transform, bit_reversal_permutation,
                               node_position, shift_operator_check,
                               stage_matrix, twiddle_phase, twiddle_stage,
                               verify_danielson_lanczos)
-from qrecon.exceptions import MAX_OBJECT_WIDTH, MAX_WIDTH, DomainError
+from qrecon.exceptions import MAX_OBJECT_WIDTH, MAX_WIDTH, DomainError, real_array
 from qrecon.metrics import tangent_amplitudes
 from qrecon.partitions import make_lsb_partition
 
@@ -95,6 +95,7 @@ HUGE = 10**400  # an int too large for a float
 # no bool or text is a number, also as an item of an object array, which
 # numpy's conversion would take as one
 BOOLS = [True, False]
+MIXED_BOOLS = [True, 0.0]  # numpy converts this list to floats
 OBJECT_TEXT = np.array(["0.5", "0.5"], dtype=object)
 OBJECT_BOOLS = np.array([True, False], dtype=object)
 STATE = np.array([0.6, 0.8])
@@ -120,13 +121,28 @@ ARRAY_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("value", [TEXT, RAGGED, HUGE, BOOLS, OBJECT_TEXT, OBJECT_BOOLS],
-                         ids=["text", "ragged", "huge", "bools", "object-text",
-                              "object-bools"])
+@pytest.mark.parametrize("value", [TEXT, RAGGED, HUGE, BOOLS, MIXED_BOOLS, OBJECT_TEXT,
+                                   OBJECT_BOOLS],
+                         ids=["text", "ragged", "huge", "bools", "mixed-bool-list",
+                              "object-text", "object-bools"])
 @pytest.mark.parametrize("name, call", ARRAY_INPUTS, ids=[c[0] for c in ARRAY_INPUTS])
 def test_text_or_ragged_arrays_are_refused(name, call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+# a list or tuple is walked at every depth, down into the arrays it holds
+@pytest.mark.parametrize("value", [
+    [[0.5, 0.5], (0.5, np.bool_(False))], [np.array([0.5, 0.5]), np.array([True, False])],
+], ids=["nested-np-bool", "list-of-bool-array"])
+def test_a_bool_or_text_item_deep_in_a_list_is_refused(value):
+    with pytest.raises(DomainError):
+        real_array(value)
+
+
+def test_a_list_of_numbers_is_still_numbers():
+    values = [[0.5, np.float64(0.25)], (1, np.int32(2))]
+    assert real_array(values).tolist() == [[0.5, 0.25], [1.0, 2.0]]
 
 
 def test_an_object_array_of_numbers_is_still_numbers():

@@ -4,9 +4,11 @@ Two rules over the syntax trees of src/qrecon, so that a deletion cannot
 leave its helpers behind: no module imports a name it never uses, and every
 module-level private name is referenced somewhere in the package beyond its
 own definition.  `__init__` is exempt from the first rule, since its imports
-are the public surface (pinned in test_public_surface.py).  A third keeps a
-rule of the theory in one place: only `exceptions` tests whether a size is a
-power of 2, with `v & (v - 1)`; every other module calls its guard.
+are the public surface (pinned in test_public_surface.py).  Three more keep
+a rule of the theory in one place each, in `exceptions`: only it tests
+whether a size is a power of 2, with `v & (v - 1)`, reads the norm
+tolerance RENORM_TOL, or calls `np.isfinite(...).all(...)`; every other
+module calls its guard.
 """
 
 import ast
@@ -92,3 +94,26 @@ def test_only_exceptions_tests_for_a_power_of_two():
              if is_power_of_two_test(node)]
     assert sites == []
     assert any(map(is_power_of_two_test, ast.walk(MODULES["exceptions"])))
+
+
+def reads_renorm_tol(node: ast.AST) -> bool:
+    """Whether node reads the norm rule's tolerance RENORM_TOL."""
+    return (isinstance(node, ast.Name) and node.id == "RENORM_TOL"
+            and isinstance(node.ctx, ast.Load))
+
+
+def is_finite_entry_test(node: ast.AST) -> bool:
+    """Whether node is a call `np.isfinite(...).all(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "all" and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "isfinite")
+
+
+@pytest.mark.parametrize("rule", [reads_renorm_tol, is_finite_entry_test],
+                         ids=["norm", "finite-entry"])
+def test_only_exceptions_applies_the_norm_and_finite_entry_rules(rule):
+    sites = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
+             if module != "exceptions" for node in ast.walk(tree) if rule(node)]
+    assert sites == []
+    assert any(map(rule, ast.walk(MODULES["exceptions"])))
