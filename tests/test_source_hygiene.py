@@ -4,11 +4,11 @@ Two rules over the syntax trees of src/qrecon, so that a deletion cannot
 leave its helpers behind: no module imports a name it never uses, and every
 module-level private name is referenced somewhere in the package beyond its
 own definition.  `__init__` is exempt from the first rule, since its imports
-are the public surface (pinned in test_public_surface.py).  Three more keep
-a rule of the theory in one place each, in `exceptions`: only it tests
-whether a size is a power of 2, with `v & (v - 1)`, reads the norm
-tolerance RENORM_TOL, or calls `np.isfinite(...).all(...)`; every other
-module calls its guard.
+are the public surface (pinned in test_public_surface.py).  A third keeps
+three rules of the theory in one place, `exceptions`: only it tests whether
+a size is a power of 2, with `v & (v - 1)`, reads the norm tolerance
+RENORM_TOL, or calls `np.isfinite(...).all(...)`; every other module calls
+its guards.
 """
 
 import ast
@@ -88,14 +88,6 @@ def is_power_of_two_test(node: ast.AST) -> bool:
     return False
 
 
-def test_only_exceptions_tests_for_a_power_of_two():
-    sites = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
-             if module != "exceptions" for node in ast.walk(tree)
-             if is_power_of_two_test(node)]
-    assert sites == []
-    assert any(map(is_power_of_two_test, ast.walk(MODULES["exceptions"])))
-
-
 def reads_renorm_tol(node: ast.AST) -> bool:
     """Whether node reads the norm rule's tolerance RENORM_TOL."""
     return (isinstance(node, ast.Name) and node.id == "RENORM_TOL"
@@ -110,9 +102,10 @@ def is_finite_entry_test(node: ast.AST) -> bool:
             and node.func.value.func.attr == "isfinite")
 
 
-@pytest.mark.parametrize("rule", [reads_renorm_tol, is_finite_entry_test],
-                         ids=["norm", "finite-entry"])
-def test_only_exceptions_applies_the_norm_and_finite_entry_rules(rule):
+@pytest.mark.parametrize("rule", [is_power_of_two_test, reads_renorm_tol,
+                                  is_finite_entry_test],
+                         ids=["power-of-2", "norm", "finite-entry"])
+def test_only_exceptions_applies_the_rule(rule):
     sites = [f"{module}:{node.lineno}" for module, tree in MODULES.items()
              if module != "exceptions" for node in ast.walk(tree) if rule(node)]
     assert sites == []
