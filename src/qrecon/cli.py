@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -28,6 +29,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import butterfly, criteria
 from .bloch import BlochPoint
@@ -50,18 +56,29 @@ MAX_REPLICAS = 10**6
 MIN_REPLICAS = math.floor(2 * criteria.BAND_SIGMA ** 2) + 2
 # bounds metric-check's time: it draws and evaluates the samples a block at a
 # time, so at the default levels a run at the samples cap (977 blocks) took
-# 3.3-3.5 s of elapsed_s with a 39 MB process peak, and one at the
-# chart_points cap 0.64-0.66 s with a 166 MB peak (2-core Xeon VM, one BLAS
-# thread, three runs each)
+# 3.0-3.5 s of elapsed_s with a 39 MB process peak and 5,800 minor faults
+# (HEAP_THRESHOLD), and one at the chart_points cap 0.89-1.0 s with a 166 MB
+# peak (2-core Xeon VM, one BLAS thread, three runs each)
 MAX_SAMPLES = 10**6
 # metric-check samples x 2**levels, the amplitudes a run draws: a run at this
-# many took 3.2 s at 20 levels (one state per block, 229 MB peak); at 4
-# levels the samples cap binds first (2-core Xeon VM, one BLAS thread)
+# many took 4.2-4.7 s at 20 levels (one state per block, 213 MB peak), on a
+# host where the samples cap took the times above; at 4 levels the samples
+# cap binds first (2-core Xeon VM, one BLAS thread)
 MAX_AMPLITUDES = 1 << 24
 # bench times each size this many times over
 MAX_REPEATS = 10**3
 # the thread counts a BLAS build reads from the environment
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc's trim and mmap thresholds in bytes, set once per process
+# (_hold_heap).  By default glibc trims the free top of the heap after each
+# metric-check block, so the next block faults its pages in again: at the
+# samples cap 977 blocks took 724,000 minor faults and 4.0-4.9 s of
+# elapsed_s, and 5,800 faults and 3.0-3.5 s with this threshold.  A trim
+# threshold alone freezes glibc's dynamic mmap threshold, and fft-derive at
+# 12 levels then took 140,000 faults against 7,400, so the mmap threshold
+# takes the same size (2-core Xeon VM, glibc 2.36)
+HEAP_THRESHOLD = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
 def _integer(low: int, high: int | None = None):
@@ -224,9 +241,44 @@ def environment(seed: int) -> dict:
     }
 
 
+@functools.cache
+def _hold_heap() -> bool:
+    """Set glibc's trim and mmap thresholds to HEAP_THRESHOLD, on the first
+    call in a process; False, with nothing set, on another C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):  # not glibc, or no mallopt
+        return False
+    return all([mallopt(param, HEAP_THRESHOLD)
+                for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD)])
+
+
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far, None without resource."""
+    return None if resource is None else resource.getrusage(
+        resource.RUSAGE_SELF).ru_minflt
+
+
+def _process_usage(start_faults: int | None) -> dict | None:
+    """The process's peak resident memory in MB, its minor page faults since
+    start_faults (a _minor_faults reading) and the heap threshold it runs
+    with (None where _hold_heap set none); None without resource."""
+    if resource is None:
+        return None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in kB on Linux and in bytes on macOS
+    return {"peak_rss_mb": usage.ru_maxrss / (1 << (20 if sys.platform == "darwin"
+                                                     else 10)),
+            "minor_faults": usage.ru_minflt - start_faults,
+            "heap_threshold": HEAP_THRESHOLD if _hold_heap() else None}
+
+
 def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Check],
                  rows: list[dict], elapsed: float,
-                 criterion_elapsed: dict[str, float]) -> dict:
+                 criterion_elapsed: dict[str, float],
+                 process: dict | None = None) -> dict:
     report = {
         "kind": kind,
         "config": cfg,
@@ -237,6 +289,8 @@ def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Chec
         "elapsed_s": elapsed,
         # wall time of each criterion, keyed by its function's name
         "criterion_elapsed_s": criterion_elapsed,
+        # _process_usage of the run: what its time and faults rest on
+        "process": process,
         "env": environment(cfg["seed"]),
     }
     _new_file(out_dir / "report.json").write_text(json.dumps(report, indent=2))
@@ -267,6 +321,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    start_faults = _minor_faults()
+    _hold_heap()
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.kind, args.config, args.seed)
@@ -283,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         checks, rows, criterion_elapsed = criteria.run(args.kind, cfg)
         elapsed = time.perf_counter() - t0
         report = write_report(Path(args.out), args.kind, cfg, checks, rows, elapsed,
-                              criterion_elapsed)
+                              criterion_elapsed, _process_usage(start_faults))
     except Exception:  # a fault of the program, not of the config
         traceback.print_exc()
         print(f"internal error (seed={cfg['seed']} replays this run)", file=sys.stderr)

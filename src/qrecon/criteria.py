@@ -44,18 +44,17 @@ from .sampling import tomography_experiment
 # metric-check (1,000 samples at 4 levels), is one block of about 200 B per
 # amplitude at its tracemalloc peak (3.2 MB): 128 kB per draw array, 256 kB
 # per complex stack, the recursion's leaf-major copies and the temporaries.
-# That request's p50 (2-core Xeon VM, numpy 2.4.6, perfbench --seconds 16)
-# follows the worker's heap history more than this code.  Run from 24
-# checkout directories (their names move the heap layout), 13 read 3.57-3.77
-# ref ms with no page fault per request and 11 read 4.42-4.67 with about
-# 670, when glibc trims the block's freed memory off the top of the heap
-# after each request.  2^12 blocks with the strided recursion read 4.71-4.95
-# in the same directories and never faulted: 0.7 MB blocks fit the heap's
-# free space.  An in-process cli.main loop lands in one state or the other
-# just the same (the constant alone read -5% in one, -17% in the other), so
-# size a variant with perfbench runs from several directories.  Releasing
-# the draws and amplitudes before the recursion cut the peak to 1.6 MB but
-# read 4.27 against 3.79 ref ms (medians over 12 directories).
+# That request's p50 used to follow the worker's heap history more than this
+# code: where glibc trimmed the block's freed memory off the top of the heap
+# after each request, the next one faulted about 700 pages back in and read
+# 4.3-4.7 ref ms against 3.6-3.8 (perfbench --seconds 16, by checkout
+# directory name, which moves the heap layout).  cli.HEAP_THRESHOLD now
+# keeps that memory: every run took the same faults from six directory
+# names, and with the metrics' unmasked passes the p50 read 3.1-3.9 ref ms
+# against 3.5-5.0 without both (2-core Xeon VM, numpy 2.4.6).  Before the
+# threshold, 2^12 blocks with the strided recursion read 4.71-4.95 and
+# never faulted, and releasing the draws and amplitudes before the
+# recursion cut the peak to 1.6 MB but read 4.27 against 3.79 ref ms.
 METRIC_BLOCK_CELLS = 1 << 14
 
 # the observables each tomography state kind measures

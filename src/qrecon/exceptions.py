@@ -2,8 +2,8 @@
 module and the CLI's config schema apply to their arguments: the integer,
 real and name guards for scalars, the power-of-2 guard for a size 2**n, the
 real and complex conversions for arrays, the shape guard for a state or a
-stack of them, the finite-entry and unit-sum (norm) rules, and the row check
-that names the first bad row.  No guard takes a bool or text for a number."""
+stack of them, the finite-entry and unit-sum (norm) rules, and the row checks
+that name the first bad row.  No guard takes a bool or text for a number."""
 
 import math
 
@@ -83,6 +83,13 @@ def reject_rows(bad: np.ndarray, exc: type[Exception], message: str) -> None:
         raise exc(message)
 
 
+def reject_entries(bad: np.ndarray, exc: type[Exception], message: str) -> None:
+    """reject_rows of the rows (N,) of a state or stack with a flagged entry:
+    the whole block is tested once, and reduced to rows only to name one."""
+    if bad.any():
+        reject_rows(bad.any(axis=-1), exc, message)
+
+
 def check_unit_sums(what: str, sums) -> np.ndarray:
     """Which sums (squared norms, totals, |S|^2: one, or one per row) miss 1
     by more than SUM_TOL, for the caller to divide out; DomainError naming
@@ -99,8 +106,9 @@ def check_finite(**arrays: np.ndarray) -> None:
     """DomainError naming the argument and the first row of it that has a
     non-finite entry; checked once for a whole block."""
     for name, arr in arrays.items():
-        reject_rows(~np.isfinite(arr).all(axis=-1), DomainError,
-                    f"{name} has a non-finite entry")
+        if not np.isfinite(arr).all():
+            reject_entries(~np.isfinite(arr), DomainError,
+                           f"{name} has a non-finite entry")
 
 
 def check_rows(stack: bool = True, **arrays: np.ndarray) -> None:

@@ -37,11 +37,11 @@ import numpy as np
 
 from .exceptions import (MAX_WIDTH, DomainError, SingularityError, check_finite,
                          check_integer, check_power_of_two, check_rows,
-                         complex_array, real_array, reject_rows)
+                         complex_array, real_array, reject_entries, reject_rows)
 from .probmodel import (ConditionalTree, _leaf_pyramid, _normalized,
                         mass_pyramid, reconstitute)
 
-TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>|, see _norm_drift
+TANGENT_TOL = 1e-8       # accepted |sum drho| = 2|Re<psi|dpsi>| of a tangent
 ZERO_MASS = 1e-14        # below this a component counts as zero-mass
 INCREMENT_SD = 0.1       # standard deviation of a random tangent's increments
 
@@ -60,22 +60,30 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     rejected.  A row whose drho is not finite (a NaN or infinite entry, or
     an overflow) is refused first.
     """
+    return _differentials(psi, d)[:3]
+
+
+def _differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """amplitude_phase_differentials and each row's sum of drho, the first-order
+    change of its squared norm, 2 Re<psi|dpsi>: the finite test and the
+    norm-preserving test read one pass of row sums."""
     amps, damps = complex_array(psi), complex_array(d)
     check_rows(psi=amps, d=damps)
     with np.errstate(invalid="ignore", over="ignore"):  # refused just below
         drho = _drho(amps, damps)
-        finite = np.isfinite(drho.sum(axis=-1))
-    reject_rows(~finite, DomainError, "drho = 2 Re(conj(psi) dpsi) is not finite")
+        sums = drho.sum(axis=-1)
+    reject_rows(~np.isfinite(sums), DomainError,
+                "drho = 2 Re(conj(psi) dpsi) is not finite")
     rho = np.abs(amps) ** 2
     alive = rho > ZERO_MASS
     if alive.all():
         # nothing to reject and no undefined phase to zero
-        return rho, drho, (damps / amps).imag
-    reject_rows(np.any(~alive & (np.abs(damps) > 1e-12), axis=-1),
-                SingularityError, "perturbation of a zero-amplitude component")
+        return rho, drho, (damps / amps).imag, sums
+    reject_entries(~alive & (np.abs(damps) > 1e-12), SingularityError,
+                   "perturbation of a zero-amplitude component")
     dphi = np.zeros_like(rho)
     dphi[alive] = (damps[alive] / amps[alive]).imag
-    return rho, drho, dphi
+    return rho, drho, dphi, sums
 
 
 def _drho(amps: np.ndarray, damps: np.ndarray) -> np.ndarray:
@@ -83,16 +91,11 @@ def _drho(amps: np.ndarray, damps: np.ndarray) -> np.ndarray:
     return 2.0 * (amps.conj() * damps).real
 
 
-def _norm_drift(drho: np.ndarray) -> np.ndarray:
-    """First-order change of the squared norm per state, |sum_k drho_k| =
-    2|Re<psi|dpsi>|: a tangent is norm-preserving when it is at most
-    TANGENT_TOL."""
-    return np.abs(drho.sum(axis=-1))
-
-
 def _norm_preserving_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rho, drho, dphi = amplitude_phase_differentials(psi, d)
-    reject_rows(_norm_drift(drho) > TANGENT_TOL, DomainError,
+    """amplitude_phase_differentials of a tangent that preserves the norm to
+    first order: |sum drho| = 2|Re<psi|dpsi>| at most TANGENT_TOL."""
+    rho, drho, dphi, sums = _differentials(psi, d)
+    reject_rows(np.abs(sums) > TANGENT_TOL, DomainError,
                 "tangent does not preserve the norm to first order")
     return rho, drho, dphi
 
@@ -161,11 +164,16 @@ def extended_fisher_metric(psi, d):
 
 
 def _closed_form(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """extended_fisher_metric of checked differentials, one value per row."""
+    """extended_fisher_metric of checked differentials, one value per row.
+    With every component live the drho^2/rho terms skip the mask, which
+    writes the same quotients."""
     alive = rho > ZERO_MASS
-    quad = np.divide(drho**2, rho, out=np.zeros_like(rho), where=alive).sum(axis=-1)
+    if alive.all():
+        quad = drho**2 / rho
+    else:
+        quad = np.divide(drho**2, rho, out=np.zeros_like(rho), where=alive)
     mean = np.sum(rho * dphi, axis=-1)
-    return quad + 4 * np.sum(rho * dphi**2, axis=-1) - 4 * mean**2
+    return quad.sum(axis=-1) + 4 * np.sum(rho * dphi**2, axis=-1) - 4 * mean**2
 
 
 def extended_fisher_metric_recursive(psi, d):
@@ -194,11 +202,15 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
     (mass_pyramid's child order), so each pass reads two half-slices.  The
     passes run leaf-major, on (N, S) copies of a stack: a half-slice is then
     a block of whole rows, which numpy runs as one contiguous loop, where
-    the (S, N) half-slices are S strided runs of at most N/2 entries."""
+    the (S, N) half-slices are S strided runs of at most N/2 entries.  The
+    phase masses rho dphi are formed before the copy, so dphi (a strided
+    view for one state) is never copied itself.  A level whose nodes are
+    all interior, with both branches live, skips the masks: np.where(True,
+    x, 0) is x, so it keeps the masked pass's bits."""
     check_power_of_two("state length", rho.shape[-1])
-    rho, drho, dphi = (np.ascontiguousarray(np.moveaxis(v, -1, 0))
-                       for v in (rho, drho, dphi))
-    mass, flow, phase = (_leaf_pyramid(v) for v in (rho, drho, rho * dphi))
+    rho, drho, phase = (np.ascontiguousarray(np.moveaxis(v, -1, 0))
+                        for v in (rho, drho, rho * dphi))
+    mass, flow, phase = (_leaf_pyramid(v) for v in (rho, drho, phase))
     metric = np.zeros_like(rho)
     broken = np.zeros(rho.shape, dtype=bool)
     # empty nodes divide by zero; np.where drops what they produce
@@ -211,17 +223,22 @@ def _recursion(rho: np.ndarray, drho: np.ndarray, dphi: np.ndarray) -> np.ndarra
             q0, q1 = m0 / m_s, m1 / m_s
             dq0 = (flow[level - 1][:half] - q0 * f_s) / m_s
             live0, live1 = q0 > ZERO_MASS, q1 > ZERO_MASS
+            interior = live0 & (q0 < 1.0 - ZERO_MASS)
+            below0, below1 = _halves(metric, half)
+            fault0, fault1 = _halves(broken, half)
+            if interior.all() and live1.all():
+                node = dq0**2 / (q0 * q1) + 4 * q0 * q1 * (p1 / m1 - p0 / m0) ** 2
+                metric = q0 * below0 + q1 * below1 + node
+                broken = fault0 | fault1
+                continue
             mean0 = np.where(live0, p0 / m0, 0)
             mean1 = np.where(live1, p1 / m1, 0)
-            interior = live0 & (q0 < 1.0 - ZERO_MASS)
             node = dq0**2 / (q0 * q1) + 4 * q0 * q1 * (mean1 - mean0) ** 2
-            below0, below1 = _halves(metric, half)
             metric = (np.where(live0, q0 * below0, 0)
                       + np.where(live1, q1 * below1, 0)
                       + np.where(interior, node, 0))
             # only live branches pass a fault up: nothing below an empty
             # branch is evaluated
-            fault0, fault1 = _halves(broken, half)
             broken = ((live0 & fault0) | (live1 & fault1)
                       | (~interior & (np.abs(dq0) > ZERO_MASS)))
     reject_rows(broken[0, ...], SingularityError, "mass flow across an empty branch")
@@ -242,11 +259,12 @@ def fubini_study_metric(psi, d):
     """
     amps, damps = complex_array(psi), complex_array(d)
     check_rows(psi=amps, d=damps)
-    norm2 = np.einsum("...i,...i->...", amps.conj(), amps).real
+    bra = amps.conj()
+    norm2 = np.einsum("...i,...i->...", bra, amps).real
     reject_rows(~np.isfinite(norm2), DomainError,
                 "squared norm of the state is not finite")
     reject_rows(norm2 <= 0.0, DomainError, "zero state vector")
-    overlap = np.einsum("...i,...i->...", amps.conj(), damps)
+    overlap = np.einsum("...i,...i->...", bra, damps)
     length2 = np.einsum("...i,...i->...", damps.conj(), damps).real
     reject_rows(~np.isfinite(length2), DomainError,
                 "squared length of the tangent is not finite")
@@ -272,8 +290,7 @@ def state_amplitudes(weights: np.ndarray, phases: np.ndarray) -> np.ndarray:
     check_rows(weights=weights, phases=phases)
     check_finite(weights=weights, phases=phases)
     # a negative weight would take a negative root
-    reject_rows((weights < 0.0).any(axis=-1), DomainError,
-                "weights must be non-negative")
+    reject_entries(weights < 0.0, DomainError, "weights must be non-negative")
     size = weights.shape[-1]
     min_mass = 0.1 / size
     rho = weights * (1.0 - size * min_mass) + min_mass
@@ -291,9 +308,13 @@ def tangent_amplitudes(amps: np.ndarray, drho: np.ndarray,
     check_rows(amps=amps, drho=drho, dphi=dphi)
     check_finite(amps=amps, drho=drho, dphi=dphi)
     rho = amps.real ** 2 + amps.imag ** 2
-    reject_rows((rho <= ZERO_MASS).any(axis=-1), SingularityError,
-                "amps has a zero-amplitude component")
-    damps = (drho - drho.mean(axis=-1, keepdims=True)) / (2.0 * rho) + 1j * dphi
+    reject_entries(rho <= ZERO_MASS, SingularityError,
+                   "amps has a zero-amplitude component")
+    # the real and imaginary parts written in place: the bits of
+    # `... + 1j * dphi`, with no complex temporary
+    damps = np.empty(amps.shape, complex)
+    np.divide(drho - drho.mean(axis=-1, keepdims=True), 2.0 * rho, out=damps.real)
+    damps.imag = dphi
     # in place: numpy may write `amps * (...)` into a large temporary with the
     # operands swapped, and a complex product need not be bitwise commutative
     damps *= amps

@@ -27,8 +27,10 @@ def _normalized(amps: np.ndarray, *tangents: np.ndarray) -> tuple[np.ndarray, ..
     shape, with each state's squared norm (one pass over the real and
     imaginary parts) taken through exceptions.check_unit_sums and the rows it
     flags divided by their norm, the arrays themselves when it flags none.
-    A row's norm has the same bits alone as inside a stack."""
-    norm2 = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
+    A row's norm has the same bits alone as inside a stack, and one that
+    overflows is inf, which the norm rule refuses."""
+    with np.errstate(over="ignore"):
+        norm2 = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
     rescale = check_unit_sums("squared norm", norm2)
     if rescale.any():
         rows, norm = rescale[..., None], np.sqrt(norm2)[..., None]

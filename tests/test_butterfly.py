@@ -511,6 +511,11 @@ class TestChainPropagate:
         with pytest.raises(DomainError, match="^squared norm (nan|inf) is not 1$"):
             chain_propagate(np.array(psi, dtype=complex))
 
+    def test_a_state_whose_norm_overflows_is_refused(self):
+        # 1e200 squared overflows: inf, refused with no overflow warning first
+        with pytest.raises(DomainError, match="^squared norm inf is not 1$"):
+            chain_propagate(np.array([1e200, 0.5], dtype=complex))
+
     @pytest.mark.parametrize("bad", [2.0, np.nan, np.inf], ids=["large", "nan", "inf"])
     def test_a_bad_row_of_a_stack_is_named(self, bad):
         stack = np.full((4, 8), math.sqrt(1 / 8), dtype=complex)

@@ -550,9 +550,11 @@ class TestDeterminism:
             assert run([kind, "--config", cfg, "--seed", "77",
                         "--out", str(out)]) == 0
             doc = json.loads((out / "report.json").read_text())
-            # wall-clock times are the only varying fields
+            # wall-clock times and the process's usage are the only
+            # varying fields
             doc.pop("elapsed_s")
             doc.pop("criterion_elapsed_s")
+            doc.pop("process")
             reports.append(doc)
         assert reports[0] == reports[1]
 
@@ -580,6 +582,16 @@ class TestDeterminism:
         assert env["blas_threads"]["MKL_NUM_THREADS"] is None
         assert env["sweep_workers"] == butterfly.SWEEP_WORKERS in (1, 2)
         assert env["seed"] == 11
+
+    def test_report_records_the_process_usage(self, tmp_path):
+        pytest.importorskip("resource")
+        assert run(["partition-audit", "--out", str(tmp_path)]) == 0
+        process = json.loads((tmp_path / "report.json").read_text())["process"]
+        assert list(process) == ["peak_rss_mb", "minor_faults", "heap_threshold"]
+        assert process["peak_rss_mb"] > 0.0
+        assert type(process["minor_faults"]) is int and process["minor_faults"] >= 0
+        assert process["heap_threshold"] == (cli.HEAP_THRESHOLD if cli._hold_heap()
+                                             else None)
 
     @pytest.mark.parametrize("kind,extra,pinned", [
         ("tomography", {}, {
@@ -634,14 +646,41 @@ class TestDeterminism:
         assert doc["config"]["seed"] == 99
 
 
+# the most minor page faults one more metric-check block may add to a fresh
+# process; where glibc trims the heap after each block, each took about 720
+FAULTS_PER_BLOCK = 50
+
+
+def test_metric_blocks_do_not_fault_the_heap_in_again(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not cli._hold_heap():
+        pytest.skip("the C library is not glibc")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    block = criteria.METRIC_BLOCK_CELLS >> 4
+    faults, blocks = [], []
+    for samples in (1_000, 20_000):
+        cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check",
+                                      "samples": samples, "chart_points": 10})
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        done = subprocess.run([sys.executable, "-m", "qrecon", "metric-check",
+                               "--config", cfg, "--out", str(tmp_path)],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+        blocks.append(-(-samples // block))
+    assert faults[1] - faults[0] < FAULTS_PER_BLOCK * (blocks[1] - blocks[0])
+
+
 OUTPUTS = ("report.json", "report.csv", "rows.csv")
 
 
 def read_outputs(out):
-    """report.json without its wall-clock fields, and the bytes of each CSV."""
+    """report.json without its wall-clock and process-usage fields, and the
+    bytes of each CSV."""
     doc = json.loads((out / "report.json").read_text())
     doc.pop("elapsed_s")
     doc.pop("criterion_elapsed_s")
+    doc.pop("process")
     return doc, (out / "report.csv").read_bytes(), (out / "rows.csv").read_bytes()
 
 

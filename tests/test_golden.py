@@ -38,7 +38,7 @@ from qrecon.probmodel import mass_pyramid
 GOLDEN = Path(__file__).with_name("golden.json")
 BUILD = {"python": platform.python_version(), "numpy": np.__version__,
          "machine": platform.machine()}
-DROPPED = ("elapsed_s", "criterion_elapsed_s", "env")  # no fixed bits
+DROPPED = ("elapsed_s", "criterion_elapsed_s", "process", "env")  # no fixed bits
 
 
 def _sha(data: bytes) -> str:

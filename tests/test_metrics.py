@@ -543,6 +543,63 @@ class TestHalfSlicePasses:
                                      "(row 3)")
 
 
+def renormalized_tangent(amps, damps, keep):
+    """damps on the components keep, with its radial part there projected out
+    so that it preserves the norm of amps; 0 elsewhere."""
+    out = np.zeros_like(damps)
+    a, d = amps[keep], damps[keep]
+    out[keep] = d - (np.vdot(a, d).real / np.vdot(a, a).real) * a
+    return out
+
+
+class TestUnmaskedPasses:
+    """A recursion level whose nodes are all interior, with both branches
+    live, skips the masks, and so does the closed form of a block with no
+    zero-mass component; any other level or block takes the masked pass.
+    In a (S, 16) stack with one zero-mass leaf, level 1 and the closed form
+    are masked and levels 2-4 are not, where each row alone takes the
+    unmasked pass everywhere its own empty branches do not reach."""
+
+    @staticmethod
+    def stack():
+        amps, damps = random_stack(4, 6, np.random.default_rng(17))
+        amps[2, 5], damps[2, 5] = 0.0, 0.0  # a zero-mass leaf, no flow
+        amps[2] /= np.linalg.norm(amps[2])
+        damps[2] = renormalized_tangent(amps[2], damps[2], np.arange(16) != 5)
+        return amps, damps
+
+    @pytest.mark.parametrize("metric", [extended_fisher_metric,
+                                        extended_fisher_metric_recursive])
+    def test_each_row_has_the_bits_of_its_single_row_call(self, metric):
+        amps, damps = self.stack()
+        stacked = metric(amps, damps)
+        for row, (a, d) in enumerate(zip(amps, damps)):
+            assert stacked[row].tobytes() == np.float64(metric(a, d)).tobytes(), row
+        assert extended_fisher_metric_recursive(amps[2], damps[2]) == pytest.approx(
+            extended_fisher_metric(amps[2], damps[2]), rel=1e-12)
+
+    def test_flow_into_an_empty_branch_is_refused_below_interior_levels(self):
+        # row 4's level-1 node (3, 11) holds 1e-13 of the mass and its leaf
+        # 11 1e-28 of it: the tangent moves 2e-13 of the node's mass into
+        # that empty branch.  Levels 2-4 are interior in every row, so only
+        # the unmasked passes carry the fault up to the root
+        amps, damps = self.stack()
+        keep = ~np.isin(np.arange(16), (3, 11))
+        amps[4, keep] *= math.sqrt((1.0 - 1e-13) / np.sum(np.abs(amps[4, keep]) ** 2))
+        amps[4, 3], amps[4, 11] = math.sqrt(1e-13), 1e-14
+        damps[4] = renormalized_tangent(amps[4], damps[4], keep)
+        damps[4, 11] = 1e-12
+        with pytest.raises(SingularityError, match=r"^mass flow across an empty "
+                                                   r"branch \(row 4\)$"):
+            extended_fisher_metric_recursive(amps, damps)
+        with pytest.raises(SingularityError, match="empty branch$"):
+            extended_fisher_metric_recursive(amps[4], damps[4])
+        rest = np.arange(6) != 4
+        np.testing.assert_allclose(
+            extended_fisher_metric_recursive(amps[rest], damps[rest]),
+            extended_fisher_metric(amps[rest], damps[rest]), rtol=1e-12)
+
+
 class TestExactRationals:
     @pytest.mark.parametrize("nbits", [1, 2, 3])
     def test_both_forms_give_one_fraction(self, nbits):
@@ -1122,3 +1179,12 @@ class TestNonFiniteMetricInputs:
         with pytest.raises(DomainError, match="^squared norm (nan|inf) is not 1$"):
             fubini_study_distance(a, b)
 
+    # a finite entry whose square overflows: the norm rule refuses its inf
+    # squared norm, with no overflow warning first (an error under -W error)
+    def test_extended_metric_refuses_an_overflowing_norm(self):
+        with pytest.raises(DomainError, match="^squared norm inf is not 1$"):
+            extended_fisher_metric([1e200, 0.5], [0.1, 0.1j])
+
+    def test_fubini_study_distance_refuses_an_overflowing_norm(self):
+        with pytest.raises(DomainError, match="^squared norm inf is not 1$"):
+            fubini_study_distance([1e200, 0.5], [1.0, 0.0])
