@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -65,25 +65,26 @@ EXACT_TOL = 1e-12  # identities exact up to rounding, in metric-check and fft-de
 
 @dataclass
 class Check:
+    """One value judged against its tolerance, here and nowhere else: it
+    passes at value <= tolerance, or value >= tolerance for a `floor`; a NaN
+    value fails either way."""
     id: str
     description: str
     value: float
     tolerance: float
-    passed: bool
+    floor: InitVar[bool] = field(default=False, kw_only=True)
+    passed: bool = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, floor: bool):
         # numpy scalars stringify fine but np.bool_ is not JSON serializable
         self.value = float(self.value)
         self.tolerance = float(self.tolerance)
-        self.passed = bool(self.passed)
+        self.passed = bool(self.value >= self.tolerance if floor
+                           else self.value <= self.tolerance)
 
     def line(self) -> str:
         return (f"[{'PASS' if self.passed else 'FAIL'}] {self.id}: "
                 f"value={self.value:.6g} tolerance={self.tolerance:.6g}")
-
-
-def below(id: str, description: str, value: float, tolerance: float) -> Check:
-    return Check(id, description, value, tolerance, value < tolerance)
 
 
 FS_TOL = 1e-10         # fs-factor, max relative deviation
@@ -115,9 +116,9 @@ def metric_sample(cfg: dict, rng: np.random.Generator):
             phase_rng.uniform(-math.pi, math.pi, shape),
             drho_rng.normal(0.0, INCREMENT_SD, shape),
             dphi_rng.normal(0.0, INCREMENT_SD, shape)))
-    return [below("fs-factor", "extended metric equals 4x Fubini-Study (max rel dev)",
+    return [Check("fs-factor", "extended metric equals 4x Fubini-Study (max rel dev)",
                   worst[0], FS_TOL),
-            below("recursion", "even/odd recursion equals the closed form (max rel dev)",
+            Check("recursion", "even/odd recursion equals the closed form (max rel dev)",
                   worst[1], RECURSION_TOL)], []
 
 
@@ -150,8 +151,8 @@ def closed_form_identities(cfg: dict, rng: np.random.Generator):
     one_bit = abs(extended_fisher_metric(amps, damps)
                   - metric_in_coords(theta, dtheta, dalpha))
     return [Check("gauge-zero", "global-phase direction has zero length",
-                  gauge, EXACT_TOL, abs(gauge) < EXACT_TOL),
-            below("one-bit-form", "one-bit metric reduces to dtheta^2 + sin^2 dalpha^2",
+                  abs(gauge), EXACT_TOL),
+            Check("one-bit-form", "one-bit metric reduces to dtheta^2 + sin^2 dalpha^2",
                   one_bit, EXACT_TOL)], []
 
 
@@ -162,7 +163,7 @@ def chart_sweep(cfg: dict, rng: np.random.Generator):
     values = np.array([chart_tangent_metric(points, tangents, axis) for axis in "qpr"])
     top = values.max(axis=0)
     worst = np.max((top - values.min(axis=0)) / top, initial=0.0)
-    return [below("chart-invariance", "tangent metric agrees across the q/p/r charts",
+    return [Check("chart-invariance", "tangent metric agrees across the q/p/r charts",
                   worst, CHART_TOL)], []
 
 
@@ -193,13 +194,13 @@ def ladder_transform(cfg: dict, rng: np.random.Generator):
     unitarity rounding."""
     n = cfg["levels"]
     dev = _ladder_deviations(n)
-    checks = [below("ladder-vs-dft", "assembled ladder equals the unitary Fourier matrix",
+    checks = [Check("ladder-vs-dft", "assembled ladder equals the unitary Fourier matrix",
                     dev["ladder"], EXACT_TOL),
-              below("unitarity", "assembled ladder is unitary", dev["unitarity"], EXACT_TOL),
-              below("shift-diagonal", "cyclic shift is diagonal with the closed-form "
+              Check("unitarity", "assembled ladder is unitary", dev["unitarity"], EXACT_TOL),
+              Check("shift-diagonal", "cyclic shift is diagonal with the closed-form "
                     "phases: P F = F D, scaled by sqrt(N)", dev["shift"], EXACT_TOL)]
     if n >= 2:
-        checks.append(below("danielson-lanczos", "half-size recursion and ladder "
+        checks.append(Check("danielson-lanczos", "half-size recursion and ladder "
                             "reproduce the Fourier matrix",
                             max(dev["recursion"], dev["ladder"]), EXACT_TOL))
     return checks, []
@@ -218,12 +219,9 @@ def shift_phases(cfg: dict, rng: np.random.Generator):
                            - np.array([0.0, -math.pi / 2, -math.pi,
                                        -3 * math.pi / 2])).max())
     return [Check("shift-recursion", "shift-phase recursion equals -2*pi*k/2^l, "
-                  "depths 1..12, to a few ulps", worst, SHIFT_TOL, worst <= SHIFT_TOL),
+                  "depths 1..12, to a few ulps", worst, SHIFT_TOL),
             Check("shift-depth-2", "depth-2 shift phases are exactly "
-                  "(0, -pi/2, -pi, -3pi/2)", depth_2, 0.0, depth_2 == 0.0)], []
-
-
-COUNT_TOL = 0.5  # a count of counterexamples or violations passes only at 0
+                  "(0, -pi/2, -pi, -3pi/2)", depth_2, 0.0)], []
 
 
 def lsb_uniqueness(cfg: dict, rng: np.random.Generator):
@@ -231,10 +229,10 @@ def lsb_uniqueness(cfg: dict, rng: np.random.Generator):
     counterexamples = sum(
         shift_invariant_equal_partitions(n, 1 << c)
         != [make_lsb_partition(n, n - c + 1)] for c in range(1, n + 1))
-    check = below("lsb-uniqueness",
+    check = Check("lsb-uniqueness",
                   f"exhaustive search over width {n}: shift-invariant equal-size "
                   "partitions are exactly the lsb families",
-                  counterexamples, COUNT_TOL)
+                  counterexamples, 0)
     return [check], [{"families_checked": n, "counterexamples": counterexamples}]
 
 
@@ -249,8 +247,8 @@ def scale_level_sum(cfg: dict, rng: np.random.Generator):
                 violations += scale_transform_set(s).level_sum != s.level_sum
             except RangeError:
                 pass  # no image: the rescaling leaves the domain
-    return [below("scale-level-sum", "dyadic rescaling conserves the level sum",
-                  violations, COUNT_TOL)], []
+    return [Check("scale-level-sum", "dyadic rescaling conserves the level sum",
+                  violations, 0)], []
 
 
 PARITY_TOL = 0.05  # precision-parity, max relative difference of two precisions
@@ -286,7 +284,7 @@ def tomography(cfg: dict, rng: np.random.Generator):
         checks.append(Check(
             "precision-parity",
             "per-measurement precision contributions agree across observables",
-            parity, PARITY_TOL, parity <= PARITY_TOL))
+            parity, PARITY_TOL))
     # the sample variance of R normal draws over the true one is chi^2 with
     # R - 1 dof over R - 1, of relative spread sqrt(2 / (R - 1)); the band
     # 1 +- BAND_SIGMA spreads is judged as a ceiling on the distance from 1,
@@ -299,8 +297,7 @@ def tomography(cfg: dict, rng: np.random.Generator):
             f"variance-band-{s.observable}",
             f"|M*var(theta_hat) - 1| of {s.observable} within {BAND_SIGMA} chi^2 "
             f"standard deviations (z={z:.2f}, p={gaussian_p_value(z):.3g})",
-            abs(deviation), BAND_SIGMA * spread,
-            abs(deviation) <= BAND_SIGMA * spread))
+            abs(deviation), BAND_SIGMA * spread))
     return checks, [{"observable": s.observable, "M": s.trials,
                      "thetaHat": s.theta_hat_mean, "varHat": s.var_hat,
                      "precisionPerMeasurement": s.precision_per_measurement}
@@ -331,7 +328,7 @@ def speedup(cfg: dict, rng: np.random.Generator):
                      "speedup": dense_ns / fly_ns})
     checks = [Check(f"speedup-N{row['N']}",
                     f"butterfly beats the dense product at N={row['N']}",
-                    row["speedup"], MIN_SPEEDUP, row["speedup"] >= MIN_SPEEDUP)
+                    row["speedup"], MIN_SPEEDUP, floor=True)
               for row in rows if row["N"] == SPEEDUP_SIZE]
     return checks, rows
 

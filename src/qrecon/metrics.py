@@ -58,9 +58,11 @@ def amplitude_phase_differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.nd
     shape.  At zero-mass components the phase is undefined: dphi is set to 0
     there, and any non-vanishing perturbation of such a component is
     rejected.  A row whose drho is not finite (a NaN or infinite entry, or
-    an overflow) is refused first.
+    an overflow) is refused first; one whose rho overflows is refused too.
     """
-    return _differentials(psi, d)[:3]
+    rho, drho, dphi, _ = _differentials(psi, d)
+    check_finite(rho=rho)  # here alone: the metrics' normalized states never overflow
+    return rho, drho, dphi
 
 
 def _differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -69,12 +71,12 @@ def _differentials(psi, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     norm-preserving test read one pass of row sums."""
     amps, damps = complex_array(psi), complex_array(d)
     check_rows(psi=amps, d=damps)
-    with np.errstate(invalid="ignore", over="ignore"):  # refused just below
+    with np.errstate(invalid="ignore", over="ignore"):  # drho refused just below
         drho = _drho(amps, damps)
         sums = drho.sum(axis=-1)
+        rho = np.abs(amps) ** 2  # inf past about 1.3e154
     reject_rows(~np.isfinite(sums), DomainError,
                 "drho = 2 Re(conj(psi) dpsi) is not finite")
-    rho = np.abs(amps) ** 2
     alive = rho > ZERO_MASS
     if alive.all():
         # nothing to reject and no undefined phase to zero

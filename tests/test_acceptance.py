@@ -16,7 +16,7 @@ import pytest
 from qrecon import cli, criteria
 from qrecon.butterfly import (apply_butterfly, bit_reversal_permutation,
                               chain_propagate, dft_matrix, make_plan)
-from qrecon.criteria import below
+from qrecon.criteria import Check
 from qrecon.metrics import fubini_study_distance, random_state
 
 SEED = 20240801
@@ -50,7 +50,7 @@ def fft_derive():
 
 def test_01_fft_equivalence(fft_derive):
     checks, elapsed = fft_derive
-    gate(checks + [below("elapsed-s", "1..10 levels in under a minute", elapsed, 60.0)],
+    gate(checks + [Check("elapsed-s", "1..10 levels in under a minute", elapsed, 60.0)],
          "ladder-vs-dft", "shift-diagonal", "danielson-lanczos", "elapsed-s")
 
 
@@ -110,7 +110,7 @@ def test_09_linearity_consequence(fft_derive):
         after = fubini_study_distance(apply_butterfly(plan, a),
                                       apply_butterfly(plan, b))
         worst = max(worst, abs(after - before))
-    drift = below("distance-drift", "ladder keeps Fubini-Study distances, "
+    drift = Check("distance-drift", "ladder keeps Fubini-Study distances, "
                   "10^3 pairs", worst, 1e-10)
     gate(fft_derive[0] + [drift], "unitarity", "distance-drift")
 
@@ -146,8 +146,8 @@ def test_11_chain_coherence():
         br = bit_reversal_permutation(nbits)
         worst_top = max(worst_top,
                         float(np.abs(levels[-1][:, br] - target).max()))
-    gate([below("chain-mass", "parent-vs-children mass defect, 10^3 states, n <= 6",
+    gate([Check("chain-mass", "parent-vs-children mass defect, 10^3 states, n <= 6",
                 worst_pair, 1e-12),
-          below("chain-top", "top level equals the transformed distribution",
+          Check("chain-top", "top level equals the transformed distribution",
                 worst_top, 1e-12)],
          "chain-mass", "chain-top")

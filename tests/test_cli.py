@@ -394,6 +394,32 @@ class TestExitCodes:
         assert missing.returncode == 2 and b"config error" in missing.stderr
 
 
+class TestCheck:
+    """Check alone decides a verdict: value <= tolerance, value >= tolerance
+    for a floor, and a NaN value fails either way."""
+
+    @pytest.mark.parametrize("value,ceiling,floor", [
+        (0.5, True, False), (1.0, True, True), (1.5, False, True),
+        (math.nan, False, False),
+    ], ids=["below", "equal", "above", "nan"])
+    def test_ceiling_and_floor(self, value, ceiling, floor):
+        assert criteria.Check("c", "ceiling", value, 1.0).passed is ceiling
+        assert criteria.Check("f", "floor", value, 1.0, floor=True).passed is floor
+
+    def test_no_caller_passes_a_verdict(self):
+        with pytest.raises(TypeError):
+            criteria.Check("c", "ceiling", 2.0, 1.0, passed=True)
+
+    def test_gauge_zero_reports_the_magnitude(self, tmp_path):
+        # at levels 1, seed 7 the gauge direction's length rounds to -8.9e-16
+        cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check",
+                                      "levels": 1, "seed": 7})
+        assert run(["metric-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        (gauge,) = [c["value"] for c in doc["checks"] if c["id"] == "gauge-zero"]
+        assert 0.0 <= gauge < criteria.EXACT_TOL
+
+
 class TestCriteriaTable:
     SMALL = {
         "tomography": {"state": {"kind": "qubit", "bloch": [0.6, 0.0, 0.8]},

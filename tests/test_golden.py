@@ -14,6 +14,10 @@ values are no fixed bits and it has no entry.
 To pin the corpus again, on purpose, after a change that moves values:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It first prints what moves against golden.json: a build change, each added
+or removed entry, and each entry whose value moved with the parts that
+changed, as test_entry_keeps_its_bits names them.
 """
 
 from __future__ import annotations
@@ -128,6 +132,15 @@ PINNED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"build": None,
                                                                   "entries": {}}
 
 
+def _changed(got, pinned) -> list[str]:
+    """The parts of an entry that moved: the keys whose values differ where
+    both values are dicts, else "value" if the two differ at all."""
+    if isinstance(got, dict) and isinstance(pinned, dict):
+        return sorted(key for key in got.keys() | pinned.keys()
+                      if got.get(key) != pinned.get(key))
+    return [] if got == pinned else ["value"]
+
+
 def test_every_entry_is_pinned():
     assert sorted(PINNED["entries"]) == sorted(CORPUS)
 
@@ -136,16 +149,20 @@ def test_every_entry_is_pinned():
 def test_entry_keeps_its_bits(name):
     if PINNED["build"] != BUILD:
         pytest.skip(f"golden corpus pinned on {PINNED['build']}, this build is {BUILD}")
-    got, pinned = CORPUS[name](), PINNED["entries"].get(name)
-    if isinstance(got, dict) and isinstance(pinned, dict):
-        changed = sorted(key for key in got.keys() | pinned.keys()
-                         if got.get(key) != pinned.get(key))
-        assert not changed, f"{name}: {', '.join(changed)} changed"
-    assert got == pinned, f"{name} changed"
+    changed = _changed(CORPUS[name](), PINNED["entries"].get(name))
+    assert not changed, f"{name}: {', '.join(changed)} changed"
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {"build": BUILD, "entries": {name: call() for name, call in CORPUS.items()}},
-        indent=1) + "\n")
+    entries = {name: call() for name, call in CORPUS.items()}
+    if PINNED["build"] != BUILD:
+        print(f"build changed: {PINNED['build']} -> {BUILD}")
+    for name in sorted(PINNED["entries"].keys() - entries.keys()):
+        print(f"removed: {name}")
+    for name, got in entries.items():
+        if name not in PINNED["entries"]:
+            print(f"added: {name}")
+        elif changed := _changed(got, PINNED["entries"][name]):
+            print(f"moved: {name}: {', '.join(changed)}")
+    GOLDEN.write_text(json.dumps({"build": BUILD, "entries": entries}, indent=1) + "\n")
     print(f"pinned {len(CORPUS)} entries on {BUILD} in {GOLDEN}", file=sys.stderr)

@@ -1188,3 +1188,14 @@ class TestNonFiniteMetricInputs:
     def test_fubini_study_distance_refuses_an_overflowing_norm(self):
         with pytest.raises(DomainError, match="^squared norm inf is not 1$"):
             fubini_study_distance([1e200, 0.5], [1.0, 0.0])
+
+    # amplitude_phase_differentials applies no norm rule: it refuses the
+    # overflowed rho itself, naming a stack's row
+    @pytest.mark.parametrize("psi,d,match", [
+        ([1e200, 0.5], [0.1, 0.1j], r"^rho has a non-finite entry$"),
+        ([[0.6, 0.8], [1e200, 0.5]], [[0.1, 0.1j], [0.1, 0.1j]],
+         r"^rho has a non-finite entry \(row 1\)$"),
+    ], ids=["row", "stack"])
+    def test_differentials_refuse_an_overflowing_rho(self, psi, d, match):
+        with pytest.raises(DomainError, match=match):
+            amplitude_phase_differentials(psi, d)
