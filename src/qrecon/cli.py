@@ -40,13 +40,10 @@ from .bloch import BlochPoint
 from .exceptions import (ConfigError, DomainError, check_integer, check_name,
                          check_power_of_two, check_real)
 from .partitions import ENUMERATION_WIDTH_CAP
+from .sampling import MAX_TRIALS
 
 CONFIG_VERSION = 1
 
-# above 2**60 numpy's binomial draws add variance: M * var(theta_hat) of q at
-# pi/3 (5,000 replicas, seeds 1..20) reads 1.002 from 2**56 to 2**60, then
-# 1.008 at 2**61, 1.051 at 2**62 and 1.132 at 2**63 - 1, where 1 is due
-MAX_TRIALS = 2**60
 # bounds a run's estimate arrays (24 bytes a replica at the peak) and its
 # time: at 10**6 replicas a three-observable run draws 3 * 10**6 binomials
 MAX_REPLICAS = 10**6
@@ -97,7 +94,10 @@ def _state(name, value, cfg):
     if type(value) is not dict:
         raise ConfigError(f"{name} must be an object with kind 'rebit' or 'qubit'")
     check_name(f"{name}.kind", value.get("kind"), criteria.OBSERVABLES)
-    if value["kind"] == "rebit":
+    angle = "theta_q" if value["kind"] == "rebit" else "bloch"
+    if unknown := sorted(set(value) - {"kind", angle}):
+        raise ConfigError(f"unknown {name} fields of a {value['kind']}: {unknown}")
+    if angle == "theta_q":
         check_real(f"{name}.theta_q", value.get("theta_q"))
         return
     bloch = value.get("bloch")
@@ -275,6 +275,15 @@ def _process_usage(start_faults: int | None) -> dict | None:
             "heap_threshold": HEAP_THRESHOLD if _hold_heap() else None}
 
 
+def _strict_json(value):
+    """value with each non-finite float as the CSVs spell it: "inf", "-inf", "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    return [_strict_json(item) for item in value] if isinstance(value, list) else value
+
+
 def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Check],
                  rows: list[dict], elapsed: float,
                  criterion_elapsed: dict[str, float],
@@ -293,7 +302,8 @@ def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Chec
         "process": process,
         "env": environment(cfg["seed"]),
     }
-    _new_file(out_dir / "report.json").write_text(json.dumps(report, indent=2))
+    _new_file(out_dir / "report.json").write_text(
+        json.dumps(_strict_json(report), indent=2, allow_nan=False))
     _write_csv(_new_file(out_dir / "report.csv"),
                ["id", "value", "tolerance", "passed"], report["checks"])
     # a run that made no row leaves no rows.csv

@@ -1,14 +1,14 @@
 """The paper's numerical criteria, each defined once.
 
-A criterion is a function (cfg, rng) -> (checks, report rows): one
-measurement and the checks that judge it.  `CRITERIA` lists each kind's
-criteria in run order; the criteria of one run share one generator seeded
-from cfg["seed"] and draw from it, or spawn child streams from it, in that
-order, so their order fixes what each one draws.  The generator is built
-on a criterion's first draw: only metric-check and bench draw, so the other
-kinds never import numpy.random (tomography keys its own streams from
-cfg["seed"]).  The CLI runs them at
-a config's scope, tests/test_acceptance.py at the release scope.  Each
+A criterion is a function cfg -> (checks, report rows) of a validated
+config alone: one measurement and the checks that judge it.  `CRITERIA`
+lists each kind's criteria in run order.  A criterion draws only from PCG64
+streams keyed by cfg["seed"] (`_stream`), never from another's: children
+0-3 of SeedSequence(seed) for metric_sample, 4-5 for chart_sweep, and the
+seed's own stream for closed_form_identities and speedup; a new criterion
+takes the next free child, 6.  No other kind imports numpy.random
+(tomography keys its own Philox streams).  The CLI runs the criteria at a
+config's scope, tests/test_acceptance.py at the release scope.  Each
 tolerance is a constant here, next to its check: no config can loosen it.
 `qrecon.sampling` only simulates: the tomography variance band is built
 (from the chi^2 spread of a sample variance) and judged here.
@@ -16,7 +16,6 @@ tolerance is a constant here, next to its check: no config can loosen it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -87,26 +86,32 @@ class Check:
                 f"value={self.value:.6g} tolerance={self.tolerance:.6g}")
 
 
+def _stream(cfg: dict, *key: int) -> np.random.Generator:
+    """cfg["seed"]'s PCG64 stream under spawn key `key`: for (k,) the k-th child
+    np.random.default_rng(seed).spawn hands out, for () default_rng(seed)."""
+    seq = np.random.SeedSequence(cfg["seed"], spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 FS_TOL = 1e-10         # fs-factor, max relative deviation
 RECURSION_TOL = 1e-9   # recursion, max relative deviation
 CHART_TOL = 1e-9       # chart-invariance, max relative spread over the charts
 
 
-def metric_sample(cfg: dict, rng: np.random.Generator):
+def metric_sample(cfg: dict):
     """fs-factor and recursion over cfg["samples"] random states and tangents
     of cfg["levels"] bits, drawn, built and evaluated a block of
     METRIC_BLOCK_CELLS amplitudes (at least one state) at a time.  Each draw
     (a state's Dirichlet weights and uniform phases, a tangent's drho and
-    dphi normal increments) comes from its own stream spawned from rng, one
-    call per block; numpy fills an array one row after another, so sample i
-    is row i of each stream whatever the block size."""
+    dphi normal increments) reads its own child 0-3 of the seed, one call per
+    block; numpy fills an array one row after another, so sample i is row i
+    of each stream whatever the block size."""
     nbits, samples = cfg["levels"], cfg["samples"]
     block = max(1, METRIC_BLOCK_CELLS >> nbits)
-    # the streams before alpha: with the run generator built on this spawn,
-    # the other order read 7% slower in perfbench metric-check (2-core Xeon
-    # VM, slower in 8 of 8 pairs) with the same arithmetic, a heap-placement
-    # effect
-    weight_rng, phase_rng, drho_rng, dphi_rng = rng.spawn(4)
+    # the streams before alpha: the other order read 7% slower in perfbench
+    # metric-check (2-core Xeon VM, slower in 8 of 8 pairs) with the same
+    # arithmetic, a heap-placement effect
+    weight_rng, phase_rng, drho_rng, dphi_rng = (_stream(cfg, k) for k in range(4))
     alpha = np.ones(1 << nbits)  # Dirichlet(1, ..., 1)
     worst = np.zeros(2)
     for start in range(0, samples, block):
@@ -136,9 +141,10 @@ def _metric_deviations(weights: np.ndarray, phases: np.ndarray,
             np.max(np.abs(efm - _recursion(*differentials)) / scale))
 
 
-def closed_form_identities(cfg: dict, rng: np.random.Generator):
-    """gauge-zero on a random state and one-bit-form on a fixed tangent."""
-    psi = random_state(cfg["levels"], rng)
+def closed_form_identities(cfg: dict):
+    """gauge-zero on a random state of the seed's own stream and one-bit-form
+    on a fixed tangent."""
+    psi = random_state(cfg["levels"], _stream(cfg))
     gauge = extended_fisher_metric(psi, 1j * psi)
     theta, alpha = 1.1, 0.4
     dtheta, dalpha = 0.21, -0.34
@@ -156,10 +162,10 @@ def closed_form_identities(cfg: dict, rng: np.random.Generator):
                   one_bit, EXACT_TOL)], []
 
 
-def chart_sweep(cfg: dict, rng: np.random.Generator):
+def chart_sweep(cfg: dict):
     """chart-invariance over cfg["chart_points"] random points and tangents
     (see _chart_draw), evaluated one chart at a time over all of them."""
-    points, tangents = _chart_draw(cfg["chart_points"], rng)
+    points, tangents = _chart_draw(cfg)
     values = np.array([chart_tangent_metric(points, tangents, axis) for axis in "qpr"])
     top = values.max(axis=0)
     worst = np.max((top - values.min(axis=0)) / top, initial=0.0)
@@ -167,13 +173,15 @@ def chart_sweep(cfg: dict, rng: np.random.Generator):
                   worst, CHART_TOL)], []
 
 
-def _chart_draw(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """count unit points (count, 3) away from every chart pole and count
-    tangents (count, 3), from two streams spawned from rng.  Candidate points
-    are normalized standard normals, drawn in batches the size of the count
-    still missing; point i is the i-th accepted one and pairs with tangent
-    row i, so a k-point draw is the prefix of any larger one."""
-    point_rng, tangent_rng = rng.spawn(2)
+def _chart_draw(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """count = cfg["chart_points"] unit points (count, 3) away from every
+    chart pole, from child 4 of the seed, and count tangents (count, 3), from
+    child 5.  Candidate points are normalized standard normals, drawn in
+    batches the size of the count still missing; point i is the i-th
+    accepted one and pairs with tangent row i, so a k-point draw is the
+    prefix of any larger one."""
+    count = cfg["chart_points"]
+    point_rng, tangent_rng = _stream(cfg, 4), _stream(cfg, 5)
     points = np.empty((count, 3))
     drawn = 0
     while drawn < count:
@@ -185,7 +193,7 @@ def _chart_draw(count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return points, tangent_rng.standard_normal((count, 3))
 
 
-def ladder_transform(cfg: dict, rng: np.random.Generator):
+def ladder_transform(cfg: dict):
     """ladder-vs-dft, unitarity, shift-diagonal and, from two levels on,
     danielson-lanczos, all from one streamed pass over the ladder's columns.
     shift-diagonal is sqrt(N) max|P F - F D|, P the one-step cyclic shift and
@@ -209,7 +217,7 @@ def ladder_transform(cfg: dict, rng: np.random.Generator):
 SHIFT_TOL = 4 * np.finfo(float).eps * 2 * math.pi  # a few ulps of 2*pi
 
 
-def shift_phases(cfg: dict, rng: np.random.Generator):
+def shift_phases(cfg: dict):
     worst = 0.0
     for depth in range(1, 13):
         vals = derive_shift_phases(depth)
@@ -224,7 +232,7 @@ def shift_phases(cfg: dict, rng: np.random.Generator):
                   "(0, -pi/2, -pi, -3pi/2)", depth_2, 0.0)], []
 
 
-def lsb_uniqueness(cfg: dict, rng: np.random.Generator):
+def lsb_uniqueness(cfg: dict):
     n = cfg["width"]
     counterexamples = sum(
         shift_invariant_equal_partitions(n, 1 << c)
@@ -236,7 +244,7 @@ def lsb_uniqueness(cfg: dict, rng: np.random.Generator):
     return [check], [{"families_checked": n, "counterexamples": counterexamples}]
 
 
-def scale_level_sum(cfg: dict, rng: np.random.Generator):
+def scale_level_sum(cfg: dict):
     n = cfg["width"]
     violations = 0
     for q_lo in range(1, n + 1):
@@ -255,12 +263,7 @@ PARITY_TOL = 0.05  # precision-parity, max relative difference of two precisions
 BAND_SIGMA = 5.0   # variance-band half-width, in chi^2 standard deviations
 
 
-def gaussian_p_value(z: float) -> float:
-    """Two-sided normal p-value for a z score (reported on band failures)."""
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def tomography(cfg: dict, rng: np.random.Generator):
+def tomography(cfg: dict):
     """precision-parity and one variance band per observable, from one
     experiment; one report row per observable."""
     state = cfg["state"]
@@ -281,10 +284,8 @@ def tomography(cfg: dict, rng: np.random.Generator):
         precisions = [s.precision_per_measurement for s in finite]
         parity = max(abs(a - b) / (0.5 * (a + b))
                      for a, b in itertools.combinations(precisions, 2))
-        checks.append(Check(
-            "precision-parity",
-            "per-measurement precision contributions agree across observables",
-            parity, PARITY_TOL))
+        checks.append(Check("precision-parity", "per-measurement precision "
+                            "contributions agree across observables", parity, PARITY_TOL))
     # the sample variance of R normal draws over the true one is chi^2 with
     # R - 1 dof over R - 1, of relative spread sqrt(2 / (R - 1)); the band
     # 1 +- BAND_SIGMA spreads is judged as a ceiling on the distance from 1,
@@ -293,10 +294,11 @@ def tomography(cfg: dict, rng: np.random.Generator):
     for s in finite:
         deviation = s.var_hat * s.trials - 1.0
         z = deviation / spread
+        p = math.erfc(abs(z) / math.sqrt(2.0))  # its two-sided normal p-value
         checks.append(Check(
             f"variance-band-{s.observable}",
             f"|M*var(theta_hat) - 1| of {s.observable} within {BAND_SIGMA} chi^2 "
-            f"standard deviations (z={z:.2f}, p={gaussian_p_value(z):.3g})",
+            f"standard deviations (z={z:.2f}, p={p:.3g})",
             abs(deviation), BAND_SIGMA * spread))
     return checks, [{"observable": s.observable, "M": s.trials,
                      "thetaHat": s.theta_hat_mean, "varHat": s.var_hat,
@@ -308,13 +310,13 @@ MIN_SPEEDUP = 10.0   # speedup-N4096, dense product time over butterfly time
 SPEEDUP_SIZE = 4096  # the one size the floor judges; every bench config times it
 
 
-def speedup(cfg: dict, rng: np.random.Generator):
+def speedup(cfg: dict):
     """The dense matrix-vector product against the butterfly apply, one row
     {N, dense_ns, butterfly_ns, speedup} per configured size, best of
-    cfg["repeats"]; the check judges the SPEEDUP_SIZE row.  The ladder costs
-    O(N log N) cell operations against O(N^2) for the dense product, so the
-    speedup grows with N."""
-    rows = []
+    cfg["repeats"] on a vector of the seed's own stream; the check judges
+    the SPEEDUP_SIZE row.  The ladder costs O(N log N) cell operations
+    against O(N^2) for the dense product, so the speedup grows with N."""
+    rng, rows = _stream(cfg), []
     for size in cfg["sizes"]:
         psi = rng.normal(size=size) + 1j * rng.normal(size=size)
         psi /= np.linalg.norm(psi)
@@ -365,31 +367,15 @@ CRITERIA: dict[str, dict[tuple[str, ...], Callable]] = {
 }
 
 
-class _FirstDrawGenerator:
-    """np.random.default_rng(seed), built when a criterion first reads one
-    of its methods, so a run that never draws never imports numpy.random."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    @functools.cached_property
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def __getattr__(self, name: str):
-        return getattr(self.generator, name)
-
-
 def run(kind: str, cfg: dict) -> tuple[list[Check], list[dict], dict[str, float]]:
     """Every criterion of `kind` on a validated config, in table order: the
     checks, the report rows and each criterion's wall time in seconds, keyed
-    by its function's name.  The criteria share one generator seeded from
-    cfg["seed"], built on their first draw."""
-    rng = _FirstDrawGenerator(cfg["seed"])
+    by its function's name.  No criterion reads another's draws, so the
+    order moves no value."""
     checks, rows, elapsed_s = [], [], {}
     for measure in CRITERIA[kind].values():
         started = time.perf_counter()
-        more_checks, more_rows = measure(cfg, rng)
+        more_checks, more_rows = measure(cfg)
         elapsed_s[measure.__name__] = time.perf_counter() - started
         checks += more_checks
         rows += more_rows

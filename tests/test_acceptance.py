@@ -60,13 +60,12 @@ def test_02_twiddle_recursion(fft_derive):
 
 @pytest.fixture(scope="module")
 def metric_checks():
-    """One metric sample per level 1..6, then the gauge state, drawn from
-    one generator."""
-    rng = np.random.default_rng(SEED)
+    """One metric sample per level 1..6, then the gauge state, each drawn
+    from the streams SEED keys."""
     checks = [c for levels in range(1, 7) for c in criteria.metric_sample(
-        config("metric-check", samples=1_667, levels=levels), rng)[0]]
+        config("metric-check", samples=1_667, levels=levels))[0]]
     return checks + criteria.closed_form_identities(
-        config("metric-check", levels=6), rng)[0]
+        config("metric-check", levels=6))[0]
 
 
 def test_03_metric_correspondence(metric_checks):
@@ -78,8 +77,7 @@ def test_04_recursion_equals_closed_form(metric_checks):
 
 
 def test_05_chart_preservation():
-    checks, _ = criteria.chart_sweep(config("metric-check", chart_points=1_000),
-                                     np.random.default_rng(SEED))
+    checks, _ = criteria.chart_sweep(config("metric-check", chart_points=1_000))
     gate(checks, "chart-invariance")
 
 

@@ -308,19 +308,20 @@ class TestChartSweep:
             return chart_tangent_metric(point, velocity, axis)
 
         monkeypatch.setattr(criteria, "chart_tangent_metric", counted)
-        checks, _ = criteria.chart_sweep({"chart_points": chart_points},
-                                         np.random.default_rng(5))
+        checks, _ = criteria.chart_sweep({"chart_points": chart_points, "seed": 5})
         assert calls == ["q", "p", "r"]
         assert checks[0].passed
 
     def test_a_short_draw_is_the_prefix_of_a_long_one(self):
-        # the pole rule drops a candidate among seed 9's first 50, so the
-        # 50-point draw takes a second batch where the 200-point one needs none
-        raw = np.random.default_rng(9).spawn(1)[0].standard_normal((50, 3))
+        # the pole rule drops a candidate among the first 50 of seed 9's
+        # point stream (child 4), so the 50-point draw takes a second batch
+        # where the 200-point one is still in its first
+        seq = np.random.SeedSequence(9, spawn_key=(4,))
+        raw = np.random.Generator(np.random.PCG64(seq)).standard_normal((50, 3))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         assert (np.abs(raw).max(axis=1) > 0.99).any()
-        short = criteria._chart_draw(50, np.random.default_rng(9))
-        long = criteria._chart_draw(200, np.random.default_rng(9))
+        short = criteria._chart_draw({"chart_points": 50, "seed": 9})
+        long = criteria._chart_draw({"chart_points": 200, "seed": 9})
         for part, whole in zip(short, long):
             assert part.tobytes() == whole[:50].tobytes()
         points, tangents = long

@@ -1243,7 +1243,7 @@ class TestLadderDeviations:
     @pytest.mark.parametrize("n", [3, 8, 10])
     def test_a_shift_phase_one_root_step_off_fails(self, n, entry, monkeypatch):
         def shift_diagonal():
-            checks, _ = criteria.ladder_transform({"levels": n}, None)
+            checks, _ = criteria.ladder_transform({"levels": n})
             return next(c for c in checks if c.id == "shift-diagonal")
 
         assert shift_diagonal().passed

@@ -136,6 +136,14 @@ class TestConfigSchema:
         ("tomography", {"state": {"kind": "qubit", "bloch": [True, 0, 0]}}, "bloch"),
         ("tomography", {"state": {"kind": "qutrit"}}, "state"),
         ("tomography", {"state": {"kind": []}}, "state"),
+        # a misplaced field was once dropped unread: the first ran at the
+        # default 100,000 trials and failed precision-parity
+        ("tomography", {"state": {"kind": "rebit", "theta_q": 1.0, "trials": 10,
+                                  "bloch": [0, 0, 1]}, "replicas": 52},
+         "unknown state fields of a rebit: ['bloch', 'trials']"),
+        ("tomography", {"state": {"kind": "qubit", "bloch": [0, 0, 1],
+                                  "theta_q": 1.0}},
+         "unknown state fields of a qubit: ['theta_q']"),
         ("bench", {"sizes": 4096}, "sizes"),
         ("bench", {"sizes": [100]}, "sizes"),
         ("bench", {"sizes": [1]}, "sizes"),
@@ -311,8 +319,9 @@ class TestTomographyProperty:
         assert all(math.isfinite(c["value"]) for c in report["checks"])
         for row in report["rows"]:
             assert math.isfinite(row["thetaHat"]) and math.isfinite(row["varHat"])
-            # an estimate with no spread has no finite precision
-            assert (math.isinf(row["precisionPerMeasurement"])
+            # an estimate with no spread has no finite precision, written
+            # as the string "inf"
+            assert ((row["precisionPerMeasurement"] == "inf")
                     == (row["varHat"] == 0.0))
 
 
@@ -438,9 +447,8 @@ class TestCriteriaTable:
     @pytest.mark.parametrize("kind", sorted(criteria.CRITERIA))
     def test_each_criterion_emits_its_ids(self, kind):
         cfg = cli.validate(kind, self.SMALL[kind])
-        rng = np.random.default_rng(cfg["seed"])
         for ids, measure in criteria.CRITERIA[kind].items():
-            checks, _ = measure(cfg, rng)
+            checks, _ = measure(cfg)
             # "{...}" in a table id stands for a per-item suffix
             patterns = [re.sub(r"\{\w+\}", ".+", i) for i in ids]
             assert all(any(re.fullmatch(p, c.id) for p in patterns) for c in checks)
@@ -546,6 +554,38 @@ class TestSubcommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert [c["id"] for c in report["checks"]] == ids
 
+    def test_report_json_is_strict_json(self, tmp_path):
+        # q's estimate at theta_q 0 has no spread, so its precision is
+        # infinite: written as "inf", as rows.csv writes it, not as the bare
+        # token Infinity that RFC 8259 readers refuse
+        cfg = write_config(tmp_path, {"version": 1, "kind": "tomography",
+                                      "state": {"kind": "rebit", "theta_q": 0.0},
+                                      "trials": 1000, "replicas": 52})
+        assert run(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+        rows = {row["observable"]: row for row in doc["rows"]}
+        assert rows["q"]["precisionPerMeasurement"] == "inf"
+        assert math.isfinite(rows["p"]["precisionPerMeasurement"])
+        assert "q,1000,0.0,0.0,inf" in (tmp_path / "rows.csv").read_text().splitlines()
+
+    def test_non_finite_values_are_spelled_as_in_the_csvs(self, tmp_path):
+        checks = [criteria.Check("c", "a NaN value", math.nan, 1.0)]
+        rows = [{"low": -math.inf, "high": math.inf, "mid": 0.5}]
+        cfg = cli.validate("partition-audit", {})
+        report = cli.write_report(tmp_path, "partition-audit", cfg, checks, rows,
+                                  0.0, {})
+        assert math.isnan(report["checks"][0]["value"])  # the caller's floats stay
+        text = (tmp_path / "report.json").read_text()
+        doc = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+        assert doc["checks"][0]["value"] == "nan"
+        assert doc["rows"] == [{"low": "-inf", "high": "inf", "mid": 0.5}]
+        assert (tmp_path / "report.csv").read_text().splitlines()[1] == "c,nan,1.0,False"
+        assert (tmp_path / "rows.csv").read_text().splitlines()[1] == "-inf,inf,0.5"
+
     def test_bench_writes_csv(self, tmp_path):
         # small sizes need not beat the dense product: only N=4096 is judged
         cfg = write_config(tmp_path, {"version": 1, "kind": "bench",
@@ -583,6 +623,20 @@ class TestDeterminism:
             doc.pop("process")
             reports.append(doc)
         assert reports[0] == reports[1]
+
+    def test_each_criterion_replays_alone_in_any_order(self, tmp_path):
+        # each criterion draws from streams keyed by the seed alone, so
+        # neither the criteria before it nor the table order moves a bit
+        fields = {"samples": 50, "chart_points": 20, "seed": 5}
+        cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check", **fields})
+        assert run(["metric-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        written = {c["id"]: c["value"] for c in doc["checks"]}
+        measures = list(criteria.CRITERIA["metric-check"].values())
+        cfg = cli.validate("metric-check", fields)
+        for order in (measures, measures[::-1]):
+            assert {c.id: c.value for measure in order
+                    for c in measure(cfg)[0]} == written
 
     def test_report_times_each_criterion(self, tmp_path):
         cfg = write_config(tmp_path, {"version": 1, "kind": "metric-check",

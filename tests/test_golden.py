@@ -7,8 +7,9 @@ of report.json (without the wall-clock fields and `env`), report.csv,
 rows.csv and stdout.  A layer entry is one call on fixed inputs: the
 SHA-256 of its result's dtype, shape and bytes, or its values when they
 are a few floats.  The bits rest on the build (numpy's generators and
-libm), so on a build other than the one golden.json records the corpus
-skips and says which two builds differ.  `bench` times itself, so its
+libm), so on a build other than the one golden.json records only each CLI
+entry's exit code is checked; the digests and the layer entries skip and
+say which two builds differ.  `bench` times itself, so its
 values are no fixed bits and it has no entry.
 
 To pin the corpus again, on purpose, after a change that moves values:
@@ -147,10 +148,31 @@ def test_every_entry_is_pinned():
 
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_entry_keeps_its_bits(name):
-    if PINNED["build"] != BUILD:
-        pytest.skip(f"golden corpus pinned on {PINNED['build']}, this build is {BUILD}")
-    changed = _changed(CORPUS[name](), PINNED["entries"].get(name))
+    pinned, other_build = PINNED["entries"].get(name), PINNED["build"] != BUILD
+    skip = f"golden corpus pinned on {PINNED['build']}, this build is {BUILD}"
+    if other_build and not name.startswith("cli/"):
+        pytest.skip(skip)
+    got = CORPUS[name]()
+    if other_build:
+        # a CLI run's exit code rests on no build, its digests do
+        got, pinned = {"exit": got["exit"]}, {"exit": (pinned or {}).get("exit")}
+    changed = _changed(got, pinned)
     assert not changed, f"{name}: {', '.join(changed)} changed"
+    if other_build:
+        pytest.skip(f"{skip}: exit code checked, digests skipped")
+
+
+def test_another_build_checks_the_exit_codes_only(monkeypatch):
+    monkeypatch.setitem(globals(), "BUILD", {**BUILD, "numpy": "0.0"})
+    name, entries = "cli/partition-audit/width-1", PINNED["entries"]
+    monkeypatch.setitem(entries, name, {**entries[name], "report.json": "moved"})
+    with pytest.raises(pytest.skip.Exception, match="exit code checked"):
+        test_entry_keeps_its_bits(name)
+    monkeypatch.setitem(entries, name, {**entries[name], "exit": 1})
+    with pytest.raises(AssertionError, match="exit changed"):
+        test_entry_keeps_its_bits(name)
+    with pytest.raises(pytest.skip.Exception, match="pinned on"):
+        test_entry_keeps_its_bits("_recursion/n-3")
 
 
 if __name__ == "__main__":

@@ -914,8 +914,8 @@ class TestMetricSample:
         values = set()
         for cells in (16, criteria.METRIC_BLOCK_CELLS, 1 << 20):
             monkeypatch.setattr(criteria, "METRIC_BLOCK_CELLS", cells)
-            checks, _ = criteria.metric_sample({"levels": levels, "samples": 300},
-                                               np.random.default_rng(11))
+            checks, _ = criteria.metric_sample({"levels": levels, "samples": 300,
+                                                "seed": 11})
             values.add(tuple(float.hex(c.value) for c in checks))
         assert len(values) == 1
 
@@ -933,7 +933,7 @@ class TestMetricSample:
         assert (np.array(criteria._metric_deviations(*draws)).tobytes()
                 == np.array(expected).tobytes())
 
-    def test_one_generator_call_per_kind_per_block(self):
+    def test_one_generator_call_per_kind_per_block(self, monkeypatch):
         calls = []
 
         def counted(name):
@@ -942,13 +942,16 @@ class TestMetricSample:
                 return getattr(np.random.Generator, name)(self, *args, **kwargs)
             return draw
 
-        # spawned streams are of the parent's type, so they count too; the
-        # raw calls are counted so that none of them is made beside numpy's
+        # each keyed stream counts its calls; the raw calls are counted so
+        # that none of them is made beside numpy's
         names = ("dirichlet", "uniform", "normal", "standard_exponential", "random",
                  "standard_normal")
         counting = type("Counting", (np.random.Generator,),
                         {name: counted(name) for name in names})
-        criteria.metric_sample({"levels": 4, "samples": 1000}, counting(np.random.PCG64(3)))
+        stream = criteria._stream
+        monkeypatch.setattr(criteria, "_stream",
+                            lambda *key: counting(stream(*key).bit_generator))
+        criteria.metric_sample({"levels": 4, "samples": 1000, "seed": 3})
         blocks = -(-1000 // (criteria.METRIC_BLOCK_CELLS >> 4))
         assert sorted(calls) == sorted(["dirichlet", "uniform", "normal", "normal"] * blocks)
 
@@ -965,12 +968,12 @@ class TestMetricBlockMemory:
     @pytest.mark.parametrize("cells", [1 << 12, criteria.METRIC_BLOCK_CELLS])
     def test_peak_is_bounded_per_amplitude_of_a_block(self, monkeypatch, cells):
         monkeypatch.setattr(criteria, "METRIC_BLOCK_CELLS", cells)
-        cfg = {"levels": 4, "samples": 1000}
-        # a first call makes numpy's and the spawn's one-off allocations
-        criteria.metric_sample({**cfg, "samples": 1}, np.random.default_rng(7))
+        cfg = {"levels": 4, "samples": 1000, "seed": 7}
+        # a first call makes numpy's and the streams' one-off allocations
+        criteria.metric_sample({**cfg, "samples": 1})
         tracemalloc.start()
         try:
-            criteria.metric_sample(cfg, np.random.default_rng(7))
+            criteria.metric_sample(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

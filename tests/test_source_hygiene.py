@@ -8,7 +8,9 @@ are the public surface (pinned in test_public_surface.py).  A third keeps
 three rules of the theory in one place, `exceptions`: only it tests whether
 a size is a power of 2, with `v & (v - 1)`, reads the norm tolerance
 RENORM_TOL, or calls `np.isfinite(...).all(...)`; every other module calls
-its guards.
+its guards.  A fourth keeps the stream rule: only `criteria._stream` and
+`sampling.measurement_stream` call `np.random.<name>(...)`, so every seeded
+draw comes from a stream keyed by the run's seed.
 """
 
 import ast
@@ -110,3 +112,28 @@ def test_only_exceptions_applies_the_rule(rule):
              if module != "exceptions" for node in ast.walk(tree) if rule(node)]
     assert sites == []
     assert any(map(rule, ast.walk(MODULES["exceptions"])))
+
+
+def is_numpy_random_call(node: ast.AST) -> bool:
+    """Whether node is a call `np.random.<name>(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "random"
+            and isinstance(node.func.value.value, ast.Name)
+            and node.func.value.value.id == "np")
+
+
+STREAM_HELPERS = {("criteria", "_stream"), ("sampling", "measurement_stream")}
+
+
+def test_only_the_stream_helpers_call_numpy_random():
+    # each top-level statement, by its module and its name, if any
+    top = [(module, getattr(stmt, "name", None), stmt)
+           for module, tree in MODULES.items() for stmt in tree.body]
+    lines = {id(stmt): [node.lineno for node in ast.walk(stmt)
+                        if is_numpy_random_call(node)] for _, _, stmt in top}
+    sites = [f"{module}:{line}" for module, name, stmt in top
+             if (module, name) not in STREAM_HELPERS for line in lines[id(stmt)]]
+    assert sites == []
+    assert {(module, name) for module, name, stmt in top
+            if lines[id(stmt)]} == STREAM_HELPERS
