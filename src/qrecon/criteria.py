@@ -1,8 +1,9 @@
 """The paper's numerical criteria, each defined once.
 
 A criterion is a function cfg -> (checks, report rows) of a validated
-config alone: one measurement and the checks that judge it.  `CRITERIA`
-lists each kind's criteria in run order.  A criterion draws only from PCG64
+config alone: one measurement and the checks that judge it, each handed
+the values it judges (`Check` takes the worst).  `CRITERIA` lists each
+kind's criteria in run order.  A criterion draws only from PCG64
 streams keyed by cfg["seed"] (`_stream`), never from another's: children
 0-3 of SeedSequence(seed) for metric_sample, 4-5 for chart_sweep, and the
 seed's own stream for closed_form_identities and speedup; a new criterion
@@ -16,7 +17,6 @@ tolerance is a constant here, next to its check: no config can loosen it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import InitVar, dataclass, field
@@ -64,19 +64,19 @@ EXACT_TOL = 1e-12  # identities exact up to rounding, in metric-check and fft-de
 
 @dataclass
 class Check:
-    """One value judged against its tolerance, here and nowhere else: it
-    passes at value <= tolerance, or value >= tolerance for a `floor`; a NaN
-    value fails either way."""
+    """One value judged against its tolerance, here and nowhere else: the
+    max of the scalar or array given (NaN if an entry is, raising if empty)
+    passes at <= tolerance, or >= tolerance for a `floor`; NaN fails both."""
     id: str
     description: str
-    value: float
+    value: float  # given as a scalar or an array, stored as its max
     tolerance: float
     floor: InitVar[bool] = field(default=False, kw_only=True)
     passed: bool = field(init=False)
 
     def __post_init__(self, floor: bool):
         # numpy scalars stringify fine but np.bool_ is not JSON serializable
-        self.value = float(self.value)
+        self.value = float(np.max(self.value))
         self.tolerance = float(self.tolerance)
         self.passed = bool(self.value >= self.tolerance if floor
                            else self.value <= self.tolerance)
@@ -168,9 +168,8 @@ def chart_sweep(cfg: dict):
     points, tangents = _chart_draw(cfg)
     values = np.array([chart_tangent_metric(points, tangents, axis) for axis in "qpr"])
     top = values.max(axis=0)
-    worst = np.max((top - values.min(axis=0)) / top, initial=0.0)
     return [Check("chart-invariance", "tangent metric agrees across the q/p/r charts",
-                  worst, CHART_TOL)], []
+                  (top - values.min(axis=0)) / top, CHART_TOL)], []
 
 
 def _chart_draw(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +209,7 @@ def ladder_transform(cfg: dict):
     if n >= 2:
         checks.append(Check("danielson-lanczos", "half-size recursion and ladder "
                             "reproduce the Fourier matrix",
-                            max(dev["recursion"], dev["ladder"]), EXACT_TOL))
+                            (dev["recursion"], dev["ladder"]), EXACT_TOL))
     return checks, []
 
 
@@ -218,16 +217,15 @@ SHIFT_TOL = 4 * np.finfo(float).eps * 2 * math.pi  # a few ulps of 2*pi
 
 
 def shift_phases(cfg: dict):
-    worst = 0.0
-    for depth in range(1, 13):
-        vals = derive_shift_phases(depth)
-        closed = -2.0 * math.pi * np.arange(1 << depth) / (1 << depth)
-        worst = max(worst, float(np.abs(vals - closed).max()))
-    depth_2 = float(np.abs(derive_shift_phases(2)
-                           - np.array([0.0, -math.pi / 2, -math.pi,
-                                       -3 * math.pi / 2])).max())
+    """shift-recursion over every phase of depths 1..12, shift-depth-2 at 2."""
+    recursion = np.concatenate([
+        np.abs(derive_shift_phases(depth)
+               + 2.0 * math.pi * np.arange(1 << depth) / (1 << depth))
+        for depth in range(1, 13)])
+    depth_2 = np.abs(derive_shift_phases(2)
+                     - np.array([0.0, -math.pi / 2, -math.pi, -3 * math.pi / 2]))
     return [Check("shift-recursion", "shift-phase recursion equals -2*pi*k/2^l, "
-                  "depths 1..12, to a few ulps", worst, SHIFT_TOL),
+                  "depths 1..12, to a few ulps", recursion, SHIFT_TOL),
             Check("shift-depth-2", "depth-2 shift phases are exactly "
                   "(0, -pi/2, -pi, -3pi/2)", depth_2, 0.0)], []
 
@@ -277,21 +275,22 @@ def tomography(cfg: dict):
         trials = dict.fromkeys(thetas, trials)
     summaries = tomography_experiment(thetas, trials, seed=cfg["seed"],
                                       replicas=cfg["replicas"])
-    # a boundary estimate has no spread, and one precision nothing to agree with
-    finite = [s for s in summaries if math.isfinite(s.precision_per_measurement)]
+    # an estimate pinned at a boundary has no spread (an infinite precision;
+    # a NaN one stays, to fail), and one precision nothing to agree with
+    unpinned = [s for s in summaries if not math.isinf(s.precision_per_measurement)]
     checks = []
-    if len(finite) > 1:
-        precisions = [s.precision_per_measurement for s in finite]
-        parity = max(abs(a - b) / (0.5 * (a + b))
-                     for a, b in itertools.combinations(precisions, 2))
+    if len(unpinned) > 1:
+        prec = np.array([s.precision_per_measurement for s in unpinned])
         checks.append(Check("precision-parity", "per-measurement precision "
-                            "contributions agree across observables", parity, PARITY_TOL))
+                            "contributions agree across observables",
+                            np.abs(prec[:, None] - prec) / (0.5 * (prec[:, None] + prec)),
+                            PARITY_TOL))
     # the sample variance of R normal draws over the true one is chi^2 with
     # R - 1 dof over R - 1, of relative spread sqrt(2 / (R - 1)); the band
     # 1 +- BAND_SIGMA spreads is judged as a ceiling on the distance from 1,
     # so that a variance too small fails above its tolerance too
     spread = math.sqrt(2.0 / (cfg["replicas"] - 1))
-    for s in finite:
+    for s in unpinned:
         deviation = s.var_hat * s.trials - 1.0
         z = deviation / spread
         p = math.erfc(abs(z) / math.sqrt(2.0))  # its two-sided normal p-value

@@ -92,7 +92,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
     observable is measured `trials[name]` times per replica; the spread of
     the per-replica estimates gives the empirical estimator variance and the
     per-measurement precision contribution 1 / (M * var), infinite for an
-    estimate pinned at a boundary.
+    estimate pinned at a boundary (a zero variance) and NaN for a NaN one.
     """
     for arg, given in (("thetas", thetas), ("trials", trials)):
         if not isinstance(given, dict) or not all(isinstance(k, str) for k in given):
@@ -117,7 +117,7 @@ def tomography_experiment(thetas: dict[str, float], trials: dict[str, int],
         theta = thetas[name]
         est = _replica_estimates(theta, m, seed, name, replicas)
         var_hat = float(np.var(est, ddof=1))
-        precision = 1.0 / (m * var_hat) if var_hat > 0.0 else math.inf
+        precision = 1.0 / (m * var_hat) if var_hat != 0.0 else math.inf
         summaries.append(ObservableSummary(
             observable=name, trials=m, theta_true=theta,
             theta_hat_mean=float(est.mean()), var_hat=var_hat,

@@ -77,6 +77,10 @@ class TestBlochCharts:
         assert coords.theta == pytest.approx(math.pi / 2)
         assert coords.alpha == pytest.approx(0.0)
 
+    def test_atan2_minus_pi_is_alpha_pi(self):
+        # atan2(-0.0, -1.0) is -pi, outside the azimuth range (-pi, pi]
+        assert extended_from_bloch("q", BlochPoint(0.0, -1.0, -0.0)).alpha == math.pi
+
     @pytest.mark.parametrize("axis", [None, -1, 1.5, True, math.nan, 10**30, "x"])
     def test_unknown_axis_raises_domain_error(self, axis):
         with pytest.raises(DomainError):
@@ -447,6 +451,15 @@ class TestValidation:
             "true", "np-true", "true-theta", "np-true-theta"])
     def test_a_field_must_be_a_real_number(self, make):
         with pytest.raises(DomainError):
+            make()
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: ExtendedCoords("q", 4.0, 0.0), r"theta outside \[0, pi\]"),
+        (lambda: ExtendedCoords("q", 1.0, 4.0), r"alpha outside \(-pi, pi\]"),
+        (lambda: pauli_expectations([1, 0, 0]), "two-component state expected"),
+    ], ids=["theta", "alpha", "three-components"])
+    def test_a_value_out_of_range_is_refused(self, make, match):
+        with pytest.raises(DomainError, match=match):
             make()
 
     @pytest.mark.parametrize("name", ["x", 5, None, ["q"]])

@@ -424,8 +424,8 @@ class TestTransformColumns:
             transform_columns(np.ones((8, 2), dtype=complex), n)
 
     def test_kernel_rejects_a_non_contiguous_stack(self):
-        stack = np.ones((8, 4), dtype=complex).T
-        with pytest.raises(ValueError):
+        stack = np.ones((4, 8), dtype=complex).T  # (N, B) = (8, 4), strided
+        with pytest.raises(ValueError, match="stack of states must be C-contiguous"):
             kernels.apply_stage_range(stack, make_plan(3).ramps, 3, 1, 3,
                                       np.empty(16, dtype=complex))
 

@@ -33,6 +33,12 @@ class TestConfigHandling:
                                       "levels": 2, "bogus": 1})
         assert run(["fft-derive", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("doc", [[1], "fft-derive", None], ids=repr)
+    def test_config_must_be_a_json_object(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        assert run(["fft-derive", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_wrong_version_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"version": 2, "kind": "fft-derive"})
         assert run(["fft-derive", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -404,16 +410,26 @@ class TestExitCodes:
 
 
 class TestCheck:
-    """Check alone decides a verdict: value <= tolerance, value >= tolerance
-    for a floor, and a NaN value fails either way."""
+    """Check alone decides a verdict, on the max of the values given:
+    value <= tolerance, value >= tolerance for a floor, and a NaN value
+    (a NaN anywhere in an array) fails either way."""
 
     @pytest.mark.parametrize("value,ceiling,floor", [
         (0.5, True, False), (1.0, True, True), (1.5, False, True),
-        (math.nan, False, False),
-    ], ids=["below", "equal", "above", "nan"])
+        (math.nan, False, False), (np.array([[0.5, 1.5], [0.25, 1.0]]), False, True),
+        ((0.5, math.nan), False, False), (np.array([2.0, math.nan, 0.5]), False, False),
+    ], ids=["below", "equal", "above", "nan", "array-above", "pair-nan", "array-nan"])
     def test_ceiling_and_floor(self, value, ceiling, floor):
         assert criteria.Check("c", "ceiling", value, 1.0).passed is ceiling
         assert criteria.Check("f", "floor", value, 1.0, floor=True).passed is floor
+
+    def test_the_value_is_the_max_as_a_float(self):
+        check = criteria.Check("c", "ceiling", np.array([0.25, 0.75, 0.5]), 1.0)
+        assert (type(check.value), check.value) == (float, 0.75)
+
+    def test_no_values_are_a_fault_not_a_pass(self):
+        with pytest.raises(ValueError, match="zero-size"):
+            criteria.Check("c", "ceiling", np.array([]), 1.0)
 
     def test_no_caller_passes_a_verdict(self):
         with pytest.raises(TypeError):
@@ -695,11 +711,11 @@ class TestDeterminism:
             "shift-recursion": 8.881784197001252e-16,
             "shift-depth-2": 0.0}),
         # at the default seed 7 the sample and the chart draw from streams
-        # spawned from the run's generator: sample i is row i of each draw
-        # kind's stream, so no block size may move a bit; gauge-zero's state
-        # is the generator's first draw; chart-invariance is the spread of
-        # the closed-form chain rule over the chart streams' points;
-        # one-bit-form draws nothing
+        # keyed by the seed (its children 0-5): sample i is row i of each
+        # draw kind's stream, so no block size may move a bit; gauge-zero's
+        # state is the first draw of the seed's own stream; chart-invariance
+        # is the spread of the closed-form chain rule over the chart
+        # streams' points; one-bit-form draws nothing
         ("metric-check", {}, {
             "fs-factor": 1.0340921725061334e-15,
             "recursion": 9.955056966134344e-16,

@@ -2,15 +2,16 @@
 pyramid layers return, pinned in golden.json.
 
 A change that claims to keep every value's bits keeps every entry here.  A
-CLI entry is one in-process `cli.main` run: its exit code and the SHA-256
-of report.json (without the wall-clock fields and `env`), report.csv,
-rows.csv and stdout.  A layer entry is one call on fixed inputs: the
-SHA-256 of its result's dtype, shape and bytes, or its values when they
-are a few floats.  The bits rest on the build (numpy's generators and
-libm), so on a build other than the one golden.json records only each CLI
-entry's exit code is checked; the digests and the layer entries skip and
-say which two builds differ.  `bench` times itself, so its
-values are no fixed bits and it has no entry.
+CLI entry is one in-process `cli.main` run: its exit code, each check's
+verdict (`verdicts`, check id -> passed) and the SHA-256 of report.json
+(without the wall-clock fields and `env`), report.csv, rows.csv and
+stdout.  A layer entry is one call on fixed inputs: the SHA-256 of its
+result's dtype, shape and bytes, or its values when they are a few floats.
+The bits rest on the build (numpy's generators and libm), so on a build
+other than the one golden.json records only each CLI entry's exit code and
+verdicts are checked; the digests and the layer entries skip and say which
+two builds differ.  `bench` times itself, so its values are no fixed bits
+and it has no entry.
 
 To pin the corpus again, on purpose, after a change that moves values:
 
@@ -44,6 +45,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 BUILD = {"python": platform.python_version(), "numpy": np.__version__,
          "machine": platform.machine()}
 DROPPED = ("elapsed_s", "criterion_elapsed_s", "process", "env")  # no fixed bits
+VERDICTS = ("exit", "verdicts")  # a CLI entry's parts that rest on no build
 
 
 def _sha(data: bytes) -> str:
@@ -72,6 +74,7 @@ def _cli_run(kind: str, fields: dict) -> dict:
             doc.pop(field)
         rows = out / "rows.csv"
         return {"exit": code,
+                "verdicts": {check["id"]: check["passed"] for check in doc["checks"]},
                 "report.json": _sha(json.dumps(doc, indent=2).encode()),
                 "report.csv": _sha((out / "report.csv").read_bytes()),
                 "rows.csv": _sha(rows.read_bytes()) if rows.exists() else None,
@@ -154,22 +157,28 @@ def test_entry_keeps_its_bits(name):
         pytest.skip(skip)
     got = CORPUS[name]()
     if other_build:
-        # a CLI run's exit code rests on no build, its digests do
-        got, pinned = {"exit": got["exit"]}, {"exit": (pinned or {}).get("exit")}
+        # a CLI run's exit code and verdicts rest on no build, its digests do
+        got = {part: got[part] for part in VERDICTS}
+        pinned = {part: (pinned or {}).get(part) for part in VERDICTS}
     changed = _changed(got, pinned)
     assert not changed, f"{name}: {', '.join(changed)} changed"
     if other_build:
-        pytest.skip(f"{skip}: exit code checked, digests skipped")
+        pytest.skip(f"{skip}: exit code and verdicts checked, digests skipped")
 
 
-def test_another_build_checks_the_exit_codes_only(monkeypatch):
+def test_another_build_checks_the_exit_codes_and_verdicts_only(monkeypatch):
     monkeypatch.setitem(globals(), "BUILD", {**BUILD, "numpy": "0.0"})
     name, entries = "cli/partition-audit/width-1", PINNED["entries"]
-    monkeypatch.setitem(entries, name, {**entries[name], "report.json": "moved"})
-    with pytest.raises(pytest.skip.Exception, match="exit code checked"):
+    pinned = entries[name]
+    monkeypatch.setitem(entries, name, {**pinned, "report.json": "moved"})
+    with pytest.raises(pytest.skip.Exception, match="exit code and verdicts checked"):
         test_entry_keeps_its_bits(name)
-    monkeypatch.setitem(entries, name, {**entries[name], "exit": 1})
+    monkeypatch.setitem(entries, name, {**pinned, "exit": 1})
     with pytest.raises(AssertionError, match="exit changed"):
+        test_entry_keeps_its_bits(name)
+    flipped = {**pinned["verdicts"], "lsb-uniqueness": False}
+    monkeypatch.setitem(entries, name, {**pinned, "verdicts": flipped})
+    with pytest.raises(AssertionError, match="verdicts changed"):
         test_entry_keeps_its_bits(name)
     with pytest.raises(pytest.skip.Exception, match="pinned on"):
         test_entry_keeps_its_bits("_recursion/n-3")

@@ -389,6 +389,17 @@ class TestPartitionSets:
         with pytest.raises(DomainError, match="empty set"):
             Partition(1, ((), (0, 1))).validate()
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: Partition(1, [[0], [2]]), "element 2 outside width-1 domain"),
+        (lambda: finest_common_partition(make_lsb_partition(1, 1),
+                                         make_lsb_partition(2, 1)),
+         "partitions live on different domains"),
+        (lambda: make_lsb_partition(2, 1).index_of(7), "7 not in domain"),
+    ], ids=["element", "meet-of-two-widths", "index-of"])
+    def test_a_value_outside_the_domain_is_refused(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
+
     def test_validation_rejects_overlap_and_gaps(self):
         with pytest.raises(DomainError):
             part(2, (0, 1), (1, 2, 3))

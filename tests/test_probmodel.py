@@ -88,6 +88,12 @@ class TestDistributionValidation:
         with pytest.raises(DomainError):
             Distribution([])
 
+    def test_probs_cannot_be_reassigned(self):
+        d = Distribution([0.5, 0.5])
+        with pytest.raises(AttributeError, match="Distribution is immutable"):
+            d.probs = np.array([1.0, 0.0])
+        assert d.probs.tolist() == [0.5, 0.5]
+
 
 def reshape_sum_pyramid(values):
     """Reference: mass_pyramid with each level summed over a length-2 axis,
@@ -217,6 +223,11 @@ class TestConditionalTreeValidation:
         with pytest.raises(DomainError, match="flat vector"):
             ConditionalTree(len(levels), levels)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5])
+    def test_a_node_outside_the_unit_interval_is_rejected(self, bad):
+        with pytest.raises(DomainError, match=r"conditional probability outside \[0, 1\]"):
+            ConditionalTree(1, [[bad]])
+
     @pytest.mark.parametrize("level,suffix", [(0, 0), (3, 0), (1, -1), (1, 4),
                                               (2, 2), (2, -1)])
     def test_node_checks_its_position(self, level, suffix):
@@ -267,6 +278,10 @@ class TestConditionalTreeValidation:
 
 
 class TestMarginalize:
+    def test_the_partition_must_share_the_domain(self):
+        with pytest.raises(DomainError, match="partition domain does not match"):
+            marginalize_to_partition(Distribution([0.5, 0.5]), make_lsb_partition(2, 2))
+
     def test_whole_domain(self):
         rng = np.random.default_rng(1)
         d = random_distribution(rng, 2)

@@ -202,6 +202,17 @@ class TestTomography:
             "state": {"kind": "qubit", "bloch": [0.0, 0.0, 1.0]}, "trials": 2000,
             "seed": 5, "replicas": 50}) <= 1.5
 
+    def test_a_nan_variance_is_no_boundary(self, monkeypatch):
+        # only a zero variance pins an estimate: a NaN one keeps its NaN
+        def nan_first(*args):
+            est = _replica_estimates(*args)
+            est[0] = math.nan
+            return est
+
+        monkeypatch.setattr(sampling, "_replica_estimates", nan_first)
+        (q,) = tomography_experiment({"q": 1.0}, {"q": 500}, seed=3, replicas=10)
+        assert math.isnan(q.var_hat) and math.isnan(q.precision_per_measurement)
+
     def test_angles_are_floats_and_some_are_needed(self):
         (q,) = tomography_experiment({"q": 0}, {"q": 500}, seed=3, replicas=10)
         assert q.theta_true == 0.0
