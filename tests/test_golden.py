@@ -45,7 +45,7 @@ GOLDEN = Path(__file__).with_name("golden.json")
 BUILD = {"python": platform.python_version(), "numpy": np.__version__,
          "machine": platform.machine()}
 DROPPED = ("elapsed_s", "criterion_elapsed_s", "process", "env")  # no fixed bits
-VERDICTS = ("exit", "verdicts")  # a CLI entry's parts that rest on no build
+ON_ANY_BUILD = ("exit", "verdicts")  # the parts of a CLI entry that rest on no build
 
 
 def _sha(data: bytes) -> str:
@@ -158,8 +158,8 @@ def test_entry_keeps_its_bits(name):
     got = CORPUS[name]()
     if other_build:
         # a CLI run's exit code and verdicts rest on no build, its digests do
-        got = {part: got[part] for part in VERDICTS}
-        pinned = {part: (pinned or {}).get(part) for part in VERDICTS}
+        got = {part: got[part] for part in ON_ANY_BUILD}
+        pinned = {part: (pinned or {}).get(part) for part in ON_ANY_BUILD}
     changed = _changed(got, pinned)
     assert not changed, f"{name}: {', '.join(changed)} changed"
     if other_build:
