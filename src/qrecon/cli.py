@@ -1,15 +1,15 @@
 """Command-line harness: seeded verification suites and the benchmark.
 
 Subcommands map to experiment kinds.  A config is checked field by field
-against `FIELDS` and the --out directory is made before any work runs; then
-the kind's criteria (qrecon.criteria) run, each check prints
-`[PASS|FAIL] <id>: value=<value> tolerance=<tolerance>`, and the run writes
-report.json, report.csv (the checks) and rows.csv (the report rows, if any)
-under --out, each as a new file: an old output there is removed first, so a
-hard link or symlink in its place is replaced, not written through.  Exit
-codes: 0 every check passed, 1 a check failed or the run made no check (the
-seed is printed for exact replay), 2 malformed configuration or usage, 3 an
-internal error (with its traceback).
+against `FIELDS`; then the --out directory is made and cleared of `OUTPUTS`
+(a config error leaves it as it was), the kind's criteria (qrecon.criteria)
+run, each check prints `[PASS|FAIL] <id>: value=<value> tolerance=<tolerance>`,
+and the run writes report.json, report.csv (the checks) and rows.csv (the
+report rows, if any) under --out, each new, never over or through an old
+one.  Exit codes: 0 every check passed, 1 a check failed or the run made no
+check (the seed is printed for exact replay), 2 malformed configuration or
+usage, or an --out that cannot be made a directory or cleared (before any
+check), 3 an internal error (with its traceback; no earlier output is left).
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # takes the same size (2-core Xeon VM, glibc 2.36)
 HEAP_THRESHOLD = 32 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+# what a run writes under --out: main removes each before any criterion runs,
+# then write_report creates each new.  On ext4 (auto_da_alloc) that is also the
+# fastest write: a 3 kB report took 0.16-0.19 ms unlinked and written new, 0.31
+# ms truncated and rewritten and 0.39-0.42 ms renamed over, which both start
+# writeback at close (medians of 60, 2-core Xeon VM)
+OUTPUTS = ("report.json", "report.csv", "rows.csv")
 
 
 def _integer(low: int, high: int | None = None):
@@ -208,19 +214,8 @@ def load_config(kind: str, path: str | None, seed_override: int | None) -> dict:
     return validate(kind, fields)
 
 
-def _new_file(path: Path) -> Path:
-    """`path` with any old file there removed, so that writing it makes a new
-    file.  On ext4 (default auto_da_alloc) truncating a non-empty file and
-    writing it again starts writeback at close; a temporary file renamed over
-    it is flushed the same way.  A 3 kB report took 0.31 ms truncated and
-    rewritten, 0.39-0.42 ms renamed and 0.16-0.19 ms unlinked and written new
-    (medians of 60, 2-core Xeon VM)."""
-    path.unlink(missing_ok=True)
-    return path
-
-
 def _write_csv(path: Path, fields: list[str], records: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "x", newline="") as fh:
         writer = csv.DictWriter(fh, fields, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(records)
@@ -288,6 +283,10 @@ def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Chec
                  rows: list[dict], elapsed: float,
                  criterion_elapsed: dict[str, float],
                  process: dict | None = None) -> dict:
+    """The run's report, written under out_dir as OUTPUTS, each created new
+    (mode "x").  main clears them from --out before any criterion runs, after
+    the config is read (a config error leaves --out as it was) and exiting 2
+    where it cannot, so a run that ends in exit 3 leaves none of them."""
     report = {
         "kind": kind,
         "config": cfg,
@@ -302,14 +301,12 @@ def write_report(out_dir: Path, kind: str, cfg: dict, checks: list[criteria.Chec
         "process": process,
         "env": environment(cfg["seed"]),
     }
-    _new_file(out_dir / "report.json").write_text(
-        json.dumps(_strict_json(report), indent=2, allow_nan=False))
-    _write_csv(_new_file(out_dir / "report.csv"),
-               ["id", "value", "tolerance", "passed"], report["checks"])
-    # a run that made no row leaves no rows.csv
-    rows_path = _new_file(out_dir / "rows.csv")
-    if rows:
-        _write_csv(rows_path, list(rows[0]), rows)
+    report_json, report_csv, rows_csv = (out_dir / name for name in OUTPUTS)
+    with open(report_json, "x") as fh:
+        fh.write(json.dumps(_strict_json(report), indent=2, allow_nan=False))
+    _write_csv(report_csv, ["id", "value", "tolerance", "passed"], report["checks"])
+    if rows:  # a run that made no row leaves no rows.csv
+        _write_csv(rows_csv, list(rows[0]), rows)
     return report
 
 
@@ -339,16 +336,19 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out = Path(args.out)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, no permission, ...
-        print(f"cannot make the --out directory: {exc}", file=sys.stderr)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in OUTPUTS:
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:  # a file in the way, a directory named as an output, ...
+        print(f"cannot make or clear the --out directory: {exc}", file=sys.stderr)
         return 2
     try:
         t0 = time.perf_counter()
         checks, rows, criterion_elapsed = criteria.run(args.kind, cfg)
         elapsed = time.perf_counter() - t0
-        report = write_report(Path(args.out), args.kind, cfg, checks, rows, elapsed,
+        report = write_report(out, args.kind, cfg, checks, rows, elapsed,
                               criterion_elapsed, _process_usage(start_faults))
     except Exception:  # a fault of the program, not of the config
         traceback.print_exc()

@@ -62,10 +62,10 @@ OBSERVABLES = {"rebit": ("q", "p"), "qubit": ("q", "p", "r")}
 EXACT_TOL = 1e-12  # identities exact up to rounding, in metric-check and fft-derive
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
-    """One value judged against its tolerance, here and nowhere else: the
-    max of the scalar or array given (NaN if an entry is, raising if empty)
+    """One value judged against its tolerance, here alone, frozen once judged:
+    the max of the scalar or array given (NaN if an entry is, raising if empty)
     passes at <= tolerance, or >= tolerance for a `floor`; NaN fails both."""
     id: str
     description: str
@@ -76,10 +76,11 @@ class Check:
 
     def __post_init__(self, floor: bool):
         # numpy scalars stringify fine but np.bool_ is not JSON serializable
-        self.value = float(np.max(self.value))
-        self.tolerance = float(self.tolerance)
-        self.passed = bool(self.value >= self.tolerance if floor
-                           else self.value <= self.tolerance)
+        value, tolerance = float(np.max(self.value)), float(self.tolerance)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", bool(value >= tolerance if floor
+                                                else value <= tolerance))
 
     def line(self) -> str:
         return (f"[{'PASS' if self.passed else 'FAIL'}] {self.id}: "

@@ -12,6 +12,7 @@ leaf probability.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,13 +54,14 @@ def theta_from_prob(p0: float) -> float:
     return 2.0 * math.acos(math.sqrt(p0))
 
 
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Normalized probability vector over 2**n outcomes."""
 
-    __slots__ = ("probs",)
+    probs: np.ndarray  # given as any sequence of floats, stored read-only
 
-    def __init__(self, probs: Sequence[float]):
-        arr = real_array(probs)
+    def __post_init__(self):
+        arr = real_array(self.probs)
         check_rows(stack=False, probs=arr)
         check_power_of_two("probs length", arr.size)
         check_finite(probs=arr)  # NaN passes every comparison below
@@ -71,9 +73,6 @@ class Distribution:
             arr = arr / total
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
 
     @property
     def nbits(self) -> int:
@@ -91,6 +90,7 @@ def s_variable(d: Distribution | Sequence[float]) -> float:
     return float(probs[0] - probs[1])
 
 
+@dataclass(frozen=True, eq=False)
 class ConditionalTree:
     """Binary factorization tree of a distribution over 2**n outcomes.
 
@@ -102,18 +102,19 @@ class ConditionalTree:
     the 2**i nodes of level n - i indexed by suffix, root level first.
     """
 
-    __slots__ = ("depth", "levels")
+    depth: int
+    levels: tuple[np.ndarray, ...]  # given as any sequence of level sequences
 
-    def __init__(self, depth: int, levels: Sequence[Sequence[float]]):
-        depth = check_integer("depth", depth, 0)
+    def __post_init__(self):
+        depth = check_integer("depth", self.depth, 0)
         try:
-            count = len(levels)
+            count = len(self.levels)
         except TypeError:  # not a sequence at all
             count = None
         if count != depth:
             raise DomainError("level count does not match depth")
         store = []
-        for i, lev in enumerate(levels):
+        for i, lev in enumerate(self.levels):
             arr = real_array(lev).copy()  # frozen below: never the caller's array
             if arr.ndim != 1 or arr.size != 1 << i:
                 raise DomainError(f"level {depth - i} must be a flat vector of "
@@ -125,9 +126,6 @@ class ConditionalTree:
             store.append(arr)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "levels", tuple(store))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConditionalTree is immutable")
 
     def node(self, level: int, suffix: int) -> float:
         """Probability that bit `level` is 0 given the lower bits `suffix`."""

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,30 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "--out" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name", cli.OUTPUTS)
+    def test_an_output_that_cannot_be_cleared_exits_two_before_any_criterion(
+            self, tmp_path, capsys, monkeypatch, name):
+        def unreachable(kind, cfg):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(criteria, "run", unreachable)
+        (tmp_path / name).mkdir()
+        assert run(["partition-audit", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / name) in err and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
+    def test_an_internal_error_leaves_no_earlier_output(self, tmp_path, monkeypatch):
+        assert run(["partition-audit", "--out", str(tmp_path)]) == 0
+        assert all((tmp_path / name).exists() for name in cli.OUTPUTS)
+
+        def fault(*args):
+            raise ValueError("not a config problem")
+
+        monkeypatch.setattr(criteria, "shift_invariant_equal_partitions", fault)
+        assert run(["partition-audit", "--out", str(tmp_path)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_internal_error_exits_three_with_a_traceback(self, tmp_path, capsys,
                                                          monkeypatch):
         def fault(kind, cfg):
@@ -430,6 +455,13 @@ class TestCheck:
     def test_no_values_are_a_fault_not_a_pass(self):
         with pytest.raises(ValueError, match="zero-size"):
             criteria.Check("c", "ceiling", np.array([]), 1.0)
+
+    def test_a_judged_check_is_frozen(self):
+        check = criteria.Check("c", "ceiling", 2.0, 1.0)
+        for name, value in (("value", 0.5), ("tolerance", 3.0), ("passed", True)):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(check, name, value)
+        assert check.line() == "[FAIL] c: value=2 tolerance=1"
 
     def test_no_caller_passes_a_verdict(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestDistributionValidation:
 
     def test_probs_cannot_be_reassigned(self):
         d = Distribution([0.5, 0.5])
-        with pytest.raises(AttributeError, match="Distribution is immutable"):
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'probs'"):
             d.probs = np.array([1.0, 0.0])
         assert d.probs.tolist() == [0.5, 0.5]
 
@@ -227,6 +228,12 @@ class TestConditionalTreeValidation:
     def test_a_node_outside_the_unit_interval_is_rejected(self, bad):
         with pytest.raises(DomainError, match=r"conditional probability outside \[0, 1\]"):
             ConditionalTree(1, [[bad]])
+
+    def test_levels_cannot_be_reassigned(self):
+        tree = ConditionalTree(1, [[0.25]])
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'levels'"):
+            tree.levels = (np.array([0.75]),)
+        assert tree.node(1, 0) == 0.25
 
     @pytest.mark.parametrize("level,suffix", [(0, 0), (3, 0), (1, -1), (1, 4),
                                               (2, 2), (2, -1)])

@@ -10,7 +10,9 @@ a size is a power of 2, with `v & (v - 1)`, reads the norm tolerance
 RENORM_TOL, or calls `np.isfinite(...).all(...)`; every other module calls
 its guards.  A fourth keeps the stream rule: only `criteria._stream` and
 `sampling.measurement_stream` call `np.random.<name>(...)`, so every seeded
-draw comes from a stream keyed by the run's seed.
+draw comes from a stream keyed by the run's seed.  A fifth keeps one
+immutability idiom: every dataclass is frozen, and no class defines
+`__setattr__` or `__slots__`.
 """
 
 import ast
@@ -137,3 +139,31 @@ def test_only_the_stream_helpers_call_numpy_random():
     assert sites == []
     assert {(module, name) for module, name, stmt in top
             if lines[id(stmt)]} == STREAM_HELPERS
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """Whether node is `dataclass` or `dataclass(...)`, by either spelling."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return ((isinstance(func, ast.Name) and func.id == "dataclass")
+            or (isinstance(func, ast.Attribute) and func.attr == "dataclass"))
+
+
+def passes_frozen(node: ast.expr) -> bool:
+    """Whether a decorator call passes frozen=True."""
+    return isinstance(node, ast.Call) and any(
+        keyword.arg == "frozen" and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is True for keyword in node.keywords)
+
+
+def test_every_value_type_is_a_frozen_dataclass():
+    classes = [(module, node) for module, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    unfrozen = [f"{module}.{cls.name}" for module, cls in classes
+                if any(is_dataclass_decorator(d) and not passes_frozen(d)
+                       for d in cls.decorator_list)]
+    hand_rolled = [f"{module}.{cls.name}.{name}" for module, cls in classes
+                   for stmt in cls.body for name in defined_names(stmt)
+                   if name in ("__setattr__", "__slots__")]
+    assert (unfrozen, hand_rolled) == ([], [])
+    assert any(map(is_dataclass_decorator, (d for _, cls in classes
+                                            for d in cls.decorator_list)))
